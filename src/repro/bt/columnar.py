@@ -1,229 +1,74 @@
-"""Columnar swarm state: dense rows + bitmask piece books.
+"""The swarm state: dense peer rows over bitmask piece books.
 
-The object model keeps per-peer piece state in four Python ``set``
-objects per :class:`~repro.bt.torrent.PieceBook` and answers every
-serving question by walking peer object graphs.  At 10^5 peers the
-sets dominate memory and the per-neighbor set intersections dominate
-time.  This module provides the flat backend of ROADMAP item 1:
+Every upload decision in every protocol asks some variant of one
+question: *which neighbours want a piece that some peer holds?*  With
+piece books stored as bitmasks (:class:`~repro.bt.torrent.PieceBook`)
+the answer for one pair is ``wanter.wmask & holder.cmask``, and for a
+neighbourhood it is that AND walked over a flat, sorted adjacency
+column.  :class:`ColumnarState` is that table — one per swarm, always
+on, the only acceleration structure the protocols consult:
 
-* :class:`ColumnarBook` — a drop-in ``PieceBook`` replacement that
-  stores *completed*/*expected*/*wanted* as integer bitmasks (one bit
-  per piece).  Predicates like ``needs_from`` become single ``&``
-  operations; the listener contract (``on_wanted_removed`` **before**
-  ``on_completed_added``) and every event order are preserved exactly,
-  so the interest index and the sanitizer cannot tell the difference.
-* :class:`ColumnarState` — a per-swarm table mapping peer ids to dense
-  row indexes with flat columns (peer object, book, liveness, sorted
-  neighbor adjacency) that the protocol scans operate on wholesale
-  instead of re-deriving neighbor lists from dicts of objects.
+* rows: peer id -> dense row index, with parallel columns for the peer
+  object, its book, liveness and the sorted neighbour ids / rows;
+* one *maintained* column, ``avail``: per chooser row, the number of
+  live neighbours holding each piece — the Local-Rarest-First input.
+  It is the single count kept instead of recomputed, because LRF reads
+  it on every plan while it changes only O(degree) per completion and
+  O(pieces) per edge (docs/PERF.md has the measurement).
 
-Trace neutrality is the hard contract (the same one the interest index
-satisfies, see :mod:`repro.bt.interest`): every fast path iterates
-neighbors in the ``topology.sorted_neighbors()`` order, applies
-predicates whose truth values provably equal the naive ones, and feeds
-identical candidate lists to identical rng draws.  ``ColumnarBook``'s
-set-returning views materialize sets whose *elements* equal the naive
-live sets; every consumer in the tree is iteration-order-independent
-(boolean predicates, membership tests, and min/sorted-pool/rng.choice
-aggregations), which ``tests/test_columnar.py`` pins with full-trace
-diffs across protocols and seeds.
+Nothing here is swarm-wide: joining costs O(1) plus O(pieces) per edge,
+a completion costs O(degree), and no map is keyed by piece.
 
-Adoption happens in :meth:`repro.bt.swarm.Swarm.register` by mutating
-``peer.book.__class__`` in place rather than swapping the object:
-books are replaced after construction (``runner`` pre-seeds partial
-books) and even *shared* between peers (the Sybil group pools one
-book), so preserving object identity is what keeps every outstanding
-reference — and the single-listener slot — coherent.
+Trace neutrality is the contract: every scan iterates neighbours in
+``topology.sorted_neighbors()`` order and applies predicates equal to
+the set intersections they replace, so candidate lists come out
+element for element what a naive rescan over ``neighbor_peers()``
+yields and no rng draw moves (``tests/test_golden_traces.py`` pins
+this against traces taken from that naive rescan).
+
+Books are referenced, never copied: a book replaced after peer
+construction (the runner pre-seeds partial books) is picked up at
+registration, and a book *shared* by several identities (a Sybil
+group) occupies several rows — a completion through any of them counts
+at the neighbours of every one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.bt.torrent import PieceBook
+from repro.bt.torrent import PieceBook, mask_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.peer import Peer
     from repro.bt.swarm import Swarm
 
-try:  # Python >= 3.10
-    _popcount = int.bit_count  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover - 3.9 fallback
-    def _popcount(mask: int) -> int:
-        return bin(mask).count("1")
-
-
-def mask_to_set(mask: int) -> Set[int]:
-    """The set of bit positions in ``mask``."""
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def set_to_mask(pieces) -> int:
-    """Pack an iterable of piece indices into a bitmask."""
-    mask = 0
-    for piece in pieces:
-        mask |= 1 << piece
-    return mask
-
-
-class ColumnarBook(PieceBook):
-    """A ``PieceBook`` whose state is three bitmasks.
-
-    Invariants mirror the set model exactly: ``missing = ~completed``,
-    ``wanted = missing & ~expected``; ``add_completed`` fires
-    ``on_wanted_removed`` before ``on_completed_added``.  Instances
-    are normally produced by :func:`adopt_book`, which transmutes an
-    existing ``PieceBook`` in place.
-    """
-
-    def __init__(self, torrent, initial_pieces=()):
-        self.torrent = torrent
-        self._cmask = 0
-        self._emask = 0
-        self._wmask = (1 << torrent.n_pieces) - 1
-        self._ccount = 0
-        self._listener = None
-        self._listener_owner = None
-        for piece in initial_pieces:
-            self.add_completed(piece)
-
-    # -- completed ------------------------------------------------------
-    @property
-    def completed(self) -> Set[int]:
-        """Completed piece indices (materialized from the mask)."""
-        return mask_to_set(self._cmask)
-
-    def add_completed(self, piece: int) -> bool:
-        self._check(piece)
-        bit = 1 << piece
-        self._emask &= ~bit
-        if self._cmask & bit:
-            return False
-        self._cmask |= bit
-        self._ccount += 1
-        listener = self._listener
-        if self._wmask & bit:
-            self._wmask &= ~bit
-            # Same event order as PieceBook: wanted_removed first, so
-            # the index never sees this peer want its own new piece.
-            if listener is not None:
-                listener.on_wanted_removed(self._listener_owner, piece)
-        if listener is not None:
-            listener.on_completed_added(self._listener_owner, piece)
-        return True
-
-    def has(self, piece: int) -> bool:
-        return bool(self._cmask >> piece & 1)
-
-    @property
-    def completed_count(self) -> int:
-        return self._ccount
-
-    @property
-    def is_complete(self) -> bool:
-        return self._ccount == self.torrent.n_pieces
-
-    # -- expected -------------------------------------------------------
-    def expect(self, piece: int) -> None:
-        self._check(piece)
-        bit = 1 << piece
-        if not self._cmask & bit:
-            self._emask |= bit
-            if self._wmask & bit:
-                self._wmask &= ~bit
-                if self._listener is not None:
-                    self._listener.on_wanted_removed(
-                        self._listener_owner, piece)
-
-    def unexpect(self, piece: int) -> None:
-        bit = 1 << piece
-        self._emask &= ~bit
-        if not self._cmask & bit and not self._wmask & bit:
-            self._wmask |= bit
-            if self._listener is not None:
-                self._listener.on_wanted_added(
-                    self._listener_owner, piece)
-
-    def is_expected(self, piece: int) -> bool:
-        return bool(self._emask >> piece & 1)
-
-    # -- derived sets ---------------------------------------------------
-    def missing(self) -> Set[int]:
-        full = (1 << self.torrent.n_pieces) - 1
-        return mask_to_set(full & ~self._cmask)
-
-    def wanted(self) -> Set[int]:
-        return mask_to_set(self._wmask)
-
-    def needs_from(self, other_completed) -> Set[int]:
-        wmask = self._wmask
-        return {p for p in other_completed if wmask >> p & 1}
-
-    def wants(self, piece: int) -> bool:
-        return bool(self._wmask >> piece & 1)
-
-    def _wanted_nonempty(self) -> bool:
-        return bool(self._wmask)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (f"ColumnarBook({self._ccount}/"
-                f"{self.torrent.n_pieces} done, "
-                f"{_popcount(self._emask)} expected)")
-
-
-def adopt_book(book: PieceBook) -> ColumnarBook:
-    """Transmute a ``PieceBook`` into a :class:`ColumnarBook` in place.
-
-    The object identity is preserved on purpose: books get replaced
-    after peer construction and shared across Sybil identities, so
-    every outstanding reference must keep seeing the live state.
-    Idempotent for books that are already columnar.
-    """
-    if isinstance(book, ColumnarBook):
-        return book
-    cmask = set_to_mask(book._completed)
-    emask = set_to_mask(book._expected)
-    wmask = set_to_mask(book._wanted)
-    ccount = len(book._completed)
-    del book._completed, book._expected, book._missing, book._wanted
-    book.__class__ = ColumnarBook
-    book._cmask = cmask
-    book._emask = emask
-    book._wmask = wmask
-    book._ccount = ccount
-    return book
-
 
 class ColumnarState:
     """Dense per-peer rows with flat columns for wholesale scans.
 
-    Rows are allocated at :meth:`adopt` (``Swarm.register``) and
-    recycled at :meth:`release` (``Swarm.deregister``); ``alive``
-    mirrors ``peer.active`` through ``Swarm.note_deactivated``, so a
-    row filter on ``alive`` equals the ``neighbor_peers()`` activity
-    filter at every scan instant.  Adjacency is kept as two parallel
-    per-row lists — neighbor ids sorted lexicographically and their
-    row indexes — matching ``topology.sorted_neighbors()`` order
-    element for element.
+    Rows are allocated at :meth:`adopt` (``Swarm.register`` /
+    ``rebrand``) and recycled at :meth:`release`; ``alive`` mirrors
+    ``peer.active`` through ``Swarm.note_deactivated``, so a row filter
+    on ``alive`` equals the ``neighbor_peers()`` activity filter at
+    every scan instant.  Adjacency is two parallel per-row lists —
+    neighbour ids sorted lexicographically and their row indexes —
+    matching ``topology.sorted_neighbors()`` element for element.
     """
 
     def __init__(self, swarm: "Swarm"):
         self.swarm = swarm
         self.n_pieces = swarm.torrent.n_pieces
-        self.full_mask = (1 << self.n_pieces) - 1
         self.row_of: Dict[str, int] = {}
         self.ids: List[Optional[str]] = []
         self.objs: List[Optional["Peer"]] = []
-        self.books: List[Optional[ColumnarBook]] = []
+        self.books: List[Optional[PieceBook]] = []
         self.alive: List[bool] = []
         self.adj_ids: List[List[str]] = []
         self.adj_rows: List[List[int]] = []
+        #: avail[row][piece] = live neighbours of ``row`` holding it.
+        self.avail: List[List[int]] = []
         self._free: List[int] = []
 
     def __len__(self) -> int:
@@ -234,20 +79,19 @@ class ColumnarState:
     # deregister / rebrand)
     # ------------------------------------------------------------------
     def adopt(self, peer: "Peer") -> int:
-        """Allocate a row for a registering peer and columnarize its
-        book (idempotent on the book: a shared or rejoining book is
-        transmuted once and reused)."""
+        """Allocate a row for a registering peer (no edges yet)."""
         pid = peer.id
         row = self.row_of.get(pid)
         if row is not None:
             return row
-        book = adopt_book(peer.book)
+        book = peer.book
         if self._free:
             row = self._free.pop()
             self.ids[row] = pid
             self.objs[row] = peer
             self.books[row] = book
             self.alive[row] = True
+            self.avail[row] = [0] * self.n_pieces
         else:
             row = len(self.ids)
             self.ids.append(pid)
@@ -256,14 +100,21 @@ class ColumnarState:
             self.alive.append(True)
             self.adj_ids.append([])
             self.adj_rows.append([])
+            self.avail.append([0] * self.n_pieces)
         self.row_of[pid] = row
+        book._state = self
+        book._rows.append(row)
         return row
 
     def on_deactivated(self, peer: "Peer") -> None:
-        """Mirror ``active = False`` the instant it happens."""
+        """Mirror ``active = False`` the instant it happens: the peer
+        stops counting as a copy at its neighbours (its edges are
+        severed later, and are then ignored by the column)."""
         row = self.row_of.get(peer.id)
-        if row is not None:
-            self.alive[row] = False
+        if row is None or not self.alive[row]:
+            return
+        self.alive[row] = False
+        self._count_at_neighbors(row, self.books[row].cmask, -1)
 
     def release(self, peer_id: str) -> None:
         """Free a departed peer's row (edges were already severed by
@@ -273,6 +124,10 @@ class ColumnarState:
         row = self.row_of.pop(peer_id, None)
         if row is None:
             return
+        book = self.books[row]
+        book._rows.remove(row)
+        if not book._rows:
+            book._state = None
         self.ids[row] = None
         self.objs[row] = None
         self.books[row] = None
@@ -282,46 +137,87 @@ class ColumnarState:
         self._free.append(row)
 
     # ------------------------------------------------------------------
-    # Topology events (fanned out by Swarm._on_edge_added/_removed)
+    # Writes to the availability column
+    # ------------------------------------------------------------------
+    def on_completed(self, rows: List[int], piece: int) -> None:
+        """A book completed ``piece``; ``rows`` are the rows holding
+        that book (several for a shared Sybil book — the piece becomes
+        a copy at the neighbours of every live identity)."""
+        for row in rows:
+            if self.alive[row]:
+                self._count_at_neighbors(row, 1 << piece, +1)
+
+    def _count_at_neighbors(self, row: int, cmask: int,
+                            delta: int) -> None:
+        """Add ``delta`` copies of every piece in ``cmask`` at the
+        live neighbours of ``row``."""
+        pieces = mask_bits(cmask)
+        if not pieces:
+            return
+        alive = self.alive
+        for nrow in self.adj_rows[row]:
+            if alive[nrow]:
+                counts = self.avail[nrow]
+                for piece in pieces:
+                    counts[piece] += delta
+
+    def _count_edge(self, row_a: int, row_b: int, delta: int) -> None:
+        """Both endpoints live: each holds the other's pieces."""
+        counts = self.avail[row_a]
+        for piece in mask_bits(self.books[row_b].cmask):
+            counts[piece] += delta
+        counts = self.avail[row_b]
+        for piece in mask_bits(self.books[row_a].cmask):
+            counts[piece] += delta
+
+    # ------------------------------------------------------------------
+    # Topology events (Topology.on_edge_added / on_edge_removed)
     # ------------------------------------------------------------------
     def on_edge_added(self, a: str, b: str) -> None:
         row_a = self.row_of.get(a)
         row_b = self.row_of.get(b)
         if row_a is None or row_b is None:
             return
-        self._insert(row_a, b, row_b)
-        self._insert(row_b, a, row_a)
+        if self._insert(row_a, b, row_b) \
+                and self._insert(row_b, a, row_a) \
+                and self.alive[row_a] and self.alive[row_b]:
+            self._count_edge(row_a, row_b, +1)
 
     def on_edge_removed(self, a: str, b: str) -> None:
         row_a = self.row_of.get(a)
         row_b = self.row_of.get(b)
-        if row_a is not None:
-            self._remove(row_a, b)
-        if row_b is not None:
-            self._remove(row_b, a)
+        removed_a = row_a is not None and self._remove(row_a, b)
+        removed_b = row_b is not None and self._remove(row_b, a)
+        # A deactivated endpoint already left the counts.
+        if removed_a and removed_b \
+                and self.alive[row_a] and self.alive[row_b]:
+            self._count_edge(row_a, row_b, -1)
 
-    def _insert(self, row: int, nid: str, nrow: int) -> None:
+    def _insert(self, row: int, nid: str, nrow: int) -> bool:
         ids = self.adj_ids[row]
         # bisect has no key= before 3.10; the parallel-list insert is
         # the portable equivalent.
         pos = bisect_left(ids, nid)
         if pos < len(ids) and ids[pos] == nid:
-            return
+            return False
         ids.insert(pos, nid)
         self.adj_rows[row].insert(pos, nrow)
+        return True
 
-    def _remove(self, row: int, nid: str) -> None:
+    def _remove(self, row: int, nid: str) -> bool:
         ids = self.adj_ids[row]
         pos = bisect_left(ids, nid)
         if pos < len(ids) and ids[pos] == nid:
             del ids[pos]
             del self.adj_rows[row][pos]
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Wholesale scans (trace-equal to the naive object walks)
     # ------------------------------------------------------------------
     def has_provider(self, peer: "Peer") -> bool:
-        """Does any live neighbor hold a piece ``peer`` wants?
+        """Does any live neighbour hold a piece ``peer`` wants?
 
         Equals ``any(wanted & p.book.completed for p in
         peer.neighbor_peers())``.
@@ -329,99 +225,69 @@ class ColumnarState:
         row = self.row_of.get(peer.id)
         if row is None:
             return False
-        wmask = peer.book._wmask
+        wmask = peer.book.wmask
         books = self.books
         alive = self.alive
         for nrow in self.adj_rows[row]:
-            if alive[nrow] and books[nrow]._cmask & wmask:
+            if alive[nrow] and books[nrow].cmask & wmask:
                 return True
         return False
 
-    def interested_ids(self, peer: "Peer") -> List[str]:
-        """Live neighbors wanting >=1 of ``peer``'s completed pieces,
-        in sorted-id order (equals the naive ``interested_neighbors``
-        fallback element for element)."""
-        row = self.row_of.get(peer.id)
-        if row is None:
-            return []
-        cmask = peer.book._cmask
-        books = self.books
-        alive = self.alive
-        adj_rows = self.adj_rows[row]
-        return [nid
-                for pos, nid in enumerate(self.adj_ids[row])
-                if alive[nrow := adj_rows[pos]]
-                and books[nrow]._wmask & cmask]
+    def wanters(self, peer: "Peer", offer_mask: int) -> List[str]:
+        """Live neighbours of ``peer`` wanting >=1 piece of
+        ``offer_mask``, in sorted-id order.
 
-    def availability(self, peer: "Peer", cand_mask: int
-                     ) -> Dict[int, int]:
-        """``{piece: copies among live neighbors}`` for the candidate
-        pieces, keyed in ascending piece order.
-
-        Feeding the result through
-        :func:`repro.bt.piece_selection.rarest_of` reproduces the
-        naive ``local_rarest_first`` choice bit for bit: the counts
-        equal the naive availability and the tie-break (sorted pool,
-        one ``rng.choice``) is shared code.
+        With ``offer_mask = peer.book.cmask`` this is "who is
+        interested in us"; with a requestor's ``cmask`` plus the piece
+        about to be uploaded it is the Sec. II-B2 payee-candidacy
+        scan.  Equals ``[p.id for p in peer.neighbor_peers() if
+        p.book.wanted() & offer]`` element for element.
         """
-        counts: Dict[int, int] = {}
-        mask = cand_mask
-        while mask:
-            low = mask & -mask
-            counts[low.bit_length() - 1] = 0
-            mask ^= low
         row = self.row_of.get(peer.id)
-        if row is None:
-            return counts
+        if row is None or not offer_mask:
+            return []
         books = self.books
         alive = self.alive
-        for nrow in self.adj_rows[row]:
-            if not alive[nrow]:
-                continue
-            overlap = books[nrow]._cmask & cand_mask
-            while overlap:
-                low = overlap & -overlap
-                counts[low.bit_length() - 1] += 1
-                overlap ^= low
-        return counts
+        return [nid
+                for nid, nrow in zip(self.adj_ids[row],
+                                     self.adj_rows[row])
+                if alive[nrow] and books[nrow].wmask & offer_mask]
 
-    def live_neighbors(self, peer: "Peer"):
-        """Live neighbor ``Peer`` objects in sorted-id order (equals
-        ``peer.neighbor_peers()``)."""
+    def availability(self, peer: "Peer") -> List[int]:
+        """``copies[piece]`` among ``peer``'s live neighbours (the
+        maintained column; read-only).  All zeros for a peer that is
+        not registered."""
         row = self.row_of.get(peer.id)
         if row is None:
-            return []
-        objs = self.objs
-        alive = self.alive
-        return [objs[nrow] for nrow in self.adj_rows[row]
-                if alive[nrow]]
+            return [0] * self.n_pieces
+        return self.avail[row]
 
     # ------------------------------------------------------------------
     # Self-check (the churn property test runs this after every event)
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Assert rows, liveness, adjacency and masks all equal a
-        from-scratch rebuild from the object model."""
+        """Assert rows, liveness, adjacency, masks, book links and the
+        availability column all equal a from-scratch rebuild from the
+        peers and the topology."""
         swarm = self.swarm
         assert set(self.row_of) == set(swarm.peers), (
             f"rows {sorted(self.row_of)} != peers "
             f"{sorted(swarm.peers)}")
         topology = swarm.topology
+        full = (1 << self.n_pieces) - 1
         for pid, row in self.row_of.items():
             peer = swarm.peers[pid]
             assert self.ids[row] == pid
             assert self.objs[row] is peer
             book = peer.book
-            assert isinstance(book, ColumnarBook), (
-                f"{pid} book not adopted: {type(book).__name__}")
-            assert self.books[row] is book
+            assert self.books[row] is book, f"{pid} book was swapped"
+            assert book._state is self and row in book._rows, (
+                f"{pid} book not linked to its row")
             assert self.alive[row] == peer.active, (
                 f"alive[{pid}]={self.alive[row]} != "
                 f"active={peer.active}")
-            full = self.full_mask
-            assert book._ccount == _popcount(book._cmask)
-            assert book._cmask & book._emask == 0
-            assert book._wmask == full & ~book._cmask & ~book._emask, (
+            assert book.cmask & book.emask == 0
+            assert book.wmask == full & ~book.cmask & ~book.emask, (
                 f"{pid} wanted mask diverged")
             expected_adj = topology.sorted_neighbors(pid) \
                 if pid in topology else []
@@ -429,5 +295,15 @@ class ColumnarState:
                 f"adj[{pid}] {self.adj_ids[row]} != {expected_adj}")
             assert [self.ids[nrow] for nrow in self.adj_rows[row]] \
                 == self.adj_ids[row], f"adj rows of {pid} diverged"
-        live_rows = len(self.row_of)
-        assert live_rows + len(self._free) == len(self.ids)
+            if not peer.active:
+                continue
+            copies = [0] * self.n_pieces
+            for other in peer.neighbor_peers():
+                for piece in other.book.completed:
+                    copies[piece] += 1
+            assert self.avail[row] == copies, (
+                f"avail[{pid}] {self.avail[row]} != {copies}")
+        for row, book in enumerate(self.books):
+            if book is not None:
+                assert book._rows.count(row) == 1
+        assert len(self.row_of) + len(self._free) == len(self.ids)

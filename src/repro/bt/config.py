@@ -23,6 +23,19 @@ from typing import Optional, Sequence
 #: Paper values (Sec. IV-A): leecher upload bandwidths vary 400-1200 Kbps.
 DEFAULT_LEECHER_CAPACITIES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
 
+#: Every key ``SwarmConfig.extra`` accepts.  Anything else is rejected
+#: at construction, so a typo or a key removed in a later version
+#: fails loudly instead of being silently ignored.
+EXTRA_KEYS = frozenset({
+    "sanitize", "profile",                      # engine instrumentation
+    "pool_events", "pool_messages",             # object pools (default on)
+    "coalesce_timers", "coalesce_baseline",     # SL203-gated timer herds
+    "net",                                      # link-level substrate spec
+    "quiet_window_s",                           # quiescence stop
+    "chain_stall_timeout_s", "key_timeout_s",   # T-Chain watchdogs
+    "control_retry_base_s", "control_retry_attempts",
+})
+
 
 @dataclass
 class SwarmConfig:
@@ -57,6 +70,14 @@ class SwarmConfig:
     max_sim_time_s: Optional[float] = None
     chain_sample_interval_s: float = 10.0
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.extra) - EXTRA_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown extra key(s) {unknown} (never accepted, or "
+                f"removed: the swarm state has one arm and no "
+                f"switches); accepted: {sorted(EXTRA_KEYS)}")
 
     @property
     def file_size_mb(self) -> float:

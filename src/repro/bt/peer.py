@@ -20,10 +20,9 @@ fairness-factor metric of Fig. 12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Any, Dict, Optional, Set, TYPE_CHECKING
 
-from repro.bt.columnar import ColumnarBook
-from repro.bt.piece_selection import local_rarest_first, rarest_of
+from repro.bt.piece_selection import rarest_in_mask
 from repro.bt.torrent import PieceBook
 from repro.net.bandwidth import Transfer, Uplink
 
@@ -118,25 +117,9 @@ class Peer:
         # Starvation detection: we want pieces but no current neighbor
         # has any of them (e.g. attackers eclipsed the peers that do).
         # A real client goes back to the tracker in that situation.
-        if self.book._wanted_nonempty():
-            index = self.swarm.interest
-            store = self.swarm.columnar
-            if index is not None:
-                rows = index._rows
-                starved = not any(
-                    self.id in rows.get(nid, ())
-                    for nid in self.swarm.topology.sorted_neighbors(
-                        self.id))
-            elif store is not None:
-                # Mask scan over the adjacency column; equals the
-                # naive any() below piece for piece.
-                starved = not store.has_provider(self)
-            else:
-                wanted = self.book.wanted()
-                starved = not any(wanted & peer.book.completed
-                                  for peer in self.neighbor_peers())
-            if starved:
-                self.refill_neighbors()
+        if self.book.wmask \
+                and not self.swarm.columnar.has_provider(self):
+            self.refill_neighbors()
         self.pump()
 
     def on_rescan(self) -> None:
@@ -395,73 +378,22 @@ class Peer:
                 if (peer := peers.get(nid)) is not None and peer.active]
 
     def interested_neighbors(self) -> list:
-        """Neighbors that want at least one of our completed pieces."""
-        index = self.swarm.interest
-        if index is not None:
-            row = index.row(self.id)
-            return [nid for nid in
-                    self.swarm.topology.sorted_neighbors(self.id)
-                    if nid in row]
-        store = self.swarm.columnar
-        if store is not None:
-            # Same sorted-id walk and the same want∩completed
-            # predicate, one mask AND per neighbor.
-            return store.interested_ids(self)
-        mine = self.book.completed
-        return [p.id for p in self.neighbor_peers()
-                if p.book.needs_from(mine)]
+        """Neighbors that want at least one of our completed pieces,
+        in sorted-id order."""
+        return self.swarm.columnar.wanters(self, self.book.cmask)
 
     def is_interested_in(self, other: "Peer") -> bool:
-        """Do we want a piece the other peer has completed?
-
-        With the index on, both peers must be active (callers pass
-        live neighbors, matching the naive scans' active filter).
-        """
-        index = self.swarm.interest
-        if index is not None:
-            return self.id in index.row(other.id)
-        my_book, other_book = self.book, other.book
-        if self.swarm.columnar is not None \
-                and isinstance(my_book, ColumnarBook) \
-                and isinstance(other_book, ColumnarBook):
-            return bool(my_book._wmask & other_book._cmask)
-        return bool(my_book.needs_from(other_book.completed))
+        """Do we want a piece the other peer has completed?"""
+        return bool(self.book.wmask & other.book.cmask)
 
     def choose_piece_from(self, uploader: "Peer") -> Optional[int]:
         """Receiver-side LRF piece choice (Sec. II-A)."""
-        index = self.swarm.interest
-        store = self.swarm.columnar
-        my_book, up_book = self.book, uploader.book
-        if index is None and store is not None \
-                and isinstance(my_book, ColumnarBook) \
-                and isinstance(up_book, ColumnarBook):
-            cand_mask = my_book._wmask & up_book._cmask
-            if not cand_mask:
-                return None
-            # Counts equal the naive availability over the same live
-            # neighbors; rarest_of is the shared tie-break.
-            return rarest_of(store.availability(self, cand_mask),
-                             self.sim.rng)
-        candidates = self.book.needs_from(uploader.book.completed)
+        candidates = self.book.wmask & uploader.book.cmask
         if not candidates:
             return None
-        if index is not None:
-            # Fused single-pass rarest_of over the availability row:
-            # same min + sorted-tie-pool + rng.choice as rarest_of.
-            get = index.avail(self.id).get
-            best = None
-            pool: List[int] = []
-            for piece in candidates:
-                copies = get(piece, 0)
-                if best is None or copies < best:
-                    best = copies
-                    pool = [piece]
-                elif copies == best:
-                    pool.append(piece)
-            pool.sort()
-            return self.sim.rng.choice(pool)
-        books = [p.book.completed for p in self.neighbor_peers()]
-        return local_rarest_first(candidates, books, self.sim.rng)
+        return rarest_in_mask(candidates,
+                              self.swarm.columnar.availability(self),
+                              self.sim.rng)
 
     # ------------------------------------------------------------------
     # Protocol hooks (subclasses override)

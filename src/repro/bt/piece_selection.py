@@ -10,7 +10,9 @@ donor applies the both-need rule (:mod:`repro.core.bootstrap`).
 from __future__ import annotations
 
 from random import Random
-from typing import AbstractSet, Dict, Iterable, Optional, Set
+from typing import AbstractSet, Dict, Iterable, Optional, Sequence, Set
+
+from repro.bt.torrent import mask_bits
 
 
 def availability(pieces: Iterable[int],
@@ -28,15 +30,35 @@ def availability(pieces: Iterable[int],
 def rarest_of(counts: Dict[int, int], rng: Random) -> Optional[int]:
     """LRF choice over precomputed ``{piece: copies}`` counts.
 
-    The shared tail of :func:`local_rarest_first`, split out so the
-    interest index can feed its incrementally-maintained availability
-    counts through the exact same tie-break (sorted pool, one
-    ``rng.choice``) and stay trace-identical with the naive scan.
+    The tail of :func:`local_rarest_first`: sorted tie pool, one
+    ``rng.choice``.
     """
     if not counts:
         return None
     rarest = min(counts.values())
     pool = sorted(p for p, c in counts.items() if c == rarest)
+    return rng.choice(pool)
+
+
+def rarest_in_mask(candidates: int, copies: Sequence[int],
+                   rng: Random) -> int:
+    """LRF choice over a non-empty candidate bitmask, given the
+    chooser's ``copies[piece]`` availability column.
+
+    One pass over the candidate pieces, equal to :func:`rarest_of` on
+    ``{piece: copies[piece]}`` draw for draw: the tie pool comes out
+    ascending because ``mask_bits`` is ascending, and exactly one
+    ``rng.choice`` is made.
+    """
+    best = -1
+    pool = []
+    for piece in mask_bits(candidates):
+        count = copies[piece]
+        if count < best or best < 0:
+            best = count
+            pool = [piece]
+        elif count == best:
+            pool.append(piece)
     return rng.choice(pool)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.bt.columnar import ColumnarBook
 from repro.bt.peer import Peer, UploadPlan
 from repro.bt.torrent import full_book
 
@@ -99,32 +98,11 @@ class BaselineLeecher(Peer):
     def serveable(self, neighbor_ids) -> List[str]:
         """Filter to active, interested-in-us, not-already-being-served
         neighbors."""
-        index = self.swarm.interest
-        if index is not None:
-            # ``nid in row`` covers both interest and activity (only
-            # tracked, i.e. active, peers have row entries).
-            row = index.row(self.id)
-            in_flight = self._in_flight_to
-            return sorted(nid for nid in neighbor_ids
-                          if nid in row and nid not in in_flight)
-        result = []
-        my_book = self.book
-        use_masks = isinstance(my_book, ColumnarBook)
-        mine = None if use_masks else my_book.completed
-        for nid in neighbor_ids:
-            if self.uploading_to(nid):
-                continue
-            peer = self.swarm.find_peer(nid)
-            if peer is None or not peer.active:
-                continue
-            other_book = peer.book
-            if use_masks and isinstance(other_book, ColumnarBook):
-                # Mask AND ⟺ ``bool(other.wanted() & my.completed)``.
-                if other_book._wmask & my_book._cmask:
-                    result.append(nid)
-                continue
-            if mine is None:
-                mine = my_book.completed
-            if other_book.needs_from(mine):
-                result.append(nid)
-        return sorted(result)
+        peers = self.swarm.peers
+        mine = self.book.cmask
+        in_flight = self._in_flight_to
+        return sorted(
+            nid for nid in neighbor_ids
+            if nid not in in_flight
+            and (peer := peers.get(nid)) is not None and peer.active
+            and peer.book.wmask & mine)

@@ -59,18 +59,14 @@ class BitTorrentLeecher(BaselineLeecher):
             self._optimistic_task.stop()
 
     # -- choking ---------------------------------------------------------
-    def _interested_in_us(self):
-        # Same contract as Peer.interested_neighbors (which is
-        # index-accelerated); kept as a named hook for readability.
-        return self.interested_neighbors()
-
     def _rechoke(self) -> None:
         self.contributions.roll()
-        self.choker.rechoke(self._interested_in_us(), self.contributions)
+        self.choker.rechoke(self.interested_neighbors(),
+                            self.contributions)
         self.pump()
 
     def _rotate_optimistic(self) -> None:
-        self.choker.rotate_optimistic(self._interested_in_us())
+        self.choker.rotate_optimistic(self.interested_neighbors())
         self.pump()
 
     # -- serving ---------------------------------------------------------

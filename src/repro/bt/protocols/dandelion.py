@@ -205,7 +205,7 @@ class DandelionLeecher(BaselineLeecher):
     def _maybe_top_up(self) -> None:
         if not self.active:
             return
-        if not self.bank.can_afford(self.id) and self.book._wanted_nonempty():
+        if not self.bank.can_afford(self.id) and self.book.wmask:
             self.bank.top_up(self.id)
             # let stalled uploaders reconsider us
             for peer in self.neighbor_peers():

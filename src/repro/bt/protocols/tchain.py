@@ -41,19 +41,24 @@ sealed piece and re-fetches).  All of it is accounted in
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
-
-from repro.bt.columnar import ColumnarBook, set_to_mask
-from repro.bt.interest import (
-    needed_overlap,
-    offers_interest,
-    wants_any_of,
-    wants_from,
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TYPE_CHECKING,
 )
+
 from repro.bt.peer import Peer, UploadPlan
 from repro.bt.protocols.base import BaselineLeecher
-from repro.bt.torrent import full_book, piece_payload
-from repro.core.bootstrap import select_bootstrap_piece
+from repro.bt.torrent import (
+    full_book,
+    mask_bits,
+    piece_payload,
+    set_to_mask,
+)
 from repro.core.chain import Chain, ChainRegistry
 from repro.core.exchange import ExchangeLedger
 from repro.core.flow_control import FlowController
@@ -264,107 +269,46 @@ class _TChainNode(Peer):
     # Donor planning
     # ------------------------------------------------------------------
     def _eligible_requestors(self) -> List[str]:
-        """Neighbors we could start serving right now."""
-        index = self.swarm.interest
-        if index is not None:
-            # Every check is a set/dict lookup.  ``nid in row`` covers
-            # both "wants a piece of ours" and "active" (untracked
-            # peers have no row entries), matching the naive
-            # active-neighbor scan below.
-            row = index._rows.get(self.id)
-            if not row:
-                return []
-            # C-level set algebra beats a Python predicate loop here;
-            # the sorted result is identical to the neighbor walk.
-            eligible = row.keys() & self.swarm.topology.neighbors(self.id)
-            if self._in_flight_to:
-                eligible -= self._in_flight_to
-            if self._flow_blocked:
-                eligible -= self._flow_blocked
-            banned = self._banned_until
-            if banned:
-                now = self.sim.now
-                return sorted(nid for nid in eligible
-                              if now >= banned.get(nid, 0.0))
-            return sorted(eligible)
-        store = self.swarm.columnar
-        if store is not None and isinstance(self.book, ColumnarBook):
-            # Same conjunction as the naive walk below, evaluated
-            # interest-first over the flat adjacency arrays: the
-            # predicates are pure filters, so reordering them cannot
-            # change the (sorted) result list.
-            result = [nid for nid in store.interested_ids(self)
-                      if not self.uploading_to(nid)
-                      and self.flow.eligible(nid)
-                      and self.cooperative(nid)]
-            result.sort()
-            return result
-        mine = self.book.completed
-        result = []
-        for peer in self.neighbor_peers():
-            if self.uploading_to(peer.id):
-                continue
-            if not self.flow.eligible(peer.id):
-                continue
-            if not self.cooperative(peer.id):
-                continue
-            if peer.book.needs_from(mine):
-                result.append(peer.id)
-        return sorted(result)
+        """Neighbors we could start serving right now, sorted: live,
+        wanting a piece of ours, not already being served, inside
+        their flow window and not backed off."""
+        return self._unblocked(
+            self.swarm.columnar.wanters(self, self.book.cmask),
+            self._in_flight_to)
+
+    def _unblocked(self, ids: List[str], exclude=()) -> List[str]:
+        """Drop ``exclude``, neighbors over their flow window
+        (``_flow_blocked`` mirrors ``not flow.eligible``) and neighbors
+        still backed off (``not cooperative``); order is kept."""
+        blocked = self._flow_blocked
+        if exclude or blocked:
+            ids = [nid for nid in ids
+                   if nid not in exclude and nid not in blocked]
+        return self._cooperative(ids)
+
+    def _cooperative(self, ids: List[str]) -> List[str]:
+        """``ids`` minus the neighbors still backed off."""
+        banned = self._banned_until
+        if not banned:
+            return ids
+        now = self.sim.now
+        return [nid for nid in ids if now >= banned.get(nid, 0.0)]
+
+    def _wanting(self, requestor: Peer,
+                 extra: Iterable[int]) -> List[str]:
+        """Our live neighbors, requestor excluded, that want >=1 of
+        the requestor's completed pieces or of ``extra`` — the
+        Sec. II-B2 payee-candidacy scan, in sorted-id order."""
+        requestor_id = requestor.id
+        offer = requestor.book.cmask | set_to_mask(extra)
+        return [nid for nid in self.swarm.columnar.wanters(self, offer)
+                if nid != requestor_id]
 
     def _payee_candidates(self, requestor: Peer,
-                          offered: Set[int]) -> List[str]:
+                          offered: Iterable[int]) -> List[str]:
         """Our neighbors that need ≥1 of the requestor's pieces
         (including the piece about to be uploaded), Sec. II-B2."""
-        index = self.swarm.interest
-        requestor_id = requestor.id
-        if index is not None:
-            row = index.row(requestor_id)
-            wanter_sets = [index.wanters(p) for p in offered]
-            banned = self._banned_until
-            now = self.sim.now
-            result = []
-            for nid in self.swarm.topology.sorted_neighbors(self.id):
-                if nid == requestor_id:
-                    continue
-                if banned and now < banned.get(nid, 0.0):
-                    continue
-                if nid in row or any(nid in s for s in wanter_sets):
-                    result.append(nid)
-            return result
-        store = self.swarm.columnar
-        requestor_book = requestor.book
-        if (store is not None and isinstance(requestor_book, ColumnarBook)
-                and self.id in store.row_of):
-            # ``wmask & (requestor.cmask | offered)`` ⟺ the
-            # ``offers_interest`` predicate below, walked over the flat
-            # adjacency arrays (already in sorted-id order).
-            row = store.row_of[self.id]
-            offer_mask = requestor_book._cmask | set_to_mask(offered)
-            books = store.books
-            alive = store.alive
-            adj_rows = store.adj_rows[row]
-            result = []
-            for pos, nid in enumerate(store.adj_ids[row]):
-                if nid == requestor_id:
-                    continue
-                nrow = adj_rows[pos]
-                if not alive[nrow]:
-                    continue
-                if not self.cooperative(nid):
-                    continue
-                if books[nrow]._wmask & offer_mask:
-                    result.append(nid)
-            return result
-        result = []
-        for peer in self.neighbor_peers():
-            if peer.id in (self.id, requestor_id):
-                continue
-            if not self.cooperative(peer.id):
-                continue
-            if offers_interest(self.swarm, requestor, offered, peer):
-                result.append(peer.id)
-        return sorted(result)
+        return self._cooperative(self._wanting(requestor, offered))
 
     def _plan_donation(self, requestor_id: str,
                        reciprocates: Optional[Transaction] = None,
@@ -416,9 +360,9 @@ class _TChainNode(Peer):
                                  reciprocates, forward_of)
 
     def _decide_payee(self, requestor: Peer,
-                      offered: Set[int]) -> PayeeDecision:
+                      offered: Iterable[int]) -> PayeeDecision:
         config = self.swarm.config
-        direct_possible = wants_from(self.swarm, self, requestor)
+        direct_possible = self.is_interested_in(requestor)
         if not config.indirect_reciprocity:
             candidates: List[str] = []
         else:
@@ -443,40 +387,20 @@ class _TChainNode(Peer):
                           ) -> Tuple[Optional[int],
                                      Optional[PayeeDecision]]:
         """Joint payee+piece choice for a newcomer requestor."""
-        usable = needed_overlap(self, requestor)
+        usable = self.book.cmask & requestor.book.wmask
         if not usable:
             return None, None
-        index = self.swarm.interest
-        candidates = []
-        if index is not None:
-            requestor_id = requestor.id
-            blocked = self._flow_blocked
-            banned = self._banned_until
-            now = self.sim.now
-            for nid in self.swarm.topology.sorted_neighbors(self.id):
-                if nid == requestor_id or nid in blocked:
-                    continue
-                if banned and now < banned.get(nid, 0.0):
-                    continue
-                if index.wants_any(nid, usable):
-                    candidates.append(nid)
-        else:
-            for peer in self.neighbor_peers():
-                if peer.id in (self.id, requestor.id):
-                    continue
-                if not self.flow.eligible(peer.id):
-                    continue
-                if not self.cooperative(peer.id):
-                    continue
-                if wants_any_of(self.swarm, peer, usable):
-                    candidates.append(peer.id)
+        candidates = self._unblocked(
+            self.swarm.columnar.wanters(self, usable), (requestor.id,))
         if not candidates:
             return None, None
-        payee_id = self.sim.rng.choice(sorted(candidates))
+        payee_id = self.sim.rng.choice(candidates)
         payee = self.swarm.find_peer(payee_id)
-        piece = select_bootstrap_piece(
-            self.book.completed, requestor.book.wanted(),
-            payee.book.wanted(), self.sim.rng)
+        # The both-need rule (core.bootstrap.select_bootstrap_piece)
+        # on masks: uniform over donor ∩ requestor-wants ∩ payee-wants,
+        # non-empty because the payee was picked for wanting ``usable``.
+        piece = self.sim.rng.choice(
+            mask_bits(usable & payee.book.wmask))
         return piece, PayeeDecision(ReciprocityKind.INDIRECT, payee_id)
 
     def _materialize(self, requestor: Peer, piece: int,
@@ -705,75 +629,19 @@ class _TChainNode(Peer):
         Returns the new payee id, or None when forgiven.
         """
         ledger = self.state.ledger
-        swarm = self.swarm
         direct = (self.active and self.id not in exclude
                   and requestor is not None
-                  and offers_interest(swarm, requestor, extra, self))
+                  and self.book.wmask & (requestor.book.cmask
+                                         | set_to_mask(extra)))
         if direct:
             new_payee: Optional[str] = self.id
         elif requestor is None:
             new_payee = None
         else:
-            index = swarm.interest
-            candidates = []
-            if index is not None:
-                row = index.row(requestor.id)
-                wanter_sets = [index.wanters(p) for p in extra]
-                blocked = self._flow_blocked
-                banned = self._banned_until
-                now = self.sim.now
-                for nid in swarm.topology.sorted_neighbors(self.id):
-                    if nid == tx.requestor_id or nid in exclude \
-                            or nid in blocked:
-                        continue
-                    if banned and now < banned.get(nid, 0.0):
-                        continue
-                    if nid in row or any(nid in s
-                                         for s in wanter_sets):
-                        candidates.append(nid)
-                new_payee = (self.sim.rng.choice(candidates)
-                             if candidates else None)
-            elif (swarm.columnar is not None
-                    and isinstance(requestor.book, ColumnarBook)
-                    and self.id in swarm.columnar.row_of):
-                # Columnar arm: identical conjunction to the naive walk
-                # below over the flat adjacency arrays; candidates come
-                # out already in sorted-id order, so the rng draw
-                # matches ``rng.choice(sorted(candidates))``.
-                store = swarm.columnar
-                row = store.row_of[self.id]
-                offer_mask = requestor.book._cmask | set_to_mask(extra)
-                books = store.books
-                alive = store.alive
-                adj_rows = store.adj_rows[row]
-                for pos, nid in enumerate(store.adj_ids[row]):
-                    if nid == tx.requestor_id or nid in exclude:
-                        continue
-                    nrow = adj_rows[pos]
-                    if not alive[nrow]:
-                        continue
-                    if not self.flow.eligible(nid):
-                        continue
-                    if not self.cooperative(nid):
-                        continue
-                    if books[nrow]._wmask & offer_mask:
-                        candidates.append(nid)
-                new_payee = (self.sim.rng.choice(candidates)
-                             if candidates else None)
-            else:
-                for peer in self.neighbor_peers():
-                    if peer.id in (self.id, tx.requestor_id):
-                        continue
-                    if peer.id in exclude:
-                        continue
-                    if not self.flow.eligible(peer.id):
-                        continue
-                    if not self.cooperative(peer.id):
-                        continue
-                    if offers_interest(swarm, requestor, extra, peer):
-                        candidates.append(peer.id)
-                new_payee = (self.sim.rng.choice(sorted(candidates))
-                             if candidates else None)
+            candidates = self._unblocked(
+                self._wanting(requestor, extra), exclude)
+            new_payee = (self.sim.rng.choice(candidates)
+                         if candidates else None)
         if new_payee is None:
             key = ledger.forgive(tx.transaction_id, self.sim.now)
             self.swarm.metrics.recovery.forgives += 1
@@ -859,37 +727,13 @@ class _TChainNode(Peer):
         requestor = self.swarm.find_peer(tx.requestor_id)
         if requestor is None or not requestor.active:
             return None
-        index = self.swarm.interest
-        if index is not None:
-            row = index.row(requestor.id)
-            piece_wanters = index.wanters(tx.piece_index)
-            ids = [nid for nid in
-                   self.swarm.topology.sorted_neighbors(self.id)
-                   if nid != tx.requestor_id
-                   and (nid in row or nid in piece_wanters)]
-            if not ids:
-                return None
-            return self.swarm.find_peer(self.sim.rng.choice(ids))
-        extra = (tx.piece_index,)
-        candidates = []
-        for peer in self.neighbor_peers():
-            if peer.id in (self.id, tx.requestor_id):
-                continue
-            if offers_interest(self.swarm, requestor, extra, peer):
-                candidates.append(peer)
-        if not candidates:
+        ids = self._wanting(requestor, (tx.piece_index,))
+        if not ids:
             return None
-        candidates.sort(key=_peer_id)
-        return self.sim.rng.choice(candidates)
+        return self.swarm.find_peer(self.sim.rng.choice(ids))
 
     def _abort_on_departure(self, tx: Transaction) -> None:
         _orphan_exchange(self.state, tx)
-
-
-def _peer_id(peer: Peer) -> str:
-    """Sort key for candidate lists (module-level so per-event sorts
-    don't rebuild a closure each call — SL303)."""
-    return peer.id
 
 
 def _check_stall(state: TChainState, transaction_id: int) -> None:
@@ -1059,20 +903,19 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         # actually holds the history — known to us as uncooperative
         # (our own pending window on it is full).
         payee_stale = (payee is None or not payee.active
-                       or not offers_interest(self.swarm, self, extra,
-                                              payee)
+                       or not payee.book.wmask & (self.book.cmask
+                                                  | set_to_mask(extra))
                        or not self.flow.eligible(payee.id))
         if payee_stale:
-            index = self.swarm.interest
-            if index is not None:
-                adjacent = self.swarm.topology.neighbors(self.id)
-                tracked = index._tracked
-                banned = set(nid for nid in self._flow_blocked
-                             if nid in adjacent and nid in tracked)
-            else:
-                banned = set(
-                    p.id for p in self.neighbor_peers()
-                    if not self.flow.eligible(p.id))
+            # Our veto list: live neighbors over their pending window
+            # at us.
+            peers = self.swarm.peers
+            adjacent = self.swarm.topology.neighbors(self.id)
+            banned = set(
+                nid for nid in self._flow_blocked
+                if nid in adjacent
+                and (peer := peers.get(nid)) is not None
+                and peer.active)
             if payee is not None:
                 banned.add(payee.id)  # whatever made it stale persists
             banned = frozenset(banned)
@@ -1120,38 +963,14 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         only served when no direct candidate exists.  This is what
         keeps voluntary donations from being farmed by free-riders.
         """
-        candidates = self._eligible_requestors()
-        index = self.swarm.interest
         direct, fallback = [], []
-        if index is not None:
-            my_id = self.id
-            for candidate_id in candidates:
-                if my_id in index.row(candidate_id):
-                    direct.append(candidate_id)
-                else:
-                    fallback.append(candidate_id)
-        else:
-            my_book = self.book
-            use_masks = isinstance(my_book, ColumnarBook)
-            my_wanted = None if use_masks else my_book.wanted()
-            for candidate_id in candidates:
-                peer = self.swarm.find_peer(candidate_id)
-                if peer is None:
-                    fallback.append(candidate_id)
-                    continue
-                other_book = peer.book
-                if use_masks and isinstance(other_book, ColumnarBook):
-                    if my_book._wmask & other_book._cmask:
-                        direct.append(candidate_id)
-                    else:
-                        fallback.append(candidate_id)
-                    continue
-                if my_wanted is None:
-                    my_wanted = my_book.wanted()
-                if my_wanted & other_book.completed:
-                    direct.append(candidate_id)
-                else:
-                    fallback.append(candidate_id)
+        wanted = self.book.wmask
+        peers = self.swarm.peers
+        for candidate_id in self._eligible_requestors():
+            if peers[candidate_id].book.cmask & wanted:
+                direct.append(candidate_id)
+            else:
+                fallback.append(candidate_id)
         for pool in (direct, fallback):
             while pool:
                 requestor_id = self.sim.rng.choice(pool)

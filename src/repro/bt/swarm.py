@@ -19,7 +19,6 @@ import os
 from repro.analysis.metrics import SwarmMetrics
 from repro.bt.columnar import ColumnarState
 from repro.bt.config import SwarmConfig
-from repro.bt.interest import InterestIndex
 from repro.bt.peer import Peer
 from repro.bt.torrent import Torrent
 from repro.bt.tracker import Tracker
@@ -56,23 +55,11 @@ class Swarm:
         self.topology = Topology(config.max_neighbors,
                                  config.refill_threshold)
         self.topology.on_disconnect = self._notify_disconnect
-        #: Incremental interest index (see :mod:`repro.bt.interest`).
-        #: On by default; ``extra={"interest_index": False}`` selects
-        #: the naive-rescan reference paths (the trace-equality tests
-        #: and the bench equivalence leg run both).
-        self.interest: Optional[InterestIndex] = None
-        if config.extra.get("interest_index", True):
-            self.interest = InterestIndex(self)
-        #: Columnar rows + bitmask books (see :mod:`repro.bt.columnar`).
-        #: On by default; ``extra={"columnar": False}`` keeps the
-        #: per-peer set-backed ``PieceBook`` objects (the trace-equality
-        #: tests and the crowd bench equivalence leg run both).
-        self.columnar: Optional[ColumnarState] = None
-        if config.extra.get("columnar", True):
-            self.columnar = ColumnarState(self)
-        if self.interest is not None or self.columnar is not None:
-            self.topology.on_edge_added = self._on_edge_added
-            self.topology.on_edge_removed = self._on_edge_removed
+        #: Peer rows over bitmask books (see :mod:`repro.bt.columnar`):
+        #: the one swarm state every interest scan reads.
+        self.columnar = ColumnarState(self)
+        self.topology.on_edge_added = self.columnar.on_edge_added
+        self.topology.on_edge_removed = self.columnar.on_edge_removed
         #: SL203-gated timer coalescing (opt-in, docs/PERF.md): the
         #: gate refuses every handler in the baseline's do-not-coalesce
         #: inventory; a missing baseline refuses everything.
@@ -128,18 +115,13 @@ class Swarm:
         if peer.id in self.peers:
             raise ValueError(f"duplicate peer id {peer.id!r}")
         self.peers[peer.id] = peer
-        if self.columnar is not None:
-            # Before the interest index sees the peer: the listener it
-            # installs must land on the columnarized book.
-            self.columnar.adopt(peer)
+        self.columnar.adopt(peer)
         self.topology.add_peer(peer.id,
                                unlimited=peer.unlimited_neighbors)
         if self.net is not None:
             # Place onto the substrate at registration: join order is
             # deterministic, so round-robin placement is too.
             self.net.place(peer.id)
-        if self.interest is not None:
-            self.interest.add_peer(peer)
         if peer.kind != "seeder":
             self.active_leechers += 1
 
@@ -147,30 +129,24 @@ class Swarm:
         """A peer flipped ``active = False`` (leave/crash/whitewash).
 
         Fired *immediately* after deactivation, before transfer
-        cancellations pump other peers, so the interest index drops
-        the peer in the same instant ``neighbor_peers()`` stops
-        returning it.
+        cancellations pump other peers, so the swarm state drops the
+        peer in the same instant ``neighbor_peers()`` stops returning
+        it.
         """
-        if self.columnar is not None:
-            self.columnar.on_deactivated(peer)
-        if self.interest is not None:
-            self.interest.remove_peer(peer)
+        self.columnar.on_deactivated(peer)
 
     def deregister(self, peer: Peer) -> None:
         """Called by ``Peer.leave``."""
-        if self.interest is not None:
-            self.interest.remove_peer(peer)  # idempotent backstop
         self.peers.pop(peer.id, None)
         self.topology.remove_peer(peer.id)
         self.departed[peer.id] = peer
         if peer.kind != "seeder":
             self.active_leechers -= 1
         self.metrics.record_peer(peer, self.sim.now)
-        if self.columnar is not None:
-            # Last: the detached book keeps answering (metrics above,
-            # late unexpects from cancelled transfers) off its own
-            # masks; only the row is recycled here.
-            self.columnar.release(peer.id)
+        # Last: the detached book keeps answering (metrics above,
+        # late unexpects from cancelled transfers) off its own masks;
+        # only the row is recycled here.
+        self.columnar.release(peer.id)
 
     def find_peer(self, peer_id: str) -> Optional[Peer]:
         """Active peer by id, else None."""
@@ -203,24 +179,6 @@ class Swarm:
         peer = self.peers.get(remaining)
         if peer is not None:
             peer.on_neighbor_disconnected(departed)
-
-    def _on_edge_added(self, a: str, b: str) -> None:
-        """Fan one topology edge event out to every flat view.
-
-        Columnar first (pure adjacency bookkeeping), then the interest
-        index (which reads books but never the adjacency columns) —
-        neither depends on the other's update.
-        """
-        if self.columnar is not None:
-            self.columnar.on_edge_added(a, b)
-        if self.interest is not None:
-            self.interest.on_edge_added(a, b)
-
-    def _on_edge_removed(self, a: str, b: str) -> None:
-        if self.columnar is not None:
-            self.columnar.on_edge_removed(a, b)
-        if self.interest is not None:
-            self.interest.on_edge_removed(a, b)
 
     # ------------------------------------------------------------------
     # Timer coalescing
@@ -260,21 +218,15 @@ class Swarm:
         self.tracker.leave(old_id)
         self.peers.pop(old_id, None)
         self.topology.remove_peer(old_id)
-        if self.columnar is not None:
-            self.columnar.release(old_id)
+        self.columnar.release(old_id)
         new_id = self.new_peer_id("W")
         if self.net is not None:
             # A rebrand changes identity, not geography.
             self.net.rename(old_id, new_id)
         peer.id = new_id
         self.peers[new_id] = peer
-        if self.columnar is not None:
-            self.columnar.adopt(peer)
+        self.columnar.adopt(peer)
         self.topology.add_peer(new_id, unlimited=peer.unlimited_neighbors)
-        if self.interest is not None:
-            # Re-snapshots the live book, absorbing mutations made
-            # while the peer was untracked mid-whitewash.
-            self.interest.add_peer(peer)
         members = self.tracker.announce(new_id)
         self.tracker.join(new_id)
         for member in members:

@@ -12,7 +12,7 @@ protocols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Set
+from typing import FrozenSet, Iterable, List, Set
 
 
 @dataclass(frozen=True)
@@ -43,130 +43,142 @@ class Torrent:
         return frozenset(range(self.n_pieces))
 
 
-class PieceBook:
-    """One peer's piece state.
+try:  # Python >= 3.10
+    popcount = int.bit_count  # type: ignore[attr-defined]
+except AttributeError:  # pragma: no cover - 3.9 fallback
+    def popcount(mask: int) -> int:
+        """Number of set bits."""
+        return bin(mask).count("1")
 
-    ``completed`` — decrypted/usable pieces; what the peer can serve.
-    ``expected`` — pieces on their way: in-flight downloads plus (for
-    T-Chain) encrypted pieces awaiting a key.  Piece selection skips
-    expected pieces so the same piece is never fetched twice.
+
+def mask_bits(mask: int) -> List[int]:
+    """The bit positions set in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_to_set(mask: int) -> Set[int]:
+    """The set of bit positions in ``mask``."""
+    return set(mask_bits(mask))
+
+
+def set_to_mask(pieces: Iterable[int]) -> int:
+    """Pack an iterable of piece indices into a bitmask."""
+    mask = 0
+    for piece in pieces:
+        mask |= 1 << piece
+    return mask
+
+
+class PieceBook:
+    """One peer's piece state, one bit per piece.
+
+    ``cmask`` — completed: decrypted/usable pieces; what the peer can
+    serve.  ``emask`` — expected: pieces on their way, in-flight
+    downloads plus (for T-Chain) encrypted pieces awaiting a key.
+    ``wmask`` — wanted: neither completed nor expected; piece selection
+    skips expected pieces so the same piece is never fetched twice.
+    The three masks are disjoint and together cover the torrent.
+
+    The masks are the swarm's only record of piece interest: *"does W
+    want something H holds"* is ``W.book.wmask & H.book.cmask``.  Read
+    them freely; only the methods here write them.  The set-returning
+    views (:attr:`completed`, :meth:`wanted`, :meth:`missing`,
+    :meth:`needs_from`) materialize a fresh set per call and are meant
+    for metrics, tests and cold paths.
+
+    A book may be shared by several peers (a Sybil group pools one);
+    while its holders are registered in a swarm, ``_state`` / ``_rows``
+    link it to their :class:`~repro.bt.columnar.ColumnarState` rows so
+    the one column derived from ``cmask`` — neighbour availability —
+    hears every completion, whichever identity made it.
     """
 
     def __init__(self, torrent: Torrent,
                  initial_pieces: Iterable[int] = ()):
         self.torrent = torrent
-        self._completed: Set[int] = set()
-        self._expected: Set[int] = set()
-        # Both sets are maintained incrementally: piece selection runs
-        # on every upload decision and must not rebuild them.
-        self._missing: Set[int] = set(range(torrent.n_pieces))
-        self._wanted: Set[int] = set(range(torrent.n_pieces))
-        # Interest-index listener (see repro.bt.interest): the swarm
-        # index registers here to hear wanted/completed transitions.
-        self._listener = None
-        self._listener_owner: Optional[str] = None
+        self.cmask = 0
+        self.emask = 0
+        self.wmask = (1 << torrent.n_pieces) - 1
+        self._state = None
+        self._rows: List[int] = []
         for piece in initial_pieces:
             self.add_completed(piece)
-
-    def set_listener(self, listener, owner_id: Optional[str]) -> None:
-        """Attach (or detach, with ``None``) the interest index.
-
-        ``owner_id`` is the peer id events are reported under; a
-        rebrand re-attaches under the new identity.
-        """
-        self._listener = listener
-        self._listener_owner = owner_id
 
     # -- completed ------------------------------------------------------
     @property
     def completed(self) -> Set[int]:
-        """Completed piece indices (live view, do not mutate)."""
-        return self._completed
+        """Completed piece indices (a fresh set)."""
+        return mask_to_set(self.cmask)
 
     def add_completed(self, piece: int) -> bool:
         """Mark a piece usable; returns False if already completed."""
         self._check(piece)
-        self._expected.discard(piece)
-        if piece in self._completed:
+        bit = 1 << piece
+        self.emask &= ~bit
+        if self.cmask & bit:
             return False
-        self._completed.add(piece)
-        self._missing.discard(piece)
-        listener = self._listener
-        if piece in self._wanted:
-            self._wanted.discard(piece)
-            # wanted_removed fires before completed_added so the index
-            # never sees this peer as a wanter of its own new piece.
-            if listener is not None:
-                listener.on_wanted_removed(self._listener_owner, piece)
-        if listener is not None:
-            listener.on_completed_added(self._listener_owner, piece)
+        self.cmask |= bit
+        self.wmask &= ~bit
+        if self._state is not None:
+            self._state.on_completed(self._rows, piece)
         return True
 
     def has(self, piece: int) -> bool:
         """True if the piece is completed."""
-        return piece in self._completed
+        return bool(self.cmask >> piece & 1)
 
     @property
     def completed_count(self) -> int:
         """Number of completed pieces."""
-        return len(self._completed)
+        return popcount(self.cmask)
 
     @property
     def is_complete(self) -> bool:
         """True when the whole file is downloaded."""
-        return len(self._completed) == self.torrent.n_pieces
+        return popcount(self.cmask) == self.torrent.n_pieces
 
     # -- expected -------------------------------------------------------
     def expect(self, piece: int) -> None:
         """Mark a piece as in flight / pending decryption."""
         self._check(piece)
-        if piece not in self._completed:
-            self._expected.add(piece)
-            if piece in self._wanted:
-                self._wanted.discard(piece)
-                if self._listener is not None:
-                    self._listener.on_wanted_removed(
-                        self._listener_owner, piece)
+        bit = 1 << piece
+        if not self.cmask & bit:
+            self.emask |= bit
+            self.wmask &= ~bit
 
     def unexpect(self, piece: int) -> None:
         """A pending piece fell through (departure, abort)."""
-        self._expected.discard(piece)
-        if piece in self._missing and piece not in self._wanted:
-            self._wanted.add(piece)
-            if self._listener is not None:
-                self._listener.on_wanted_added(
-                    self._listener_owner, piece)
+        bit = 1 << piece
+        self.emask &= ~bit
+        if not self.cmask & bit:
+            self.wmask |= bit
 
     def is_expected(self, piece: int) -> bool:
         """True if the piece is in flight or pending a key."""
-        return piece in self._expected
+        return bool(self.emask >> piece & 1)
 
     # -- derived sets ---------------------------------------------------
     def missing(self) -> Set[int]:
-        """Pieces not yet completed (may include expected ones).
-
-        Live view — treat as read-only.
-        """
-        return self._missing
+        """Pieces not yet completed (may include expected ones)."""
+        return mask_to_set(self.wmask | self.emask)
 
     def wanted(self) -> Set[int]:
-        """Pieces worth requesting: not completed and not expected.
+        """Pieces worth requesting: not completed and not expected."""
+        return mask_to_set(self.wmask)
 
-        Live view — treat as read-only.
-        """
-        return self._wanted
-
-    def needs_from(self, other_completed: Set[int]) -> Set[int]:
+    def needs_from(self, other_completed: Iterable[int]) -> Set[int]:
         """Wanted pieces that ``other_completed`` could provide."""
-        return other_completed & self.wanted()
+        wmask = self.wmask
+        return {p for p in other_completed if wmask >> p & 1}
 
     def wants(self, piece: int) -> bool:
         """True if the piece is wanted (not completed, not expected)."""
-        return piece in self._wanted
-
-    def _wanted_nonempty(self) -> bool:
-        """O(1) ``bool(wanted())`` without materializing a view."""
-        return bool(self._wanted)
+        return bool(self.wmask >> piece & 1)
 
     def _check(self, piece: int) -> None:
         if not 0 <= piece < self.torrent.n_pieces:
@@ -176,7 +188,7 @@ class PieceBook:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"PieceBook({self.completed_count}/"
                 f"{self.torrent.n_pieces} done, "
-                f"{len(self._expected)} expected)")
+                f"{popcount(self.emask)} expected)")
 
 
 def piece_payload(torrent: Torrent, piece: int) -> bytes:

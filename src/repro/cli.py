@@ -781,10 +781,6 @@ def cmd_bench(args) -> int:
     rows.append((f"pooling on == off "
                  f"({neutral['events_compared']} events)",
                  neutral["identical"]))
-    equiv = report["index_equivalence"]
-    rows.append((f"interest index on == off "
-                 f"({equiv['events_compared']} events)",
-                 equiv["identical"]))
     net = report["net_substrate"]
     rows.extend([
         (f"net substrate idle == flat "

@@ -42,9 +42,9 @@ class FlowController:
         self.underflows = 0
         #: Fired as ``(neighbor_id, blocked)`` whenever a neighbor
         #: crosses the window boundary in either direction — i.e. only
-        #: when ``eligible(neighbor_id)`` actually flips.  The interest
-        #: index machinery mirrors eligibility into a per-donor blocked
-        #: set through this hook.
+        #: when ``eligible(neighbor_id)`` actually flips.  T-Chain
+        #: nodes mirror eligibility into a per-donor blocked set
+        #: through this hook.
         self.on_window_change: Optional[Callable[[str, bool], None]] = None
         #: Fired as ``(neighbor_id,)`` when a decrement finds an empty
         #: window.  The count stays floored at zero and no window event

@@ -21,8 +21,9 @@ SL008     multiprocessing/ProcessPoolExecutor outside the sanctioned
 SL009     stale ``# simlint: disable=...`` comment that no longer
           suppresses any finding (warning; see
           ``--strict-suppressions``)
-SL010     ad-hoc ``book.wanted() & ...`` interest intersection inside
-          ``bt/protocols/`` (bypasses the incremental interest index)
+SL010     ad-hoc ``book.wanted() & ...`` interest intersection or
+          ``mask_to_set(...)`` inside ``bt/protocols/`` (set
+          materialization where a mask AND answers)
 SL011     ad-hoc checkpoint/manifest/state-file writes under
           ``experiments/`` outside the ``fabric/`` package (bypasses
           atomic, verified sweep persistence)
@@ -729,28 +730,27 @@ class AdHocParallelismRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# SL010 — ad-hoc interest intersections inside protocol code
+# SL010 — set-level interest scans inside protocol code
 # ----------------------------------------------------------------------
 @register
 class AdHocInterestScanRule(Rule):
-    """SL010: protocol code must not recompute interest by hand.
+    """SL010: protocol code reads interest off the bitmask books.
 
-    ``holder.completed & wanter.wanted()`` rescans are exactly what the
-    swarm-level interest index (:mod:`repro.bt.interest`) maintains
-    incrementally; a hand-rolled intersection inside ``bt/protocols/``
-    bypasses the index, costs O(pieces) per call on hot paths, and —
-    worse — silently diverges from the indexed predicates the rest of
-    the protocol uses when the index semantics evolve.  Route the check
-    through the index helpers (``wants_from`` / ``wants_any_of`` /
-    ``offers_interest`` / ``needed_overlap``) instead.  The rule flags
-    any ``&`` expression with a ``.wanted()`` call on either side in a
-    file under ``bt/protocols/``.
+    *"Does W want something H holds"* is ``W.book.wmask &
+    H.book.cmask`` — one integer AND — and the neighbourhood form is
+    ``swarm.columnar.wanters(peer, offer_mask)``.  A hand-rolled
+    ``holder.completed & wanter.wanted()`` inside ``bt/protocols/``
+    materializes two fresh O(pieces) sets per call on the hottest
+    paths to compute the same answer.  The rule flags, in files under
+    ``bt/protocols/``, any ``&`` expression with a ``.wanted()`` call
+    on either side and any ``mask_to_set(...)`` call.
     """
 
     id = "SL010"
     name = "adhoc-interest-scan"
-    description = ("`book.wanted() & ...` intersection inside "
-                   "bt/protocols/; use the repro.bt.interest helpers")
+    description = ("`book.wanted() & ...` / `mask_to_set(...)` set "
+                   "materialization inside bt/protocols/; AND the "
+                   "book masks (`wmask & cmask`) instead")
 
     @staticmethod
     def _in_protocols_package(path: str) -> bool:
@@ -767,17 +767,23 @@ class AdHocInterestScanRule(Rule):
         if not self._in_protocols_package(ctx.path):
             return
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.BinOp) \
-                    or not isinstance(node.op, ast.BitAnd):
-                continue
-            if self._is_wanted_call(node.left) \
-                    or self._is_wanted_call(node.right):
+            if isinstance(node, ast.BinOp) \
+                    and isinstance(node.op, ast.BitAnd) \
+                    and (self._is_wanted_call(node.left)
+                         or self._is_wanted_call(node.right)):
                 yield ctx.finding(
                     self, node,
                     "ad-hoc `.wanted() & ...` interest intersection in "
-                    "protocol code; use the interest-index helpers "
-                    "(repro.bt.interest.wants_from / wants_any_of / "
-                    "offers_interest / needed_overlap)")
+                    "protocol code; AND the book masks (`wmask & "
+                    "cmask`) or use `swarm.columnar.wanters`")
+            elif isinstance(node, ast.Call) \
+                    and (dotted_name(node.func) or "").rpartition(
+                        ".")[2] == "mask_to_set":
+                yield ctx.finding(
+                    self, node,
+                    "`mask_to_set(...)` materializes a piece set in "
+                    "protocol code; test or walk the mask itself "
+                    "(`mask & bit`, `mask_bits`)")
 
 
 # ----------------------------------------------------------------------
@@ -875,18 +881,17 @@ class PerPeerObjectScanRule(Rule):
     (:mod:`repro.bt.columnar`) exists to replace with flat row arrays
     and piece bitmasks.  At flash-crowd scale (100k peers) one such
     walk on a hot path dominates the whole event loop.  Route scans
-    through ``swarm.columnar`` (``interested_ids`` / ``availability``
-    / ``live_neighbors`` / the adjacency rows) or the interest-index
-    helpers instead; consistency checkers and cold-path accessors that
-    genuinely need the objects carry an explicit suppression with a
-    justification.
+    through ``swarm.columnar`` (``wanters`` / ``availability`` /
+    ``has_provider`` / the adjacency rows) instead; consistency
+    checkers and cold-path accessors that genuinely need the objects
+    carry an explicit suppression with a justification.
     """
 
     id = "SL012"
     name = "per-peer-object-scan"
     description = ("`... in peers.values()/items()` iteration inside "
                    "bt/; use the columnar swarm state "
-                   "(repro.bt.columnar) or interest-index helpers")
+                   "(repro.bt.columnar)")
 
     @staticmethod
     def _in_bt_package(path: str) -> bool:

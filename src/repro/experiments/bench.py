@@ -15,11 +15,6 @@ changes land with numbers instead of adjectives:
   :mod:`repro.experiments.parallel`, reporting the speedup and
   asserting the two result lists compare equal (the bit-identical
   guarantee, checked on every bench run, not just in tests).
-* **index_equivalence** — one T-Chain churn run executed twice, with
-  the incremental interest index enabled and disabled, asserting the
-  full event traces compare bit-identical (the trace-neutrality
-  guarantee of :mod:`repro.bt.interest`, checked on every bench run —
-  including the ``--quick`` CI smoke — not just in tests).
 * **sweep_fabric** — the same sweep through plain ``run_specs`` and
   through the fault-tolerant fabric
   (:mod:`repro.experiments.fabric`), pinning the fabric's overhead
@@ -27,8 +22,8 @@ changes land with numbers instead of adjectives:
   asserting bit-identical merged output; plus a kill-resume scenario
   (seeded ``WorkerKill`` SIGKILL, quarantine, ``resume_sweep``) that
   must reproduce the plain results exactly.
-* **tchain_crowd** — flash-crowd scale leg over the columnar swarm
-  state (:mod:`repro.bt.columnar`): T-Chain crowds of 1k/10k/100k
+* **tchain_crowd** — flash-crowd scale leg over the swarm state
+  (:mod:`repro.bt.columnar`): T-Chain crowds of 1k/10k/100k
   leechers (``--quick``: 1k only) run to completion, reporting
   peers/sec and peak bytes-per-peer (tracemalloc at ≤10k, RSS delta
   at 100k where tracing would dominate memory itself).
@@ -309,7 +304,7 @@ def bench_sweep_fabric(n_seeds: int, workers: Optional[int] = None,
     }
 
 
-#: Flash-crowd sizes for the columnar scale leg; quick mode (the CI
+#: Flash-crowd sizes for the scale leg; quick mode (the CI
 #: bench smoke) runs only the smallest.
 CROWD_SIZES = (1_000, 10_000, 100_000)
 CROWD_SIZES_QUICK = (1_000,)
@@ -320,10 +315,8 @@ CROWD_SIZES_QUICK = (1_000,)
 CROWD_TRACEMALLOC_MAX = 10_000
 
 #: The crowd scenario: a pure flash arrival of compliant T-Chain
-#: leechers on a small file.  The interest index is off (its per-join
-#: pair scan is O(N) and it is redundant with the columnar masks);
-#: the columnar backend is on — this leg exists to keep 100k peers on
-#: one host feasible and measured.
+#: leechers on a small file, default configuration — this leg exists
+#: to keep 100k peers on one host feasible and measured.
 CROWD_SPEC = dict(protocol="tchain", seed=7, pieces=4,
                   piece_size_kb=64.0, freerider_fraction=0.0,
                   arrival="flash")
@@ -332,7 +325,7 @@ CROWD_SPEC = dict(protocol="tchain", seed=7, pieces=4,
 def bench_tchain_crowd(quick: bool = False,
                        sizes: Optional[tuple] = None
                        ) -> List[Dict[str, object]]:
-    """Scale leg: T-Chain flash crowds over the columnar backend.
+    """Scale leg: T-Chain flash crowds, default configuration.
 
     Each size runs once (a 100k-peer swarm is its own repetition),
     must complete — every leecher finishes the file — and reports
@@ -355,10 +348,7 @@ def bench_tchain_crowd(quick: bool = False,
         rss_before_kb = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss
         start = time.perf_counter()  # simlint: disable=SL002 -- benchmark measures real wall-time by design
-        result = run_swarm(leechers=leechers,
-                           extra={"columnar": True,
-                                  "interest_index": False},
-                           **CROWD_SPEC)
+        result = run_swarm(leechers=leechers, **CROWD_SPEC)
         wall = time.perf_counter() - start  # simlint: disable=SL002 -- see above
         if traced:
             _, peak_bytes = tracemalloc.get_traced_memory()
@@ -389,6 +379,11 @@ def bench_tchain_crowd(quick: bool = False,
     return rows
 
 
+#: Churn scenario for the pooled-vs-unpooled trace diff: free-riders
+#: whitewash and leechers leave on completion.
+CHURN_SPEC = dict(protocol="tchain", seed=7, leechers=12,
+                  pieces=8, freerider_fraction=0.25)
+
 #: Crowd sizes for the allocation-audit leg.  Smaller ceiling than the
 #: scale leg: every size runs twice (pooled / unpooled) under the
 #: profiler, whose per-event tracemalloc reads dominate at 100k.
@@ -417,9 +412,8 @@ def bench_alloc_audit(quick: bool = False,
         sizes = ALLOC_AUDIT_SIZES_QUICK if quick else ALLOC_AUDIT_SIZES
 
     def profiled(leechers: int, pooled: bool) -> Dict[str, object]:
-        extra = {"columnar": True, "interest_index": False}
-        if not pooled:
-            extra.update(pool_events=False, pool_messages=False)
+        extra = {} if pooled else {"pool_events": False,
+                                   "pool_messages": False}
         start = time.perf_counter()  # simlint: disable=SL002 -- benchmark measures real wall-time by design
         result = run_swarm(leechers=leechers, extra=extra,
                            profile="alloc", **CROWD_SPEC)
@@ -468,7 +462,7 @@ def bench_alloc_audit(quick: bool = False,
 
         extra = {} if pooled else {"pool_events": False,
                                    "pool_messages": False}
-        run_swarm(setup=setup, extra=extra, **INDEX_EQUIV_SPEC)
+        run_swarm(setup=setup, extra=extra, **CHURN_SPEC)
         return trace
 
     pooled_trace = traced(True)
@@ -481,57 +475,10 @@ def bench_alloc_audit(quick: bool = False,
         "scenario": dict(CROWD_SPEC),
         "sizes": rows,
         "trace_neutrality": {
-            "scenario": dict(INDEX_EQUIV_SPEC),
+            "scenario": dict(CHURN_SPEC),
             "events_compared": len(pooled_trace),
             "identical": True,
         },
-    }
-
-
-#: Scenario for the index-equivalence leg: free-riders whitewash and
-#: leechers leave on completion, so the index sees real churn.
-INDEX_EQUIV_SPEC = dict(protocol="tchain", seed=7, leechers=12,
-                        pieces=8, freerider_fraction=0.25)
-
-
-def bench_index_equivalence() -> Dict[str, object]:
-    """Trace-neutrality leg: index on vs off, bit-identical or raise.
-
-    Runs the same T-Chain churn scenario twice — once with the
-    incremental interest index, once with the naive rescans — and
-    compares the full event trace ``(time, seq, callback)`` tuples.
-    Any divergence is an index-invalidation bug, so it fails the whole
-    bench run rather than merely reporting a number.
-    """
-    from repro.experiments import run_swarm
-
-    def traced(enabled: bool) -> List[tuple]:
-        trace: List[tuple] = []
-
-        def setup(swarm):
-            swarm.sim.add_observer(
-                lambda handle: trace.append(
-                    (handle.time, handle.seq,
-                     getattr(handle.callback, "__qualname__",
-                             repr(handle.callback)))))
-
-        run_swarm(setup=setup, extra={"interest_index": enabled},
-                  **INDEX_EQUIV_SPEC)
-        return trace
-
-    start = time.perf_counter()  # simlint: disable=SL002 -- benchmark measures real wall-time by design
-    indexed = traced(True)
-    naive = traced(False)
-    wall = time.perf_counter() - start  # simlint: disable=SL002 -- see above
-    if indexed != naive:  # pragma: no cover - would be an index bug
-        raise AssertionError(
-            "interest-index run diverged from naive rescan — "
-            "trace neutrality broken")
-    return {
-        "scenario": dict(INDEX_EQUIV_SPEC),
-        "events_compared": len(indexed),
-        "identical": True,
-        "wall_time_s": round(wall, 3),
     }
 
 
@@ -785,7 +732,6 @@ def run_bench(quick: bool = False, repeat: int = 3,
                                            repeat=repeat, quick=quick),
         "tchain_crowd": bench_tchain_crowd(quick=quick),
         "alloc_audit": bench_alloc_audit(quick=quick),
-        "index_equivalence": bench_index_equivalence(),
         # The substrate walls are short, so this leg takes more
         # best-of repeats than the heavyweight legs to keep the
         # overhead ratio out of scheduler-noise territory.

@@ -140,8 +140,9 @@ class TestPieceBookInvariants:
             else:
                 b.unexpect(piece)
             everything = set(range(n))
+            expected = {p for p in everything if b.is_expected(p)}
             assert b.missing() == everything - b.completed
-            assert b.wanted() == (everything - b.completed
-                                  - b._expected)
+            assert b.wanted() == everything - b.completed - expected
             # disjointness
-            assert not (b.completed & b._expected)
+            assert not (b.completed & expected)
+            assert b.completed_count == len(b.completed)

@@ -210,9 +210,7 @@ class TestSwarmWiring:
     def test_coalesced_run_completes(self):
         result = run_swarm(protocol="tchain", seed=7, leechers=8,
                            pieces=6,
-                           extra={"coalesce_timers": True,
-                                  "columnar": True,
-                                  "interest_index": False})
+                           extra={"coalesce_timers": True})
         done = [r for r in result.metrics.records
                 if r.kind == "leecher" and r.finish_time is not None]
         assert len(done) == 8

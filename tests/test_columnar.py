@@ -1,122 +1,69 @@
-"""Columnar swarm-state regression suite (``repro.bt.columnar``).
+"""Swarm-state regression suite (``repro.bt.columnar``).
 
 Three contracts are under test:
 
-* **Trace neutrality** — a run with the columnar backend enabled must
-  be bit-identical (full event trace *and* final metrics) to the same
-  run on the plain object model, across protocols and seeds, and in
-  every combination with the interest index.
+* **Trace neutrality** — runs over the bitmask books and the columnar
+  rows are bit-identical (full event trace *and* final metrics) to the
+  set-backed object model they replaced, across protocols and seeds,
+  pinned by digests taken from that model
+  (``tests/test_golden_traces.py``).
 * **Consistency under churn** — after *every* fired event in a
   scenario full of joins, completion-leaves, whitewash rebrands and
-  crashes, every columnar table (rows, masks, adjacency, free list)
-  must equal a from-scratch naive rescan
+  crashes, every column (rows, masks, adjacency, availability, free
+  list) must equal a from-scratch naive rescan
   (``ColumnarState.check_consistency``).
-* **Adoption semantics** — ``adopt_book`` transmutes a live
-  ``PieceBook`` in place (same object identity), so post-construction
-  book replacement and Sybil shared books keep working.
+* **Book semantics** — the mask-backed ``PieceBook`` behaves exactly
+  like the set model it replaced, and rows reference books without
+  copying them, so post-construction book replacement and Sybil shared
+  books keep working.
 """
 
 import pytest
 
 from random import Random
 
-from repro.bt.columnar import (
-    ColumnarBook,
-    adopt_book,
+from repro.bt.columnar import ColumnarState
+from repro.bt.torrent import (
+    PieceBook,
+    Torrent,
+    mask_bits,
     mask_to_set,
+    popcount,
     set_to_mask,
-    _popcount,
 )
-from repro.bt.torrent import PieceBook, Torrent
 from repro.bt.tracker import Tracker
 from repro.experiments import run_swarm
 
-
-def traced_run(extra, seed=7, protocol="tchain", **kwargs):
-    """One run returning (event trace, result) under ``extra``."""
-    trace = []
-
-    def setup(swarm):
-        swarm.sim.add_observer(
-            lambda handle: trace.append(
-                (handle.time, handle.seq,
-                 getattr(handle.callback, "__qualname__",
-                         repr(handle.callback)))))
-
-    result = run_swarm(protocol=protocol, seed=seed, setup=setup,
-                       extra=dict(extra), **kwargs)
-    return trace, result
-
-
-def record_rows(result):
-    """Bit-comparable projection of the final per-peer metrics."""
-    return sorted(
-        (r.peer_id, r.kind, r.capacity_kbps, r.join_time,
-         r.finish_time, r.leave_time, r.kb_uploaded, r.kb_downloaded,
-         r.pieces_uploaded, r.pieces_downloaded, r.utilization)
-        for r in result.metrics.records)
-
-
-#: Whitewashing free-riders + completion-leaves exercise every
-#: columnar lifecycle edge (adopt, deactivate, release, rebrand).
-CHURN_SCENARIO = dict(leechers=14, pieces=10, freerider_fraction=0.25)
+from tests.test_golden_traces import (
+    FLASH,
+    PLAIN,
+    SYBIL,
+    assert_golden,
+    check_every_event,
+    sybil_setup,
+)
 
 
 class TestTraceNeutrality:
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_tchain_full_trace_bit_identical(self, seed):
-        trace_on, result_on = traced_run(
-            {"columnar": True, "interest_index": False}, seed=seed,
-            **CHURN_SCENARIO)
-        trace_off, result_off = traced_run(
-            {"columnar": False, "interest_index": False}, seed=seed,
-            **CHURN_SCENARIO)
-        assert len(trace_on) > 200  # the scenario actually ran
-        assert trace_on == trace_off
-        assert record_rows(result_on) == record_rows(result_off)
+        assert_golden(f"churn-tchain-{seed}", protocol="tchain",
+                      seed=seed, **FLASH)
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_bittorrent_full_trace_bit_identical(self, seed):
-        kwargs = dict(leechers=10, pieces=8)
-        trace_on, _ = traced_run(
-            {"columnar": True, "interest_index": False},
-            seed=seed, protocol="bittorrent", **kwargs)
-        trace_off, _ = traced_run(
-            {"columnar": False, "interest_index": False},
-            seed=seed, protocol="bittorrent", **kwargs)
-        assert len(trace_on) > 50
-        assert trace_on == trace_off
+        assert_golden(f"plain-bittorrent-{seed}", protocol="bittorrent",
+                      seed=seed, **PLAIN)
 
     @pytest.mark.parametrize("protocol", ["propshare", "random"])
     def test_other_baselines_bit_identical(self, protocol):
-        kwargs = dict(leechers=10, pieces=8)
-        trace_on, _ = traced_run(
-            {"columnar": True, "interest_index": False},
-            protocol=protocol, **kwargs)
-        trace_off, _ = traced_run(
-            {"columnar": False, "interest_index": False},
-            protocol=protocol, **kwargs)
-        assert len(trace_on) > 50
-        assert trace_on == trace_off
-
-    def test_columnar_and_index_compose(self):
-        """All four on/off combinations yield the same trace."""
-        traces = [
-            traced_run({"columnar": c, "interest_index": i},
-                       **CHURN_SCENARIO)[0]
-            for c in (False, True) for i in (False, True)]
-        assert len(traces[0]) > 200
-        assert all(t == traces[0] for t in traces[1:])
+        assert_golden(f"plain-{protocol}-7", protocol=protocol, seed=7,
+                      **PLAIN)
 
     def test_columnar_enabled_by_default(self):
         result = run_swarm(protocol="tchain", seed=3, leechers=6,
                            pieces=5)
-        assert result.swarm.columnar is not None
-
-    def test_columnar_disabled_when_opted_out(self):
-        result = run_swarm(protocol="tchain", seed=3, leechers=6,
-                           pieces=5, extra={"columnar": False})
-        assert result.swarm.columnar is None
+        assert isinstance(result.swarm.columnar, ColumnarState)
 
 
 class TestChurnConsistency:
@@ -124,7 +71,7 @@ class TestChurnConsistency:
     rescan after every event (including a mid-run crash)."""
 
     def test_store_matches_rescan_after_every_event(self):
-        checks = 0
+        checks = []
 
         def setup(swarm):
             def crash_one():
@@ -135,30 +82,21 @@ class TestChurnConsistency:
                         return
 
             swarm.sim.schedule(40.0, crash_one)
+            check_every_event(swarm, checks)
 
-            def check(_handle):
-                nonlocal checks
-                swarm.columnar.check_consistency()
-                checks += 1
-
-            swarm.sim.add_observer(check)
-
-        run_swarm(protocol="tchain", seed=11, setup=setup,
-                  extra={"columnar": True, "interest_index": False},
-                  **CHURN_SCENARIO)
-        assert checks > 200  # the property was actually exercised
+        run_swarm(protocol="tchain", seed=11, arrival="trace",
+                  setup=setup, **FLASH)
+        assert len(checks) > 200  # the property was actually exercised
 
     def test_final_state_consistent_for_baselines(self):
         for protocol in ("bittorrent", "propshare"):
             result = run_swarm(protocol=protocol, seed=5, leechers=8,
-                               pieces=6,
-                               extra={"interest_index": False})
+                               pieces=6, freerider_fraction=0.25)
             result.swarm.columnar.check_consistency()
 
     def test_sanitized_run_clean_with_columnar_on(self):
         result = run_swarm(protocol="tchain", seed=13, sanitize=True,
-                           extra={"columnar": True}, **CHURN_SCENARIO)
-        assert result.swarm.columnar is not None
+                           **FLASH)
         assert result.swarm.sim.events_fired > 200
 
 
@@ -166,34 +104,53 @@ class TestMaskHelpers:
     def test_roundtrip(self):
         for pieces in (set(), {0}, {3, 5, 17}, set(range(64))):
             assert mask_to_set(set_to_mask(pieces)) == pieces
+            assert mask_bits(set_to_mask(pieces)) == sorted(pieces)
 
     def test_popcount(self):
         for mask in (0, 1, 0b1011, (1 << 200) | 7):
-            assert _popcount(mask) == bin(mask).count("1")
+            assert popcount(mask) == bin(mask).count("1")
+
+
+class _SetBook:
+    """The set-backed piece book the masks replaced, kept here as the
+    reference model."""
+
+    def __init__(self, n_pieces, initial=()):
+        self.completed = set()
+        self.expected = set()
+        self.everything = set(range(n_pieces))
+        for piece in initial:
+            self.add_completed(piece)
+
+    def add_completed(self, piece):
+        self.expected.discard(piece)
+        if piece in self.completed:
+            return False
+        self.completed.add(piece)
+        return True
+
+    def expect(self, piece):
+        if piece not in self.completed:
+            self.expected.add(piece)
+
+    def unexpect(self, piece):
+        self.expected.discard(piece)
+
+    def missing(self):
+        return self.everything - self.completed
+
+    def wanted(self):
+        return self.missing() - self.expected
 
 
 class TestAdoption:
-    def _book(self, n=8, initial=()):
-        return PieceBook(Torrent(n_pieces=n), initial_pieces=initial)
-
-    def test_transmute_preserves_identity(self):
-        book = self._book(initial=(1, 2))
-        before = id(book)
-        adopted = adopt_book(book)
-        assert adopted is book
-        assert id(book) == before
-        assert isinstance(book, ColumnarBook)
-        assert isinstance(book, PieceBook)  # still a PieceBook
-        assert book.completed == {1, 2}
-        assert adopt_book(book) is book  # idempotent
-
     def test_semantics_match_plain_book(self):
-        """Drive a ColumnarBook and a PieceBook through the same
-        randomized operation sequence; every observable must agree."""
+        """Drive a ``PieceBook`` and the set reference model through
+        the same randomized operation sequence; every observable must
+        agree."""
         rng = Random(42)
-        torrent = Torrent(n_pieces=12)
-        plain = PieceBook(torrent, initial_pieces=(0,))
-        masked = adopt_book(PieceBook(torrent, initial_pieces=(0,)))
+        plain = _SetBook(12, initial=(0,))
+        masked = PieceBook(Torrent(n_pieces=12), initial_pieces=(0,))
         for _ in range(300):
             piece = rng.randrange(12)
             op = rng.choice(("complete", "expect", "unexpect"))
@@ -209,61 +166,49 @@ class TestAdoption:
             assert masked.completed == plain.completed
             assert masked.missing() == plain.missing()
             assert masked.wanted() == plain.wanted()
-            assert masked.completed_count == plain.completed_count
-            assert masked.is_complete == plain.is_complete
+            assert masked.completed_count == len(plain.completed)
+            assert masked.is_complete == (not plain.missing())
             for p in range(12):
-                assert masked.has(p) == plain.has(p)
-                assert masked.wants(p) == plain.wants(p)
-                assert masked.is_expected(p) == plain.is_expected(p)
+                assert masked.has(p) == (p in plain.completed)
+                assert masked.wants(p) == (p in plain.wanted())
+                assert masked.is_expected(p) == (p in plain.expected)
             other = set(rng.sample(range(12), 5))
-            assert masked.needs_from(other) == plain.needs_from(other)
-
-    def test_listener_event_order_preserved(self):
-        """wanted_removed still fires before completed_added."""
-        events = []
-
-        class Listener:
-            def on_wanted_added(self, pid, piece):
-                events.append(("wanted_added", piece))
-
-            def on_wanted_removed(self, pid, piece):
-                events.append(("wanted_removed", piece))
-
-            def on_completed_added(self, pid, piece):
-                events.append(("completed_added", piece))
-
-        book = adopt_book(self._book())
-        book.set_listener(Listener(), "p1")
-        book.add_completed(3)
-        assert events == [("wanted_removed", 3),
-                          ("completed_added", 3)]
-        events.clear()
-        book.expect(4)
-        assert events == [("wanted_removed", 4)]
-        events.clear()
-        book.unexpect(4)
-        assert events == [("wanted_added", 4)]
+            assert masked.needs_from(other) == other & plain.wanted()
 
     def test_shared_sybil_book_stays_shared(self):
         """Sybil identities sharing one book object keep sharing it
-        through adoption (one mask set, N columnar rows)."""
-        from repro.attacks.sybil import make_sybil_group
-        from repro.bt.protocols.tchain import TChainLeecher
-
-        captured = {}
+        once registered: one mask set, N columnar rows."""
+        seen = {}
 
         def setup(swarm):
-            captured["peers"] = make_sybil_group(
-                swarm, TChainLeecher, size=3)
-            for peer in captured["peers"]:
-                swarm.sim.schedule(1.0, peer.join)
+            sybil_setup(swarm)
 
-        run_swarm(protocol="tchain", seed=9, leechers=6, pieces=5,
-                  setup=setup,
-                  extra={"columnar": True, "interest_index": False})
-        books = {id(p.book) for p in captured["peers"]}
-        assert len(books) == 1
-        assert isinstance(captured["peers"][0].book, ColumnarBook)
+            def look():
+                sybils = [p for pid, p in sorted(swarm.peers.items())
+                          if pid.startswith("Y")]
+                seen["books"] = {id(p.book) for p in sybils}
+                seen["rows"] = sorted(sybils[0].book._rows)
+                seen["expected_rows"] = sorted(
+                    swarm.columnar.row_of[p.id] for p in sybils)
+
+            swarm.sim.schedule(2.0, look)
+
+        run_swarm(**dict(SYBIL, setup=setup))
+        assert len(seen["books"]) == 1
+        assert len(seen["rows"]) == 3
+        assert seen["rows"] == seen["expected_rows"]
+
+    def test_replaced_book_is_picked_up_at_join(self):
+        """A book swapped in after construction (the runner's partial
+        pre-seeding) is the one the row references."""
+        result = run_swarm(protocol="bittorrent", seed=4, leechers=6,
+                           pieces=8, initial_piece_fraction=0.5,
+                           max_time=5.0)
+        swarm = result.swarm
+        swarm.columnar.check_consistency()
+        for pid, peer in swarm.peers.items():
+            assert swarm.columnar.books[swarm.columnar.row_of[pid]] \
+                is peer.book
 
 
 class TestTrackerSkipView:

@@ -1,80 +1,66 @@
-"""Interest-index regression suite.
+"""Interest regression suite.
 
-Two contracts are under test (``repro.bt.interest``):
+Interest — *who wants a piece that whom holds* — is answered from the
+bitmask books through the one swarm state (``repro.bt.columnar``).
+Two contracts are under test:
 
-* **Trace neutrality** — the incremental index is a pure
-  acceleration: a run with ``interest_index`` enabled must be
-  bit-identical (full event trace *and* final metrics) to the same
-  run with the naive rescans.
+* **Trace neutrality** — mask-native interest is bit-identical (full
+  event trace *and* final metrics) to the naive per-neighbour
+  ``wanted() & completed`` rescans it replaced, pinned by digests
+  taken from those rescans (``tests/test_golden_traces.py``).
 * **Consistency under churn** — after *every* fired event in a
   scenario full of joins, completion-leaves, whitewash rebrands,
-  crashes and flow-window churn, every index map must equal a
-  from-scratch naive rescan (``InterestIndex.check_consistency``),
-  and each T-Chain node's ``_flow_blocked`` mirror must equal the
-  flow controller's actual over-window set.
+  crashes and flow-window churn, every column (the maintained
+  availability counts included) must equal a from-scratch rescan
+  (``ColumnarState.check_consistency``), and each T-Chain node's
+  ``_flow_blocked`` mirror must equal the flow controller's actual
+  over-window set.
 """
 
 import pytest
 
 from repro.experiments import run_swarm
 
-
-def traced_run(enabled, seed=7, protocol="tchain", **kwargs):
-    """One run returning (event trace, result) with the index on/off."""
-    trace = []
-
-    def setup(swarm):
-        swarm.sim.add_observer(
-            lambda handle: trace.append(
-                (handle.time, handle.seq,
-                 getattr(handle.callback, "__qualname__",
-                         repr(handle.callback)))))
-
-    result = run_swarm(protocol=protocol, seed=seed, setup=setup,
-                       extra={"interest_index": enabled}, **kwargs)
-    return trace, result
-
-
-def record_rows(result):
-    """Bit-comparable projection of the final per-peer metrics."""
-    return sorted(
-        (r.peer_id, r.kind, r.capacity_kbps, r.join_time,
-         r.finish_time, r.leave_time, r.kb_uploaded, r.kb_downloaded,
-         r.pieces_uploaded, r.pieces_downloaded, r.utilization)
-        for r in result.metrics.records)
-
-
-#: Whitewashing free-riders + completion-leaves exercise every index
-#: lifecycle edge the T-Chain scenario can produce.
-TCHAIN_SCENARIO = dict(leechers=14, pieces=10, freerider_fraction=0.25)
+from tests.test_golden_traces import (
+    FLASH,
+    PLAIN,
+    assert_golden,
+    check_every_event,
+)
 
 
 class TestTraceNeutrality:
     def test_tchain_full_trace_bit_identical(self):
-        trace_on, result_on = traced_run(True, **TCHAIN_SCENARIO)
-        trace_off, result_off = traced_run(False, **TCHAIN_SCENARIO)
-        assert len(trace_on) > 200  # the scenario actually ran
-        assert trace_on == trace_off
-        assert record_rows(result_on) == record_rows(result_off)
-
-    def test_index_enabled_by_default(self):
-        result = run_swarm(protocol="tchain", seed=3, leechers=6,
-                           pieces=5)
-        assert result.swarm.interest is not None
-
-    def test_index_disabled_when_opted_out(self):
-        result = run_swarm(protocol="tchain", seed=3, leechers=6,
-                           pieces=5, extra={"interest_index": False})
-        assert result.swarm.interest is None
+        assert_golden("churn-tchain-7", protocol="tchain", seed=7,
+                      **FLASH)
 
     @pytest.mark.parametrize("protocol", ["bittorrent", "propshare",
                                           "fairtorrent", "random"])
     def test_baseline_protocols_bit_identical(self, protocol):
-        kwargs = dict(leechers=10, pieces=8)
-        trace_on, _ = traced_run(True, protocol=protocol, **kwargs)
-        trace_off, _ = traced_run(False, protocol=protocol, **kwargs)
-        assert len(trace_on) > 50
-        assert trace_on == trace_off
+        assert_golden(f"plain-{protocol}-7", protocol=protocol, seed=7,
+                      **PLAIN)
+
+    @pytest.mark.parametrize("key", ["columnar", "interest_index"])
+    def test_removed_extra_keys_fail_loudly(self, key):
+        with pytest.raises(ValueError, match=f"unknown extra key.*{key}.*removed"):
+            run_swarm(protocol="tchain", seed=3, leechers=6, pieces=5,
+                      extra={key: False})
+
+    def test_unknown_extra_key_fails_loudly(self):
+        with pytest.raises(ValueError, match="unknown extra.*sanitise"):
+            run_swarm(protocol="tchain", seed=3, leechers=6, pieces=5,
+                      extra={"sanitise": True})
+
+
+class TestSanitizedChaosRun:
+    def test_sanitizer_clean_with_index_on(self):
+        """The simulation sanitizer stays quiet over a trace-arrival
+        churn scenario (conservation + fair-exchange invariants) and
+        the interest state is consistent at the end."""
+        result = run_swarm(protocol="tchain", seed=13, sanitize=True,
+                           arrival="trace", **FLASH)
+        assert result.swarm.sim.events_fired > 200
+        result.swarm.columnar.check_consistency()
 
 
 def _assert_flow_mirrors(swarm):
@@ -92,11 +78,11 @@ def _assert_flow_mirrors(swarm):
 
 
 class TestChurnConsistency:
-    """The randomized-churn property test: index == naive rescan
+    """The randomized-churn property test: swarm state == naive rescan
     after every event."""
 
     def test_index_matches_rescan_after_every_event(self):
-        checks = 0
+        checks = []
 
         def setup(swarm):
             def crash_one():
@@ -109,31 +95,14 @@ class TestChurnConsistency:
                         return
 
             swarm.sim.schedule(40.0, crash_one)
+            check_every_event(swarm, checks, also=_assert_flow_mirrors)
 
-            def check(_handle):
-                nonlocal checks
-                swarm.interest.check_consistency()
-                _assert_flow_mirrors(swarm)
-                checks += 1
-
-            swarm.sim.add_observer(check)
-
-        run_swarm(protocol="tchain", seed=11, setup=setup,
-                  **TCHAIN_SCENARIO)
-        assert checks > 200  # the property was actually exercised
+        run_swarm(protocol="tchain", seed=11, setup=setup, **FLASH)
+        assert len(checks) > 200  # the property was actually exercised
 
     def test_final_state_consistent_for_baselines(self):
-        for protocol in ("bittorrent", "propshare"):
+        for protocol in ("bittorrent", "propshare", "fairtorrent",
+                         "random"):
             result = run_swarm(protocol=protocol, seed=5, leechers=8,
                                pieces=6)
-            result.swarm.interest.check_consistency()
-
-
-class TestSanitizedChaosRun:
-    def test_sanitizer_clean_with_index_on(self):
-        """The simulation sanitizer stays quiet over an index-enabled
-        churn scenario (conservation + fair-exchange invariants)."""
-        result = run_swarm(protocol="tchain", seed=13, sanitize=True,
-                           **TCHAIN_SCENARIO)
-        assert result.swarm.interest is not None
-        assert result.swarm.sim.events_fired > 200
+            result.swarm.columnar.check_consistency()

@@ -1,7 +1,6 @@
 """Network-substrate integration suite.
 
-Three contracts (same pattern as the interest-index and columnar
-equivalence suites):
+Three contracts (same pattern as the swarm-state suites):
 
 * **Trace neutrality** — a run with an *idle* substrate attached (all
   latencies/jitter/loss zero, unconstrained bandwidth) must be

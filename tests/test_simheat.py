@@ -508,7 +508,7 @@ class TestPoolTraceNeutrality:
 # tier-1 allocation ceiling on the quick crowd
 # ----------------------------------------------------------------------
 class TestAllocCeiling:
-    #: Pinned per-event ceilings for the columnar quick crowd; the
+    #: Pinned per-event ceilings for the quick crowd; the
     #: PR-9 pooled transfer path measures ~1075 B/event and ~14
     #: blocks/event, so tripping these means an O(peers) copy or an
     #: unpooled object crept back into the per-event path.
@@ -520,8 +520,6 @@ class TestAllocCeiling:
         result = run_swarm(protocol="tchain", seed=7, pieces=4,
                            piece_size_kb=64.0, leechers=300,
                            freerider_fraction=0.0, arrival="flash",
-                           extra={"columnar": True,
-                                  "interest_index": False},
                            profile="alloc")
         prof = result.swarm.sim.profile
         assert prof.events > 1000

@@ -352,7 +352,7 @@ class TestSL010AdHocInterestScan:
             def overlap(holder, wanter):
                 return holder.book.completed & wanter.book.wanted()
         """
-        assert rules_of(snippet, path="src/repro/bt/interest.py") == []
+        assert rules_of(snippet, path="src/repro/bt/columnar.py") == []
         assert rules_of(snippet, path="src/repro/bt/peer.py") == []
 
     def test_non_wanted_intersections_clean(self):
@@ -366,6 +366,17 @@ class TestSL010AdHocInterestScan:
             def serve(self, peer, piece):
                 return piece in peer.book.wanted()
         """, path="src/repro/bt/protocols/tchain.py") == []
+
+    def test_mask_to_set_in_protocols_flagged(self):
+        snippet = """
+            from repro.bt.torrent import mask_to_set
+
+            def serve(self, peer):
+                return mask_to_set(peer.book.wmask & self.book.cmask)
+        """
+        assert rules_of(
+            snippet, path="src/repro/bt/protocols/tchain.py") == ["SL010"]
+        assert rules_of(snippet, path="src/repro/bt/torrent.py") == []
 
     def test_real_protocols_package_is_clean(self):
         import glob

@@ -9,15 +9,16 @@ column.  :class:`ColumnarState` is that table — one per swarm, always
 on, the only acceleration structure the protocols consult:
 
 * rows: peer id -> dense row index, with parallel columns for the peer
-  object, its book, liveness and the sorted neighbour ids / rows;
+  object, its book, liveness and the neighbour rows in sorted-id order;
 * one *maintained* column, ``avail``: per chooser row, the number of
-  live neighbours holding each piece — the Local-Rarest-First input.
-  It is the single count kept instead of recomputed, because LRF reads
-  it on every plan while it changes only O(degree) per completion and
-  O(pieces) per edge (docs/PERF.md has the measurement).
+  live neighbours holding each piece — the Local-Rarest-First input —
+  packed into one int of ``COUNT_BITS``-wide fields.  It is the single
+  count kept instead of recomputed, because LRF reads it on every plan
+  while it changes by one big-int addition per live neighbour on a
+  completion and two per edge (docs/PERF.md has the measurement).
 
-Nothing here is swarm-wide: joining costs O(1) plus O(pieces) per edge,
-a completion costs O(degree), and no map is keyed by piece.
+Nothing here is swarm-wide: joining costs O(1) per edge, a completion
+costs O(degree), and no map is keyed by piece.
 
 Trace neutrality is the contract: every scan iterates neighbours in
 ``topology.sorted_neighbors()`` order and applies predicates equal to
@@ -35,10 +36,10 @@ at the neighbours of every one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, TYPE_CHECKING
+from struct import Struct
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.bt.torrent import PieceBook, mask_bits
+from repro.bt.torrent import COUNT_BITS, PieceBook
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.peer import Peer
@@ -52,9 +53,10 @@ class ColumnarState:
     ``rebrand``) and recycled at :meth:`release`; ``alive`` mirrors
     ``peer.active`` through ``Swarm.note_deactivated``, so a row filter
     on ``alive`` equals the ``neighbor_peers()`` activity filter at
-    every scan instant.  Adjacency is two parallel per-row lists —
-    neighbour ids sorted lexicographically and their row indexes —
-    matching ``topology.sorted_neighbors()`` element for element.
+    every scan instant.  Adjacency is one list of neighbour rows per
+    row, parallel to ``topology.sorted_neighbors()`` element for
+    element: the topology's edge hooks carry the list positions, so
+    the two are edited in lockstep and the ids are stored once.
     """
 
     def __init__(self, swarm: "Swarm"):
@@ -65,10 +67,18 @@ class ColumnarState:
         self.objs: List[Optional["Peer"]] = []
         self.books: List[Optional[PieceBook]] = []
         self.alive: List[bool] = []
-        self.adj_ids: List[List[str]] = []
         self.adj_rows: List[List[int]] = []
-        #: avail[row][piece] = live neighbours of ``row`` holding it.
-        self.avail: List[List[int]] = []
+        #: Live neighbours of ``row`` holding each piece: the count for
+        #: ``piece`` is the ``COUNT_BITS``-wide field at bit
+        #: ``COUNT_BITS * piece``.  One copy of a book is its
+        #: ``spread``, so edges and completions are plain additions; a
+        #: field never borrows from the next because a count is only
+        #: taken back from where it was added.
+        self.avail: List[int] = []
+        # "I" is COUNT_BITS wide; explicit little-endian on both sides
+        # puts piece 0 first on any host.
+        fields = Struct(f"<{self.n_pieces}I")
+        self._packed_bytes, self._unpack = fields.size, fields.unpack
         self._free: List[int] = []
 
     def __len__(self) -> int:
@@ -91,16 +101,15 @@ class ColumnarState:
             self.objs[row] = peer
             self.books[row] = book
             self.alive[row] = True
-            self.avail[row] = [0] * self.n_pieces
+            self.avail[row] = 0
         else:
             row = len(self.ids)
             self.ids.append(pid)
             self.objs.append(peer)
             self.books.append(book)
             self.alive.append(True)
-            self.adj_ids.append([])
             self.adj_rows.append([])
-            self.avail.append([0] * self.n_pieces)
+            self.avail.append(0)
         self.row_of[pid] = row
         book._state = self
         book._rows.append(row)
@@ -114,7 +123,7 @@ class ColumnarState:
         if row is None or not self.alive[row]:
             return
         self.alive[row] = False
-        self._count_at_neighbors(row, self.books[row].cmask, -1)
+        self._count_at_neighbors(row, -self.books[row].spread)
 
     def release(self, peer_id: str) -> None:
         """Free a departed peer's row (edges were already severed by
@@ -132,86 +141,61 @@ class ColumnarState:
         self.objs[row] = None
         self.books[row] = None
         self.alive[row] = False
-        self.adj_ids[row].clear()
         self.adj_rows[row].clear()
         self._free.append(row)
 
     # ------------------------------------------------------------------
     # Writes to the availability column
     # ------------------------------------------------------------------
-    def on_completed(self, rows: List[int], piece: int) -> None:
-        """A book completed ``piece``; ``rows`` are the rows holding
-        that book (several for a shared Sybil book — the piece becomes
-        a copy at the neighbours of every live identity)."""
+    def on_completed(self, rows: List[int], one_copy: int) -> None:
+        """A book completed a piece (``one_copy`` is its count field's
+        unit); ``rows`` are the rows holding that book (several for a
+        shared Sybil book — the piece becomes a copy at the neighbours
+        of every live identity)."""
         for row in rows:
             if self.alive[row]:
-                self._count_at_neighbors(row, 1 << piece, +1)
+                self._count_at_neighbors(row, one_copy)
 
-    def _count_at_neighbors(self, row: int, cmask: int,
-                            delta: int) -> None:
-        """Add ``delta`` copies of every piece in ``cmask`` at the
+    def _count_at_neighbors(self, row: int, delta: int) -> None:
+        """Add ``delta`` (a signed ``spread``) to the counts of the
         live neighbours of ``row``."""
-        pieces = mask_bits(cmask)
-        if not pieces:
+        if not delta:
             return
         alive = self.alive
+        avail = self.avail
         for nrow in self.adj_rows[row]:
             if alive[nrow]:
-                counts = self.avail[nrow]
-                for piece in pieces:
-                    counts[piece] += delta
-
-    def _count_edge(self, row_a: int, row_b: int, delta: int) -> None:
-        """Both endpoints live: each holds the other's pieces."""
-        counts = self.avail[row_a]
-        for piece in mask_bits(self.books[row_b].cmask):
-            counts[piece] += delta
-        counts = self.avail[row_b]
-        for piece in mask_bits(self.books[row_a].cmask):
-            counts[piece] += delta
+                avail[nrow] += delta
 
     # ------------------------------------------------------------------
-    # Topology events (Topology.on_edge_added / on_edge_removed)
+    # Topology events (Topology.on_edge_added / on_edge_removed; the
+    # positions index the endpoints' sorted neighbour lists)
     # ------------------------------------------------------------------
-    def on_edge_added(self, a: str, b: str) -> None:
-        row_a = self.row_of.get(a)
-        row_b = self.row_of.get(b)
-        if row_a is None or row_b is None:
-            return
-        if self._insert(row_a, b, row_b) \
-                and self._insert(row_b, a, row_a) \
-                and self.alive[row_a] and self.alive[row_b]:
-            self._count_edge(row_a, row_b, +1)
+    def on_edge_added(self, a: str, b: str, pos_b: int,
+                      pos_a: int) -> None:
+        row_a = self.row_of[a]
+        row_b = self.row_of[b]
+        self.adj_rows[row_a].insert(pos_b, row_b)
+        self.adj_rows[row_b].insert(pos_a, row_a)
+        if self.alive[row_a] and self.alive[row_b]:
+            # Both endpoints live: each holds the other's pieces.
+            self.avail[row_a] += self.books[row_b].spread
+            self.avail[row_b] += self.books[row_a].spread
 
-    def on_edge_removed(self, a: str, b: str) -> None:
-        row_a = self.row_of.get(a)
-        row_b = self.row_of.get(b)
-        removed_a = row_a is not None and self._remove(row_a, b)
-        removed_b = row_b is not None and self._remove(row_b, a)
+    def on_edge_removed(self, a: str, b: str, pos_b: Optional[int],
+                        pos_a: Optional[int]) -> None:
+        row_a = self.row_of[a]
+        row_b = self.row_of[b]
+        # ``None``: that endpoint is leaving the topology wholesale
+        # (its list is cleared at release) or never recorded the edge.
+        if pos_b is not None:
+            del self.adj_rows[row_a][pos_b]
+        if pos_a is not None:
+            del self.adj_rows[row_b][pos_a]
         # A deactivated endpoint already left the counts.
-        if removed_a and removed_b \
-                and self.alive[row_a] and self.alive[row_b]:
-            self._count_edge(row_a, row_b, -1)
-
-    def _insert(self, row: int, nid: str, nrow: int) -> bool:
-        ids = self.adj_ids[row]
-        # bisect has no key= before 3.10; the parallel-list insert is
-        # the portable equivalent.
-        pos = bisect_left(ids, nid)
-        if pos < len(ids) and ids[pos] == nid:
-            return False
-        ids.insert(pos, nid)
-        self.adj_rows[row].insert(pos, nrow)
-        return True
-
-    def _remove(self, row: int, nid: str) -> bool:
-        ids = self.adj_ids[row]
-        pos = bisect_left(ids, nid)
-        if pos < len(ids) and ids[pos] == nid:
-            del ids[pos]
-            del self.adj_rows[row][pos]
-            return True
-        return False
+        if self.alive[row_a] and self.alive[row_b]:
+            self.avail[row_a] -= self.books[row_b].spread
+            self.avail[row_b] -= self.books[row_a].spread
 
     # ------------------------------------------------------------------
     # Wholesale scans (trace-equal to the naive object walks)
@@ -248,19 +232,19 @@ class ColumnarState:
             return []
         books = self.books
         alive = self.alive
-        return [nid
-                for nid, nrow in zip(self.adj_ids[row],
-                                     self.adj_rows[row])
+        ids = self.ids
+        return [ids[nrow] for nrow in self.adj_rows[row]
                 if alive[nrow] and books[nrow].wmask & offer_mask]
 
-    def availability(self, peer: "Peer") -> List[int]:
-        """``copies[piece]`` among ``peer``'s live neighbours (the
-        maintained column; read-only).  All zeros for a peer that is
-        not registered."""
+    def availability(self, peer: "Peer") -> Sequence[int]:
+        """``copies[piece]`` among ``peer``'s live neighbours: the
+        maintained column unpacked into one tuple (one C call per LRF
+        choice).  All zeros for a peer that is not registered."""
         row = self.row_of.get(peer.id)
         if row is None:
-            return [0] * self.n_pieces
-        return self.avail[row]
+            return (0,) * self.n_pieces
+        return self._unpack(
+            self.avail[row].to_bytes(self._packed_bytes, "little"))
 
     # ------------------------------------------------------------------
     # Self-check (the churn property test runs this after every event)
@@ -287,22 +271,32 @@ class ColumnarState:
                 f"alive[{pid}]={self.alive[row]} != "
                 f"active={peer.active}")
             assert book.cmask & book.emask == 0
+            assert book.spread == sum(
+                1 << COUNT_BITS * piece for piece in book.completed), (
+                f"{pid} spread mask diverged from cmask")
             assert book.wmask == full & ~book.cmask & ~book.emask, (
                 f"{pid} wanted mask diverged")
-            expected_adj = topology.sorted_neighbors(pid) \
+            expected_adj = sorted(topology.neighbors(pid)) \
                 if pid in topology else []
-            assert self.adj_ids[row] == list(expected_adj), (
-                f"adj[{pid}] {self.adj_ids[row]} != {expected_adj}")
-            assert [self.ids[nrow] for nrow in self.adj_rows[row]] \
-                == self.adj_ids[row], f"adj rows of {pid} diverged"
+            assert topology.sorted_neighbors(pid) == expected_adj, (
+                f"sorted neighbours of {pid} diverged from the set")
+            adj = [self.ids[nrow] for nrow in self.adj_rows[row]]
+            assert adj == expected_adj, (
+                f"adj[{pid}] {adj} != {expected_adj}")
+            # A borrow or carry would corrupt a *different* piece's
+            # count, so guard the packing itself, live row or not.
+            packed = self.avail[row]
+            assert packed >= 0 \
+                and packed >> COUNT_BITS * self.n_pieces == 0, (
+                    f"avail[{pid}] out of its fields: {packed:#x}")
             if not peer.active:
                 continue
             copies = [0] * self.n_pieces
             for other in peer.neighbor_peers():
                 for piece in other.book.completed:
                     copies[piece] += 1
-            assert self.avail[row] == copies, (
-                f"avail[{pid}] {self.avail[row]} != {copies}")
+            assert list(self.availability(peer)) == copies, (
+                f"avail[{pid}] {self.availability(peer)} != {copies}")
         for row, book in enumerate(self.books):
             if book is not None:
                 assert book._rows.count(row) == 1

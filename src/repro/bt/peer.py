@@ -25,6 +25,7 @@ from typing import Any, Dict, Optional, Set, TYPE_CHECKING
 from repro.bt.piece_selection import rarest_in_mask
 from repro.bt.torrent import PieceBook
 from repro.net.bandwidth import Transfer, Uplink
+from repro.sim.events import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.swarm import Swarm
@@ -101,7 +102,6 @@ class Peer:
         # (flow windows, backoff expiry, trust/credit changes) and
         # produce no event of their own; real clients re-evaluate on
         # the unchoke cadence, so every peer pumps periodically too.
-        from repro.sim.events import PeriodicTask
         self._rescan_task = self.swarm.periodic(
             self.swarm.config.rechoke_interval_s, self._rescan,
             key=self.id) or PeriodicTask(
@@ -357,20 +357,16 @@ class Peer:
     # ------------------------------------------------------------------
     # Neighbor views
     # ------------------------------------------------------------------
-    def neighbors(self) -> Set[str]:
-        """Current neighbor ids."""
-        return self.swarm.topology.neighbors(self.id)
-
     def neighbor_peers(self) -> list:
         """Active neighbor Peer objects, in sorted-id order.
 
         The topology hands out a live ``set`` of string ids; iterating
         it raw would feed per-process hash order into rng draws and
-        upload scheduling downstream.  The topology's cached sorted
-        view fixes the order for every consumer without re-sorting on
-        each of the many reads per event.  Returns a list (this is the
-        hottest read in protocol planning; a comprehension over the
-        cached ids beats a generator's per-item frame switches).
+        upload scheduling downstream.  The topology's always-sorted
+        list fixes the order for every consumer without sorting on
+        each of the many reads per event.  Returns a fresh list (a
+        comprehension beats a generator's per-item frame switches, and
+        callers may connect or disconnect while walking it).
         """
         peers = self.swarm.peers
         return [peer

@@ -3,9 +3,9 @@
 The four baseline protocols differ only in *whom* a peer serves next;
 everything else (transfer mechanics, piece completion, neighbor
 management) lives in :class:`repro.bt.peer.Peer`.  This module adds
-the pieces they share: a seeder that altruistically rotates through
-interested neighbors, and a leecher base with the receiver-side LRF
-upload plan builder.
+the pieces they share: the serveable-neighbor scan and the
+receiver-side LRF upload plan builder, a seeder that altruistically
+rotates through interested neighbors, and the leecher base.
 """
 
 from __future__ import annotations
@@ -19,7 +19,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.swarm import Swarm
 
 
-class BaselineSeeder(Peer):
+class BaselinePeer(Peer):
+    """What the baseline seeder and leechers share: the one neighbor
+    scan and the receiver-side LRF plan."""
+
+    def serveable_neighbors(self) -> List[str]:
+        """Live neighbors that want a piece of ours and have no
+        in-flight piece from us, in sorted-id order (a fresh list)."""
+        wanting = self.swarm.columnar.wanters(self, self.book.cmask)
+        in_flight = self._in_flight_to
+        if not in_flight:
+            return wanting
+        return [nid for nid in wanting if nid not in in_flight]
+
+    def plan_for(self, receiver_id: str) -> Optional[UploadPlan]:
+        """Build a plan letting the receiver pick its piece via LRF."""
+        receiver = self.swarm.find_peer(receiver_id)
+        if receiver is None or not receiver.active:
+            return None
+        piece = receiver.choose_piece_from(self)
+        if piece is None:
+            return None
+        return UploadPlan(receiver_id=receiver_id, piece=piece)
+
+
+class BaselineSeeder(BaselinePeer):
     """An altruistic seeder for the baseline protocols.
 
     Uploads continuously, choosing a uniformly random interested
@@ -49,24 +73,8 @@ class BaselineSeeder(Peer):
         receiver_id = self.sim.rng.choice(candidates)
         return self.plan_for(receiver_id)
 
-    def serveable_neighbors(self) -> List[str]:
-        """Interested neighbors with no in-flight piece from us."""
-        return sorted(
-            nid for nid in self.interested_neighbors()
-            if not self.uploading_to(nid))
 
-    def plan_for(self, receiver_id: str) -> Optional[UploadPlan]:
-        """Build a plan letting the receiver pick its piece via LRF."""
-        receiver = self.swarm.find_peer(receiver_id)
-        if receiver is None or not receiver.active:
-            return None
-        piece = receiver.choose_piece_from(self)
-        if piece is None:
-            return None
-        return UploadPlan(receiver_id=receiver_id, piece=piece)
-
-
-class BaselineLeecher(Peer):
+class BaselineLeecher(BaselinePeer):
     """Common leecher machinery for the baseline protocols."""
 
     kind = "leecher"
@@ -84,25 +92,3 @@ class BaselineLeecher(Peer):
             swarm,
             peer_id if peer_id is not None else swarm.new_peer_id("L"),
             capacity_kbps, n_slots)
-
-    def plan_for(self, receiver_id: str) -> Optional[UploadPlan]:
-        """Receiver-side LRF plan (same as the seeder's)."""
-        receiver = self.swarm.find_peer(receiver_id)
-        if receiver is None or not receiver.active:
-            return None
-        piece = receiver.choose_piece_from(self)
-        if piece is None:
-            return None
-        return UploadPlan(receiver_id=receiver_id, piece=piece)
-
-    def serveable(self, neighbor_ids) -> List[str]:
-        """Filter to active, interested-in-us, not-already-being-served
-        neighbors."""
-        peers = self.swarm.peers
-        mine = self.book.cmask
-        in_flight = self._in_flight_to
-        return sorted(
-            nid for nid in neighbor_ids
-            if nid not in in_flight
-            and (peer := peers.get(nid)) is not None and peer.active
-            and peer.book.wmask & mine)

@@ -71,10 +71,12 @@ class BitTorrentLeecher(BaselineLeecher):
 
     # -- serving ---------------------------------------------------------
     def next_upload(self) -> Optional[UploadPlan]:
-        for receiver_id in self.serveable(self.choker.all_unchoked()):
-            plan = self.plan_for(receiver_id)
-            if plan is not None:
-                return plan
+        unchoked = self.choker.all_unchoked()
+        for receiver_id in self.serveable_neighbors():
+            if receiver_id in unchoked:
+                plan = self.plan_for(receiver_id)
+                if plan is not None:
+                    return plan
         return None
 
     # -- receiving -------------------------------------------------------

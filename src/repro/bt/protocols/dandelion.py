@@ -218,7 +218,7 @@ class DandelionLeecher(BaselineLeecher):
         self.bank.enroll(self.id)
 
     def next_upload(self) -> Optional[UploadPlan]:
-        candidates = [c for c in self.serveable(self.neighbors())
+        candidates = [c for c in self.serveable_neighbors()
                       if self.bank.can_afford(c)]
         self.sim.rng.shuffle(candidates)
         for receiver_id in candidates:

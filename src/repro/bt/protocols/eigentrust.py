@@ -160,7 +160,7 @@ class EigenTrustLeecher(BaselineLeecher):
         self.authority = TrustAuthority.of(swarm)
 
     def next_upload(self) -> Optional[UploadPlan]:
-        candidates = self.serveable(self.neighbors())
+        candidates = self.serveable_neighbors()
         if not candidates:
             return None
         receiver_id = self._draw_receiver(candidates)

@@ -36,7 +36,7 @@ class FairTorrentLeecher(BaselineLeecher):
         self.deficits = DeficitLedger()
 
     def next_upload(self) -> Optional[UploadPlan]:
-        candidates = self.serveable(self.neighbors())
+        candidates = self.serveable_neighbors()
         if not candidates:
             return None
         # Lowest-deficit-first, tie broken uniformly.

@@ -55,7 +55,7 @@ class PropShareLeecher(BaselineLeecher):
 
     # -- serving ---------------------------------------------------------
     def next_upload(self) -> Optional[UploadPlan]:
-        candidates = self.serveable(self.neighbors())
+        candidates = self.serveable_neighbors()
         if not candidates:
             return None
         receiver_id = self._draw_receiver(candidates)

@@ -28,7 +28,7 @@ class RandomBTLeecher(BaselineLeecher):
                          n_slots=swarm.config.total_upload_slots)
 
     def next_upload(self) -> Optional[UploadPlan]:
-        candidates = self.serveable(self.neighbors())
+        candidates = self.serveable_neighbors()
         self.sim.rng.shuffle(candidates)
         for receiver_id in candidates:
             plan = self.plan_for(receiver_id)

@@ -249,12 +249,10 @@ class _TChainNode(Peer):
         topology = self.swarm.topology
         if topology.degree(self.id) < topology.max_neighbors:
             return
-        for neighbor_id in topology.sorted_neighbors(self.id):
+        # A snapshot: disconnect edits the sorted list in place.
+        for neighbor_id in list(topology.sorted_neighbors(self.id)):
             if not self.cooperative(neighbor_id) \
                     and not self.uploading_to(neighbor_id):
-                # Safe while iterating: disconnect invalidates the
-                # cache entry but we hold the list, whose contents
-                # match the sorted snapshot the loop needs.
                 topology.disconnect(self.id, neighbor_id)
 
     def accepts_connection_from(self, peer_id: str) -> bool:

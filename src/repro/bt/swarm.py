@@ -159,16 +159,16 @@ class Swarm:
         for genuinely new neighbors (tracker refills mostly return
         peers we already know; re-firing would stampede the pumps).
         """
-        if self.topology.are_neighbors(a, b):
+        topology = self.topology
+        if topology.are_neighbors(a, b):
             return True
         peer_a, peer_b = self.peers.get(a), self.peers.get(b)
         if peer_a is not None and not peer_a.accepts_connection_from(b):
             return False
         if peer_b is not None and not peer_b.accepts_connection_from(a):
             return False
-        if not self.topology.connect(a, b):
+        if not topology.connect(a, b):
             return False
-        peer_a, peer_b = self.peers.get(a), self.peers.get(b)
         if peer_a is not None:
             peer_a.on_neighbor_connected(b)
         if peer_b is not None:

@@ -51,6 +51,13 @@ except AttributeError:  # pragma: no cover - 3.9 fallback
         return bin(mask).count("1")
 
 
+#: Width of one per-piece count field in a packed availability value
+#: (:class:`~repro.bt.columnar.ColumnarState`).  32 bits, not 8: a
+#: large-view free-rider bypasses the 55-neighbour cap, so a count is
+#: bounded only by the swarm size.
+COUNT_BITS = 32
+
+
 def mask_bits(mask: int) -> List[int]:
     """The bit positions set in ``mask``, ascending."""
     out = []
@@ -91,6 +98,10 @@ class PieceBook:
     :meth:`needs_from`) materialize a fresh set per call and are meant
     for metrics, tests and cold paths.
 
+    ``spread`` is ``cmask`` with bit ``COUNT_BITS * piece`` set per
+    completed piece: the value one copy of this book adds to a
+    neighbour's packed availability counts.
+
     A book may be shared by several peers (a Sybil group pools one);
     while its holders are registered in a swarm, ``_state`` / ``_rows``
     link it to their :class:`~repro.bt.columnar.ColumnarState` rows so
@@ -102,6 +113,7 @@ class PieceBook:
                  initial_pieces: Iterable[int] = ()):
         self.torrent = torrent
         self.cmask = 0
+        self.spread = 0
         self.emask = 0
         self.wmask = (1 << torrent.n_pieces) - 1
         self._state = None
@@ -124,8 +136,10 @@ class PieceBook:
             return False
         self.cmask |= bit
         self.wmask &= ~bit
+        one_copy = 1 << COUNT_BITS * piece
+        self.spread |= one_copy
         if self._state is not None:
-            self._state.on_completed(self._rows, piece)
+            self._state.on_completed(self._rows, one_copy)
         return True
 
     def has(self, piece: int) -> bool:

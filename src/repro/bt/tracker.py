@@ -9,51 +9,18 @@ victims — the tracker itself cannot tell and serves them normally.
 
 Scale note: membership is kept as an *incrementally sorted* list
 (``insort``/bisect per join/leave) instead of re-sorting the whole
-set on every announce, and the "everyone but the requester" population
-handed to ``rng.sample`` is a lazy :class:`_SkipView` rather than an
-O(n) copy.  Both changes are trace-neutral: the view's ``__len__`` /
-``__getitem__`` return exactly what the materialized list would, so
-the seeded RNG consumes the identical draw sequence.
+set on every announce, and ``rng.sample`` draws *indices* into
+"everyone but the requester" rather than sampling an O(n) copy of it.
+Both changes are trace-neutral: ``Random.sample`` reads its population
+only through ``len()`` and ``[j]``, so sampling ``range(n)`` and
+mapping the indices consumes the identical draw sequence.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Sequence as _SequenceABC
 from random import Random
 from typing import List, Optional, Set
-
-
-class _SkipView(_SequenceABC):
-    """Read-only view of a sorted list with one index elided.
-
-    ``random.Random.sample`` only needs ``len()`` and integer
-    indexing, so presenting the membership list minus the requester
-    this way avoids copying 100k ids per announce while yielding the
-    exact element sequence of the copied list.
-    """
-
-    __slots__ = ("_items", "_skip")
-
-    def __init__(self, items: List[str], skip: Optional[int]):
-        self._items = items
-        self._skip = skip
-
-    def __len__(self) -> int:
-        return len(self._items) - (0 if self._skip is None else 1)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):  # pragma: no cover - sample never slices
-            return [self[j] for j in range(*i.indices(len(self)))]
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        skip = self._skip
-        if skip is not None and i >= skip:
-            i += 1
-        return self._items[i]
 
 
 class Tracker:
@@ -100,7 +67,11 @@ class Tracker:
                 others = members[:skip] + members[skip + 1:]
             self.rng.shuffle(others)
             return others
-        return self.rng.sample(_SkipView(members, skip), self.list_size)
+        picks = self.rng.sample(range(n), self.list_size)
+        if skip is None:
+            return [members[i] for i in picks]
+        # Index i of the list without the requester is i or i + 1 here.
+        return [members[i + (i >= skip)] for i in picks]
 
     @property
     def member_count(self) -> int:

@@ -12,6 +12,8 @@ Three contracts are under test:
   crashes, every column (rows, masks, adjacency, availability, free
   list) must equal a from-scratch naive rescan
   (``ColumnarState.check_consistency``).
+* **Packed counts** — the availability column is one int of 32-bit
+  fields per row; a hub far above the neighbour cap must count right.
 * **Book semantics** — the mask-backed ``PieceBook`` behaves exactly
   like the set model it replaced, and rows reference books without
   copying them, so post-construction book replacement and Sybil shared
@@ -23,6 +25,9 @@ import pytest
 from random import Random
 
 from repro.bt.columnar import ColumnarState
+from repro.bt.config import SwarmConfig
+from repro.bt.peer import Peer
+from repro.bt.swarm import Swarm
 from repro.bt.torrent import (
     PieceBook,
     Torrent,
@@ -98,6 +103,43 @@ class TestChurnConsistency:
         result = run_swarm(protocol="tchain", seed=13, sanitize=True,
                            **FLASH)
         assert result.swarm.sim.events_fired > 200
+
+
+class IdlePeer(Peer):
+    def next_upload(self):
+        return None
+
+
+class TestPackedAvailability:
+    def test_hub_counts_300_holders_and_back_to_zero(self):
+        """A large-view free-rider registers ``unlimited=True``, so a
+        count can pass 255: the fields must not be a byte wide, and a
+        count that runs back to zero must not borrow from the next."""
+        swarm = Swarm(SwarmConfig(n_pieces=3, seed=1))
+        columnar = swarm.columnar
+
+        def registered(pid, pieces=(), unlimited=False):
+            peer = IdlePeer(swarm, pid, 800.0, 1,
+                            book=PieceBook(swarm.torrent, pieces))
+            peer.unlimited_neighbors = unlimited
+            peer.active = True
+            swarm.register(peer)
+            return peer
+
+        hub = registered("HUB", unlimited=True)
+        holders = [registered(f"H{i:03d}", (0, 1) if i % 2 else (0,))
+                   for i in range(300)]
+        for peer in holders:
+            assert swarm.connect(hub.id, peer.id)
+            columnar.check_consistency()
+        assert tuple(columnar.availability(hub)) == (300, 150, 0)
+        holders[0].complete_piece(2)
+        assert tuple(columnar.availability(hub)) == (300, 150, 1)
+        for peer in holders:
+            peer.leave()
+            columnar.check_consistency()
+        assert tuple(columnar.availability(hub)) == (0, 0, 0)
+        assert columnar.avail[columnar.row_of[hub.id]] == 0
 
 
 class TestMaskHelpers:
@@ -211,9 +253,10 @@ class TestAdoption:
                 is peer.book
 
 
-class TestTrackerSkipView:
-    """The lazy announce population must draw identically to the
-    materialized list the tracker used to build."""
+class TestTrackerAnnounce:
+    """Sampling indices into the sorted member list must draw
+    identically to sampling the materialized "everyone but the
+    requester" list."""
 
     def _reference_announce(self, members, peer_id, rng, list_size):
         others = [m for m in sorted(members) if m != peer_id]

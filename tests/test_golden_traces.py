@@ -74,6 +74,10 @@ GOLDEN = {
         "53b25d4f412d91da5096fd0d7e441a020941de736b3fb0b280457b9db8355a57",
     "plain-random-7":
         "fdd06c7db7453bf6d77aeafc81feefaa13ddaa42c8a539c5d74b1ab5abfa7dae",
+    "crowd-tchain-120":
+        "f97179e88278070b768dfbb6a3ebac1efc88bf572c46a0086450f02d8b15e286",
+    "crowd-bittorrent-120":
+        "410eefdee2569627207047d051d7d397730a1ef7aac7377297bc446b5ca00126",
 }
 
 
@@ -145,6 +149,23 @@ SYBIL = dict(protocol="tchain", seed=9, leechers=8, pieces=6,
 def test_flash_crowd_with_freeriders(protocol, seed):
     assert_golden(f"flash-{protocol}-{seed}", protocol=protocol,
                   seed=seed, **FLASH)
+
+
+def test_tchain_crowd_above_tracker_list_size():
+    """120 leechers: ``Tracker.announce`` takes its ``rng.sample``
+    branch (n > 50) and refills happen in a swarm larger than the
+    refill threshold.  Taken on the last commit with a list-of-lists
+    availability column and a cached-sort adjacency."""
+    assert_golden("crowd-tchain-120", protocol="tchain", seed=13,
+                  leechers=120, pieces=4)
+
+
+def test_bittorrent_crowd_with_large_view_freeriders():
+    """As above plus 30 default free-riders: large-view degrees well
+    above the 55-neighbour cap, cap-refused ``Swarm.connect`` calls on
+    the compliant side and whitewash churn."""
+    assert_golden("crowd-bittorrent-120", protocol="bittorrent", seed=13,
+                  leechers=120, pieces=8, freerider_fraction=0.25)
 
 
 def test_trace_arrival_churn():

@@ -218,6 +218,26 @@ class TestBackoffMechanics:
         assert "X" not in seeder._strikes
 
 
+class TestSeederSnubbing:
+    def test_full_seeder_snubs_every_backed_off_neighbor(self):
+        """Regression: ``on_rescan`` walks the topology's sorted
+        neighbour list while ``disconnect`` deletes from that same
+        list, so without a snapshot the neighbour after each snubbed
+        one is skipped."""
+        swarm, seeder = tchain_swarm(max_neighbors=3,
+                                     seeder_capacity_kbps=0.0)
+        a, b, c = (add_leecher(swarm) for _ in range(3))
+        topology = swarm.topology
+        assert topology.sorted_neighbors(seeder.id) == [a.id, b.id, c.id]
+        seeder.note_exchange_written_off(a.id)
+        seeder.note_exchange_written_off(b.id)  # adjacent in the list
+        seeder.on_rescan()
+        assert topology.sorted_neighbors(seeder.id) == [c.id]
+        assert not topology.are_neighbors(a.id, seeder.id)
+        assert not topology.are_neighbors(b.id, seeder.id)
+        swarm.columnar.check_consistency()
+
+
 class TestReopenFlow:
     def test_reopen_requeues_obligation(self):
         swarm, seeder = tchain_swarm()

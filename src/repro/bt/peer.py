@@ -20,7 +20,7 @@ fairness-factor metric of Fig. 12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, TYPE_CHECKING
+from typing import Any, Dict, Optional, Sequence, Set, TYPE_CHECKING
 
 from repro.bt.piece_selection import rarest_in_mask
 from repro.bt.torrent import PieceBook
@@ -53,6 +53,12 @@ class Peer:
     """A swarm participant (leecher or seeder)."""
 
     kind = "leecher"  # metrics label; subclasses override
+
+    #: Uploads owed whether or not a piece is held.  Only T-Chain
+    #: leechers ever owe any (a newcomer reciprocates by forwarding the
+    #: sealed piece itself, Sec. II-D1), which is why :meth:`pump`
+    #: cannot read "nothing to upload" off an empty book alone.
+    obligations: Sequence[int] = ()
 
     def __init__(self, swarm: "Swarm", peer_id: str,
                  capacity_kbps: float, n_slots: int,
@@ -91,13 +97,13 @@ class Peer:
             raise RuntimeError(f"{self.id} already joined")
         self.active = True
         self.join_time = self.sim.now
-        self.swarm.register(self)
-        members = self.swarm.tracker.announce(self.id)
-        self.swarm.tracker.join(self.id)
-        adjacent = self.swarm.topology.neighbors(self.id)
-        for other in members:
-            if other not in adjacent:
-                self.swarm.connect(self.id, other)
+        swarm = self.swarm
+        swarm.register(self)
+        strangers = swarm.tracker.announce(
+            self.id, swarm.topology.neighbors(self.id))
+        swarm.tracker.join(self.id)
+        for other in strangers:
+            swarm.connect(self.id, other)
         # Periodic re-scan: several serving conditions are time-based
         # (flow windows, backoff expiry, trust/credit changes) and
         # produce no event of their own; real clients re-evaluate on
@@ -221,12 +227,13 @@ class Peer:
         """Ask the tracker for more members when running low."""
         if not self.active:
             return
-        # Tracker refills mostly return peers we already know;
-        # ``Swarm.connect`` treats those as no-ops, so skip the call.
-        adjacent = self.swarm.topology.neighbors(self.id)
-        for other in self.swarm.tracker.announce(self.id):
-            if other not in adjacent:
-                self.swarm.connect(self.id, other)
+        # The tracker answers with strangers only: refills mostly
+        # draw peers we already know (in a swarm no larger than the
+        # refill threshold, nobody else), and it drops those itself.
+        swarm = self.swarm
+        for other in swarm.tracker.announce(
+                self.id, swarm.topology.neighbors(self.id)):
+            swarm.connect(self.id, other)
 
     # ------------------------------------------------------------------
     # Serving loop
@@ -235,6 +242,14 @@ class Peer:
         """Start uploads while slots are free and work exists."""
         uplink = self.uplink
         if not self.active or uplink.capacity_kbps <= 0:
+            return
+        if not self.book.cmask and not self.obligations:
+            # Empty-handed: with nothing held and nothing owed every
+            # protocol's next_upload() is a guaranteed None that draws
+            # nothing and schedules nothing (no neighbor can want a
+            # piece of an empty book), so the connect storm of a
+            # joining crowd stops here.  tests/test_empty_handed.py
+            # holds every registered protocol to that.
             return
         n_slots = uplink.n_slots
         while uplink.busy_slots < n_slots:

@@ -120,9 +120,13 @@ class TChainState:
         self.registry = ChainRegistry()
         self.ledger = ExchangeLedger(self.registry,
                                      real_crypto=config.real_crypto)
-        # Mirror ledger transitions into the run's sanitizer (if any)
-        # so fair-exchange violations surface with a trace.
-        self.ledger.sanitizer = getattr(swarm.sim, "sanitizer", None)
+        #: The run's sanitizer, or None: fixed when the simulator is
+        #: built, so everything that exists only to feed it (ledger
+        #: mirroring, forgotten-neighbor ids) is decided once, here.
+        self.sanitizer = getattr(swarm.sim, "sanitizer", None)
+        # Mirror ledger transitions into it so fair-exchange
+        # violations surface with a trace.
+        self.ledger.sanitizer = self.sanitizer
         self.handover: Set[int] = set()
         self.colluders: Set[str] = set()
         self.stall_timeout_s = config.extra.get(
@@ -173,7 +177,11 @@ class _TChainNode(Peer):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.state = TChainState.of(self.swarm)
-        self.flow = FlowController(self.swarm.config.flow_control_k)
+        # Forgotten-neighbor ids have one reader, the sanitizer's
+        # underflow classification in _on_flow_underflow.
+        self.flow = FlowController(
+            self.swarm.config.flow_control_k,
+            remember_forgotten=self.state.sanitizer is not None)
         # Adaptive receiver selection, the "banned" half (Sec. II-D2):
         # every written-off exchange is a strike; strikes back a
         # neighbor off exponentially (stall, 2*stall, 4*stall, ...)
@@ -203,7 +211,7 @@ class _TChainNode(Peer):
         # neighbor's flow state was dropped by forget() (disconnect
         # with a report still in flight); otherwise some exchange was
         # drained twice — escalate when the sanitizer is attached.
-        sanitizer = getattr(self.sim, "sanitizer", None)
+        sanitizer = self.state.sanitizer
         if sanitizer is not None:
             sanitizer.on_flow_underflow(
                 self.id, neighbor_id,

@@ -227,9 +227,10 @@ class Swarm:
         self.peers[new_id] = peer
         self.columnar.adopt(peer)
         self.topology.add_peer(new_id, unlimited=peer.unlimited_neighbors)
-        members = self.tracker.announce(new_id)
+        strangers = self.tracker.announce(
+            new_id, self.topology.neighbors(new_id))
         self.tracker.join(new_id)
-        for member in members:
+        for member in strangers:
             self.connect(new_id, member)
         return new_id
 

@@ -143,17 +143,32 @@ class ExchangeLedger:
         chain.append(tx)
         self._transactions[tx.transaction_id] = tx
         for party in tx.parties():
-            self._open_by_peer.setdefault(party, set()).add(
-                tx.transaction_id)
+            self._index_open(party, tx.transaction_id)
         if self.sanitizer is not None:
             self.sanitizer.on_transaction_created(tx)
         return tx, sealed
 
+    # The open-transaction index holds an entry only for a peer with
+    # an open transaction: sets are made on a miss and dropped when
+    # emptied, so ids that come and go (every whitewash mints one)
+    # leave nothing behind.
+    def _index_open(self, party: str, transaction_id: int) -> None:
+        open_set = self._open_by_peer.get(party)
+        if open_set is None:
+            self._open_by_peer[party] = {transaction_id}
+        else:
+            open_set.add(transaction_id)
+
+    def _unindex_open(self, party: str, transaction_id: int) -> None:
+        open_set = self._open_by_peer.get(party)
+        if open_set is not None:
+            open_set.discard(transaction_id)
+            if not open_set:
+                del self._open_by_peer[party]
+
     def _close_index(self, tx: Transaction) -> None:
         for party in tx.parties():
-            open_set = self._open_by_peer.get(party)
-            if open_set is not None:
-                open_set.discard(tx.transaction_id)
+            self._unindex_open(party, tx.transaction_id)
 
     # ------------------------------------------------------------------
     # Protocol progress
@@ -316,11 +331,8 @@ class ExchangeLedger:
         tx.payee_id = new_payee
         if old_payee is not None and old_payee not in (
                 tx.donor_id, tx.requestor_id):
-            open_set = self._open_by_peer.get(old_payee)
-            if open_set is not None:
-                open_set.discard(tx.transaction_id)
-        self._open_by_peer.setdefault(new_payee, set()).add(
-            tx.transaction_id)
+            self._unindex_open(old_payee, tx.transaction_id)
+        self._index_open(new_payee, tx.transaction_id)
 
     def terminate_chain(self, chain_id: int, now: float) -> None:
         """Terminate a chain explicitly (e.g. stalled by a free-rider)."""

@@ -29,12 +29,18 @@ class FlowController:
         The window k.  Neighbors at or above the limit are ineligible.
     """
 
-    def __init__(self, pending_limit: int = DEFAULT_PENDING_LIMIT):
+    def __init__(self, pending_limit: int = DEFAULT_PENDING_LIMIT,
+                 remember_forgotten: bool = True):
         if pending_limit < 1:
             raise ValueError("pending_limit must be >= 1")
         self.pending_limit = pending_limit
         self._pending: Dict[str, int] = {}
-        self._forgotten: set = set()
+        #: Every id :meth:`forget` ever dropped, or ``None`` when the
+        #: owner will never ask :meth:`was_forgotten` (a T-Chain node
+        #: in an unsanitized run): the set only grows, one id per
+        #: departed neighbor per peer.
+        self._forgotten: Optional[set] = \
+            set() if remember_forgotten else None
         #: Decrements that arrived with an already-empty window.  A
         #: nonzero count after a run where no neighbor was forgotten
         #: means some exchange was confirmed/written off twice — the
@@ -99,19 +105,22 @@ class FlowController:
     def forget(self, neighbor_id: str) -> None:
         """Drop state for a departed neighbor.
 
-        The id is remembered in :attr:`was_forgotten` so a straggling
-        confirm (a report in flight when the neighbor disconnected)
-        can be told apart from a genuine double-drain underflow.
+        With ``remember_forgotten`` the id is kept for :meth:`was_forgotten`,
+        so a straggling confirm (a report in flight when the neighbor
+        disconnected) is told apart from a genuine double-drain underflow.
         """
         count = self._pending.pop(neighbor_id, None)
-        self._forgotten.add(neighbor_id)
+        if self._forgotten is not None:
+            self._forgotten.add(neighbor_id)
         if (count is not None and count >= self.pending_limit
                 and self.on_window_change is not None):
             self.on_window_change(neighbor_id, False)
 
     def was_forgotten(self, neighbor_id: str) -> bool:
-        """True if ``forget`` was ever called for this neighbor."""
-        return neighbor_id in self._forgotten
+        """True if ``forget`` was ever called for this neighbor
+        (always False when built with ``remember_forgotten=False``)."""
+        return self._forgotten is not None \
+            and neighbor_id in self._forgotten
 
     def pending(self, neighbor_id: str) -> int:
         """Current pending count for a neighbor."""

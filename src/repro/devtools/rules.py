@@ -206,7 +206,8 @@ def is_set_expr(node: ast.AST, set_names: Set[str] = frozenset()) -> bool:
 
 SCHEDULE_METHODS = {"schedule", "schedule_at", "call_now"}
 RNG_METHODS = {"choice", "choices", "sample", "shuffle", "randint",
-               "randrange", "random", "uniform", "expovariate", "gauss"}
+               "randrange", "random", "uniform", "expovariate", "gauss",
+               "getrandbits"}
 
 
 def _uses_schedule_or_rng(node: ast.AST) -> bool:

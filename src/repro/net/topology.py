@@ -85,11 +85,6 @@ class Topology:
         self._unlimited.discard(peer_id)
         return neighbors
 
-    def _cap(self, peer_id: str) -> int:
-        if peer_id in self._unlimited:
-            return 10 ** 9
-        return self.max_neighbors
-
     def connect(self, a: str, b: str) -> bool:
         """Create the edge a—b if both sides have capacity.
 
@@ -101,7 +96,9 @@ class Topology:
             return False
         if b in adj_a:
             return True
-        if len(adj_a) >= self._cap(a) or len(adj_b) >= self._cap(b):
+        cap = self.max_neighbors
+        if (len(adj_a) >= cap and a not in self._unlimited) \
+                or (len(adj_b) >= cap and b not in self._unlimited):
             return False
         adj_a.add(b)
         adj_b.add(a)

@@ -58,3 +58,25 @@ def substream(root: int, label: str) -> Random:
     labels never collide thanks to the SHA-256 derivation above.
     """
     return Random(SeedSequence(root, label).seed(0))
+
+
+def skip_shuffle(rng: Random, n: int) -> None:
+    """Advance ``rng`` exactly as ``rng.shuffle`` of an ``n``-element
+    list would, building and swapping nothing.
+
+    ``Random.shuffle`` draws ``_randbelow(i)`` for ``i = n … 2``, and
+    ``_randbelow`` is ``getrandbits(i.bit_length())`` redrawn until the
+    value is below ``i``.  A caller that is going to throw the
+    permutation away (``Tracker.announce`` when the requester already
+    knows every member) pays for the draws alone and leaves every later
+    draw where the full shuffle would have left it.
+    ``tests/test_tracker_draws.py`` compares ``getstate()`` against the
+    real shuffle on every CI interpreter — the place a stdlib change
+    to ``shuffle`` would surface.
+    """
+    # Called as ``rng.getrandbits`` (not through a local alias) so
+    # simlint's effect inference sees the draw.
+    for i in range(n, 1, -1):
+        k = i.bit_length()
+        while rng.getrandbits(k) >= i:
+            pass

@@ -233,6 +233,24 @@ class TestIntrospection:
         assert ledger.transactions_involving("C") == [t1]
         assert ledger.transactions_involving("Z") == []
 
+    def test_open_index_drops_emptied_entries(self):
+        """One entry per peer *with an open transaction*: closing the
+        last one, or reassigning the payee away, removes the key
+        instead of leaving an empty set behind."""
+        ledger = ExchangeLedger()
+        chain, t1, _ = start_chain(ledger, "A", "B", "C")
+        assert set(ledger._open_by_peer) == {"A", "B", "C"}
+        ledger.mark_delivered(t1.transaction_id, 1.0)
+        ledger.reassign_payee(t1.transaction_id, "C2")
+        assert set(ledger._open_by_peer) == {"A", "B", "C2"}
+        assert ledger.open_transactions_involving("C") == []
+        assert ledger.open_transactions_involving("C2") == [t1]
+        chain2, t2, _ = start_chain(ledger, "A", "D", "A")  # direct
+        ledger.abort(t1.transaction_id, 2.0)
+        assert set(ledger._open_by_peer) == {"A", "D"}
+        ledger.abort(t2.transaction_id, 3.0)
+        assert ledger._open_by_peer == {}
+
 
 class TestForwarding:
     """Newcomer piece-forwarding (Sec. II-D1) at the ledger level."""

@@ -254,3 +254,18 @@ class TestWindowUnderflow:
         # A straggling confirm after forget underflows benignly.
         flow.on_reciprocation_confirmed("B")
         assert flow.underflows == 1
+
+    def test_forgotten_ids_are_not_kept_without_a_reader(self):
+        """An owner that never asks ``was_forgotten`` (a T-Chain node
+        in an unsanitized run) opts out; the window itself and the
+        underflow report behave as before."""
+        flow = FlowController(pending_limit=1, remember_forgotten=False)
+        events, under = [], []
+        flow.on_window_change = lambda n, b: events.append((n, b))
+        flow.on_underflow = under.append
+        flow.on_piece_sent("B")
+        flow.forget("B")
+        assert events == [("B", True), ("B", False)]
+        assert flow._forgotten is None and not flow.was_forgotten("B")
+        flow.on_reciprocation_confirmed("B")
+        assert flow.underflows == 1 and under == ["B"]

@@ -100,6 +100,19 @@ class TestEffectInference:
         assert ("write", "Node.queue") in effects
         assert ("rng", "rng") in effects
 
+    def test_skip_shuffle_is_an_rng_draw(self):
+        """``getrandbits`` is the tree's one draw outside the
+        ``Random`` convenience methods; a handler reaching
+        ``skip_shuffle`` must count as consuming the shared stream."""
+        path = os.path.join(SRC, "repro", "sim", "randomness.py")
+        with open(path, "r", encoding="utf-8") as fh:
+            index = ProjectIndex.build([(path, fh.read())])
+        (traced,) = [effects for name, effects
+                     in infer_effects(index).items()
+                     if name.endswith(".skip_shuffle")]
+        assert {(t.effect.kind, t.effect.field) for t in traced} \
+            == {("rng", "rng")}
+
     def test_fields_match_terminal_when_identity_unknown(self):
         assert fields_match(Effect("write", "other", "count"),
                             Effect("read", "self", "Node.ledger.count"))

@@ -425,6 +425,41 @@ class TestForgiveWindowAccounting:
         assert donor.flow.pending(requestor.id) == 0
 
 
+class TestUnderflowClassification:
+    """``FlowController`` remembers forgotten ids only for the
+    sanitizer's benefit; with one attached the classification of a
+    straggling confirm must be what it always was."""
+
+    def _pair(self, **overrides):
+        swarm, _ = tchain_swarm(**overrides)
+        return swarm, add_leecher(swarm), add_leecher(swarm)
+
+    def test_confirm_after_forget_is_benign(self):
+        swarm, donor, neighbor = self._pair(extra={"sanitize": True})
+        sanitizer = swarm.sim.sanitizer
+        donor.flow.on_piece_sent(neighbor.id)
+        neighbor.leave()  # disconnect -> donor.flow.forget(neighbor.id)
+        assert donor.flow.was_forgotten(neighbor.id)
+        checks = sanitizer.checks_run
+        donor.flow.on_reciprocation_confirmed(neighbor.id)
+        assert donor.flow.underflows == 1
+        assert sanitizer.checks_run == checks + 1
+        assert "benign" in sanitizer._trace[-1]
+
+    def test_confirm_without_forget_escalates(self):
+        from repro.devtools.sanitizer import SanitizerError
+        swarm, donor, neighbor = self._pair(extra={"sanitize": True})
+        with pytest.raises(SanitizerError, match="never forgotten"):
+            donor.flow.on_reciprocation_confirmed(neighbor.id)
+
+    def test_unsanitized_node_keeps_no_ids(self):
+        swarm, donor, neighbor = self._pair()
+        neighbor.leave()
+        assert donor.flow._forgotten is None
+        donor.flow.on_reciprocation_confirmed(neighbor.id)  # no reader
+        assert donor.flow.underflows == 1
+
+
 class TestDeadLetterPieces:
     """Regression: a piece in flight when its transaction aborted
     (donor departure racing a stalled payload) used to drive the

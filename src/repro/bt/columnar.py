@@ -252,7 +252,8 @@ class ColumnarState:
     def check_consistency(self) -> None:
         """Assert rows, liveness, adjacency, masks, book links and the
         availability column all equal a from-scratch rebuild from the
-        peers and the topology."""
+        peers and the topology, and each T-Chain node's flow window
+        (``peer.flow.blocked``) a recount of its pending pieces."""
         swarm = self.swarm
         assert set(self.row_of) == set(swarm.peers), (
             f"rows {sorted(self.row_of)} != peers "
@@ -289,6 +290,9 @@ class ColumnarState:
             assert packed >= 0 \
                 and packed >> COUNT_BITS * self.n_pieces == 0, (
                     f"avail[{pid}] out of its fields: {packed:#x}")
+            flow = getattr(peer, "flow", None)
+            if flow is not None:
+                flow.check_consistency()
             if not peer.active:
                 continue
             copies = [0] * self.n_pieces

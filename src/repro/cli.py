@@ -358,6 +358,7 @@ def cmd_run(args) -> int:
          metrics.completion_rate("freerider")),
         ("simulated seconds", round(result.swarm.sim.now, 1)),
         ("events", result.swarm.sim.events_fired),
+        ("stopped because", result.stop_reason),
     ]
     print(format_table(["quantity", "value"], rows,
                        title="swarm run summary"))

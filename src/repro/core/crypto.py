@@ -114,11 +114,13 @@ class Key:
     """A single-use symmetric key ``K^{ij}_{D,R}``.
 
     ``key_id`` identifies the key inside a simulation (donor id,
-    transaction id); ``material`` is the 256-bit secret.  In logical
-    mode the material is deterministic per key id, which is fine
-    because no adversary inside the simulation can compute it without
-    being *given* the Key object — possession of the object is the
-    model of knowledge.
+    transaction id); ``material`` is the 256-bit secret, derived
+    deterministically from the key id.  That is fine because no
+    adversary inside the simulation can compute it without being
+    *given* the Key object — possession of the object is the model of
+    knowledge.  A ledger without ``real_crypto`` issues keys with
+    empty material: its sealed pieces carry no ciphertext, and
+    :meth:`SealedPiece.open` then compares ``key_id`` only.
     """
 
     key_id: Tuple

@@ -14,7 +14,7 @@ no reputation system or information sharing required.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 DEFAULT_PENDING_LIMIT = 2
 """The paper's k = 2 (Sec. II-D2)."""
@@ -26,7 +26,8 @@ class FlowController:
     Parameters
     ----------
     pending_limit:
-        The window k.  Neighbors at or above the limit are ineligible.
+        The window k, fixed for the controller's life.  Neighbors at
+        or above the limit are ineligible.
     """
 
     def __init__(self, pending_limit: int = DEFAULT_PENDING_LIMIT,
@@ -35,6 +36,12 @@ class FlowController:
             raise ValueError("pending_limit must be >= 1")
         self.pending_limit = pending_limit
         self._pending: Dict[str, int] = {}
+        #: The window itself: ids whose pending count is at or over
+        #: the limit, i.e. exactly the neighbors that are not
+        #: :meth:`eligible`.  Edited only here, where a count crosses
+        #: the limit; read it freely (a planning loop pays one set
+        #: lookup per neighbor instead of a method call).
+        self.blocked: Set[str] = set()
         #: Every id :meth:`forget` ever dropped, or ``None`` when the
         #: owner will never ask :meth:`was_forgotten` (a T-Chain node
         #: in an unsanitized run): the set only grows, one id per
@@ -46,17 +53,11 @@ class FlowController:
         #: means some exchange was confirmed/written off twice — the
         #: window would have re-opened early without the zero floor.
         self.underflows = 0
-        #: Fired as ``(neighbor_id, blocked)`` whenever a neighbor
-        #: crosses the window boundary in either direction — i.e. only
-        #: when ``eligible(neighbor_id)`` actually flips.  T-Chain
-        #: nodes mirror eligibility into a per-donor blocked set
-        #: through this hook.
-        self.on_window_change: Optional[Callable[[str, bool], None]] = None
         #: Fired as ``(neighbor_id,)`` when a decrement finds an empty
-        #: window.  The count stays floored at zero and no window event
-        #: fires; the owner decides whether the underflow is benign (a
-        #: confirm straggling in after ``forget``) or an accounting bug
-        #: worth escalating to the sanitizer.
+        #: window.  The count stays floored at zero and the window does
+        #: not move; the owner decides whether the underflow is benign
+        #: (a confirm straggling in after ``forget``) or an accounting
+        #: bug worth escalating to the sanitizer.
         self.on_underflow: Optional[Callable[[str], None]] = None
 
     def on_piece_sent(self, neighbor_id: str) -> None:
@@ -65,8 +66,8 @@ class FlowController:
         self._pending[neighbor_id] = count
         # count steps by one, so == pending_limit is exactly the
         # eligible -> blocked flip.
-        if count == self.pending_limit and self.on_window_change is not None:
-            self.on_window_change(neighbor_id, True)
+        if count == self.pending_limit:
+            self.blocked.add(neighbor_id)
 
     def on_reciprocation_confirmed(self, neighbor_id: str) -> None:
         """A reciprocation notification for ``neighbor_id`` arrived."""
@@ -84,11 +85,9 @@ class FlowController:
             self._pending.pop(neighbor_id, None)
         else:
             self._pending[neighbor_id] = count - 1
-        # Fire only on the blocked -> eligible flip, i.e. when the
-        # count drops off the limit.  Counts above the limit (possible
-        # when the limit was lowered mid-run) stay blocked silently.
-        if count == self.pending_limit and self.on_window_change is not None:
-            self.on_window_change(neighbor_id, False)
+        # The blocked -> eligible flip: the count drops off the limit.
+        if count == self.pending_limit:
+            self.blocked.discard(neighbor_id)
 
     def write_off(self, neighbor_id: str) -> None:
         """Write one dead exchange off the neighbor's window.
@@ -109,12 +108,10 @@ class FlowController:
         so a straggling confirm (a report in flight when the neighbor
         disconnected) is told apart from a genuine double-drain underflow.
         """
-        count = self._pending.pop(neighbor_id, None)
+        self._pending.pop(neighbor_id, None)
         if self._forgotten is not None:
             self._forgotten.add(neighbor_id)
-        if (count is not None and count >= self.pending_limit
-                and self.on_window_change is not None):
-            self.on_window_change(neighbor_id, False)
+        self.blocked.discard(neighbor_id)
 
     def was_forgotten(self, neighbor_id: str) -> bool:
         """True if ``forget`` was ever called for this neighbor
@@ -128,13 +125,12 @@ class FlowController:
 
     def eligible(self, neighbor_id: str) -> bool:
         """True while the neighbor is under the window."""
-        # Inlined pending(): this check runs for every neighbor on
-        # every donor-planning pass.
-        return self._pending.get(neighbor_id, 0) < self.pending_limit
+        return neighbor_id not in self.blocked
 
     def filter_eligible(self, neighbor_ids: Iterable[str]) -> List[str]:
         """Subset of ``neighbor_ids`` that pass the window check."""
-        return [n for n in neighbor_ids if self.eligible(n)]
+        blocked = self.blocked
+        return [n for n in neighbor_ids if n not in blocked]
 
     def least_loaded(self, neighbor_ids: Iterable[str]) -> List[str]:
         """Neighbors with the smallest pending count (the alternative
@@ -144,6 +140,14 @@ class FlowController:
             return []
         low = min(self.pending(n) for n in ids)
         return [n for n in ids if self.pending(n) == low]
+
+    def check_consistency(self) -> None:
+        """Assert the window equals a recount of the pending map."""
+        expected = {n for n, count in self._pending.items()
+                    if count >= self.pending_limit}
+        assert self.blocked == expected, (
+            f"blocked {sorted(self.blocked)} != over-window "
+            f"{sorted(expected)}")
 
     @property
     def total_pending(self) -> int:

@@ -75,9 +75,10 @@ def select_payee(donor_id: str,
     """
     if requestor_has_piece_donor_needs:
         return PayeeDecision(ReciprocityKind.DIRECT, donor_id)
+    blocked = flow.blocked
     eligible: List[str] = [
         c for c in candidate_payees
-        if c not in (donor_id, requestor_id) and flow.eligible(c)
+        if c not in (donor_id, requestor_id) and c not in blocked
     ]
     if not eligible:
         return PayeeDecision(ReciprocityKind.TERMINATE, None)

@@ -33,22 +33,30 @@ class TransactionState(enum.Enum):
     COMPLETED = "completed"
     ABORTED = "aborted"
 
+    #: The legal next states, stored on each member from
+    #: ``_VALID_TRANSITIONS`` below: :meth:`Transaction.advance` checks
+    #: one short tuple by identity instead of hashing two members
+    #: (``Enum.__hash__`` is a Python-level call).
+    successors: Tuple["TransactionState", ...]
+
 
 _VALID_TRANSITIONS = {
-    TransactionState.CREATED: {TransactionState.DELIVERED,
-                               TransactionState.ABORTED},
-    TransactionState.DELIVERED: {TransactionState.RECIPROCATED,
+    TransactionState.CREATED: (TransactionState.DELIVERED,
+                               TransactionState.ABORTED),
+    TransactionState.DELIVERED: (TransactionState.RECIPROCATED,
                                  TransactionState.REPORTED,  # collusion
                                  TransactionState.COMPLETED,  # unencrypted
-                                 TransactionState.ABORTED},
-    TransactionState.RECIPROCATED: {TransactionState.REPORTED,
+                                 TransactionState.ABORTED),
+    TransactionState.RECIPROCATED: (TransactionState.REPORTED,
                                     TransactionState.DELIVERED,  # reopen
-                                    TransactionState.ABORTED},
-    TransactionState.REPORTED: {TransactionState.COMPLETED,
-                                TransactionState.ABORTED},
-    TransactionState.COMPLETED: set(),
-    TransactionState.ABORTED: set(),
+                                    TransactionState.ABORTED),
+    TransactionState.REPORTED: (TransactionState.COMPLETED,
+                                TransactionState.ABORTED),
+    TransactionState.COMPLETED: (),
+    TransactionState.ABORTED: (),
 }
+for _state, _successors in _VALID_TRANSITIONS.items():
+    _state.successors = _successors
 
 
 class InvalidTransition(RuntimeError):
@@ -106,7 +114,7 @@ class Transaction:
     def advance(self, new_state: TransactionState) -> None:
         """Move to ``new_state``; raises :class:`InvalidTransition` on
         illegal edges so protocol bugs fail loudly."""
-        if new_state not in _VALID_TRANSITIONS[self.state]:
+        if new_state not in self.state.successors:
             raise InvalidTransition(
                 f"transaction {self.transaction_id}: "
                 f"{self.state.value} -> {new_state.value}")

@@ -159,6 +159,9 @@ class RunSummary:
     sim_time_s: float
     events_fired: int
     wall_time_s: float = field(compare=False, default=0.0)
+    #: Why the run ended (``Swarm.stop_reason``).  Defaulted, so a
+    #: checkpoint pickled before the field existed loads with ``None``.
+    stop_reason: Optional[str] = None
 
     # -- RunResult-compatible accessors --------------------------------
     def mean_completion_time(self, kind: str = "leecher"
@@ -218,6 +221,7 @@ def summarize_run(result, wall_time_s: float = 0.0) -> RunSummary:
         sim_time_s=result.swarm.sim.now,
         events_fired=result.swarm.sim.events_fired,
         wall_time_s=wall_time_s,
+        stop_reason=result.stop_reason,
     )
 
 

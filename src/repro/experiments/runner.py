@@ -76,6 +76,12 @@ class RunResult:
         """T-Chain shared state (ledger, chains) or None."""
         return getattr(self.swarm, "_tchain_state", None)
 
+    @property
+    def stop_reason(self) -> Optional[str]:
+        """Why the run ended: ``"max_time"``, ``"drained"``,
+        ``"quiescent"`` or ``"heap_empty"`` (see ``Swarm.run``)."""
+        return self.swarm.stop_reason
+
     def mean_completion_time(self, kind: str = "leecher"
                              ) -> Optional[float]:
         """Average completion time for a peer kind."""

@@ -430,18 +430,30 @@ class Simulator:
         return False
 
     def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or
-        ``max_events`` events have fired.
+            max_events: Optional[int] = None,
+            stop: Optional[Callable[[float], bool]] = None) -> None:
+        """Run until the queue drains, ``until`` is reached,
+        ``max_events`` events have fired, or ``stop`` says so.
 
         ``max_events`` counts events that actually fired; skipping
         cancelled handles does not consume the budget.  When ``until``
         is given, the clock is advanced to exactly ``until`` even if
         the last event fires earlier.
+
+        ``stop(head_time)`` is asked before every event, ahead of the
+        ``until`` and ``max_events`` tests, with the time of the live
+        heap head (cancelled heads are popped first; an empty heap is
+        not asked about).  A true answer ends the run with that event
+        unfired and the clock where the last fired event left it: no
+        advance to ``until``.  A caller with termination rules of its
+        own (:meth:`repro.bt.swarm.Swarm.run`) passes them here rather
+        than looping over ``peek_time()`` / ``step()``, so its events
+        take the inlined fast path below.
         """
         if self._running:
             raise SimulatorError("run() is not reentrant")
         self._running = True
+        stopped = False
         fired = 0
         fast_fired = 0  # _events_fired owed by the inlined fast path
         heap = self._heap
@@ -457,6 +469,9 @@ class Simulator:
                     heappop(heap)
                     self._cancelled_in_heap -= 1
                     continue
+                if stop is not None and stop(head[0]):
+                    stopped = True
+                    break
                 if until is not None and head[0] > until:
                     break
                 if max_events is not None and fired >= max_events:
@@ -487,7 +502,7 @@ class Simulator:
         finally:
             self._events_fired += fast_fired
             self._running = False
-        if until is not None and self.now < until:
+        if until is not None and not stopped and self.now < until:
             self.now = until
 
     # ------------------------------------------------------------------

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bt.torrent import PieceBook, Torrent, full_book, partial_book
+from repro.bt.torrent import (
+    PieceBook,
+    Torrent,
+    full_book,
+    mask_bits,
+    mask_to_set,
+    partial_book,
+    set_to_mask,
+)
 
 
 def book(n=8):
@@ -27,6 +35,38 @@ class TestTorrent:
             Torrent(0)
         with pytest.raises(ValueError):
             Torrent(4, piece_size_kb=0)
+
+
+def low_bit_loop(mask):
+    """``mask_bits`` as it was before the byte table: clear the lowest
+    set bit until none is left."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class TestMaskBits:
+    def test_empty_and_single_bits(self):
+        assert mask_bits(0) == []
+        for bit in (0, 7, 8, 47, 63, 64, 2047):
+            assert mask_bits(1 << bit) == [bit]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=4096).flatmap(
+        lambda width: st.integers(min_value=0,
+                                  max_value=(1 << width) - 1)))
+    def test_equals_the_low_bit_loop(self, mask):
+        bits = mask_bits(mask)
+        assert bits == low_bit_loop(mask)
+        assert set_to_mask(bits) == mask
+        assert mask_to_set(mask) == set(bits)
+
+    @pytest.mark.parametrize("width", [1, 8, 9, 48, 512, 2048, 4096])
+    def test_full_masks_at_byte_boundaries(self, width):
+        assert mask_bits((1 << width) - 1) == list(range(width))
 
 
 class TestPieceBook:

@@ -1,8 +1,10 @@
 """Unit tests for the exchange ledger — the almost-fair exchange core."""
 
+import hashlib
+
 import pytest
 
-from repro.core.crypto import CryptoError
+from repro.core.crypto import KEY_SIZE_BYTES, CryptoError
 from repro.core.exchange import ExchangeError, ExchangeLedger
 from repro.core.transaction import TransactionState
 
@@ -217,6 +219,34 @@ class TestRealCrypto:
         ledger.report_reciprocation(t1.transaction_id, 2.1)
         key = ledger.release_key(t1.transaction_id, 2.2)
         assert sealed.open(key) == payload
+        assert len(key.material) == KEY_SIZE_BYTES
+
+    def test_logical_mode_never_hashes(self, monkeypatch):
+        """Without ``real_crypto`` nothing reads key material, so the
+        ledger issues ``Key(key_id)`` bare: a whole exchange, key
+        release and unsealing included, runs with SHA-256 gone."""
+        def no_sha256(*args, **kwargs):
+            raise AssertionError("logical mode derived key material")
+
+        monkeypatch.setattr(hashlib, "sha256", no_sha256)
+        ledger = ExchangeLedger()
+        chain, t1, sealed = start_chain(ledger)
+        assert sealed.ciphertext is None
+        ledger.mark_delivered(t1.transaction_id, 1.0)
+        t2, forwarded = ledger.create_transaction(
+            chain, "B", "C", "D", 1, 1.0, reciprocates=t1.transaction_id,
+            forward_of=t1.transaction_id)
+        ledger.mark_delivered(t2.transaction_id, 2.0)
+        ledger.report_reciprocation(t1.transaction_id, 2.1)
+        key = ledger.release_key(t1.transaction_id, 2.2)
+        assert key.key_id == t1.key_id == ("S", "B", t1.transaction_id)
+        assert key.material == b""
+        # The key object is still the model of knowledge: it opens its
+        # own piece (and the forwarded copy), and no other.
+        assert sealed.open(key) is None and forwarded.open(key) is None
+        _, _, other = start_chain(ledger, requestor="E")
+        with pytest.raises(CryptoError):
+            other.open(key)
 
 
 class TestIntrospection:

@@ -20,6 +20,21 @@ from repro.core.policy import (
 )
 
 
+@pytest.fixture(autouse=True)
+def window_checked_after_every_op(monkeypatch):
+    """Every test here runs with ``blocked == {n : pending(n) >=
+    limit}`` asserted after each op that can move a count (``write_off``
+    goes through ``on_reciprocation_confirmed``)."""
+    for name in ("on_piece_sent", "on_reciprocation_confirmed", "forget"):
+        def checked(self, neighbor_id,
+                    _original=getattr(FlowController, name)):
+            _original(self, neighbor_id)
+            self.check_consistency()
+            assert all(not self.eligible(n) for n in self.blocked)
+
+        monkeypatch.setattr(FlowController, name, checked)
+
+
 class TestFlowController:
     def test_paper_default_k_is_two(self):
         assert DEFAULT_PENDING_LIMIT == 2
@@ -206,26 +221,24 @@ class TestWindowUnderflow:
 
     def test_underflow_floors_and_reports(self):
         flow = FlowController()
-        events = []
         under = []
-        flow.on_window_change = lambda n, b: events.append((n, b))
         flow.on_underflow = under.append
         flow.on_reciprocation_confirmed("B")
         assert flow.pending("B") == 0
         assert flow.underflows == 1
         assert under == ["B"]
-        assert events == []
+        assert flow.blocked == set()
 
     def test_duplicate_write_off_does_not_reopen_early(self):
         flow = FlowController(pending_limit=2)
-        events = []
-        flow.on_window_change = lambda n, b: events.append((n, b))
         flow.on_piece_sent("B")
         flow.on_piece_sent("B")           # blocked
+        assert flow.blocked == {"B"}
         flow.write_off("B")               # true unblock
+        assert flow.blocked == set()
         flow.write_off("B")               # drains the last exchange
         flow.write_off("B")               # duplicate: underflow
-        assert events == [("B", True), ("B", False)]
+        assert flow.blocked == set()
         assert flow.pending("B") == 0
         assert flow.underflows == 1
         # The next upload counts the true backlog from zero.
@@ -233,17 +246,21 @@ class TestWindowUnderflow:
         assert flow.pending("B") == 1
         assert flow.eligible("B")
 
-    def test_window_events_fire_only_on_true_flips(self):
+    def test_window_moves_only_on_true_flips(self):
         flow = FlowController(pending_limit=2)
-        events = []
-        flow.on_window_change = lambda n, b: events.append((n, b))
-        flow.on_piece_sent("B")           # 1: still eligible
-        flow.on_piece_sent("B")           # 2: flips to blocked
-        flow.on_piece_sent("B")           # 3: already blocked, silent
-        flow.on_reciprocation_confirmed("B")  # 2: still blocked
-        flow.on_reciprocation_confirmed("B")  # 1: flips to eligible
-        flow.on_reciprocation_confirmed("B")  # 0: still eligible
-        assert events == [("B", True), ("B", False)]
+        window = []
+
+        def op(method):
+            method("B")
+            window.append("B" in flow.blocked)
+
+        op(flow.on_piece_sent)               # 1: still eligible
+        op(flow.on_piece_sent)               # 2: flips to blocked
+        op(flow.on_piece_sent)               # 3: already blocked
+        op(flow.on_reciprocation_confirmed)  # 2: still blocked
+        op(flow.on_reciprocation_confirmed)  # 1: flips to eligible
+        op(flow.on_reciprocation_confirmed)  # 0: still eligible
+        assert window == [False, True, True, True, False, False]
 
     def test_forget_is_remembered_for_stragglers(self):
         flow = FlowController()
@@ -260,12 +277,12 @@ class TestWindowUnderflow:
         in an unsanitized run) opts out; the window itself and the
         underflow report behave as before."""
         flow = FlowController(pending_limit=1, remember_forgotten=False)
-        events, under = [], []
-        flow.on_window_change = lambda n, b: events.append((n, b))
+        under = []
         flow.on_underflow = under.append
         flow.on_piece_sent("B")
+        assert flow.blocked == {"B"}
         flow.forget("B")
-        assert events == [("B", True), ("B", False)]
+        assert flow.blocked == set() and flow.eligible("B")
         assert flow._forgotten is None and not flow.was_forgotten("B")
         flow.on_reciprocation_confirmed("B")
         assert flow.underflows == 1 and under == ["B"]

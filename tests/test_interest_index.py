@@ -13,8 +13,8 @@ Two contracts are under test:
   crashes and flow-window churn, every column (the maintained
   availability counts included) must equal a from-scratch rescan
   (``ColumnarState.check_consistency``), and each T-Chain node's
-  ``_flow_blocked`` mirror must equal the flow controller's actual
-  over-window set.
+  flow window (``flow.blocked``) must equal the over-window set
+  recounted from its pending pieces.
 """
 
 import pytest
@@ -63,18 +63,24 @@ class TestSanitizedChaosRun:
         result.swarm.columnar.check_consistency()
 
 
-def _assert_flow_mirrors(swarm):
-    """Every T-Chain node's blocked set mirrors flow eligibility."""
+def _assert_flow_windows(swarm):
+    """Every T-Chain node's blocked set is its over-window set, and
+    ``eligible`` answers from it.  (``check_consistency`` recounts the
+    set too; this spells the definition out independently.)"""
+    seen = 0
     for peer in swarm.peers.values():
-        blocked = getattr(peer, "_flow_blocked", None)
-        if blocked is None or not peer.active:
+        flow = getattr(peer, "flow", None)
+        if flow is None or not peer.active:
             continue
-        flow = peer.flow
+        seen += 1
         expected = {nid for nid, count in flow._pending.items()
                     if count >= flow.pending_limit}
-        assert blocked == expected, (
-            f"{peer.id}: blocked {sorted(blocked)} != "
+        assert flow.blocked == expected, (
+            f"{peer.id}: blocked {sorted(flow.blocked)} != "
             f"{sorted(expected)}")
+        assert all(flow.eligible(nid) != (nid in expected)
+                   for nid in flow._pending)
+    assert seen
 
 
 class TestChurnConsistency:
@@ -95,7 +101,7 @@ class TestChurnConsistency:
                         return
 
             swarm.sim.schedule(40.0, crash_one)
-            check_every_event(swarm, checks, also=_assert_flow_mirrors)
+            check_every_event(swarm, checks, also=_assert_flow_windows)
 
         run_swarm(protocol="tchain", seed=11, setup=setup, **FLASH)
         assert len(checks) > 200  # the property was actually exercised

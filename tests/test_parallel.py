@@ -7,6 +7,7 @@ surfaces as a clear error instead of a hang.
 """
 
 import os
+import pickle
 import time
 from dataclasses import replace
 
@@ -116,6 +117,20 @@ class TestBitIdentical:
         assert summary.optimal_time() == pytest.approx(
             result.optimal_time())
         assert summary.events_fired == result.swarm.sim.events_fired
+        assert summary.stop_reason == result.stop_reason == "quiescent"
+
+    def test_summary_pickled_before_stop_reason_still_loads(self):
+        """Fabric checkpoints are pickled ``RunSummary`` lists; one
+        written before the field existed has no such key in its state
+        and must come back reading ``None``, not raise."""
+        summary = execute_spec(SPEC)
+        assert summary.stop_reason == "quiescent"
+        old = pickle.loads(pickle.dumps(summary))
+        del old.__dict__["stop_reason"]
+        loaded = pickle.loads(pickle.dumps(old))
+        assert "stop_reason" not in loaded.__dict__
+        assert loaded.stop_reason is None
+        assert replace(loaded, stop_reason="quiescent") == summary
 
     def test_run_many_parallel_matches_serial(self):
         kwargs = dict(protocol="tchain", leechers=8, pieces=6)

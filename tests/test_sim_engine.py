@@ -166,6 +166,45 @@ class TestRun:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_stop_predicate_ends_the_run_before_the_head(self, observe):
+        """``stop(head_time)`` is asked before every event on both
+        arms; a hit leaves the head unfired and the clock on the last
+        fired event, with no advance to ``until``."""
+        sim = Simulator()
+        if observe:
+            sim.add_observer(lambda handle: None)
+        fired, asked = [], []
+        for i in range(1, 6):
+            sim.schedule(float(i), fired.append, i)
+
+        def stop(head_time):
+            asked.append(head_time)
+            return head_time > 3.0
+
+        sim.run(until=50.0, stop=stop)
+        assert fired == [1, 2, 3]
+        assert asked == [1.0, 2.0, 3.0, 4.0]
+        assert sim.now == 3.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.events_fired == 3 and sim.pending_events == 2
+
+    def test_stop_is_asked_ahead_of_until(self):
+        sim = Simulator()
+        sim.schedule(10.0, lambda: None)
+        sim.run(until=5.0, stop=lambda head_time: True)
+        assert sim.now == 0.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+
+    def test_stop_never_sees_cancelled_heads_or_an_empty_heap(self):
+        sim = Simulator()
+        asked = []
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(3.0, lambda: None).cancel()
+        sim.run(until=9.0, stop=lambda t: asked.append(t) or False)
+        assert asked == [2.0]
+        # The heap ran dry without a stop hit: ``until`` still applies.
+        assert sim.now == 9.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+
     def test_step_returns_false_when_empty(self):
         sim = Simulator()
         assert sim.step() is False

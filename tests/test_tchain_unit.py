@@ -386,7 +386,7 @@ class TestForgiveWindowAccounting:
     """Regression: forgiving a transaction that was already written
     off used to drain the flow window a second time (the stall
     watchdog racing the plead/forgive path), re-opening a blocked
-    neighbor early and desyncing the ``_flow_blocked`` mirror."""
+    neighbor early (before it had drained its window)."""
 
     def _delivered_exchange(self):
         from repro.bt.protocols.tchain import _write_off
@@ -408,7 +408,7 @@ class TestForgiveWindowAccounting:
         donor.flow.on_piece_sent(requestor.id)
         donor.flow.on_piece_sent(requestor.id)
         assert not donor.flow.eligible(requestor.id)
-        assert requestor.id in donor._flow_blocked
+        assert requestor.id in donor.flow.blocked
         write_off(state, tx)  # the watchdog drains one exchange
         assert donor.flow.pending(requestor.id) == 1
         donor.reassign_or_forgive(tx, None)  # forced forgiveness

@@ -28,8 +28,6 @@ DEFAULT_LEECHER_CAPACITIES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
 #: fails loudly instead of being silently ignored.
 EXTRA_KEYS = frozenset({
     "sanitize", "profile",                      # engine instrumentation
-    "pool_events", "pool_messages",             # object pools (default on)
-    "coalesce_timers", "coalesce_baseline",     # SL203-gated timer herds
     "net",                                      # link-level substrate spec
     "quiet_window_s",                           # quiescence stop
     "chain_stall_timeout_s", "key_timeout_s",   # T-Chain watchdogs

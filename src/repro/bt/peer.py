@@ -108,11 +108,8 @@ class Peer:
         # (flow windows, backoff expiry, trust/credit changes) and
         # produce no event of their own; real clients re-evaluate on
         # the unchoke cadence, so every peer pumps periodically too.
-        self._rescan_task = self.swarm.periodic(
-            self.swarm.config.rechoke_interval_s, self._rescan,
-            key=self.id) or PeriodicTask(
-            self.sim, self.swarm.config.rechoke_interval_s,
-            self._rescan)
+        self._rescan_task = PeriodicTask(
+            self.sim, swarm.config.rechoke_interval_s, self._rescan)
         self.on_join()
         self.pump()
 

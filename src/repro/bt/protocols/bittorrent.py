@@ -38,17 +38,9 @@ class BitTorrentLeecher(BaselineLeecher):
     def on_join(self) -> None:
         config = self.swarm.config
         self._rechoke()
-        # Both timers are SL203-listed (same-instant ordering matters),
-        # so the coalescing gate refuses them and each peer keeps a
-        # private PeriodicTask.  Routing through ``swarm.periodic``
-        # anyway keeps the gate decision in one place.
-        self._rechoke_task = self.swarm.periodic(
-            config.rechoke_interval_s, self._rechoke,
-            key=self.id) or PeriodicTask(
+        self._rechoke_task = PeriodicTask(
             self.sim, config.rechoke_interval_s, self._rechoke)
-        self._optimistic_task = self.swarm.periodic(
-            config.optimistic_interval_s, self._rotate_optimistic,
-            key=self.id, first_delay=0.0) or PeriodicTask(
+        self._optimistic_task = PeriodicTask(
             self.sim, config.optimistic_interval_s, self._rotate_optimistic,
             first_delay=0.0)
 

@@ -137,20 +137,9 @@ class TChainState:
             "control_retry_base_s", CONTROL_RETRY_BASE_S)
         self.retry_attempts = config.extra.get(
             "control_retry_attempts", CONTROL_RETRY_ATTEMPTS)
-        # Recycle terminated-chain piece messages through the pool in
-        # core.messages (SL304).  On by default; the alloc-audit
-        # harness diffs full traces with the flag off to prove the
-        # pool is invisible to the simulation.
-        self.pool_messages = config.extra.get("pool_messages", True)
-        # Registry sampling is order-free (no SL203 listing), so it is
-        # the one timer the coalescing gate lets join a shared herd
-        # when ``extra["coalesce_timers"]`` is on.
-        sample = lambda: self.registry.sample(swarm.sim.now)
-        self._sampler = swarm.periodic(
-            config.chain_sample_interval_s, sample,
-            key="tchain:sampler", first_delay=0.0) or PeriodicTask(
-            swarm.sim, config.chain_sample_interval_s, sample,
-            first_delay=0.0)
+        self._sampler = PeriodicTask(
+            swarm.sim, config.chain_sample_interval_s,
+            lambda: self.registry.sample(swarm.sim.now), first_delay=0.0)
 
     @classmethod
     def of(cls, swarm: "Swarm") -> "TChainState":
@@ -423,18 +412,11 @@ class _TChainNode(Peer):
                 reciprocates=(reciprocates.transaction_id
                               if reciprocates else None),
                 encrypted=False)
-            if self.state.pool_messages:
-                payload = acquire_plain_piece(
-                    transaction_id=tx.transaction_id,
-                    chain_id=chain.chain_id, piece_index=piece,
-                    donor_id=self.id, requestor_id=requestor.id,
-                    reciprocates=tx.reciprocates)
-            else:
-                payload = PlainPieceMessage(  # simlint: disable=SL304 -- pool_messages=False escape hatch for the trace-neutrality diff
-                    transaction_id=tx.transaction_id,
-                    chain_id=chain.chain_id, piece_index=piece,
-                    donor_id=self.id, requestor_id=requestor.id,
-                    reciprocates=tx.reciprocates)
+            payload = acquire_plain_piece(
+                transaction_id=tx.transaction_id,
+                chain_id=chain.chain_id, piece_index=piece,
+                donor_id=self.id, requestor_id=requestor.id,
+                reciprocates=tx.reciprocates)
             return UploadPlan(receiver_id=requestor.id, piece=piece,
                               payload=payload,
                               meta={"tx": tx.transaction_id})
@@ -487,8 +469,7 @@ class _TChainNode(Peer):
         above that means someone retained the message (a test, a
         collector) and it must not be recycled under them.
         """
-        if self.state.pool_messages \
-                and type(payload) is PlainPieceMessage:
+        if type(payload) is PlainPieceMessage:
             plan.payload = None
             if sys.getrefcount(payload) <= 3:
                 release_plain_piece(payload)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import os
-
 from repro.analysis.metrics import SwarmMetrics
 from repro.bt.columnar import ColumnarState
 from repro.bt.config import SwarmConfig
@@ -23,16 +21,7 @@ from repro.bt.peer import Peer
 from repro.bt.torrent import Torrent
 from repro.bt.tracker import Tracker
 from repro.net.topology import Topology
-from repro.sim.engine import CoalesceGate, Simulator, TimerHerd
-
-
-def _default_baseline_path() -> str:
-    """The checked-in ``simlint-baseline.json`` (repo root, two levels
-    above the ``repro`` package in the src layout)."""
-    package_dir = os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))  # .../src/repro
-    return os.path.join(os.path.dirname(os.path.dirname(package_dir)),
-                        "simlint-baseline.json")
+from repro.sim.engine import Simulator
 
 
 class Swarm:
@@ -43,13 +32,11 @@ class Swarm:
         # The raw value flows through so ``"races"`` selects the
         # order-sensitivity reporter, not just the boolean sanitizer.
         # ``profile="alloc"`` attaches the per-event allocation
-        # profiler; ``pool_events=False`` disables EventHandle reuse
-        # (the alloc_audit bench leg runs both ways).
+        # profiler.
         self.sim = Simulator(
             seed=config.seed,
             sanitize=config.extra.get("sanitize", False),
-            profile=config.extra.get("profile", False),
-            pool_events=config.extra.get("pool_events", True))
+            profile=config.extra.get("profile", False))
         self.torrent = Torrent(config.n_pieces, config.piece_size_kb)
         self.tracker = Tracker(self.sim.rng, config.tracker_list_size)
         self.topology = Topology(config.max_neighbors,
@@ -60,16 +47,6 @@ class Swarm:
         self.columnar = ColumnarState(self)
         self.topology.on_edge_added = self.columnar.on_edge_added
         self.topology.on_edge_removed = self.columnar.on_edge_removed
-        #: SL203-gated timer coalescing (opt-in, docs/PERF.md): the
-        #: gate refuses every handler in the baseline's do-not-coalesce
-        #: inventory; a missing baseline refuses everything.
-        self._coalesce_gate: Optional[CoalesceGate] = None
-        self._herds: Dict[Tuple[float, Optional[float]], TimerHerd] = {}
-        if config.extra.get("coalesce_timers", False):
-            baseline = config.extra.get("coalesce_baseline")
-            if baseline is None:
-                baseline = _default_baseline_path()
-            self._coalesce_gate = CoalesceGate.from_baseline(baseline)
         self.metrics = SwarmMetrics()
         self.peers: Dict[str, Peer] = {}
         self.departed: Dict[str, Peer] = {}
@@ -181,30 +158,6 @@ class Swarm:
         peer = self.peers.get(remaining)
         if peer is not None:
             peer.on_neighbor_disconnected(departed)
-
-    # ------------------------------------------------------------------
-    # Timer coalescing
-    # ------------------------------------------------------------------
-    def periodic(self, interval_s: float, callback, key: str,
-                 first_delay: Optional[float] = None):
-        """Try to coalesce a periodic handler into a shared herd.
-
-        Returns a :class:`repro.sim.engine.HerdMember` when coalescing
-        is enabled (``extra={"coalesce_timers": True}``) AND the SL203
-        gate permits the handler; ``None`` otherwise, in which case the
-        caller constructs its own ``PeriodicTask`` — keeping the
-        construction site (and thus the simrace schedule-site
-        analysis) in the protocol module that owns the handler.
-        """
-        gate = self._coalesce_gate
-        if gate is None or not gate.permits(callback):
-            return None
-        herd_key = (interval_s, first_delay)
-        herd = self._herds.get(herd_key)
-        if herd is None:
-            herd = self._herds[herd_key] = TimerHerd(
-                self.sim, interval_s, first_delay)
-        return herd.add(key, callback)
 
     def rebrand(self, peer: Peer) -> str:
         """Give a peer a fresh identity (whitewashing support).

@@ -40,8 +40,6 @@ class Tracker:
             raise ValueError("list_size must be >= 1")
         self.rng = rng
         self.list_size = list_size
-        # Not ``_members``: simrace matches fields by terminal name
-        # and would pair this set with ``TimerHerd._members``.
         self._member_ids: Set[str] = set()
         #: The members in sorted order, maintained incrementally.
         self._sorted: List[str] = []

@@ -25,10 +25,6 @@ Commands
     optionally across worker processes; ``--races`` also attaches the
     runtime order-sensitivity reporter (the dynamic half of the
     simrace SL2xx checks).
-``bench``
-    Pinned performance benchmark: engine timer-churn throughput, full
-    protocol scenarios, and a serial-vs-parallel sweep with the
-    bit-identical check; writes a JSON report (docs/PERF.md).
 ``sweep``
     Fault-tolerant sharded sweep through the execution fabric
     (docs/SWEEPS.md): manifested, checkpointed, resumable.  A killed
@@ -37,7 +33,7 @@ Commands
     re-runs the matrix serially and asserts the merged summaries are
     bit-identical.
 
-``compare``, ``figure``, ``chaos``, ``sweep`` and ``bench`` accept
+``compare``, ``figure``, ``chaos`` and ``sweep`` accept
 ``--workers N`` (or the ``REPRO_WORKERS`` environment knob) to fan
 independent runs out over worker processes — ``0`` means one worker
 per CPU — and results are bit-identical to serial.  ``compare``,
@@ -56,7 +52,6 @@ Examples
     python -m repro models
     python -m repro lint src/ --disable SL004
     python -m repro chaos --seeds 0 1 2 3 --workers 4
-    python -m repro bench --quick --out BENCH_PR10.json
     python -m repro sweep --protocols tchain bittorrent --seeds 20 \
         --sweep-dir results/sweep1 --workers 4 --verify
     python -m repro sweep --resume results/sweep1 --workers 4
@@ -75,7 +70,6 @@ from repro.analysis.reporting import format_table
 from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.protocols import PROTOCOLS
 from repro.experiments import run_swarm
-from repro.experiments.bench import DEFAULT_REPORT_PATH
 from repro.experiments.config import ExperimentScale
 from repro.experiments.parallel import ENV_WORKERS, RunSpec, run_specs
 
@@ -269,18 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="re-run the matrix serially and assert "
                               "the merged summaries are bit-identical")
 
-    bench_p = sub.add_parser(
-        "bench", help="pinned performance benchmark (writes JSON)")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="CI smoke matrix (smaller, 1 repetition)")
-    bench_p.add_argument("--repeat", type=int, default=3,
-                         help="repetitions per workload (best-of)")
-    bench_p.add_argument("--out", default=DEFAULT_REPORT_PATH,
-                         help="report path (default: "
-                              f"{DEFAULT_REPORT_PATH})")
-    bench_p.add_argument("--workers", type=int, default=None,
-                         help="workers for the parallel leg (default: "
-                              "min(4, cpus))")
     return parser
 
 
@@ -722,107 +704,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.experiments.bench import run_bench, write_report
-    report = run_bench(quick=args.quick, repeat=args.repeat,
-                       workers=args.workers)
-    baseline = report["baseline_pre_pr3"]
-    engine = report["engine"]
-    rows = [
-        ("engine churn (ev/s)", engine["events_per_second"]),
-        ("engine churn baseline (ev/s)",
-         baseline["engine_churn_events_per_second"]),
-        ("engine speedup vs baseline",
-         f"{engine['events_per_second'] / baseline['engine_churn_events_per_second']:.2f}x"),
-        ("heap compactions", engine["compactions"]),
-    ]
-    for row in report["scenarios"]:
-        rows.append((f"{row['name']} (ev/s)",
-                     row["events_per_second"]))
-    par = report["parallel"]
-    rows.extend([
-        (f"parallel sweep ({par['runs']} runs, "
-         f"{par['workers']} workers)",
-         f"{par['speedup']:.2f}x vs serial"),
-        ("parallel == serial (bit-identical)", par["identical"]),
-    ])
-    fab = report["sweep_fabric"]
-    rows.extend([
-        (f"sweep fabric overhead ({fab['runs']} runs, "
-         f"{fab['shards']} shards)",
-         f"{fab['overhead']:.2f}x (ceiling {fab['limit']:.2f}x)"),
-        ("sweep fabric == plain (bit-identical)", fab["identical"]),
-        (f"sweep fabric kill-resume "
-         f"({fab['kill_resume']['quarantined']} quarantined)",
-         fab["kill_resume"]["resumed_identical"]),
-    ])
-    for crowd in report["tchain_crowd"]:
-        rows.append(
-            (f"tchain crowd {crowd['leechers']} leechers (peers/s)",
-             crowd["peers_per_second"]))
-        rows.append(
-            (f"tchain crowd {crowd['leechers']} peak bytes/peer "
-             f"({crowd['memory_source']})",
-             crowd["bytes_per_peer"]))
-    for audit in report["alloc_audit"]["sizes"]:
-        pooled, unpooled = audit["pooled"], audit["unpooled"]
-        rows.append(
-            (f"alloc audit {audit['leechers']} leechers "
-             f"(bytes/event pooled vs unpooled)",
-             f"{pooled['bytes_per_event']} vs "
-             f"{unpooled['bytes_per_event']} "
-             f"(-{audit['bytes_per_event_drop']:.0%})"))
-        rows.append(
-            (f"alloc audit {audit['leechers']} leechers "
-             f"(allocs/event pooled vs unpooled)",
-             f"{pooled['allocs_per_event']} vs "
-             f"{unpooled['allocs_per_event']} "
-             f"(-{audit['allocs_per_event_drop']:.0%})"))
-    neutral = report["alloc_audit"]["trace_neutrality"]
-    rows.append((f"pooling on == off "
-                 f"({neutral['events_compared']} events)",
-                 neutral["identical"]))
-    net = report["net_substrate"]
-    rows.extend([
-        (f"net substrate idle == flat "
-         f"({net['events_compared']} events)", net["identical"]),
-        ("net substrate idle overhead",
-         f"{net['idle_overhead_ratio']:.2f}x"),
-        ("net substrate WAN run",
-         f"{net['wan']['wall_time_s']:.3f}s "
-         f"({net['wan']['events']} events)"),
-    ])
-    lint = report["lint_deep"]
-    if "skipped" not in lint:
-        rows.extend([
-            (f"lint --deep cold ({lint['files']} files)",
-             f"{lint['cold_s']:.3f}s"),
-            ("lint --deep cached",
-             f"{lint['cached_s']:.3f}s ({lint['speedup']}x)"),
-        ])
-    race = report["simrace"]
-    static = race["static"]
-    if "skipped" not in static:
-        rows.append(
-            (f"simrace static pass ({static['files']} files, "
-             f"{static['findings']} findings)",
-             f"{static['races_pass_s']:.3f}s cold, "
-             f"{static['deep_cached_s']:.3f}s cached"))
-    rows.extend([
-        ("simrace runtime overhead (sanitize vs plain)",
-         f"{race['sanitize_overhead']:.2f}x"),
-        ("simrace runtime overhead (races vs sanitize)",
-         f"{race['races_overhead_vs_sanitize']:.2f}x"),
-        ("simrace fast path untouched when disabled", True),
-    ])
-    print(format_table(["benchmark", "value"], rows,
-                       title="repro bench"
-                             + (" --quick" if args.quick else "")))
-    path = write_report(report, args.out)
-    print(f"\nwrote {path}")
-    return 0
-
-
 COMMANDS = {
     "run": cmd_run,
     "compare": cmd_compare,
@@ -831,7 +712,6 @@ COMMANDS = {
     "lint": cmd_lint,
     "chaos": cmd_chaos,
     "sweep": cmd_sweep,
-    "bench": cmd_bench,
 }
 
 

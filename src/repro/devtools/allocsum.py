@@ -68,8 +68,8 @@ _SCALE_HINTS = ("peer", "neighbor", "member", "wanter", "candidate",
 
 #: Poolable types with an existing free-list, for SL304.
 POOLABLE_TYPES: Dict[str, str] = {
-    "EventHandle": "the engine's pool_events free-list "
-                   "(Simulator(pool_events=True) recycles handles)",
+    "EventHandle": "the engine's EventHandle free-list "
+                   "(Simulator.schedule recycles handles)",
     "PlainPieceMessage": "the plain-piece message pool "
                          "(repro.core.messages.acquire_plain_piece)",
 }

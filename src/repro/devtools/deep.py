@@ -27,9 +27,9 @@ Caching model — honest about scope:
 Suppression comments are re-read every run (they live in the files,
 so an edited comment changes the hash anyway) and usage is tracked
 across every pass before unused-suppression (SL009) diagnostics are
-emitted.  ``stats["timings"]`` carries per-pass wall time so the
-``lint_deep`` bench leg can attribute cost (cold vs cached) to each
-pass.
+emitted.  ``stats["timings"]`` carries per-pass wall time so a cold
+and a cached run can be compared pass by pass (``repro lint --deep``
+prints it on stderr).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The engine's ``(time, seq)`` tie-break makes same-instant event order
 deterministic but *silently load-bearing*: two handlers that can land
 on the same timestamp and do not commute have a well-defined outcome
-today, yet any reordering — and in particular the event **coalescing**
-that ROADMAP item 1's 10^5-peer scaling depends on — changes the
+today, yet any reordering — batching same-interval timers, or a
+schedule fuzzer permuting events that share a timestamp — changes the
 trace.  This pass finds those pairs statically:
 
 1. collect every **schedule site** whose firing instant is statically
@@ -40,7 +40,7 @@ trace.  This pass finds those pairs statically:
    each other.  A handler that draws from the shared rng, plainly
    writes ``shared``/``other`` state, or writes a ``self`` field it
    also reads through another instance, is provably unsafe to
-   coalesce → **SL203**, the safety gate for ROADMAP item 1.
+   coalesce → **SL203**, the inventory of order-dependent timers.
 
 Findings anchor at the schedule (or timer-construction) site, so a
 ``simlint: disable=SL20x -- reason`` comment there suppresses the

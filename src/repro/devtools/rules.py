@@ -54,7 +54,7 @@ SL201     simrace: co-schedulable handlers write conflicting state
 SL202     simrace: co-schedulable read/write overlap (what one
           handler observes depends on seq order)
 SL203     simrace: periodic handler provably unsafe to coalesce
-          (the safety gate for ROADMAP item 1's event coalescing)
+          (its instances' same-tick invocations do not commute)
 SL301     simheat: allocation in a per-event hot path (each event
           pays it; the per-event garbage bill at 10^5 peers)
 SL302     simheat: O(peers)/O(pieces)-scale copy or rescan in a
@@ -1198,20 +1198,20 @@ class RaceReadWriteOverlapRule(MetaRule):
 class RaceUncoalescableTimerRule(MetaRule):
     """SL203: a periodic timer handler is provably unsafe to coalesce.
 
-    Collapsing N same-tick invocations into one batch (the ROADMAP
-    item 1 scaling transform) is only trace-safe when the invocations
-    commute with each other: a handler that draws from the shared
-    rng, plainly writes shared/unknown-receiver state, or reads what
-    another instance's invocation writes, does not.  Emitted by the
-    simrace pass of ``repro lint --deep``; a baselined SL203 is the
-    checked-in inventory of timers the coalescing optimizer must not
-    touch.
+    Collapsing N same-tick invocations into one batch, or permuting
+    them, is only trace-safe when the invocations commute with each
+    other: a handler that draws from the shared rng, plainly writes
+    shared/unknown-receiver state, or reads what another instance's
+    invocation writes, does not.  Emitted by the simrace pass of
+    ``repro lint --deep``; a baselined SL203 is the checked-in
+    inventory of timers whose same-instant order the trace depends
+    on.
     """
 
     id = "SL203"
     name = "race-uncoalescable-timer"
     description = ("periodic handler provably unsafe to coalesce "
-                   "(--deep, simrace; ROADMAP item 1 gate)")
+                   "(--deep, simrace)")
 
 
 @register
@@ -1273,8 +1273,8 @@ class HeatPoolableConstructionRule(MetaRule):
     although a free-list exists for it.
 
     Engine event handles and piece-pump messages are acquired and
-    dropped once per event; the engine's ``pool_events`` free-list
-    and the plain-piece message pool recycle them.  A direct
+    dropped once per event; the engine's EventHandle free-list and
+    the plain-piece message pool recycle them.  A direct
     constructor call in a hot path bypasses the pool and re-opens the
     allocation bill the pool closed.  Emitted by the simheat pass of
     ``repro lint --deep``.

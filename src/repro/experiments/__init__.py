@@ -6,8 +6,8 @@ that builds, populates and runs a swarm; the per-figure modules
 compose it into the paper's exact sweeps and print the corresponding
 rows/series.  :mod:`repro.experiments.parallel` fans sweeps out over
 worker processes (``run_many(..., workers=N)`` / ``REPRO_WORKERS``)
-with spec-order, bit-identical results; :mod:`repro.experiments.bench`
-is the pinned perf harness behind ``repro bench``.
+with spec-order, bit-identical results.  The performance benchmark
+lives outside the package, in ``benchmarks/perf``.
 """
 
 from repro.experiments.parallel import (

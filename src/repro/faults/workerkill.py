@@ -7,8 +7,8 @@ does, deterministically: every kill decision is drawn from a named
 substream (:func:`repro.sim.randomness.substream`) keyed by the shard
 id, the attempt number, and the spec index, so the same plan + same
 sweep always murders the same workers at the same spec boundaries —
-the test suite, the ``sweep_fabric`` bench leg and the CI
-``sweep-chaos`` job all rely on that reproducibility.
+the test suite and the CI ``sweep-chaos`` job both rely on that
+reproducibility.
 
 ``SIGKILL`` is the point: the worker gets no chance to flush, raise,
 or clean up — exactly the failure a ``BrokenProcessPool`` reports —

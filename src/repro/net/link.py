@@ -25,7 +25,7 @@ Determinism contract: all randomness comes from
 ``substream(seed, "net")`` and a draw happens **only** when the
 configured probability/jitter is nonzero, so an idle substrate (all
 zeros) is bit-trace-neutral — verified by the equivalence suite in
-``tests/test_net_substrate.py`` and the ``net_substrate`` bench leg.
+``tests/test_net_substrate.py``.
 
 Enable via ``run_swarm(..., extra={"net": spec})`` where ``spec`` is a
 :class:`NetGraph`, a ready :class:`NetworkModel`, or a plain dict
@@ -167,7 +167,8 @@ class Link:
 
 @dataclass
 class NetCounters:
-    """Substrate-level accounting, surfaced in chaos/bench reports."""
+    """Substrate-level accounting, surfaced in chaos reports and the
+    ``benchmarks/perf`` layer bill."""
 
     control_sent: int = 0
     control_dropped: int = 0
@@ -245,8 +246,7 @@ class NetworkModel:
         swarm choke points go one step further and skip the calls
         wholesale while the flag is set, so an inert substrate stays
         within wall-clock noise of the flat model and its counters
-        stay at zero — the ``net_substrate`` bench leg gates the
-        ratio."""
+        stay at zero."""
         self._inert = False
         if self._severed:
             return

@@ -25,11 +25,8 @@ seed therefore reproduces the same event trace bit-for-bit.
 
 from __future__ import annotations
 
-import ast
 import gc
 import heapq
-import json
-import os
 import sys
 import tracemalloc
 from random import Random
@@ -231,19 +228,17 @@ class Simulator:
         + interpreter block counts) on every fired event — the runtime
         validation side of the simheat SL3xx static audit.  Off by
         default; profiling forces the instrumented step path.
-    pool_events:
-        Recycle consumed :class:`EventHandle` objects through a
-        bounded free-list (default on).  A handle is only pooled when
-        nothing outside the engine still references it (refcount
-        guard), so handles callers retain for ``cancel()``/state
-        checks are never reused under them.  Pop order is untouched —
-        the alloc-audit harness asserts bit-identical traces with the
-        pool on and off.
+
+    Consumed :class:`EventHandle` objects are recycled through a
+    bounded free-list.  A handle is only pooled when nothing outside
+    the engine still references it (refcount guard), so handles
+    callers retain for ``cancel()``/state checks are never reused
+    under them.  Pop order is untouched: tests/test_simheat.py asserts
+    bit-identical traces against a run with the free-list capped at 0.
     """
 
     def __init__(self, seed: int = 0, sanitize: object = False,
-                 compact: bool = True, profile: object = False,
-                 pool_events: bool = True):
+                 compact: bool = True, profile: object = False):
         if isinstance(sanitize, str) and sanitize != "races":
             raise SimulatorError(
                 f"unknown sanitize mode {sanitize!r}; expected a bool "
@@ -263,8 +258,7 @@ class Simulator:
         self._compactions = 0
         self._running = False
         self._observers: List[Callable[[EventHandle], None]] = []
-        self._pool: Optional[List[EventHandle]] = \
-            [] if pool_events else None
+        self._pool: List[EventHandle] = []
         self.sanitizer = None
         self.races = None
         self.profile: Optional[AllocProfile] = \
@@ -309,7 +303,7 @@ class Simulator:
             handle.cancelled = False
             handle.fired = False
         else:
-            handle = EventHandle(time, seq, callback, args, self)  # simlint: disable=SL304 -- this IS the pool: miss path when the free-list is empty or disabled
+            handle = EventHandle(time, seq, callback, args, self)  # simlint: disable=SL304 -- this IS the pool: miss path when the free-list is empty
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(handle)
         heapq.heappush(self._heap, (time, seq, handle))
@@ -418,8 +412,7 @@ class Simulator:
                 callback(*args)
             if races is not None:
                 races.on_event_end()
-            elif self.sanitizer is None and self._pool is not None \
-                    and len(self._pool) < POOL_MAX \
+            elif self.sanitizer is None and len(self._pool) < POOL_MAX \
                     and sys.getrefcount(handle) == 2:
                 # Only the local name + getrefcount's argument see the
                 # handle: nothing can observe the reuse.  (Sanitizer /
@@ -491,8 +484,7 @@ class Simulator:
                     callback(*args)
                     fast_fired += 1
                     fired += 1
-                    if pool is not None and len(pool) < POOL_MAX \
-                            and getrefcount(handle) == 3:
+                    if len(pool) < POOL_MAX and getrefcount(handle) == 3:
                         # `head`'s tuple slot + the local name +
                         # getrefcount's argument: no caller kept the
                         # handle, so reuse is unobservable.
@@ -545,231 +537,3 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"Simulator(now={self.now:.6g}, pending="
                 f"{self.pending_events}, fired={self._events_fired})")
-
-
-# ----------------------------------------------------------------------
-# Timer coalescing (ROADMAP item 1): one batch timer for N same-interval
-# handlers, gated by the SL203 do-not-coalesce inventory.
-# ----------------------------------------------------------------------
-
-class HerdMember:
-    """One handler registered with a :class:`TimerHerd`.
-
-    API-compatible with the subset of
-    :class:`repro.sim.events.PeriodicTask` the call sites use
-    (``stop()``, ``running``, ``fire_count``), so
-    ``swarm.periodic(...) or PeriodicTask(...)`` yields a uniform
-    handle either way.
-    """
-
-    __slots__ = ("herd", "key", "callback", "fire_count", "_stopped")
-
-    def __init__(self, herd: "TimerHerd", key: str,
-                 callback: Callable[[], Any]):
-        self.herd = herd
-        self.key = key
-        self.callback = callback
-        self.fire_count = 0
-        self._stopped = False
-
-    def stop(self) -> None:
-        """Deregister from the herd; idempotent."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self.herd._remove(self.key)
-
-    @property
-    def running(self) -> bool:
-        return not self._stopped
-
-
-class TimerHerd:
-    """N same-interval periodic handlers behind ONE heap entry.
-
-    Every ``interval`` the herd fires its members in deterministic
-    sorted-key order (keys are caller-chosen strings, typically peer
-    ids), replacing N ``PeriodicTask`` heap entries — and their N
-    pushes/pops per period — with one.  Members added mid-cycle join
-    the herd's phase: their first firing is the herd's next tick, not
-    ``interval`` after registration.  That phase shift is why
-    coalescing is an opt-in optimization
-    (``extra={"coalesce_timers": True}``), not a trace-neutral default,
-    and why only handlers *absent* from the SL203 same-instant
-    order-dependence inventory may join (see :class:`CoalesceGate`).
-
-    The herd stops its underlying timer when the last member leaves
-    (so it cannot keep an otherwise-drained simulation alive) and
-    restarts it on the next ``add``.
-    """
-
-    def __init__(self, sim: Simulator, interval: float,
-                 first_delay: Optional[float] = None):
-        if interval <= 0:
-            raise ValueError(
-                f"interval must be positive, got {interval!r}")
-        self.sim = sim
-        self.interval = interval
-        self.first_delay = first_delay
-        self._members: Dict[str, HerdMember] = {}
-        self._handle: Optional[EventHandle] = None
-
-    def add(self, key: str, callback: Callable[[], Any]) -> HerdMember:
-        """Register a handler under ``key`` (must be unique)."""
-        if key in self._members:
-            raise SimulatorError(f"duplicate herd key {key!r}")
-        member = HerdMember(self, key, callback)
-        self._members[key] = member
-        if self._handle is None:
-            delay = (self.interval if self.first_delay is None
-                     else self.first_delay)
-            self._handle = self.sim.schedule(delay, self._fire)
-        return member
-
-    def _remove(self, key: str) -> None:
-        self._members.pop(key, None)
-        if not self._members and self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _fire(self) -> None:
-        # Sorted-key order makes the batch deterministic regardless of
-        # registration order; the snapshot list tolerates members
-        # stopping (their own or each other) mid-batch.
-        for key in sorted(self._members):
-            member = self._members.get(key)
-            if member is not None and not member._stopped:
-                member.fire_count += 1
-                member.callback()
-        if self._members:
-            self._handle = self.sim.schedule(self.interval, self._fire)
-        else:
-            self._handle = None
-
-    @property
-    def size(self) -> int:
-        """Current member count."""
-        return len(self._members)
-
-
-class CoalesceGate:
-    """Decides which periodic handlers may join a :class:`TimerHerd`.
-
-    The authority is the SL203 inventory in ``simlint-baseline.json``:
-    every fingerprint ``SL203:<path>:<line>`` names a ``PeriodicTask``
-    construction site whose handler simrace *proved unsafe to
-    coalesce* (same-instant effects do not commute, see
-    docs/DEVTOOLS.md).  The gate parses each flagged file and extracts
-    the callback name at the flagged call, then refuses any callback
-    whose ``__name__`` and defining file match an entry.  Failure
-    modes all land conservative: a missing or unreadable baseline
-    refuses everything, and an entry whose callback cannot be resolved
-    refuses every callback defined in that file.
-    """
-
-    REFUSE_ALL = object()  #: sentinel name matching any callback
-
-    def __init__(self, entries: Optional[List[Tuple[str, object]]],
-                 refuse_all: bool = False):
-        #: list of (posix path suffix, callback name | REFUSE_ALL)
-        self._entries = entries or []
-        self._refuse_all = refuse_all or entries is None
-
-    @classmethod
-    def from_baseline(cls, path: str) -> "CoalesceGate":
-        """Build a gate from a simlint baseline file.
-
-        Relative fingerprint paths are resolved against the baseline's
-        own directory (the repo root for the checked-in file).
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            fingerprints = data["fingerprints"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return cls(None, refuse_all=True)
-        base_dir = os.path.dirname(os.path.abspath(path))
-        entries: List[Tuple[str, object]] = []
-        by_file: Dict[str, List[int]] = {}
-        for fp in fingerprints:
-            parts = str(fp).split(":")
-            if len(parts) != 3 or parts[0] != "SL203":
-                continue
-            try:
-                by_file.setdefault(parts[1], []).append(int(parts[2]))
-            except ValueError:
-                entries.append((parts[1], cls.REFUSE_ALL))
-        for rel, lines in by_file.items():
-            rel_posix = rel.replace(os.sep, "/")
-            names = _callback_names_at(
-                os.path.join(base_dir, *rel.split("/")), lines)
-            if names is None:
-                entries.append((rel_posix, cls.REFUSE_ALL))
-            else:
-                for name in names:
-                    entries.append((rel_posix, name))
-        return cls(entries)
-
-    def permits(self, callback: Callable[..., Any]) -> bool:
-        """True when ``callback`` is absent from the SL203 inventory."""
-        if self._refuse_all:
-            return False
-        func = getattr(callback, "__func__", callback)
-        code = getattr(func, "__code__", None)
-        filename = "" if code is None \
-            else code.co_filename.replace(os.sep, "/")
-        name = getattr(callback, "__name__", None)
-        for path, entry_name in self._entries:
-            if not filename.endswith(path):
-                continue
-            if entry_name is self.REFUSE_ALL or entry_name == name:
-                return False
-        return True
-
-
-def _callback_names_at(filename: str,
-                       lines: List[int]) -> Optional[List[str]]:
-    """Names of the ``PeriodicTask(...)`` callbacks constructed at the
-    given source lines, or ``None`` when the file cannot be analyzed
-    (the caller then refuses the whole file)."""
-    try:
-        with open(filename, "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-    except (OSError, SyntaxError):
-        return None
-    wanted = set(lines)
-    names: List[str] = []
-    found = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        func_name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if func_name != "PeriodicTask":
-            continue
-        end = getattr(node, "end_lineno", node.lineno)
-        hits = [ln for ln in wanted if node.lineno <= ln <= end]
-        if not hits:
-            continue
-        callback = None
-        if len(node.args) >= 3:
-            callback = node.args[2]
-        else:
-            for kw in node.keywords:
-                if kw.arg == "callback":
-                    callback = kw.value
-        if isinstance(callback, ast.Attribute):
-            names.append(callback.attr)
-        elif isinstance(callback, ast.Name):
-            names.append(callback.id)
-        elif isinstance(callback, ast.Lambda):
-            names.append("<lambda>")
-        else:
-            return None
-        found.update(hits)
-    if found != wanted:
-        # A flagged line we could not pin to a PeriodicTask call —
-        # the file drifted from the baseline; be conservative.
-        return None
-    return names

@@ -1,17 +1,20 @@
 """Swarm-state regression suite (``repro.bt.columnar``).
 
-Three contracts are under test:
+The contracts under test:
 
 * **Trace neutrality** — runs over the bitmask books and the columnar
   rows are bit-identical (full event trace *and* final metrics) to the
   set-backed object model they replaced, across protocols and seeds,
   pinned by digests taken from that model
-  (``tests/test_golden_traces.py``).
+  (``tests/test_golden_traces.py``).  There is one arm and no switch:
+  removed ``extra`` keys fail loudly.
 * **Consistency under churn** — after *every* fired event in a
   scenario full of joins, completion-leaves, whitewash rebrands and
   crashes, every column (rows, masks, adjacency, availability, free
   list) must equal a from-scratch naive rescan
-  (``ColumnarState.check_consistency``).
+  (``ColumnarState.check_consistency``), and each T-Chain node's flow
+  window (``flow.blocked``) must equal the over-window set recounted
+  from its pending pieces.
 * **Packed counts** — the availability column is one int of 32-bit
   fields per row; a hub far above the neighbour cap must count right.
 * **Book semantics** — the mask-backed ``PieceBook`` behaves exactly
@@ -60,7 +63,8 @@ class TestTraceNeutrality:
         assert_golden(f"plain-bittorrent-{seed}", protocol="bittorrent",
                       seed=seed, **PLAIN)
 
-    @pytest.mark.parametrize("protocol", ["propshare", "random"])
+    @pytest.mark.parametrize("protocol", ["propshare", "fairtorrent",
+                                          "random"])
     def test_other_baselines_bit_identical(self, protocol):
         assert_golden(f"plain-{protocol}-7", protocol=protocol, seed=7,
                       **PLAIN)
@@ -70,12 +74,28 @@ class TestTraceNeutrality:
                            pieces=5)
         assert isinstance(result.swarm.columnar, ColumnarState)
 
+    @pytest.mark.parametrize("key", [
+        "columnar", "interest_index", "pool_events", "pool_messages",
+        "coalesce_timers", "coalesce_baseline"])
+    def test_removed_extra_keys_fail_loudly(self, key):
+        with pytest.raises(ValueError, match=f"unknown extra key.*{key}.*removed"):
+            run_swarm(protocol="tchain", seed=3, leechers=6, pieces=5,
+                      extra={key: False})
+
+    def test_unknown_extra_key_fails_loudly(self):
+        with pytest.raises(ValueError, match="unknown extra.*sanitise"):
+            run_swarm(protocol="tchain", seed=3, leechers=6, pieces=5,
+                      extra={"sanitise": True})
+
 
 class TestChurnConsistency:
     """The randomized-churn property test: columnar tables == naive
     rescan after every event (including a mid-run crash)."""
 
-    def test_store_matches_rescan_after_every_event(self):
+    @staticmethod
+    def _checked_churn_run(also=None, **kwargs):
+        """A T-Chain churn run with a mid-run crash, checked after
+        every event; returns one entry per check."""
         checks = []
 
         def setup(swarm):
@@ -87,14 +107,23 @@ class TestChurnConsistency:
                         return
 
             swarm.sim.schedule(40.0, crash_one)
-            check_every_event(swarm, checks)
+            check_every_event(swarm, checks, also=also)
 
-        run_swarm(protocol="tchain", seed=11, arrival="trace",
-                  setup=setup, **FLASH)
+        run_swarm(protocol="tchain", seed=11, setup=setup, **FLASH,
+                  **kwargs)
+        return checks
+
+    def test_store_matches_rescan_after_every_event(self):
+        checks = self._checked_churn_run(arrival="trace")
         assert len(checks) > 200  # the property was actually exercised
 
+    def test_flow_windows_match_after_every_event(self):
+        checks = self._checked_churn_run(also=_assert_flow_windows)
+        assert len(checks) > 200
+
     def test_final_state_consistent_for_baselines(self):
-        for protocol in ("bittorrent", "propshare"):
+        for protocol in ("bittorrent", "propshare", "fairtorrent",
+                         "random"):
             result = run_swarm(protocol=protocol, seed=5, leechers=8,
                                pieces=6, freerider_fraction=0.25)
             result.swarm.columnar.check_consistency()
@@ -103,6 +132,35 @@ class TestChurnConsistency:
         result = run_swarm(protocol="tchain", seed=13, sanitize=True,
                            **FLASH)
         assert result.swarm.sim.events_fired > 200
+
+    def test_sanitized_trace_arrival_run_clean(self):
+        """The sanitizer stays quiet over a trace-arrival churn
+        scenario (conservation + fair-exchange invariants) and the
+        swarm state is consistent at the end."""
+        result = run_swarm(protocol="tchain", seed=13, sanitize=True,
+                           arrival="trace", **FLASH)
+        assert result.swarm.sim.events_fired > 200
+        result.swarm.columnar.check_consistency()
+
+
+def _assert_flow_windows(swarm):
+    """Every T-Chain node's blocked set is its over-window set, and
+    ``eligible`` answers from it.  (``check_consistency`` recounts the
+    set too; this spells the definition out independently.)"""
+    seen = 0
+    for peer in swarm.peers.values():
+        flow = getattr(peer, "flow", None)
+        if flow is None or not peer.active:
+            continue
+        seen += 1
+        expected = {nid for nid, count in flow._pending.items()
+                    if count >= flow.pending_limit}
+        assert flow.blocked == expected, (
+            f"{peer.id}: blocked {sorted(flow.blocked)} != "
+            f"{sorted(expected)}")
+        assert all(flow.eligible(nid) != (nid in expected)
+                   for nid in flow._pending)
+    assert seen
 
 
 class IdlePeer(Peer):
@@ -303,13 +361,3 @@ class TestTrackerAnnounce:
             tracker.leave(pid)  # idempotent
         assert tracker._sorted == sorted(set(ids) - set(order[:15]))
         assert tracker.member_count == len(tracker._sorted)
-
-
-class TestBenchCliDefaults:
-    def test_cli_out_default_matches_bench_constant(self):
-        from repro.cli import build_parser
-        from repro.experiments.bench import DEFAULT_REPORT_PATH
-
-        args = build_parser().parse_args(["bench", "--quick"])
-        assert args.out == DEFAULT_REPORT_PATH
-        assert DEFAULT_REPORT_PATH == "BENCH_PR10.json"

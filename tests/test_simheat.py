@@ -229,7 +229,7 @@ class TestPlantedSimheat:
             """),
         ])
         assert [f.rule for f in findings] == ["SL304"]
-        assert "pool_events free-list" in findings[0].message
+        assert "EventHandle free-list" in findings[0].message
 
     def test_error_paths_and_round_regions_not_flagged(self):
         findings = heat_of([
@@ -435,12 +435,14 @@ class TestEventHandlePool:
         sim.run()
         assert len(sim._pool) <= POOL_MAX
 
-    def test_pool_events_false_disables_reuse(self):
-        sim = Simulator(seed=0, pool_events=False)
-        assert sim._pool is None
-        sim.schedule(1.0, lambda: None)
+    def test_pool_max_zero_disables_reuse(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.engine.POOL_MAX", 0)
+        sim = Simulator(seed=0)
+        for _ in range(8):
+            sim.schedule(1.0, lambda: None)
         sim.run()
-        assert sim.events_fired == 1
+        assert sim._pool == []
+        assert sim.events_fired == 8
 
     def test_sanitized_runs_never_recycle(self):
         # Post-mortem tooling relies on handle identity; the sanitizer
@@ -481,10 +483,10 @@ class TestMessagePool:
 
 
 class TestPoolTraceNeutrality:
-    def test_pools_on_off_bit_identical_trace(self):
+    def test_pools_on_off_bit_identical_trace(self, monkeypatch):
         from repro.experiments.runner import run_swarm
 
-        def traced(**extra):
+        def traced():
             rows = []
 
             def setup(swarm):
@@ -495,11 +497,16 @@ class TestPoolTraceNeutrality:
                                  repr(h.callback)))))
 
             run_swarm(protocol="tchain", seed=7, leechers=12, pieces=8,
-                      freerider_fraction=0.25, setup=setup, extra=extra)
+                      freerider_fraction=0.25, setup=setup)
             return rows
 
         pooled = traced()
-        unpooled = traced(pool_events=False, pool_messages=False)
+        # The unpooled reference: both free-lists capped at zero and
+        # emptied, so every handle and plain-piece message is fresh.
+        monkeypatch.setattr("repro.sim.engine.POOL_MAX", 0)
+        monkeypatch.setattr("repro.core.messages._PLAIN_PIECE_POOL_MAX", 0)
+        monkeypatch.setattr("repro.core.messages._PLAIN_PIECE_POOL", [])
+        unpooled = traced()
         assert pooled, "observer captured no events"
         assert pooled == unpooled
 

@@ -411,11 +411,11 @@ class TestSL011AdHocSweepState:
         assert rules_of("""
             import os
             os.replace("a.tmp", "a.json")
-        """, path="src/repro/experiments/bench.py") == ["SL011"]
+        """, path="src/repro/experiments/parallel.py") == ["SL011"]
         assert rules_of("""
             import os
             os.rename("a.tmp", "a.json")
-        """, path="src/repro/experiments/bench.py") == ["SL011"]
+        """, path="src/repro/experiments/parallel.py") == ["SL011"]
 
     def test_pathlib_writes_flagged(self):
         assert rules_of(
@@ -431,7 +431,7 @@ class TestSL011AdHocSweepState:
                 fh.read()
             with open("report.json", "r", encoding="utf-8") as fh:
                 fh.read()
-        """, path="src/repro/experiments/bench.py") == []
+        """, path="src/repro/experiments/parallel.py") == []
 
     def test_fabric_package_exempt(self):
         snippet = """

@@ -328,6 +328,7 @@ class TestDeepCache:
         assert cold.stats["files_analyzed"] == 1
         assert warm.stats["files_reused"] == 1
         assert warm.stats["taint_reused"] is True
+        assert warm.stats["races_reused"] is True
         assert warm.findings == cold.findings
         # the direct read is SL002; the laundered flow is SL101
         assert [f.rule for f in warm.findings] == ["SL002", "SL101"]

@@ -5,10 +5,11 @@ Every benchmark regenerates one paper table/figure at the configured
 prints the resulting rows/series, and writes them under
 ``benchmarks/out/`` so EXPERIMENTS.md can reference the artifacts.
 
-Seed sweeps inside the figure modules go through ``run_many``, which
-honours the ``REPRO_WORKERS`` knob — ``REPRO_WORKERS=4 pytest
-benchmarks/`` fans each sweep over four worker processes with results
-bit-identical to serial (docs/PERF.md).
+Seed sweeps inside the figure modules go through ``run_many`` and
+``run_specs``, which honour the ``REPRO_WORKERS`` and
+``REPRO_SWEEP_DIR`` knobs — ``REPRO_WORKERS=4 pytest benchmarks/``
+runs each sweep through the sweep fabric over four worker processes,
+with results bit-identical to serial (docs/PERF.md).
 """
 
 import pathlib

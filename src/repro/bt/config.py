@@ -23,16 +23,10 @@ from typing import Optional, Sequence
 #: Paper values (Sec. IV-A): leecher upload bandwidths vary 400-1200 Kbps.
 DEFAULT_LEECHER_CAPACITIES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
 
-#: Every key ``SwarmConfig.extra`` accepts.  Anything else is rejected
-#: at construction, so a typo or a key removed in a later version
-#: fails loudly instead of being silently ignored.
-EXTRA_KEYS = frozenset({
-    "sanitize", "profile",                      # engine instrumentation
-    "net",                                      # link-level substrate spec
-    "quiet_window_s",                           # quiescence stop
-    "chain_stall_timeout_s", "key_timeout_s",   # T-Chain watchdogs
-    "control_retry_base_s", "control_retry_attempts",
-})
+#: Every key ``SwarmConfig.extra`` accepts: the link-level substrate
+#: spec.  Anything else is rejected at construction, so a typo or a
+#: removed key fails loudly instead of being silently ignored.
+EXTRA_KEYS = frozenset({"net"})
 
 
 @dataclass
@@ -67,6 +61,22 @@ class SwarmConfig:
     seed: int = 0
     max_sim_time_s: Optional[float] = None
     chain_sample_interval_s: float = 10.0
+    #: Quiescence stop: a swarm with no piece upload started and no
+    #: arrival for this many simulated seconds is done (0 disables).
+    quiet_window_s: float = 300.0
+    #: T-Chain: seconds after which an unreciprocated delivery to an
+    #: idle requestor marks its chain terminated (Figs. 10/11
+    #: bookkeeping; flow control alone starves the free-rider).
+    chain_stall_timeout_s: float = 300.0
+    #: T-Chain: seconds a requestor waits for a key after
+    #: reciprocating before it discards the sealed piece and re-fetches
+    #: it elsewhere, so one swallowed report cannot wedge a piece.
+    key_timeout_s: float = 60.0
+    #: T-Chain: retransmission of unacknowledged reports and keys,
+    #: ``base * 2**(attempt-1)`` seconds apart (capped at
+    #: ``tchain.CONTROL_RETRY_CAP_S``), at most ``attempts`` times.
+    control_retry_base_s: float = 2.0
+    control_retry_attempts: int = 2
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -75,7 +85,9 @@ class SwarmConfig:
             raise ValueError(
                 f"unknown extra key(s) {unknown} (never accepted, or "
                 f"removed: the swarm state has one arm and no "
-                f"switches); accepted: {sorted(EXTRA_KEYS)}")
+                f"switches, the watchdogs are typed fields, sanitize "
+                f"and profile are run_swarm arguments); "
+                f"accepted: {sorted(EXTRA_KEYS)}")
 
     @property
     def file_size_mb(self) -> float:

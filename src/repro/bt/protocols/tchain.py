@@ -81,34 +81,17 @@ from repro.sim.events import PeriodicTask
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.swarm import Swarm
 
-#: Seconds after which an unreciprocated delivery to an *idle* requestor
-#: marks its chain terminated (bookkeeping for Figs. 10/11; the protocol
-#: itself needs no timeout — the free-rider is starved by flow control).
-DEFAULT_STALL_TIMEOUT_S = 300.0
-
 #: Retry cadence for obligations that could not be fulfilled right now
 #: (payee busy, reassignment churn): without a retry timer a peer with
 #: no other inbound events would sit on a fulfillable obligation.
 OBLIGATION_RETRY_S = 2.0
 
-#: Seconds a requestor waits for a decryption key *after reciprocating*
-#: before discarding the sealed piece and re-fetching it elsewhere.
-#: Keys normally arrive within ~2 control latencies, so this only fires
-#: when the reception report was swallowed (a payee that departed
-#: uncleanly or maliciously stays silent); without it one lost report
-#: would wedge the piece forever.
-DEFAULT_KEY_TIMEOUT_S = 60.0
-
-#: Retransmission backoff for unacknowledged control messages
-#: (reception reports, key releases): ``base * 2**(attempt-1)``
-#: seconds between attempts, capped at CONTROL_RETRY_CAP_S, for at
-#: most ``control_retry_attempts`` retransmissions after the initial
-#: send.  Retry timers are scheduled *unconditionally* and no-op
-#: against shared ledger state, so a fault-free run fires exactly the
-#: same timers as a faulty one — the determinism contract survives.
-CONTROL_RETRY_BASE_S = 2.0
+#: Cap on the control retransmission backoff (base and attempt count
+#: are ``SwarmConfig.control_retry_base_s`` / ``_attempts``).  Retry
+#: timers are scheduled *unconditionally* and no-op against shared
+#: ledger state, so a fault-free run fires exactly the same timers as
+#: a faulty one — the determinism contract survives.
 CONTROL_RETRY_CAP_S = 16.0
-CONTROL_RETRY_ATTEMPTS = 2
 
 
 class TChainState:
@@ -129,14 +112,10 @@ class TChainState:
         self.ledger.sanitizer = self.sanitizer
         self.handover: Set[int] = set()
         self.colluders: Set[str] = set()
-        self.stall_timeout_s = config.extra.get(
-            "chain_stall_timeout_s", DEFAULT_STALL_TIMEOUT_S)
-        self.key_timeout_s = config.extra.get(
-            "key_timeout_s", DEFAULT_KEY_TIMEOUT_S)
-        self.retry_base_s = config.extra.get(
-            "control_retry_base_s", CONTROL_RETRY_BASE_S)
-        self.retry_attempts = config.extra.get(
-            "control_retry_attempts", CONTROL_RETRY_ATTEMPTS)
+        self.stall_timeout_s = config.chain_stall_timeout_s
+        self.key_timeout_s = config.key_timeout_s
+        self.retry_base_s = config.control_retry_base_s
+        self.retry_attempts = config.control_retry_attempts
         self._sampler = PeriodicTask(
             swarm.sim, config.chain_sample_interval_s,
             lambda: self.registry.sample(swarm.sim.now), first_delay=0.0)
@@ -711,7 +690,7 @@ class _TChainNode(Peer):
 
 def _check_stall(state: TChainState, transaction_id: int) -> None:
     """Watchdog marking chains stalled by idle requestors terminated
-    (metrics bookkeeping only — see DEFAULT_STALL_TIMEOUT_S)."""
+    (metrics bookkeeping only — see SwarmConfig.chain_stall_timeout_s)."""
     ledger = state.ledger
     tx = ledger.get(transaction_id)
     if tx.state is TransactionState.ABORTED:

@@ -27,16 +27,15 @@ from repro.sim.engine import Simulator
 class Swarm:
     """One simulated file-sharing swarm."""
 
-    def __init__(self, config: SwarmConfig):
+    def __init__(self, config: SwarmConfig, sanitize: object = False,
+                 profile: object = False):
         self.config = config
         # The raw value flows through so ``"races"`` selects the
         # order-sensitivity reporter, not just the boolean sanitizer.
         # ``profile="alloc"`` attaches the per-event allocation
         # profiler.
-        self.sim = Simulator(
-            seed=config.seed,
-            sanitize=config.extra.get("sanitize", False),
-            profile=config.extra.get("profile", False))
+        self.sim = Simulator(seed=config.seed, sanitize=sanitize,
+                             profile=profile)
         self.torrent = Torrent(config.n_pieces, config.piece_size_kb)
         self.tracker = Tracker(self.sim.rng, config.tracker_list_size)
         self.topology = Topology(config.max_neighbors,
@@ -254,7 +253,7 @@ class Swarm:
         leecher that could still finish remains active.
 
         Additionally, a swarm that has been *quiet* (no piece upload
-        started, no arrival) for ``extra["quiet_window_s"]`` simulated
+        started, no arrival) for ``config.quiet_window_s`` simulated
         seconds is declared done: only bookkeeping timers are left
         (e.g. starved T-Chain free-riders re-announcing forever).
 
@@ -265,7 +264,7 @@ class Swarm:
         """
         limit = max_time if max_time is not None \
             else self.config.max_sim_time_s
-        quiet = self.config.extra.get("quiet_window_s", 300.0)
+        quiet = self.config.quiet_window_s
         sim = self.sim
         self.stop_reason = None
 

@@ -71,7 +71,8 @@ from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.protocols import PROTOCOLS
 from repro.experiments import run_swarm
 from repro.experiments.config import ExperimentScale
-from repro.experiments.parallel import ENV_WORKERS, RunSpec, run_specs
+from repro.experiments.parallel import (ENV_WORKERS, RunSpec, execute_spec,
+                                       run_specs)
 
 #: One help string for every worker-count flag, matching what
 #: resolve_workers actually implements (0 = one worker per CPU).
@@ -351,18 +352,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_specs_routed(specs, workers, sweep_dir):
-    """``run_specs``, or the fabric when a sweep dir is configured."""
-    from repro.experiments.fabric import (resolve_sweep_dir,
-                                          run_specs_fabric,
-                                          sweep_subdir)
-    sweep_dir = resolve_sweep_dir(sweep_dir)
-    if sweep_dir is None:
-        return run_specs(specs, workers=workers)
-    return run_specs_fabric(specs, workers=workers,
-                            sweep_dir=sweep_subdir(sweep_dir, specs))
-
-
 def cmd_compare(args) -> int:
     specs = [RunSpec(
         protocol=protocol, leechers=args.leechers, pieces=args.pieces,
@@ -373,8 +362,8 @@ def cmd_compare(args) -> int:
         for protocol in args.protocols]
     rows = []
     bars = []
-    for result in _run_specs_routed(specs, args.workers,
-                                    args.sweep_dir):
+    for result in run_specs(specs, workers=args.workers,
+                            sweep_dir=args.sweep_dir):
         metrics = result.metrics
         mct = metrics.mean_completion_time("leecher")
         rows.append((result.protocol, mct,
@@ -391,52 +380,49 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_figure(args) -> int:
+def _render_figure(name: str, scale: ExperimentScale) -> str:
     from repro.experiments import (fig3, fig4, fig5, fig6, fig7, fig8,
                                    fig9, fig10, fig11, fig12, fig13,
                                    table2)
-    if args.workers is not None:
-        # The figure modules drive their sweeps through run_many(),
-        # which resolves this knob; no per-module plumbing needed.
-        os.environ[ENV_WORKERS] = str(args.workers)
-    if args.sweep_dir is not None:
-        # Same trick for the fabric: run_many reads REPRO_SWEEP_DIR
-        # and persists each figure sweep under its own subdirectory.
-        from repro.experiments.fabric import ENV_SWEEP_DIR
-        os.environ[ENV_SWEEP_DIR] = args.sweep_dir
+    if name == "fig4":
+        return fig4.render(fig4.run_file_size(scale),
+                           fig4.run_swarm_size(scale))
+    if name == "fig6":
+        return fig6.render(fig6.run_crawler(scale),
+                           fig6.run_initial_pieces(scale),
+                           scale.pieces(fig6.BASE_PIECES_A))
+    if name == "fig10":
+        return fig10.render(fig10.run(scale, "flash"),
+                            fig10.run(scale, "trace"))
+    if name == "fig11":
+        return fig11.render(fig11.run_cumulative(scale),
+                            fig11.run_opportunistic_fraction(scale))
+    module = {"fig3": fig3, "fig5": fig5, "fig7": fig7, "fig8": fig8,
+              "fig9": fig9, "fig12": fig12, "fig13": fig13,
+              "table2": table2}[name]
+    return module.render(module.run(scale))
+
+
+def cmd_figure(args) -> int:
+    from repro.experiments.fabric import ENV_SWEEP_DIR
+    # The figure modules sweep through run_many -> run_specs, which
+    # reads these knobs; set them for this command only, so an
+    # in-process caller's later sweeps are not affected.
+    knobs = {ENV_WORKERS: args.workers, ENV_SWEEP_DIR: args.sweep_dir}
+    saved = {key: os.environ.get(key) for key in knobs}
+    for key, value in knobs.items():
+        if value is not None:
+            os.environ[key] = str(value)
     scale = ExperimentScale(factor=args.scale, seeds=args.seeds,
                             root_seed=args.seed)
-    name = args.name
-    if name == "fig3":
-        print(fig3.render(fig3.run(scale)))
-    elif name == "fig4":
-        print(fig4.render(fig4.run_file_size(scale),
-                          fig4.run_swarm_size(scale)))
-    elif name == "fig5":
-        print(fig5.render(fig5.run(scale)))
-    elif name == "fig6":
-        samples = fig6.run_crawler(scale)
-        rows = fig6.run_initial_pieces(scale)
-        print(fig6.render(samples, rows,
-                          scale.pieces(fig6.BASE_PIECES_A)))
-    elif name == "fig7":
-        print(fig7.render(fig7.run(scale)))
-    elif name == "fig8":
-        print(fig8.render(fig8.run(scale)))
-    elif name == "fig9":
-        print(fig9.render(fig9.run(scale)))
-    elif name == "fig10":
-        print(fig10.render(fig10.run(scale, "flash"),
-                           fig10.run(scale, "trace")))
-    elif name == "fig11":
-        print(fig11.render(fig11.run_cumulative(scale),
-                           fig11.run_opportunistic_fraction(scale)))
-    elif name == "fig12":
-        print(fig12.render(fig12.run(scale)))
-    elif name == "fig13":
-        print(fig13.render(fig13.run(scale)))
-    elif name == "table2":
-        print(table2.render(table2.run(scale)))
+    try:
+        print(_render_figure(args.name, scale))
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
     return 0
 
 
@@ -592,42 +578,38 @@ def cmd_lint(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.experiments.parallel import ChaosSpec, run_chaos_specs
+    from repro.faults.harness import ChaosResult, chaos_spec
     seeds = args.seeds if args.seeds else [args.seed]
-    specs = [ChaosSpec(
+    specs = [chaos_spec(
         leechers=args.leechers, pieces=args.pieces, seed=seed,
         control_loss_prob=args.loss, control_delay_prob=args.delay,
         control_delay_s=args.delay_s, upload_stall_prob=args.stall,
         upload_stall_s=args.stall_s, crashes=args.crashes,
         max_time=args.max_time, races=args.races) for seed in seeds]
-    from repro.experiments.fabric import resolve_sweep_dir
-    if resolve_sweep_dir(args.sweep_dir) is not None:
-        summaries = _run_specs_routed(specs, args.workers,
-                                      args.sweep_dir)
-    else:
-        summaries = run_chaos_specs(specs, workers=args.workers)
-    for chaos in summaries:
+    results = [ChaosResult(summary) for summary in run_specs(
+        specs, workers=args.workers, sweep_dir=args.sweep_dir)]
+    for chaos in results:
         title = "chaos smoke run"
-        if len(summaries) > 1:
-            title += f" (seed {chaos.seed})"
-        print(format_table(["quantity", "value"], chaos.rows,
+        if len(results) > 1:
+            title += f" (seed {chaos.summary.seed})"
+        print(format_table(["quantity", "value"], chaos.summary_rows(),
                            title=title))
         verdict = "PASS" if chaos.passed else "FAIL"
         print(f"\n{verdict}: "
-              f"{chaos.survivors_finished}/{chaos.survivors_total} "
+              f"{chaos.survivors_finished}/{len(chaos.survivor_records)} "
               f"surviving honest leechers finished under "
               f"loss={args.loss:g} delay={args.delay:g} "
-              f"crashes={chaos.crashes_executed}; "
+              f"crashes={len(chaos.summary.crashed_ids)}; "
               f"{chaos.sanitizer_checks} sanitizer checks, "
               f"0 violations")
         if args.races:
             print(f"same-instant race conflicts: "
-                  f"{chaos.race_conflicts}")
-            for desc in chaos.race_descriptions:
+                  f"{chaos.race_conflict_count}")
+            for desc in chaos.race_conflicts:
                 print(f"  {desc}")
-        if chaos is not summaries[-1]:
+        if chaos is not results[-1]:
             print()
-    return 0 if all(chaos.passed for chaos in summaries) else 1
+    return 0 if all(chaos.passed for chaos in results) else 1
 
 
 def cmd_sweep(args) -> int:
@@ -694,11 +676,13 @@ def cmd_sweep(args) -> int:
         title=f"sweep: {len(summaries)} runs"))
 
     if args.verify:
-        serial = run_specs(specs, workers=1)
+        # Straight through execute_spec: a REPRO_SWEEP_DIR in the
+        # environment must not turn the reference into a resume.
+        serial = [execute_spec(spec) for spec in specs]
         identical = serial == summaries
         print(f"\nverify: merged summaries "
               f"{'bit-identical to' if identical else 'DIFFER from'} "
-              f"serial run_specs over {len(specs)} spec(s)")
+              f"a serial in-process run of {len(specs)} spec(s)")
         if not identical:
             return 1
     return 0

@@ -15,9 +15,9 @@ SL005     mutable default arguments
 SL006     event callback scheduled with mismatched arity
 SL007     direct ``rng`` use inside a ``faults/`` package (fault
           injection must draw from its own named substream)
-SL008     multiprocessing/ProcessPoolExecutor outside the sanctioned
-          choke points (``experiments/parallel.py`` and the fabric
-          supervisor)
+SL008     multiprocessing/ProcessPoolExecutor outside the one
+          sanctioned choke point, the fabric supervisor
+          (``experiments/fabric/supervisor.py``)
 SL009     stale ``# simlint: disable=...`` comment that no longer
           suppresses any finding (warning; see
           ``--strict-suppressions``)
@@ -664,39 +664,35 @@ class FaultsRngRule(Rule):
 @register
 class AdHocParallelismRule(Rule):
     """SL008: process-based parallelism must route through
-    ``repro.experiments.parallel``.
+    ``run_specs`` and the sweep fabric.
 
-    That module is the single fan-out choke point: it guarantees
-    spec-order results, per-run seeding, picklable work units, prompt
-    surfacing of dead workers, and the ``REPRO_WORKERS`` knob.  A
-    ``ProcessPoolExecutor`` (or raw ``multiprocessing``) spun up
-    anywhere else re-derives those guarantees ad hoc — or, more
-    likely, silently lacks one of them (results in completion order,
-    shared mutable state, a hang on worker death).  The rule flags any
-    import or attribute reference to ``multiprocessing`` or
-    ``ProcessPoolExecutor`` outside the two sanctioned choke points:
-    ``experiments/parallel.py`` and the fabric supervisor
-    (``experiments/fabric/supervisor.py``), which holds the same
-    guarantees and adds checkpointed recovery on top.
+    The fabric supervisor (``experiments/fabric/supervisor.py``) owns
+    the only process pool: it guarantees spec-order results, per-run
+    seeding, picklable work units, checkpointed recovery from worker
+    death, and the ``REPRO_WORKERS`` knob.  A ``ProcessPoolExecutor``
+    (or raw ``multiprocessing``) spun up anywhere else re-derives
+    those guarantees ad hoc — or, more likely, silently lacks one of
+    them (results in completion order, shared mutable state, a hang on
+    worker death).  The rule flags any import or attribute reference to
+    ``multiprocessing`` or ``ProcessPoolExecutor`` outside that one
+    module.
     """
 
     id = "SL008"
     name = "adhoc-parallelism"
-    description = ("ProcessPoolExecutor/multiprocessing outside "
-                   "experiments/parallel.py or the fabric supervisor; "
-                   "route fan-out through repro.experiments.parallel")
+    description = ("ProcessPoolExecutor/multiprocessing outside the "
+                   "fabric supervisor; route fan-out through "
+                   "repro.experiments.parallel.run_specs")
 
-    _GUIDANCE = ("process fan-out belongs in repro.experiments.parallel "
-                 "(run_specs / run_chaos_specs) or the fabric "
-                 "supervisor (run_specs_fabric); they guarantee "
+    _GUIDANCE = ("process fan-out belongs in the sweep fabric: call "
+                 "repro.experiments.parallel.run_specs (or "
+                 "run_specs_fabric), whose supervisor guarantees "
                  "spec-order results, per-run seeding and worker-death "
-                 "reporting")
+                 "recovery")
 
     @staticmethod
     def _is_choke_point(path: str) -> bool:
         parts = path.replace("\\", "/").split("/")
-        if parts[-1] == "parallel.py" and "experiments" in parts:
-            return True
         return (parts[-1] == "supervisor.py" and "fabric" in parts
                 and "experiments" in parts)
 

@@ -4,10 +4,14 @@
 that builds, populates and runs a swarm; the per-figure modules
 (:mod:`repro.experiments.fig3` ... :mod:`repro.experiments.table2`)
 compose it into the paper's exact sweeps and print the corresponding
-rows/series.  :mod:`repro.experiments.parallel` fans sweeps out over
-worker processes (``run_many(..., workers=N)`` / ``REPRO_WORKERS``)
-with spec-order, bit-identical results.  The performance benchmark
-lives outside the package, in ``benchmarks/perf``.
+rows/series.  Every sweep is a list of
+:class:`~repro.experiments.parallel.RunSpec` and one executor,
+:func:`~repro.experiments.parallel.run_specs`: in this process when
+serial, otherwise through the checkpointed sweep fabric
+(:mod:`repro.experiments.fabric`) over worker processes
+(``run_many(..., workers=N)`` / ``REPRO_WORKERS``), with spec-order,
+bit-identical results.  The performance benchmark lives outside the
+package, in ``benchmarks/perf``.
 """
 
 from repro.experiments.parallel import (

@@ -3,7 +3,7 @@
 Checkpoint contract
 -------------------
 One file per completed shard, ``<sweep_dir>/shards/<shard_id>.ckpt``,
-holding the shard's ``RunSummary``/``ChaosSummary`` list.  The write
+holding the shard's ``RunSummary`` list.  The write
 is **atomic** (temp file in the same directory, then ``os.replace``)
 so a SIGKILL mid-write can never leave a half-checkpoint under the
 final name; the payload is **self-verifying** (a header carrying the
@@ -135,18 +135,6 @@ def load_shard_checkpoint(sweep_dir: str, shard_id: str) -> List[object]:
         # between writer and reader) lands here too.
         raise CheckpointError(f"checkpoint {path} failed to "
                               f"unpickle: {exc!r}") from exc
-
-
-def completed_shards(sweep_dir: str,
-                     shard_ids: Sequence[str]) -> Dict[str, List[object]]:
-    """``shard_id -> summaries`` for every *valid* checkpoint present.
-
-    Invalid checkpoints are deleted so the supervisor's re-run cannot
-    race a stale file, and reported via the returned ``corrupt`` list
-    on the side: the function returns only clean shards; callers that
-    need the corrupt ids should call :func:`scan_checkpoints`.
-    """
-    return scan_checkpoints(sweep_dir, shard_ids)[0]
 
 
 def scan_checkpoints(sweep_dir: str, shard_ids: Sequence[str]

@@ -1,6 +1,6 @@
 """Deterministic, content-addressed sweep manifests.
 
-A sweep starts life as a flat spec list (``RunSpec``/``ChaosSpec``).
+A sweep starts life as a flat ``RunSpec`` list.
 Before any work runs, the fabric shards that list into a
 :class:`SweepManifest` — fixed-size slices of the matrix, each with a
 **stable, content-addressed shard id**: the SHA-256 of the canonical
@@ -32,8 +32,8 @@ from typing import Dict, List, Sequence, Tuple, Type
 
 #: Manifest format version, bumped on any encoding change so a resume
 #: against an incompatible manifest fails loudly instead of merging
-#: garbage.
-FABRIC_VERSION = 1
+#: garbage.  v2: ``RunSpec`` gained ``fault_plan``.
+FABRIC_VERSION = 2
 
 #: Default specs per shard.  Small enough that losing a worker costs
 #: little work; large enough that checkpoint/IPC overhead amortizes.
@@ -65,8 +65,10 @@ def _register_builtin_spec_classes() -> None:
     # Imported lazily to keep module import order flexible (parallel
     # imports nothing from fabric, so this cannot cycle).
     from repro.attacks.freerider import FreeRiderOptions
-    from repro.experiments.parallel import ChaosSpec, RunSpec
-    for cls in (RunSpec, ChaosSpec, FreeRiderOptions):
+    from repro.experiments.parallel import RunSpec
+    from repro.faults.plan import FaultPlan, NetworkPartition, PeerCrash
+    for cls in (RunSpec, FreeRiderOptions, FaultPlan, PeerCrash,
+                NetworkPartition):
         SPEC_CLASSES.setdefault(cls.__name__, cls)
 
 

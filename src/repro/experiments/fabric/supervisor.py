@@ -11,8 +11,8 @@ at its workers:
 * **flaky shards** — an exception from a shard re-queues it with
   capped exponential backoff (the same ``base * 2**(attempt-1)``
   shape as the T-Chain control retransmits,
-  :data:`repro.bt.protocols.tchain.CONTROL_RETRY_BASE_S`), up to a
-  bounded per-shard retry budget;
+  ``SwarmConfig.control_retry_base_s``), up to a bounded per-shard
+  retry budget;
 * **poison shards** — a shard that exhausts its budget is recorded
   under ``quarantine/`` with its last exception and *skipped*, so one
   bad spec can never wedge a 10k-run sweep;
@@ -25,10 +25,10 @@ Everything observable lands in the sweep journal; nothing but the
 checkpoint files carries state across a supervisor restart, which is
 exactly why ``--resume`` works after the supervisor itself dies.
 
-This module is, with ``experiments/parallel.py``, one of the two
-sanctioned process fan-out choke points (simlint SL008): it preserves
-the same guarantees — spec-order results, per-run seeding, prompt
-worker-death surfacing — and layers checkpointed recovery on top.
+This module is the one sanctioned process fan-out choke point (simlint
+SL008): it owns the only process pool, so every parallel run gets
+spec-order results, per-run seeding and checkpointed recovery from
+worker death.
 """
 
 from __future__ import annotations
@@ -49,13 +49,15 @@ from repro.experiments.fabric.checkpoint import (
 from repro.experiments.fabric.manifest import Shard, SweepManifest
 from repro.experiments.parallel import (
     ParallelExecutionError,
+    execute_spec,
     resolve_workers,
 )
 
-#: Retry backoff shape, mirroring the T-Chain control-retransmit
-#: constants (CONTROL_RETRY_BASE_S / CONTROL_RETRY_CAP_S in
-#: repro.bt.protocols.tchain): ``base * 2**(attempt-1)`` seconds,
-#: capped.  Sweep shards are cheap to retry, so the base is small.
+#: Retry backoff shape, mirroring the T-Chain control retransmits
+#: (``SwarmConfig.control_retry_base_s``, capped at
+#: ``repro.bt.protocols.tchain.CONTROL_RETRY_CAP_S``):
+#: ``base * 2**(attempt-1)`` seconds, capped.  Sweep shards are cheap
+#: to retry, so the base is small.
 SHARD_RETRY_BASE_S = 0.1
 SHARD_RETRY_CAP_S = 5.0
 
@@ -85,14 +87,6 @@ def _sleep(seconds: float) -> None:
 # ----------------------------------------------------------------------
 # Worker-process entry point
 # ----------------------------------------------------------------------
-def _executor_for(spec: object) -> Callable[[object], object]:
-    from repro.experiments.parallel import (ChaosSpec, execute_chaos,
-                                            execute_spec)
-    if isinstance(spec, ChaosSpec):
-        return execute_chaos
-    return execute_spec
-
-
 def execute_shard(task: Dict[str, object]) -> "tuple[str, List[object]]":
     """Run one shard to completion (the worker-process entry point).
 
@@ -108,7 +102,7 @@ def execute_shard(task: Dict[str, object]) -> "tuple[str, List[object]]":
         if kill is not None and kill.should_kill(
                 shard_id, task["index"], task["attempt"], spec_index):
             kill.kill()  # pragma: no cover - SIGKILLs the worker
-        summaries.append(_executor_for(spec)(spec))
+        summaries.append(execute_spec(spec))
     return shard_id, summaries
 
 

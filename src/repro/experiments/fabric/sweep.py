@@ -1,9 +1,10 @@
 """The fabric's public face: ``run_specs_fabric`` and resume.
 
-``run_specs_fabric(specs)`` is a drop-in, fault-tolerant sibling of
-:func:`repro.experiments.parallel.run_specs`: same input, same output
-(summaries in spec order, bit-identical to serial execution), but the
-work flows through a manifest → supervisor → checkpoint pipeline, so
+``run_specs_fabric(specs)`` is where
+:func:`repro.experiments.parallel.run_specs` sends every sweep it does
+not run serially in-process: same input, same output (summaries in
+spec order, bit-identical to serial execution), but the work flows
+through a manifest → supervisor → checkpoint pipeline, so
 
 * a dead worker costs at most one shard of work,
 * a killed *sweep* resumes from its directory with
@@ -14,9 +15,9 @@ work flows through a manifest → supervisor → checkpoint pipeline, so
 When no ``sweep_dir`` is given the fabric still runs — against a
 throwaway temp directory — so callers get the retry/rebuild robustness
 without committing to on-disk state.  The ``REPRO_SWEEP_DIR``
-environment knob routes any fabric-aware caller (``run_many``, the
-figure sweeps) to a persistent directory without plumbing an argument
-through every layer.
+environment knob routes every ``run_specs`` caller (``run_many``, the
+figure sweeps, ``repro compare`` / ``chaos``) to a persistent
+directory without plumbing an argument through every layer.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class SweepIncomplete(SweepError):
     """The sweep finished with quarantined shards.
 
     Carries enough to act on: ``sweep_dir`` (resume after fixing the
-    cause), ``quarantined`` (shard_id -> record with the last
+    cause; None for a temp-directory sweep, which leaves nothing to
+    resume), ``quarantined`` (shard_id -> record with the last
     exception), and ``partial`` (summaries in spec order with ``None``
     holes for the quarantined shards).
     """
@@ -86,8 +88,11 @@ def sweep_subdir(parent: str, specs: Sequence[object],
 
 
 def _merge(manifest: SweepManifest, outcome: SweepOutcome,
-           sweep_dir: str, allow_partial: bool) -> List[object]:
-    """Checkpointed shard results, concatenated in spec order."""
+           sweep_dir: Optional[str], allow_partial: bool) -> List[object]:
+    """Checkpointed shard results, concatenated in spec order.
+
+    ``sweep_dir`` is None for a temp-directory sweep: its state is
+    deleted on return, so there is nothing to resume."""
     merged: List[object] = []
     for shard in manifest.shards:
         summaries = outcome.results.get(shard.shard_id)
@@ -102,11 +107,13 @@ def _merge(manifest: SweepManifest, outcome: SweepOutcome,
             for shard_id, record in sorted(
                 outcome.quarantined.items(),
                 key=lambda kv: kv[1]["index"]))
+        hint = (f"  Fix the cause and resume with "
+                f"`repro sweep --resume {sweep_dir}`"
+                if sweep_dir is not None else "")
         raise SweepIncomplete(
             f"{len(outcome.quarantined)} of {len(manifest.shards)} "
             f"shard(s) quarantined after exhausting their retry "
-            f"budget — {reasons}.  Fix the cause and resume with "
-            f"`repro sweep --resume {sweep_dir}`",
+            f"budget — {reasons}.{hint}",
             sweep_dir=sweep_dir,
             quarantined=dict(outcome.quarantined),
             partial=merged)
@@ -174,7 +181,9 @@ def run_specs_fabric(specs: Optional[Sequence[object]] = None,
             retry_budget=retry_budget, worker_kill=worker_kill,
             journal=journal, task_fn=task_fn)
         outcome = supervisor.run()
-        return _merge(manifest, outcome, sweep_dir, allow_partial)
+        return _merge(manifest, outcome,
+                      sweep_dir if tmp_dir is None else None,
+                      allow_partial)
     finally:
         if tmp_dir is not None:
             shutil.rmtree(tmp_dir, ignore_errors=True)

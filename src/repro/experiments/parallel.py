@@ -1,4 +1,4 @@
-"""Parallel experiment execution.
+"""Run specs, run summaries, and the one routing point that executes them.
 
 Every paper figure is a sweep — seeds × protocols × populations pushed
 through :func:`repro.experiments.runner.run_swarm` — and each run is an
@@ -8,37 +8,38 @@ live :class:`~repro.experiments.runner.RunResult` cannot (it drags the
 whole ``Swarm``/``Simulator`` object graph along).  This module supplies
 the two picklable halves:
 
-* :class:`RunSpec` — a frozen, hashable description of one run (what
-  :func:`run_swarm` would be called with), safe to ship to a worker;
+* :class:`RunSpec` — a frozen description of one run (what
+  :func:`run_swarm` would be called with, fault plan included), safe to
+  ship to a worker and to encode in a sweep manifest;
 * :class:`RunSummary` — the slim result extracted from a ``RunResult``
   (per-peer metric records, recovery counters, chain statistics, engine
-  counters) with the same accessor surface the figure modules use, so
-  serial and parallel sweeps are drop-in interchangeable.
+  counters, fault and sanitizer facts) with the accessor surface the
+  figure modules and the chaos report read.
 
-:func:`run_specs` executes a spec list over a ``ProcessPoolExecutor``
-and returns summaries **in spec order** regardless of which worker
-finishes first — so a parallel sweep is bit-identical to a serial one,
-worker count being pure wall-clock mechanics.  The worker count resolves
-from the ``REPRO_WORKERS`` environment knob (``0`` = one per CPU) when
-not passed explicitly; the default is serial.
-
-This module is the single sanctioned fan-out choke point: simlint rule
-SL008 flags ``ProcessPoolExecutor``/``multiprocessing`` use anywhere
-else under ``src/`` so that determinism guarantees (spec-order results,
-per-run seeding, no shared mutable state) cannot be bypassed ad hoc.
+:func:`run_specs` executes a spec list and returns summaries **in spec
+order**, bit-identical for any worker count.  With one worker and no
+sweep directory it runs them in this process; otherwise it hands them
+to the sweep fabric (:func:`repro.experiments.fabric.run_specs_fabric`),
+whose supervisor owns the only process pool (simlint SL008).  The
+worker count resolves from the ``REPRO_WORKERS`` environment knob
+(``0`` = one per CPU) when not passed explicitly; the default is serial.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.analysis.chains import ChainStats, summarize_chains
 from repro.analysis.metrics import SwarmMetrics
 from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.config import SwarmConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultPlan
 
 #: Environment knob read when ``workers`` is not passed explicitly.
 #: ``1`` (default) = serial, ``N`` = N worker processes, ``0`` = one
@@ -46,7 +47,7 @@ from repro.bt.config import SwarmConfig
 ENV_WORKERS = "REPRO_WORKERS"
 
 #: run_swarm parameters that cannot cross a process boundary.
-_UNSPECABLE = ("config", "setup", "fault_plan")
+_UNSPECABLE = ("config", "setup")
 
 
 class ParallelExecutionError(RuntimeError):
@@ -80,7 +81,10 @@ class RunSpec:
     Fields mirror the harness knobs; anything else a sweep passes
     (``real_crypto=True``, capacity overrides, ...) rides in
     ``config_overrides`` as a sorted key/value tuple so specs stay
-    hashable and order-independent.
+    order-independent.  ``sanitize`` is ``True`` or ``"races"`` (the
+    sanitizer plus the same-instant race reporter); ``fault_plan`` is a
+    :class:`~repro.faults.plan.FaultPlan`, which makes a chaos case an
+    ordinary spec.
     """
 
     protocol: str = "tchain"
@@ -95,7 +99,8 @@ class RunSpec:
     freerider_options: Optional[FreeRiderOptions] = None
     initial_piece_fraction: float = 0.0
     trace_horizon_s: float = 2000.0
-    sanitize: bool = False
+    sanitize: Union[bool, str] = False
+    fault_plan: Optional["FaultPlan"] = None
     config_overrides: Tuple[Tuple[str, object], ...] = ()
 
     @classmethod
@@ -104,7 +109,7 @@ class RunSpec:
 
         Raises :class:`ParallelExecutionError` for arguments that
         cannot cross a process boundary (``setup`` callables, live
-        ``config`` objects, fault plans) — such runs must stay serial.
+        ``config`` objects).
 
         ``kwargs`` is never mutated — neither on success nor on the
         error path — so callers can safely reuse one kwargs dict
@@ -114,8 +119,7 @@ class RunSpec:
         if blocked:
             raise ParallelExecutionError(
                 f"run_swarm argument(s) {', '.join(blocked)} cannot be "
-                f"executed in a worker process; run serially "
-                f"(workers=1) instead")
+                f"described by a RunSpec; call run_swarm directly")
         names = {f.name for f in fields(cls)} - {"config_overrides"}
         direct = {k: v for k, v in kwargs.items() if k in names}
         extra = {k: v for k, v in kwargs.items()
@@ -146,6 +150,9 @@ class RunSummary:
     modules need it.  ``wall_time_s`` is excluded from equality:
     summaries are *bit-identical* across serial/parallel execution,
     wall clocks are not.
+
+    Fields after ``wall_time_s`` are defaulted, so a checkpoint pickled
+    before one existed loads with its default.
     """
 
     protocol: str
@@ -159,9 +166,20 @@ class RunSummary:
     sim_time_s: float
     events_fired: int
     wall_time_s: float = field(compare=False, default=0.0)
-    #: Why the run ended (``Swarm.stop_reason``).  Defaulted, so a
-    #: checkpoint pickled before the field existed loads with ``None``.
+    #: Why the run ended (``Swarm.stop_reason``).
     stop_reason: Optional[str] = None
+    #: Fault injection: victims of executed crashes, and crashes whose
+    #: victim could not be resolved.
+    crashed_ids: Tuple[str, ...] = ()
+    crashes_skipped: int = 0
+    #: Invariant checks the sanitizer ran (0: it was off).
+    sanitizer_checks: int = 0
+    #: Same-instant race reporter: events it watched (``None``: no
+    #: reporter attached), conflicting access pairs it counted, and the
+    #: descriptions of the ones it retained.
+    race_events_seen: Optional[int] = None
+    race_conflict_count: int = 0
+    race_conflicts: Tuple[str, ...] = ()
 
     # -- RunResult-compatible accessors --------------------------------
     def mean_completion_time(self, kind: str = "leecher"
@@ -205,10 +223,9 @@ class RunSummary:
 def summarize_run(result, wall_time_s: float = 0.0) -> RunSummary:
     """Extract a :class:`RunSummary` from a live ``RunResult``."""
     state = result.tchain_state
-    chain_stats = (summarize_chains(state.registry)
-                   if state is not None else None)
-    collusion = (state.ledger.collusion_successes
-                 if state is not None else 0)
+    sim = result.swarm.sim
+    injector = result.swarm.fault_injector
+    races = sim.races
     return RunSummary(
         protocol=result.protocol,
         seed=result.config.seed,
@@ -216,12 +233,25 @@ def summarize_run(result, wall_time_s: float = 0.0) -> RunSummary:
         n_freeriders=result.n_freeriders,
         config=result.config,
         metrics=result.metrics,
-        chain_stats=chain_stats,
-        collusion_successes=collusion,
-        sim_time_s=result.swarm.sim.now,
-        events_fired=result.swarm.sim.events_fired,
+        chain_stats=(summarize_chains(state.registry)
+                     if state is not None else None),
+        collusion_successes=(state.ledger.collusion_successes
+                             if state is not None else 0),
+        sim_time_s=sim.now,
+        events_fired=sim.events_fired,
         wall_time_s=wall_time_s,
         stop_reason=result.stop_reason,
+        crashed_ids=(tuple(injector.crashed_ids)
+                     if injector is not None else ()),
+        crashes_skipped=(injector.crashes_skipped
+                         if injector is not None else 0),
+        sanitizer_checks=(sim.sanitizer.checks_run
+                          if sim.sanitizer is not None else 0),
+        race_events_seen=races.events_seen if races is not None else None,
+        race_conflict_count=(races.total_conflicts
+                             if races is not None else 0),
+        race_conflicts=(tuple(races.conflict_pairs())
+                        if races is not None else ()),
     )
 
 
@@ -235,130 +265,42 @@ def execute_spec(spec: RunSpec) -> RunSummary:
 
 
 # ----------------------------------------------------------------------
-# Ordered fan-out
+# The one routing point
 # ----------------------------------------------------------------------
-def _map_ordered(fn, items: Sequence, workers: int) -> List:
-    """``[fn(x) for x in items]`` over a process pool, results in
-    submission order regardless of completion order.
-
-    A dead worker (hard crash, OOM kill) surfaces promptly as
-    :class:`ParallelExecutionError`; an exception *raised by* ``fn``
-    propagates as itself, exactly as in the serial comprehension.
-
-    The raised error carries an ``in_flight`` tuple with the repr of
-    every item that was possibly executing when the pool broke (the
-    pool cannot say which worker held which item, so all unfinished
-    items are candidates) — enough to isolate the killer without
-    rerunning the whole sweep serially.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    futures: List = []
-    try:
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(items))) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            return [f.result() for f in futures]
-    except BrokenProcessPool as exc:
-        # Every future is settled once the with-block exits; the ones
-        # poisoned by the pool break (rather than completed or
-        # cancelled while queued) were the in-flight candidates.
-        in_flight = tuple(
-            repr(item) for item, future in zip(items, futures)
-            if not future.done()
-            or (not future.cancelled()
-                and isinstance(future.exception(), BrokenProcessPool)))
-        shown = ", ".join(in_flight[:3])
-        if len(in_flight) > 3:
-            shown += f", ... ({len(in_flight) - 3} more)"
-        error = ParallelExecutionError(
-            f"a worker process died while executing {len(items)} "
-            f"spec(s) across {workers} workers (hard crash or the "
-            f"OOM killer); in flight: [{shown}]; rerun with "
-            f"{ENV_WORKERS}=1 to isolate the failing spec, or use "
-            f"run_specs_fabric for checkpointed retries")
-        error.in_flight = in_flight
-        raise error from exc
-
-
 def run_specs(specs: Sequence[RunSpec],
-              workers: Optional[int] = None) -> List[RunSummary]:
-    """Execute specs, serially or across worker processes.
+              workers: Optional[int] = None,
+              sweep_dir: Optional[str] = None) -> List[RunSummary]:
+    """Execute specs; summaries come back in spec order.
 
-    Results are returned in spec order and are bit-identical across
-    any worker count: each run derives all randomness from its spec's
+    With no sweep directory (``sweep_dir``, else the
+    ``REPRO_SWEEP_DIR`` knob) and one worker or one spec, the specs
+    run here, one after another: the reference every other path is
+    compared against, where a spec that raises propagates as itself.
+    Otherwise they run through the sweep fabric — over ``workers``
+    processes, checkpointed in a per-matrix subdirectory of the sweep
+    directory (resumable with ``repro sweep --resume``) or in a
+    throwaway temp directory when none is set.  There a spec that
+    raises is retried, then its shard is quarantined, and the call
+    ends in :class:`~repro.experiments.fabric.SweepIncomplete` (a
+    :class:`ParallelExecutionError`).  Results are bit-identical
+    across both paths: each run derives all randomness from its spec's
     seed, and summaries carry no shared state.
+
+    The supervisor hands out whole shards, so shards are sized to give
+    every worker one (at most ``DEFAULT_SHARD_SIZE`` specs each); the
+    sweep subdirectory depends on that size, so re-running a command
+    with the same worker count finds its checkpoints.
     """
+    from repro.experiments.fabric import (DEFAULT_SHARD_SIZE,
+                                          resolve_sweep_dir,
+                                          run_specs_fabric, sweep_subdir)
     specs = list(specs)
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(specs) <= 1:
+    sweep_dir = resolve_sweep_dir(sweep_dir)
+    workers = min(resolve_workers(workers), max(len(specs), 1))
+    if not specs or (sweep_dir is None and workers <= 1):
         return [execute_spec(spec) for spec in specs]
-    return _map_ordered(execute_spec, specs, workers)
-
-
-# ----------------------------------------------------------------------
-# Chaos sweeps (repro chaos --seeds ...)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ChaosSpec:
-    """One picklable :func:`repro.faults.run_chaos` invocation."""
-
-    leechers: int = 16
-    pieces: int = 10
-    seed: int = 0
-    control_loss_prob: float = 0.10
-    control_delay_prob: float = 0.10
-    control_delay_s: float = 1.0
-    upload_stall_prob: float = 0.02
-    upload_stall_s: float = 5.0
-    crashes: int = 2
-    max_time: Optional[float] = None
-    races: bool = False
-
-
-@dataclass
-class ChaosSummary:
-    """The picklable slice of a ``ChaosResult`` the CLI reports."""
-
-    seed: int
-    passed: bool
-    survivors_finished: int
-    survivors_total: int
-    crashes_executed: int
-    sanitizer_checks: int
-    recovery: Dict[str, int]
-    rows: List[tuple]
-    race_conflicts: int = 0
-    race_descriptions: Tuple[str, ...] = ()
-    wall_time_s: float = field(compare=False, default=0.0)
-
-
-def execute_chaos(spec: ChaosSpec) -> ChaosSummary:
-    """Run one chaos scenario (worker-process entry point)."""
-    from repro.faults import run_chaos
-    start = time.perf_counter()  # simlint: disable=SL002 -- real wall-time of the chaos sweep
-    chaos = run_chaos(**asdict(spec))
-    wall = time.perf_counter() - start  # simlint: disable=SL002 -- see above
-    return ChaosSummary(
-        seed=spec.seed,
-        passed=chaos.passed,
-        survivors_finished=chaos.survivors_finished,
-        survivors_total=len(chaos.survivor_records),
-        crashes_executed=len(chaos.injector.crashed_ids),
-        sanitizer_checks=chaos.sanitizer_checks,
-        recovery=chaos.counters.as_dict(),
-        rows=chaos.summary_rows(),
-        race_conflicts=chaos.race_conflict_count,
-        race_descriptions=tuple(chaos.race_conflicts),
-        wall_time_s=wall,
-    )
-
-
-def run_chaos_specs(specs: Sequence[ChaosSpec],
-                    workers: Optional[int] = None) -> List[ChaosSummary]:
-    """Execute chaos specs, serially or in parallel, in spec order."""
-    specs = list(specs)
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(specs) <= 1:
-        return [execute_chaos(spec) for spec in specs]
-    return _map_ordered(execute_chaos, specs, workers)
+    shard_size = min(DEFAULT_SHARD_SIZE, -(-len(specs) // workers))
+    if sweep_dir is not None:
+        sweep_dir = sweep_subdir(sweep_dir, specs, shard_size=shard_size)
+    return run_specs_fabric(specs, workers=workers, sweep_dir=sweep_dir,
+                            shard_size=shard_size)

@@ -103,20 +103,9 @@ class RunResult:
             self.config.n_pieces * self.config.piece_size_kb,
             self.config.seeder_capacity_kbps, capacities)
 
-    @property
-    def opportunistic_fraction(self) -> float:
-        """Share of T-Chain chains initiated by leechers (0.0 when the
-        run was not T-Chain).  Mirrors
-        :attr:`repro.experiments.parallel.RunSummary.opportunistic_fraction`
-        so sweeps read the same attribute serial or parallel."""
-        state = self.tchain_state
-        if state is None:
-            return 0.0
-        return state.registry.opportunistic_fraction
-
     def summary(self, wall_time_s: float = 0.0):
         """The picklable :class:`~repro.experiments.parallel.RunSummary`
-        slice of this result (what parallel sweeps return)."""
+        slice of this result (what sweeps return)."""
         from repro.experiments.parallel import summarize_run
         return summarize_run(self, wall_time_s=wall_time_s)
 
@@ -187,14 +176,7 @@ def run_swarm(protocol: str = "tchain",
         config = build_config(protocol, file_mb=file_mb, pieces=pieces,
                               piece_size_kb=piece_size_kb, seed=seed,
                               **config_overrides)
-    if sanitize:
-        # Keep the raw value: "races" means sanitizer + RaceReporter.
-        config = config.with_overrides(
-            extra={**config.extra, "sanitize": sanitize})
-    if profile:
-        config = config.with_overrides(
-            extra={**config.extra, "profile": profile})
-    swarm = Swarm(config)
+    swarm = Swarm(config, sanitize=sanitize, profile=profile)
     if fault_plan is not None:
         from repro.faults.injector import FaultInjector
         FaultInjector(fault_plan, seed=config.seed).attach(swarm)
@@ -257,37 +239,16 @@ def run_swarm(protocol: str = "tchain",
 
 def run_many(seeds: Sequence[int], workers: Optional[int] = None,
              sweep_dir: Optional[str] = None, **kwargs) -> List:
-    """Repeat :func:`run_swarm` across seeds.
-
-    ``workers`` (or the ``REPRO_WORKERS`` environment knob when it is
-    not passed; ``0`` = one per CPU) fans the seeds out over a process
-    pool via :mod:`repro.experiments.parallel`.  Parallel execution
-    returns :class:`~repro.experiments.parallel.RunSummary` objects —
-    slim, picklable, in seed order, and bit-identical to summarizing
-    the serial results; serial execution keeps returning full
-    :class:`RunResult` objects (live swarm attached).  Both carry the
-    accessor surface the figure sweeps consume.
-
-    ``sweep_dir`` (or the ``REPRO_SWEEP_DIR`` environment knob) routes
-    the sweep through the fault-tolerant fabric
-    (:mod:`repro.experiments.fabric`): state persists in a per-matrix
-    subdirectory of that parent, worker death costs at most one shard,
-    and a killed sweep resumes with ``repro sweep --resume``.  Results
-    stay bit-identical to the plain paths.
+    """Repeat :func:`run_swarm` across seeds: one
+    :class:`~repro.experiments.parallel.RunSpec` per seed, executed by
+    :func:`~repro.experiments.parallel.run_specs` (which see for
+    ``workers`` / ``sweep_dir`` routing).  Returns one
+    :class:`~repro.experiments.parallel.RunSummary` per seed, in seed
+    order and bit-identical for any worker count.
     """
-    from repro.experiments.fabric import (resolve_sweep_dir,
-                                          run_specs_fabric,
-                                          sweep_subdir)
-    from repro.experiments.parallel import (RunSpec, resolve_workers,
-                                            run_specs)
-    sweep_dir = resolve_sweep_dir(sweep_dir)
-    if sweep_dir is None and resolve_workers(workers) <= 1:
-        return [run_swarm(seed=seed, **kwargs) for seed in seeds]
+    from repro.experiments.parallel import RunSpec, run_specs
     specs = [RunSpec.from_kwargs(seed=seed, **kwargs) for seed in seeds]
-    if sweep_dir is None:
-        return run_specs(specs, workers=workers)
-    return run_specs_fabric(specs, workers=workers,
-                            sweep_dir=sweep_subdir(sweep_dir, specs))
+    return run_specs(specs, workers=workers, sweep_dir=sweep_dir)
 
 
 def summarize_metric(results: Sequence[RunResult],

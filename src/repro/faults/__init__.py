@@ -9,8 +9,8 @@ Three pieces (see docs/FAULTS.md):
   every fault decision from a *named substream* of the run seed so an
   attached-but-idle injector reproduces the fault-free event trace
   bit-for-bit;
-* :mod:`repro.faults.harness` — :func:`run_chaos`, the chaos
-  regression harness CI runs (``repro chaos``);
+* :mod:`repro.faults.harness` — :func:`chaos_spec` / :func:`run_chaos`,
+  the chaos regression harness CI runs (``repro chaos``);
 * :mod:`repro.faults.workerkill` — :class:`WorkerKill`, seeded
   SIGKILL injection for sweep-fabric worker processes
   (``repro sweep --kill-prob``, docs/SWEEPS.md).
@@ -21,7 +21,8 @@ capped exponential backoff, the requestor plead path, donor-crash
 orphan handling.
 """
 
-from repro.faults.harness import ChaosResult, crash_schedule, run_chaos
+from repro.faults.harness import (ChaosResult, chaos_spec, crash_schedule,
+                                  run_chaos)
 from repro.faults.injector import FAULT_STREAM_LABEL, FaultInjector
 from repro.faults.plan import (FaultPlan, FaultPlanError,
                                NetworkPartition, PeerCrash)
@@ -37,6 +38,7 @@ __all__ = [
     "NetworkPartition",
     "PeerCrash",
     "WorkerKill",
+    "chaos_spec",
     "crash_schedule",
     "run_chaos",
 ]

@@ -9,6 +9,13 @@ the injected loss, delays, stalls and crashes.  CI runs it as a smoke
 job (``repro chaos``); the acceptance tests pin seeds and assert the
 recovery counters are nonzero and reproducible.
 
+A chaos case is an ordinary :class:`~repro.experiments.parallel.RunSpec`
+(:func:`chaos_spec`: T-Chain, sanitized, with a fault plan), so
+``repro chaos --seeds ...`` sweeps run through ``run_specs`` and the
+fabric like any other sweep.  :class:`ChaosResult` reads its verdict
+and report off the run's :class:`~repro.experiments.parallel.RunSummary`,
+which is all a worker process sends back.
+
 ``races=True`` runs the swarm with ``sanitize="races"``: the
 :class:`~repro.devtools.sanitizer.RaceReporter` records per-event
 field footprints inside each same-instant batch and surfaces
@@ -23,28 +30,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, PeerCrash
 
 
 @dataclass
 class ChaosResult:
-    """Outcome of one chaos run."""
+    """Outcome of one chaos run.
 
-    result: object  # repro.experiments.runner.RunResult
-    plan: FaultPlan
-    injector: FaultInjector
+    ``summary`` is the run's ``RunSummary``; ``result`` is the live
+    ``RunResult`` when the run happened in this process (``run_chaos``)
+    and ``None`` when it came back from a sweep.
+    """
+
+    summary: object  # repro.experiments.parallel.RunSummary
+    result: object = None  # repro.experiments.runner.RunResult
+
+    @property
+    def injector(self):
+        """The live :class:`~repro.faults.injector.FaultInjector`
+        (in-process runs only)."""
+        return self.result.swarm.fault_injector
 
     @property
     def counters(self):
         """The run's :class:`repro.analysis.metrics.RecoveryCounters`."""
-        return self.result.swarm.metrics.recovery
+        return self.summary.metrics.recovery
 
     @property
     def survivor_records(self) -> List:
         """Compliant-leecher records excluding crash victims."""
-        crashed = set(self.injector.crashed_ids)
-        return [r for r in self.result.metrics.by_kind("leecher")
+        crashed = set(self.summary.crashed_ids)
+        return [r for r in self.summary.metrics.by_kind("leecher")
                 if r.peer_id not in crashed]
 
     @property
@@ -59,15 +75,15 @@ class ChaosResult:
 
     def summary_rows(self) -> List[tuple]:
         """(label, value) rows for the CLI report."""
+        summary = self.summary
         counters = self.counters
         survivors = self.survivor_records
         rows = [
-            ("seed", self.result.config.seed),
+            ("seed", summary.seed),
             ("survivors finished",
              f"{self.survivors_finished}/{len(survivors)}"),
             ("crashes executed / skipped",
-             f"{len(self.injector.crashed_ids)}"
-             f" / {self.injector.crashes_skipped}"),
+             f"{len(summary.crashed_ids)} / {summary.crashes_skipped}"),
             ("control dropped / delayed",
              f"{counters.control_dropped} / {counters.control_delayed}"),
             ("upload stalls", counters.stalls),
@@ -81,41 +97,38 @@ class ChaosResult:
              f"{counters.orphaned_chains}"),
             ("sanitizer checks", self.sanitizer_checks),
         ]
-        reporter = self.race_reporter
-        if reporter is not None:
+        if summary.race_events_seen is not None:
             rows.append(("same-instant race conflicts",
-                         f"{reporter.total_conflicts}"
-                         f" ({len(reporter.conflicts)} distinct,"
-                         f" {reporter.events_seen} events watched)"))
+                         f"{summary.race_conflict_count}"
+                         f" ({len(summary.race_conflicts)} distinct,"
+                         f" {summary.race_events_seen} events watched)"))
         return rows
 
     @property
     def sanitizer_checks(self) -> int:
         """Invariant checks the sanitizer ran (0 means it was off)."""
-        sanitizer = self.result.swarm.sim.sanitizer
-        return sanitizer.checks_run if sanitizer is not None else 0
+        return self.summary.sanitizer_checks
 
     @property
     def race_reporter(self):
         """The run's :class:`~repro.devtools.sanitizer.RaceReporter`,
-        or None when the run was not started with ``races=True``.  The
-        reporter is uninstalled (classes unpatched) by the time the
-        harness returns, but keeps its recorded conflicts."""
+        or None when the run was not started with ``races=True`` or
+        did not happen in this process.  The reporter is uninstalled
+        (classes unpatched) by the time the harness returns, but keeps
+        its recorded conflicts."""
+        if self.result is None:
+            return None
         return self.result.swarm.sim.races
 
     @property
     def race_conflict_count(self) -> int:
         """Total same-instant conflicting access pairs observed."""
-        reporter = self.race_reporter
-        return reporter.total_conflicts if reporter is not None else 0
+        return self.summary.race_conflict_count
 
     @property
     def race_conflicts(self) -> List[str]:
         """Human-readable descriptions of the retained conflicts."""
-        reporter = self.race_reporter
-        if reporter is None:
-            return []
-        return [c.describe() for c in reporter.conflicts]
+        return list(self.summary.race_conflicts)
 
     @property
     def passed(self) -> bool:
@@ -136,27 +149,27 @@ def crash_schedule(count: int, first_s: float = 20.0,
             for i in range(count)]
 
 
-def run_chaos(leechers: int = 16,
-              pieces: int = 10,
-              seed: int = 0,
-              control_loss_prob: float = 0.10,
-              control_delay_prob: float = 0.10,
-              control_delay_s: float = 1.0,
-              upload_stall_prob: float = 0.02,
-              upload_stall_s: float = 5.0,
-              crashes: int = 2,
-              plan: Optional[FaultPlan] = None,
-              max_time: Optional[float] = None,
-              races: bool = False,
-              **run_kwargs) -> ChaosResult:
-    """One sanitized T-Chain swarm run under fault injection.
+def chaos_spec(leechers: int = 16,
+               pieces: int = 10,
+               seed: int = 0,
+               control_loss_prob: float = 0.10,
+               control_delay_prob: float = 0.10,
+               control_delay_s: float = 1.0,
+               upload_stall_prob: float = 0.02,
+               upload_stall_s: float = 5.0,
+               crashes: int = 2,
+               plan: Optional[FaultPlan] = None,
+               max_time: Optional[float] = None,
+               races: bool = False,
+               **run_kwargs):
+    """The ``RunSpec`` of one sanitized T-Chain chaos case.
 
     Pass ``plan`` to override the rate knobs entirely.  ``races``
     additionally attaches the runtime order-sensitivity reporter (the
     fair-exchange sanitizer stays on either way).  Extra keyword
-    arguments flow to :func:`repro.experiments.runner.run_swarm`.
+    arguments are ``run_swarm`` arguments.
     """
-    from repro.experiments.runner import run_swarm
+    from repro.experiments.parallel import RunSpec
 
     if plan is None:
         plan = FaultPlan(
@@ -166,10 +179,16 @@ def run_chaos(leechers: int = 16,
             upload_stall_prob=upload_stall_prob,
             upload_stall_s=upload_stall_s,
             crashes=tuple(crash_schedule(crashes)))
-    result = run_swarm(protocol="tchain", leechers=leechers,
-                       pieces=pieces, seed=seed,
-                       sanitize="races" if races else True,
-                       fault_plan=plan, max_time=max_time,
-                       **run_kwargs)
-    return ChaosResult(result=result, plan=plan,
-                       injector=result.swarm.fault_injector)
+    return RunSpec.from_kwargs(
+        protocol="tchain", leechers=leechers, pieces=pieces, seed=seed,
+        sanitize="races" if races else True, fault_plan=plan,
+        max_time=max_time, **run_kwargs)
+
+
+def run_chaos(**kwargs) -> ChaosResult:
+    """Run one :func:`chaos_spec` case in this process (same keyword
+    arguments), keeping the live result."""
+    from repro.experiments.runner import run_swarm
+
+    result = run_swarm(**chaos_spec(**kwargs).kwargs())
+    return ChaosResult(summary=result.summary(), result=result)

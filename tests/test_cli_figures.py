@@ -1,5 +1,7 @@
 """CLI figure/compare paths at tiny scale (fast figures only)."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -20,6 +22,15 @@ class TestFigureCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "Fig. 10(a)" in out and "Fig. 10(b)" in out
+
+    def test_figure_knobs_do_not_leak(self, capsys):
+        """``--workers`` / ``--sweep-dir`` hold for the one command:
+        an in-process caller's environment is unchanged afterwards."""
+        before = dict(os.environ)
+        code = main(["figure", "fig5", "--scale", "0.2", "--seeds", "1",
+                     "--workers", "2"])
+        assert code == 0
+        assert dict(os.environ) == before
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):

@@ -76,7 +76,9 @@ class TestTraceNeutrality:
 
     @pytest.mark.parametrize("key", [
         "columnar", "interest_index", "pool_events", "pool_messages",
-        "coalesce_timers", "coalesce_baseline"])
+        "coalesce_timers", "coalesce_baseline", "sanitize", "profile",
+        "quiet_window_s", "chain_stall_timeout_s", "key_timeout_s",
+        "control_retry_base_s", "control_retry_attempts"])
     def test_removed_extra_keys_fail_loudly(self, key):
         with pytest.raises(ValueError, match=f"unknown extra key.*{key}.*removed"):
             run_swarm(protocol="tchain", seed=3, leechers=6, pieces=5,

@@ -158,14 +158,15 @@ class TestQuietWindow:
         result = run_swarm(protocol="tchain", leechers=12, pieces=8,
                            seed=4, freerider_fraction=0.25,
                            max_time=50000.0)
+        assert result.config.quiet_window_s == 300.0
         assert result.swarm.sim.now < 50000.0
+        assert result.stop_reason == "quiescent"
 
     def test_quiet_window_disabled_runs_to_cap(self):
         result = run_swarm(protocol="tchain", leechers=12, pieces=16,
                            seed=4, freerider_fraction=0.25,
-                           max_time=2000.0,
-                           extra={"quiet_window_s": 0.0,
-                                  "chain_stall_timeout_s": 60.0})
+                           max_time=2000.0, quiet_window_s=0.0,
+                           chain_stall_timeout_s=60.0)
         # free-riders never finish a 16-piece file, and with the quiet
         # stop disabled their periodic announces keep the simulation
         # alive until the cap

@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.fabric import (
     DEFAULT_SHARD_SIZE,
+    FABRIC_VERSION,
     CheckpointError,
     ManifestError,
     SweepError,
@@ -43,14 +44,12 @@ from repro.experiments.fabric.checkpoint import (
     load_quarantine,
 )
 from repro.experiments.parallel import (
-    ChaosSpec,
     ParallelExecutionError,
     RunSpec,
-    _map_ordered,
-    run_chaos_specs,
     run_specs,
 )
-from repro.faults import WorkerKill
+from repro.faults import (FaultPlan, NetworkPartition, PeerCrash,
+                          WorkerKill, chaos_spec)
 
 #: Tiny but real runs: ~3 ms each, so even the 200-spec acceptance
 #: sweep stays cheap.
@@ -114,9 +113,17 @@ class TestCanonicalEncoding:
         assert decode_value(encode_value(spec)) == spec
 
     def test_chaos_spec_roundtrip(self):
-        spec = ChaosSpec(leechers=9, pieces=5, seed=3, crashes=1,
-                         max_time=200.0, races=True)
+        plan = FaultPlan(control_loss_prob=0.05,
+                         crashes=(PeerCrash(at_s=20.0),
+                                  PeerCrash(at_s=45.0, peer_id="L3")),
+                         partitions=(NetworkPartition(
+                             at_s=10.0, groups=(("dc2",),),
+                             heal_s=30.0),))
+        spec = RunSpec(leechers=9, pieces=5, seed=3, max_time=200.0,
+                       sanitize="races", fault_plan=plan)
         assert decode_value(encode_value(spec)) == spec
+        assert spec_digest(spec) != spec_digest(
+            replace(spec, fault_plan=replace(plan, crashes=())))
 
     def test_containers_roundtrip(self):
         value = {"a": (1, 2.5, None), "b": [True, "x"], "c": {"d": ()}}
@@ -185,7 +192,7 @@ class TestManifest:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text.replace('"fabric_version": 1',
+            fh.write(text.replace(f'"fabric_version": {FABRIC_VERSION}',
                                   '"fabric_version": 99'))
         with pytest.raises(ManifestError, match="fabric_version"):
             load_manifest(str(tmp_path))
@@ -412,11 +419,15 @@ class TestBitIdentical:
                                   sweep_dir=str(tmp_path), shard_size=2)
         assert fabric == run_specs(specs, workers=1)
 
-    def test_chaos_specs_flow_through_fabric(self):
-        specs = [ChaosSpec(leechers=8, pieces=6, seed=seed, crashes=1,
-                           max_time=400.0) for seed in (0, 1)]
-        assert run_specs_fabric(specs, workers=2, shard_size=1) \
-            == run_chaos_specs(specs, workers=1)
+    def test_chaos_specs_flow_through_fabric(self, tmp_path):
+        specs = [chaos_spec(leechers=8, pieces=6, seed=seed, crashes=1,
+                            max_time=400.0, races=seed == 1)
+                 for seed in (0, 1)]
+        fabric = run_specs_fabric(specs, workers=2, shard_size=1,
+                                  sweep_dir=str(tmp_path))
+        assert fabric == run_specs(specs, workers=1)
+        assert load_manifest(str(tmp_path)).specs == specs
+        assert fabric[1].race_events_seen
 
     def test_merge_loads_from_checkpoints(self, tmp_path):
         # Complete a sweep, then resume with nothing pending: every
@@ -535,6 +546,18 @@ class TestKillResume:
             run_specs_fabric(_specs(6), workers=1, resume=True,
                              sweep_dir=str(tmp_path))
 
+    def test_temp_dir_sweep_offers_no_resume(self, monkeypatch):
+        # The temp directory is gone by the time the error surfaces, so
+        # the message must not point at it.
+        from repro.experiments.fabric import ENV_SWEEP_DIR
+        monkeypatch.delenv(ENV_SWEEP_DIR, raising=False)
+        kill = WorkerKill(prob=1.0, seed=13, shard_indices=(0,))
+        with pytest.raises(SweepIncomplete) as info:
+            run_specs_fabric(_specs(4), workers=2, shard_size=2,
+                             retry_budget=0, worker_kill=kill)
+        assert info.value.sweep_dir is None
+        assert "--resume" not in str(info.value)
+
     def test_resume_needs_a_directory(self):
         with pytest.raises(SweepError, match="resume"):
             run_specs_fabric(resume=True)
@@ -572,7 +595,7 @@ class TestAcceptanceSweep:
 
 
 # ----------------------------------------------------------------------
-# Satellites: from_kwargs purity, in-flight attribution, CLI
+# Satellites: from_kwargs purity, CLI
 # ----------------------------------------------------------------------
 class TestFromKwargsPurity:
     def test_error_path_keeps_kwargs_intact(self):
@@ -601,23 +624,6 @@ class TestFromKwargsPurity:
         assert [s.seed for s in specs] == [0, 1, 2]
         assert kwargs == dict(protocol="tchain", leechers=4,
                               config=None)
-
-
-def _die_task(_item):
-    os._exit(13)
-
-
-class TestInFlightAttribution:
-    def test_broken_pool_error_names_candidates(self):
-        items = ["item-a", "item-b"]
-        with pytest.raises(ParallelExecutionError) as info:
-            _map_ordered(_die_task, items, 2)
-        error = info.value
-        assert hasattr(error, "in_flight")
-        assert error.in_flight
-        assert all(flight in ("'item-a'", "'item-b'")
-                   for flight in error.in_flight)
-        assert "in flight" in str(error)
 
 
 class TestCLI:

@@ -2,8 +2,8 @@
 
 The contract under test (docs/PERF.md): a sweep executed through
 ``run_specs`` is **bit-identical** to the serial comprehension — same
-results, in spec order, for any worker count — and a dead worker
-surfaces as a clear error instead of a hang.
+results, in spec order, for any worker count (worker death and retries
+are the fabric's, tests/test_fabric.py).
 """
 
 import os
@@ -15,30 +15,18 @@ import pytest
 
 from repro.experiments.parallel import (
     ENV_WORKERS,
-    ChaosSpec,
     ParallelExecutionError,
     RunSpec,
     RunSummary,
-    _map_ordered,
     execute_spec,
     resolve_workers,
-    run_chaos_specs,
     run_specs,
 )
 from repro.experiments.runner import run_many, run_swarm
+from repro.faults import chaos_spec
 
 SPEC = RunSpec(protocol="tchain", leechers=10, pieces=6,
                freerider_fraction=0.2)
-
-
-def _die(_x):
-    """Worker-crash stand-in: kills the process, bypassing Python
-    exception handling entirely (module-level so it pickles)."""
-    os._exit(13)
-
-
-def _boom(_x):
-    raise ValueError("ordinary exception, not a dead worker")
 
 
 class TestResolveWorkers:
@@ -78,7 +66,7 @@ class TestRunSpec:
         assert kwargs["real_crypto"] is True
 
     def test_unspecable_arguments_rejected(self):
-        for name in ("setup", "config", "fault_plan"):
+        for name in ("setup", "config"):
             with pytest.raises(ParallelExecutionError):
                 RunSpec.from_kwargs(**{name: object()})
 
@@ -132,11 +120,53 @@ class TestBitIdentical:
         assert loaded.stop_reason is None
         assert replace(loaded, stop_reason="quiescent") == summary
 
+    def test_summary_pickled_before_fault_fields_still_loads(self):
+        """The same for the fault and sanitizer facts: a checkpoint
+        written before they existed loads with their defaults."""
+        summary = execute_spec(SPEC)
+        old = pickle.loads(pickle.dumps(summary))
+        new_fields = ("crashed_ids", "crashes_skipped",
+                      "sanitizer_checks", "race_events_seen",
+                      "race_conflict_count", "race_conflicts")
+        for name in new_fields:
+            del old.__dict__[name]
+        loaded = pickle.loads(pickle.dumps(old))
+        assert [getattr(loaded, name) for name in new_fields] \
+            == [(), 0, 0, None, 0, ()]
+        assert loaded == summary
+
     def test_run_many_parallel_matches_serial(self):
         kwargs = dict(protocol="tchain", leechers=8, pieces=6)
-        serial = run_many(range(2), **kwargs)
+        serial = run_many(range(2), workers=1, **kwargs)
         parallel = run_many(range(2), workers=2, **kwargs)
-        assert [r.summary() for r in serial] == parallel
+        assert all(isinstance(r, RunSummary) for r in serial + parallel)
+        assert serial == parallel
+
+    def test_small_sweep_gives_every_worker_a_shard(self, monkeypatch):
+        """The supervisor hands out whole shards: a sweep smaller than
+        the default shard size must still run on every worker."""
+        from repro.experiments.fabric import sweep
+        seen = []
+
+        class Recording(sweep.SweepSupervisor):
+            def run(self):
+                outcome = super().run()
+                seen.append((self.workers, outcome.stats.executed))
+                return outcome
+
+        monkeypatch.setattr(sweep, "SweepSupervisor", Recording)
+        run_many(range(4), workers=2, protocol="tchain", leechers=8,
+                 pieces=6)
+        assert seen == [(2, 2)]
+
+    def test_single_spec_runs_in_process(self, monkeypatch):
+        from repro.experiments import fabric
+
+        def no_fabric(*args, **kwargs):
+            raise AssertionError("one spec needs no pool")
+
+        monkeypatch.setattr(fabric, "run_specs_fabric", no_fabric)
+        assert run_specs([SPEC], workers=2) == [execute_spec(SPEC)]
 
     def test_wall_time_excluded_from_equality(self):
         summary = execute_spec(SPEC)
@@ -144,25 +174,15 @@ class TestBitIdentical:
         assert summary == slower
 
 
-class TestWorkerDeath:
-    def test_dead_worker_raises_clear_error(self):
-        with pytest.raises(ParallelExecutionError,
-                           match="worker process died"):
-            _map_ordered(_die, [1, 2], 2)
-
-    def test_ordinary_exception_propagates_as_itself(self):
-        with pytest.raises(ValueError, match="ordinary exception"):
-            _map_ordered(_boom, [1, 2], 2)
-
-
 class TestChaosSweep:
     def test_chaos_parallel_matches_serial(self):
-        specs = [ChaosSpec(leechers=8, pieces=6, seed=seed, crashes=1,
-                           max_time=400.0) for seed in (0, 1)]
-        serial = run_chaos_specs(specs, workers=1)
-        parallel = run_chaos_specs(specs, workers=2)
+        specs = [chaos_spec(leechers=8, pieces=6, seed=seed, crashes=1,
+                            max_time=400.0) for seed in (0, 1)]
+        serial = run_specs(specs, workers=1)
+        parallel = run_specs(specs, workers=2)
         assert serial == parallel
         assert [c.seed for c in serial] == [0, 1]
+        assert all(c.crashed_ids and c.sanitizer_checks for c in serial)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,

@@ -306,7 +306,12 @@ class TestSL008AdHocParallelism:
         assert rules_of("""
             from concurrent.futures import ProcessPoolExecutor
             import multiprocessing
-        """, path="src/repro/experiments/parallel.py") == []
+        """, path="src/repro/experiments/fabric/supervisor.py") == []
+
+    def test_parallel_module_no_longer_exempt(self):
+        assert rules_of(
+            "from concurrent.futures import ProcessPoolExecutor\n",
+            path="src/repro/experiments/parallel.py") == ["SL008"]
 
     def test_other_parallel_named_file_not_exempt(self):
         assert rules_of(

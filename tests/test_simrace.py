@@ -434,10 +434,12 @@ class TestChaosIntegration:
         assert "same-instant race conflicts" not in labels
 
     def test_chaos_spec_roundtrips_races_flag(self):
-        from repro.experiments.parallel import (ChaosSpec,
-                                                execute_chaos)
-        summary = execute_chaos(ChaosSpec(leechers=6, pieces=4, seed=3,
-                                          crashes=1, races=True))
-        assert summary.race_conflicts > 0
-        assert summary.race_descriptions
+        from repro.experiments.parallel import execute_spec
+        from repro.faults.harness import chaos_spec
+        spec = chaos_spec(leechers=6, pieces=4, seed=3, crashes=1,
+                          races=True)
+        assert spec.sanitize == "races"
+        summary = execute_spec(spec)
+        assert summary.race_conflict_count > 0
+        assert summary.race_conflicts
         assert not sanitizer_mod._PATCHED

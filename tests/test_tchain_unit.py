@@ -16,10 +16,11 @@ from repro.core.policy import ReciprocityKind
 from repro.core.transaction import TransactionState
 
 
-def tchain_swarm(n_pieces=8, seed=1, with_seeder=True, **overrides):
+def tchain_swarm(n_pieces=8, seed=1, with_seeder=True, sanitize=False,
+                 **overrides):
     overrides.setdefault("n_pieces", n_pieces)
     config = SwarmConfig(seed=seed, **overrides)
-    swarm = Swarm(config)
+    swarm = Swarm(config, sanitize=sanitize)
     seeder = None
     if with_seeder:
         seeder = TChainSeeder(swarm)
@@ -209,6 +210,16 @@ class TestBackoffMechanics:
             seeder.note_exchange_written_off("X")
         cap = _TChainNode.MAX_BACKOFF_FACTOR * stall
         assert seeder._banned_until["X"] - swarm.sim.now == cap
+
+    def test_watchdogs_read_typed_config_fields(self):
+        swarm, _ = tchain_swarm(chain_stall_timeout_s=40.0,
+                                key_timeout_s=1.0,
+                                control_retry_base_s=0.5,
+                                control_retry_attempts=5)
+        state = TChainState.of(swarm)
+        assert (state.stall_timeout_s, state.key_timeout_s,
+                state.retry_base_s, state.retry_attempts) \
+            == (40.0, 1.0, 0.5, 5)
 
     def test_report_clears_strikes(self):
         swarm, seeder = tchain_swarm()
@@ -435,7 +446,7 @@ class TestUnderflowClassification:
         return swarm, add_leecher(swarm), add_leecher(swarm)
 
     def test_confirm_after_forget_is_benign(self):
-        swarm, donor, neighbor = self._pair(extra={"sanitize": True})
+        swarm, donor, neighbor = self._pair(sanitize=True)
         sanitizer = swarm.sim.sanitizer
         donor.flow.on_piece_sent(neighbor.id)
         neighbor.leave()  # disconnect -> donor.flow.forget(neighbor.id)
@@ -448,7 +459,7 @@ class TestUnderflowClassification:
 
     def test_confirm_without_forget_escalates(self):
         from repro.devtools.sanitizer import SanitizerError
-        swarm, donor, neighbor = self._pair(extra={"sanitize": True})
+        swarm, donor, neighbor = self._pair(sanitize=True)
         with pytest.raises(SanitizerError, match="never forgotten"):
             donor.flow.on_reciprocation_confirmed(neighbor.id)
 

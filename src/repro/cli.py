@@ -506,13 +506,11 @@ def cmd_lint(args) -> int:
         timings = stats.get("timings", {})
         shown = ", ".join(
             f"{name[:-2]} {timings[name]:.3f}s"
-            for name in ("files_s", "index_s", "taint_s", "races_s",
+            for name in ("index_s", "files_s", "taint_s", "races_s",
                          "simheat_s") if name in timings)
-        cached = ", ".join(
-            name for name in ("taint", "races", "simheat")
-            if stats.get(f"{name}_reused"))
         print(f"simlint --deep: {stats['files']} files; {shown}; "
-              f"cached: {cached or 'none (cold run)'}",
+              f"cached: {stats['files_reused']} files, project "
+              f"{'hit' if stats['project_reused'] else 'miss'}",
               file=sys.stderr)
     else:
         findings = []

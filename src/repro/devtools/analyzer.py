@@ -130,25 +130,28 @@ def lint_source(source: str, path: str = "<string>",
     its own findings through the same index before asking it for
     unused-suppression diagnostics).
     """
-    raw = raw_findings(source, path, enabled)
-    if raw and raw[0].rule == "SL000":
-        return raw
-    if suppressions is None:
-        suppressions = SuppressionIndex(path, source.splitlines())
-    return suppressions.filter(raw)
-
-
-def raw_findings(source: str, path: str = "<string>",
-                 enabled: Optional[Iterable[str]] = None
-                 ) -> List[Finding]:
-    """Per-file rule findings with *no* suppression filtering."""
-    rule_ids = sorted(enabled) if enabled is not None else sorted(RULES)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [Finding(rule="SL000", path=path,
-                        line=exc.lineno or 1, col=(exc.offset or 0) + 1,
-                        message=f"syntax error: {exc.msg}")]
+        return [syntax_error_finding(path, exc)]
+    if suppressions is None:
+        suppressions = SuppressionIndex(path, source.splitlines())
+    return suppressions.filter(raw_findings(path, source, tree, enabled))
+
+
+def syntax_error_finding(path: str, exc: SyntaxError) -> Finding:
+    """The ``SL000`` finding for a file that does not parse."""
+    return Finding(rule="SL000", path=path, line=exc.lineno or 1,
+                   col=(exc.offset or 0) + 1,
+                   message=f"syntax error: {exc.msg}")
+
+
+def raw_findings(path: str, source: str, tree: ast.Module,
+                 enabled: Optional[Iterable[str]] = None
+                 ) -> List[Finding]:
+    """Per-file rule findings for one parsed file, with *no*
+    suppression filtering."""
+    rule_ids = sorted(enabled) if enabled is not None else sorted(RULES)
     ctx = FileContext(path, source, tree)
     findings: Set[Finding] = set()
     for rule_id in rule_ids:

@@ -5,9 +5,10 @@ lifecycle at *runtime* — ``release_key`` raises unless a reception
 report arrived first.  That guard fires deep inside a simulation, long
 after the handler bug that drove the illegal edge.  This checker moves
 the contract to lint time: a **declarative spec** of the lifecycle
-(:data:`EXCHANGE_SPEC`, mirroring ``_VALID_TRANSITIONS`` in
-:mod:`repro.core.transaction` — a test asserts they agree) plus a
-symbolic walk of every handler that tracks, per transaction variable,
+(:data:`EXCHANGE_SPEC`, whose states and legal edges are *read from*
+:class:`repro.core.transaction.TransactionState` and its
+``successors``, so spec and runtime cannot drift) plus a symbolic
+walk of every handler that tracks, per transaction variable,
 the set of states it can be in:
 
 * ``tx = ledger.get(i)`` / ``prev = ledger.mark_delivered(i, now)``
@@ -39,25 +40,27 @@ inside protocol driver code (paths containing ``protocols`` or
 provable-contradiction rule SL112 applies, and operations inside a
 ``pytest.raises(...)`` block are exempt (tests deliberately drive
 illegal edges).  The ledger/transaction implementation itself is
-excluded — it *is* the runtime contract being mirrored.
+excluded — it *is* the runtime contract the spec is read from.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+
+from repro.core.transaction import TransactionState
 
 from .rules import Finding, dotted_name
 
 # ----------------------------------------------------------------------
 # The declarative spec
 # ----------------------------------------------------------------------
-STATES = ("CREATED", "DELIVERED", "RECIPROCATED", "REPORTED",
-          "COMPLETED", "ABORTED")
+STATES = tuple(state.name for state in TransactionState)
 
-_OPEN_STATES = frozenset(("CREATED", "DELIVERED", "RECIPROCATED",
-                          "REPORTED"))
+#: States with a way out: the ones an open transaction can be in.
+_OPEN_STATES = frozenset(state.name for state in TransactionState
+                         if state.successors)
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,7 @@ class ProtocolSpec:
     """A protocol lifecycle: states, legal edges, operation contracts."""
 
     states: Tuple[str, ...]
-    #: state → states reachable in one step (mirror of the runtime
-    #: ``_VALID_TRANSITIONS`` table; test-asserted to agree)
+    #: state → states reachable in one step
     transitions: Dict[str, Tuple[str, ...]]
     ops: Dict[str, OpSpec]
     #: receiver attribute naming the ledger in driver code
@@ -112,17 +114,8 @@ class ProtocolSpec:
 
 EXCHANGE_SPEC = ProtocolSpec(
     states=STATES,
-    transitions={
-        "CREATED": ("DELIVERED", "ABORTED"),
-        "DELIVERED": ("RECIPROCATED", "REPORTED",   # false report
-                      "COMPLETED",                  # unencrypted
-                      "ABORTED"),
-        "RECIPROCATED": ("REPORTED", "DELIVERED",   # reopen
-                         "ABORTED"),
-        "REPORTED": ("COMPLETED", "ABORTED"),
-        "COMPLETED": (),
-        "ABORTED": (),
-    },
+    transitions={state.name: tuple(s.name for s in state.successors)
+                 for state in TransactionState},
     ops={
         "get": OpSpec(binds_arg=True),
         "create_transaction": OpSpec(returns_states=("CREATED",),
@@ -593,11 +586,3 @@ def check_file(path: str, tree: ast.Module,
                spec: ProtocolSpec = EXCHANGE_SPEC) -> List[Finding]:
     """All SL110–SL112 findings for one parsed file."""
     return ProtocolChecker(spec, path, tree).run()
-
-
-def run_protocol(index) -> List[Finding]:
-    """All SL110–SL112 findings for an indexed project."""
-    findings: List[Finding] = []
-    for path, tree in sorted(index.trees.items()):
-        findings.extend(check_file(path, tree))
-    return findings

@@ -19,10 +19,9 @@ import textwrap
 
 from repro.cli import main
 from repro.devtools import output as lint_output
-from repro.devtools.callgraph import ProjectIndex
+from repro.devtools.callgraph import ProjectIndex, render_chain
 from repro.devtools.allocsum import run_simheat
-from repro.devtools.hotpath import (FREQ_EVENT, FREQ_ROUND,
-                                    infer_hot_regions, render_chain)
+from repro.devtools.hotpath import FREQ_EVENT, FREQ_ROUND, infer_hot_regions
 from repro.devtools.rules import Finding
 from repro.sim.engine import POOL_MAX, Simulator, SimulatorError
 
@@ -304,8 +303,8 @@ class TestDeepSimheatCache:
         cache = str(tmp_path / "cache.json")
         cold = run_deep([str(mod)], cache_path=cache)
         warm = run_deep([str(mod)], cache_path=cache)
-        assert cold.stats["simheat_reused"] is False
-        assert warm.stats["simheat_reused"] is True
+        assert cold.stats["project_reused"] is False
+        assert warm.stats["project_reused"] is True
         assert warm.findings == cold.findings
         assert any(f.rule == "SL301" for f in warm.findings)
 
@@ -317,7 +316,7 @@ class TestDeepSimheatCache:
         run_deep([str(mod)], cache_path=cache)
         mod.write_text(self.HOT.replace('f"piece {msg.index}"', '""'))
         fixed = run_deep([str(mod)], cache_path=cache)
-        assert fixed.stats["simheat_reused"] is False
+        assert fixed.stats["project_reused"] is False
         assert [f.rule for f in fixed.findings] == []
 
     def test_stats_carry_per_pass_timings(self, tmp_path):

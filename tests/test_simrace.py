@@ -15,9 +15,8 @@ import os
 import textwrap
 
 from repro.devtools import sanitizer as sanitizer_mod
-from repro.devtools.callgraph import ProjectIndex
-from repro.devtools.effects import (Effect, fields_match, infer_effects,
-                                    render_chain)
+from repro.devtools.callgraph import ProjectIndex, render_chain
+from repro.devtools.effects import Effect, fields_match, infer_effects
 from repro.devtools.races import run_races
 from repro.devtools.sanitizer import RaceReporter
 from repro.sim.engine import Simulator, SimulatorError

@@ -68,15 +68,6 @@ class SwarmConfig:
     #: idle requestor marks its chain terminated (Figs. 10/11
     #: bookkeeping; flow control alone starves the free-rider).
     chain_stall_timeout_s: float = 300.0
-    #: T-Chain: seconds a requestor waits for a key after
-    #: reciprocating before it discards the sealed piece and re-fetches
-    #: it elsewhere, so one swallowed report cannot wedge a piece.
-    key_timeout_s: float = 60.0
-    #: T-Chain: retransmission of unacknowledged reports and keys,
-    #: ``base * 2**(attempt-1)`` seconds apart (capped at
-    #: ``tchain.CONTROL_RETRY_CAP_S``), at most ``attempts`` times.
-    control_retry_base_s: float = 2.0
-    control_retry_attempts: int = 2
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -86,12 +86,26 @@ if TYPE_CHECKING:  # pragma: no cover
 #: no other inbound events would sit on a fulfillable obligation.
 OBLIGATION_RETRY_S = 2.0
 
-#: Cap on the control retransmission backoff (base and attempt count
-#: are ``SwarmConfig.control_retry_base_s`` / ``_attempts``).  Retry
-#: timers are scheduled *unconditionally* and no-op against shared
-#: ledger state, so a fault-free run fires exactly the same timers as
-#: a faulty one — the determinism contract survives.
+#: Seconds a requestor waits for a key after reciprocating before it
+#: pleads to the donor (the reception report or the key was
+#: swallowed), so one lost control message cannot wedge a piece.
+KEY_TIMEOUT_S = 60.0
+
+#: Retransmission of unacknowledged reports and keys:
+#: ``CONTROL_RETRY_BASE_S * 2**(attempt-1)`` seconds apart, capped at
+#: ``CONTROL_RETRY_CAP_S``, at most ``CONTROL_RETRY_ATTEMPTS`` times.
+#: Retry timers are scheduled *unconditionally* and no-op against
+#: shared ledger state, so a fault-free run fires exactly the same
+#: timers as a faulty one — the determinism contract survives.
+CONTROL_RETRY_BASE_S = 2.0
+CONTROL_RETRY_ATTEMPTS = 2
 CONTROL_RETRY_CAP_S = 16.0
+
+
+def _retry_delay(attempt: int) -> float:
+    """Backoff before retransmission ``attempt`` (1-based)."""
+    return min(CONTROL_RETRY_BASE_S * (2.0 ** (attempt - 1)),
+               CONTROL_RETRY_CAP_S)
 
 
 class TChainState:
@@ -113,9 +127,6 @@ class TChainState:
         self.handover: Set[int] = set()
         self.colluders: Set[str] = set()
         self.stall_timeout_s = config.chain_stall_timeout_s
-        self.key_timeout_s = config.key_timeout_s
-        self.retry_base_s = config.control_retry_base_s
-        self.retry_attempts = config.control_retry_attempts
         self._sampler = PeriodicTask(
             swarm.sim, config.chain_sample_interval_s,
             lambda: self.registry.sample(swarm.sim.now), first_delay=0.0)
@@ -132,11 +143,6 @@ class TChainState:
     def are_colluders(self, a: str, b: str) -> bool:
         """Are both peers in the colluder set?"""
         return a in self.colluders and b in self.colluders
-
-    def retry_delay(self, attempt: int) -> float:
-        """Backoff before retransmission ``attempt`` (1-based)."""
-        return min(self.retry_base_s * (2.0 ** (attempt - 1)),
-                   CONTROL_RETRY_CAP_S)
 
 
 class _TChainNode(Peer):
@@ -485,9 +491,9 @@ class _TChainNode(Peer):
     # Recovery: key retransmission and the plead path (docs/FAULTS.md)
     # ------------------------------------------------------------------
     def _arm_key_retry(self, transaction_id: int, attempt: int) -> None:
-        if attempt > self.state.retry_attempts:
+        if attempt > CONTROL_RETRY_ATTEMPTS:
             return
-        self.sim.schedule(self.state.retry_delay(attempt),
+        self.sim.schedule(_retry_delay(attempt),
                           self._key_retry, transaction_id, attempt)
 
     def _key_retry(self, transaction_id: int, attempt: int) -> None:
@@ -991,10 +997,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         if prev is not None:
             self._report_as_payee(prev)
         self.obligations.append(msg.transaction_id)
-        if self.state.key_timeout_s:
-            self.sim.schedule(self.state.key_timeout_s,
-                              self._check_key_timeout,
-                              msg.transaction_id)
+        self.sim.schedule(KEY_TIMEOUT_S, self._check_key_timeout,
+                          msg.transaction_id)
         self._maybe_collude(msg)
 
     def _on_plain_piece(self, msg: PlainPieceMessage) -> None:
@@ -1036,8 +1040,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             return
         else:
             return  # donor gone, no handover: the plead path cleans up
-        if attempt <= self.state.retry_attempts:
-            self.sim.schedule(self.state.retry_delay(attempt),
+        if attempt <= CONTROL_RETRY_ATTEMPTS:
+            self.sim.schedule(_retry_delay(attempt),
                               self._send_report, transaction_id,
                               attempt + 1)
 
@@ -1056,8 +1060,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             self._arm_key_retry(transaction_id, 1)
 
     def _rearm_key_timeout(self, transaction_id: int) -> None:
-        self.sim.schedule(self.state.key_timeout_s,
-                          self._check_key_timeout, transaction_id)
+        self.sim.schedule(KEY_TIMEOUT_S, self._check_key_timeout,
+                          transaction_id)
 
     def _check_key_timeout(self, transaction_id: int) -> None:
         """We hold a sealed piece long past reciprocating and no key

@@ -21,9 +21,6 @@ SL008     multiprocessing/ProcessPoolExecutor outside the one
 SL009     stale ``# simlint: disable=...`` comment that no longer
           suppresses any finding (warning; see
           ``--strict-suppressions``)
-SL010     ad-hoc ``book.wanted() & ...`` interest intersection or
-          ``mask_to_set(...)`` inside ``bt/protocols/`` (set
-          materialization where a mask AND answers)
 SL011     ad-hoc checkpoint/manifest/state-file writes under
           ``experiments/`` outside the ``fabric/`` package (bypasses
           atomic, verified sweep persistence)
@@ -58,7 +55,7 @@ SL203     simrace: periodic handler provably unsafe to coalesce
 SL301     simheat: allocation in a per-event hot path (each event
           pays it; the per-event garbage bill at 10^5 peers)
 SL302     simheat: O(peers)/O(pieces)-scale copy or rescan in a
-          per-event region (interprocedural SL010/SL012)
+          per-event region (interprocedural counterpart of SL012)
 SL303     simheat: closure/partial created per event — the code
           object is constant, hoist it to setup
 SL304     simheat: per-event construction of a poolable type for
@@ -727,63 +724,6 @@ class AdHocParallelismRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# SL010 — set-level interest scans inside protocol code
-# ----------------------------------------------------------------------
-@register
-class AdHocInterestScanRule(Rule):
-    """SL010: protocol code reads interest off the bitmask books.
-
-    *"Does W want something H holds"* is ``W.book.wmask &
-    H.book.cmask`` — one integer AND — and the neighbourhood form is
-    ``swarm.columnar.wanters(peer, offer_mask)``.  A hand-rolled
-    ``holder.completed & wanter.wanted()`` inside ``bt/protocols/``
-    materializes two fresh O(pieces) sets per call on the hottest
-    paths to compute the same answer.  The rule flags, in files under
-    ``bt/protocols/``, any ``&`` expression with a ``.wanted()`` call
-    on either side and any ``mask_to_set(...)`` call.
-    """
-
-    id = "SL010"
-    name = "adhoc-interest-scan"
-    description = ("`book.wanted() & ...` / `mask_to_set(...)` set "
-                   "materialization inside bt/protocols/; AND the "
-                   "book masks (`wmask & cmask`) instead")
-
-    @staticmethod
-    def _in_protocols_package(path: str) -> bool:
-        parts = path.replace("\\", "/").split("/")
-        return "protocols" in parts[:-1] and "bt" in parts[:-1]
-
-    @staticmethod
-    def _is_wanted_call(node: ast.AST) -> bool:
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "wanted")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not self._in_protocols_package(ctx.path):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.BinOp) \
-                    and isinstance(node.op, ast.BitAnd) \
-                    and (self._is_wanted_call(node.left)
-                         or self._is_wanted_call(node.right)):
-                yield ctx.finding(
-                    self, node,
-                    "ad-hoc `.wanted() & ...` interest intersection in "
-                    "protocol code; AND the book masks (`wmask & "
-                    "cmask`) or use `swarm.columnar.wanters`")
-            elif isinstance(node, ast.Call) \
-                    and (dotted_name(node.func) or "").rpartition(
-                        ".")[2] == "mask_to_set":
-                yield ctx.finding(
-                    self, node,
-                    "`mask_to_set(...)` materializes a piece set in "
-                    "protocol code; test or walk the mask itself "
-                    "(`mask & bit`, `mask_bits`)")
-
-
-# ----------------------------------------------------------------------
 # SL011 — ad-hoc sweep-state writes outside the fabric choke point
 # ----------------------------------------------------------------------
 @register
@@ -1234,8 +1174,8 @@ class HeatSwarmScaleAllocationRule(MetaRule):
     """SL302: an O(peers)/O(pieces)-scale copy, comprehension or
     slicing executes in a per-event region.
 
-    The interprocedural generalization of the file-local SL010/SL012
-    rescan rules: the allocation's *size* grows with the swarm, so
+    The interprocedural counterpart of the file-local SL012 rescan
+    rule: the allocation's *size* grows with the swarm, so
     per-event cost is O(N) where the engine budget is O(1).  Emitted
     by the simheat pass of ``repro lint --deep``.
     """

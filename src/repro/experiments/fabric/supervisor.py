@@ -11,8 +11,8 @@ at its workers:
 * **flaky shards** — an exception from a shard re-queues it with
   capped exponential backoff (the same ``base * 2**(attempt-1)``
   shape as the T-Chain control retransmits,
-  ``SwarmConfig.control_retry_base_s``), up to a bounded per-shard
-  retry budget;
+  ``repro.bt.protocols.tchain.CONTROL_RETRY_BASE_S``), up to a bounded
+  per-shard retry budget;
 * **poison shards** — a shard that exhausts its budget is recorded
   under ``quarantine/`` with its last exception and *skipped*, so one
   bad spec can never wedge a 10k-run sweep;
@@ -54,8 +54,8 @@ from repro.experiments.parallel import (
 )
 
 #: Retry backoff shape, mirroring the T-Chain control retransmits
-#: (``SwarmConfig.control_retry_base_s``, capped at
-#: ``repro.bt.protocols.tchain.CONTROL_RETRY_CAP_S``):
+#: (``repro.bt.protocols.tchain.CONTROL_RETRY_BASE_S``, capped at
+#: ``CONTROL_RETRY_CAP_S``):
 #: ``base * 2**(attempt-1)`` seconds, capped.  Sweep shards are cheap
 #: to retry, so the base is small.
 SHARD_RETRY_BASE_S = 0.1

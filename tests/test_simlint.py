@@ -339,60 +339,6 @@ class TestSL008AdHocParallelism:
         assert [f for f in findings if f.rule == "SL008"] == []
 
 
-class TestSL010AdHocInterestScan:
-    def test_wanted_intersection_in_protocols_flagged(self):
-        assert rules_of("""
-            def serve(self, peer):
-                return peer.book.wanted() & self.book.completed
-        """, path="src/repro/bt/protocols/tchain.py") == ["SL010"]
-
-    def test_right_operand_also_flagged(self):
-        assert rules_of("""
-            def serve(self, peer):
-                return self.book.completed & peer.book.wanted()
-        """, path="src/repro/bt/protocols/base.py") == ["SL010"]
-
-    def test_outside_protocols_clean(self):
-        snippet = """
-            def overlap(holder, wanter):
-                return holder.book.completed & wanter.book.wanted()
-        """
-        assert rules_of(snippet, path="src/repro/bt/columnar.py") == []
-        assert rules_of(snippet, path="src/repro/bt/peer.py") == []
-
-    def test_non_wanted_intersections_clean(self):
-        assert rules_of("""
-            def serve(self, peer, my_wanted):
-                return my_wanted & peer.book.completed
-        """, path="src/repro/bt/protocols/tchain.py") == []
-
-    def test_wanted_membership_clean(self):
-        assert rules_of("""
-            def serve(self, peer, piece):
-                return piece in peer.book.wanted()
-        """, path="src/repro/bt/protocols/tchain.py") == []
-
-    def test_mask_to_set_in_protocols_flagged(self):
-        snippet = """
-            from repro.bt.torrent import mask_to_set
-
-            def serve(self, peer):
-                return mask_to_set(peer.book.wmask & self.book.cmask)
-        """
-        assert rules_of(
-            snippet, path="src/repro/bt/protocols/tchain.py") == ["SL010"]
-        assert rules_of(snippet, path="src/repro/bt/torrent.py") == []
-
-    def test_real_protocols_package_is_clean(self):
-        import glob
-        package = os.path.join(os.path.dirname(__file__), "..",
-                               "src", "repro", "bt", "protocols")
-        paths = sorted(glob.glob(os.path.join(package, "*.py")))
-        assert paths
-        findings = lint_paths(paths)
-        assert [f for f in findings if f.rule == "SL010"] == []
-
-
 class TestSL011AdHocSweepState:
     def test_open_write_flagged(self):
         assert rules_of("""

@@ -212,14 +212,15 @@ class TestBackoffMechanics:
         assert seeder._banned_until["X"] - swarm.sim.now == cap
 
     def test_watchdogs_read_typed_config_fields(self):
-        swarm, _ = tchain_swarm(chain_stall_timeout_s=40.0,
-                                key_timeout_s=1.0,
-                                control_retry_base_s=0.5,
-                                control_retry_attempts=5)
-        state = TChainState.of(swarm)
-        assert (state.stall_timeout_s, state.key_timeout_s,
-                state.retry_base_s, state.retry_attempts) \
-            == (40.0, 1.0, 0.5, 5)
+        swarm, seeder = tchain_swarm(chain_stall_timeout_s=40.0,
+                                     quiet_window_s=25.0)
+        seeder.note_exchange_written_off("X")
+        assert seeder._banned_until["X"] - swarm.sim.now == 40.0
+        # Only the seeder's 10 s rescan ticks are left: the run is
+        # quiet once the next tick lies beyond the 25 s window.
+        swarm.run(max_time=1000.0, stop_when_drained=False)
+        assert swarm.stop_reason == "quiescent"
+        assert swarm.sim.now < 25.0
 
     def test_report_clears_strikes(self):
         swarm, seeder = tchain_swarm()

@@ -10,7 +10,8 @@ from repro.analysis.persist import (
     save_run_json,
 )
 from repro.analysis.reporting import format_series, format_table
-from repro.analysis.stats import confidence_interval_95, mean, summarize
+from repro.analysis.stats import (confidence_interval_95, km_median, mean,
+                                  summarize)
 
 __all__ = [
     "ChainStats",
@@ -20,6 +21,7 @@ __all__ = [
     "confidence_interval_95",
     "format_series",
     "format_table",
+    "km_median",
     "line_plot",
     "load_run_json",
     "mean",

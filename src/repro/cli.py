@@ -16,7 +16,8 @@ Commands
     probability, overheads).
 ``lint``
     Run the ``simlint`` determinism/protocol static analyzer over
-    source paths (rules SL001-SL007; see docs/DEVTOOLS.md).
+    source paths (``--list-rules`` prints the catalogue; see
+    docs/DEVTOOLS.md).
 ``chaos``
     Chaos smoke test: a sanitized T-Chain swarm under seeded fault
     injection (control-message loss/delay, upload stalls, peer
@@ -67,12 +68,14 @@ from typing import List, Optional
 from repro.analysis.charts import bar_chart
 from repro.analysis.persist import save_peers_csv, save_run_json
 from repro.analysis.reporting import format_table
+from repro.analysis.stats import km_median, summarize
 from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.protocols import PROTOCOLS
 from repro.experiments import run_swarm
 from repro.experiments.config import ExperimentScale
 from repro.experiments.parallel import (ENV_WORKERS, RunSpec, execute_spec,
                                        run_specs)
+from repro.experiments.runner import compliant_completion_rate
 
 #: One help string for every worker-count flag, matching what
 #: resolve_workers actually implements (0 = one worker per CPU).
@@ -164,10 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     lint_p.add_argument("--deep", action="store_true",
-                        help="whole-program passes: interprocedural "
-                             "nondeterminism taint (SL101-SL104), "
-                             "protocol conformance (SL110-SL112), "
-                             "simrace same-instant commutativity "
+                        help="whole-program passes: simrace "
+                             "same-instant commutativity "
                              "(SL201-SL203) and simheat hot-path "
                              "allocation audit (SL301-SL304)")
     lint_p.add_argument("--format", choices=("text", "json", "sarif"),
@@ -324,6 +325,7 @@ def _run_one(args, protocol: str):
 def cmd_run(args) -> int:
     result = _run_one(args, args.protocol)
     metrics = result.metrics
+    compliant = metrics.compliant_leechers()
     rows = [
         ("protocol", result.protocol),
         ("leechers / free-riders",
@@ -333,8 +335,13 @@ def cmd_run(args) -> int:
                  f"{result.config.piece_size_kb:g} KB)"),
         ("mean completion (s)",
          metrics.mean_completion_time("leecher")),
-        ("optimal bound (s)", round(result.optimal_time(), 1)),
+        # Unfinished leechers count, censored at the stop time.
+        ("median completion, Kaplan-Meier (s)",
+         km_median([r.finish_time for r in compliant],
+                   result.swarm.sim.now,
+                   [r.join_time for r in compliant])),
         ("completion rate", metrics.completion_rate("leecher")),
+        ("optimal bound (s)", round(result.optimal_time(), 1)),
         ("mean uplink utilization",
          metrics.mean_utilization("leecher")),
         ("free-riders finished",
@@ -367,12 +374,13 @@ def cmd_compare(args) -> int:
         metrics = result.metrics
         mct = metrics.mean_completion_time("leecher")
         rows.append((result.protocol, mct,
+                     metrics.completion_rate("leecher"),
                      metrics.mean_utilization("leecher"),
                      metrics.completion_rate("freerider")))
         bars.append((result.protocol, round(mct or 0.0, 1)))
     print(format_table(
-        ["protocol", "compliant completion (s)", "utilization",
-         "free-riders finished"],
+        ["protocol", "compliant completion (s)", "completion rate",
+         "utilization", "free-riders finished"],
         rows, title="protocol comparison"))
     print()
     print(bar_chart(bars, title="mean compliant completion time (s)",
@@ -506,8 +514,8 @@ def cmd_lint(args) -> int:
         timings = stats.get("timings", {})
         shown = ", ".join(
             f"{name[:-2]} {timings[name]:.3f}s"
-            for name in ("index_s", "files_s", "taint_s", "races_s",
-                         "simheat_s") if name in timings)
+            for name in ("index_s", "files_s", "races_s", "simheat_s")
+            if name in timings)
         print(f"simlint --deep: {stats['files']} files; {shown}; "
               f"cached: {stats['files_reused']} files, project "
               f"{'hit' if stats['project_reused'] else 'miss'}",
@@ -665,12 +673,17 @@ def cmd_sweep(args) -> int:
         by_protocol.setdefault(summary.protocol, []).append(summary)
     rows = []
     for protocol, group in by_protocol.items():
-        mcts = [s.mean_completion_time("leecher") for s in group]
-        mcts = [m for m in mcts if m is not None]
+        # A run where no compliant leecher finished has no mean; it is
+        # left out of the mean and counted in the last column.
+        mct = summarize([s.mean_completion_time("leecher")
+                         for s in group])
         rows.append((protocol, len(group),
-                     round(sum(mcts) / len(mcts), 1) if mcts else None))
+                     round(mct.mean, 1) if mct else None,
+                     compliant_completion_rate(group),
+                     mct.n_missing if mct else len(group)))
     print(format_table(
-        ["protocol", "runs", "mean completion (s)"], rows,
+        ["protocol", "runs", "mean completion (s)", "completion rate",
+         "runs with no finisher"], rows,
         title=f"sweep: {len(summaries)} runs"))
 
     if args.verify:

@@ -4,13 +4,12 @@ Three complementary layers:
 
 * :mod:`repro.devtools.rules` / :mod:`repro.devtools.analyzer` — the
   ``simlint`` static analyzer (``repro lint``): per-file AST rules
-  SL001-SL014 catching nondeterminism and protocol hazards at review
+  (SL001-SL014) catching nondeterminism and protocol hazards at review
   time.
 * :mod:`repro.devtools.deep` — the whole-program layer (``repro lint
   --deep``) over one project index (:mod:`repro.devtools.callgraph`):
-  interprocedural nondeterminism taint (SL101-SL104), T-Chain
-  exchange-lifecycle conformance (SL110-SL112), simrace (SL201-SL203)
-  and simheat (SL301-SL304), with a content-hash findings cache,
+  simrace (SL201-SL203) and simheat (SL301-SL304), with a
+  content-hash findings cache,
   baseline support and JSON/SARIF output
   (:mod:`repro.devtools.output`).
 * :mod:`repro.devtools.sanitizer` — the runtime simulation sanitizer

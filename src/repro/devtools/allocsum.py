@@ -1,11 +1,11 @@
 """Interprocedural hot-path allocation audit (simheat, SL301–SL304).
 
-The third whole-program layer behind ``repro lint --deep``.  The
+The second whole-program layer behind ``repro lint --deep``.  The
 hot-region inference (:mod:`repro.devtools.hotpath`) classifies every
 function by static frequency; this pass summarizes each function's
 **allocation sites** and reports the ones sitting in per-event
 regions, with the full seed→function chain explaining why the region
-is hot (mirroring the taint pass's source→sink traces).
+is hot.
 
 Allocation kinds summarized per function:
 

@@ -1,12 +1,11 @@
 """The one project index behind ``simlint --deep``.
 
 The per-file rules (:mod:`repro.devtools.rules`) see one module at a
-time, so a hazard laundered through a helper call — ``delay =
-jitter()`` where ``jitter`` lives two modules away and reads the wall
-clock — is invisible to them.  Every deep pass (per-file rules and
-protocol conformance on a cache miss, taint, effects/races, hot
-regions/allocations) reads the same :class:`ProjectIndex`, built from
-one ``ast.parse`` per file:
+time, so a handler's effects or allocations reached through helper
+calls two modules away are invisible to them.  Every deep pass
+(per-file rules on a cache miss, effects/races, hot regions/
+allocations) reads the same :class:`ProjectIndex`, built from one
+``ast.parse`` per file:
 
 * a **module map** — every linted file named by the dotted module the
   import system would give it (``src/repro/bt/peer.py`` →
@@ -35,12 +34,11 @@ under a source root (``src/``) resolves by name only among definitions
 under a source root, so linting ``tests/`` beside ``src/`` cannot
 change ``src``'s edges.  An ambiguous or out-of-project target stays
 unresolved and the deep passes treat it as opaque: precision errs
-toward *missing* exotic flows rather than inventing them — the
-per-file rules still cover the direct hazards.
+toward *missing* exotic flows rather than inventing them.
 
 The diagnostic chains every pass prints share one :class:`Step` type
-and one :func:`render_chain`; the two summary passes (taint, effects)
-share one bounded :func:`fixpoint`.
+and one :func:`render_chain`; the effect summaries converge through
+one bounded :func:`fixpoint`.
 """
 
 from __future__ import annotations
@@ -66,8 +64,7 @@ _BUILTIN_METHOD_NAMES = frozenset(
     name for kind in (list, dict, set, str, bytes, tuple)
     for name in dir(kind))
 
-#: Fixpoint iteration cap shared by the summary passes (call-graph
-#: diameter).
+#: Fixpoint iteration cap for the summary pass (call-graph diameter).
 MAX_ROUNDS = 25
 
 
@@ -100,8 +97,8 @@ def _under_source_root(path: str) -> bool:
 # Diagnostic chains and summary fixpoints, shared by every deep pass
 # ----------------------------------------------------------------------
 class Step(NamedTuple):
-    """One link of a diagnostic chain (a taint trace, an effect trace,
-    a hot-region provenance)."""
+    """One link of a diagnostic chain (an effect trace, a hot-region
+    provenance)."""
 
     text: str
     path: str
@@ -156,8 +153,6 @@ class FunctionInfo:
     lineno: int
     node: ast.AST                 # FunctionDef / AsyncFunctionDef
     class_name: Optional[str] = None
-    #: positional parameter names, ``self``/``cls`` already dropped
-    params: Tuple[str, ...] = ()
     #: resolved call sites: (callee qualname, line, via_schedule)
     calls: List[Tuple[str, int, bool]] = field(default_factory=list)
     #: every AST node the function owns, walked once at index time
@@ -313,7 +308,7 @@ class ProjectIndex:
         self.module_paths[module] = path
         self.imports[module] = _import_map(tree, module)
         # Module top-level code is modelled as a pseudo-function so
-        # taint sources/sinks at module scope participate too.
+        # schedule sites at module scope participate too.
         top = FunctionInfo(qualname=f"{module}.<module>", module=module,
                            path=path, lineno=1, node=tree,
                            nodes=_own_nodes(tree, module_level=True))
@@ -330,16 +325,9 @@ class ProjectIndex:
             qualname = f"{module}.{node.name}"
         else:
             qualname = f"{module}.{class_name}.{node.name}"
-        args = list(node.args.posonlyargs) + list(node.args.args)
-        params = tuple(a.arg for a in args)
-        if class_name is not None and params \
-                and not any(isinstance(d, ast.Name)
-                            and d.id == "staticmethod"
-                            for d in node.decorator_list):
-            params = params[1:]
         info = FunctionInfo(qualname=qualname, module=module, path=path,
                             lineno=node.lineno, node=node,
-                            class_name=class_name, params=params,
+                            class_name=class_name,
                             nodes=_own_nodes(node, module_level=False))
         self.functions[qualname] = info
         if class_name is not None:
@@ -555,16 +543,3 @@ class ProjectIndex:
         return ScheduleSite(caller=info, handler=handler, method=method,
                             line=node.lineno, delay=delay,
                             interval=interval, first_delay=first_delay)
-
-    # ------------------------------------------------------------------
-    # Introspection helpers used by the deep passes
-    # ------------------------------------------------------------------
-    def callers_of(self, qualname: str) -> List[Tuple[str, int]]:
-        """(caller qualname, call line) pairs for every resolved call
-        site targeting ``qualname``."""
-        out = []
-        for info in self.functions.values():
-            for target, line, _ in info.calls:
-                if target == qualname:
-                    out.append((info.qualname, line))
-        return sorted(out)

@@ -3,10 +3,6 @@
 Composes the analysis passes over one file set:
 
 * per-file rule findings (SL0xx, via :mod:`repro.devtools.rules`);
-* protocol state-machine conformance (SL110-series, file-local, via
-  :func:`repro.devtools.protocol_spec.check_file`);
-* interprocedural nondeterminism taint (SL101–SL104, whole-program,
-  via :mod:`repro.devtools.taint`);
 * same-instant commutativity races (SL201–SL203, whole-program, via
   :mod:`repro.devtools.races` over the effect summaries of
   :mod:`repro.devtools.effects`);
@@ -16,19 +12,18 @@ Composes the analysis passes over one file set:
 
 One index: when anything must be recomputed, ``run_deep`` builds one
 :class:`~repro.devtools.callgraph.ProjectIndex` — one ``ast.parse``
-per file — and every pass reads it: the per-file rules and the
-protocol pass take ``index.trees``, the whole-program passes the
-symbol table, call graph and schedule-site table.  A fully warm run
-parses nothing.
+per file — and every pass reads it: the per-file rules take
+``index.trees``, the whole-program passes the symbol table, call
+graph and schedule-site table.  A fully warm run parses nothing.
 
 Caching model — two slots, honest about scope:
 
-* rule and protocol findings are **file-local**, so they are cached
-  per file under the file's content sha256 (``files``);
-* taint, race and simheat findings depend on the entire call graph,
-  so they are cached together under one whole-project fingerprint
-  (the hash of every file's hash, the ``project`` slot): touching
-  *any* file re-runs all three, and they always hit or miss together
+* rule findings are **file-local**, so they are cached per file under
+  the file's content sha256 (``files``);
+* race and simheat findings depend on the entire call graph, so they
+  are cached together under one whole-project fingerprint (the hash
+  of every file's hash, the ``project`` slot): touching *any* file
+  re-runs both, and they always hit or miss together
   (``stats["project_reused"]``).
 
 Suppression comments are re-read every run (they live in the files,
@@ -52,18 +47,14 @@ from repro.devtools.allocsum import run_simheat
 from repro.devtools.analyzer import (SuppressionIndex, iter_python_files,
                                      raw_findings, syntax_error_finding)
 from repro.devtools.callgraph import ProjectIndex
-from repro.devtools.protocol_spec import check_file as check_protocol_file
 from repro.devtools.races import run_races
 from repro.devtools.rules import Finding
-from repro.devtools.taint import run_taint
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 DEFAULT_CACHE = ".simlint-cache.json"
 
 #: Deep-only rule ids (metadata-registered in rules.py; produced here).
-DEEP_RULES = ("SL101", "SL102", "SL103", "SL104",
-              "SL110", "SL111", "SL112",
-              "SL201", "SL202", "SL203",
+DEEP_RULES = ("SL201", "SL202", "SL203",
               "SL301", "SL302", "SL303", "SL304")
 
 
@@ -143,12 +134,11 @@ def _now() -> float:
 
 def _file_findings(index: ProjectIndex, path: str,
                    enabled: Optional[List[str]]) -> List[Finding]:
-    """Per-file rule and protocol findings for one indexed file."""
+    """Per-file rule findings for one indexed file."""
     tree = index.trees.get(path)
     if tree is None:
         return [syntax_error_finding(path, index.syntax_errors[path])]
-    return raw_findings(path, index.sources[path], tree, enabled) \
-        + _rule_filter(check_protocol_file(path, tree), enabled)
+    return raw_findings(path, index.sources[path], tree, enabled)
 
 
 def run_deep(paths: Sequence[str],
@@ -172,7 +162,7 @@ def run_deep(paths: Sequence[str],
                for path in files}
     reused = sum(entry is not None for entry in entries.values())
     # Whole-project fingerprint: any content change re-runs the
-    # whole-program passes (taint, races, simheat) together.
+    # whole-program passes (races, simheat) together.
     project_hash = _sha256(json.dumps(
         [[p.replace(os.sep, "/"), digests[p]] for p in files]))
     project_reused = cache.project.get("fingerprint") == project_hash
@@ -200,8 +190,7 @@ def run_deep(paths: Sequence[str],
         project_findings = _decode(cache.project.get("findings", []))
     else:
         project_findings = []
-        for name, run in (("taint", run_taint), ("races", run_races),
-                          ("simheat", run_simheat)):
+        for name, run in (("races", run_races), ("simheat", run_simheat)):
             t0 = _now()
             project_findings += _rule_filter(run(index), enabled_list)
             timings[f"{name}_s"] = _now() - t0

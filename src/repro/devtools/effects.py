@@ -1,9 +1,7 @@
 """Interprocedural state-effect inference for ``simrace``.
 
-Where the taint pass (:mod:`repro.devtools.taint`) asks *"where does
-this value come from?"*, the effect pass asks *"what state does this
-handler touch?"* — the prerequisite for deciding whether two event
-handlers **commute** when the engine fires them at the same instant
+The effect pass asks *"what state does this handler touch?"* — the
+prerequisite for deciding whether two event handlers **commute** when the engine fires them at the same instant
 (:mod:`repro.devtools.races`).
 
 Every function in the project gets an **effect summary**: the set of
@@ -46,9 +44,8 @@ Summaries propagate over the call graph with a receiver mapping: a
 ``self.helper()`` call keeps the callee's ``self`` effects as
 ``self``; a call on any other receiver demotes them to ``other``; a
 constructor call drops them entirely (a freshly built object is
-unreachable from any co-scheduled handler until published).  The
-fixpoint is the one :func:`~repro.devtools.callgraph.fixpoint` the
-taint pass also runs.
+unreachable from any co-scheduled handler until published), iterated
+to convergence by :func:`~repro.devtools.callgraph.fixpoint`.
 """
 
 from __future__ import annotations

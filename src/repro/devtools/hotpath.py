@@ -29,8 +29,8 @@ a 30 s timeout armed per piece upload still allocates one timer per
 event.
 
 Each classified function carries the shortest seed→function **chain**
-(mirroring the taint pass's source→sink traces) so SL3xx diagnostics
-can show *why* the analysis considers a region hot.
+so SL3xx diagnostics can show *why* the analysis considers a region
+hot.
 """
 
 from __future__ import annotations

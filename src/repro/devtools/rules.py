@@ -11,8 +11,6 @@ SL002     wall-clock reads (``time.time``, ``datetime.now``, ...)
 SL003     iteration over a ``set``/``frozenset`` feeding ``schedule``
           or ``rng`` calls (hash-order nondeterminism)
 SL004     float ``==``/``!=`` on simulation-time values
-SL005     mutable default arguments
-SL006     event callback scheduled with mismatched arity
 SL007     direct ``rng`` use inside a ``faults/`` package (fault
           injection must draw from its own named substream)
 SL008     multiprocessing/ProcessPoolExecutor outside the one
@@ -34,18 +32,6 @@ SL014     ad-hoc cross-peer message delivery inside ``bt/``: another
           object's method scheduled directly instead of going through
           ``Swarm.send_control`` / the uplink (bypasses latency,
           fault injection and the network substrate)
-SL101     deep: wall-clock value reaches a schedule/rng/metrics sink
-          through any number of call hops
-SL102     deep: global-``random`` value reaches a deterministic sink
-SL103     deep: ``os.environ``/``os.getenv``/``id()`` value reaches
-          a deterministic sink
-SL104     deep: hash-order or filesystem-order iteration value
-          reaches a deterministic sink
-SL110     deep: ``release_key`` reachable without proof of a
-          reception report (protocol conformance)
-SL111     deep: ``reopen`` driven outside the plead path
-SL112     deep: handler drives a transition the exchange lifecycle
-          forbids outright
 SL201     simrace: co-schedulable handlers write conflicting state
           (same-instant firing order changes the final value)
 SL202     simrace: co-schedulable read/write overlap (what one
@@ -72,7 +58,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Set, Type
 
 
 @dataclass(frozen=True)
@@ -458,158 +444,6 @@ class TimeEqualityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# SL005 — mutable default arguments
-# ----------------------------------------------------------------------
-@register
-class MutableDefaultRule(Rule):
-    """SL005: a mutable default is shared across calls — state leaks
-    between simulations and, worse, between seeds."""
-
-    id = "SL005"
-    name = "mutable-default"
-    description = "mutable default argument (list/dict/set)"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) \
-                + [d for d in node.args.kw_defaults if d is not None]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield ctx.finding(
-                        self, default,
-                        "mutable default argument; use None and create "
-                        "inside the function")
-
-    @staticmethod
-    def _is_mutable(node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            return node.func.id in ("list", "dict", "set", "bytearray",
-                                    "defaultdict", "deque", "Counter")
-        return False
-
-
-# ----------------------------------------------------------------------
-# SL006 — scheduled-callback arity
-# ----------------------------------------------------------------------
-class _Signature:
-    """Positional-arity envelope of a function definition."""
-
-    __slots__ = ("min_args", "max_args", "name")
-
-    def __init__(self, node: ast.FunctionDef, drop_first: bool):
-        args = node.args
-        positional = list(args.posonlyargs) + list(args.args)
-        if drop_first and positional:
-            positional = positional[1:]
-        n_defaults = len(args.defaults)
-        self.min_args = len(positional) - n_defaults
-        self.max_args = None if args.vararg is not None \
-            else len(positional)
-        self.name = node.name
-
-    def accepts(self, n: int) -> bool:
-        if n < self.min_args:
-            return False
-        return self.max_args is None or n <= self.max_args
-
-
-@register
-class CallbackArityRule(Rule):
-    """SL006: ``schedule(delay, cb, *args)`` defers the arity check to
-    fire time, deep inside a run; resolve the callback's definition
-    now and verify the argument count statically."""
-
-    id = "SL006"
-    name = "callback-arity"
-    description = ("event callback scheduled with a mismatched "
-                   "argument count")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        module_funcs: Dict[str, _Signature] = {}
-        methods: Dict[Tuple[str, str], _Signature] = {}
-        classes: Dict[ast.ClassDef, str] = {}
-        for node in ctx.tree.body:
-            if isinstance(node, ast.FunctionDef):
-                module_funcs[node.name] = _Signature(node,
-                                                     drop_first=False)
-            elif isinstance(node, ast.ClassDef):
-                classes[node] = node.name
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
-                        is_static = any(
-                            isinstance(d, ast.Name)
-                            and d.id == "staticmethod"
-                            for d in item.decorator_list)
-                        methods[(node.name, item.name)] = _Signature(
-                            item, drop_first=not is_static)
-
-        # Walk calls with the enclosing class in scope so `self._cb`
-        # resolves against the right method table.
-        yield from self._walk(ctx, ctx.tree, None, module_funcs, methods)
-
-    def _walk(self, ctx: FileContext, node: ast.AST,
-              cls: Optional[str],
-              module_funcs: Dict[str, _Signature],
-              methods: Dict[Tuple[str, str], _Signature]
-              ) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            child_cls = child.name if isinstance(child, ast.ClassDef) \
-                else cls
-            if isinstance(child, ast.Call):
-                yield from self._check_call(ctx, child, child_cls,
-                                            module_funcs, methods)
-            yield from self._walk(ctx, child, child_cls,
-                                  module_funcs, methods)
-
-    def _check_call(self, ctx: FileContext, node: ast.Call,
-                    cls: Optional[str],
-                    module_funcs: Dict[str, _Signature],
-                    methods: Dict[Tuple[str, str], _Signature]
-                    ) -> Iterator[Finding]:
-        if not isinstance(node.func, ast.Attribute) \
-                or node.func.attr not in SCHEDULE_METHODS:
-            return
-        # schedule/schedule_at take (delay_or_time, cb, *args);
-        # call_now takes (cb, *args).
-        cb_index = 0 if node.func.attr == "call_now" else 1
-        if len(node.args) <= cb_index:
-            return
-        if any(isinstance(a, ast.Starred) for a in node.args):
-            return
-        if node.keywords:
-            return
-        cb = node.args[cb_index]
-        given = len(node.args) - cb_index - 1
-        sig: Optional[_Signature] = None
-        if isinstance(cb, ast.Lambda):
-            sig = _Signature(
-                ast.FunctionDef(name="<lambda>", args=cb.args, body=[],
-                                decorator_list=[]),
-                drop_first=False)
-        elif isinstance(cb, ast.Name):
-            sig = module_funcs.get(cb.id)
-        elif isinstance(cb, ast.Attribute) \
-                and isinstance(cb.value, ast.Name) \
-                and cb.value.id == "self" and cls is not None:
-            sig = methods.get((cls, cb.attr))
-        if sig is None or sig.accepts(given):
-            return
-        bound = "at least " if sig.max_args is None else ""
-        expected = sig.min_args if sig.max_args in (None, sig.min_args) \
-            else f"{sig.min_args}-{sig.max_args}"
-        yield ctx.finding(
-            self, node,
-            f"callback `{sig.name}` scheduled with {given} argument(s) "
-            f"but takes {bound}{expected}")
-
-
-# ----------------------------------------------------------------------
 # SL007 — direct rng use inside fault-injection code
 # ----------------------------------------------------------------------
 @register
@@ -944,7 +778,8 @@ class AdHocDeliveryRule(Rule):
 # Metadata-only rules: produced by other passes, registered here so the
 # CLI (`--list-rules`, `--enable`), config validation and suppression
 # comments know them.  Their ``check`` yields nothing — the analyzer
-# (SL009) and the --deep driver (SL1xx) emit the findings.
+# (SL009), the CLI's baseline bookkeeping (SL013) and the --deep
+# driver (SL2xx, SL3xx) emit the findings.
 # ----------------------------------------------------------------------
 class MetaRule(Rule):
     """A rule id whose findings come from a pass outside the per-file
@@ -989,108 +824,6 @@ class StaleBaselineEntryRule(MetaRule):
     name = "stale-baseline-entry"
     description = ("baseline fingerprint that matches no current "
                    "finding; prune with --prune-baseline (warning)")
-
-
-@register
-class DeepWallClockFlowRule(MetaRule):
-    """SL101: a wall-clock read (``time.time``, ``perf_counter``,
-    ``datetime.now`` ...) flows — through any number of call hops —
-    into a ``schedule``/rng/metrics sink.
-
-    The per-file SL002 only sees the read itself; this deep rule
-    follows the value interprocedurally and reports the full
-    source→sink call chain.  Emitted by ``repro lint --deep``.
-    """
-
-    id = "SL101"
-    name = "deep-wall-clock-flow"
-    description = ("wall-clock value reaches a scheduling/rng/metrics "
-                   "sink through the call graph (--deep)")
-
-
-@register
-class DeepGlobalRandomFlowRule(MetaRule):
-    """SL102: a value drawn from the global ``random`` module (or an
-    unseeded/``SystemRandom`` generator) flows into a deterministic
-    sink.  Emitted by ``repro lint --deep``.
-    """
-
-    id = "SL102"
-    name = "deep-global-random-flow"
-    description = ("global-random value reaches a scheduling/rng/"
-                   "metrics sink through the call graph (--deep)")
-
-
-@register
-class DeepAmbientFlowRule(MetaRule):
-    """SL103: ambient process state — ``os.environ``/``os.getenv`` or
-    a bare ``id()`` — flows into a deterministic sink.  Emitted by
-    ``repro lint --deep``.
-    """
-
-    id = "SL103"
-    name = "deep-ambient-env-flow"
-    description = ("os.environ / id() value reaches a scheduling/rng/"
-                   "metrics sink through the call graph (--deep)")
-
-
-@register
-class DeepOrderFlowRule(MetaRule):
-    """SL104: a hash-order (``set`` iteration) or filesystem-order
-    (unsorted ``os.listdir``/``os.scandir``) value flows into a
-    deterministic sink without passing an order sanitizer such as
-    ``sorted``.  Emitted by ``repro lint --deep``.
-    """
-
-    id = "SL104"
-    name = "deep-order-flow"
-    description = ("hash-order/listdir-order value reaches a "
-                   "scheduling/rng/metrics sink unsorted (--deep)")
-
-
-@register
-class ProtocolReleaseRule(MetaRule):
-    """SL110: a protocol handler calls ``ledger.release_key`` without
-    static evidence that the exchange reached ``REPORTED``.
-
-    The fair-exchange guarantee hinges on key release happening only
-    after a reception report; a handler that can reach ``release_key``
-    from an unreported state leaks the key.  Emitted by the protocol
-    conformance pass of ``repro lint --deep``.
-    """
-
-    id = "SL110"
-    name = "protocol-release-without-report"
-    description = ("release_key without proof the exchange is "
-                   "REPORTED (--deep, protocol conformance)")
-
-
-@register
-class ProtocolReopenRule(MetaRule):
-    """SL111: ``ledger.reopen`` driven outside the plead path.
-
-    Reopening is the recovery edge for an honestly-lost key and is
-    only legal from plead handling; anywhere else it would let a peer
-    replay reciprocation.  Emitted by ``repro lint --deep``.
-    """
-
-    id = "SL111"
-    name = "protocol-reopen-outside-plead"
-    description = ("reopen called outside plead handling (--deep, "
-                   "protocol conformance)")
-
-
-@register
-class ProtocolIllegalTransitionRule(MetaRule):
-    """SL112: a handler provably drives a transition the exchange
-    lifecycle forbids (the facts at the call site exclude every legal
-    source state).  Emitted by ``repro lint --deep``.
-    """
-
-    id = "SL112"
-    name = "protocol-illegal-transition"
-    description = ("ledger op whose proven state set excludes every "
-                   "legal source state (--deep, protocol conformance)")
 
 
 @register

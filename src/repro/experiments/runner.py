@@ -258,6 +258,17 @@ def summarize_metric(results: Sequence[RunResult],
     return summarize([metric(r) for r in results])
 
 
+def compliant_completion_rate(results: Sequence[RunResult]) -> float:
+    """Compliant leechers that finished over compliant leechers
+    simulated, pooled over every run (NaN when there are none): the
+    denominator behind a mean completion time over finishers."""
+    records = [record for r in results
+               for record in r.metrics.compliant_leechers()]
+    if not records:
+        return float("nan")
+    return sum(record.completed for record in records) / len(records)
+
+
 def seeds_for(experiment: str, root: int, count: int) -> List[int]:
     """Stable per-experiment seed derivation."""
     return SeedSequence(root, experiment).seeds(count)

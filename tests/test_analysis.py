@@ -11,6 +11,7 @@ from repro.analysis.reporting import format_series, format_table
 from repro.analysis.stats import (
     Summary,
     confidence_interval_95,
+    km_median,
     mean,
     percentile,
     stddev,
@@ -69,6 +70,38 @@ class TestStats:
         assert s.minimum == 1.0 and s.maximum == 3.0
         assert summarize([None, None]) is None
         assert "n=3" in str(s)
+        assert s.n_missing == 1
+
+    def test_summarize_drops_nan_like_none(self):
+        """A seed whose statistic is NaN (e.g. nobody in the steady
+        state finished) must not turn the mean into NaN."""
+        s = summarize([10.0, float("nan"), 20.0, None])
+        assert s.mean == 15.0
+        assert s.n == 2
+        assert s.n_missing == 2
+        assert summarize([float("nan")]) is None
+        assert summarize([1.0]).n_missing == 0
+
+    def test_km_median_without_censoring_is_middle_finisher(self):
+        # ceil(n/2)-th finish: 3rd of 5, 2nd of 4
+        assert km_median([5.0, 1.0, 3.0, 2.0, 4.0], stop_time=10.0) == 3.0
+        assert km_median([4.0, 1.0, 3.0, 2.0], stop_time=10.0) == 2.0
+        assert km_median([7.0], stop_time=10.0) == 7.0
+
+    def test_km_median_censored_by_hand(self):
+        """Five peers; run stops at 40 s.  Durations: A 10, E 20,
+        B 30 finished; D joined at 25 and is censored at 15; C is
+        censored at 40.  S(10) = 4/5; the censoring at 15 leaves three
+        at risk, so S(20) = 4/5 * 2/3 = 0.533 and S(30) = 0.267: the
+        median is 30 s, where the finishers-only median says 20 s."""
+        finish = [10.0, 30.0, None, None, 20.0]
+        start = [0.0, 0.0, 0.0, 25.0, 0.0]
+        assert km_median(finish, stop_time=40.0, start_times=start) == 30.0
+
+    def test_km_median_none_when_curve_never_reaches_half(self):
+        # one of three finished: S stays at 2/3
+        assert km_median([10.0, None, None], stop_time=50.0) is None
+        assert km_median([], stop_time=50.0) is None
 
     def test_percentile(self):
         xs = [1, 2, 3, 4, 5]

@@ -176,6 +176,7 @@ class TestCli:
         assert code == 0
         captured = capsys.readouterr().out
         assert "swarm run summary" in captured
+        assert "median completion, Kaplan-Meier (s)" in captured
         assert pathlib.Path(f"{out_prefix}.json").exists()
         assert pathlib.Path(f"{out_prefix}.csv").exists()
 
@@ -186,6 +187,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "protocol comparison" in out
         assert "tchain" in out
+        # the rate sits next to the mean it qualifies
+        assert "compliant completion (s)  completion rate" in out
 
     def test_models_command(self, capsys):
         assert main(["models"]) == 0

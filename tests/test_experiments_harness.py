@@ -1,6 +1,8 @@
 """Smoke and structure tests for the experiment harness itself."""
 
+import math
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,9 +12,11 @@ from repro.experiments import (
     run_swarm,
 )
 from repro.experiments.config import ExperimentScale
+from repro.analysis.metrics import PeerRecord, SwarmMetrics
 from repro.experiments.runner import (
     PIECE_SIZE_KB,
     build_config,
+    compliant_completion_rate,
     seeds_for,
     summarize_metric,
 )
@@ -91,6 +95,44 @@ class TestRunnerHelpers:
         summary = summarize_metric(
             results, lambda r: r.mean_completion_time())
         assert summary is not None and summary.n == 2
+
+    def test_compliant_completion_rate_pools_runs(self):
+        """Finished compliant leechers over all compliant leechers,
+        pooled across runs; free-riders and seeders do not count."""
+        def run_of(*peers):
+            metrics = SwarmMetrics()
+            for kind, finish in peers:
+                metrics.records.append(PeerRecord(
+                    peer_id=f"{kind}{len(metrics.records)}", kind=kind,
+                    capacity_kbps=800.0, join_time=0.0,
+                    finish_time=finish, leave_time=None,
+                    kb_uploaded=0.0, kb_downloaded=0.0,
+                    pieces_uploaded=0, pieces_downloaded=0,
+                    pieces_completed=0, utilization=0.0))
+            return SimpleNamespace(metrics=metrics)
+
+        runs = [run_of(("leecher", 10.0), ("leecher", None),
+                       ("freerider", 5.0), ("seeder", 0.0)),
+                run_of(("leecher", None), ("leecher", 20.0),
+                       ("leecher", 30.0))]
+        assert compliant_completion_rate(runs) == pytest.approx(3 / 5)
+        # no compliant leecher simulated: no rate
+        assert math.isnan(
+            compliant_completion_rate([run_of(("freerider", None))]))
+
+    def test_fig7_and_fig9_render_the_completion_rate(self):
+        from repro.experiments import fig7, fig9
+        text7 = fig7.render([fig7.Fig7Row(
+            protocol="tchain", swarm_size=20, compliant_completion_s=90.0,
+            compliant_ci95=1.0, freerider_completion_s=None,
+            freerider_completion_rate=0.0,
+            compliant_completion_rate=0.75)])
+        text9 = fig9.render([fig9.Fig9Row(
+            protocol="tchain", freerider_fraction=0.5,
+            compliant_completion_s=150.0, completion_ci95=2.0,
+            compliant_completion_rate=0.6)])
+        assert "ci95  completion rate" in text7 and "0.75" in text7
+        assert "ci95  completion rate" in text9 and "0.6" in text9
 
 
 class TestFigureModulesSmoke:

@@ -653,6 +653,26 @@ class TestCLI:
         assert code == 0
         assert "bit-identical" in out
 
+    def test_sweep_table_counts_runs_without_a_finisher(self, capsys):
+        """A run where no compliant leecher finished has no mean
+        completion time: the table leaves it out of the mean and says
+        so, next to the pooled compliant completion rate."""
+        from repro.cli import main
+        code = main(["sweep", "--protocols", "tchain", "--seeds", "2",
+                     "--leechers", "4", "--pieces", "3",
+                     "--max-time", "8"])
+        out = capsys.readouterr().out
+        assert code == 0
+        header = next(line for line in out.splitlines()
+                      if line.startswith("protocol"))
+        assert "completion rate" in header
+        assert "runs with no finisher" in header
+        row = next(line for line in out.splitlines()
+                   if line.startswith("tchain")).split()
+        # protocol, runs, mean over finishers, rate, runs dropped
+        assert row[1] == "2" and row[4] == "1"
+        assert 0.0 < float(row[3]) < 1.0
+
     def test_kill_prob_requires_sweep_dir(self, capsys):
         from repro.cli import main
         assert main(["sweep", "--kill-prob", "0.5",

@@ -326,8 +326,7 @@ class TestDeepSimheatCache:
         cache = str(tmp_path / "cache.json")
         cold = run_deep([str(mod)], cache_path=cache)
         warm = run_deep([str(mod)], cache_path=cache)
-        for key in ("files_s", "index_s", "taint_s", "races_s",
-                    "simheat_s"):
+        for key in ("files_s", "index_s", "races_s", "simheat_s"):
             assert key in cold.stats["timings"]
             assert cold.stats["timings"][key] >= 0.0
         # The warm run replays every whole-program pass from cache, so
@@ -554,13 +553,13 @@ class TestStaleBaseline:
         live = [Finding(rule="SL002", path="a.py", line=3, col=1,
                         message="m")]
         base = self._baseline(tmp_path, ["SL002:a.py:3",
-                                         "SL101:gone.py:44"])
+                                         "SL301:gone.py:44"])
         stale = lint_output.stale_baseline_findings(
             live, lint_output.load_baseline(base), base)
         assert [f.rule for f in stale] == ["SL013"]
         assert stale[0].path == "gone.py"
         assert stale[0].line == 44
-        assert "SL101:gone.py:44" in stale[0].message
+        assert "SL301:gone.py:44" in stale[0].message
         assert lint_output.severity_of(stale[0]) == "warning"
 
     def test_no_stale_entries_no_findings(self, tmp_path):
@@ -574,7 +573,7 @@ class TestStaleBaseline:
         live = [Finding(rule="SL002", path="a.py", line=3, col=1,
                         message="m")]
         base = self._baseline(tmp_path, ["SL002:a.py:3",
-                                         "SL101:gone.py:44"],
+                                         "SL301:gone.py:44"],
                               notes=["why these are justified"])
         dropped = lint_output.prune_baseline(base, live)
         assert dropped == 1
@@ -594,14 +593,14 @@ class TestStaleBaseline:
         mod = tmp_path / "bad.py"
         mod.write_text("import random\n")
         fp = f"SL001:{mod}:1"
-        base = self._baseline(tmp_path, [fp, "SL101:gone.py:44"])
+        base = self._baseline(tmp_path, [fp, "SL301:gone.py:44"])
         # Warning pass: the live finding is baselined away, the stale
         # entry surfaces as SL013, and warnings do not fail the gate.
         code = main(["lint", str(mod), "--no-config",
                      "--baseline", base])
         out = capsys.readouterr().out
         assert code == 0
-        assert "SL013" in out and "SL101:gone.py:44" in out
+        assert "SL013" in out and "SL301:gone.py:44" in out
         # Prune pass: the stale entry is removed, the live one kept.
         code = main(["lint", str(mod), "--no-config",
                      "--baseline", base, "--prune-baseline"])

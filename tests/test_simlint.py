@@ -157,80 +157,6 @@ class TestSL004TimeEquality:
         """) == []
 
 
-class TestSL005MutableDefault:
-    def test_list_default_flagged(self):
-        assert rules_of("def f(x, acc=[]):\n    acc.append(x)\n") \
-            == ["SL005"]
-
-    def test_dict_and_set_defaults_flagged(self):
-        findings = lint_source(
-            "def f(a={}, b=set()):\n    pass\n", path="s.py")
-        assert [f.rule for f in findings] == ["SL005", "SL005"]
-
-    def test_none_default_clean(self):
-        assert rules_of("""
-            def f(x, acc=None):
-                acc = acc if acc is not None else []
-                return acc
-        """) == []
-
-    def test_immutable_defaults_clean(self):
-        assert rules_of("def f(a=0, b=(), c='x', d=None):\n    pass\n") \
-            == []
-
-
-class TestSL006CallbackArity:
-    def test_method_callback_missing_args_flagged(self):
-        assert rules_of("""
-            class Peer:
-                def on_timer(self, a, b):
-                    pass
-                def arm(self, sim):
-                    sim.schedule(1.0, self.on_timer, 1)
-        """) == ["SL006"]
-
-    def test_module_function_extra_args_flagged(self):
-        assert rules_of("""
-            def cb(a):
-                pass
-            def arm(sim):
-                sim.schedule_at(5.0, cb, 1, 2)
-        """) == ["SL006"]
-
-    def test_call_now_arity_checked(self):
-        assert rules_of("""
-            def cb():
-                pass
-            def arm(sim):
-                sim.call_now(cb, "extra")
-        """) == ["SL006"]
-
-    def test_matching_arity_and_defaults_clean(self):
-        assert rules_of("""
-            class Peer:
-                def on_timer(self, a, b=0):
-                    pass
-                def arm(self, sim):
-                    sim.schedule(1.0, self.on_timer, 1)
-                    sim.call_now(self.on_timer, 1, 2)
-        """) == []
-
-    def test_vararg_callback_clean(self):
-        assert rules_of("""
-            def cb(*args):
-                pass
-            def arm(sim):
-                sim.schedule(1.0, cb, 1, 2, 3)
-        """) == []
-
-    def test_unresolvable_callback_skipped(self):
-        # Callbacks from other modules cannot be checked statically.
-        assert rules_of("""
-            def arm(sim, other):
-                sim.schedule(1.0, other.callback, 1, 2, 3)
-        """) == []
-
-
 class TestSL007FaultsDirectRng:
     def test_rng_attribute_in_faults_flagged(self):
         assert rules_of("""
@@ -582,8 +508,8 @@ class TestConfig:
     def test_load_config_reads_tool_block(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""
             [tool.simlint]
-            enable = ["SL001", "SL005"]
-            disable = ["SL005"]
+            enable = ["SL001", "SL003"]
+            disable = ["SL003"]
             paths = ["lib"]
             exclude = ["lib/vendor"]
         """))
@@ -656,10 +582,9 @@ class TestCli:
 
 class TestRegistry:
     def test_rules_registered(self):
-        assert len(RULES) >= 7
-        assert all_rule_ids()[:7] == ["SL001", "SL002", "SL003",
-                                      "SL004", "SL005", "SL006",
-                                      "SL007"]
+        assert len(RULES) >= 5
+        assert all_rule_ids()[:5] == ["SL001", "SL002", "SL003",
+                                      "SL004", "SL007"]
 
     def test_rules_have_metadata(self):
         for rule in RULES.values():

@@ -1,10 +1,10 @@
 """Tests for the whole-program layer behind ``repro lint --deep``.
 
-Covers the call graph, the interprocedural nondeterminism taint pass
-(planted multi-hop leaks with full source→sink chains), the protocol
-state-machine conformance pass (mutated handlers flagged, the real
-tree clean), the findings cache, baseline/JSON/SARIF output, GitHub
-annotations and the unused-suppression (SL009) diagnostics.
+Covers the call graph, the real tree (clean modulo the checked-in
+baseline), the findings cache, baseline/JSON/SARIF output, GitHub
+annotations and the unused-suppression (SL009) diagnostics.  The
+simrace and simheat passes have their own suites
+(``test_simrace.py``, ``test_simheat.py``).
 """
 
 # simlint: disable-file=SL009 -- fixture snippets below embed
@@ -18,7 +18,6 @@ import os
 import textwrap
 
 from repro.cli import main
-from repro.core.transaction import _VALID_TRANSITIONS
 from repro.devtools import SuppressionIndex, iter_python_files, lint_source
 from repro.devtools.callgraph import ProjectIndex, module_name_for
 from repro.devtools.deep import DEEP_RULES, run_deep
@@ -26,23 +25,15 @@ from repro.devtools.output import (apply_baseline, fingerprint,
                                    github_annotations, load_baseline,
                                    render_json, render_sarif,
                                    severity_of, write_baseline)
-from repro.devtools.protocol_spec import (EXCHANGE_SPEC, check_file,
-                                          spec_consistency_errors)
 from repro.devtools.rules import Finding
-from repro.devtools.taint import run_taint
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
-TCHAIN = os.path.join(SRC, "repro", "bt", "protocols", "tchain.py")
 
 
 def build(files):
     return ProjectIndex.build(
         [(path, textwrap.dedent(src)) for path, src in files])
-
-
-def taint_of(files):
-    return run_taint(build(files))
 
 
 # ----------------------------------------------------------------------
@@ -69,8 +60,6 @@ class TestCallGraph:
         ])
         tick = index.functions["peer.tick"]
         assert [callee for callee, _, _ in tick.calls] == ["helpers.jitter"]
-        assert [caller for caller, _ in
-                index.callers_of("helpers.jitter")] == ["peer.tick"]
 
     def test_method_resolution_via_self(self):
         index = build([
@@ -122,199 +111,9 @@ class TestCallGraph:
                                    "benchmarks"])
 
 
-# ----------------------------------------------------------------------
-# taint: planted leaks, each through at least two call hops
-# ----------------------------------------------------------------------
-class TestTaintPlantedLeaks:
-    def test_wall_clock_two_hops_with_full_chain(self):
-        findings = taint_of([
-            ("helpers.py", """
-                import time
-
-                def _raw_clock():
-                    return time.perf_counter()
-
-                def jitter():
-                    return _raw_clock() * 0.001
-            """),
-            ("peer.py", """
-                from helpers import jitter
-
-                class Peer:
-                    def __init__(self, sim):
-                        self.sim = sim
-
-                    def start(self):
-                        delay = jitter()
-                        self.sim.schedule(delay, self.start)
-            """),
-        ])
-        assert [f.rule for f in findings] == ["SL101"]
-        message = findings[0].message
-        # The diagnostic must carry the full source -> sink chain.
-        assert "time.perf_counter" in message
-        assert "_raw_clock" in message
-        assert "jitter" in message
-        assert "schedule" in message
-        assert "helpers.py:" in message and "peer.py:" in message
-
-    def test_global_random_through_helper(self):
-        findings = taint_of([
-            ("noise.py", """
-                import random
-
-                def draw():
-                    return random.random()
-            """),
-            ("sched.py", """
-                from noise import draw
-
-                def arm(sim, cb):
-                    sim.schedule(draw(), cb)
-            """),
-        ])
-        assert [f.rule for f in findings] == ["SL102"]
-
-    def test_environ_through_helper_into_rng(self):
-        findings = taint_of([
-            ("cfg.py", """
-                import os
-
-                def bias():
-                    return int(os.environ.get("BIAS", "0"))
-            """),
-            ("pick.py", """
-                from cfg import bias
-
-                def pick(rng, pool):
-                    return rng.choice(pool[bias():])
-            """),
-        ])
-        assert [f.rule for f in findings] == ["SL103"]
-
-    def test_unsorted_listdir_through_helper(self):
-        findings = taint_of([
-            ("disk.py", """
-                import os
-
-                def traces(root):
-                    return os.listdir(root)
-            """),
-            ("replay.py", """
-                from disk import traces
-
-                def replay(sim, root, cb):
-                    for name in traces(root):
-                        sim.schedule(1.0, cb, name)
-            """),
-        ])
-        assert [f.rule for f in findings] == ["SL104"]
-
-    def test_sorted_sanitizes_order_taint(self):
-        findings = taint_of([
-            ("disk.py", """
-                import os
-
-                def traces(root):
-                    return sorted(os.listdir(root))
-            """),
-            ("replay.py", """
-                from disk import traces
-
-                def replay(sim, root, cb):
-                    for name in traces(root):
-                        sim.schedule(1.0, cb, name)
-            """),
-        ])
-        assert findings == []
-
-    def test_seeded_rng_is_clean(self):
-        findings = taint_of([
-            ("clean.py", """
-                def arm(sim, cb):
-                    sim.schedule(sim.rng.random(), cb)
-            """),
-        ])
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# protocol conformance
-# ----------------------------------------------------------------------
-class TestProtocolSpec:
-    def test_spec_mirrors_runtime_transitions(self):
-        """The declarative spec must track core/transaction.py exactly;
-        drift here would make the conformance pass check a fiction."""
-        runtime = {state.name: sorted(t.name for t in targets)
-                   for state, targets in _VALID_TRANSITIONS.items()}
-        spec = {state: sorted(targets)
-                for state, targets in EXCHANGE_SPEC.transitions.items()}
-        assert spec == runtime
-
-    def test_spec_is_internally_consistent(self):
-        assert spec_consistency_errors(EXCHANGE_SPEC) == []
-
-    def _check(self, source, path="src/repro/bt/protocols/mutant.py"):
-        tree = ast.parse(textwrap.dedent(source), filename=path)
-        return check_file(path, tree)
-
-    def test_release_before_report_flagged(self):
-        findings = self._check("""
-            from repro.core.transaction import TransactionState
-
-            class Handler:
-                def __init__(self, ledger, sim):
-                    self.ledger = ledger
-                    self.sim = sim
-
-                def on_piece(self, tid):
-                    tx = self.ledger.get(tid)
-                    if tx.state is not TransactionState.DELIVERED:
-                        return
-                    self.ledger.release_key(tid, self.sim.now)
-        """)
-        assert [f.rule for f in findings] == ["SL110"]
-        assert "REPORTED" in findings[0].message
-
-    def test_reopen_outside_plead_flagged(self):
-        findings = self._check("""
-            from repro.core.transaction import TransactionState
-
-            class Handler:
-                def __init__(self, ledger, sim):
-                    self.ledger = ledger
-                    self.sim = sim
-
-                def _key_retry(self, tid):
-                    tx = self.ledger.get(tid)
-                    if tx.state is not TransactionState.RECIPROCATED:
-                        return
-                    self.ledger.reopen(tid, self.sim.now)
-        """)
-        assert [f.rule for f in findings] == ["SL111"]
-        assert "plead" in findings[0].message
-
-    def test_mutated_real_handler_flagged(self):
-        """Deleting the reception report from the real key-release
-        handler must surface SL110 on the release call."""
-        with open(TCHAIN, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        target = "ledger.report_reciprocation(transaction_id, self.sim.now)\n"
-        assert source.count(target) >= 1
-        mutated = source.replace(target, "pass\n")
-        tree = ast.parse(mutated, filename=TCHAIN)
-        findings = check_file(TCHAIN, tree)
-        assert any(f.rule == "SL110" for f in findings)
-
-    def test_unmutated_real_handler_clean(self):
-        with open(TCHAIN, "r", encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=TCHAIN)
-        assert check_file(TCHAIN, tree) == []
-
-
 class TestRealTreeClean:
     def test_deep_run_over_src_is_clean_modulo_baseline(self):
-        """Taint/protocol-clean; simrace/simheat exactly baselined.
+        """Simrace/simheat exactly baselined, nothing else.
 
         The SL2xx findings over ``src`` are the *justified* inventory
         of same-instant order dependence, and the SL3xx findings the
@@ -334,7 +133,7 @@ class TestRealTreeClean:
         assert unexpected == [], "\n".join(
             f.format() for f in unexpected)
         # Everything surviving the baseline is simrace or simheat
-        # inventory; the taint and protocol passes stay finding-free.
+        # inventory; the per-file rules stay finding-free over src.
         assert all(f.rule.startswith(("SL2", "SL3"))
                    for f in report.findings)
         assert report.stats["files"] > 50
@@ -344,19 +143,20 @@ class TestRealTreeClean:
 # deep driver: cache behaviour
 # ----------------------------------------------------------------------
 class TestDeepCache:
-    LEAKY = textwrap.dedent("""
+    HOT = textwrap.dedent("""
         import time
 
-        def delay():
-            return time.time()
+        class Node:
+            def on_piece(self, msg):
+                self.last = self.label(time.time())
 
-        def arm(sim, cb):
-            sim.schedule(delay(), cb)
+            def label(self, stamp):
+                return f"piece at {stamp}"
     """)
 
     def test_warm_run_reuses_and_matches(self, tmp_path):
-        mod = tmp_path / "leaky.py"
-        mod.write_text(self.LEAKY)
+        mod = tmp_path / "hot.py"
+        mod.write_text(self.HOT)
         cache = str(tmp_path / "cache.json")
         cold = run_deep([str(mod)], cache_path=cache)
         warm = run_deep([str(mod)], cache_path=cache)
@@ -364,18 +164,20 @@ class TestDeepCache:
         assert warm.stats["files_reused"] == 1
         assert warm.stats["project_reused"] is True
         assert warm.findings == cold.findings
-        # the direct read is SL002; the laundered flow is SL101
-        assert [f.rule for f in warm.findings] == ["SL002", "SL101"]
+        # the wall-clock read is per-file (SL002, ``files`` slot); the
+        # allocation one call below a message handler is whole-program
+        # (SL301, ``project`` slot)
+        assert [f.rule for f in warm.findings] == ["SL002", "SL301"]
 
     def test_cold_run_parses_each_file_once_warm_run_never(
             self, tmp_path, monkeypatch):
         """One index: a cold run parses every file exactly once (the
-        per-file rules, the protocol pass and the whole-program
-        passes share the trees); a warm run parses nothing."""
+        per-file rules and the whole-program passes share the trees);
+        a warm run parses nothing."""
         paths = sorted(str(tmp_path / name) for name in ("a.py", "b.py"))
         for path in paths:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(self.LEAKY)
+                handle.write(self.HOT)
         cache = str(tmp_path / "cache.json")
         parsed = []
         real_parse = ast.parse
@@ -393,11 +195,12 @@ class TestDeepCache:
         assert warm.stats["project_reused"] is True
 
     def test_edit_invalidates_cache(self, tmp_path):
-        mod = tmp_path / "leaky.py"
-        mod.write_text(self.LEAKY)
+        mod = tmp_path / "hot.py"
+        mod.write_text(self.HOT)
         cache = str(tmp_path / "cache.json")
         run_deep([str(mod)], cache_path=cache)
-        mod.write_text(self.LEAKY.replace("time.time()", "0.5"))
+        mod.write_text(self.HOT.replace("time.time()", "0.5")
+                       .replace('f"piece at {stamp}"', "stamp"))
         fixed = run_deep([str(mod)], cache_path=cache)
         assert fixed.stats["files_analyzed"] == 1
         assert fixed.stats["project_reused"] is False
@@ -499,8 +302,8 @@ class TestSuppressionEdgeCases:
 # ----------------------------------------------------------------------
 # output: formats, baseline, annotations
 # ----------------------------------------------------------------------
-FINDING = Finding(rule="SL101", path="src/repro/x.py", line=7, col=5,
-                  message="wall-clock value flows into schedule()")
+FINDING = Finding(rule="SL301", path="src/repro/x.py", line=7, col=5,
+                  message="per-event allocation in x.on_piece")
 WARNING = Finding(rule="SL009", path="src/repro/x.py", line=1, col=1,
                   message="unused suppression")
 
@@ -514,9 +317,9 @@ class TestOutput:
         payload = json.loads(render_json([FINDING, WARNING]))
         assert payload["summary"] == {"total": 2, "errors": 1,
                                       "warnings": 1, "baselined": 0}
-        assert payload["findings"][0]["rule"] == "SL101"
+        assert payload["findings"][0]["rule"] == "SL301"
         assert payload["findings"][0]["fingerprint"] \
-            == "SL101:src/repro/x.py:7"
+            == "SL301:src/repro/x.py:7"
 
     def test_sarif_render(self):
         log = json.loads(render_sarif([FINDING]))
@@ -524,7 +327,7 @@ class TestOutput:
         run = log["runs"][0]
         assert run["tool"]["driver"]["name"] == "simlint"
         result = run["results"][0]
-        assert result["ruleId"] == "SL101"
+        assert result["ruleId"] == "SL301"
         assert result["level"] == "error"
         region = result["locations"][0]["physicalLocation"]
         assert region["artifactLocation"]["uri"] == "src/repro/x.py"
@@ -605,23 +408,24 @@ class TestDeepCli:
     def test_deep_flags_planted_leak_with_chain(self, tmp_path,
                                                 capsys):
         (tmp_path / "helpers.py").write_text(textwrap.dedent("""
-            import time
-
-            def jitter():
-                return time.time() * 0.001
+            def label(msg):
+                return f"piece {msg.index}"
         """))
         (tmp_path / "peer.py").write_text(textwrap.dedent("""
-            from helpers import jitter
+            from helpers import label
 
-            def arm(sim, cb):
-                sim.schedule(jitter(), cb)
+            class Peer:
+                def on_piece(self, msg):
+                    self.last = label(msg)
         """))
         code = main(["lint", "--deep", "--no-cache", str(tmp_path),
                      "--no-config"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "SL101" in out
-        assert "jitter" in out and "schedule" in out
+        assert "SL301" in out
+        # the chain runs from the message handler into the helper
+        assert "Peer.on_piece" in out and "helpers.label" in out
+        assert "peer.py:" in out and "helpers.py:" in out
 
     def test_deep_clean_dir_exits_zero(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
@@ -633,7 +437,10 @@ class TestDeepCli:
         code = main(["lint", "--list-rules"])
         out = capsys.readouterr().out
         assert code == 0
-        for rule_id in ("SL009", "SL013", "SL101", "SL102", "SL103",
-                        "SL104", "SL110", "SL111", "SL112", "SL301",
-                        "SL302", "SL303", "SL304"):
+        for rule_id in ("SL009", "SL013", "SL201", "SL202", "SL203",
+                        "SL301", "SL302", "SL303", "SL304"):
             assert rule_id in out
+        # the retired taint and protocol-conformance ids are gone
+        for rule_id in ("SL101", "SL102", "SL103", "SL104",
+                        "SL110", "SL111", "SL112"):
+            assert rule_id not in out

@@ -9,7 +9,7 @@ files and filters the findings through suppression comments:
 
 * file suppression — a comment anywhere (conventionally the top)::
 
-      # simlint: disable-file=SL003
+      # simlint: disable-file=SL002
 
 ``disable=all`` suppresses every rule.  An optional ``-- reason``
 after the rule list documents *why*; the linter keeps it out of the

@@ -4,7 +4,7 @@ Lives in ``pyproject.toml`` so rule rollout does not require CI edits::
 
     [tool.simlint]
     enable = ["SL001", "SL002"]   # default: every registered rule
-    disable = ["SL004"]
+    disable = ["SL002"]
     paths = ["src"]               # default lint targets
     exclude = ["experiments/legacy"]
 

@@ -536,7 +536,7 @@ class RaceReporter:
         # Batch membership is exact float equality *by construction*:
         # same-instant events carry the identical time value, so this
         # is set partitioning, not a tolerance comparison.
-        if time != self._batch_time:  # simlint: disable=SL004 -- batch boundary is exact same-instant identity, not a tolerance check
+        if time != self._batch_time:
             self._start_batch(time)
         callback = handle.callback
         name = getattr(callback, "__qualname__", "") or repr(callback)

@@ -32,7 +32,7 @@ def record(**overrides):
 
 class TestPeerRecord:
     def test_completion_time(self):
-        assert record(join_time=10.0,  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert record(join_time=10.0,
                       finish_time=60.0).completion_time == 50.0
         assert record(finish_time=None).completion_time is None
         assert not record(finish_time=None).completed

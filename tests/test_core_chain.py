@@ -42,7 +42,7 @@ class TestChain:
         chain = Chain(0, "S", True, 0.0)
         chain.terminate(1.0)
         chain.terminate(2.0)
-        assert chain.terminated_at == 1.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert chain.terminated_at == 1.0
 
 
 class TestChainRegistry:

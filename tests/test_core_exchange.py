@@ -98,7 +98,7 @@ class TestHappyPathChain:
         assert t1.state is TransactionState.COMPLETED
         assert sealed1.open(key) is None  # logical mode opens fine
         assert ledger.completed_transactions == 1
-        assert t1.completed_at == 2.2  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert t1.completed_at == 2.2
 
     def test_released_key_opens_only_its_piece(self):
         ledger = ExchangeLedger()

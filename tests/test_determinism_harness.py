@@ -55,7 +55,7 @@ class TestSameSeedIdentical:
         _, result_a = traced_run(seed=42, **SCENARIO)
         _, result_b = traced_run(seed=42, **SCENARIO)
         assert record_rows(result_a) == record_rows(result_b)
-        assert result_a.swarm.sim.now == result_b.swarm.sim.now  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert result_a.swarm.sim.now == result_b.swarm.sim.now
         assert result_a.swarm.sim.events_fired \
             == result_b.swarm.sim.events_fired
 
@@ -88,7 +88,7 @@ class TestIdleFaultPlanInert:
         assert len(trace_a) > 100
         assert trace_a == trace_b
         assert record_rows(result_a) == record_rows(result_b)
-        assert result_a.swarm.sim.now == result_b.swarm.sim.now  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert result_a.swarm.sim.now == result_b.swarm.sim.now
 
     def test_active_plan_perturbs_trace(self):
         """Sanity check on the previous test: a plan with real rates

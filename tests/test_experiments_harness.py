@@ -213,4 +213,4 @@ class TestQuietWindow:
         # stop disabled their periodic announces keep the simulation
         # alive until the cap
         assert result.swarm.active_leechers > 0
-        assert result.swarm.sim.now == pytest.approx(2000.0)  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert result.swarm.sim.now == pytest.approx(2000.0)

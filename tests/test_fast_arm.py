@@ -125,7 +125,7 @@ class TestStopReasons:
         assert swarm.stop_reason == "heap_empty"
         assert fired == [1.0, 2.0, 3.0]
         # Not advanced to max_time.
-        assert swarm.sim.now == 3.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert swarm.sim.now == 3.0
 
     @pytest.mark.parametrize("observe", [False, True])
     def test_one_event_fires_at_exactly_the_limit(self, observe):
@@ -136,7 +136,7 @@ class TestStopReasons:
         swarm.run(max_time=5.0)
         assert swarm.stop_reason == "max_time"
         assert fired == [2.0, 5.0]
-        assert swarm.sim.now == 5.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert swarm.sim.now == 5.0
 
     @pytest.mark.parametrize("observe", [False, True])
     def test_drained_wins_over_a_head_beyond_the_limit(self, observe):
@@ -149,7 +149,7 @@ class TestStopReasons:
         swarm.run(max_time=10.0)
         assert swarm.stop_reason == "drained"
         assert fired == [1.0]
-        assert swarm.sim.now == 1.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert swarm.sim.now == 1.0
 
     def test_reason_is_reset_by_the_next_run(self):
         swarm, _ = bare_swarm(False, times=(1.0, 8.0))

@@ -132,7 +132,7 @@ class TestReproduciblePerSeed:
         assert again.counters.as_dict() == first.counters.as_dict()
         assert again.injector.crashed_ids \
             == first.injector.crashed_ids
-        assert again.result.swarm.sim.now == first.result.swarm.sim.now  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert again.result.swarm.sim.now == first.result.swarm.sim.now
 
     def test_different_seeds_differ(self, chaos_runs):
         a = chaos_runs[SEEDS[0]].counters.as_dict()

@@ -120,7 +120,7 @@ class TestCancellation:
         up.try_start(125.0, lambda t: None)
         sim.schedule(0.25, up.close)
         sim.run()
-        assert up.closed_at == pytest.approx(0.25)  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert up.closed_at == pytest.approx(0.25)
         assert up.in_flight() == []
         # after close, no new transfers
         assert up.try_start(10, lambda t: None) is None

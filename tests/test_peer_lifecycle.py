@@ -155,7 +155,7 @@ class TestWhitewashMechanics:
         assert a.active
         assert a.book.has(1)
         assert a.kb_downloaded == 512.0
-        assert a.join_time == old_join  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert a.join_time == old_join
         assert swarm.find_peer(new_id) is a
         assert swarm.find_peer("A") is None
 

@@ -254,7 +254,7 @@ class TestFullRun:
                             sanitize=True)
         assert plain.swarm.sim.events_fired \
             == checked.swarm.sim.events_fired
-        assert plain.swarm.sim.now == checked.swarm.sim.now  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert plain.swarm.sim.now == checked.swarm.sim.now
         assert plain.metrics.mean_completion_time("leecher") \
             == checked.metrics.mean_completion_time("leecher")
 

@@ -46,7 +46,7 @@ class TestScheduling:
         sim = Simulator()
         sim.schedule(2.0, lambda: None)
         sim.run()
-        assert sim.now == 2.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.now == 2.0
         with pytest.raises(SimulatorError):
             sim.schedule_at(1.0, lambda: None)
 
@@ -61,7 +61,7 @@ class TestScheduling:
         sim.schedule(1.0, outer)
         sim.run()
         assert order == ["outer", "inner"]
-        assert sim.now == 1.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.now == 1.0
 
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
@@ -75,7 +75,7 @@ class TestScheduling:
         sim.schedule(1.0, chain, 1)
         sim.run()
         assert fired == [1, 2, 3, 4, 5]
-        assert sim.now == 5.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.now == 5.0
 
 
 class TestCancellation:
@@ -134,7 +134,7 @@ class TestRun:
         sim = Simulator()
         sim.schedule(10.0, lambda: None)
         sim.run(until=5.0)
-        assert sim.now == 5.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.now == 5.0
         assert sim.pending_events == 1
 
     def test_run_until_fires_events_at_boundary(self):
@@ -147,7 +147,7 @@ class TestRun:
     def test_run_advances_clock_to_until_with_no_events(self):
         sim = Simulator()
         sim.run(until=7.5)
-        assert sim.now == 7.5  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.now == 7.5
 
     def test_resume_after_until(self):
         sim = Simulator()
@@ -156,7 +156,7 @@ class TestRun:
         sim.run(until=5.0)
         sim.run()
         assert fired == [1]
-        assert sim.now == 10.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.now == 10.0
 
     def test_max_events(self):
         sim = Simulator()
@@ -185,14 +185,14 @@ class TestRun:
         sim.run(until=50.0, stop=stop)
         assert fired == [1, 2, 3]
         assert asked == [1.0, 2.0, 3.0, 4.0]
-        assert sim.now == 3.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.now == 3.0
         assert sim.events_fired == 3 and sim.pending_events == 2
 
     def test_stop_is_asked_ahead_of_until(self):
         sim = Simulator()
         sim.schedule(10.0, lambda: None)
         sim.run(until=5.0, stop=lambda head_time: True)
-        assert sim.now == 0.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.now == 0.0
 
     def test_stop_never_sees_cancelled_heads_or_an_empty_heap(self):
         sim = Simulator()
@@ -203,7 +203,7 @@ class TestRun:
         sim.run(until=9.0, stop=lambda t: asked.append(t) or False)
         assert asked == [2.0]
         # The heap ran dry without a stop hit: ``until`` still applies.
-        assert sim.now == 9.0  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert sim.now == 9.0
 
     def test_step_returns_false_when_empty(self):
         sim = Simulator()

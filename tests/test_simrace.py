@@ -337,7 +337,7 @@ class TestRaceReporter:
         conflict = sim.races.conflicts[0]
         assert conflict.kind == "write/write"
         assert conflict.field == "value"
-        assert conflict.time == 1.0  # simlint: disable=SL004 -- the batch timestamp is exact same-instant identity, not a tolerance check
+        assert conflict.time == 1.0
         # Both provenances name distinct events.
         assert conflict.first.seq != conflict.second.seq
 

@@ -52,7 +52,7 @@ class TestPlaybackSession:
         sim.run()
         assert session.finished
         # 5 pieces x 2 s each, started at t=0
-        assert session.finished_at == pytest.approx(10.0)  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+        assert session.finished_at == pytest.approx(10.0)
         assert session.stall_count == 0
         assert session.continuity_index() == pytest.approx(1.0)
 

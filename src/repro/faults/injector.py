@@ -15,8 +15,7 @@ Every draw comes from a *named substream* of the run seed
 (:func:`repro.sim.randomness.substream`), never from the simulation's
 main ``Simulator.rng`` — attaching an injector therefore perturbs no
 existing draw, and an idle plan reproduces the fault-free trace
-bit-for-bit.  simlint rule SL007 enforces this at review time for
-everything under ``faults/``.
+bit-for-bit (``tests/test_faults.py::TestSubstreamIsolation``).
 """
 
 from __future__ import annotations

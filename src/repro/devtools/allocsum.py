@@ -27,9 +27,8 @@ Rules:
   simulation event pays it, so at 10^5 peers it is the per-event
   garbage bill.
 * **SL302** — an O(peers)/O(pieces)-scale copy, comprehension or
-  slicing in a per-event region (the interprocedural counterpart of
-  the file-local SL012 rescan rule): the *size* of the
-  allocation grows with the swarm.
+  slicing in a per-event region: the *size* of the allocation grows
+  with the swarm.
 * **SL303** — closure/partial creation per event: the code object is
   constant, so the closure should be hoisted to setup (a bound
   method, a module function, or a prebuilt partial).

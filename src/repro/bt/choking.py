@@ -35,10 +35,6 @@ class ContributionTracker:
         """KB received from the neighbor in the previous interval."""
         return self._last.get(neighbor_id, 0.0)
 
-    def last_round_weights(self) -> Dict[str, float]:
-        """All previous-interval counts (copy)."""
-        return dict(self._last)
-
     def forget(self, neighbor_id: str) -> None:
         """Drop all state about a departed (or whitewashed) neighbor."""
         self._current.pop(neighbor_id, None)

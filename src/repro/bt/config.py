@@ -18,7 +18,7 @@ simulated; a piece transfer is the atomic unit (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 #: Paper values (Sec. IV-A): leecher upload bandwidths vary 400-1200 Kbps.
 DEFAULT_LEECHER_CAPACITIES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
@@ -59,7 +59,6 @@ class SwarmConfig:
     real_crypto: bool = False
     freeriders_send_reports: bool = True
     seed: int = 0
-    max_sim_time_s: Optional[float] = None
     chain_sample_interval_s: float = 10.0
     #: Quiescence stop: a swarm with no piece upload started and no
     #: arrival for this many simulated seconds is done (0 disables).
@@ -89,13 +88,3 @@ class SwarmConfig:
     def total_upload_slots(self) -> int:
         """Slots on a BitTorrent-style uplink (regular + optimistic)."""
         return self.upload_slots + self.optimistic_slots
-
-    def piece_transfer_time(self, capacity_kbps: float,
-                            n_slots: int) -> float:
-        """Seconds to push one piece over one slot of ``capacity/n``."""
-        return self.piece_size_kb * 8.0 / (capacity_kbps / n_slots)
-
-    def with_overrides(self, **kwargs) -> "SwarmConfig":
-        """A copy with the given fields replaced."""
-        from dataclasses import replace
-        return replace(self, **kwargs)

@@ -212,13 +212,6 @@ class RunSummary:
             return 0.0
         return self.chain_stats.opportunistic_fraction
 
-    @property
-    def events_per_second(self) -> float:
-        """Engine throughput of the run (0.0 if wall time unknown)."""
-        if self.wall_time_s <= 0:
-            return 0.0
-        return self.events_fired / self.wall_time_s
-
 
 def summarize_run(result, wall_time_s: float = 0.0) -> RunSummary:
     """Extract a :class:`RunSummary` from a live ``RunResult``."""

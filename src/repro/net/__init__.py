@@ -22,11 +22,8 @@ from repro.net.link import (
 from repro.net.routing import RouteTable
 from repro.net.topogen import (
     DEFAULT_DC_MATRIX_MS,
-    fat_tree,
-    full_mesh,
     graph_from_spec,
     multi_dc,
-    random_graph,
     star,
 )
 from repro.net.topology import Topology
@@ -43,10 +40,7 @@ __all__ = [
     "Transfer",
     "Uplink",
     "build_network",
-    "fat_tree",
-    "full_mesh",
     "graph_from_spec",
     "multi_dc",
-    "random_graph",
     "star",
 ]

@@ -2,25 +2,17 @@
 
 Each generator returns a :class:`~repro.net.link.NetGraph` — nodes,
 :class:`~repro.net.link.LinkSpec` edges, and the attach set peers may
-be placed on.  All generators are pure functions of their arguments:
-the only seeded one (:func:`random_graph`) derives its randomness from
-``substream(seed, "topogen")`` so graph shape never perturbs protocol
-streams.
-
-The ladder mirrors the classic simulator progression (star → mesh →
-random → fat-tree → WAN latency matrix); :func:`graph_from_spec`
-builds any of them from a JSON-able dict so sweep manifests and the
-CLI can carry topologies as plain data.
+be placed on.  Both are pure, unseeded functions of their arguments:
+:func:`star` (one shared hop) and :func:`multi_dc` (a WAN latency
+matrix); :func:`graph_from_spec` builds either from a JSON-able dict
+so sweep manifests and the CLI can carry topologies as plain data.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.net.link import LinkSpec, NetGraph
-from repro.sim.randomness import substream
-
-TOPOGEN_STREAM_LABEL = "topogen"
 
 
 def _link(a: str, b: str, latency_s: float, bandwidth_kbps,
@@ -41,92 +33,6 @@ def star(n_leaves: int, hub: str = "core", latency_s: float = 0.0,
     links = tuple(_link(leaf, hub, latency_s, bandwidth_kbps,
                         jitter_s, loss_prob) for leaf in leaves)
     return NetGraph(nodes=leaves + (hub,), links=links, attach=leaves)
-
-
-def full_mesh(n_nodes: int, latency_s: float = 0.0,
-              bandwidth_kbps: Optional[float] = None,
-              jitter_s: float = 0.0,
-              loss_prob: float = 0.0) -> NetGraph:
-    """Every pair of nodes directly linked (uniform cost)."""
-    if n_nodes < 2:
-        raise ValueError("mesh needs at least two nodes")
-    nodes = tuple(f"n{i}" for i in range(n_nodes))
-    links = tuple(_link(nodes[i], nodes[j], latency_s, bandwidth_kbps,
-                        jitter_s, loss_prob)
-                  for i in range(n_nodes)
-                  for j in range(i + 1, n_nodes))
-    return NetGraph(nodes=nodes, links=links)
-
-
-def random_graph(n_nodes: int, extra_edge_prob: float = 0.2,
-                 seed: int = 0, latency_s: float = 0.0,
-                 bandwidth_kbps: Optional[float] = None,
-                 jitter_s: float = 0.0,
-                 loss_prob: float = 0.0) -> NetGraph:
-    """Connected random graph: a random spanning tree (guaranteeing
-    connectivity) plus each remaining pair with ``extra_edge_prob``."""
-    if n_nodes < 2:
-        raise ValueError("random graph needs at least two nodes")
-    if not 0.0 <= extra_edge_prob <= 1.0:
-        raise ValueError("extra_edge_prob must be in [0, 1]")
-    rng = substream(seed, TOPOGEN_STREAM_LABEL)
-    nodes = tuple(f"n{i}" for i in range(n_nodes))
-    edges: List[Tuple[str, str]] = []
-    present = set()
-    # Random spanning tree: each node links to a random earlier one.
-    for i in range(1, n_nodes):
-        j = rng.randrange(i)
-        edges.append((nodes[j], nodes[i]))
-        present.add((j, i))
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            if (i, j) in present:
-                continue
-            if rng.random() < extra_edge_prob:
-                edges.append((nodes[i], nodes[j]))
-                present.add((i, j))
-    links = tuple(_link(a, b, latency_s, bandwidth_kbps, jitter_s,
-                        loss_prob) for a, b in edges)
-    return NetGraph(nodes=nodes, links=links)
-
-
-def fat_tree(k: int = 4, edge_latency_s: float = 0.0005,
-             agg_latency_s: float = 0.001,
-             core_latency_s: float = 0.002,
-             bandwidth_kbps: Optional[float] = None,
-             jitter_s: float = 0.0,
-             loss_prob: float = 0.0) -> NetGraph:
-    """A k-ary fat-tree (k even): ``(k/2)²`` cores, ``k`` pods of
-    ``k/2`` aggregation + ``k/2`` edge switches; peers attach at the
-    edge layer.  Latencies default to a datacenter-ish hierarchy."""
-    if k < 2 or k % 2:
-        raise ValueError("fat-tree arity k must be even and >= 2")
-    half = k // 2
-    cores = tuple(f"core{i}" for i in range(half * half))
-    nodes: List[str] = list(cores)
-    links: List[LinkSpec] = []
-    edges_all: List[str] = []
-    for pod in range(k):
-        aggs = [f"p{pod}a{i}" for i in range(half)]
-        edges = [f"p{pod}e{i}" for i in range(half)]
-        nodes.extend(aggs)
-        nodes.extend(edges)
-        edges_all.extend(edges)
-        for agg in aggs:
-            for edge in edges:
-                links.append(_link(edge, agg, edge_latency_s,
-                                   bandwidth_kbps, jitter_s,
-                                   loss_prob))
-        # Aggregation switch i uplinks to core group i.
-        for i, agg in enumerate(aggs):
-            for j in range(half):
-                core = cores[i * half + j]
-                links.append(_link(agg, core,
-                                   agg_latency_s + core_latency_s,
-                                   bandwidth_kbps, jitter_s,
-                                   loss_prob))
-    return NetGraph(nodes=tuple(nodes), links=tuple(links),
-                    attach=tuple(edges_all))
 
 
 def multi_dc(latency_ms: Sequence[Sequence[float]],
@@ -170,7 +76,7 @@ DEFAULT_DC_MATRIX_MS = (
     (120.0, 90.0, 0.0),
 )
 
-GENERATORS = ("star", "mesh", "random", "fat_tree", "multi_dc")
+GENERATORS = ("star", "multi_dc")
 
 
 def graph_from_spec(spec: Dict
@@ -178,10 +84,9 @@ def graph_from_spec(spec: Dict
     """Build ``(graph, placement, control_size_kb)`` from a JSON-able
     dict — the ``extra={"net": {...}}`` / CLI / sweep-manifest format.
 
-    Keys: ``topology`` (one of :data:`GENERATORS`), ``nodes`` (count,
-    where applicable), ``latency_ms``, ``jitter_ms``, ``loss``,
-    ``bandwidth_kbps``, ``seed``/``edge_prob`` (random), ``k``
-    (fat-tree), ``matrix_ms``/``names`` (multi-DC; defaults to
+    Keys: ``topology`` (one of :data:`GENERATORS`), ``nodes`` (star
+    leaf count), ``latency_ms``, ``jitter_ms``, ``loss``,
+    ``bandwidth_kbps``, ``matrix_ms``/``names`` (multi-DC; defaults to
     :data:`DEFAULT_DC_MATRIX_MS`), plus pass-through ``placement`` and
     ``control_kb``.
     """
@@ -199,15 +104,6 @@ def graph_from_spec(spec: Dict
                   jitter_s=jitter_ms / 1000.0, loss_prob=loss)
     if kind == "star":
         graph = star(nodes, latency_s=latency_s, **common)
-    elif kind == "mesh":
-        graph = full_mesh(nodes, latency_s=latency_s, **common)
-    elif kind == "random":
-        graph = random_graph(
-            nodes, extra_edge_prob=float(spec.pop("edge_prob", 0.2)),
-            seed=int(spec.pop("seed", 0)), latency_s=latency_s,
-            **common)
-    elif kind == "fat_tree":
-        graph = fat_tree(k=int(spec.pop("k", 4)), **common)
     elif kind == "multi_dc":
         matrix = spec.pop("matrix_ms", DEFAULT_DC_MATRIX_MS)
         graph = multi_dc(matrix, names=spec.pop("names", None),

@@ -16,11 +16,8 @@ from repro.net.link import (
 from repro.net.routing import RouteTable
 from repro.net.topogen import (
     DEFAULT_DC_MATRIX_MS,
-    fat_tree,
-    full_mesh,
     graph_from_spec,
     multi_dc,
-    random_graph,
     star,
 )
 
@@ -103,29 +100,6 @@ class TestTopogen:
         assert graph.attach_nodes == ("leaf0", "leaf1", "leaf2",
                                       "leaf3")
 
-    def test_mesh_shape(self):
-        graph = full_mesh(5)
-        assert len(graph.links) == 10
-
-    def test_random_graph_connected_and_reproducible(self):
-        g1 = random_graph(12, extra_edge_prob=0.1, seed=3)
-        g2 = random_graph(12, extra_edge_prob=0.1, seed=3)
-        assert g1 == g2
-        model = NetworkModel(g1)
-        for node in g1.nodes[1:]:
-            assert model.routes.reachable(g1.nodes[0], node)
-
-    def test_fat_tree_shape(self):
-        graph = fat_tree(k=4)
-        # (k/2)^2 = 4 cores + 4 pods x (2 agg + 2 edge) = 20 nodes.
-        assert len(graph.nodes) == 20
-        # Peers attach at the edge layer only.
-        assert len(graph.attach) == 8
-        assert all(name[2] == "e" for name in graph.attach)
-        model = NetworkModel(graph)
-        path = model.routes.path("p0e0", "p3e1")
-        assert path is not None and len(path) == 5  # edge-agg-core-agg-edge
-
     def test_multi_dc_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
             multi_dc(((0.0, 10.0), (20.0, 0.0)))
@@ -143,6 +117,9 @@ class TestTopogen:
             graph_from_spec({"topology": "star", "typo": 1})
         with pytest.raises(ValueError):
             graph_from_spec({"topology": "hypercube"})
+        # a deleted generator is an unknown topology
+        with pytest.raises(ValueError):
+            graph_from_spec({"topology": "mesh"})
 
 
 class TestRouting:

@@ -49,7 +49,10 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple, TypeVar)
 
-from .rules import SCHEDULE_METHODS, dotted_name
+from .rules import dotted_name
+
+#: Engine calls whose callback argument becomes a schedule-site edge.
+SCHEDULE_METHODS = {"schedule", "schedule_at", "call_now"}
 
 #: Path components that anchor dotted module names.  A file under any
 #: of these roots is named relative to the root; anything else gets a

@@ -55,7 +55,12 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .callgraph import (FunctionInfo, ProjectIndex, Step, fixpoint,
                         short)
-from .rules import RNG_METHODS, dotted_name
+from .rules import dotted_name
+
+#: Draws from the shared seeded stream: ``….rng.<method>(…)``.
+RNG_METHODS = {"choice", "choices", "sample", "shuffle", "randint",
+               "randrange", "random", "uniform", "expovariate", "gauss",
+               "getrandbits"}
 
 #: Methods that mutate their receiver in place.  Calling one of these
 #: on an attribute path is a write to that path.

@@ -74,8 +74,8 @@ from repro.bt.protocols import PROTOCOLS
 from repro.experiments import run_swarm
 from repro.experiments.config import ExperimentScale
 from repro.experiments.parallel import (ENV_WORKERS, RunSpec, execute_spec,
-                                       run_specs)
-from repro.experiments.runner import compliant_completion_rate
+                                       resolve_workers, run_specs)
+from repro.experiments.runner import ARRIVALS, compliant_completion_rate
 
 #: One help string for every worker-count flag, matching what
 #: resolve_workers actually implements (0 = one worker per CPU).
@@ -279,8 +279,7 @@ def _swarm_args(parser: argparse.ArgumentParser,
                         help="free-rider fraction [0, 1]")
     parser.add_argument("--collude", action="store_true",
                         help="free-riders collude (T-Chain)")
-    parser.add_argument("--arrival", default="flash",
-                        choices=["flash", "trace"])
+    parser.add_argument("--arrival", default="flash", choices=ARRIVALS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-time", type=float, default=None)
 
@@ -292,37 +291,36 @@ def _options_from(args) -> FreeRiderOptions:
     return FreeRiderOptions()
 
 
-def _net_spec_from(args) -> Optional[dict]:
-    """The ``extra={"net": ...}`` spec for the --net flags, if any."""
-    if getattr(args, "net", None) is None:
-        return None
-    spec = {"topology": args.net}
-    if args.net == "star":
-        spec["nodes"] = args.net_nodes
-        spec["latency_ms"] = args.net_latency_ms
-    if args.net_jitter_ms:
-        spec["jitter_ms"] = args.net_jitter_ms
-    if args.net_loss:
-        spec["loss"] = args.net_loss
-    if args.net_bw_kbps is not None:
-        spec["bandwidth_kbps"] = args.net_bw_kbps
-    return spec
-
-
-def _run_one(args, protocol: str):
-    net_spec = _net_spec_from(args)
-    extra = {"net": net_spec} if net_spec is not None else {}
-    return run_swarm(
+def _specs_from(args, protocols: List[str]) -> List[RunSpec]:
+    """One spec per protocol from the shared swarm flags; the --net
+    flags (``repro run`` only) become the spec's ``extra`` override."""
+    extra = {}
+    if getattr(args, "net", None) is not None:
+        net = {"topology": args.net}
+        if args.net == "star":
+            net["nodes"] = args.net_nodes
+            net["latency_ms"] = args.net_latency_ms
+        if args.net_jitter_ms:
+            net["jitter_ms"] = args.net_jitter_ms
+        if args.net_loss:
+            net["loss"] = args.net_loss
+        if args.net_bw_kbps is not None:
+            net["bandwidth_kbps"] = args.net_bw_kbps
+        extra["extra"] = {"net": net}
+    return [RunSpec.from_kwargs(
         protocol=protocol, leechers=args.leechers, pieces=args.pieces,
         piece_size_kb=args.piece_kb, seed=args.seed,
         freerider_fraction=args.freeriders,
         freerider_options=_options_from(args),
         arrival=args.arrival, max_time=args.max_time,
-        sanitize=getattr(args, "sanitize", False), extra=extra)
+        sanitize=getattr(args, "sanitize", False), **extra)
+        for protocol in protocols]
 
 
 def cmd_run(args) -> int:
-    result = _run_one(args, args.protocol)
+    # In process: Kaplan-Meier and --out read the live result.
+    spec, = _specs_from(args, [args.protocol])
+    result = run_swarm(**spec.kwargs())
     metrics = result.metrics
     compliant = metrics.compliant_leechers()
     rows = [
@@ -359,16 +357,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    specs = [RunSpec(
-        protocol=protocol, leechers=args.leechers, pieces=args.pieces,
-        piece_size_kb=args.piece_kb, seed=args.seed,
-        freerider_fraction=args.freeriders,
-        freerider_options=_options_from(args),
-        arrival=args.arrival, max_time=args.max_time)
-        for protocol in args.protocols]
     rows = []
     bars = []
-    for result in run_specs(specs, workers=args.workers,
+    for result in run_specs(_specs_from(args, args.protocols),
+                            workers=args.workers,
                             sweep_dir=args.sweep_dir):
         metrics = result.metrics
         mct = metrics.mean_completion_time("leecher")
@@ -620,7 +612,7 @@ def cmd_chaos(args) -> int:
 def cmd_sweep(args) -> int:
     from repro.experiments.fabric import (DEFAULT_RETRY_BUDGET,
                                           DEFAULT_SHARD_SIZE,
-                                          SweepIncomplete,
+                                          ManifestError, SweepIncomplete,
                                           load_manifest, resume_sweep,
                                           run_specs_fabric)
     retry_budget = (args.retry_budget if args.retry_budget is not None
@@ -630,7 +622,11 @@ def cmd_sweep(args) -> int:
             print("error: --kill-prob is a fresh-sweep fault "
                   "injection; a resume must run clean", file=sys.stderr)
             return 2
-        specs = load_manifest(args.resume).specs
+        try:
+            specs = load_manifest(args.resume).specs
+        except ManifestError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         try:
             summaries = resume_sweep(
                 args.resume, workers=args.workers,
@@ -654,6 +650,11 @@ def cmd_sweep(args) -> int:
                 print("error: --kill-prob needs --sweep-dir (a "
                       "killed sweep in a temp directory leaves "
                       "nothing to resume)", file=sys.stderr)
+                return 2
+            if resolve_workers(args.workers) < 2:
+                print("error: --kill-prob needs --workers >= 2 (a "
+                      "serial sweep runs its shards in this process, "
+                      "so a kill would end the sweep)", file=sys.stderr)
                 return 2
             kill = WorkerKill(prob=args.kill_prob, seed=args.kill_seed)
         try:

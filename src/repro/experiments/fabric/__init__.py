@@ -33,7 +33,6 @@ from repro.experiments.fabric.manifest import (
     decode_value,
     encode_value,
     load_manifest,
-    register_spec_class,
     spec_digest,
     write_manifest,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "decode_value",
     "encode_value",
     "load_manifest",
-    "register_spec_class",
     "spec_digest",
     "write_manifest",
     "DEFAULT_RETRY_BUDGET",

@@ -15,15 +15,15 @@ before the first shard is dispatched, so the sweep directory is
 self-describing from the first instant: ``repro sweep --resume <dir>``
 needs nothing but the directory.
 
-Spec encoding is invertible for a small registry of known frozen
-dataclasses (:data:`SPEC_CLASSES`); anything else in a spec must be a
-JSON scalar, tuple or dict of the same.  Extend the registry with
-:func:`register_spec_class` when a new picklable spec type joins the
-sweep layer.
+Spec encoding is invertible for a fixed table of frozen dataclasses
+(:func:`spec_classes`: ``RunSpec``, ``FreeRiderOptions``, ``FaultPlan``,
+``PeerCrash``, ``NetworkPartition``); anything else in a spec must be a
+JSON scalar, tuple or dict of the same.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -49,27 +49,16 @@ class ManifestError(ValueError):
 # ----------------------------------------------------------------------
 # Canonical spec encoding
 # ----------------------------------------------------------------------
-#: name -> class, for every dataclass allowed inside a manifest.
-SPEC_CLASSES: Dict[str, Type] = {}
-
-
-def register_spec_class(cls: Type) -> Type:
-    """Allow ``cls`` instances inside manifests (usable as decorator)."""
-    if not is_dataclass(cls):
-        raise ManifestError(f"{cls!r} is not a dataclass")
-    SPEC_CLASSES[cls.__name__] = cls
-    return cls
-
-
-def _register_builtin_spec_classes() -> None:
+@functools.cache
+def spec_classes() -> Dict[str, Type]:
+    """name -> class, for every dataclass allowed inside a manifest."""
     # Imported lazily to keep module import order flexible (parallel
     # imports nothing from fabric, so this cannot cycle).
     from repro.attacks.freerider import FreeRiderOptions
     from repro.experiments.parallel import RunSpec
     from repro.faults.plan import FaultPlan, NetworkPartition, PeerCrash
-    for cls in (RunSpec, FreeRiderOptions, FaultPlan, PeerCrash,
-                NetworkPartition):
-        SPEC_CLASSES.setdefault(cls.__name__, cls)
+    return {cls.__name__: cls for cls in (
+        RunSpec, FreeRiderOptions, FaultPlan, PeerCrash, NetworkPartition)}
 
 
 def encode_value(value: object) -> object:
@@ -85,12 +74,10 @@ def encode_value(value: object) -> object:
     if isinstance(value, list):
         return {"__list__": [encode_value(v) for v in value]}
     if is_dataclass(value) and not isinstance(value, type):
-        _register_builtin_spec_classes()
         name = type(value).__name__
-        if name not in SPEC_CLASSES:
+        if spec_classes().get(name) is not type(value):
             raise ManifestError(
-                f"dataclass {name} is not manifest-encodable; register "
-                f"it with repro.experiments.fabric.register_spec_class")
+                f"dataclass {name} is not manifest-encodable")
         return {"__dataclass__": name,
                 "fields": {f.name: encode_value(getattr(value, f.name))
                            for f in fields(value)}}
@@ -118,9 +105,8 @@ def decode_value(value: object) -> object:
             return {k: decode_value(v)
                     for k, v in value["__dict__"].items()}
         if "__dataclass__" in value:
-            _register_builtin_spec_classes()
             name = value["__dataclass__"]
-            cls = SPEC_CLASSES.get(name)
+            cls = spec_classes().get(name)
             if cls is None:
                 raise ManifestError(
                     f"manifest references unknown dataclass {name!r}")

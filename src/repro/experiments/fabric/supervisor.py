@@ -168,7 +168,6 @@ class SweepSupervisor:
                  retry_base_s: float = SHARD_RETRY_BASE_S,
                  retry_cap_s: float = SHARD_RETRY_CAP_S,
                  worker_kill=None,
-                 journal: Optional[SweepJournal] = None,
                  task_fn: Callable = execute_shard):
         if retry_budget < 0:
             raise SweepError(f"retry_budget must be >= 0: {retry_budget}")
@@ -180,7 +179,7 @@ class SweepSupervisor:
         self.retry_base_s = retry_base_s
         self.retry_cap_s = retry_cap_s
         self.worker_kill = worker_kill
-        self.journal = journal or SweepJournal(sweep_dir)
+        self.journal = SweepJournal(sweep_dir)
         self.task_fn = task_fn
         self.stats = SweepStats(shards_total=len(manifest.shards))
         if worker_kill is not None and self.workers <= 1:

@@ -129,7 +129,6 @@ def run_specs_fabric(specs: Optional[Sequence[object]] = None,
                      shard_timeout_s: Optional[float] = None,
                      worker_kill=None,
                      allow_partial: bool = False,
-                     journal=None,
                      task_fn=execute_shard) -> List[object]:
     """Execute a spec matrix through the fault-tolerant fabric.
 
@@ -179,7 +178,7 @@ def run_specs_fabric(specs: Optional[Sequence[object]] = None,
             manifest, sweep_dir, workers=workers,
             shard_timeout_s=shard_timeout_s,
             retry_budget=retry_budget, worker_kill=worker_kill,
-            journal=journal, task_fn=task_fn)
+            task_fn=task_fn)
         outcome = supervisor.run()
         return _merge(manifest, outcome,
                       sweep_dir if tmp_dir is None else None,
@@ -193,8 +192,7 @@ def resume_sweep(sweep_dir: str,
                  workers: Optional[int] = None,
                  retry_budget: int = DEFAULT_RETRY_BUDGET,
                  shard_timeout_s: Optional[float] = None,
-                 allow_partial: bool = False,
-                 journal=None) -> List[object]:
+                 allow_partial: bool = False) -> List[object]:
     """Pick up a killed sweep from its directory.
 
     Shards with valid checkpoints are loaded, corrupt checkpoints and
@@ -206,5 +204,4 @@ def resume_sweep(sweep_dir: str,
                             sweep_dir=sweep_dir, resume=True,
                             retry_budget=retry_budget,
                             shard_timeout_s=shard_timeout_s,
-                            allow_partial=allow_partial,
-                            journal=journal)
+                            allow_partial=allow_partial)

@@ -25,14 +25,9 @@ from typing import List
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import summarize
-from repro.bt.protocols import PROTOCOLS as PROTOCOL_REGISTRY
 from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import build_config, seeds_for
-from repro.bt.swarm import Swarm
-from repro.bt.torrent import partial_book  # noqa: F401 (API parity)
-from repro.attacks.freerider import FreeRiderOptions, make_freerider
-from repro.workloads.arrivals import flash_crowd, schedule_arrivals
-from repro.workloads.churn import ReplacementChurn
+from repro.experiments.parallel import RunSpec, RunSummary, run_specs
+from repro.experiments.runner import seeds_for
 
 PROTOCOLS = ["random", "bittorrent", "propshare", "fairtorrent",
              "tchain"]
@@ -52,68 +47,50 @@ class Fig13Row:
     throughput_ci95: float
 
 
-def _run_once(protocol: str, n_pieces: int, fraction: float,
-              leechers: int, seed: int) -> float:
-    """One churn run; returns compliant mean download throughput."""
-    config = build_config(protocol, pieces=n_pieces,
-                          piece_size_kb=64.0, seed=seed)
-    swarm = Swarm(config)
-    seeder_cls, leecher_cls = PROTOCOL_REGISTRY[protocol]
-    seeder_cls(swarm).join()
+def churn_spec(protocol: str, n_pieces: int, fraction: float,
+               leechers: int, seed: int) -> RunSpec:
+    """One small-file run under replacement churn (64 KB pieces),
+    measured over the first :data:`MEASUREMENT_WINDOW_S` seconds."""
+    return RunSpec(protocol=protocol, seed=seed, leechers=leechers,
+                   freerider_fraction=fraction, arrival="churn",
+                   pieces=n_pieces, piece_size_kb=64.0,
+                   max_time=MEASUREMENT_WINDOW_S)
 
-    n_free = round(fraction * leechers)
-    freerider_cls = make_freerider(leecher_cls, FreeRiderOptions())
 
-    def compliant():
-        return leecher_cls(swarm)
-
-    def freerider():
-        return freerider_cls(swarm)
-
-    factories = [compliant] * (leechers - n_free) \
-        + [freerider] * n_free
-    swarm.sim.rng.shuffle(factories)
-    schedule_arrivals(swarm, flash_crowd(factories, swarm.sim.rng))
-
-    # Replacement churn keeps the population constant: a finished
-    # compliant leecher is replaced by a compliant newcomer.
-    ReplacementChurn(swarm, compliant, horizon_s=MEASUREMENT_WINDOW_S)
-    swarm.run(max_time=MEASUREMENT_WINDOW_S, stop_when_drained=False)
-    swarm.metrics.finalize_active(swarm)
-
-    throughputs = []
-    for record in swarm.metrics.by_kind("leecher"):
+def throughput(summary: RunSummary) -> float:
+    """Compliant mean download throughput (Kbps) of a churn run: each
+    leecher's download over its time in the measurement window."""
+    rates = []
+    for record in summary.metrics.by_kind("leecher"):
         lifetime = (record.leave_time if record.leave_time is not None
                     else MEASUREMENT_WINDOW_S) - record.join_time
         if lifetime > 0:
-            throughputs.append(
-                record.kb_downloaded * 8.0 / lifetime)
-    if not throughputs:
-        return 0.0
-    return sum(throughputs) / len(throughputs)
+            rates.append(record.kb_downloaded * 8.0 / lifetime)
+    return sum(rates) / len(rates) if rates else 0.0
 
 
 def run(scale: ExperimentScale = DEFAULT_SCALE,
         fractions=(0.0, 0.5)) -> List[Fig13Row]:
     """Run the Fig. 13 sweep for the given free-rider fractions."""
-    rows: List[Fig13Row] = []
     leechers = scale.swarm(BASE_LEECHERS)
-    for fraction in fractions:
-        for protocol in PROTOCOLS:
-            for n_pieces in PIECE_COUNTS:
-                seeds = seeds_for(
-                    f"fig13/{protocol}/{n_pieces}/{fraction}",
-                    scale.root_seed, scale.seeds)
-                values = [_run_once(protocol, n_pieces, fraction,
-                                    leechers, seed)
-                          for seed in seeds]
-                summary = summarize(values)
-                rows.append(Fig13Row(
-                    protocol=protocol,
-                    n_pieces=n_pieces,
-                    freerider_fraction=fraction,
-                    mean_throughput_kbps=summary.mean,
-                    throughput_ci95=summary.ci95))
+    cells = [(fraction, protocol, n_pieces) for fraction in fractions
+             for protocol in PROTOCOLS for n_pieces in PIECE_COUNTS]
+    specs = [churn_spec(protocol, n_pieces, fraction, leechers, seed)
+             for fraction, protocol, n_pieces in cells
+             for seed in seeds_for(
+                 f"fig13/{protocol}/{n_pieces}/{fraction}",
+                 scale.root_seed, scale.seeds)]
+    summaries = iter(run_specs(specs))
+    rows: List[Fig13Row] = []
+    for fraction, protocol, n_pieces in cells:
+        summary = summarize([throughput(next(summaries))
+                             for _ in range(scale.seeds)])
+        rows.append(Fig13Row(
+            protocol=protocol,
+            n_pieces=n_pieces,
+            freerider_fraction=fraction,
+            mean_throughput_kbps=summary.mean,
+            throughput_ci95=summary.ci95))
     return rows
 
 

@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
 ENV_WORKERS = "REPRO_WORKERS"
 
 #: run_swarm parameters that cannot cross a process boundary.
-_UNSPECABLE = ("config", "setup")
+_UNSPECABLE = ("setup",)
 
 
 class ParallelExecutionError(RuntimeError):
@@ -107,9 +107,8 @@ class RunSpec:
     def from_kwargs(cls, **kwargs) -> "RunSpec":
         """Build a spec from ``run_swarm``-style keyword arguments.
 
-        Raises :class:`ParallelExecutionError` for arguments that
-        cannot cross a process boundary (``setup`` callables, live
-        ``config`` objects).
+        Raises :class:`ParallelExecutionError` for a ``setup``
+        callable, which cannot cross a process boundary.
 
         ``kwargs`` is never mutated — neither on success nor on the
         error path — so callers can safely reuse one kwargs dict

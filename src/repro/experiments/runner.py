@@ -2,8 +2,10 @@
 
 :func:`run_swarm` assembles one simulated swarm the way Sec. IV-A
 describes: one permanent seeder, a population of leechers (optionally
-partly free-riding), an arrival model (flash crowd or continuous
-RedHat-9-like trace), then runs to completion and returns a
+partly free-riding), an arrival model (:data:`ARRIVALS`: flash crowd,
+continuous RedHat-9-like trace, or Sec. IV-I's churn, a flash crowd in
+which every finisher is replaced by a compliant newcomer until
+``max_time``), then runs to completion and returns a
 :class:`RunResult` exposing every metric the paper plots.
 
 Per-protocol piece sizes follow the paper: 256 KB for BitTorrent and
@@ -26,7 +28,11 @@ from repro.bt.swarm import Swarm
 from repro.bt.torrent import partial_book
 from repro.sim.randomness import SeedSequence
 from repro.workloads.arrivals import flash_crowd, schedule_arrivals
+from repro.workloads.churn import ReplacementChurn
 from repro.workloads.trace import redhat9_like_trace
+
+#: The arrival models :func:`run_swarm` accepts.
+ARRIVALS = ("flash", "trace", "churn")
 
 #: Paper piece sizes per protocol (Sec. IV-A).
 PIECE_SIZE_KB = {
@@ -143,7 +149,6 @@ def run_swarm(protocol: str = "tchain",
               freerider_options: Optional[FreeRiderOptions] = None,
               initial_piece_fraction: float = 0.0,
               trace_horizon_s: float = 2000.0,
-              config: Optional[SwarmConfig] = None,
               setup: Optional[Callable[[Swarm], None]] = None,
               sanitize: object = False,
               profile: object = False,
@@ -167,15 +172,17 @@ def run_swarm(protocol: str = "tchain",
     :class:`~repro.faults.FaultInjector`; an idle plan leaves the
     event trace bit-identical to a run without one (docs/FAULTS.md).
     """
+    if arrival not in ARRIVALS:
+        raise ValueError(f"unknown arrival model {arrival!r}; "
+                         f"choose from {ARRIVALS}")
     if freerider_options is None:
         # Constructed per call: a shared default instance would let a
         # caller's mutation (or a future non-frozen options class)
         # leak strategy flags across unrelated runs.
         freerider_options = FreeRiderOptions()
-    if config is None:
-        config = build_config(protocol, file_mb=file_mb, pieces=pieces,
-                              piece_size_kb=piece_size_kb, seed=seed,
-                              **config_overrides)
+    config = build_config(protocol, file_mb=file_mb, pieces=pieces,
+                          piece_size_kb=piece_size_kb, seed=seed,
+                          **config_overrides)
     swarm = Swarm(config, sanitize=sanitize, profile=profile)
     if fault_plan is not None:
         from repro.faults.injector import FaultInjector
@@ -202,13 +209,11 @@ def run_swarm(protocol: str = "tchain",
     factories += [lambda: freerider_cls(swarm)] * n_free
     swarm.sim.rng.shuffle(factories)
 
-    if arrival == "flash":
-        schedule = flash_crowd(factories, swarm.sim.rng)
-    elif arrival == "trace":
+    if arrival == "trace":
         schedule = redhat9_like_trace(factories, swarm.sim.rng,
                                       horizon_s=trace_horizon_s)
     else:
-        raise ValueError(f"unknown arrival model {arrival!r}")
+        schedule = flash_crowd(factories, swarm.sim.rng)
     schedule_arrivals(swarm, schedule)
 
     if max_time is None:
@@ -220,6 +225,10 @@ def run_swarm(protocol: str = "tchain",
             config.n_pieces * config.piece_size_kb,
             config.seeder_capacity_kbps, per_leecher), 10.0)
         max_time += schedule.last_arrival
+    if arrival == "churn":
+        # A pending replacement counts as a pending arrival, so the
+        # swarm cannot drain before the horizon.
+        ReplacementChurn(swarm, compliant_factory, horizon_s=max_time)
 
     try:
         swarm.run(max_time=max_time)

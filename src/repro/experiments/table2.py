@@ -32,9 +32,9 @@ from typing import Dict, List
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import percentile
 from repro.attacks.freerider import FreeRiderOptions
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import run_swarm
 from repro.experiments import fig13
+from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
+from repro.experiments.parallel import RunSpec, run_specs
 
 PROTOCOLS = ["bittorrent", "propshare", "fairtorrent", "tchain"]
 
@@ -65,7 +65,11 @@ class Cell:
     protocol: str
     metric: float
     verdict: str
-    paper_verdict: str
+
+    @property
+    def paper_verdict(self) -> str:
+        """The paper's Table II grade for this cell."""
+        return PAPER_VERDICTS[self.feature][self.protocol]
 
     @property
     def agrees(self) -> bool:
@@ -90,23 +94,15 @@ class Table2:
         raise KeyError((feature, protocol))
 
 
-def _freerider_scenario(protocol: str, options: FreeRiderOptions,
-                        seed: int):
-    return run_swarm(protocol=protocol, leechers=30, pieces=12,
-                     seed=seed, freerider_fraction=0.2,
-                     freerider_options=options,
-                     max_time=4000.0)
-
-
-def _verdict_from_freeriding(result) -> (float, str):
+def _verdict_from_freeriding(summary) -> (float, str):
     """Classify how well free-riders did: GOOD means the attack
     yielded nothing, MEDIUM a throttled trickle, BAD a practical
     download."""
-    rate = result.metrics.completion_rate("freerider")
+    rate = summary.metrics.completion_rate("freerider")
     if rate == 0:
         return rate, GOOD
-    compliant = result.mean_completion_time("leecher") or 1.0
-    freerider = result.mean_completion_time("freerider")
+    compliant = summary.mean_completion_time("leecher") or 1.0
+    freerider = summary.mean_completion_time("freerider")
     if freerider is None or freerider > 5.0 * compliant or rate < 0.5:
         return rate, MEDIUM
     return rate, BAD
@@ -115,58 +111,52 @@ def _verdict_from_freeriding(result) -> (float, str):
 def run(scale: ExperimentScale = DEFAULT_SCALE) -> Table2:
     """Run all attack micro-scenarios and assemble the table."""
     seed = scale.root_seed
-    table = Table2()
-
-    plain = FreeRiderOptions(large_view=False, whitewash=False)
-    large_view = FreeRiderOptions(large_view=True, whitewash=False)
-    whitewash = FreeRiderOptions(large_view=False, whitewash=True)
-    collusion = FreeRiderOptions(large_view=True, whitewash=False,
-                                 collude=True)
-
+    scenarios = [
+        ("exploiting altruism",
+         FreeRiderOptions(large_view=False, whitewash=False)),
+        ("large-view exploit",
+         FreeRiderOptions(large_view=True, whitewash=False)),
+        ("whitewashing",
+         FreeRiderOptions(large_view=False, whitewash=True)),
+        ("collusion",
+         FreeRiderOptions(large_view=True, whitewash=False,
+                          collude=True)),
+    ]
+    specs = []
     for protocol in PROTOCOLS:
-        scenarios = [
-            ("exploiting altruism", plain),
-            ("large-view exploit", large_view),
-            ("whitewashing", whitewash),
-            ("collusion", collusion),
-        ]
-        for feature, options in scenarios:
-            result = _freerider_scenario(protocol, options, seed)
-            metric, verdict = _verdict_from_freeriding(result)
-            table.cells.append(Cell(
-                feature=feature, protocol=protocol, metric=metric,
-                verdict=verdict,
-                paper_verdict=PAPER_VERDICTS[feature][protocol]))
-
+        specs += [RunSpec(protocol=protocol, leechers=30, pieces=12,
+                          seed=seed, freerider_fraction=0.2,
+                          freerider_options=options, max_time=4000.0)
+                  for _, options in scenarios]
         # fairness spread under 25% free-riders
-        result = run_swarm(protocol=protocol, leechers=40, pieces=16,
-                           seed=seed, freerider_fraction=0.25)
-        factors = result.metrics.fairness_factors("leecher")
+        specs.append(RunSpec(protocol=protocol, leechers=40, pieces=16,
+                             seed=seed, freerider_fraction=0.25))
+    # small files: relative throughput on a 3-piece file, 50% FRs
+    specs += [fig13.churn_spec(protocol, n_pieces=3, fraction=0.5,
+                               leechers=30, seed=seed)
+              for protocol in PROTOCOLS]
+    summaries = iter(run_specs(specs))
+
+    table = Table2()
+    for protocol in PROTOCOLS:
+        table.cells += [Cell(feature, protocol,
+                             *_verdict_from_freeriding(next(summaries)))
+                        for feature, _ in scenarios]
+        factors = next(summaries).metrics.fairness_factors("leecher")
         spread = (percentile(factors, 90) - percentile(factors, 10)
                   if len(factors) >= 2 else 0.0)
         median = percentile(factors, 50) if factors else 1.0
         rel = spread / max(median, 1e-9)
         verdict = GOOD if rel < 1.3 else (MEDIUM if rel < 2.1 else BAD)
-        table.cells.append(Cell(
-            feature="fairness", protocol=protocol, metric=rel,
-            verdict=verdict,
-            paper_verdict=PAPER_VERDICTS["fairness"][protocol]))
+        table.cells.append(Cell("fairness", protocol, rel, verdict))
 
-    # small files: relative throughput on a 3-piece file, 50% FRs
-    throughputs = {
-        protocol: fig13._run_once(protocol, n_pieces=3, fraction=0.5,
-                                  leechers=30, seed=seed)
-        for protocol in PROTOCOLS
-    }
+    throughputs = {protocol: fig13.throughput(next(summaries))
+                   for protocol in PROTOCOLS}
     best = max(throughputs.values()) or 1.0
     for protocol, tp in throughputs.items():
         rel = tp / best
-        verdict = GOOD if rel > 0.75 else (MEDIUM if rel > 0.4
-                                           else BAD)
-        table.cells.append(Cell(
-            feature="small files", protocol=protocol, metric=rel,
-            verdict=verdict,
-            paper_verdict=PAPER_VERDICTS["small files"][protocol]))
+        verdict = GOOD if rel > 0.75 else (MEDIUM if rel > 0.4 else BAD)
+        table.cells.append(Cell("small files", protocol, rel, verdict))
     return table
 
 

@@ -192,6 +192,17 @@ class TestFigureModulesSmoke:
         with pytest.raises(KeyError):
             fig13.value(rows, "tchain", 999, 0.0)
 
+    def test_fig13_and_table2_fan_out_bit_identical(self, monkeypatch):
+        """Fig. 13 and Table II are one spec list each: the same rows
+        serially and over two workers."""
+        from repro.experiments import fig13, table2
+        from repro.experiments.parallel import ENV_WORKERS
+        monkeypatch.setenv(ENV_WORKERS, "1")
+        serial = (fig13.run(TINY, fractions=(0.0,)), table2.run(TINY))
+        monkeypatch.setenv(ENV_WORKERS, "2")
+        assert (fig13.run(TINY, fractions=(0.0,)),
+                table2.run(TINY)) == serial
+
 
 class TestQuietWindow:
     def test_quiet_window_stops_starved_swarms(self):

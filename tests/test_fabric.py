@@ -11,7 +11,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 
 import pytest
 
@@ -138,6 +138,11 @@ class TestCanonicalEncoding:
             encode_value(object())
         with pytest.raises(ManifestError):
             encode_value({1: "non-string key"})
+        # The spec classes are a fixed table: no other dataclass.
+        with pytest.raises(ManifestError, match="not manifest-encodable"):
+            encode_value(make_dataclass("RunSpec", ["seed"])(seed=1))
+        with pytest.raises(ManifestError, match="unknown dataclass"):
+            decode_value({"__dataclass__": "Elsewhere", "fields": {}})
 
     def test_untagged_dict_rejected_on_decode(self):
         with pytest.raises(ManifestError):
@@ -608,22 +613,19 @@ class TestFromKwargsPurity:
         assert RunSpec.from_kwargs(**kwargs).seed == 1
 
     def test_none_valued_unspecable_keys_tolerated(self):
-        spec = RunSpec.from_kwargs(seed=2, config=None, setup=None,
-                                   fault_plan=None)
+        spec = RunSpec.from_kwargs(seed=2, setup=None, fault_plan=None)
         assert spec.seed == 2
         # ... and they never leak into the overrides (which would
         # poison spec digests and kwargs round-trips).
         assert spec.config_overrides == ()
-        assert "config" not in spec.kwargs() or \
-            spec.kwargs().get("config") is None
+        assert "setup" not in spec.kwargs()
 
     def test_reusable_across_seed_loop(self):
-        kwargs = dict(protocol="tchain", leechers=4, config=None)
+        kwargs = dict(protocol="tchain", leechers=4, setup=None)
         specs = [RunSpec.from_kwargs(seed=s, **kwargs)
                  for s in range(3)]
         assert [s.seed for s in specs] == [0, 1, 2]
-        assert kwargs == dict(protocol="tchain", leechers=4,
-                              config=None)
+        assert kwargs == dict(protocol="tchain", leechers=4, setup=None)
 
 
 class TestCLI:
@@ -678,6 +680,26 @@ class TestCLI:
         assert main(["sweep", "--kill-prob", "0.5",
                      "--workers", "2"]) == 2
         assert "--sweep-dir" in capsys.readouterr().err
+
+    def test_kill_prob_requires_two_workers(self, tmp_path, capsys,
+                                            monkeypatch):
+        from repro.cli import main
+        from repro.experiments.parallel import ENV_WORKERS
+        monkeypatch.delenv(ENV_WORKERS, raising=False)
+        sweep_dir = tmp_path / "kp"
+        assert main(["sweep", "--kill-prob", "0.5",
+                     "--sweep-dir", str(sweep_dir), "--seeds", "2",
+                     "--leechers", "3", "--pieces", "2"]) == 2
+        assert "error: --kill-prob needs --workers >= 2" \
+            in capsys.readouterr().err
+        assert not sweep_dir.exists()
+
+    def test_resume_without_manifest_is_an_argument_error(self, tmp_path,
+                                                          capsys):
+        from repro.cli import main
+        assert main(["sweep", "--resume", str(tmp_path)]) == 2
+        assert "error: no manifest" in capsys.readouterr().err
+        assert os.listdir(str(tmp_path)) == []
 
     def test_resume_refuses_kill_prob(self, tmp_path, capsys):
         from repro.cli import main

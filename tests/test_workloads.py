@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.freerider import FreeRiderOptions, make_freerider
 from repro.bt.config import SwarmConfig
 from repro.bt.protocols import PROTOCOLS
 from repro.bt.swarm import Swarm
+from repro.experiments.runner import build_config, run_swarm
 from repro.workloads.arrivals import (
     ArrivalSchedule,
     flash_crowd,
@@ -194,3 +196,40 @@ class TestChurnHorizonBoundary:
         swarm.sim.run(until=60.0)
         assert swarm._pending_arrivals == 0
         assert len(swarm.leechers()) == 0
+
+
+def test_churn_arrival_matches_hand_built_swarm():
+    """``run_swarm(arrival="churn")`` is the small-file churn swarm
+    Fig. 13 used to build by hand: same config, seeder, shuffled
+    factories, flash crowd and replacement churn, so the same records."""
+    window = 150.0
+    for protocol in ("tchain", "bittorrent"):
+        for fraction in (0.0, 0.5):
+            swarm = Swarm(build_config(protocol, pieces=3,
+                                       piece_size_kb=64.0, seed=4))
+            seeder_cls, leecher_cls = PROTOCOLS[protocol]
+            seeder_cls(swarm).join()
+            n_free = round(fraction * 10)
+            freerider_cls = make_freerider(leecher_cls,
+                                           FreeRiderOptions())
+
+            def compliant():
+                return leecher_cls(swarm)
+
+            def freerider():
+                return freerider_cls(swarm)
+
+            factories = [compliant] * (10 - n_free) + [freerider] * n_free
+            swarm.sim.rng.shuffle(factories)
+            schedule_arrivals(swarm, flash_crowd(factories, swarm.sim.rng))
+            ReplacementChurn(swarm, compliant, horizon_s=window)
+            swarm.run(max_time=window, stop_when_drained=False)
+            swarm.metrics.finalize_active(swarm)
+
+            result = run_swarm(protocol=protocol, leechers=10, pieces=3,
+                               piece_size_kb=64.0, seed=4,
+                               freerider_fraction=fraction,
+                               arrival="churn", max_time=window)
+            assert result.metrics.records == swarm.metrics.records, \
+                (protocol, fraction)
+            assert len(result.metrics.records) > 10  # churn replaced

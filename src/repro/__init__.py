@@ -4,7 +4,8 @@ for Cooperative Computing* (Shin et al., IEEE ICDCS 2015).
 The package is layered bottom-up:
 
 * :mod:`repro.sim` — deterministic discrete-event simulation engine.
-* :mod:`repro.net` — uplink bandwidth model and neighbor topology.
+* :mod:`repro.net` — uplink bandwidth model and the optional link-level
+  network substrate.
 * :mod:`repro.bt` — a from-scratch BitTorrent substrate (tracker,
   swarm, leechers/seeders, LRF piece selection, tit-for-tat choking)
   plus the four evaluated protocols: original BitTorrent, PropShare,

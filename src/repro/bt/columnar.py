@@ -1,15 +1,21 @@
-"""The swarm state: dense peer rows over bitmask piece books.
+"""The swarm state: dense peer rows over bitmask piece books, and the
+neighbour graph between them.
 
 Every upload decision in every protocol asks some variant of one
 question: *which neighbours want a piece that some peer holds?*  With
 piece books stored as bitmasks (:class:`~repro.bt.torrent.PieceBook`)
 the answer for one pair is ``wanter.wmask & holder.cmask``, and for a
-neighbourhood it is that AND walked over a flat, sorted adjacency
-column.  :class:`ColumnarState` is that table — one per swarm, always
-on, the only acceleration structure the protocols consult:
+neighbourhood it is that AND walked over one row's neighbour list.
+:class:`ColumnarState` is that table — one per swarm, always on, the
+only acceleration structure the protocols consult:
 
 * rows: peer id -> dense row index, with parallel columns for the peer
-  object, its book, liveness and the neighbour rows in sorted-id order;
+  object, its book and liveness;
+* the neighbour graph (Sec. II-A / IV-A: the tracker hands a joining
+  peer up to 50 members, a peer keeps at most 55 neighbours and asks
+  for more below 30), stored once: per row, the neighbours' *rows* in
+  sorted-*id* order.  Degree is a list length, membership a binary
+  search, and the scans walk the same list;
 * one *maintained* column, ``avail``: per chooser row, the number of
   live neighbours holding each piece — the Local-Rarest-First input —
   packed into one int of ``COUNT_BITS``-wide fields.  It is the single
@@ -17,15 +23,16 @@ on, the only acceleration structure the protocols consult:
   while it changes by one big-int addition per live neighbour on a
   completion and two per edge (docs/PERF.md has the measurement).
 
-Nothing here is swarm-wide: joining costs O(1) per edge, a completion
-costs O(degree), and no map is keyed by piece.
+Nothing here is swarm-wide: joining costs O(1) per edge plus a search
+of the two neighbour lists, a completion costs O(degree), and no map is
+keyed by piece.
 
 Trace neutrality is the contract: every scan iterates neighbours in
-``topology.sorted_neighbors()`` order and applies predicates equal to
-the set intersections they replace, so candidate lists come out
-element for element what a naive rescan over ``neighbor_peers()``
-yields and no rng draw moves (``tests/test_golden_traces.py`` pins
-this against traces taken from that naive rescan).
+sorted-id order and applies predicates equal to the set intersections
+they replace, so candidate lists come out element for element what a
+naive rescan over ``neighbor_peers()`` yields and no rng draw moves
+(``tests/test_golden_traces.py`` pins this against traces taken from
+that naive rescan).
 
 Books are referenced, never copied: a book replaced after peer
 construction (the runner pre-seeds partial books) is picked up at
@@ -36,8 +43,10 @@ at the neighbours of every one.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from struct import Struct
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import (Callable, Dict, List, Optional, Sequence, Set,
+                    TYPE_CHECKING)
 
 from repro.bt.torrent import COUNT_BITS, PieceBook
 
@@ -47,23 +56,48 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ColumnarState:
-    """Dense per-peer rows with flat columns for wholesale scans.
+    """Dense per-peer rows with flat columns for wholesale scans, and
+    the neighbour graph over them.
 
     Rows are allocated at :meth:`adopt` (``Swarm.register`` /
-    ``rebrand``) and recycled at :meth:`release`; ``alive`` mirrors
+    ``rebrand``) and recycled at :meth:`remove_peer`; ``alive`` mirrors
     ``peer.active`` through ``Swarm.note_deactivated``, so a row filter
     on ``alive`` equals the ``neighbor_peers()`` activity filter at
-    every scan instant.  Adjacency is one list of neighbour rows per
-    row, parallel to ``topology.sorted_neighbors()`` element for
-    element: the topology's edge hooks carry the list positions, so
-    the two are edited in lockstep and the ids are stored once.
+    every scan instant.
+
+    ``adj_rows[row]`` is the one record of ``row``'s edges: its
+    neighbours' rows ordered by id, kept so by ``bisect`` with
+    ``key=ids.__getitem__`` and one ``insert`` / ``del`` per endpoint.
+    Both endpoints' lists are edited by the same call, so an edge is
+    always recorded on both sides.
+
+    A row registered by id alone (:meth:`add_peer`) carries no peer and
+    is never ``alive``: it takes part in the graph but in no count, so
+    the graph works on its own (``tests/test_net_topology.py``).
+
+    Parameters
+    ----------
+    max_neighbors:
+        Hard cap per peer (55 in the paper).  Free-riders mounting the
+        large-view exploit register with ``unlimited=True`` to bypass
+        it.
+    refill_threshold:
+        Below this degree a peer asks the tracker for more members
+        (30 in the paper).
+    swarm:
+        The owning swarm, read only by :meth:`check_consistency`.
     """
 
-    def __init__(self, swarm: "Swarm"):
+    def __init__(self, n_pieces: int, max_neighbors: int,
+                 refill_threshold: int, swarm: Optional["Swarm"] = None):
         self.swarm = swarm
-        self.n_pieces = swarm.torrent.n_pieces
+        self.n_pieces = n_pieces
+        self.max_neighbors = max_neighbors
+        self.refill_threshold = refill_threshold
         self.row_of: Dict[str, int] = {}
         self.ids: List[Optional[str]] = []
+        # The sort key of a neighbour list: row -> id.
+        self._id_of = self.ids.__getitem__
         self.objs: List[Optional["Peer"]] = []
         self.books: List[Optional[PieceBook]] = []
         self.alive: List[bool] = []
@@ -77,40 +111,51 @@ class ColumnarState:
         self.avail: List[int] = []
         # "I" is COUNT_BITS wide; explicit little-endian on both sides
         # puts piece 0 first on any host.
-        fields = Struct(f"<{self.n_pieces}I")
+        fields = Struct(f"<{n_pieces}I")
         self._packed_bytes, self._unpack = fields.size, fields.unpack
         self._free: List[int] = []
+        self._unlimited: Set[str] = set()
+        #: ``hook(remaining, departed)``, fired by :meth:`remove_peer`
+        #: once per ex-neighbour, after that edge is gone.
+        self.on_disconnect: Optional[Callable[[str, str], None]] = None
 
     def __len__(self) -> int:
         return len(self.row_of)
+
+    def __contains__(self, peer_id: str) -> bool:
+        return peer_id in self.row_of
 
     # ------------------------------------------------------------------
     # Lifecycle (driven by Swarm.register / note_deactivated /
     # deregister / rebrand)
     # ------------------------------------------------------------------
-    def adopt(self, peer: "Peer") -> int:
-        """Allocate a row for a registering peer (no edges yet)."""
-        pid = peer.id
-        row = self.row_of.get(pid)
-        if row is not None:
-            return row
-        book = peer.book
+    def add_peer(self, peer_id: str, unlimited: bool = False) -> int:
+        """Allocate a row with no edges and no peer yet."""
+        if peer_id in self.row_of:
+            raise ValueError(f"duplicate peer {peer_id!r}")
         if self._free:
             row = self._free.pop()
-            self.ids[row] = pid
-            self.objs[row] = peer
-            self.books[row] = book
-            self.alive[row] = True
-            self.avail[row] = 0
+            self.ids[row] = peer_id
         else:
             row = len(self.ids)
-            self.ids.append(pid)
-            self.objs.append(peer)
-            self.books.append(book)
-            self.alive.append(True)
+            self.ids.append(peer_id)
+            self.objs.append(None)
+            self.books.append(None)
+            self.alive.append(False)
             self.adj_rows.append([])
             self.avail.append(0)
-        self.row_of[pid] = row
+        self.row_of[peer_id] = row
+        if unlimited:
+            self._unlimited.add(peer_id)
+        return row
+
+    def adopt(self, peer: "Peer") -> int:
+        """Allocate a row for a registering peer (no edges yet)."""
+        row = self.add_peer(peer.id, peer.unlimited_neighbors)
+        book = peer.book
+        self.objs[row] = peer
+        self.books[row] = book
+        self.alive[row] = True
         book._state = self
         book._rows.append(row)
         return row
@@ -125,24 +170,145 @@ class ColumnarState:
         self.alive[row] = False
         self._count_at_neighbors(row, -self.books[row].spread)
 
-    def release(self, peer_id: str) -> None:
-        """Free a departed peer's row (edges were already severed by
-        ``topology.remove_peer``).  The book keeps its masks and stays
-        fully functional detached — metrics and late ``unexpect`` calls
-        read it after deregistration."""
+    def remove_peer(self, peer_id: str) -> List[str]:
+        """Sever all of a peer's edges and free its row; returns its
+        ex-neighbours in sorted-id order, the order ``on_disconnect``
+        is fired in, so simulations do not depend on per-process
+        string hashing.
+
+        The id is unknown from the first notification on, so handlers
+        that re-enter (refills, pumps) cannot reach it.  The book keeps
+        its masks and stays fully functional detached — metrics and
+        late ``unexpect`` calls read it after deregistration.
+        """
         row = self.row_of.pop(peer_id, None)
         if row is None:
-            return
+            return []
+        ids = self.ids
+        key = self._id_of
+        alive = self.alive
+        # The row's own list is handed back, translated to ids in place
+        # as the edges go (the row gets a fresh one): no copy per
+        # departure.
+        neighbors = self.adj_rows[row]
+        self.adj_rows[row] = []
+        for i, nrow in enumerate(neighbors):
+            other = neighbors[i] = ids[nrow]
+            theirs = self.adj_rows[nrow]
+            del theirs[bisect_left(theirs, peer_id, key=key)]
+            if alive[row] and alive[nrow]:
+                self.avail[nrow] -= self.books[row].spread
+            if self.on_disconnect is not None:
+                self.on_disconnect(other, peer_id)
+        self._unlimited.discard(peer_id)
         book = self.books[row]
-        book._rows.remove(row)
-        if not book._rows:
-            book._state = None
-        self.ids[row] = None
+        if book is not None:
+            book._rows.remove(row)
+            if not book._rows:
+                book._state = None
+        ids[row] = None
         self.objs[row] = None
         self.books[row] = None
-        self.alive[row] = False
-        self.adj_rows[row].clear()
+        alive[row] = False
+        self.avail[row] = 0
         self._free.append(row)
+        return neighbors
+
+    # ------------------------------------------------------------------
+    # Edges
+    # ------------------------------------------------------------------
+    def link(self, a: str, b: str,
+             admit: Optional[Callable[[str, str], bool]] = None
+             ) -> Optional[bool]:
+        """Create the edge a—b with one search of ``a``'s list.
+
+        Returns ``False`` when the edge already exists, ``True`` when
+        it was created, and ``None`` when it was refused: an unknown
+        peer, a self-edge, ``admit(a, b)`` false (asked only for a
+        would-be new edge) or a side at its cap.
+        """
+        row_of = self.row_of
+        row_a = row_of.get(a)
+        row_b = row_of.get(b)
+        if row_a is None or row_b is None or row_a == row_b:
+            return None
+        key = self._id_of
+        rows_a = self.adj_rows[row_a]
+        pos_b = bisect_left(rows_a, b, key=key)
+        if pos_b < len(rows_a) and rows_a[pos_b] == row_b:
+            return False
+        if admit is not None and not admit(a, b):
+            return None
+        rows_b = self.adj_rows[row_b]
+        cap = self.max_neighbors
+        if (len(rows_a) >= cap and a not in self._unlimited) \
+                or (len(rows_b) >= cap and b not in self._unlimited):
+            return None
+        rows_a.insert(pos_b, row_b)
+        insort(rows_b, row_a, key=key)
+        if self.alive[row_a] and self.alive[row_b]:
+            # Both endpoints live: each holds the other's pieces.
+            self.avail[row_a] += self.books[row_b].spread
+            self.avail[row_b] += self.books[row_a].spread
+        return True
+
+    def connect(self, a: str, b: str) -> bool:
+        """Create the edge a—b if both sides have capacity.
+
+        Returns True when the edge exists afterwards.
+        """
+        return self.link(a, b) is not None
+
+    def disconnect(self, a: str, b: str) -> None:
+        """Remove the edge a—b if present.
+
+        Deliberately does *not* fire ``on_disconnect``: snubbing a
+        neighbour is not a departure.
+        """
+        row_a = self.row_of.get(a)
+        row_b = self.row_of.get(b)
+        if row_a is None or row_b is None:
+            return
+        key = self._id_of
+        rows_a = self.adj_rows[row_a]
+        pos_b = bisect_left(rows_a, b, key=key)
+        if pos_b == len(rows_a) or rows_a[pos_b] != row_b:
+            return
+        del rows_a[pos_b]
+        rows_b = self.adj_rows[row_b]
+        del rows_b[bisect_left(rows_b, a, key=key)]
+        # A deactivated endpoint already left the counts.
+        if self.alive[row_a] and self.alive[row_b]:
+            self.avail[row_a] -= self.books[row_b].spread
+            self.avail[row_b] -= self.books[row_a].spread
+
+    def sorted_neighbors(self, peer_id: str) -> List[str]:
+        """The peer's neighbour ids in sorted order (a fresh list)."""
+        return list(map(self._id_of, self.adj_rows[self.row_of[peer_id]]))
+
+    def neighbor_ids(self, peer_id: str) -> Set[str]:
+        """The peer's neighbour ids as a fresh set, for a caller that
+        tests many ids against one neighbourhood."""
+        return set(map(self._id_of, self.adj_rows[self.row_of[peer_id]]))
+
+    def degree(self, peer_id: str) -> int:
+        """Number of neighbours."""
+        return len(self.adj_rows[self.row_of[peer_id]])
+
+    def are_neighbors(self, a: str, b: str) -> bool:
+        """True if the edge a—b exists."""
+        row_a = self.row_of.get(a)
+        row_b = self.row_of.get(b)
+        if row_a is None or row_b is None:
+            return False
+        rows_a = self.adj_rows[row_a]
+        pos_b = bisect_left(rows_a, b, key=self._id_of)
+        return pos_b < len(rows_a) and rows_a[pos_b] == row_b
+
+    def needs_refill(self, peer_id: str) -> bool:
+        """True when the peer should ask the tracker for more members."""
+        return len(self.adj_rows[self.row_of[peer_id]]) \
+            < self.refill_threshold
 
     # ------------------------------------------------------------------
     # Writes to the availability column
@@ -166,36 +332,6 @@ class ColumnarState:
         for nrow in self.adj_rows[row]:
             if alive[nrow]:
                 avail[nrow] += delta
-
-    # ------------------------------------------------------------------
-    # Topology events (Topology.on_edge_added / on_edge_removed; the
-    # positions index the endpoints' sorted neighbour lists)
-    # ------------------------------------------------------------------
-    def on_edge_added(self, a: str, b: str, pos_b: int,
-                      pos_a: int) -> None:
-        row_a = self.row_of[a]
-        row_b = self.row_of[b]
-        self.adj_rows[row_a].insert(pos_b, row_b)
-        self.adj_rows[row_b].insert(pos_a, row_a)
-        if self.alive[row_a] and self.alive[row_b]:
-            # Both endpoints live: each holds the other's pieces.
-            self.avail[row_a] += self.books[row_b].spread
-            self.avail[row_b] += self.books[row_a].spread
-
-    def on_edge_removed(self, a: str, b: str, pos_b: Optional[int],
-                        pos_a: Optional[int]) -> None:
-        row_a = self.row_of[a]
-        row_b = self.row_of[b]
-        # ``None``: that endpoint is leaving the topology wholesale
-        # (its list is cleared at release) or never recorded the edge.
-        if pos_b is not None:
-            del self.adj_rows[row_a][pos_b]
-        if pos_a is not None:
-            del self.adj_rows[row_b][pos_a]
-        # A deactivated endpoint already left the counts.
-        if self.alive[row_a] and self.alive[row_b]:
-            self.avail[row_a] -= self.books[row_b].spread
-            self.avail[row_b] -= self.books[row_a].spread
 
     # ------------------------------------------------------------------
     # Wholesale scans (trace-equal to the naive object walks)
@@ -250,15 +386,16 @@ class ColumnarState:
     # Self-check (the churn property test runs this after every event)
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Assert rows, liveness, adjacency, masks, book links and the
-        availability column all equal a from-scratch rebuild from the
-        peers and the topology, and each T-Chain node's flow window
-        (``peer.flow.blocked``) a recount of its pending pieces."""
+        """Assert rows, liveness, masks and book links equal the
+        peers; the neighbour lists form a valid graph (symmetric,
+        sorted by id, no duplicate, no self-edge, within the cap unless
+        unlimited); the availability column equals a recount; and each
+        T-Chain node's flow window (``peer.flow.blocked``) a recount of
+        its pending pieces."""
         swarm = self.swarm
         assert set(self.row_of) == set(swarm.peers), (
             f"rows {sorted(self.row_of)} != peers "
             f"{sorted(swarm.peers)}")
-        topology = swarm.topology
         full = (1 << self.n_pieces) - 1
         for pid, row in self.row_of.items():
             peer = swarm.peers[pid]
@@ -277,13 +414,17 @@ class ColumnarState:
                 f"{pid} spread mask diverged from cmask")
             assert book.wmask == full & ~book.cmask & ~book.emask, (
                 f"{pid} wanted mask diverged")
-            expected_adj = sorted(topology.neighbors(pid)) \
-                if pid in topology else []
-            assert topology.sorted_neighbors(pid) == expected_adj, (
-                f"sorted neighbours of {pid} diverged from the set")
-            adj = [self.ids[nrow] for nrow in self.adj_rows[row]]
-            assert adj == expected_adj, (
-                f"adj[{pid}] {adj} != {expected_adj}")
+            rows = self.adj_rows[row]
+            adj = [self.ids[nrow] for nrow in rows]
+            assert None not in adj, f"adj[{pid}] holds a freed row"
+            assert adj == sorted(set(adj)), (
+                f"adj[{pid}] {adj} not sorted without duplicates")
+            assert row not in rows, f"{pid} is its own neighbour"
+            assert len(rows) <= self.max_neighbors \
+                or pid in self._unlimited, f"{pid} over the cap"
+            for nrow in rows:
+                assert row in self.adj_rows[nrow], (
+                    f"edge {pid}-{self.ids[nrow]} recorded one-sided")
             # A borrow or carry would corrupt a *different* piece's
             # count, so guard the packing itself, live row or not.
             packed = self.avail[row]
@@ -304,4 +445,6 @@ class ColumnarState:
         for row, book in enumerate(self.books):
             if book is not None:
                 assert book._rows.count(row) == 1
+        for row in self._free:
+            assert self.ids[row] is None and not self.adj_rows[row]
         assert len(self.row_of) + len(self._free) == len(self.ids)

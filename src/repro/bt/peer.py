@@ -99,8 +99,8 @@ class Peer:
         self.join_time = self.sim.now
         swarm = self.swarm
         swarm.register(self)
-        strangers = swarm.tracker.announce(
-            self.id, swarm.topology.neighbors(self.id))
+        # A newcomer has no neighbours to leave out.
+        strangers = swarm.tracker.announce(self.id)
         swarm.tracker.join(self.id)
         for other in strangers:
             swarm.connect(self.id, other)
@@ -229,7 +229,7 @@ class Peer:
         # refill threshold, nobody else), and it drops those itself.
         swarm = self.swarm
         for other in swarm.tracker.announce(
-                self.id, swarm.topology.neighbors(self.id)):
+                self.id, swarm.topology.neighbor_ids(self.id)):
             swarm.connect(self.id, other)
 
     # ------------------------------------------------------------------
@@ -372,18 +372,19 @@ class Peer:
     def neighbor_peers(self) -> list:
         """Active neighbor Peer objects, in sorted-id order.
 
-        The topology hands out a live ``set`` of string ids; iterating
-        it raw would feed per-process hash order into rng draws and
-        upload scheduling downstream.  The topology's always-sorted
-        list fixes the order for every consumer without sorting on
-        each of the many reads per event.  Returns a fresh list (a
-        comprehension beats a generator's per-item frame switches, and
-        callers may connect or disconnect while walking it).
+        Walks the swarm state's neighbour rows (kept in sorted-id
+        order, so no per-process hash order reaches rng draws or
+        upload scheduling) and reads the peers off the ``objs`` column.
+        Returns a fresh list (a comprehension beats a generator's
+        per-item frame switches, and callers may connect or disconnect
+        while walking it).
         """
-        peers = self.swarm.peers
-        return [peer
-                for nid in self.swarm.topology.sorted_neighbors(self.id)
-                if (peer := peers.get(nid)) is not None and peer.active]
+        state = self.swarm.columnar
+        row = state.row_of.get(self.id)
+        if row is None:
+            return []
+        objs, alive = state.objs, state.alive
+        return [objs[nrow] for nrow in state.adj_rows[row] if alive[nrow]]
 
     def interested_neighbors(self) -> list:
         """Neighbors that want at least one of our completed pieces,

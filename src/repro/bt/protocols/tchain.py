@@ -217,8 +217,7 @@ class _TChainNode(Peer):
         topology = self.swarm.topology
         if topology.degree(self.id) < topology.max_neighbors:
             return
-        # A snapshot: disconnect edits the sorted list in place.
-        for neighbor_id in list(topology.sorted_neighbors(self.id)):
+        for neighbor_id in topology.sorted_neighbors(self.id):
             if not self.cooperative(neighbor_id) \
                     and not self.uploading_to(neighbor_id):
                 topology.disconnect(self.id, neighbor_id)
@@ -868,10 +867,10 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             # Our veto list: live neighbors over their pending window
             # at us.
             peers = self.swarm.peers
-            adjacent = self.swarm.topology.neighbors(self.id)
+            are_neighbors = self.swarm.topology.are_neighbors
             banned = set(
                 nid for nid in self.flow.blocked
-                if nid in adjacent
+                if are_neighbors(self.id, nid)
                 and (peer := peers.get(nid)) is not None
                 and peer.active)
             if payee is not None:

@@ -1,9 +1,10 @@
 """Swarm orchestration.
 
-A :class:`Swarm` owns the simulator, torrent, tracker, topology and the
-peer population, and provides the experiment-facing run loop.  It is
-protocol-agnostic: protocols are peer subclasses added through
-:meth:`add_peer` (usually by an arrival workload).
+A :class:`Swarm` owns the simulator, torrent, tracker, swarm state
+(peer rows and the neighbour graph) and the peer population, and
+provides the experiment-facing run loop.  It is protocol-agnostic:
+protocols are peer subclasses added through :meth:`add_peer` (usually
+by an arrival workload).
 
 The run loop stops when every leecher able to finish has left, or at
 ``max_time``.  Free-riders that can never finish (the T-Chain outcome
@@ -20,7 +21,6 @@ from repro.bt.config import SwarmConfig
 from repro.bt.peer import Peer
 from repro.bt.torrent import Torrent
 from repro.bt.tracker import Tracker
-from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 
 
@@ -38,14 +38,14 @@ class Swarm:
                              profile=profile)
         self.torrent = Torrent(config.n_pieces, config.piece_size_kb)
         self.tracker = Tracker(self.sim.rng, config.tracker_list_size)
-        self.topology = Topology(config.max_neighbors,
-                                 config.refill_threshold)
-        self.topology.on_disconnect = self._notify_disconnect
-        #: Peer rows over bitmask books (see :mod:`repro.bt.columnar`):
-        #: the one swarm state every interest scan reads.
-        self.columnar = ColumnarState(self)
-        self.topology.on_edge_added = self.columnar.on_edge_added
-        self.topology.on_edge_removed = self.columnar.on_edge_removed
+        #: Peer rows over bitmask books and the neighbour graph between
+        #: them (see :mod:`repro.bt.columnar`): the one swarm state
+        #: every interest scan reads.  ``topology`` names the same
+        #: object where it is used as the graph.
+        self.columnar = self.topology = ColumnarState(
+            config.n_pieces, config.max_neighbors,
+            config.refill_threshold, swarm=self)
+        self.columnar.on_disconnect = self._notify_disconnect
         self.metrics = SwarmMetrics()
         self.peers: Dict[str, Peer] = {}
         self.departed: Dict[str, Peer] = {}
@@ -94,8 +94,6 @@ class Swarm:
             raise ValueError(f"duplicate peer id {peer.id!r}")
         self.peers[peer.id] = peer
         self.columnar.adopt(peer)
-        self.topology.add_peer(peer.id,
-                               unlimited=peer.unlimited_neighbors)
         if self.net is not None:
             # Place onto the substrate at registration: join order is
             # deterministic, so round-robin placement is too.
@@ -116,15 +114,11 @@ class Swarm:
     def deregister(self, peer: Peer) -> None:
         """Called by ``Peer.leave``."""
         self.peers.pop(peer.id, None)
-        self.topology.remove_peer(peer.id)
+        self.columnar.remove_peer(peer.id)
         self.departed[peer.id] = peer
         if peer.kind != "seeder":
             self.active_leechers -= 1
         self.metrics.record_peer(peer, self.sim.now)
-        # Last: the detached book keeps answering (metrics above,
-        # late unexpects from cancelled transfers) off its own masks;
-        # only the row is recycled here.
-        self.columnar.release(peer.id)
 
     def find_peer(self, peer_id: str) -> Optional[Peer]:
         """Active peer by id, else None."""
@@ -137,21 +131,20 @@ class Swarm:
         for genuinely new neighbors (tracker refills mostly return
         peers we already know; re-firing would stampede the pumps).
         """
-        topology = self.topology
-        if topology.are_neighbors(a, b):
-            return True
-        peer_a, peer_b = self.peers.get(a), self.peers.get(b)
-        if peer_a is not None and not peer_a.accepts_connection_from(b):
-            return False
-        if peer_b is not None and not peer_b.accepts_connection_from(a):
-            return False
-        if not topology.connect(a, b):
-            return False
-        if peer_a is not None:
+        made = self.columnar.link(a, b, self._admits)
+        if made:
+            peer_a, peer_b = self.peers[a], self.peers[b]
             peer_a.on_neighbor_connected(b)
-        if peer_b is not None:
             peer_b.on_neighbor_connected(a)
-        return True
+        return made is not None
+
+    def _admits(self, a: str, b: str) -> bool:
+        """Both endpoints of a would-be new edge accept each other
+        (asked by ``ColumnarState.link`` after its membership search;
+        a graph row is always a registered peer)."""
+        peers = self.peers
+        return peers[a].accepts_connection_from(b) \
+            and peers[b].accepts_connection_from(a)
 
     def _notify_disconnect(self, remaining: str, departed: str) -> None:
         peer = self.peers.get(remaining)
@@ -171,8 +164,7 @@ class Swarm:
         # can re-enter (refills, pumps) and must not resolve the old id.
         self.tracker.leave(old_id)
         self.peers.pop(old_id, None)
-        self.topology.remove_peer(old_id)
-        self.columnar.release(old_id)
+        self.columnar.remove_peer(old_id)
         new_id = self.new_peer_id("W")
         if self.net is not None:
             # A rebrand changes identity, not geography.
@@ -180,9 +172,8 @@ class Swarm:
         peer.id = new_id
         self.peers[new_id] = peer
         self.columnar.adopt(peer)
-        self.topology.add_peer(new_id, unlimited=peer.unlimited_neighbors)
-        strangers = self.tracker.announce(
-            new_id, self.topology.neighbors(new_id))
+        # A fresh identity has no neighbours to leave out.
+        strangers = self.tracker.announce(new_id)
         self.tracker.join(new_id)
         for member in strangers:
             self.connect(new_id, member)

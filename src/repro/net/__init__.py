@@ -1,5 +1,6 @@
-"""Network substrate: uplink bandwidth, neighbor topology, and the
-optional link-level model.
+"""Network substrate: uplink bandwidth and the optional link-level
+model (the neighbor graph is part of the swarm state,
+:mod:`repro.bt.columnar`).
 
 Following the paper's evaluation assumptions (Sec. IV-A), upload
 bandwidth is the only constrained resource by default; download
@@ -26,7 +27,6 @@ from repro.net.topogen import (
     multi_dc,
     star,
 )
-from repro.net.topology import Topology
 
 __all__ = [
     "DEFAULT_DC_MATRIX_MS",
@@ -36,7 +36,6 @@ __all__ = [
     "NetGraph",
     "NetworkModel",
     "RouteTable",
-    "Topology",
     "Transfer",
     "Uplink",
     "build_network",

@@ -202,6 +202,26 @@ class TestPackedAvailability:
         assert columnar.avail[columnar.row_of[hub.id]] == 0
 
 
+class TestGraphCheck:
+    def test_one_sided_edge_fails_the_check(self):
+        """With no mirror to compare against, ``check_consistency``
+        must catch a corrupted neighbour list by itself: here ``A``
+        forgets ``B`` while ``B`` still lists ``A``.  No peer holds a
+        piece, so the availability recount cannot be what fires."""
+        swarm = Swarm(SwarmConfig(n_pieces=2, seed=1))
+        for pid in "ABC":
+            peer = IdlePeer(swarm, pid, 800.0, 1)
+            peer.active = True
+            swarm.register(peer)
+        assert swarm.connect("A", "B") and swarm.connect("A", "C")
+        columnar = swarm.columnar
+        columnar.check_consistency()
+        rows = columnar.adj_rows[columnar.row_of["A"]]
+        rows.remove(columnar.row_of["B"])
+        with pytest.raises(AssertionError, match="one-sided"):
+            columnar.check_consistency()
+
+
 class TestMaskHelpers:
     def test_roundtrip(self):
         for pieces in (set(), {0}, {3, 5, 17}, set(range(64))):

@@ -136,14 +136,14 @@ def make_freerider(leecher_cls: Type,
             ledger = TChainState.of(self.swarm).ledger
             now = self.sim.now
             for tx_id in list(self.pending_sealed):
-                tx = ledger.get(tx_id)
-                if not tx.is_open:
+                tx = ledger.find(tx_id)
+                if tx is None or not tx.is_open:
                     continue
                 delivered = tx.delivered_at if tx.delivered_at \
                     is not None else now
                 if now - delivered < _STALE_SEALED_AFTER_S:
                     continue
-                sealed = self.pending_sealed.pop(tx_id)
+                sealed = self.drop_sealed(tx_id)
                 self.book.unexpect(sealed.piece_index)
                 if tx_id in self.obligations:
                     self.obligations.remove(tx_id)

@@ -124,7 +124,6 @@ class TChainState:
         # Mirror ledger transitions into it so fair-exchange
         # violations surface with a trace.
         self.ledger.sanitizer = self.sanitizer
-        self.handover: Set[int] = set()
         self.colluders: Set[str] = set()
         self.stall_timeout_s = config.chain_stall_timeout_s
         self._sampler = PeriodicTask(
@@ -440,8 +439,9 @@ class _TChainNode(Peer):
             self.flow.on_piece_sent(plan.receiver_id)
             timeout = self.state.stall_timeout_s
             if timeout:
-                self.sim.schedule(timeout, _check_stall, self.state,
-                                  plan.payload.transaction_id)
+                self.sim.schedule(
+                    timeout, _check_stall, self.state,
+                    self.state.ledger.get(plan.payload.transaction_id))
 
     def on_payload_delivered(self, plan: UploadPlan, payload) -> None:
         """Reclaim a consumed plain-piece message for the pool.
@@ -461,9 +461,9 @@ class _TChainNode(Peer):
     def on_report(self, transaction_id: int, truthful: bool) -> None:
         """A reception report arrived for a transaction we donated."""
         ledger = self.state.ledger
-        tx = ledger.get(transaction_id)
-        if tx.state not in (TransactionState.RECIPROCATED,
-                            TransactionState.DELIVERED):
+        tx = ledger.find(transaction_id)
+        if tx is None or tx.state not in (TransactionState.RECIPROCATED,
+                                          TransactionState.DELIVERED):
             return  # duplicate / stale report
         if tx.state is TransactionState.DELIVERED and truthful:
             return  # truthful report cannot precede reciprocation
@@ -502,9 +502,8 @@ class _TChainNode(Peer):
         exactly the same timers."""
         if self.crashed:
             return
-        ledger = self.state.ledger
-        tx = ledger.get(transaction_id)
-        if tx.state is not TransactionState.COMPLETED \
+        tx = self.state.ledger.find(transaction_id)
+        if tx is None or tx.state is not TransactionState.COMPLETED \
                 or not tx.encrypted:
             return
         requestor = self.swarm.find_peer(tx.requestor_id)
@@ -516,8 +515,7 @@ class _TChainNode(Peer):
         self.swarm.metrics.recovery.key_retransmits += 1
         self.swarm.send_control(self.id, requestor,
                                 requestor.receive_key, transaction_id,
-                                ledger.peek_key(transaction_id),
-                                kind="key")
+                                tx.key, kind="key")
         self._arm_key_retry(transaction_id, attempt + 1)
 
     def on_plead(self, msg: PleadMessage) -> None:
@@ -530,12 +528,12 @@ class _TChainNode(Peer):
           crashed payee): roll the transaction back to DELIVERED,
           reassign the payee excluding the silent one, and tell the
           requestor to reciprocate afresh.
-        * anything else — stale plead (a retransmitted report or an
-          earlier reopen already settled the matter): ignore.
+        * anything else, or settled — stale plead (a retransmitted
+          report or an earlier reopen already settled it): ignore.
         """
         ledger = self.state.ledger
-        tx = ledger.get(msg.transaction_id)
-        if tx.requestor_id != msg.requestor_id:
+        tx = ledger.find(msg.transaction_id)
+        if tx is None or tx.requestor_id != msg.requestor_id:
             return  # forged or misrouted plead
         requestor = self.swarm.find_peer(tx.requestor_id)
         if requestor is None or not requestor.active:
@@ -546,8 +544,7 @@ class _TChainNode(Peer):
                 self.swarm.metrics.recovery.key_retransmits += 1
                 self.swarm.send_control(
                     self.id, requestor, requestor.receive_key,
-                    msg.transaction_id,
-                    ledger.peek_key(msg.transaction_id), kind="key")
+                    msg.transaction_id, tx.key, kind="key")
             return
         if tx.state is not TransactionState.RECIPROCATED:
             return
@@ -639,8 +636,8 @@ class _TChainNode(Peer):
         if tx_id is None:
             return
         ledger = self.state.ledger
-        tx = ledger.get(tx_id)
-        if tx.state is TransactionState.CREATED:
+        tx = ledger.find(tx_id)
+        if tx is not None and tx.state is TransactionState.CREATED:
             ledger.abort(tx_id, self.sim.now)
             if tx.reciprocates is None:
                 ledger.terminate_chain(tx.chain_id, self.sim.now)
@@ -666,12 +663,12 @@ class _TChainNode(Peer):
                                 tx.transaction_id, payee.id)
                     if payee is not None:
                         # Hand the key to the payee on the way out.
-                        self.state.handover.add(tx.transaction_id)
+                        tx.handed_over = True
                     else:
                         # Nobody to hand the key to: the exchange dies
                         # with us.  No key is gifted — the requestor
                         # drops the sealed piece and re-fetches it.
-                        self._abort_on_departure(tx)
+                        _orphan_exchange(self.state, tx)
                 elif tx.state is TransactionState.RECIPROCATED:
                     # The report is in flight; on_report still works
                     # after we leave (the key was sent on our way out).
@@ -689,15 +686,12 @@ class _TChainNode(Peer):
             return None
         return self.swarm.find_peer(self.sim.rng.choice(ids))
 
-    def _abort_on_departure(self, tx: Transaction) -> None:
-        _orphan_exchange(self.state, tx)
 
-
-def _check_stall(state: TChainState, transaction_id: int) -> None:
+def _check_stall(state: TChainState, tx: Transaction) -> None:
     """Watchdog marking chains stalled by idle requestors terminated
-    (metrics bookkeeping only — see SwarmConfig.chain_stall_timeout_s)."""
+    (metrics bookkeeping only — see SwarmConfig.chain_stall_timeout_s).
+    It holds ``tx`` itself: an aborted exchange has left the ledger."""
     ledger = state.ledger
-    tx = ledger.get(transaction_id)
     if tx.state is TransactionState.ABORTED:
         # Aborted before ever being reciprocated (e.g. the requestor
         # discarded the sealed piece): dead exchange, write it off.
@@ -721,7 +715,7 @@ def _check_stall(state: TChainState, transaction_id: int) -> None:
         # they discard the sealed piece, the transaction aborts, and
         # the write-off lands through the ABORTED branch above.)
         state.swarm.sim.schedule(state.stall_timeout_s, _check_stall,
-                                 state, transaction_id)
+                                 state, tx)
         return
     if requestor.uplink.busy_slots == 0:
         # Idle but not reciprocating: free-riding; the chain is dead.
@@ -734,7 +728,7 @@ def _check_stall(state: TChainState, transaction_id: int) -> None:
         return
     # Busy (backlogged) requestor: look again later.
     state.swarm.sim.schedule(state.stall_timeout_s, _check_stall,
-                             state, transaction_id)
+                             state, tx)
 
 
 def _write_off(state: TChainState, tx: Transaction) -> None:
@@ -815,8 +809,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
     def _next_obligation_upload(self) -> Optional[UploadPlan]:
         ledger = self.state.ledger
         for tx_id in list(self.obligations):
-            tx = ledger.get(tx_id)
-            if tx.state is not TransactionState.DELIVERED:
+            tx = ledger.find(tx_id)
+            if tx is None or tx.state is not TransactionState.DELIVERED:
                 # Completed through forgiveness or collusion, or aborted.
                 self._drop_obligation(tx_id)
                 continue
@@ -879,8 +873,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             donor = self.swarm.find_peer(tx.donor_id)
             if donor is not None and donor.active:
                 holder = donor
-            elif tx.transaction_id in self.state.handover \
-                    and payee is not None and payee.active:
+            elif tx.handed_over and payee is not None and payee.active:
                 # The donor left and handed its key to the payee; the
                 # payee reassigns (or forgives) on the donor's behalf.
                 holder = payee
@@ -949,8 +942,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         obligation = plan.meta.get("obligation")
         if obligation is None or not self.active:
             return
-        tx = self.state.ledger.get(obligation)
-        if tx.state is TransactionState.DELIVERED \
+        tx = self.state.ledger.find(obligation)
+        if tx is not None and tx.state is TransactionState.DELIVERED \
                 and obligation not in self.obligations:
             self.obligations.append(obligation)
             self.pump()
@@ -976,9 +969,9 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         letter — drop it rather than drive the ledger through an
         illegal ABORTED -> DELIVERED edge, and put the piece back on
         the want list so it is re-fetched from someone reachable.
+        An undelivered exchange leaves the ledger only by aborting.
         """
-        tx = self.state.ledger.get(transaction_id)
-        if tx.state is not TransactionState.ABORTED:
+        if self.state.ledger.find(transaction_id) is not None:
             return False
         self.book.unexpect(piece)
         self.swarm.metrics.recovery.dead_letters += 1
@@ -1017,13 +1010,12 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         self._send_report(prev.transaction_id, 1)
 
     def _send_report(self, transaction_id: int, attempt: int) -> None:
-        ledger = self.state.ledger
-        tx = ledger.get(transaction_id)
+        tx = self.state.ledger.find(transaction_id)
         if attempt > 1:
             # Retransmission timer.  The ledger is shared state:
-            # REPORTED / COMPLETED mean the report landed, and a
-            # reopen (DELIVERED) or abort means our duty is void.
-            if not self.active \
+            # REPORTED / COMPLETED / settled mean the report landed,
+            # and a reopen (DELIVERED) or abort means our duty is void.
+            if not self.active or tx is None \
                     or tx.state is not TransactionState.RECIPROCATED:
                 return
             self.swarm.metrics.recovery.report_retransmits += 1
@@ -1031,7 +1023,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         if donor is not None:
             self.swarm.send_control(self.id, donor, donor.on_report,
                                     transaction_id, True, kind="report")
-        elif transaction_id in self.state.handover:
+        elif tx.handed_over:
             # The donor left and handed us the key (Sec. II-B4): the
             # release is a local act, nothing to retransmit.
             self.sim.schedule(self.swarm.config.control_latency_s,
@@ -1046,8 +1038,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
 
     def _release_as_holder(self, transaction_id: int) -> None:
         ledger = self.state.ledger
-        tx = ledger.get(transaction_id)
-        if tx.state is not TransactionState.RECIPROCATED:
+        tx = ledger.find(transaction_id)
+        if tx is None or tx.state is not TransactionState.RECIPROCATED:
             return
         ledger.report_reciprocation(transaction_id, self.sim.now)
         key = ledger.release_key(transaction_id, self.sim.now)
@@ -1073,7 +1065,9 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         if transaction_id not in self.pending_sealed:
             return
         recovery = self.swarm.metrics.recovery
-        tx = self.state.ledger.get(transaction_id)
+        tx = self.state.ledger.find(transaction_id)
+        if tx is None:
+            return  # aborted
         if tx.state is TransactionState.DELIVERED:
             if transaction_id not in self.obligations:
                 # Not our backlog: a reopen's notification was lost —
@@ -1097,8 +1091,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
                 kind="plead")
             self._rearm_key_timeout(transaction_id)
             return
-        if tx.state is TransactionState.RECIPROCATED \
-                and transaction_id in self.state.handover:
+        if tx.state is TransactionState.RECIPROCATED and tx.handed_over:
             payee = self.swarm.find_peer(tx.payee_id) \
                 if tx.payee_id else None
             if payee is not None and payee.active:
@@ -1119,8 +1112,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             return
         if transaction_id not in self.pending_sealed:
             return
-        tx = self.state.ledger.get(transaction_id)
-        if tx.state is TransactionState.DELIVERED \
+        tx = self.state.ledger.find(transaction_id)
+        if tx is not None and tx.state is TransactionState.DELIVERED \
                 and transaction_id not in self.obligations:
             self.obligations.append(transaction_id)
         self.pump()
@@ -1128,7 +1121,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
     def receive_key(self, transaction_id: int, key) -> None:
         if not self.active:
             return
-        sealed = self.pending_sealed.pop(transaction_id, None)
+        sealed = self.drop_sealed(transaction_id)
         if sealed is None:
             return
         expected = None
@@ -1174,6 +1167,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
                     and tx.state is TransactionState.DELIVERED:
                 ledger.abort(tx.transaction_id, self.sim.now)
                 ledger.terminate_chain(tx.chain_id, self.sim.now)
+        for transaction_id in self.pending_sealed:
+            ledger.settle(transaction_id)
         self.obligations.clear()
         self.pending_sealed.clear()
         self._plead_attempts.clear()
@@ -1183,6 +1178,14 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         # any whose reciprocation upload is being cancelled mid-flight.
         self._forfeit_requestor_exchanges()
         super().on_leave()
+
+    def drop_sealed(self, transaction_id: int) -> Optional[object]:
+        """Pop a held sealed piece (or None) and settle its exchange."""
+        sealed = self.pending_sealed.pop(transaction_id, None)
+        if sealed is not None:
+            self.state.ledger.settle(transaction_id)
+            self._plead_attempts.pop(transaction_id, None)
+        return sealed
 
     def on_whitewash(self) -> None:
         """Whitewashing forfeits every in-flight exchange.
@@ -1230,7 +1233,7 @@ def _drop_sealed_at_requestor(state: TChainState,
     if requestor is None or not requestor.active \
             or not isinstance(requestor, TChainLeecher):
         return
-    sealed = requestor.pending_sealed.pop(tx.transaction_id, None)
+    sealed = requestor.drop_sealed(tx.transaction_id)
     if sealed is not None:
         requestor.book.unexpect(sealed.piece_index)
     if tx.transaction_id in requestor.obligations:

@@ -28,7 +28,6 @@ from repro.core.bootstrap import is_newcomer, select_bootstrap_piece
 from repro.core.chain import Chain, ChainPhase, ChainRegistry
 from repro.core.crypto import (
     Key,
-    KeyStore,
     SealedPiece,
     decrypt,
     encrypt,
@@ -67,7 +66,6 @@ __all__ = [
     "InvalidTransition",
     "Key",
     "KeyReleaseMessage",
-    "KeyStore",
     "PayeeDecision",
     "PlainPieceMessage",
     "ReceptionReport",

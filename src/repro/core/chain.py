@@ -17,7 +17,7 @@ type.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.transaction import Transaction
@@ -46,21 +46,23 @@ class Chain:
         opportunistic seeding by a leecher.
     created_at / terminated_at:
         Simulation timestamps.
+    length:
+        Number of transactions so far (the chain keeps no list).
     """
 
     chain_id: int
     initiator_id: str
     seeded_by_seeder: bool
     created_at: float
-    transactions: List[Transaction] = field(default_factory=list)
     terminated_at: Optional[float] = None
+    length: int = 0
 
     @property
     def phase(self) -> ChainPhase:
-        """Current phase, derived from the transaction log."""
+        """Current phase, derived from the transaction count."""
         if self.terminated_at is not None:
             return ChainPhase.TERMINATED
-        if len(self.transactions) <= 1:
+        if self.length <= 1:
             return ChainPhase.INITIATION
         return ChainPhase.CONTINUATION
 
@@ -69,18 +71,13 @@ class Chain:
         """True until the chain terminates."""
         return self.terminated_at is None
 
-    @property
-    def length(self) -> int:
-        """Number of transactions so far."""
-        return len(self.transactions)
-
     def append(self, transaction: Transaction) -> None:
         """Record the next transaction of the chain."""
         if not self.active:
             raise RuntimeError(
                 f"chain {self.chain_id} already terminated")
-        transaction.index_in_chain = len(self.transactions)
-        self.transactions.append(transaction)
+        transaction.index_in_chain = self.length
+        self.length += 1
 
     def terminate(self, now: float) -> None:
         """Mark the chain terminated (idempotent)."""

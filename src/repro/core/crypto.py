@@ -28,7 +28,7 @@ import hashlib
 import hmac
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 _BLOCK = hashlib.sha256().digest_size  # 32 bytes of keystream per counter
 _TAG_LEN = 32
@@ -195,38 +195,3 @@ class SealedPiece:
         return SealedPiece(piece_index=piece_index, key_id=key.key_id,
                            ciphertext=ciphertext)
 
-
-class KeyStore:
-    """Per-peer storage of keys for pieces this peer has *uploaded*.
-
-    A donor keeps the key for every sealed piece it sent until the
-    reception report arrives, at which point the key is released (and
-    may be dropped).  Section III-C3 sizes this storage at 256 bits per
-    outstanding piece.
-    """
-
-    def __init__(self):
-        self._keys: Dict[Tuple, Key] = {}
-
-    def put(self, key: Key) -> None:
-        """Store a key under its id."""
-        self._keys[key.key_id] = key
-
-    def get(self, key_id: Tuple) -> Key:
-        """Fetch a stored key; KeyError if unknown."""
-        return self._keys[key_id]
-
-    def pop(self, key_id: Tuple) -> Key:
-        """Remove and return a stored key; KeyError if unknown."""
-        return self._keys.pop(key_id)
-
-    def __contains__(self, key_id: Tuple) -> bool:
-        return key_id in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    @property
-    def storage_bytes(self) -> int:
-        """Bytes of key material currently held (overhead accounting)."""
-        return len(self._keys) * KEY_SIZE_BYTES

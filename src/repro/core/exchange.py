@@ -13,6 +13,12 @@ after a reception report, and honest reports only follow an actual
 reciprocation.  The *single* hole the paper admits — a colluding payee
 filing a false report (Sec. III-A4) — is modelled explicitly via
 ``truthful=False`` and counted in :attr:`collusion_successes`.
+
+Sec. III-C3 sizes a donor's state at one 256-bit key per piece still
+awaiting its reception report.  Likewise the ledger holds an exchange,
+key and sealed piece included, only while something can act on it: a
+missing id means *settled* (:meth:`~ExchangeLedger.find` returns
+``None``, :meth:`~ExchangeLedger.get` raises :class:`ExchangeError`).
 """
 
 from __future__ import annotations
@@ -50,9 +56,10 @@ class ExchangeLedger:
         #: owns the simulator (e.g. ``TChainState``) when the run is
         #: sanitized.
         self.sanitizer = None
-        self._transactions: Dict[int, Transaction] = {}
-        self._keys: Dict[int, Key] = {}
-        self._sealed: Dict[int, SealedPiece] = {}
+        self._open: Dict[int, Transaction] = {}
+        #: COMPLETED encrypted exchanges whose requestor may still hold
+        #: the sealed piece: a lost key release is re-sent from here
+        self._unsettled: Dict[int, Transaction] = {}
         self._open_by_peer: Dict[str, set] = {}
         self._next_tx_id = 0
         self.collusion_successes = 0
@@ -94,7 +101,7 @@ class ExchangeLedger:
         if not encrypted and payee_id is not None:
             raise ExchangeError("termination uploads carry no payee")
         if reciprocates is not None:
-            prev = self._transactions.get(reciprocates)
+            prev = self.find(reciprocates)
             if prev is None:
                 raise ExchangeError(f"unknown transaction {reciprocates}")
             if prev.requestor_id != donor_id:
@@ -103,48 +110,45 @@ class ExchangeLedger:
             if prev.payee_id != requestor_id:
                 raise ExchangeError(
                     "reciprocation must go to the designated payee")
+        transaction_id = self._next_tx_id
+        key: Optional[Key] = None
+        sealed: Optional[SealedPiece] = None
+        if encrypted and forward_of is not None:
+            original = self._open.get(forward_of)
+            if original is None or original.sealed is None:
+                raise ExchangeError(
+                    f"cannot forward unknown transaction {forward_of}")
+            if original.piece_index != piece_index:
+                raise ExchangeError(
+                    "a forwarded piece must keep its piece index")
+            key, sealed = original.key, original.sealed
+        elif encrypted:
+            key_id = (donor_id, requestor_id, transaction_id)
+            # Possession of the Key object is the model of knowledge;
+            # only real ciphertext ever reads material.
+            key = generate_key(key_id) if self.real_crypto else Key(key_id)
+            sealed = SealedPiece.seal(
+                piece_index, key,
+                payload=payload if self.real_crypto else None)
         tx = Transaction(
-            transaction_id=self._next_tx_id,
+            transaction_id=transaction_id,
             chain_id=chain.chain_id,
             index_in_chain=0,  # set by chain.append
             donor_id=donor_id,
             requestor_id=requestor_id,
             payee_id=payee_id,
             piece_index=piece_index,
+            key_id=key.key_id if key is not None else None,
             reciprocates=reciprocates,
             encrypted=encrypted,
             direct=direct,
             created_at=now,
+            key=key,
+            sealed=sealed,
         )
         self._next_tx_id += 1
-        sealed: Optional[SealedPiece] = None
-        if encrypted:
-            if forward_of is not None:
-                if forward_of not in self._keys:
-                    raise ExchangeError(
-                        f"cannot forward unknown transaction {forward_of}")
-                original = self._transactions[forward_of]
-                if original.piece_index != piece_index:
-                    raise ExchangeError(
-                        "a forwarded piece must keep its piece index")
-                key = self._keys[forward_of]
-                tx.key_id = key.key_id
-                self._keys[tx.transaction_id] = key
-                sealed = self._sealed[forward_of]
-            else:
-                key_id = (donor_id, requestor_id, tx.transaction_id)
-                # Possession of the Key object is the model of
-                # knowledge; only real ciphertext ever reads material.
-                key = generate_key(key_id) if self.real_crypto \
-                    else Key(key_id)
-                tx.key_id = key_id
-                self._keys[tx.transaction_id] = key
-                sealed = SealedPiece.seal(
-                    piece_index, key,
-                    payload=payload if self.real_crypto else None)
-            self._sealed[tx.transaction_id] = sealed
         chain.append(tx)
-        self._transactions[tx.transaction_id] = tx
+        self._open[tx.transaction_id] = tx
         for party in tx.parties():
             self._index_open(party, tx.transaction_id)
         if self.sanitizer is not None:
@@ -169,16 +173,43 @@ class ExchangeLedger:
             if not open_set:
                 del self._open_by_peer[party]
 
-    def _close_index(self, tx: Transaction) -> None:
+    def _close(self, tx: Transaction) -> None:
+        """``tx`` reached COMPLETED or ABORTED.  A completed exchange
+        whose requestor has not settled it (``sealed`` still set) moves
+        to ``_unsettled``; any other leaves the ledger."""
+        transaction_id = tx.transaction_id
+        del self._open[transaction_id]
         for party in tx.parties():
-            self._unindex_open(party, tx.transaction_id)
+            self._unindex_open(party, transaction_id)
+        if tx.state is TransactionState.ABORTED:
+            tx.key = None
+        elif tx.sealed is not None:
+            self._unsettled[transaction_id] = tx
+        tx.sealed = None
 
     # ------------------------------------------------------------------
     # Protocol progress
     # ------------------------------------------------------------------
+    def find(self, transaction_id: int) -> Optional[Transaction]:
+        """The transaction, or ``None`` once it is settled."""
+        return self._open.get(transaction_id) \
+            or self._unsettled.get(transaction_id)
+
     def get(self, transaction_id: int) -> Transaction:
-        """Look up a transaction."""
-        return self._transactions[transaction_id]
+        """Look up a transaction the caller knows to be in flight;
+        :class:`ExchangeError` if it is settled (or never existed)."""
+        tx = self.find(transaction_id)
+        if tx is None:
+            raise ExchangeError(f"transaction {transaction_id} is settled")
+        return tx
+
+    def settle(self, transaction_id: int) -> None:
+        """The requestor let go of the sealed piece (key arrived, piece
+        dropped, peer left): the exchange leaves once it is closed."""
+        if self._unsettled.pop(transaction_id, None) is None:
+            tx = self._open.get(transaction_id)
+            if tx is not None:
+                tx.sealed = None
 
     def mark_delivered(self, transaction_id: int, now: float
                        ) -> Optional[Transaction]:
@@ -190,7 +221,7 @@ class ExchangeLedger:
         for chain initiations — the caller uses it to route the payee's
         reception report.
         """
-        tx = self._transactions[transaction_id]
+        tx = self.get(transaction_id)
         tx.advance(TransactionState.DELIVERED)
         tx.delivered_at = now
         if self.sanitizer is not None:
@@ -199,12 +230,12 @@ class ExchangeLedger:
             tx.advance(TransactionState.COMPLETED)
             tx.completed_at = now
             self.completed_transactions += 1
-            self._close_index(tx)
+            self._close(tx)
             self.registry.terminate(tx.chain_id, now)
         if tx.reciprocates is None:
             return None
-        prev = self._transactions[tx.reciprocates]
-        if prev.state is TransactionState.DELIVERED:
+        prev = self._open.get(tx.reciprocates)
+        if prev is not None and prev.state is TransactionState.DELIVERED:
             prev.advance(TransactionState.RECIPROCATED)
             if self.sanitizer is not None:
                 self.sanitizer.on_reciprocated(prev, tx)
@@ -220,7 +251,7 @@ class ExchangeLedger:
         permits it (the donor cannot tell) and records the fairness
         breach.
         """
-        tx = self._transactions[transaction_id]
+        tx = self.get(transaction_id)
         if tx.state is TransactionState.RECIPROCATED:
             tx.advance(TransactionState.REPORTED)
         elif tx.state is TransactionState.DELIVERED:
@@ -244,7 +275,7 @@ class ExchangeLedger:
         Only legal after a reception report — this is the fairness
         guarantee: no report, no key.
         """
-        tx = self._transactions[transaction_id]
+        tx = self.get(transaction_id)
         if tx.state is not TransactionState.REPORTED:
             raise ExchangeError(
                 f"key release for transaction {transaction_id} in state "
@@ -254,8 +285,8 @@ class ExchangeLedger:
         tx.advance(TransactionState.COMPLETED)
         tx.completed_at = now
         self.completed_transactions += 1
-        self._close_index(tx)
-        return self._keys[transaction_id]
+        self._close(tx)
+        return tx.key
 
     def peek_key(self, transaction_id: int) -> Key:
         """The key for a transaction, without completing it.
@@ -263,7 +294,7 @@ class ExchangeLedger:
         Used for the departure handover of Sec. II-B4 (a leaving donor
         forwards its key to the payee).
         """
-        return self._keys[transaction_id]
+        return self.get(transaction_id).key
 
     def reopen(self, transaction_id: int, now: float) -> None:
         """Roll a reciprocated-but-unreported transaction back to
@@ -276,7 +307,7 @@ class ExchangeLedger:
         payee; the requestor must still pay again — no key changes
         hands here, so there is nothing to exploit.
         """
-        tx = self._transactions[transaction_id]
+        tx = self.get(transaction_id)
         if tx.state is not TransactionState.RECIPROCATED:
             raise ExchangeError(
                 f"can only reopen a reciprocated transaction, not "
@@ -298,7 +329,7 @@ class ExchangeLedger:
         is *not* a collusion breach — it is the protocol's sanctioned
         escape hatch — and is counted separately.
         """
-        tx = self._transactions[transaction_id]
+        tx = self.get(transaction_id)
         if tx.state is not TransactionState.DELIVERED:
             raise ExchangeError(
                 f"can only forgive a delivered transaction, not "
@@ -310,23 +341,23 @@ class ExchangeLedger:
         tx.completed_at = now
         self.completed_transactions += 1
         self.forgiven_transactions += 1
-        self._close_index(tx)
-        return self._keys[transaction_id]
+        self._close(tx)
+        return tx.key
 
     def abort(self, transaction_id: int, now: float) -> None:
         """Abort an open transaction (unrecoverable departure)."""
-        tx = self._transactions[transaction_id]
-        if tx.is_open:
+        tx = self.find(transaction_id)
+        if tx is not None and tx.is_open:
             tx.advance(TransactionState.ABORTED)
             self.aborted_transactions += 1
-            self._close_index(tx)
             if self.sanitizer is not None:
                 self.sanitizer.on_abort(tx)
+            self._close(tx)
 
     def reassign_payee(self, transaction_id: int, new_payee: str) -> None:
         """Sec. II-B4: the payee left (or needs nothing) before the
         requestor reciprocated; the donor designates a replacement."""
-        tx = self._transactions[transaction_id]
+        tx = self.get(transaction_id)
         if tx.state is not TransactionState.DELIVERED:
             raise ExchangeError(
                 f"cannot reassign payee in state {tx.state.value}")
@@ -347,14 +378,9 @@ class ExchangeLedger:
     @property
     def open_transactions(self) -> int:
         """Transactions still in flight."""
-        return sum(1 for t in self._transactions.values() if t.is_open)
-
-    def transactions_involving(self, peer_id: str) -> list:
-        """All transactions in which ``peer_id`` plays any role."""
-        return [t for t in self._transactions.values()
-                if peer_id in t.parties()]
+        return len(self._open)
 
     def open_transactions_involving(self, peer_id: str) -> list:
         """Open transactions involving ``peer_id`` (indexed; O(own))."""
         ids = self._open_by_peer.get(peer_id, ())
-        return [self._transactions[i] for i in sorted(ids)]
+        return [self._open[i] for i in sorted(ids)]

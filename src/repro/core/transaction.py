@@ -22,6 +22,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.core.crypto import Key, SealedPiece
+
 
 class TransactionState(enum.Enum):
     """Lifecycle states of a transaction (see module docstring)."""
@@ -90,6 +92,9 @@ class Transaction:
     unreciprocated_completion:
         True when the key was released on a *false* report — a
         successful collusion attack (Sec. III-A4 metric).
+    key / sealed / handed_over:
+        Key and sealed piece (dropped as the exchange settles), and
+        whether a departing donor handed its key duty to the payee.
     """
 
     transaction_id: int
@@ -110,6 +115,9 @@ class Transaction:
     unreciprocated_completion: bool = field(default=False)
     #: the donor wrote this exchange off its pending window
     written_off: bool = field(default=False)
+    key: Optional[Key] = None
+    sealed: Optional[SealedPiece] = None
+    handed_over: bool = False
 
     def advance(self, new_state: TransactionState) -> None:
         """Move to ``new_state``; raises :class:`InvalidTransition` on

@@ -220,8 +220,8 @@ class ReplicationSystem:
 
     def _replica_stored(self, transaction_id: int) -> None:
         """The host finished writing the replica; now the owner owes."""
-        tx = self.ledger.get(transaction_id)
-        if tx.state is not TransactionState.CREATED:
+        tx = self.ledger.find(transaction_id)
+        if tx is None or tx.state is not TransactionState.CREATED:
             return
         self.ledger.mark_delivered(transaction_id, self.sim.now)
         owner = self.nodes.get(tx.requestor_id)
@@ -237,8 +237,8 @@ class ReplicationSystem:
             return
         pending = self._obligations.get(owner_id, [])
         for tx_id in list(pending):
-            tx = self.ledger.get(tx_id)
-            if tx.state is not TransactionState.DELIVERED:
+            tx = self.ledger.find(tx_id)
+            if tx is None or tx.state is not TransactionState.DELIVERED:
                 pending.remove(tx_id)
                 continue
             if owner.kind is NodeKind.FREERIDER:
@@ -276,8 +276,8 @@ class ReplicationSystem:
                               next_tx.transaction_id)
 
     def _reciprocation_stored(self, transaction_id: int) -> None:
-        tx = self.ledger.get(transaction_id)
-        if tx.state is not TransactionState.CREATED:
+        tx = self.ledger.find(transaction_id)
+        if tx is None or tx.state is not TransactionState.CREATED:
             return
         prev = self.ledger.mark_delivered(transaction_id, self.sim.now)
         if not tx.encrypted:
@@ -295,12 +295,13 @@ class ReplicationSystem:
             self.ledger.report_reciprocation(prev.transaction_id,
                                              self.sim.now)
             self.ledger.release_key(prev.transaction_id, self.sim.now)
+            self.ledger.settle(prev.transaction_id)
             self._commit_replica(prev.donor_id, prev.piece_index)
 
     def _finish_unconditional(self, transaction_id: int,
                               host_id: str, object_id: int) -> None:
-        tx = self.ledger.get(transaction_id)
-        if tx.state is TransactionState.CREATED:
+        tx = self.ledger.find(transaction_id)
+        if tx is not None and tx.state is TransactionState.CREATED:
             self.ledger.mark_delivered(transaction_id, self.sim.now)
         self._commit_replica(host_id, object_id)
 

@@ -15,6 +15,7 @@ from repro.bt.protocols.tchain import TChainLeecher, TChainState
 from repro.bt.swarm import Swarm
 from repro.experiments import run_swarm
 from repro.workloads.arrivals import flash_crowd, schedule_arrivals
+from tests.ledger_log import recording, transactions
 
 
 def make_swarm(protocol="bittorrent", seed=1, **overrides):
@@ -179,11 +180,12 @@ class TestSybil:
         group = make_sybil_group(swarm, TChainLeecher, size=3)
         factories = compliant + [lambda p=p: p for p in group]
         schedule_arrivals(swarm, flash_crowd(factories, swarm.sim.rng))
-        swarm.run(max_time=600.0)
+        with recording() as created:
+            swarm.run(max_time=600.0)
         state = TChainState.of(swarm)
         decrypted = group[0].book.completed_count
         gifts = sum(
-            1 for t in state.ledger._transactions.values()
+            1 for t in transactions(created)
             if not t.encrypted and t.requestor_id.startswith("Y"))
         if decrypted > gifts:
             assert state.ledger.collusion_successes > 0

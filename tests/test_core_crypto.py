@@ -8,7 +8,6 @@ from repro.core.crypto import (
     KEY_SIZE_BYTES,
     CryptoError,
     Key,
-    KeyStore,
     SealedPiece,
     decrypt,
     encrypt,
@@ -145,31 +144,3 @@ class TestSealedPiece:
         key = generate_key(("A", "B", 9))
         assert SealedPiece.seal(9, key).piece_index == 9
 
-
-class TestKeyStore:
-    def test_put_get(self):
-        store = KeyStore()
-        key = generate_key(("A", "B", 0))
-        store.put(key)
-        assert store.get(key.key_id) is key
-        assert key.key_id in store
-
-    def test_pop_removes(self):
-        store = KeyStore()
-        key = generate_key(("A", "B", 0))
-        store.put(key)
-        assert store.pop(key.key_id) is key
-        assert key.key_id not in store
-        with pytest.raises(KeyError):
-            store.get(key.key_id)
-
-    def test_len_and_storage_bytes(self):
-        store = KeyStore()
-        for i in range(5):
-            store.put(generate_key(("A", "B", i)))
-        assert len(store) == 5
-        assert store.storage_bytes == 5 * KEY_SIZE_BYTES
-
-    def test_missing_key_raises(self):
-        with pytest.raises(KeyError):
-            KeyStore().get(("nope",))

@@ -167,7 +167,12 @@ class TestDepartures:
         chain, t1, _ = start_chain(ledger)
         ledger.abort(t1.transaction_id, 1.0)
         assert ledger.aborted_transactions == 1
-        assert not ledger.get(t1.transaction_id).is_open
+        assert not t1.is_open
+        # an aborted exchange leaves the ledger, key and all
+        assert ledger.find(t1.transaction_id) is None
+        assert t1.key is None and t1.sealed is None
+        with pytest.raises(ExchangeError):
+            ledger.get(t1.transaction_id)
 
     def test_abort_completed_is_noop(self):
         ledger = ExchangeLedger()
@@ -256,12 +261,6 @@ class TestIntrospection:
         assert ledger.open_transactions == 1
         ledger.abort(t1.transaction_id, 1.0)
         assert ledger.open_transactions == 0
-
-    def test_transactions_involving(self):
-        ledger = ExchangeLedger()
-        chain, t1, _ = start_chain(ledger, "A", "B", "C")
-        assert ledger.transactions_involving("C") == [t1]
-        assert ledger.transactions_involving("Z") == []
 
     def test_open_index_drops_emptied_entries(self):
         """One entry per peer *with an open transaction*: closing the

@@ -9,6 +9,9 @@ must uphold regardless of interleaving:
   closed transactions;
 * keys are only ever released for transactions whose state reached
   REPORTED;
+* the ledger holds exactly the open exchanges plus the completed ones
+  whose requestor has not settled them, and every call on a settled id
+  raises ``ExchangeError`` (never ``KeyError``) or is a no-op;
 * the simulator never runs time backwards and fires same-time events
   in schedule order.
 """
@@ -34,7 +37,7 @@ def ledger_script(draw):
     return draw(st.lists(st.tuples(
         st.sampled_from(["create", "deliver", "reciprocate",
                          "report", "false_report", "release",
-                         "abort", "forgive", "reopen"]),
+                         "abort", "forgive", "reopen", "settle"]),
         st.integers(min_value=0, max_value=11),
         st.integers(min_value=0, max_value=4),   # donor index
         st.integers(min_value=0, max_value=4),   # requestor index
@@ -48,6 +51,7 @@ class TestLedgerProperties:
     def test_ledger_invariants_hold_under_any_interleaving(self, ops):
         ledger = ExchangeLedger(ChainRegistry())
         transactions = []
+        settle_calls = set()
         clock = [0.0]
 
         def now():
@@ -87,10 +91,14 @@ class TestLedgerProperties:
                         ledger.forgive(tx.transaction_id, now())
                     elif op == "reopen":
                         ledger.reopen(tx.transaction_id, now())
+                    elif op == "settle":
+                        ledger.settle(tx.transaction_id)
+                        settle_calls.add(tx.transaction_id)
             except (ExchangeError, InvalidTransition):
                 pass  # illegal moves must raise, never corrupt
 
             self._check_invariants(ledger, transactions)
+            self._check_retention(ledger, transactions, settle_calls)
 
     def _check_invariants(self, ledger, transactions):
         # 1. open index matches ground truth per peer
@@ -118,6 +126,83 @@ class TestLedgerProperties:
         # 4. collusion accounting only on unreciprocated completions
         assert ledger.collusion_successes == sum(
             1 for t in transactions if t.unreciprocated_completion)
+
+    def _check_retention(self, ledger, transactions, settle_calls):
+        # 5. the ledger holds what is in flight, and nothing else
+        for t in transactions:
+            retained = t.is_open or (
+                t.state is TransactionState.COMPLETED
+                and t.transaction_id not in settle_calls)
+            found = ledger.find(t.transaction_id)
+            assert found is (t if retained else None)
+            if not retained:
+                self._check_settled_calls(ledger, t)
+        assert ledger.open_transactions == sum(
+            1 for t in transactions if t.is_open)
+
+    def _check_settled_calls(self, ledger, tx):
+        # 6. a settled id raises ExchangeError from every call that
+        # needs the exchange; abort and settle leave the ledger alone
+        tid = tx.transaction_id
+        calls = [
+            lambda: ledger.get(tid),
+            lambda: ledger.mark_delivered(tid, 0.0),
+            lambda: ledger.report_reciprocation(tid, 0.0),
+            lambda: ledger.report_reciprocation(tid, 0.0, truthful=False),
+            lambda: ledger.release_key(tid, 0.0),
+            lambda: ledger.peek_key(tid),
+            lambda: ledger.reopen(tid, 0.0),
+            lambda: ledger.forgive(tid, 0.0),
+            lambda: ledger.reassign_payee(tid, "E"),
+            lambda: ledger.create_transaction(
+                ledger.registry.get(tx.chain_id), tx.requestor_id,
+                tx.payee_id, "E", 0, 0.0, reciprocates=tid),
+            lambda: ledger.create_transaction(
+                ledger.registry.get(tx.chain_id), tx.requestor_id,
+                tx.payee_id, "E", tx.piece_index, 0.0, forward_of=tid),
+        ]
+        for call in calls:
+            with pytest.raises(ExchangeError):
+                call()
+        counters = (ledger.completed_transactions,
+                    ledger.aborted_transactions, ledger.open_transactions)
+        ledger.abort(tid, 0.0)
+        ledger.settle(tid)
+        assert counters == (ledger.completed_transactions,
+                            ledger.aborted_transactions,
+                            ledger.open_transactions)
+        assert ledger.find(tid) is None
+
+    def test_every_way_out_of_the_ledger_settles(self):
+        """Abort, an unencrypted delivery, a released key the
+        requestor then settles, and a forgiveness the requestor settled
+        first: each leaves the ledger, and its id answers as above."""
+        ledger = ExchangeLedger()
+
+        def start(requestor, payee="C", encrypted=True):
+            chain = ledger.begin_chain("A", True, 0.0)
+            tx, _ = ledger.create_transaction(
+                chain, "A", requestor, payee, 0, 0.0, encrypted=encrypted)
+            return tx
+
+        aborted = start("B")
+        ledger.abort(aborted.transaction_id, 1.0)
+        plain = start("B", payee=None, encrypted=False)
+        ledger.mark_delivered(plain.transaction_id, 1.0)
+        released = start("D")
+        ledger.mark_delivered(released.transaction_id, 1.0)
+        ledger.report_reciprocation(released.transaction_id, 2.0,
+                                    truthful=False)
+        ledger.release_key(released.transaction_id, 3.0)
+        assert ledger.find(released.transaction_id) is released
+        ledger.settle(released.transaction_id)
+        forgiven = start("E")
+        ledger.mark_delivered(forgiven.transaction_id, 1.0)
+        ledger.settle(forgiven.transaction_id)
+        ledger.forgive(forgiven.transaction_id, 2.0)
+        for tx in (aborted, plain, released, forgiven):
+            self._check_settled_calls(ledger, tx)
+        assert ledger._open == {} and ledger._unsettled == {}
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ import pytest
 from repro.bt.torrent import Torrent, piece_payload
 from repro.core.crypto import decrypt
 from repro.experiments import run_swarm
+from tests.ledger_log import recording
 
 
 class TestPiecePayload:
@@ -34,36 +35,44 @@ class TestPiecePayload:
 
 class TestRealCryptoSwarm:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_swarm(protocol="tchain", leechers=12, pieces=8,
-                         seed=3, piece_size_kb=16.0, real_crypto=True)
+    def recorded(self):
+        with recording() as created:
+            result = run_swarm(protocol="tchain", leechers=12, pieces=8,
+                               seed=3, piece_size_kb=16.0,
+                               real_crypto=True)
+        return result, created
+
+    @pytest.fixture(scope="class")
+    def result(self, recorded):
+        return recorded[0]
+
+    @pytest.fixture(scope="class")
+    def created(self, recorded):
+        return recorded[1]
 
     def test_everyone_completes(self, result):
         assert result.completion_rate("leecher") == 1.0
 
-    def test_sealed_pieces_carry_real_ciphertext(self, result):
-        ledger = result.tchain_state.ledger
-        sealed_with_bytes = [s for s in ledger._sealed.values()
-                             if s.ciphertext is not None]
-        assert sealed_with_bytes
+    def test_sealed_pieces_carry_real_ciphertext(self, result, created):
+        with_bytes = [entry for entry in created
+                      if entry.sealed is not None
+                      and entry.sealed.ciphertext is not None]
+        assert with_bytes
         torrent = result.swarm.torrent
-        for sealed in sealed_with_bytes[:10]:
+        for entry in with_bytes[:10]:
+            sealed = entry.sealed
             plaintext = piece_payload(torrent, sealed.piece_index)
             # ciphertext is not the plaintext, and the right key
             # recovers exactly the ground-truth bytes
             assert plaintext not in sealed.ciphertext
-            key = None
-            for tx_id, s in ledger._sealed.items():
-                if s is sealed:
-                    key = ledger._keys[tx_id]
-                    break
-            assert decrypt(key.material, sealed.ciphertext) == plaintext
+            assert decrypt(entry.key.material,
+                           sealed.ciphertext) == plaintext
 
-    def test_wrong_key_rejected_even_in_swarm_context(self, result):
+    def test_wrong_key_rejected_even_in_swarm_context(self, created):
         from repro.core.crypto import CryptoError
-        ledger = result.tchain_state.ledger
-        sealed = next(s for s in ledger._sealed.values()
-                      if s.ciphertext is not None)
+        sealed = next(entry.sealed for entry in created
+                      if entry.sealed is not None
+                      and entry.sealed.ciphertext is not None)
         with pytest.raises(CryptoError):
             decrypt(b"\x00" * 32, sealed.ciphertext)
 
@@ -76,18 +85,20 @@ class TestRealCryptoSwarm:
         assert result.metrics.completion_rate("freerider") == 0.0
         assert result.completion_rate("leecher") == 1.0
 
-    def test_forwarded_pieces_also_decrypt(self, result):
+    def test_forwarded_pieces_also_decrypt(self, created):
         """Newcomer forwards reuse the original ciphertext; the chain
         of key releases must still end in valid plaintext for every
         completed leecher (checked implicitly by completion, plus the
         ledger shows at least one forward happened)."""
-        ledger = result.tchain_state.ledger
         key_ids = {}
         forwards = 0
-        for tx_id, key in ledger._keys.items():
+        for entry in created:
+            key = entry.key
+            if key is None:
+                continue
             if key.key_id in key_ids:
                 forwards += 1
-            key_ids.setdefault(key.key_id, tx_id)
+            key_ids.setdefault(key.key_id, entry.tx.transaction_id)
         # forwarding is common in a fresh swarm full of newcomers
         assert forwards >= 0  # structure check; completion above is
         # the behavioural guarantee

@@ -8,7 +8,7 @@ so the ledger's own checks cannot see it — raises ``SanitizerError``.
 
 import pytest
 
-from repro.core.exchange import ExchangeLedger
+from repro.core.exchange import ExchangeError, ExchangeLedger
 from repro.core.transaction import TransactionState
 from repro.devtools import SanitizerError, SimulationSanitizer
 from repro.experiments import run_swarm
@@ -170,6 +170,11 @@ class TestReopenAbortInvariants:
         ledger.mark_delivered(tx.transaction_id, 1.0)
         ledger.abort(tx.transaction_id, 2.0)
         tx.state = TransactionState.REPORTED  # injected corruption
+        # The aborted exchange left the ledger, which refuses by itself;
+        # the sanitizer must still catch it if it came back.
+        with pytest.raises(ExchangeError):
+            ledger.release_key(tx.transaction_id, 3.0)
+        ledger._open[tx.transaction_id] = tx  # injected corruption
         with pytest.raises(SanitizerError,
                            match="released after the transaction "
                                  "aborted"):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.attacks.freerider import FreeRiderOptions
 from repro.experiments import run_swarm
+from tests.ledger_log import recording, transactions
 
 
 def tchain_run(**kwargs):
@@ -84,11 +85,12 @@ class TestFairness:
     def test_keys_withheld_until_reciprocation(self):
         """No compliant transaction completes without reciprocation or
         sanctioned forgiveness."""
-        ledger = tchain_run().tchain_state.ledger
+        with recording() as created:
+            ledger = tchain_run().tchain_state.ledger
         unreciprocated = sum(
-            1 for t in ledger._transactions.values()
+            1 for t in transactions(created)
             if t.unreciprocated_completion)
-        assert unreciprocated == 0
+        assert unreciprocated == 0 == ledger.collusion_successes
 
 
 class TestFreeRiders:
@@ -215,13 +217,15 @@ class TestAdditionalFeatures:
     def test_direct_reciprocity_transactions_exist(self):
         """Mid-swarm, symmetric interests should produce direct
         (payee = donor) transactions."""
-        ledger = tchain_run(leechers=30, pieces=16).tchain_state.ledger
-        assert any(t.direct for t in ledger._transactions.values())
+        with recording() as created:
+            tchain_run(leechers=30, pieces=16)
+        assert any(t.direct for t in transactions(created))
 
     def test_indirect_transactions_exist(self):
-        ledger = tchain_run(leechers=30, pieces=16).tchain_state.ledger
+        with recording() as created:
+            tchain_run(leechers=30, pieces=16)
         assert any((not t.direct) and t.encrypted
-                   for t in ledger._transactions.values())
+                   for t in transactions(created))
 
 
 class TestBoundedBookkeeping:
@@ -254,10 +258,11 @@ class TestBoundedBookkeeping:
     def test_open_index_holds_only_open_transactions(self):
         """``Ledger._open_by_peer`` used to keep one emptied set per id
         ever seen, so every whitewash identity leaked one."""
-        result = tchain_run(leechers=24, freerider_fraction=0.25,
-                            seed=5)
+        with recording() as created:
+            result = tchain_run(leechers=24, freerider_fraction=0.25,
+                                seed=5)
         ledger = result.tchain_state.ledger
-        parties = {party for tx in ledger._transactions.values()
+        parties = {party for tx in transactions(created)
                    for party in tx.parties()}
         assert sum(pid.startswith("W") for pid in parties) >= 10
         for peer_id, open_ids in ledger._open_by_peer.items():
@@ -265,3 +270,45 @@ class TestBoundedBookkeeping:
             assert all(ledger.get(i).is_open for i in open_ids)
         indexed = set().union(*ledger._open_by_peer.values())
         assert len(indexed) == ledger.open_transactions
+
+    #: Exchanges the ledger may hold per concurrently active peer.
+    IN_FLIGHT_PER_PEER = 10
+
+    def test_ledger_holds_only_in_flight_exchanges(self):
+        """The ledger used to keep every transaction, key and sealed
+        piece of the run.  It must hold only what is in flight: open
+        exchanges plus completed ones whose key release has not landed
+        yet — a bound set by the concurrently active peers, not by the
+        length of the run."""
+        peak = {"live": 0, "peers": 0}
+
+        def setup(swarm):
+            def sample(_handle):
+                state = getattr(swarm, "_tchain_state", None)
+                if state is None:
+                    return
+                ledger = state.ledger
+                live = len(ledger._open) + len(ledger._unsettled)
+                active = sum(1 for p in swarm.peers.values() if p.active)
+                peak["live"] = max(peak["live"], live)
+                peak["peers"] = max(peak["peers"], active)
+            swarm.sim.add_observer(sample)
+
+        result = tchain_run(arrival="trace", leechers=80, pieces=12,
+                            seed=3, freerider_fraction=0.2,
+                            trace_horizon_s=8000.0, setup=setup)
+        ledger = result.tchain_state.ledger
+        bound = self.IN_FLIGHT_PER_PEER * peak["peers"]
+        assert result.completion_rate("leecher") == 1.0
+        assert peak["live"] < bound
+        assert ledger.completed_transactions > 10 * bound
+        # Fault-free drain: every key release landed, so nothing is
+        # left in flight — and no per-exchange leftovers at the
+        # compliant peers.
+        assert ledger._open == {} and ledger._unsettled == {}
+        assert ledger.open_transactions == 0
+        leechers = [peer for peer in self.everyone(result)
+                    if peer.kind == "leecher"]
+        assert len(leechers) == 64
+        for peer in leechers:
+            assert not peer.pending_sealed and not peer._plead_attempts

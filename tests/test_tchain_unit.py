@@ -14,6 +14,7 @@ from repro.bt.swarm import Swarm
 from repro.core.messages import EncryptedPieceMessage, PlainPieceMessage
 from repro.core.policy import ReciprocityKind
 from repro.core.transaction import TransactionState
+from tests.ledger_log import recording, transactions
 
 
 def tchain_swarm(n_pieces=8, seed=1, with_seeder=True, sanitize=False,
@@ -38,13 +39,14 @@ def add_leecher(swarm, pieces=(), capacity=800.0):
 
 class TestSeederInitiation:
     def test_seeder_starts_encrypted_chains(self):
-        swarm, seeder = tchain_swarm()
-        a = add_leecher(swarm)
-        b = add_leecher(swarm)
-        swarm.sim.run(until=3.0)
+        with recording() as created:
+            swarm, seeder = tchain_swarm()
+            a = add_leecher(swarm)
+            b = add_leecher(swarm)
+            swarm.sim.run(until=3.0)
         state = TChainState.of(swarm)
         assert state.registry.created_by_seeder > 0
-        encrypted = [t for t in state.ledger._transactions.values()
+        encrypted = [t for t in transactions(created)
                      if t.donor_id == seeder.id and t.encrypted]
         assert encrypted
 
@@ -59,13 +61,12 @@ class TestSeederInitiation:
         """The extreme termination case: a single leecher and the
         seeder — no payee can exist, so pieces flow unencrypted
         (Sec. II-B3)."""
-        swarm, seeder = tchain_swarm(n_pieces=4)
-        lone = add_leecher(swarm)
-        swarm.run(max_time=300.0)
+        with recording() as created:
+            swarm, seeder = tchain_swarm(n_pieces=4)
+            lone = add_leecher(swarm)
+            swarm.run(max_time=300.0)
         assert lone.book.is_complete or not lone.active
-        state = TChainState.of(swarm)
-        assert any(not t.encrypted
-                   for t in state.ledger._transactions.values())
+        assert any(not t.encrypted for t in transactions(created))
 
 
 class TestDonationPlanning:
@@ -377,13 +378,13 @@ class TestDepartureHandling:
 
 class TestMessages:
     def test_payloads_typed(self):
-        swarm, seeder = tchain_swarm()
-        add_leecher(swarm)
-        add_leecher(swarm)
-        swarm.sim.run(until=5.0)
-        state = TChainState.of(swarm)
+        with recording() as created:
+            swarm, seeder = tchain_swarm()
+            add_leecher(swarm)
+            add_leecher(swarm)
+            swarm.sim.run(until=5.0)
         seen = set()
-        for tx in state.ledger._transactions.values():
+        for tx in transactions(created):
             seen.add(tx.encrypted)
         assert True in seen  # encrypted traffic happened
 

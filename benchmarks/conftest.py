@@ -5,11 +5,11 @@ Every benchmark regenerates one paper table/figure at the configured
 prints the resulting rows/series, and writes them under
 ``benchmarks/out/`` so EXPERIMENTS.md can reference the artifacts.
 
-Seed sweeps inside the figure modules go through ``run_many`` and
-``run_specs``, which honour the ``REPRO_WORKERS`` and
-``REPRO_SWEEP_DIR`` knobs — ``REPRO_WORKERS=4 pytest benchmarks/``
-runs each sweep through the sweep fabric over four worker processes,
-with results bit-identical to serial (docs/PERF.md).
+Each figure is one spec grid run by ``run_figure`` — one ``run_specs``
+call, which honours the ``REPRO_WORKERS`` and ``REPRO_SWEEP_DIR``
+knobs: ``REPRO_WORKERS=4 pytest benchmarks/`` runs each figure's grid
+through the sweep fabric over four worker processes, with results
+bit-identical to serial (docs/PERF.md).
 """
 
 import pathlib

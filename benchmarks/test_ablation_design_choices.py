@@ -14,23 +14,31 @@ from conftest import run_once
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import summarize
-from repro.experiments.runner import run_many, seeds_for
+from repro.experiments.parallel import grid_specs, per_cell, run_specs
 
 
-def _mct(scale, label, **kwargs):
-    seeds = seeds_for(label, scale.root_seed, scale.seeds)
-    results = run_many(seeds, protocol="tchain", leechers=40,
-                       pieces=24, **kwargs)
-    mct = summarize([r.mean_completion_time() for r in results])
-    rate = sum(r.completion_rate("leecher")
-               for r in results) / len(results)
-    return mct.mean if mct else float("nan"), rate
+def _mct(scale, variants):
+    """``{name: (mean completion, completion rate)}`` for each
+    ``(name, seed label, config overrides)`` variant, all of them one
+    ``run_specs`` call."""
+    specs = [spec for _, label, overrides in variants
+             for spec in grid_specs(label, [dict(
+                 protocol="tchain", leechers=40, pieces=24, **overrides)],
+                 scale)]
+    out = {}
+    for (name, _, _), results in zip(variants,
+                                     per_cell(run_specs(specs), scale)):
+        mct = summarize([r.mean_completion_time() for r in results])
+        rate = sum(r.completion_rate("leecher")
+                   for r in results) / len(results)
+        out[name] = (mct.mean if mct else float("nan"), rate)
+    return out
 
 
 def test_ablation_flow_control_k(benchmark, scale, artifact):
     def run():
-        return {k: _mct(scale, f"abl-k/{k}", flow_control_k=k)
-                for k in (1, 2, 4, 8)}
+        return _mct(scale, [(k, f"abl-k/{k}", {"flow_control_k": k})
+                            for k in (1, 2, 4, 8)])
 
     by_k = run_once(benchmark, run)
     artifact("ablation_flow_k", format_table(
@@ -47,15 +55,15 @@ def test_ablation_flow_control_k(benchmark, scale, artifact):
 
 def test_ablation_mechanism_switches(benchmark, scale, artifact):
     def run():
-        return {
-            "full": _mct(scale, "abl-full"),
-            "no opportunistic seeding":
-                _mct(scale, "abl-noos", opportunistic_seeding=False),
-            "direct reciprocity only":
-                _mct(scale, "abl-direct", indirect_reciprocity=False),
-            "no newcomer bootstrap rule":
-                _mct(scale, "abl-noboot", newcomer_bootstrap=False),
-        }
+        return _mct(scale, [
+            ("full", "abl-full", {}),
+            ("no opportunistic seeding", "abl-noos",
+             {"opportunistic_seeding": False}),
+            ("direct reciprocity only", "abl-direct",
+             {"indirect_reciprocity": False}),
+            ("no newcomer bootstrap rule", "abl-noboot",
+             {"newcomer_bootstrap": False}),
+        ])
 
     variants = run_once(benchmark, run)
     artifact("ablation_mechanisms", format_table(

@@ -9,11 +9,11 @@ BitTorrent's and its completion times are competitive.
 from conftest import run_once
 
 from repro.analysis.charts import line_plot
-from repro.experiments import fig3
+from repro.experiments import fig3, run_figure
 
 
 def test_fig3_completion_and_utilization(benchmark, scale, artifact):
-    rows = run_once(benchmark, lambda: fig3.run(scale))
+    rows = run_once(benchmark, lambda: run_figure(fig3, scale))
     protocols = sorted({r.protocol for r in rows})
     series = [
         (protocol, [(r.swarm_size, r.mean_completion_s)

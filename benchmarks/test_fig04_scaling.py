@@ -8,15 +8,13 @@ seeder-dominated swarms are fastest.
 
 from conftest import run_once
 
-from repro.experiments import fig4
+from repro.experiments import fig4, run_figure
 
 
 def test_fig4_file_and_swarm_size(benchmark, scale, artifact):
-    def both():
-        return fig4.run_file_size(scale), fig4.run_swarm_size(scale)
-
-    file_rows, swarm_rows = run_once(benchmark, both)
-    artifact("fig04", fig4.render(file_rows, swarm_rows))
+    file_rows, swarm_rows = run_once(benchmark,
+                                     lambda: run_figure(fig4, scale))
+    artifact("fig04", fig4.render((file_rows, swarm_rows)))
 
     # (a) linear growth with file size.
     assert fig4.linearity_r2(file_rows) >= 0.9

@@ -8,11 +8,11 @@ decrypted line's slope is bound by the leecher's own upload rate
 
 from conftest import run_once
 
-from repro.experiments import fig5
+from repro.experiments import fig5, run_figure
 
 
 def test_fig5_piece_timelines(benchmark, scale, artifact):
-    timelines = run_once(benchmark, lambda: fig5.run(scale))
+    timelines = run_once(benchmark, lambda: run_figure(fig5, scale))
     artifact("fig05", fig5.render(timelines))
 
     slow, fast = timelines["slow"], timelines["fast"]

@@ -9,17 +9,13 @@ pieces, vanishing at 100 %.
 
 from conftest import run_once
 
-from repro.experiments import fig6
-from repro.experiments.config import ExperimentScale
+from repro.experiments import fig6, run_figure
 
 
 def test_fig6_diversity_and_initial_pieces(benchmark, scale, artifact):
-    def both():
-        return fig6.run_crawler(scale), fig6.run_initial_pieces(scale)
-
-    samples, rows = run_once(benchmark, both)
-    n_pieces = ExperimentScale.pieces(scale, fig6.BASE_PIECES_A)
-    artifact("fig06", fig6.render(samples, rows, n_pieces))
+    result = run_once(benchmark, lambda: run_figure(fig6, scale))
+    samples, rows, n_pieces = result
+    artifact("fig06", fig6.render(result))
 
     # (a) pairs differ in a healthy share of pieces mid-swarm.
     assert samples

@@ -9,11 +9,11 @@ the worst baseline's.
 
 from conftest import run_once
 
-from repro.experiments import fig7
+from repro.experiments import fig7, run_figure
 
 
 def test_fig7_freeriding(benchmark, scale, artifact):
-    rows = run_once(benchmark, lambda: fig7.run(scale))
+    rows = run_once(benchmark, lambda: run_figure(fig7, scale))
     artifact("fig07", fig7.render(rows))
 
     by_protocol = {}

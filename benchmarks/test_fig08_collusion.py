@@ -13,11 +13,11 @@ Fig. 7.
 
 from conftest import run_once
 
-from repro.experiments import fig7, fig8
+from repro.experiments import fig8, run_figure
 
 
 def test_fig8_collusion(benchmark, scale, artifact):
-    rows = run_once(benchmark, lambda: fig8.run(scale))
+    rows = run_once(benchmark, lambda: run_figure(fig8, scale))
     artifact("fig08", fig8.render(rows))
 
     tchain_rows = [r for r in rows if r.protocol == "tchain"]

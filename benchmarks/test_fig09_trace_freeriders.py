@@ -9,11 +9,11 @@ multiple of T-Chain.
 from conftest import run_once
 
 from repro.analysis.charts import line_plot
-from repro.experiments import fig9
+from repro.experiments import fig9, run_figure
 
 
 def test_fig9_trace_freeriders(benchmark, scale, artifact):
-    rows = run_once(benchmark, lambda: fig9.run(scale))
+    rows = run_once(benchmark, lambda: run_figure(fig9, scale))
     series = [
         (protocol,
          [(r.freerider_fraction * 100, r.compliant_completion_s)

@@ -8,16 +8,12 @@ count moves with the active-leecher count.
 
 from conftest import run_once
 
-from repro.experiments import fig10
+from repro.experiments import fig10, run_figure
 
 
 def test_fig10_active_chains(benchmark, scale, artifact):
-    def both():
-        return (fig10.run(scale, arrival="flash"),
-                fig10.run(scale, arrival="trace"))
-
-    flash, trace = run_once(benchmark, both)
-    artifact("fig10", fig10.render(flash, trace))
+    flash, trace = run_once(benchmark, lambda: run_figure(fig10, scale))
+    artifact("fig10", fig10.render((flash, trace)))
 
     # (a) chains ramp up then die with the swarm.
     assert flash.peak_chains() >= 5

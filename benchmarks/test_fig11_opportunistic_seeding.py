@@ -9,16 +9,13 @@ opportunistically-created chains grows with the free-rider share.
 
 from conftest import run_once
 
-from repro.experiments import fig11
+from repro.experiments import fig11, run_figure
 
 
 def test_fig11_opportunistic_seeding(benchmark, scale, artifact):
-    def both():
-        return (fig11.run_cumulative(scale),
-                fig11.run_opportunistic_fraction(scale))
-
-    cumulative, rows = run_once(benchmark, both)
-    artifact("fig11", fig11.render(cumulative, rows))
+    cumulative, rows = run_once(benchmark,
+                                lambda: run_figure(fig11, scale))
+    artifact("fig11", fig11.render((cumulative, rows)))
 
     # (a) leechers do initiate chains...
     seeder_total, leecher_total = cumulative.final_counts()

@@ -8,11 +8,11 @@ T-Chain's p10–p90 spread is the smallest of the four.
 
 from conftest import run_once
 
-from repro.experiments import fig12
+from repro.experiments import fig12, run_figure
 
 
 def test_fig12_fairness(benchmark, scale, artifact):
-    curves = run_once(benchmark, lambda: fig12.run(scale))
+    curves = run_once(benchmark, lambda: run_figure(fig12, scale))
     artifact("fig12", fig12.render(curves))
 
     clean = {c.protocol: c for c in curves[0.0]}

@@ -10,11 +10,11 @@ free-riders but collapses with them.
 from conftest import run_once
 
 from repro.analysis.charts import line_plot
-from repro.experiments import fig13
+from repro.experiments import fig13, run_figure
 
 
 def test_fig13_small_files(benchmark, scale, artifact):
-    rows = run_once(benchmark, lambda: fig13.run(scale))
+    rows = run_once(benchmark, lambda: run_figure(fig13, scale))
     plots = []
     for fraction in sorted({r.freerider_fraction for r in rows}):
         series = [

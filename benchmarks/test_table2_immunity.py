@@ -8,11 +8,11 @@ every measured verdict lands within one grade of the paper's.
 
 from conftest import run_once
 
-from repro.experiments import table2
+from repro.experiments import run_figure, table2
 
 
 def test_table2_immunity_matrix(benchmark, scale, artifact):
-    table = run_once(benchmark, lambda: table2.run(scale))
+    table = run_once(benchmark, lambda: run_figure(table2, scale))
     artifact("table2", table2.render(table))
 
     # T-Chain: good across all measured attack columns.

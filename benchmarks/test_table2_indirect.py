@@ -19,18 +19,13 @@ from conftest import run_once
 
 from repro.analysis.reporting import format_table
 from repro.attacks import FreeRiderOptions
-from repro.experiments.runner import run_many, seeds_for
+from repro.experiments import parallel
 
 LEECHERS = 30
 PIECES = 16
 
 
-def _cell(scale, protocol, options, label):
-    seeds = seeds_for(f"t2i/{label}/{protocol}", scale.root_seed,
-                      scale.seeds)
-    results = run_many(seeds, protocol=protocol, leechers=LEECHERS,
-                       pieces=PIECES, freerider_fraction=0.25,
-                       freerider_options=options, max_time=6000.0)
+def _cell(results):
     fr_rate = sum(r.completion_rate("freerider")
                   for r in results) / len(results)
     fr_times = [r.mean_completion_time("freerider") for r in results]
@@ -50,23 +45,26 @@ def test_table2_indirect_reciprocity(benchmark, scale, artifact):
                               collude=True)
     whitewash = FreeRiderOptions(large_view=True, whitewash=True)
 
+    grid = [("eigentrust", "plain", plain, "plain"),
+            ("eigentrust", "false praise", praise, "praise"),
+            ("dandelion", "plain", plain, "plain"),
+            ("dandelion", "whitewash", whitewash, "whitewash"),
+            ("tchain", "plain", plain, "plain"),
+            ("tchain", "false praise", praise, "praise"),
+            ("tchain", "whitewash", whitewash, "whitewash")]
+
     def run():
-        return {
-            ("eigentrust", "plain"): _cell(scale, "eigentrust", plain,
-                                           "plain"),
-            ("eigentrust", "false praise"): _cell(scale, "eigentrust",
-                                                  praise, "praise"),
-            ("dandelion", "plain"): _cell(scale, "dandelion", plain,
-                                          "plain"),
-            ("dandelion", "whitewash"): _cell(scale, "dandelion",
-                                              whitewash, "whitewash"),
-            ("tchain", "plain"): _cell(scale, "tchain", plain,
-                                       "plain"),
-            ("tchain", "false praise"): _cell(scale, "tchain", praise,
-                                              "praise"),
-            ("tchain", "whitewash"): _cell(scale, "tchain", whitewash,
-                                           "whitewash"),
-        }
+        specs = [spec for protocol, _, options, label in grid
+                 for spec in parallel.grid_specs(
+                     f"t2i/{label}/{protocol}", [dict(
+                         protocol=protocol, leechers=LEECHERS,
+                         pieces=PIECES, freerider_fraction=0.25,
+                         freerider_options=options, max_time=6000.0)],
+                     scale)]
+        return {(protocol, attack): _cell(results)
+                for (protocol, attack, _, _), results in zip(
+                    grid, parallel.per_cell(parallel.run_specs(specs),
+                                            scale))}
 
     cells = run_once(benchmark, run)
     artifact("table2_indirect", format_table(

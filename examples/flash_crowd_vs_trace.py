@@ -13,7 +13,6 @@ Run:  python examples/flash_crowd_vs_trace.py
 
 from repro.analysis.reporting import format_series
 from repro.experiments import run_swarm
-from repro.sim.events import PeriodicTask
 
 LEECHERS = 50
 PIECES = 32
@@ -21,20 +20,10 @@ SEED = 23
 
 
 def run_with_chain_sampling(arrival: str):
-    samples = []
-
-    def setup(swarm):
-        def sample():
-            state = getattr(swarm, "_tchain_state", None)
-            chains = state.registry.active_count if state else 0
-            samples.append((swarm.sim.now, chains,
-                            swarm.active_leechers))
-        PeriodicTask(swarm.sim, 10.0, sample, first_delay=0.0)
-
     result = run_swarm(protocol="tchain", leechers=LEECHERS,
                        pieces=PIECES, seed=SEED, arrival=arrival,
-                       trace_horizon_s=300.0, setup=setup)
-    return result, samples
+                       trace_horizon_s=300.0, series=("chains",))
+    return result, result.series["chains"]
 
 
 def report(name: str, result, samples) -> None:

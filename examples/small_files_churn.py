@@ -17,15 +17,15 @@ Run:  python examples/small_files_churn.py
 """
 
 from repro.analysis.reporting import format_table
-from repro.experiments import fig13
+from repro.experiments import fig13, run_figure
 from repro.experiments.config import ExperimentScale
 
 SCALE = ExperimentScale(factor=0.6, seeds=1, root_seed=31)
 
 
 def main() -> None:
-    rows = fig13.run(SCALE, fractions=(0.0, 0.5))
-    for fraction in (0.0, 0.5):
+    rows = run_figure(fig13, SCALE)
+    for fraction in fig13.FRACTIONS:
         subset = [r for r in rows
                   if r.freerider_fraction == fraction]
         by_pieces = {}

@@ -22,7 +22,7 @@ Run:  python examples/wan_swarm.py
 
 from repro.analysis.reporting import format_table
 from repro.experiments import run_swarm
-from repro.faults import FaultInjector, FaultPlan, NetworkPartition
+from repro.faults import FaultPlan, NetworkPartition
 
 WAN = {"topology": "multi_dc", "loss": 0.03, "jitter_ms": 15.0}
 
@@ -42,11 +42,7 @@ def wan():
 def partitioned():
     plan = FaultPlan(partitions=(
         NetworkPartition(at_s=5.0, groups=(("dc2",),), heal_s=20.0),))
-
-    def setup(swarm):
-        FaultInjector(plan, swarm.config.seed).attach(swarm)
-
-    result = run_swarm(setup=setup, extra={"net": dict(WAN)},
+    result = run_swarm(fault_plan=plan, extra={"net": dict(WAN)},
                        **SCENARIO)
     return result, result.swarm.net
 

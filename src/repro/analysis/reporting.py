@@ -38,6 +38,16 @@ def format_series(name: str, points: Iterable[tuple],
     return "\n".join(lines)
 
 
+def thin(points: list, n: int) -> list:
+    """About ``n`` evenly strided points of a series, ending on its last."""
+    if len(points) <= n:
+        return points
+    sampled = points[::max(1, len(points) // n)]
+    if sampled[-1] != points[-1]:
+        sampled.append(points[-1])
+    return sampled
+
+
 def _fmt(value) -> str:
     if value is None:
         return "-"

@@ -71,11 +71,21 @@ from repro.analysis.reporting import format_table
 from repro.analysis.stats import km_median, summarize
 from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.protocols import PROTOCOLS
-from repro.experiments import run_swarm
+from repro.experiments import (fig3, fig4, fig5, fig6, fig7, fig8, fig9,
+                               fig10, fig11, fig12, fig13, run_swarm,
+                               table2)
 from repro.experiments.config import ExperimentScale
-from repro.experiments.parallel import (ENV_WORKERS, RunSpec, execute_spec,
-                                       resolve_workers, run_specs)
+from repro.experiments.parallel import (RunSpec, execute_spec,
+                                       resolve_workers, run_figure,
+                                       run_specs)
 from repro.experiments.runner import ARRIVALS, compliant_completion_rate
+
+#: ``repro figure`` names -> figure modules (``grid`` / ``reduce`` /
+#: ``render``, run by :func:`~repro.experiments.parallel.run_figure`).
+FIGURES = {"fig3": fig3, "fig4": fig4, "fig5": fig5, "fig6": fig6,
+           "fig7": fig7, "fig8": fig8, "fig9": fig9, "fig10": fig10,
+           "fig11": fig11, "fig12": fig12, "fig13": fig13,
+           "table2": table2}
 
 #: One help string for every worker-count flag, matching what
 #: resolve_workers actually implements (0 = one worker per CPU).
@@ -133,19 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figure",
                            help="regenerate a paper figure/table")
-    fig_p.add_argument("name",
-                       choices=["fig3", "fig4", "fig5", "fig6",
-                                "fig7", "fig8", "fig9", "fig10",
-                                "fig11", "fig12", "fig13", "table2"])
+    fig_p.add_argument("name", choices=list(FIGURES))
     fig_p.add_argument("--scale", type=float, default=1.0,
                        help="size multiplier (1.0 = bench default)")
     fig_p.add_argument("--seeds", type=int, default=2)
     fig_p.add_argument("--seed", type=int, default=42,
                        help="root seed")
     fig_p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the figure's seed "
-                            "sweeps (default: REPRO_WORKERS or "
-                            "serial; 0 = one per CPU)")
+                       help=_WORKERS_HELP)
     fig_p.add_argument("--sweep-dir", metavar="DIR", default=None,
                        help=_SWEEP_DIR_HELP)
 
@@ -216,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--seeds", type=int, nargs="+", default=None,
                          help="sweep several seeds (overrides --seed)")
     chaos_p.add_argument("--workers", type=int, default=None,
-                         help="worker processes for the seed sweep "
-                              "(default: REPRO_WORKERS or serial; "
-                              "0 = one per CPU)")
+                         help=_WORKERS_HELP)
     chaos_p.add_argument("--sweep-dir", metavar="DIR", default=None,
                          help=_SWEEP_DIR_HELP)
 
@@ -285,10 +288,7 @@ def _swarm_args(parser: argparse.ArgumentParser,
 
 
 def _options_from(args) -> FreeRiderOptions:
-    if args.collude:
-        return FreeRiderOptions(large_view=True, whitewash=False,
-                                collude=True)
-    return FreeRiderOptions()
+    return fig8.COLLUSION_OPTIONS if args.collude else FreeRiderOptions()
 
 
 def _specs_from(args, protocols: List[str]) -> List[RunSpec]:
@@ -379,49 +379,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _render_figure(name: str, scale: ExperimentScale) -> str:
-    from repro.experiments import (fig3, fig4, fig5, fig6, fig7, fig8,
-                                   fig9, fig10, fig11, fig12, fig13,
-                                   table2)
-    if name == "fig4":
-        return fig4.render(fig4.run_file_size(scale),
-                           fig4.run_swarm_size(scale))
-    if name == "fig6":
-        return fig6.render(fig6.run_crawler(scale),
-                           fig6.run_initial_pieces(scale),
-                           scale.pieces(fig6.BASE_PIECES_A))
-    if name == "fig10":
-        return fig10.render(fig10.run(scale, "flash"),
-                            fig10.run(scale, "trace"))
-    if name == "fig11":
-        return fig11.render(fig11.run_cumulative(scale),
-                            fig11.run_opportunistic_fraction(scale))
-    module = {"fig3": fig3, "fig5": fig5, "fig7": fig7, "fig8": fig8,
-              "fig9": fig9, "fig12": fig12, "fig13": fig13,
-              "table2": table2}[name]
-    return module.render(module.run(scale))
-
-
 def cmd_figure(args) -> int:
-    from repro.experiments.fabric import ENV_SWEEP_DIR
-    # The figure modules sweep through run_many -> run_specs, which
-    # reads these knobs; set them for this command only, so an
-    # in-process caller's later sweeps are not affected.
-    knobs = {ENV_WORKERS: args.workers, ENV_SWEEP_DIR: args.sweep_dir}
-    saved = {key: os.environ.get(key) for key in knobs}
-    for key, value in knobs.items():
-        if value is not None:
-            os.environ[key] = str(value)
+    module = FIGURES[args.name]
     scale = ExperimentScale(factor=args.scale, seeds=args.seeds,
                             root_seed=args.seed)
-    try:
-        print(_render_figure(args.name, scale))
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    print(module.render(run_figure(module, scale, workers=args.workers,
+                                   sweep_dir=args.sweep_dir)))
     return 0
 
 

@@ -43,6 +43,3 @@ class ExperimentScale:
             seeds=int(os.environ.get("REPRO_SEEDS", "2")),
             root_seed=int(os.environ.get("REPRO_SEED", "42")),
         )
-
-
-DEFAULT_SCALE = ExperimentScale()

@@ -15,9 +15,9 @@ through a manifest → supervisor → checkpoint pipeline, so
 When no ``sweep_dir`` is given the fabric still runs — against a
 throwaway temp directory — so callers get the retry/rebuild robustness
 without committing to on-disk state.  The ``REPRO_SWEEP_DIR``
-environment knob routes every ``run_specs`` caller (``run_many``, the
-figure sweeps, ``repro compare`` / ``chaos``) to a persistent
-directory without plumbing an argument through every layer.
+environment knob routes every ``run_specs`` caller (the figure grids,
+``repro compare`` / ``chaos``) to a persistent directory without
+plumbing an argument through every layer.
 """
 
 from __future__ import annotations

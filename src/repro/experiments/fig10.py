@@ -10,16 +10,15 @@ moves in step with the number of active leechers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.analysis.reporting import format_series
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import run_swarm
-from repro.sim.events import PeriodicTask
+from repro.analysis.reporting import format_series, thin
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import RunSpec, RunSummary
 
 BASE_LEECHERS = 60
 BASE_PIECES = 32
-SAMPLE_INTERVAL_S = 5.0
+ARRIVALS = ("flash", "trace")
 
 
 @dataclass
@@ -37,46 +36,33 @@ class ChainTimeline:
         return self.samples[-1][1] if self.samples else 0
 
 
-def run(scale: ExperimentScale = DEFAULT_SCALE,
-        arrival: str = "flash") -> ChainTimeline:
-    """Sample chain and leecher counts through one swarm run."""
-    samples: List[Tuple[float, int, int]] = []
-
-    def setup(swarm):
-        def sample():
-            state = getattr(swarm, "_tchain_state", None)
-            active = state.registry.active_count if state else 0
-            samples.append((swarm.sim.now, active,
-                            swarm.active_leechers))
-        PeriodicTask(swarm.sim, SAMPLE_INTERVAL_S, sample,
-                     first_delay=0.0)
-
-    run_swarm(protocol="tchain", leechers=scale.swarm(BASE_LEECHERS),
-              pieces=scale.pieces(BASE_PIECES), seed=scale.root_seed,
-              arrival=arrival, trace_horizon_s=400.0, setup=setup)
-    return ChainTimeline(samples=samples)
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """One swarm per arrival model, recording the ``chains`` series."""
+    return [RunSpec(protocol="tchain", leechers=scale.swarm(BASE_LEECHERS),
+                    pieces=scale.pieces(BASE_PIECES), seed=scale.root_seed,
+                    arrival=arrival, trace_horizon_s=400.0,
+                    series=("chains",))
+            for arrival in ARRIVALS]
 
 
-def render(flash: ChainTimeline, trace: ChainTimeline) -> str:
+def reduce(scale: ExperimentScale, summaries: Sequence[RunSummary]
+           ) -> Tuple[ChainTimeline, ChainTimeline]:
+    """The (flash crowd, trace) timelines."""
+    return tuple(ChainTimeline(list(dict(s.series)["chains"]))
+                 for s in summaries)
+
+
+def render(timelines: Tuple[ChainTimeline, ChainTimeline]) -> str:
     """Figure 10 as printed series."""
+    flash, trace = timelines
     a = format_series(
         "Fig. 10(a) active chains / leechers (flash crowd)",
         [(t, f"{chains} chains, {leech} leechers")
-         for t, chains, leech in _thin(flash.samples)],
+         for t, chains, leech in thin(flash.samples, 15)],
         x_label="time (s)", y_label="counts")
     b = format_series(
         "Fig. 10(b) active chains / leechers (trace)",
         [(t, f"{chains} chains, {leech} leechers")
-         for t, chains, leech in _thin(trace.samples)],
+         for t, chains, leech in thin(trace.samples, 15)],
         x_label="time (s)", y_label="counts")
     return a + "\n\n" + b
-
-
-def _thin(samples: list, n: int = 15) -> list:
-    if len(samples) <= n:
-        return samples
-    step = max(1, len(samples) // n)
-    out = samples[::step]
-    if out[-1] != samples[-1]:
-        out.append(samples[-1])
-    return out

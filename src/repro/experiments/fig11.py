@@ -16,18 +16,17 @@ then replace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.reporting import format_series, format_table
 from repro.analysis.stats import summarize
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import run_many, run_swarm, seeds_for
-from repro.sim.events import PeriodicTask
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import (RunSpec, RunSummary, grid_specs,
+                                        per_cell)
 
 BASE_LEECHERS = 60
 BASE_PIECES = 32
 FRACTIONS = (0.0, 0.1, 0.25, 0.5)
-SAMPLE_INTERVAL_S = 5.0
 
 
 @dataclass
@@ -44,29 +43,6 @@ class CumulativeChains:
         return seeder, leechers
 
 
-def run_cumulative(scale: ExperimentScale = DEFAULT_SCALE
-                   ) -> CumulativeChains:
-    """Fig. 11(a): cumulative chain creation by initiator type."""
-    samples: List[Tuple[float, int, int]] = []
-
-    def setup(swarm):
-        def sample():
-            state = getattr(swarm, "_tchain_state", None)
-            if state is None:
-                samples.append((swarm.sim.now, 0, 0))
-            else:
-                samples.append((swarm.sim.now,
-                                state.registry.created_by_seeder,
-                                state.registry.created_by_leechers))
-        PeriodicTask(swarm.sim, SAMPLE_INTERVAL_S, sample,
-                     first_delay=0.0)
-
-    run_swarm(protocol="tchain", leechers=scale.swarm(BASE_LEECHERS),
-              pieces=scale.pieces(BASE_PIECES), seed=scale.root_seed,
-              setup=setup)
-    return CumulativeChains(samples=samples)
-
-
 @dataclass
 class OpportunisticRow:
     """One Fig. 11(b) point."""
@@ -76,31 +52,40 @@ class OpportunisticRow:
     ci95: float
 
 
-def run_opportunistic_fraction(scale: ExperimentScale = DEFAULT_SCALE
-                               ) -> List[OpportunisticRow]:
-    """Fig. 11(b): opportunistic share vs free-rider share."""
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """The Fig. 11(a) flash crowd (recording the ``initiators``
+    series), then the Fig. 11(b) trace specs."""
+    leechers = scale.swarm(BASE_LEECHERS)
+    pieces = scale.pieces(BASE_PIECES)
+    flash = RunSpec(protocol="tchain", leechers=leechers, pieces=pieces,
+                    seed=scale.root_seed, series=("initiators",))
+    return [flash] + grid_specs(
+        "fig11b/{freerider_fraction}",
+        [dict(protocol="tchain", leechers=leechers, pieces=pieces,
+              freerider_fraction=fraction, arrival="trace",
+              trace_horizon_s=300.0) for fraction in FRACTIONS], scale)
+
+
+def reduce(scale: ExperimentScale, summaries: Sequence[RunSummary]
+           ) -> Tuple[CumulativeChains, List[OpportunisticRow]]:
+    """The cumulative chain counts and the Fig. 11(b) rows."""
+    flash, *rest = summaries
     rows = []
-    for fraction in FRACTIONS:
-        seeds = seeds_for(f"fig11b/{fraction}", scale.root_seed,
-                          scale.seeds)
-        results = run_many(
-            seeds, protocol="tchain",
-            leechers=scale.swarm(BASE_LEECHERS),
-            pieces=scale.pieces(BASE_PIECES),
-            freerider_fraction=fraction, arrival="trace",
-            trace_horizon_s=300.0)
-        shares = summarize([r.opportunistic_fraction
+    for fraction, results in zip(FRACTIONS, per_cell(rest, scale)):
+        shares = summarize([r.chain_stats.opportunistic_fraction
                             for r in results])
         rows.append(OpportunisticRow(
             freerider_fraction=fraction,
             opportunistic_fraction=shares.mean,
             ci95=shares.ci95))
-    return rows
+    return (CumulativeChains(list(dict(flash.series)["initiators"])),
+            rows)
 
 
-def render(cumulative: CumulativeChains,
-           rows: List[OpportunisticRow]) -> str:
+def render(result: Tuple[CumulativeChains, List[OpportunisticRow]]
+           ) -> str:
     """Figure 11 as a printed series and table."""
+    cumulative, rows = result
     a = format_series(
         "Fig. 11(a) cumulative chains (flash crowd)",
         [(t, f"seeder {s}, leechers {l}")

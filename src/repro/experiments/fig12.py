@@ -14,15 +14,16 @@ receive back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from repro.analysis.metrics import cdf_points
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import percentile
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import run_many, seeds_for
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import (RunSpec, RunSummary, grid_specs,
+                                        per_cell)
 
 PROTOCOLS = ["bittorrent", "propshare", "fairtorrent", "tchain"]
+FRACTIONS = (0.0, 0.25)
 BASE_LEECHERS = 60
 BASE_PIECES = 24
 
@@ -34,10 +35,6 @@ class FairnessCurve:
     protocol: str
     freerider_fraction: float
     factors: List[float]
-
-    def cdf(self) -> list:
-        """(fairness factor, cumulative fraction) points."""
-        return cdf_points(self.factors)
 
     def spread(self) -> float:
         """90th − 10th percentile: the paper's visual 'steepness'."""
@@ -51,26 +48,27 @@ class FairnessCurve:
         return percentile(self.factors, 50)
 
 
-def run(scale: ExperimentScale = DEFAULT_SCALE
-        ) -> Dict[float, List[FairnessCurve]]:
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """One trace-arrival spec per (fraction, protocol, seed)."""
+    return grid_specs("fig12/{protocol}/{freerider_fraction}", [
+        dict(protocol=protocol, leechers=scale.swarm(BASE_LEECHERS),
+             pieces=scale.pieces(BASE_PIECES), freerider_fraction=fraction,
+             arrival="trace", trace_horizon_s=300.0)
+        for fraction in FRACTIONS for protocol in PROTOCOLS], scale)
+
+
+def reduce(scale: ExperimentScale, summaries: Sequence[RunSummary]
+           ) -> Dict[float, List[FairnessCurve]]:
     """Both panels: fraction -> per-protocol fairness curves."""
     out: Dict[float, List[FairnessCurve]] = {}
-    for fraction in (0.0, 0.25):
-        curves = []
-        for protocol in PROTOCOLS:
-            seeds = seeds_for(f"fig12/{protocol}/{fraction}",
-                              scale.root_seed, scale.seeds)
-            results = run_many(
-                seeds, protocol=protocol,
-                leechers=scale.swarm(BASE_LEECHERS),
-                pieces=scale.pieces(BASE_PIECES),
-                freerider_fraction=fraction, arrival="trace",
-                trace_horizon_s=300.0)
-            factors: List[float] = []
-            for r in results:
-                factors.extend(r.metrics.fairness_factors("leecher"))
-            curves.append(FairnessCurve(protocol, fraction, factors))
-        out[fraction] = curves
+    cells = [(f, p) for f in FRACTIONS for p in PROTOCOLS]
+    for (fraction, protocol), results in zip(cells,
+                                             per_cell(summaries, scale)):
+        factors: List[float] = []
+        for r in results:
+            factors.extend(r.metrics.fairness_factors("leecher"))
+        out.setdefault(fraction, []).append(
+            FairnessCurve(protocol, fraction, factors))
     return out
 
 

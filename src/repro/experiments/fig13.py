@@ -21,17 +21,18 @@ Paper shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import summarize
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.parallel import RunSpec, RunSummary, run_specs
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import RunSpec, RunSummary, per_cell
 from repro.experiments.runner import seeds_for
 
 PROTOCOLS = ["random", "bittorrent", "propshare", "fairtorrent",
              "tchain"]
 PIECE_COUNTS = (1, 2, 3, 5, 10, 20, 30)
+FRACTIONS = (0.0, 0.5)
 BASE_LEECHERS = 50
 MEASUREMENT_WINDOW_S = 150.0
 
@@ -69,22 +70,28 @@ def throughput(summary: RunSummary) -> float:
     return sum(rates) / len(rates) if rates else 0.0
 
 
-def run(scale: ExperimentScale = DEFAULT_SCALE,
-        fractions=(0.0, 0.5)) -> List[Fig13Row]:
-    """Run the Fig. 13 sweep for the given free-rider fractions."""
+def _cells() -> list:
+    return [(fraction, protocol, n_pieces) for fraction in FRACTIONS
+            for protocol in PROTOCOLS for n_pieces in PIECE_COUNTS]
+
+
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """One churn spec per (fraction, protocol, piece count, seed)."""
     leechers = scale.swarm(BASE_LEECHERS)
-    cells = [(fraction, protocol, n_pieces) for fraction in fractions
-             for protocol in PROTOCOLS for n_pieces in PIECE_COUNTS]
-    specs = [churn_spec(protocol, n_pieces, fraction, leechers, seed)
-             for fraction, protocol, n_pieces in cells
-             for seed in seeds_for(
-                 f"fig13/{protocol}/{n_pieces}/{fraction}",
-                 scale.root_seed, scale.seeds)]
-    summaries = iter(run_specs(specs))
+    return [churn_spec(protocol, n_pieces, fraction, leechers, seed)
+            for fraction, protocol, n_pieces in _cells()
+            for seed in seeds_for(
+                f"fig13/{protocol}/{n_pieces}/{fraction}",
+                scale.root_seed, scale.seeds)]
+
+
+def reduce(scale: ExperimentScale,
+           summaries: Sequence[RunSummary]) -> List[Fig13Row]:
+    """One row per (fraction, protocol, piece count)."""
     rows: List[Fig13Row] = []
-    for fraction, protocol, n_pieces in cells:
-        summary = summarize([throughput(next(summaries))
-                             for _ in range(scale.seeds)])
+    for (fraction, protocol, n_pieces), results in zip(
+            _cells(), per_cell(summaries, scale)):
+        summary = summarize([throughput(r) for r in results])
         rows.append(Fig13Row(
             protocol=protocol,
             n_pieces=n_pieces,

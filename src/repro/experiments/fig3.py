@@ -14,12 +14,13 @@ uplink utilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import summarize
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import run_many, seeds_for
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import (RunSpec, RunSummary, grid_specs,
+                                        per_cell)
 
 PROTOCOLS = ["bittorrent", "propshare", "fairtorrent", "tchain"]
 
@@ -40,26 +41,31 @@ class Fig3Row:
     optimal_s: float
 
 
-def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Fig3Row]:
-    """Run the Fig. 3 sweep and return its data points."""
+def _cells(scale: ExperimentScale) -> List[dict]:
+    return [dict(protocol=protocol, leechers=scale.swarm(base),
+                 pieces=scale.pieces(BASE_PIECES))
+            for protocol in PROTOCOLS for base in BASE_SWARM_SIZES]
+
+
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """One spec per (protocol, swarm size, seed)."""
+    return grid_specs("fig3/{protocol}/{leechers}", _cells(scale), scale)
+
+
+def reduce(scale: ExperimentScale,
+           summaries: Sequence[RunSummary]) -> List[Fig3Row]:
+    """The Fig. 3 data points, one per (protocol, swarm size)."""
     rows: List[Fig3Row] = []
-    sizes = [scale.swarm(s) for s in BASE_SWARM_SIZES]
-    pieces = scale.pieces(BASE_PIECES)
-    for protocol in PROTOCOLS:
-        for size in sizes:
-            seeds = seeds_for(f"fig3/{protocol}/{size}",
-                              scale.root_seed, scale.seeds)
-            results = run_many(seeds, protocol=protocol, leechers=size,
-                               pieces=pieces)
-            mct = summarize([r.mean_completion_time() for r in results])
-            util = summarize([r.mean_utilization() for r in results])
-            rows.append(Fig3Row(
-                protocol=protocol,
-                swarm_size=size,
-                mean_completion_s=mct.mean if mct else float("nan"),
-                completion_ci95=mct.ci95 if mct else 0.0,
-                mean_utilization=util.mean if util else 0.0,
-                optimal_s=results[0].optimal_time()))
+    for cell, results in zip(_cells(scale), per_cell(summaries, scale)):
+        mct = summarize([r.mean_completion_time() for r in results])
+        util = summarize([r.mean_utilization() for r in results])
+        rows.append(Fig3Row(
+            protocol=cell["protocol"],
+            swarm_size=cell["leechers"],
+            mean_completion_s=mct.mean if mct else float("nan"),
+            completion_ci95=mct.ci95 if mct else 0.0,
+            mean_utilization=util.mean if util else 0.0,
+            optimal_s=results[0].optimal_time()))
     return rows
 
 

@@ -10,12 +10,13 @@ swarms finish faster because the 6000 Kbps seeder dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import summarize
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import run_many, seeds_for
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import (RunSpec, RunSummary, grid_specs,
+                                        per_cell)
 
 #: Paper: 32..1024 MB at 64 KB pieces (512..16384 pieces); scaled to
 #: piece counts that keep the x4 range visible.
@@ -46,47 +47,44 @@ class SwarmSizeRow:
     completion_ci95: float
 
 
-def run_file_size(scale: ExperimentScale = DEFAULT_SCALE
-                  ) -> List[FileSizeRow]:
-    """Fig. 4(a): sweep the shared file's size."""
-    rows = []
+def _cells(scale: ExperimentScale) -> Tuple[List[dict], List[dict]]:
     leechers = scale.swarm(BASE_LEECHERS_A)
-    for base in BASE_PIECE_SWEEP:
-        pieces = scale.pieces(base)
-        seeds = seeds_for(f"fig4a/{pieces}", scale.root_seed,
-                          scale.seeds)
-        results = run_many(seeds, protocol="tchain", leechers=leechers,
-                           pieces=pieces, piece_size_kb=64.0)
-        mct = summarize([r.mean_completion_time() for r in results])
-        rows.append(FileSizeRow(
-            n_pieces=pieces,
-            file_mb=pieces * 64.0 / 1024.0,
-            mean_completion_s=mct.mean,
-            completion_ci95=mct.ci95))
-    return rows
+    return ([dict(protocol="tchain", leechers=leechers,
+                  pieces=scale.pieces(base), piece_size_kb=64.0)
+             for base in BASE_PIECE_SWEEP],
+            [dict(protocol="tchain", leechers=scale.swarm(base),
+                  pieces=scale.pieces(BASE_PIECES_B))
+             for base in BASE_SWARM_SWEEP])
 
 
-def run_swarm_size(scale: ExperimentScale = DEFAULT_SCALE
-                   ) -> List[SwarmSizeRow]:
-    """Fig. 4(b): sweep the number of leechers."""
-    rows = []
-    pieces = scale.pieces(BASE_PIECES_B)
-    for base in BASE_SWARM_SWEEP:
-        size = scale.swarm(base)
-        seeds = seeds_for(f"fig4b/{size}", scale.root_seed, scale.seeds)
-        results = run_many(seeds, protocol="tchain", leechers=size,
-                           pieces=pieces)
-        mct = summarize([r.mean_completion_time() for r in results])
-        rows.append(SwarmSizeRow(
-            swarm_size=size,
-            mean_completion_s=mct.mean,
-            completion_ci95=mct.ci95))
-    return rows
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """Fig. 4(a)'s specs, then Fig. 4(b)'s."""
+    file_cells, swarm_cells = _cells(scale)
+    return (grid_specs("fig4a/{pieces}", file_cells, scale)
+            + grid_specs("fig4b/{leechers}", swarm_cells, scale))
 
 
-def render(file_rows: List[FileSizeRow],
-           swarm_rows: List[SwarmSizeRow]) -> str:
+def reduce(scale: ExperimentScale, summaries: Sequence[RunSummary]
+           ) -> Tuple[List[FileSizeRow], List[SwarmSizeRow]]:
+    """Both panels' rows: (file-size rows, swarm-size rows)."""
+    file_cells, swarm_cells = _cells(scale)
+    mcts = [summarize([r.mean_completion_time() for r in results])
+            for results in per_cell(summaries, scale)]
+    file_rows = [FileSizeRow(n_pieces=cell["pieces"],
+                             file_mb=cell["pieces"] * 64.0 / 1024.0,
+                             mean_completion_s=mct.mean,
+                             completion_ci95=mct.ci95)
+                 for cell, mct in zip(file_cells, mcts)]
+    swarm_rows = [SwarmSizeRow(swarm_size=cell["leechers"],
+                               mean_completion_s=mct.mean,
+                               completion_ci95=mct.ci95)
+                  for cell, mct in zip(swarm_cells, mcts[len(file_cells):])]
+    return file_rows, swarm_rows
+
+
+def render(rows: Tuple[List[FileSizeRow], List[SwarmSizeRow]]) -> str:
     """Figure 4 as two printed tables."""
+    file_rows, swarm_rows = rows
     a = format_table(
         ["pieces", "file (MB)", "mean completion (s)", "ci95"],
         [(r.n_pieces, r.file_mb, r.mean_completion_s,

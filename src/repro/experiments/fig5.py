@@ -14,11 +14,11 @@ coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.reporting import format_series
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import run_swarm
+from repro.analysis.reporting import format_series, thin
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import RunSpec, RunSummary
 
 BASE_LEECHERS = 60
 BASE_PIECES = 48
@@ -45,34 +45,35 @@ class PieceTimeline:
         return sum(lags) / len(lags) if lags else 0.0
 
 
-def run(scale: ExperimentScale = DEFAULT_SCALE
-        ) -> Dict[str, PieceTimeline]:
-    """Run one swarm and extract the two extreme leechers' timelines."""
-    result = run_swarm(protocol="tchain",
-                       leechers=scale.swarm(BASE_LEECHERS),
-                       pieces=scale.pieces(BASE_PIECES),
-                       seed=scale.root_seed)
-    peers = [p for p in result.swarm.departed.values()
-             if p.kind == "leecher" and p.piece_log]
-    slowest = min(peers, key=lambda p: p.uplink.capacity_kbps)
-    fastest = max(peers, key=lambda p: p.uplink.capacity_kbps)
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """One T-Chain swarm recording its leechers' piece logs."""
+    return [RunSpec(protocol="tchain", leechers=scale.swarm(BASE_LEECHERS),
+                    pieces=scale.pieces(BASE_PIECES), seed=scale.root_seed,
+                    series=("piece_log",))]
+
+
+def reduce(scale: ExperimentScale, summaries: Sequence[RunSummary]
+           ) -> Dict[str, PieceTimeline]:
+    """The slowest and the fastest leecher's timelines."""
+    summary, = summaries
+    logs = dict(summary.series)["piece_log"]
     return {
-        "slow": _timeline(slowest),
-        "fast": _timeline(fastest),
+        "slow": _timeline(*min(logs, key=lambda log: log[0])),
+        "fast": _timeline(*max(logs, key=lambda log: log[0])),
     }
 
 
-def _timeline(peer) -> PieceTimeline:
+def _timeline(capacity_kbps: float, join_time, piece_log) -> PieceTimeline:
     encrypted: List[Tuple[float, int]] = []
     decrypted: List[Tuple[float, int]] = []
-    join = peer.join_time or 0.0
-    for t, piece, kind in sorted(peer.piece_log):
+    join = join_time or 0.0
+    for t, piece, kind in sorted(piece_log):
         elapsed = t - join
         if kind == "encrypted":
             encrypted.append((elapsed, len(encrypted) + 1))
         else:
             decrypted.append((elapsed, len(decrypted) + 1))
-    return PieceTimeline(capacity_kbps=peer.uplink.capacity_kbps,
+    return PieceTimeline(capacity_kbps=capacity_kbps,
                          encrypted=encrypted, decrypted=decrypted)
 
 
@@ -85,19 +86,9 @@ def render(timelines: Dict[str, PieceTimeline]) -> str:
             f"Fig. 5 ({label}: {tl.capacity_kbps:.0f} Kbps leecher), "
             f"mean key lag {tl.mean_key_lag_s():.2f} s")
         blocks.append(format_series(
-            "  encrypted pieces received", _sample(tl.encrypted),
+            "  encrypted pieces received", thin(tl.encrypted, 10),
             x_label="s after join", y_label="count"))
         blocks.append(format_series(
-            "  decryption keys received", _sample(tl.decrypted),
+            "  decryption keys received", thin(tl.decrypted, 10),
             x_label="s after join", y_label="count"))
     return "\n".join(blocks)
-
-
-def _sample(points: List[Tuple[float, int]], n: int = 10) -> list:
-    if len(points) <= n:
-        return points
-    step = max(1, len(points) // n)
-    sampled = points[::step]
-    if sampled[-1] != points[-1]:
-        sampled.append(points[-1])
-    return sampled

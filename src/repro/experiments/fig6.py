@@ -16,13 +16,13 @@ fraction, showing chains grow from whatever diversity exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.reporting import format_series, format_table
 from repro.analysis.stats import summarize
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import run_many, run_swarm, seeds_for
-from repro.sim.events import PeriodicTask
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import (RunSpec, RunSummary, grid_specs,
+                                        per_cell)
 
 BASE_LEECHERS_A = 50
 BASE_PIECES_A = 48
@@ -40,39 +40,6 @@ class DiversitySample:
     pairs: int
 
 
-def run_crawler(scale: ExperimentScale = DEFAULT_SCALE,
-                sample_interval_s: float = 20.0,
-                sample_pairs: int = 40) -> List[DiversitySample]:
-    """Fig. 6(a): crawl pairwise piece differences over time."""
-    samples: List[DiversitySample] = []
-
-    def setup(swarm):
-        def crawl():
-            # The crawler examines pairs among its neighbor view; we
-            # sample random active leecher pairs, which is the same
-            # population the tracker would hand a crawler.
-            leechers = [p for p in swarm.peers.values()
-                        if p.kind == "leecher"]
-            if len(leechers) < 2:
-                return
-            rng = swarm.sim.rng
-            diffs = []
-            for _ in range(sample_pairs):
-                a, b = rng.sample(leechers, 2)
-                diffs.append(len(a.book.completed
-                                 ^ b.book.completed))
-            samples.append(DiversitySample(
-                time_s=swarm.sim.now,
-                mean_difference=sum(diffs) / len(diffs),
-                pairs=len(diffs)))
-        PeriodicTask(swarm.sim, sample_interval_s, crawl)
-
-    run_swarm(protocol="tchain", leechers=scale.swarm(BASE_LEECHERS_A),
-              pieces=scale.pieces(BASE_PIECES_A), seed=scale.root_seed,
-              arrival="trace", trace_horizon_s=400.0, setup=setup)
-    return samples
-
-
 @dataclass
 class InitialPieceRow:
     """One Fig. 6(b) point."""
@@ -82,29 +49,42 @@ class InitialPieceRow:
     completion_ci95: float
 
 
-def run_initial_pieces(scale: ExperimentScale = DEFAULT_SCALE
-                       ) -> List[InitialPieceRow]:
-    """Fig. 6(b): sweep the pre-seeded piece fraction."""
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """The Fig. 6(a) crawl (one trace-arrival swarm recording the
+    ``diversity`` series), then the Fig. 6(b) specs."""
+    crawl = RunSpec(protocol="tchain",
+                    leechers=scale.swarm(BASE_LEECHERS_A),
+                    pieces=scale.pieces(BASE_PIECES_A),
+                    seed=scale.root_seed, arrival="trace",
+                    trace_horizon_s=400.0, series=("diversity",))
+    return [crawl] + grid_specs(
+        "fig6b/{initial_piece_fraction}",
+        [dict(protocol="tchain", leechers=scale.swarm(BASE_LEECHERS_B),
+              pieces=scale.pieces(BASE_PIECES_B),
+              initial_piece_fraction=fraction)
+         for fraction in FRACTION_SWEEP], scale)
+
+
+def reduce(scale: ExperimentScale, summaries: Sequence[RunSummary]
+           ) -> Tuple[List[DiversitySample], List[InitialPieceRow], int]:
+    """Crawler samples, Fig. 6(b) rows and the crawled piece count."""
+    crawl, *rest = summaries
     rows = []
-    for fraction in FRACTION_SWEEP:
-        seeds = seeds_for(f"fig6b/{fraction}", scale.root_seed,
-                          scale.seeds)
-        results = run_many(seeds, protocol="tchain",
-                           leechers=scale.swarm(BASE_LEECHERS_B),
-                           pieces=scale.pieces(BASE_PIECES_B),
-                           initial_piece_fraction=fraction)
+    for fraction, results in zip(FRACTION_SWEEP, per_cell(rest, scale)):
         mct = summarize([r.mean_completion_time() or 0.0
                          for r in results])
         rows.append(InitialPieceRow(
             initial_fraction=fraction,
             mean_completion_s=mct.mean,
             completion_ci95=mct.ci95))
-    return rows
+    return ([DiversitySample(*sample)
+             for sample in dict(crawl.series)["diversity"]],
+            rows, crawl.config.n_pieces)
 
 
-def render(samples: List[DiversitySample],
-           rows: List[InitialPieceRow], n_pieces: int) -> str:
+def render(result: tuple) -> str:
     """Figure 6 as a printed series and table."""
+    samples, rows, n_pieces = result
     a = format_series(
         f"Fig. 6(a) mean pairwise piece difference "
         f"(of {n_pieces} pieces)",

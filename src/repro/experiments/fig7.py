@@ -15,14 +15,15 @@ the large-view exploit and whitewashing.  The paper's shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import summarize
 from repro.attacks.freerider import FreeRiderOptions
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import (compliant_completion_rate,
-                                     run_many, seeds_for)
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import (RunSpec, RunSummary, grid_specs,
+                                        per_cell)
+from repro.experiments.runner import compliant_completion_rate
 
 PROTOCOLS = ["bittorrent", "propshare", "fairtorrent", "tchain"]
 BASE_SWARM_SIZES = (20, 40, 60, 80, 100)
@@ -53,46 +54,53 @@ class Fig7Row:
     compliant_completion_rate: float = float("nan")
 
 
-def run(scale: ExperimentScale = DEFAULT_SCALE,
-        options: FreeRiderOptions = FreeRiderOptions(),
-        label: str = "fig7") -> List[Fig7Row]:
-    """Run the Fig. 7 sweep (also reused by Fig. 8 with collusion)."""
-    rows: List[Fig7Row] = []
+def _grid(scale: ExperimentScale, options: FreeRiderOptions,
+          label: str) -> List[RunSpec]:
+    """The (protocol, swarm size, seed) specs with free-riders playing
+    ``options`` (Fig. 8 reuses it with collusion)."""
     pieces = scale.pieces(BASE_PIECES)
-    for protocol in PROTOCOLS:
-        for base in BASE_SWARM_SIZES:
-            size = scale.swarm(base)
-            seeds = seeds_for(f"{label}/{protocol}/{size}",
-                              scale.root_seed, scale.seeds)
-            results = run_many(
-                seeds, protocol=protocol, leechers=size, pieces=pieces,
-                freerider_fraction=FREERIDER_FRACTION,
-                freerider_options=options,
-                max_time=MAX_TIME_FACTOR * pieces * 4.0)
-            compliant = summarize(
-                [r.mean_completion_time("leecher") for r in results])
-            freerider = summarize(
-                [r.mean_completion_time("freerider") for r in results])
-            fr_rate = sum(r.completion_rate("freerider")
-                          for r in results) / len(results)
-            progress = []
-            for r in results:
-                for record in r.metrics.freeriders():
-                    progress.append(record.pieces_completed
-                                    / r.config.n_pieces)
-            rows.append(Fig7Row(
-                protocol=protocol,
-                swarm_size=size,
-                compliant_completion_s=(compliant.mean if compliant
-                                        else float("nan")),
-                compliant_ci95=compliant.ci95 if compliant else 0.0,
-                freerider_completion_s=(freerider.mean if freerider
-                                        else None),
-                freerider_completion_rate=fr_rate,
-                freerider_progress=(sum(progress) / len(progress)
-                                    if progress else 0.0),
-                compliant_completion_rate=compliant_completion_rate(
-                    results)))
+    return grid_specs(label + "/{protocol}/{leechers}", [
+        dict(protocol=protocol, leechers=scale.swarm(base), pieces=pieces,
+             freerider_fraction=FREERIDER_FRACTION,
+             freerider_options=options,
+             max_time=MAX_TIME_FACTOR * pieces * 4.0)
+        for protocol in PROTOCOLS for base in BASE_SWARM_SIZES], scale)
+
+
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """The Fig. 7 specs: large-view, whitewashing free-riders."""
+    return _grid(scale, FreeRiderOptions(), "fig7")
+
+
+def reduce(scale: ExperimentScale,
+           summaries: Sequence[RunSummary]) -> List[Fig7Row]:
+    """One row per (protocol, swarm size) with both populations."""
+    rows: List[Fig7Row] = []
+    for results in per_cell(summaries, scale):
+        compliant = summarize(
+            [r.mean_completion_time("leecher") for r in results])
+        freerider = summarize(
+            [r.mean_completion_time("freerider") for r in results])
+        fr_rate = sum(r.completion_rate("freerider")
+                      for r in results) / len(results)
+        progress = []
+        for r in results:
+            for record in r.metrics.freeriders():
+                progress.append(record.pieces_completed
+                                / r.config.n_pieces)
+        rows.append(Fig7Row(
+            protocol=results[0].protocol,
+            swarm_size=results[0].n_compliant + results[0].n_freeriders,
+            compliant_completion_s=(compliant.mean if compliant
+                                    else float("nan")),
+            compliant_ci95=compliant.ci95 if compliant else 0.0,
+            freerider_completion_s=(freerider.mean if freerider
+                                    else None),
+            freerider_completion_rate=fr_rate,
+            freerider_progress=(sum(progress) / len(progress)
+                                if progress else 0.0),
+            compliant_completion_rate=compliant_completion_rate(
+                results)))
     return rows
 
 

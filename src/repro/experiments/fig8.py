@@ -16,8 +16,10 @@ from __future__ import annotations
 from typing import List
 
 from repro.attacks.freerider import FreeRiderOptions
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.fig7 import Fig7Row, render as _render, run as _run
+from repro.experiments.config import ExperimentScale
+from repro.experiments.fig7 import Fig7Row, _grid, render as _render
+from repro.experiments.fig7 import reduce  # noqa: F401 -- Fig. 7's rows
+from repro.experiments.parallel import RunSpec
 
 #: Colluding free-riders (no whitewash: identity changes would break
 #: the colluders' mutual recognition).
@@ -25,23 +27,12 @@ COLLUSION_OPTIONS = FreeRiderOptions(large_view=True, whitewash=False,
                                      collude=True)
 
 
-def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Fig7Row]:
-    """Run the Fig. 8 sweep (Fig. 7 with T-Chain collusion)."""
-    return _run(scale, options=COLLUSION_OPTIONS, label="fig8")
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """Fig. 7's grid with colluding free-riders (and Fig. 7's
+    ``reduce``)."""
+    return _grid(scale, COLLUSION_OPTIONS, "fig8")
 
 
 def render(rows: List[Fig7Row]) -> str:
     """Figure 8 as two printed tables."""
     return _render(rows, title_prefix="Fig. 8")
-
-
-def freerider_slowdown(rows: List[Fig7Row], protocol: str) -> float:
-    """Mean free-rider/compliant completion ratio for a protocol
-    (Fig. 8's headline: ~40× for T-Chain)."""
-    ratios = []
-    for r in rows:
-        if r.protocol == protocol and r.freerider_completion_s \
-                and r.compliant_completion_s:
-            ratios.append(r.freerider_completion_s
-                          / r.compliant_completion_s)
-    return sum(ratios) / len(ratios) if ratios else float("inf")

@@ -12,13 +12,14 @@ at 50 % free-riders the baselines are roughly 5× slower than T-Chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import summarize
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import (compliant_completion_rate,
-                                     run_many, seeds_for)
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import (RunSpec, RunSummary, grid_specs,
+                                        per_cell)
+from repro.experiments.runner import compliant_completion_rate
 
 PROTOCOLS = ["bittorrent", "propshare", "fairtorrent", "tchain"]
 FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -44,29 +45,35 @@ class Fig9Row:
     compliant_completion_rate: float = float("nan")
 
 
-def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Fig9Row]:
-    """Run the Fig. 9 sweep."""
-    rows: List[Fig9Row] = []
-    leechers = scale.swarm(BASE_LEECHERS)
+def _cells(scale: ExperimentScale) -> List[dict]:
     pieces = scale.pieces(BASE_PIECES)
-    for protocol in PROTOCOLS:
-        for fraction in FRACTIONS:
-            seeds = seeds_for(f"fig9/{protocol}/{fraction}",
-                              scale.root_seed, scale.seeds)
-            results = run_many(
-                seeds, protocol=protocol, leechers=leechers,
-                pieces=pieces, freerider_fraction=fraction,
-                arrival="trace", trace_horizon_s=TRACE_HORIZON_S,
-                max_time=40.0 * pieces * 4.0 + TRACE_HORIZON_S)
-            mct = summarize([_steady_state_mct(r) for r in results])
-            rows.append(Fig9Row(
-                protocol=protocol,
-                freerider_fraction=fraction,
-                compliant_completion_s=(mct.mean if mct
-                                        else float("nan")),
-                completion_ci95=mct.ci95 if mct else 0.0,
-                compliant_completion_rate=compliant_completion_rate(
-                    results)))
+    return [dict(protocol=protocol, leechers=scale.swarm(BASE_LEECHERS),
+                 pieces=pieces, freerider_fraction=fraction,
+                 arrival="trace", trace_horizon_s=TRACE_HORIZON_S,
+                 max_time=40.0 * pieces * 4.0 + TRACE_HORIZON_S)
+            for protocol in PROTOCOLS for fraction in FRACTIONS]
+
+
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """One spec per (protocol, free-rider fraction, seed)."""
+    return grid_specs("fig9/{protocol}/{freerider_fraction}",
+                      _cells(scale), scale)
+
+
+def reduce(scale: ExperimentScale,
+           summaries: Sequence[RunSummary]) -> List[Fig9Row]:
+    """One row per (protocol, free-rider fraction)."""
+    rows: List[Fig9Row] = []
+    for cell, results in zip(_cells(scale), per_cell(summaries, scale)):
+        mct = summarize([_steady_state_mct(r) for r in results])
+        rows.append(Fig9Row(
+            protocol=cell["protocol"],
+            freerider_fraction=cell["freerider_fraction"],
+            compliant_completion_s=(mct.mean if mct
+                                    else float("nan")),
+            completion_ci95=mct.ci95 if mct else 0.0,
+            compliant_completion_rate=compliant_completion_rate(
+                results)))
     return rows
 
 

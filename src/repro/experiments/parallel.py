@@ -13,8 +13,8 @@ the two picklable halves:
   ship to a worker and to encode in a sweep manifest;
 * :class:`RunSummary` — the slim result extracted from a ``RunResult``
   (per-peer metric records, recovery counters, chain statistics, engine
-  counters, fault and sanitizer facts) with the accessor surface the
-  figure modules and the chaos report read.
+  counters, fault and sanitizer facts, requested series) with the
+  accessor surface the figure modules and the chaos report read.
 
 :func:`run_specs` executes a spec list and returns summaries **in spec
 order**, bit-identical for any worker count.  With one worker and no
@@ -23,6 +23,9 @@ to the sweep fabric (:func:`repro.experiments.fabric.run_specs_fabric`),
 whose supervisor owns the only process pool (simlint SL008).  The
 worker count resolves from the ``REPRO_WORKERS`` environment knob
 (``0`` = one per CPU) when not passed explicitly; the default is serial.
+
+:func:`run_figure` runs a paper figure: its module's ``grid(scale)``
+spec list, one :func:`run_specs` call, then ``reduce``.
 """
 
 from __future__ import annotations
@@ -30,15 +33,18 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, fields
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from itertools import islice
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.analysis.chains import ChainStats, summarize_chains
 from repro.analysis.metrics import SwarmMetrics
 from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.config import SwarmConfig
+from repro.experiments.runner import RunAccessors, seeds_for
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.config import ExperimentScale
     from repro.faults.plan import FaultPlan
 
 #: Environment knob read when ``workers`` is not passed explicitly.
@@ -84,7 +90,8 @@ class RunSpec:
     order-independent.  ``sanitize`` is ``True`` or ``"races"`` (the
     sanitizer plus the same-instant race reporter); ``fault_plan`` is a
     :class:`~repro.faults.plan.FaultPlan`, which makes a chaos case an
-    ordinary spec.
+    ordinary spec; ``series`` names the
+    :data:`~repro.experiments.runner.SERIES` to record.
     """
 
     protocol: str = "tchain"
@@ -99,6 +106,7 @@ class RunSpec:
     freerider_options: Optional[FreeRiderOptions] = None
     initial_piece_fraction: float = 0.0
     trace_horizon_s: float = 2000.0
+    series: Tuple[str, ...] = ()
     sanitize: Union[bool, str] = False
     fault_plan: Optional["FaultPlan"] = None
     config_overrides: Tuple[Tuple[str, object], ...] = ()
@@ -108,11 +116,8 @@ class RunSpec:
         """Build a spec from ``run_swarm``-style keyword arguments.
 
         Raises :class:`ParallelExecutionError` for a ``setup``
-        callable, which cannot cross a process boundary.
-
-        ``kwargs`` is never mutated — neither on success nor on the
-        error path — so callers can safely reuse one kwargs dict
-        across many specs (the seed loop in ``run_many`` does).
+        callable, which cannot cross a process boundary.  ``kwargs``
+        is never mutated, on success or error.
         """
         blocked = [k for k in _UNSPECABLE if kwargs.get(k) is not None]
         if blocked:
@@ -139,7 +144,7 @@ class RunSpec:
 # RunSummary — the picklable unit of result
 # ----------------------------------------------------------------------
 @dataclass
-class RunSummary:
+class RunSummary(RunAccessors):
     """Everything a sweep consumes from one run, minus the live swarm.
 
     Carries the real :class:`~repro.analysis.metrics.SwarmMetrics`
@@ -179,37 +184,8 @@ class RunSummary:
     race_events_seen: Optional[int] = None
     race_conflict_count: int = 0
     race_conflicts: Tuple[str, ...] = ()
-
-    # -- RunResult-compatible accessors --------------------------------
-    def mean_completion_time(self, kind: str = "leecher"
-                             ) -> Optional[float]:
-        """Average completion time for a peer kind."""
-        return self.metrics.mean_completion_time(kind)
-
-    def mean_utilization(self, kind: str = "leecher") -> Optional[float]:
-        """Average uplink utilization for a peer kind."""
-        return self.metrics.mean_utilization(kind)
-
-    def completion_rate(self, kind: str = "leecher") -> float:
-        """Fraction of peers of a kind that finished downloading."""
-        return self.metrics.completion_rate(kind)
-
-    def optimal_time(self) -> float:
-        """The fluid optimum for this run's population."""
-        from repro.experiments.runner import optimal_completion_time
-        capacities = [r.capacity_kbps for r in self.metrics.records
-                      if r.kind == "leecher"]
-        return optimal_completion_time(
-            self.config.n_pieces * self.config.piece_size_kb,
-            self.config.seeder_capacity_kbps, capacities)
-
-    @property
-    def opportunistic_fraction(self) -> float:
-        """Share of T-Chain chains initiated by leechers (0.0 when the
-        run was not T-Chain)."""
-        if self.chain_stats is None:
-            return 0.0
-        return self.chain_stats.opportunistic_fraction
+    #: ``(name, value)`` of each requested series, in request order.
+    series: Tuple[Tuple[str, object], ...] = ()
 
 
 def summarize_run(result, wall_time_s: float = 0.0) -> RunSummary:
@@ -244,6 +220,7 @@ def summarize_run(result, wall_time_s: float = 0.0) -> RunSummary:
                              if races is not None else 0),
         race_conflicts=(tuple(races.conflict_pairs())
                         if races is not None else ()),
+        series=tuple(result.series.items()),
     )
 
 
@@ -278,21 +255,47 @@ def run_specs(specs: Sequence[RunSpec],
     across both paths: each run derives all randomness from its spec's
     seed, and summaries carry no shared state.
 
-    The supervisor hands out whole shards, so shards are sized to give
-    every worker one (at most ``DEFAULT_SHARD_SIZE`` specs each); the
-    sweep subdirectory depends on that size, so re-running a command
-    with the same worker count finds its checkpoints.
+    Each shard holds one spec: the supervisor hands out whole shards,
+    so every worker stays busy until the last spec, and the sweep
+    subdirectory does not depend on the worker count.
     """
-    from repro.experiments.fabric import (DEFAULT_SHARD_SIZE,
-                                          resolve_sweep_dir,
+    from repro.experiments.fabric import (resolve_sweep_dir,
                                           run_specs_fabric, sweep_subdir)
     specs = list(specs)
     sweep_dir = resolve_sweep_dir(sweep_dir)
     workers = min(resolve_workers(workers), max(len(specs), 1))
     if not specs or (sweep_dir is None and workers <= 1):
         return [execute_spec(spec) for spec in specs]
-    shard_size = min(DEFAULT_SHARD_SIZE, -(-len(specs) // workers))
     if sweep_dir is not None:
-        sweep_dir = sweep_subdir(sweep_dir, specs, shard_size=shard_size)
+        sweep_dir = sweep_subdir(sweep_dir, specs, shard_size=1)
     return run_specs_fabric(specs, workers=workers, sweep_dir=sweep_dir,
-                            shard_size=shard_size)
+                            shard_size=1)
+
+
+# ----------------------------------------------------------------------
+# Figures as spec grids
+# ----------------------------------------------------------------------
+def grid_specs(label: str, cells: Sequence[Dict[str, object]],
+               scale: "ExperimentScale") -> List[RunSpec]:
+    """A spec per seed of each cell (``run_swarm`` keyword arguments);
+    a cell's seeds derive from ``label.format(**cell)``."""
+    return [RunSpec.from_kwargs(seed=seed, **cell) for cell in cells
+            for seed in seeds_for(label.format(**cell), scale.root_seed,
+                                  scale.seeds)]
+
+
+def per_cell(summaries: Sequence[RunSummary], scale: "ExperimentScale"
+             ) -> Iterator[List[RunSummary]]:
+    """The summaries of consecutive cells, ``scale.seeds`` per cell."""
+    it = iter(summaries)
+    return iter(lambda: list(islice(it, scale.seeds)), [])
+
+
+def run_figure(module, scale: "ExperimentScale",
+               workers: Optional[int] = None,
+               sweep_dir: Optional[str] = None):
+    """A figure's rows: ``module.grid(scale)`` through one
+    :func:`run_specs` call, reduced by ``module.reduce``."""
+    summaries = run_specs(module.grid(scale), workers=workers,
+                          sweep_dir=sweep_dir)
+    return module.reduce(scale, summaries)

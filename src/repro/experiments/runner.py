@@ -6,7 +6,8 @@ partly free-riding), an arrival model (:data:`ARRIVALS`: flash crowd,
 continuous RedHat-9-like trace, or Sec. IV-I's churn, a flash crowd in
 which every finisher is replaced by a compliant newcomer until
 ``max_time``), then runs to completion and returns a
-:class:`RunResult` exposing every metric the paper plots.
+:class:`RunResult` exposing every metric the paper plots, plus the
+time series a figure asks for by name (:data:`SERIES`).
 
 Per-protocol piece sizes follow the paper: 256 KB for BitTorrent and
 PropShare, 64 KB for T-Chain and FairTorrent (Sec. IV-A).  Passing
@@ -20,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.stats import Summary, summarize
 from repro.attacks.freerider import FreeRiderOptions, make_freerider
 from repro.bt.config import SwarmConfig
 from repro.bt.protocols import PROTOCOLS
 from repro.bt.swarm import Swarm
 from repro.bt.torrent import partial_book
-from repro.sim.randomness import SeedSequence
+from repro.sim.events import PeriodicTask
+from repro.sim.randomness import SeedSequence, substream
 from repro.workloads.arrivals import flash_crowd, schedule_arrivals
 from repro.workloads.churn import ReplacementChurn
 from repro.workloads.trace import redhat9_like_trace
@@ -62,31 +63,9 @@ def optimal_completion_time(file_kb: float, seeder_kbps: float,
     return file_kbit / min(seeder_kbps, aggregate)
 
 
-@dataclass
-class RunResult:
-    """Everything measured in one swarm run."""
-
-    protocol: str
-    config: SwarmConfig
-    swarm: Swarm
-    n_compliant: int
-    n_freeriders: int
-
-    @property
-    def metrics(self):
-        """The swarm's metric records."""
-        return self.swarm.metrics
-
-    @property
-    def tchain_state(self):
-        """T-Chain shared state (ledger, chains) or None."""
-        return getattr(self.swarm, "_tchain_state", None)
-
-    @property
-    def stop_reason(self) -> Optional[str]:
-        """Why the run ended: ``"max_time"``, ``"drained"``,
-        ``"quiescent"`` or ``"heap_empty"`` (see ``Swarm.run``)."""
-        return self.swarm.stop_reason
+class RunAccessors:
+    """Accessors shared by :class:`RunResult` and the picklable
+    :class:`~repro.experiments.parallel.RunSummary`."""
 
     def mean_completion_time(self, kind: str = "leecher"
                              ) -> Optional[float]:
@@ -108,6 +87,35 @@ class RunResult:
         return optimal_completion_time(
             self.config.n_pieces * self.config.piece_size_kb,
             self.config.seeder_capacity_kbps, capacities)
+
+
+@dataclass
+class RunResult(RunAccessors):
+    """Everything measured in one swarm run."""
+
+    protocol: str
+    config: SwarmConfig
+    swarm: Swarm
+    n_compliant: int
+    n_freeriders: int
+    #: Requested series values by name (see :data:`SERIES`).
+    series: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def metrics(self):
+        """The swarm's metric records."""
+        return self.swarm.metrics
+
+    @property
+    def tchain_state(self):
+        """T-Chain shared state (ledger, chains) or None."""
+        return getattr(self.swarm, "_tchain_state", None)
+
+    @property
+    def stop_reason(self) -> Optional[str]:
+        """Why the run ended: ``"max_time"``, ``"drained"``,
+        ``"quiescent"`` or ``"heap_empty"`` (see ``Swarm.run``)."""
+        return self.swarm.stop_reason
 
     def summary(self, wall_time_s: float = 0.0):
         """The picklable :class:`~repro.experiments.parallel.RunSummary`
@@ -137,6 +145,73 @@ def build_config(protocol: str,
                        seed=seed, **overrides)
 
 
+#: Fig. 6(a)'s crawler compares this many random leecher pairs a sample.
+DIVERSITY_PAIRS = 40
+
+
+def _sampled(interval_s: float, first_delay: Optional[float],
+             read: Callable) -> Callable[[Swarm], Callable[[], tuple]]:
+    """``read(swarm, rng)`` every ``interval_s`` (``None`` skips one); the
+    series' own ``rng`` leaves the run's draws alone."""
+    def install(swarm: Swarm) -> Callable[[], tuple]:
+        rng = substream(swarm.config.seed, "series")
+        samples = []
+
+        def sample():
+            value = read(swarm, rng)
+            if value is not None:
+                samples.append(value)
+        PeriodicTask(swarm.sim, interval_s, sample, first_delay=first_delay)
+        return lambda: tuple(samples)
+    return install
+
+
+def _chains(swarm: Swarm, rng) -> tuple:
+    """Fig. 10: (time, active chains, active leechers)."""
+    state = getattr(swarm, "_tchain_state", None)
+    return (swarm.sim.now, state.registry.active_count if state else 0,
+            swarm.active_leechers)
+
+
+def _initiators(swarm: Swarm, rng) -> tuple:
+    """Fig. 11(a): (time, chains begun by the seeder, by leechers)."""
+    state = getattr(swarm, "_tchain_state", None)
+    if state is None:
+        return (swarm.sim.now, 0, 0)
+    return (swarm.sim.now, state.registry.created_by_seeder,
+            state.registry.created_by_leechers)
+
+
+def _diversity(swarm: Swarm, rng) -> Optional[tuple]:
+    """Fig. 6(a)'s crawler: (time, mean piece-set difference, pairs) over
+    random pairs of active leechers, as a tracker would hand them out."""
+    leechers = [p for p in swarm.peers.values() if p.kind == "leecher"]
+    if len(leechers) < 2:
+        return None
+    diffs = [len(a.book.completed ^ b.book.completed) for a, b in
+             (rng.sample(leechers, 2) for _ in range(DIVERSITY_PAIRS))]
+    return (swarm.sim.now, sum(diffs) / len(diffs), len(diffs))
+
+
+def _piece_log(swarm: Swarm) -> Callable[[], tuple]:
+    """Fig. 5: (uplink Kbps, join time, piece log) of each departed
+    leecher that logged a piece, in departure order."""
+    return lambda: tuple(
+        (p.uplink.capacity_kbps, p.join_time, tuple(p.piece_log))
+        for p in swarm.departed.values()
+        if p.kind == "leecher" and p.piece_log)
+
+
+#: ``run_swarm(series=...)`` names: each entry installs itself after the
+#: seeder joins and returns a finisher, read into ``RunResult.series``.
+SERIES: Dict[str, Callable[[Swarm], Callable[[], tuple]]] = {
+    "chains": _sampled(5.0, 0.0, _chains),
+    "diversity": _sampled(20.0, None, _diversity),
+    "initiators": _sampled(5.0, 0.0, _initiators),
+    "piece_log": _piece_log,
+}
+
+
 def run_swarm(protocol: str = "tchain",
               leechers: int = 40,
               freerider_fraction: float = 0.0,
@@ -149,6 +224,7 @@ def run_swarm(protocol: str = "tchain",
               freerider_options: Optional[FreeRiderOptions] = None,
               initial_piece_fraction: float = 0.0,
               trace_horizon_s: float = 2000.0,
+              series: Sequence[str] = (),
               setup: Optional[Callable[[Swarm], None]] = None,
               sanitize: object = False,
               profile: object = False,
@@ -157,8 +233,9 @@ def run_swarm(protocol: str = "tchain",
     """Run one full swarm simulation.
 
     Parameters mirror the paper's experimental knobs; see Sec. IV-A.
-    ``setup`` runs after the seeder joins but before leecher arrivals
-    (used by experiments that need custom instrumentation).
+    ``series`` names the :data:`SERIES` to record.  ``setup(swarm)``
+    runs after the seeder joins, before arrivals: the in-process seam
+    tests attach observers through (no ``RunSpec`` can carry it).
     ``sanitize`` runs the whole swarm under the simulation sanitizer
     (see :mod:`repro.devtools.sanitizer`); the string ``"races"``
     additionally attaches the same-instant order-sensitivity reporter
@@ -175,6 +252,10 @@ def run_swarm(protocol: str = "tchain",
     if arrival not in ARRIVALS:
         raise ValueError(f"unknown arrival model {arrival!r}; "
                          f"choose from {ARRIVALS}")
+    unknown = [name for name in series if name not in SERIES]
+    if unknown:
+        raise ValueError(f"unknown series {unknown}; "
+                         f"choose from {sorted(SERIES)}")
     if freerider_options is None:
         # Constructed per call: a shared default instance would let a
         # caller's mutation (or a future non-frozen options class)
@@ -190,6 +271,7 @@ def run_swarm(protocol: str = "tchain",
     seeder_cls, leecher_cls = PROTOCOLS[protocol]
     seeder = seeder_cls(swarm)
     seeder.join()
+    finishers = {name: SERIES[name](swarm) for name in series}
     if setup is not None:
         setup(swarm)
 
@@ -243,28 +325,9 @@ def run_swarm(protocol: str = "tchain",
         if swarm.sim.profile is not None:
             swarm.sim.profile.close()
     return RunResult(protocol=protocol, config=config, swarm=swarm,
-                     n_compliant=n_compliant, n_freeriders=n_free)
-
-
-def run_many(seeds: Sequence[int], workers: Optional[int] = None,
-             sweep_dir: Optional[str] = None, **kwargs) -> List:
-    """Repeat :func:`run_swarm` across seeds: one
-    :class:`~repro.experiments.parallel.RunSpec` per seed, executed by
-    :func:`~repro.experiments.parallel.run_specs` (which see for
-    ``workers`` / ``sweep_dir`` routing).  Returns one
-    :class:`~repro.experiments.parallel.RunSummary` per seed, in seed
-    order and bit-identical for any worker count.
-    """
-    from repro.experiments.parallel import RunSpec, run_specs
-    specs = [RunSpec.from_kwargs(seed=seed, **kwargs) for seed in seeds]
-    return run_specs(specs, workers=workers, sweep_dir=sweep_dir)
-
-
-def summarize_metric(results: Sequence[RunResult],
-                     metric: Callable[[RunResult], Optional[float]]
-                     ) -> Optional[Summary]:
-    """Mean ± CI of a per-run metric across results."""
-    return summarize([metric(r) for r in results])
+                     n_compliant=n_compliant, n_freeriders=n_free,
+                     series={name: finish()
+                             for name, finish in finishers.items()})
 
 
 def compliant_completion_rate(results: Sequence[RunResult]) -> float:

@@ -27,14 +27,14 @@ Measured cells:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import percentile
 from repro.attacks.freerider import FreeRiderOptions
 from repro.experiments import fig13
-from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.parallel import RunSpec, run_specs
+from repro.experiments.config import ExperimentScale
+from repro.experiments.parallel import RunSpec, RunSummary
 
 PROTOCOLS = ["bittorrent", "propshare", "fairtorrent", "tchain"]
 
@@ -108,40 +108,46 @@ def _verdict_from_freeriding(summary) -> (float, str):
     return rate, BAD
 
 
-def run(scale: ExperimentScale = DEFAULT_SCALE) -> Table2:
-    """Run all attack micro-scenarios and assemble the table."""
+#: The free-riding attacks, one spec per protocol each.
+SCENARIOS = {
+    "exploiting altruism": FreeRiderOptions(large_view=False,
+                                            whitewash=False),
+    "large-view exploit": FreeRiderOptions(large_view=True,
+                                           whitewash=False),
+    "whitewashing": FreeRiderOptions(large_view=False, whitewash=True),
+    "collusion": FreeRiderOptions(large_view=True, whitewash=False,
+                                  collude=True),
+}
+
+
+def grid(scale: ExperimentScale) -> List[RunSpec]:
+    """Per protocol: the attack scenarios, then the fairness run; then
+    the small-file churn run of every protocol."""
     seed = scale.root_seed
-    scenarios = [
-        ("exploiting altruism",
-         FreeRiderOptions(large_view=False, whitewash=False)),
-        ("large-view exploit",
-         FreeRiderOptions(large_view=True, whitewash=False)),
-        ("whitewashing",
-         FreeRiderOptions(large_view=False, whitewash=True)),
-        ("collusion",
-         FreeRiderOptions(large_view=True, whitewash=False,
-                          collude=True)),
-    ]
     specs = []
     for protocol in PROTOCOLS:
         specs += [RunSpec(protocol=protocol, leechers=30, pieces=12,
                           seed=seed, freerider_fraction=0.2,
                           freerider_options=options, max_time=4000.0)
-                  for _, options in scenarios]
+                  for options in SCENARIOS.values()]
         # fairness spread under 25% free-riders
         specs.append(RunSpec(protocol=protocol, leechers=40, pieces=16,
                              seed=seed, freerider_fraction=0.25))
     # small files: relative throughput on a 3-piece file, 50% FRs
-    specs += [fig13.churn_spec(protocol, n_pieces=3, fraction=0.5,
-                               leechers=30, seed=seed)
-              for protocol in PROTOCOLS]
-    summaries = iter(run_specs(specs))
+    return specs + [fig13.churn_spec(protocol, n_pieces=3, fraction=0.5,
+                                     leechers=30, seed=seed)
+                    for protocol in PROTOCOLS]
 
+
+def reduce(scale: ExperimentScale,
+           summaries: Sequence[RunSummary]) -> Table2:
+    """Classify every measured cell."""
+    summaries = iter(summaries)
     table = Table2()
     for protocol in PROTOCOLS:
         table.cells += [Cell(feature, protocol,
                              *_verdict_from_freeriding(next(summaries)))
-                        for feature, _ in scenarios]
+                        for feature in SCENARIOS]
         factors = next(summaries).metrics.fairness_factors("leecher")
         spread = (percentile(factors, 90) - percentile(factors, 10)
                   if len(factors) >= 2 else 0.0)

@@ -2,28 +2,39 @@
 
 import math
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import FIGURES
 from repro.experiments import (
     optimal_completion_time,
-    run_many,
+    run_figure,
     run_swarm,
 )
 from repro.experiments.config import ExperimentScale
 from repro.analysis.metrics import PeerRecord, SwarmMetrics
+from repro.experiments import parallel
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.runner import (
     PIECE_SIZE_KB,
+    SERIES,
     build_config,
     compliant_completion_rate,
     seeds_for,
-    summarize_metric,
 )
 from repro.bt.protocols import PROTOCOLS
 
 
 TINY = ExperimentScale(factor=0.15, seeds=1, root_seed=9)
+
+
+@pytest.fixture(scope="module")
+def tiny_rows():
+    """Every ``repro figure`` module's rows at TINY, run serially."""
+    return {name: run_figure(module, TINY, workers=1)
+            for name, module in FIGURES.items()}
 
 
 class TestScale:
@@ -88,14 +99,6 @@ class TestRunnerHelpers:
         assert a == b
         assert set(a).isdisjoint(c)
 
-    def test_run_many_and_summarize(self):
-        results = run_many([1, 2], protocol="bittorrent", leechers=6,
-                           pieces=4)
-        assert len(results) == 2
-        summary = summarize_metric(
-            results, lambda r: r.mean_completion_time())
-        assert summary is not None and summary.n == 2
-
     def test_compliant_completion_rate_pools_runs(self):
         """Finished compliant leechers over all compliant leechers,
         pooled across runs; free-riders and seeders do not count."""
@@ -139,69 +142,109 @@ class TestFigureModulesSmoke:
     """Each per-figure module runs end to end at tiny scale and
     renders non-empty text."""
 
-    def test_fig3(self):
+    def test_fig3(self, tiny_rows):
         from repro.experiments import fig3
-        rows = fig3.run(TINY)
+        rows = tiny_rows["fig3"]
         assert len(rows) == len(fig3.PROTOCOLS) * len(
             fig3.BASE_SWARM_SIZES)
         assert "Fig. 3(a)" in fig3.render(rows)
 
-    def test_fig4(self):
+    def test_fig4(self, tiny_rows):
         from repro.experiments import fig4
-        file_rows = fig4.run_file_size(TINY)
-        swarm_rows = fig4.run_swarm_size(TINY)
+        file_rows, swarm_rows = tiny_rows["fig4"]
         assert 0.0 <= fig4.linearity_r2(file_rows) <= 1.0
-        assert "Fig. 4(b)" in fig4.render(file_rows, swarm_rows)
+        assert "Fig. 4(b)" in fig4.render((file_rows, swarm_rows))
 
-    def test_fig5(self):
+    def test_fig5(self, tiny_rows):
         from repro.experiments import fig5
-        timelines = fig5.run(TINY)
+        timelines = tiny_rows["fig5"]
         assert set(timelines) == {"slow", "fast"}
         assert "Fig. 5" in fig5.render(timelines)
 
-    def test_fig6(self):
+    def test_fig6(self, tiny_rows):
         from repro.experiments import fig6
-        samples = fig6.run_crawler(TINY, sample_interval_s=30.0,
-                                   sample_pairs=5)
-        rows = fig6.run_initial_pieces(TINY)
-        text = fig6.render(samples, rows, TINY.pieces(
-            fig6.BASE_PIECES_A))
-        assert "Fig. 6(b)" in text
+        samples, rows, n_pieces = tiny_rows["fig6"]
+        assert n_pieces == TINY.pieces(fig6.BASE_PIECES_A)
+        assert "Fig. 6(b)" in fig6.render((samples, rows, n_pieces))
 
-    def test_fig10_and_11(self):
-        from repro.experiments import fig10, fig11
-        flash = fig10.run(TINY, arrival="flash")
-        assert flash.samples
-        cumulative = fig11.run_cumulative(TINY)
+    def test_fig10_and_11(self, tiny_rows):
+        flash, trace = tiny_rows["fig10"]
+        assert flash.samples and trace.samples
+        cumulative, _ = tiny_rows["fig11"]
         seeder, leechers = cumulative.final_counts()
         assert seeder >= 0 and leechers >= 0
 
-    def test_fig12_structure(self):
+    def test_fig12_structure(self, tiny_rows):
         from repro.experiments import fig12
-        curves = fig12.run(TINY)
+        curves = tiny_rows["fig12"]
         assert set(curves) == {0.0, 0.25}
         for fraction, per_protocol in curves.items():
             assert {c.protocol for c in per_protocol} == set(
                 fig12.PROTOCOLS)
 
-    def test_fig13_lookup(self):
+    def test_fig13_lookup(self, tiny_rows):
         from repro.experiments import fig13
-        rows = fig13.run(TINY, fractions=(0.0,))
+        rows = tiny_rows["fig13"]
         value = fig13.value(rows, "tchain", fig13.PIECE_COUNTS[0], 0.0)
         assert value >= 0.0
         with pytest.raises(KeyError):
             fig13.value(rows, "tchain", 999, 0.0)
 
-    def test_fig13_and_table2_fan_out_bit_identical(self, monkeypatch):
-        """Fig. 13 and Table II are one spec list each: the same rows
-        serially and over two workers."""
-        from repro.experiments import fig13, table2
-        from repro.experiments.parallel import ENV_WORKERS
-        monkeypatch.setenv(ENV_WORKERS, "1")
-        serial = (fig13.run(TINY, fractions=(0.0,)), table2.run(TINY))
-        monkeypatch.setenv(ENV_WORKERS, "2")
-        assert (fig13.run(TINY, fractions=(0.0,)),
-                table2.run(TINY)) == serial
+    def test_every_figure_fans_out_bit_identical(self, tiny_rows):
+        """Every figure is one spec grid: the same rows serially and
+        over two workers (compared as ``repr``, where NaN equals
+        itself)."""
+        for name, module in FIGURES.items():
+            assert repr(run_figure(module, TINY, workers=2)) \
+                == repr(tiny_rows[name]), name
+
+    def test_run_figure_makes_one_run_specs_call(self, monkeypatch):
+        from repro.experiments import fig6
+        calls = []
+        run_specs = parallel.run_specs
+
+        def counting(specs, **kwargs):
+            calls.append(len(specs))
+            return run_specs(specs, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_specs", counting)
+        run_figure(fig6, TINY)
+        assert calls == [len(fig6.grid(TINY))]
+
+
+class TestSeries:
+    #: (spec, how it stops): a trace run that drains, and a run whose
+    #: starved free-riders leave it quiescent.
+    SPECS = [(RunSpec(protocol="tchain", leechers=12, pieces=8, seed=5,
+                      arrival="trace", trace_horizon_s=100.0), "drained"),
+             (RunSpec(protocol="tchain", leechers=12, pieces=8, seed=4,
+                      freerider_fraction=0.25), "quiescent")]
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_recording_a_series_leaves_the_run_alone(self, name):
+        """A requested series only watches: the same spec with and
+        without it ends the same way, at the same time, for every
+        peer."""
+        for spec, stop in self.SPECS:
+            plain = execute_spec(spec)
+            recorded = execute_spec(replace(spec, series=(name,)))
+            assert plain.stop_reason == stop
+            assert recorded.metrics.records == plain.metrics.records
+            assert recorded.stop_reason == plain.stop_reason
+            assert recorded.sim_time_s == plain.sim_time_s
+            (got, value), = recorded.series
+            assert got == name and value
+
+    def test_unknown_series_rejected_before_a_swarm_is_built(
+            self, monkeypatch):
+        from repro.experiments import runner
+
+        def no_swarm(*args, **kwargs):
+            raise AssertionError("a swarm was built")
+
+        monkeypatch.setattr(runner, "Swarm", no_swarm)
+        with pytest.raises(ValueError, match="unknown series"):
+            runner.run_swarm(series=("chains", "no-such-series"))
 
 
 class TestQuietWindow:

@@ -444,24 +444,26 @@ class TestBitIdentical:
         resumed = resume_sweep(str(tmp_path), workers=1)
         assert resumed == first
 
-    def test_run_many_routes_through_fabric(self, tmp_path):
-        from repro.experiments.runner import run_many
-        kwargs = dict(protocol="tchain", leechers=3, pieces=2)
-        plain = run_many(range(3), workers=2, **kwargs)
-        routed = run_many(range(3), workers=2,
-                          sweep_dir=str(tmp_path), **kwargs)
+    def test_run_specs_routes_through_fabric(self, tmp_path):
+        specs = [RunSpec(protocol="tchain", seed=seed, leechers=3,
+                         pieces=2) for seed in range(3)]
+        plain = run_specs(specs, workers=2)
+        routed = run_specs(specs, workers=2, sweep_dir=str(tmp_path))
         assert routed == plain
+        # One spec per shard, whatever the worker count: a re-run on
+        # another count finds the same sweep subdirectory.
+        assert run_specs(specs, workers=1,
+                         sweep_dir=str(tmp_path)) == plain
         subdirs = os.listdir(str(tmp_path))
         assert len(subdirs) == 1  # one matrix, one sweep subdir
         assert load_manifest(os.path.join(str(tmp_path),
                                           subdirs[0])).n_specs == 3
 
-    def test_run_many_env_knob(self, tmp_path, monkeypatch):
+    def test_run_specs_env_knob(self, tmp_path, monkeypatch):
         from repro.experiments.fabric import ENV_SWEEP_DIR
-        from repro.experiments.runner import run_many
         monkeypatch.setenv(ENV_SWEEP_DIR, str(tmp_path))
-        run_many(range(2), workers=1, protocol="tchain", leechers=3,
-                 pieces=2)
+        run_specs([RunSpec(protocol="tchain", seed=seed, leechers=3,
+                           pieces=2) for seed in range(2)], workers=1)
         assert os.listdir(str(tmp_path))  # fabric state persisted
 
     def test_sweep_subdir_stable(self):

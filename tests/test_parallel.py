@@ -22,7 +22,7 @@ from repro.experiments.parallel import (
     resolve_workers,
     run_specs,
 )
-from repro.experiments.runner import run_many, run_swarm
+from repro.experiments.runner import run_swarm
 from repro.faults import chaos_spec
 
 SPEC = RunSpec(protocol="tchain", leechers=10, pieces=6,
@@ -126,24 +126,18 @@ class TestBitIdentical:
         old = pickle.loads(pickle.dumps(summary))
         new_fields = ("crashed_ids", "crashes_skipped",
                       "sanitizer_checks", "race_events_seen",
-                      "race_conflict_count", "race_conflicts")
+                      "race_conflict_count", "race_conflicts", "series")
         for name in new_fields:
             del old.__dict__[name]
         loaded = pickle.loads(pickle.dumps(old))
         assert [getattr(loaded, name) for name in new_fields] \
-            == [(), 0, 0, None, 0, ()]
+            == [(), 0, 0, None, 0, (), ()]
         assert loaded == summary
 
-    def test_run_many_parallel_matches_serial(self):
-        kwargs = dict(protocol="tchain", leechers=8, pieces=6)
-        serial = run_many(range(2), workers=1, **kwargs)
-        parallel = run_many(range(2), workers=2, **kwargs)
-        assert all(isinstance(r, RunSummary) for r in serial + parallel)
-        assert serial == parallel
-
     def test_small_sweep_gives_every_worker_a_shard(self, monkeypatch):
-        """The supervisor hands out whole shards: a sweep smaller than
-        the default shard size must still run on every worker."""
+        """The supervisor hands out whole shards: each spec is its own
+        shard, so a sweep smaller than the default shard size still
+        runs on every worker."""
         from repro.experiments.fabric import sweep
         seen = []
 
@@ -154,9 +148,9 @@ class TestBitIdentical:
                 return outcome
 
         monkeypatch.setattr(sweep, "SweepSupervisor", Recording)
-        run_many(range(4), workers=2, protocol="tchain", leechers=8,
-                 pieces=6)
-        assert seen == [(2, 2)]
+        run_specs([RunSpec(protocol="tchain", seed=seed, leechers=8,
+                           pieces=6) for seed in range(4)], workers=2)
+        assert seen == [(2, 4)]
 
     def test_single_spec_runs_in_process(self, monkeypatch):
         from repro.experiments import fabric

@@ -183,6 +183,7 @@ class Peer:
         for transfer in list(self._outgoing):
             self._drop_outgoing(transfer)
         self.swarm.tracker.leave(self.id)
+        self.on_crash()
         self.swarm.deregister(self)
 
     def whitewash(self) -> str:
@@ -420,6 +421,10 @@ class Peer:
 
     def on_leave(self) -> None:
         """Called before connections are severed."""
+
+    def on_crash(self) -> None:
+        """Called by :meth:`crash` instead of :meth:`on_leave`, once
+        connections are gone: bookkeeping only, no protocol goodbye."""
 
     def on_neighbor_connected(self, neighbor_id: str) -> None:
         """A new neighbor appeared; default: try to serve."""

@@ -439,9 +439,10 @@ class _TChainNode(Peer):
             self.flow.on_piece_sent(plan.receiver_id)
             timeout = self.state.stall_timeout_s
             if timeout:
-                self.sim.schedule(
-                    timeout, _check_stall, self.state,
-                    self.state.ledger.get(plan.payload.transaction_id))
+                transaction_id = plan.payload.transaction_id
+                self.state.ledger.get(transaction_id).watched = True
+                self.sim.after(timeout, _check_stall, self.state,
+                               transaction_id)
 
     def on_payload_delivered(self, plan: UploadPlan, payload) -> None:
         """Reclaim a consumed plain-piece message for the pool.
@@ -492,8 +493,8 @@ class _TChainNode(Peer):
     def _arm_key_retry(self, transaction_id: int, attempt: int) -> None:
         if attempt > CONTROL_RETRY_ATTEMPTS:
             return
-        self.sim.schedule(_retry_delay(attempt),
-                          self._key_retry, transaction_id, attempt)
+        self.sim.after(_retry_delay(attempt),
+                       self._key_retry, transaction_id, attempt)
 
     def _key_retry(self, transaction_id: int, attempt: int) -> None:
         """Re-release a key the requestor demonstrably never got (its
@@ -687,48 +688,59 @@ class _TChainNode(Peer):
         return self.swarm.find_peer(self.sim.rng.choice(ids))
 
 
-def _check_stall(state: TChainState, tx: Transaction) -> None:
+def _check_stall(state: TChainState, transaction_id: int) -> None:
     """Watchdog marking chains stalled by idle requestors terminated
     (metrics bookkeeping only — see SwarmConfig.chain_stall_timeout_s).
-    It holds ``tx`` itself: an aborted exchange has left the ledger."""
+    It carries the exchange id: the ledger keeps an aborted exchange
+    only while this watchdog is armed on it (``Transaction.watched``)."""
     ledger = state.ledger
-    if tx.state is TransactionState.ABORTED:
-        # Aborted before ever being reciprocated (e.g. the requestor
-        # discarded the sealed piece): dead exchange, write it off.
-        _write_off(state, tx)
+    tx = ledger.find(transaction_id)
+    if tx is None:
+        # Settled, or aborted before ever being reciprocated (e.g. the
+        # requestor discarded the sealed piece): a dead exchange is
+        # written off.
+        tx = ledger.pop_aborted(transaction_id)
+        if tx is not None:
+            _write_off(state, tx)
         return
+    if _still_stalling(state, tx):
+        state.swarm.sim.after(state.stall_timeout_s, _check_stall,
+                              state, transaction_id)
+    else:
+        tx.watched = False
+
+
+def _still_stalling(state: TChainState, tx: Transaction) -> bool:
+    """One watchdog look at the in-flight exchange ``tx``: terminate
+    and write off a dead one; True when it is worth another look."""
     if tx.state is not TransactionState.DELIVERED:
-        return
-    chain = state.registry.get(tx.chain_id)
-    if not chain.active:
-        return
+        return False
+    if not state.registry.get(tx.chain_id).active:
+        return False
     requestor = state.swarm.find_peer(tx.requestor_id)
     if requestor is None or not requestor.active:
-        ledger.terminate_chain(tx.chain_id, state.swarm.sim.now)
+        state.ledger.terminate_chain(tx.chain_id, state.swarm.sim.now)
         _write_off(state, tx)
-        return
+        return False
     if tx.transaction_id in getattr(requestor, "obligations", ()):
         # The requestor still has the obligation queued: it is trying
         # (slow uplink, payee churn), not refusing.  Striking honest
         # 400 Kbps stragglers would exile them for the backoff period;
         # look again later instead.  (Free-riders do not linger here:
         # they discard the sealed piece, the transaction aborts, and
-        # the write-off lands through the ABORTED branch above.)
-        state.swarm.sim.schedule(state.stall_timeout_s, _check_stall,
-                                 state, tx)
-        return
+        # the write-off lands through the aborted branch above.)
+        return True
     if requestor.uplink.busy_slots == 0:
         # Idle but not reciprocating: free-riding; the chain is dead.
         # The donor writes the exchange off its pending window — the
         # dead transaction no longer counts as outstanding (the
         # free-rider's next window fills just as fast, so it stays
         # starved of throughput rather than permanently banned).
-        ledger.terminate_chain(tx.chain_id, state.swarm.sim.now)
+        state.ledger.terminate_chain(tx.chain_id, state.swarm.sim.now)
         _write_off(state, tx)
-        return
+        return False
     # Busy (backlogged) requestor: look again later.
-    state.swarm.sim.schedule(state.stall_timeout_s, _check_stall,
-                             state, tx)
+    return True
 
 
 def _write_off(state: TChainState, tx: Transaction) -> None:
@@ -786,8 +798,10 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         self.pending_sealed: Dict[int, object] = {}
         #: tx id -> plead count (each key timeout re-pleads)
         self._plead_attempts: Dict[int, int] = {}
-        #: (time, piece, "encrypted"|"decrypted") for Fig. 5
-        self.piece_log: List[Tuple[float, int, str]] = []
+        #: (time, piece, "encrypted"|"decrypted") for Fig. 5, kept
+        #: only when the run asks for it (``Swarm.log_pieces``)
+        self.piece_log: Optional[List[Tuple[float, int, str]]] = \
+            [] if swarm.log_pieces else None
 
     # ------------------------------------------------------------------
     # Serving
@@ -834,7 +848,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         if self._retry_pending:
             return
         self._retry_pending = True
-        self.sim.schedule(OBLIGATION_RETRY_S, self._retry_pump)
+        self.sim.after(OBLIGATION_RETRY_S, self._retry_pump)
 
     def _retry_pump(self) -> None:
         self._retry_pending = False
@@ -983,14 +997,12 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             return
         ledger = self.state.ledger
         self.pending_sealed[msg.transaction_id] = msg.sealed
-        self.piece_log.append((self.sim.now, msg.sealed.piece_index,
-                               "encrypted"))
+        self._log_piece(msg.sealed.piece_index, "encrypted")
         prev = ledger.mark_delivered(msg.transaction_id, self.sim.now)
         if prev is not None:
             self._report_as_payee(prev)
         self.obligations.append(msg.transaction_id)
-        self.sim.schedule(KEY_TIMEOUT_S, self._check_key_timeout,
-                          msg.transaction_id)
+        self._rearm_key_timeout(msg.transaction_id)
         self._maybe_collude(msg)
 
     def _on_plain_piece(self, msg: PlainPieceMessage) -> None:
@@ -1000,8 +1012,12 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         prev = ledger.mark_delivered(msg.transaction_id, self.sim.now)
         if prev is not None:
             self._report_as_payee(prev)
-        self.piece_log.append((self.sim.now, msg.piece_index, "decrypted"))
+        self._log_piece(msg.piece_index, "decrypted")
         self.complete_piece(msg.piece_index)
+
+    def _log_piece(self, piece: int, kind: str) -> None:
+        if self.piece_log is not None:
+            self.piece_log.append((self.sim.now, piece, kind))
 
     def _report_as_payee(self, prev: Transaction) -> None:
         """We are the payee of ``prev``: report the reciprocation,
@@ -1026,15 +1042,14 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         elif tx.handed_over:
             # The donor left and handed us the key (Sec. II-B4): the
             # release is a local act, nothing to retransmit.
-            self.sim.schedule(self.swarm.config.control_latency_s,
-                              self._release_as_holder, transaction_id)
+            self.sim.after(self.swarm.config.control_latency_s,
+                           self._release_as_holder, transaction_id)
             return
         else:
             return  # donor gone, no handover: the plead path cleans up
         if attempt <= CONTROL_RETRY_ATTEMPTS:
-            self.sim.schedule(_retry_delay(attempt),
-                              self._send_report, transaction_id,
-                              attempt + 1)
+            self.sim.after(_retry_delay(attempt),
+                           self._send_report, transaction_id, attempt + 1)
 
     def _release_as_holder(self, transaction_id: int) -> None:
         ledger = self.state.ledger
@@ -1051,8 +1066,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             self._arm_key_retry(transaction_id, 1)
 
     def _rearm_key_timeout(self, transaction_id: int) -> None:
-        self.sim.schedule(KEY_TIMEOUT_S, self._check_key_timeout,
-                          transaction_id)
+        self.sim.after(KEY_TIMEOUT_S, self._check_key_timeout,
+                       transaction_id)
 
     def _check_key_timeout(self, transaction_id: int) -> None:
         """We hold a sealed piece long past reciprocating and no key
@@ -1132,8 +1147,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             expected = piece_payload(self.swarm.torrent,
                                      sealed.piece_index)
         sealed.open(key, expected_plaintext=expected)
-        self.piece_log.append((self.sim.now, sealed.piece_index,
-                               "decrypted"))
+        self._log_piece(sealed.piece_index, "decrypted")
         self.complete_piece(sealed.piece_index)
         self.pump()
 
@@ -1178,6 +1192,13 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         # any whose reciprocation upload is being cancelled mid-flight.
         self._forfeit_requestor_exchanges()
         super().on_leave()
+
+    def on_crash(self) -> None:
+        # No goodbye and no abort, but nobody holds our sealed pieces
+        # any more: a completed exchange must not wait on us to settle.
+        ledger = self.state.ledger
+        for transaction_id in self.pending_sealed:
+            ledger.settle(transaction_id)
 
     def drop_sealed(self, transaction_id: int) -> Optional[object]:
         """Pop a held sealed piece (or None) and settle its exchange."""

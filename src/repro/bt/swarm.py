@@ -47,11 +47,17 @@ class Swarm:
             config.refill_threshold, swarm=self)
         self.columnar.on_disconnect = self._notify_disconnect
         self.metrics = SwarmMetrics()
+        #: Active peers.  A departed peer is not kept: its metrics
+        #: record is all that remains, plus whatever ``on_departed``
+        #: takes from it.
         self.peers: Dict[str, Peer] = {}
-        self.departed: Dict[str, Peer] = {}
         self.active_leechers = 0
         self.finished_leechers = 0
         self.on_finished: Optional[Callable[[Peer], None]] = None
+        self.on_departed: Optional[Callable[[Peer], None]] = None
+        #: Do T-Chain leechers keep a piece log (Fig. 5's ``piece_log``
+        #: series)?  Read once, when each leecher is built.
+        self.log_pieces = False
         self.last_activity = 0.0
         #: Why the last :meth:`run` ended (``None`` before the first).
         self.stop_reason: Optional[str] = None
@@ -115,10 +121,11 @@ class Swarm:
         """Called by ``Peer.leave``."""
         self.peers.pop(peer.id, None)
         self.columnar.remove_peer(peer.id)
-        self.departed[peer.id] = peer
         if peer.kind != "seeder":
             self.active_leechers -= 1
         self.metrics.record_peer(peer, self.sim.now)
+        if self.on_departed is not None:
+            self.on_departed(peer)
 
     def find_peer(self, peer_id: str) -> Optional[Peer]:
         """Active peer by id, else None."""

@@ -60,6 +60,9 @@ class ExchangeLedger:
         #: COMPLETED encrypted exchanges whose requestor may still hold
         #: the sealed piece: a lost key release is re-sent from here
         self._unsettled: Dict[int, Transaction] = {}
+        #: ABORTED exchanges a stall watchdog is still armed on
+        #: (``Transaction.watched``), until it takes them to write off
+        self._aborted: Dict[int, Transaction] = {}
         self._open_by_peer: Dict[str, set] = {}
         self._next_tx_id = 0
         self.collusion_successes = 0
@@ -176,13 +179,16 @@ class ExchangeLedger:
     def _close(self, tx: Transaction) -> None:
         """``tx`` reached COMPLETED or ABORTED.  A completed exchange
         whose requestor has not settled it (``sealed`` still set) moves
-        to ``_unsettled``; any other leaves the ledger."""
+        to ``_unsettled``, a watched aborted one to ``_aborted``; any
+        other leaves the ledger."""
         transaction_id = tx.transaction_id
         del self._open[transaction_id]
         for party in tx.parties():
             self._unindex_open(party, transaction_id)
         if tx.state is TransactionState.ABORTED:
             tx.key = None
+            if tx.watched:
+                self._aborted[transaction_id] = tx
         elif tx.sealed is not None:
             self._unsettled[transaction_id] = tx
         tx.sealed = None
@@ -210,6 +216,12 @@ class ExchangeLedger:
             tx = self._open.get(transaction_id)
             if tx is not None:
                 tx.sealed = None
+
+    def pop_aborted(self, transaction_id: int) -> Optional[Transaction]:
+        """Hand a watched aborted exchange to its stall watchdog, which
+        writes it off; ``None`` when the id was not aborted under
+        watch."""
+        return self._aborted.pop(transaction_id, None)
 
     def mark_delivered(self, transaction_id: int, now: float
                        ) -> Optional[Transaction]:

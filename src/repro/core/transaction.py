@@ -95,6 +95,9 @@ class Transaction:
     key / sealed / handed_over:
         Key and sealed piece (dropped as the exchange settles), and
         whether a departing donor handed its key duty to the payee.
+    watched:
+        A stall watchdog is armed on the exchange, so the ledger keeps
+        it past an abort until the watchdog writes it off.
     """
 
     transaction_id: int
@@ -118,6 +121,7 @@ class Transaction:
     key: Optional[Key] = None
     sealed: Optional[SealedPiece] = None
     handed_over: bool = False
+    watched: bool = False
 
     def advance(self, new_state: TransactionState) -> None:
         """Move to ``new_state``; raises :class:`InvalidTransition` on

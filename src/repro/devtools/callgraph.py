@@ -18,10 +18,11 @@ allocations) reads the same :class:`ProjectIndex`, built from one
   the file's imports, ``self.method`` through the class hierarchy,
   ``Class.method``/``Class()`` constructors, and — because the event
   loop is the backbone of this codebase — the *callback* argument of
-  ``schedule``/``schedule_at``/``call_now``, which is a call that
-  merely happens later;
+  ``schedule``/``schedule_at``/``call_now``/``after``, which is a call
+  that merely happens later;
 * the **schedule-site table** — every ``schedule`` / ``schedule_at``
-  / ``call_now`` / ``PeriodicTask`` site with a resolved handler, once
+  / ``call_now`` / ``after`` / ``PeriodicTask`` site with a resolved
+  handler, once
   (:attr:`ProjectIndex.schedule_sites`); hot-region seeding and race
   bucketing are small functions over it.
 
@@ -52,7 +53,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
 from .rules import dotted_name
 
 #: Engine calls whose callback argument becomes a schedule-site edge.
-SCHEDULE_METHODS = {"schedule", "schedule_at", "call_now"}
+SCHEDULE_METHODS = {"schedule", "schedule_at", "call_now", "after"}
 
 #: Path components that anchor dotted module names.  A file under any
 #: of these roots is named relative to the root; anything else gets a
@@ -177,14 +178,14 @@ class ClassInfo:
 
 
 class ScheduleSite(NamedTuple):
-    """One ``schedule`` / ``schedule_at`` / ``call_now`` /
+    """One ``schedule`` / ``schedule_at`` / ``call_now`` / ``after`` /
     ``PeriodicTask`` site whose callback resolves in the project."""
 
     caller: FunctionInfo
     handler: str                  # resolved callback qualname
     method: str                   # the scheduling call's name
     line: int
-    delay: Optional[ast.AST]      # schedule / schedule_at first arg
+    delay: Optional[ast.AST]      # schedule / schedule_at / after arg 0
     interval: Optional[ast.AST]   # PeriodicTask interval
     first_delay: Optional[ast.AST]  # PeriodicTask first_delay=
 

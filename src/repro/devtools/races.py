@@ -107,6 +107,8 @@ def _pin(site: ScheduleSite) -> Optional[_Pinned]:
     """The bucket of sites that can fire at the same instant as this
     one, or None when its instant is not statically characterizable."""
     method, delay = site.method, site.delay
+    if method == "after":
+        method = "schedule"  # a laned timer: same seq, same instant
     if method == "PeriodicTask":
         interval = _interval_key(site.interval)
         if interval is None:

@@ -195,11 +195,18 @@ def _diversity(swarm: Swarm, rng) -> Optional[tuple]:
 
 def _piece_log(swarm: Swarm) -> Callable[[], tuple]:
     """Fig. 5: (uplink Kbps, join time, piece log) of each departed
-    leecher that logged a piece, in departure order."""
-    return lambda: tuple(
-        (p.uplink.capacity_kbps, p.join_time, tuple(p.piece_log))
-        for p in swarm.departed.values()
-        if p.kind == "leecher" and p.piece_log)
+    leecher that logged a piece, in departure order.  Only a run that
+    asks for this series has T-Chain leechers log pieces at all."""
+    logs = []
+
+    def departed(peer) -> None:
+        log = getattr(peer, "piece_log", None)
+        if peer.kind == "leecher" and log:
+            logs.append((peer.uplink.capacity_kbps, peer.join_time,
+                         tuple(log)))
+    swarm.log_pieces = True
+    swarm.on_departed = departed
+    return lambda: tuple(logs)
 
 
 #: ``run_swarm(series=...)`` names: each entry installs itself after the

@@ -18,6 +18,14 @@ total order, so a compaction can never change the event trace (the
 determinism harness asserts exactly that by diffing traces with
 compaction on and off).
 
+Timers nobody cancels and whose delay is fixed (:meth:`Simulator.after`)
+skip the per-event handle: they queue in one FIFO *lane* per delay, and
+the heap holds one entry per non-empty lane, keyed by the lane's head.
+The clock never runs backwards, so a lane is already in ``(time, seq)``
+order and firing its head through the heap gives exactly the order the
+same timers would have fired in as individual :meth:`~Simulator.schedule`
+events.
+
 All randomness in a simulation flows through :attr:`Simulator.rng`, a
 single seeded ``random.Random``; running the same scenario with the same
 seed therefore reproduces the same event trace bit-for-bit.
@@ -29,6 +37,7 @@ import gc
 import heapq
 import sys
 import tracemalloc
+from array import array
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -192,9 +201,38 @@ class AllocProfile:
             gc.enable()
 
 
+_INF = float("inf")
+
+
+class _Lane:
+    """The pending :meth:`Simulator.after` timers of one delay, FIFO.
+
+    Entry ``i`` fires ``funcs[i](*args[i])`` at ``times[i]`` with
+    sequence number ``seqs[i]``.  Times and seqs are unboxed, and a
+    bound method is stored as its function with the receiver leading
+    its arguments, so an entry costs its slots and one argument tuple.
+    Entries before ``head`` have fired and hold no references; that
+    prefix is trimmed once it is half the lane.
+    """
+
+    __slots__ = ("delay", "times", "seqs", "funcs", "args", "head")
+
+    #: Read by the heap's dead-entry tests: a lane entry is never
+    #: cancelled.
+    cancelled = False
+
+    def __init__(self, delay: float):
+        self.delay = delay
+        self.times = array("d")
+        self.seqs = array("q")
+        self.funcs: List[Callable[..., Any]] = []
+        self.args: List[tuple] = []
+        self.head = 0
+
+
 #: One heap entry.  ``seq`` is unique, so tuple comparison terminates
-#: there and the handle itself is never compared.
-_Entry = Tuple[float, int, EventHandle]
+#: there and the handle (or lane) itself is never compared.
+_Entry = Tuple[float, int, Any]
 
 
 class Simulator:
@@ -229,6 +267,10 @@ class Simulator:
         validation side of the simheat SL3xx static audit.  Off by
         default; profiling forces the instrumented step path.
 
+    Timers scheduled with :meth:`after` live in per-delay lanes
+    (``_lanes``, delay -> :class:`_Lane`); the heap holds one entry per
+    non-empty lane.
+
     Consumed :class:`EventHandle` objects are recycled through a
     bounded free-list.  A handle is only pooled when nothing outside
     the engine still references it (refcount guard), so handles
@@ -251,6 +293,7 @@ class Simulator:
         self.rng = Random(seed)
         self.seed = seed
         self._heap: List[_Entry] = []
+        self._lanes: Dict[float, _Lane] = {}
         self._seq = 0
         self._events_fired = 0
         self._cancelled_in_heap = 0
@@ -317,17 +360,7 @@ class Simulator:
                 f"cannot schedule at {time!r}, now is {self.now!r}")
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.seq = seq
-            handle.callback = callback
-            handle.args = args
-            handle.cancelled = False
-            handle.fired = False
-        else:
-            handle = EventHandle(time, seq, callback, args, self)
+        handle = self._handle(time, seq, callback, args)
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(handle)
         heapq.heappush(self._heap, (time, seq, handle))
@@ -338,6 +371,79 @@ class Simulator:
         """Schedule a callback for the current instant (after the
         currently-firing event completes)."""
         return self.schedule(0.0, callback, *args)
+
+    def after(self, delay: float, callback: Callable[..., Any],
+              *args: Any) -> None:
+        """Fire ``callback(*args)`` ``delay`` from now; no handle, no
+        cancellation.
+
+        Meant for fixed delays (module constants, config fields): each
+        distinct delay opens one lane, which leaves the table when it
+        empties.  The timer takes the next sequence number, exactly as
+        :meth:`schedule` would, so replacing one call by the other
+        changes neither fire order nor event counts.  Observers,
+        sanitizer, race reporter and profiler see it as an
+        :class:`EventHandle` built at fire time, whose callback is a
+        bound method's function, with the receiver as first argument.
+        """
+        if not 0.0 <= delay < _INF:
+            raise SimulatorError(f"bad delay: {delay!r}")
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        func = getattr(callback, "__func__", None)
+        if func is None:
+            func = callback
+        else:
+            args = (callback.__self__,) + args
+        lane = self._lanes.get(delay)
+        if lane is None:
+            lane = self._lanes[delay] = _Lane(delay)
+            heapq.heappush(self._heap, (time, seq, lane))
+        lane.times.append(time)
+        lane.seqs.append(seq)
+        lane.funcs.append(func)
+        lane.args.append(args)
+
+    def _pop_lane(self, lane: _Lane) -> Tuple[Callable[..., Any], tuple]:
+        """Take ``lane``'s head, the heap's top entry: put the lane's
+        next head in its place (or retire the lane) and return the
+        head's ``(func, args)``.  The heap is whole again before the
+        callback runs, so it may re-arm into the same lane."""
+        i = lane.head
+        funcs, all_args = lane.funcs, lane.args
+        func, args = funcs[i], all_args[i]
+        i += 1
+        times = lane.times
+        if i < len(times):
+            heapq.heapreplace(self._heap, (times[i], lane.seqs[i], lane))
+            if i >= 64 and 2 * i >= len(times):
+                del times[:i], lane.seqs[:i], funcs[:i], all_args[:i]
+                i = 0
+            else:
+                funcs[i - 1] = all_args[i - 1] = None
+            lane.head = i
+        else:
+            heapq.heappop(self._heap)
+            del self._lanes[lane.delay]
+        return func, args
+
+    def _handle(self, time: float, seq: int,
+                callback: Callable[..., Any], args: tuple) -> EventHandle:
+        """A fresh handle, from the free-list when it has one (for
+        :meth:`schedule_at`, and for a fired lane entry on the
+        instrumented path)."""
+        pool = self._pool
+        if not pool:
+            return EventHandle(time, seq, callback, args, self)
+        handle = pool.pop()
+        handle.time = time
+        handle.seq = seq
+        handle.callback = callback
+        handle.args = args
+        handle.cancelled = False
+        handle.fired = False
+        return handle
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -376,10 +482,14 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            handle = heapq.heappop(heap)[2]
-            if handle.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
+            time, seq, handle = heap[0]
+            if handle.__class__ is _Lane:
+                handle = self._handle(time, seq, *self._pop_lane(handle))
+            else:
+                heapq.heappop(heap)
+                if handle.cancelled:
+                    self._cancelled_in_heap -= 1
+                    continue
             if self.sanitizer is not None:
                 self.sanitizer.on_event(handle)
             races = self.races
@@ -454,6 +564,7 @@ class Simulator:
         observers = self._observers
         pool = self._pool
         getrefcount = sys.getrefcount
+        lane_cls, pop_lane = _Lane, self._pop_lane
         try:
             while heap:
                 head = heap[0]
@@ -474,6 +585,13 @@ class Simulator:
                     # Fast path: `head` is the verified-live heap top,
                     # so pop and fire inline, skipping instrumentation
                     # dispatch and the step() re-scan.
+                    if handle.__class__ is lane_cls:
+                        func, args = pop_lane(handle)
+                        self.now = head[0]
+                        func(*args)
+                        fast_fired += 1
+                        fired += 1
+                        continue
                     heappop(heap)
                     self.now = head[0]
                     callback, args = handle.callback, handle.args
@@ -519,10 +637,12 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of scheduled, not-yet-cancelled events (O(1): the
-        engine maintains a count of dead entries awaiting lazy
-        deletion instead of scanning the heap)."""
-        return len(self._heap) - self._cancelled_in_heap
+        """Number of scheduled, not-yet-cancelled events, laned timers
+        included (O(lanes): the engine maintains a count of dead
+        entries awaiting lazy deletion instead of scanning the heap)."""
+        return (len(self._heap) - self._cancelled_in_heap
+                + sum(len(lane.times) - lane.head - 1
+                      for lane in self._lanes.values()))
 
     @property
     def events_fired(self) -> int:

@@ -105,12 +105,15 @@ class TestWhitewashing:
         assert fr.id in swarm.peers
 
     def test_whitewash_resets_neighbors_history(self):
+        departed = []
+
+        def keep(swarm):
+            swarm.on_departed = departed.append
         result = run_swarm(protocol="fairtorrent", leechers=20,
-                           pieces=8, seed=4, freerider_fraction=0.2)
-        frs = [p for p in result.swarm.departed.values()
+                           pieces=8, seed=4, freerider_fraction=0.2,
+                           setup=keep)
+        frs = [p for p in departed + list(result.swarm.peers.values())
                if p.kind == "freerider"]
-        frs += [p for p in result.swarm.peers.values()
-                if p.kind == "freerider"]
         assert any(p.whitewash_count > 0 for p in frs)
 
     def test_tchain_freeriders_never_whitewash_spontaneously(self):

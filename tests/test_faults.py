@@ -142,15 +142,38 @@ class TestInjectorDeterminism:
 
 
 class TestCrashSemantics:
+    def test_crashed_requestor_settles_its_sealed_pieces(self):
+        """``crash()`` skips ``on_leave``; the completed exchanges whose
+        sealed pieces the crashed leecher held stayed unsettled in the
+        ledger forever."""
+        from repro.experiments.runner import run_swarm
+        from tests.test_fault_digests import PLAN
+        for seed in (3, 7):
+            result = run_swarm(protocol="tchain", seed=seed, leechers=24,
+                               pieces=10, fault_plan=PLAN)
+            crashed = set(result.swarm.fault_injector.crashed_ids)
+            assert len(crashed) == 4
+            ledger = result.tchain_state.ledger
+            assert ledger._unsettled == {}
+            # Delivered ones still open will leave when they close.
+            assert all(tx.sealed is None for tx in ledger._open.values()
+                       if tx.requestor_id in crashed
+                       and tx.delivered_at is not None)
+
     def test_pinned_crash_executes_uncleanly(self):
         from repro.experiments.runner import run_swarm
         plan = FaultPlan(crashes=(PeerCrash(at_s=5.0, peer_id="L2"),))
+        departed = {}
+
+        def keep(swarm):
+            swarm.on_departed = lambda peer: departed.setdefault(peer.id,
+                                                                 peer)
         result = run_swarm(protocol="tchain", leechers=6, pieces=6,
-                           seed=3, fault_plan=plan, max_time=60.0)
+                           seed=3, fault_plan=plan, max_time=60.0,
+                           setup=keep)
         injector = result.swarm.fault_injector
         assert injector.crashed_ids == ["L2"]
-        victim = result.swarm.departed.get("L2") \
-            or result.swarm.find_peer("L2")
+        victim = departed.get("L2") or result.swarm.find_peer("L2")
         assert victim is not None
         assert victim.crashed
         assert not victim.active

@@ -128,10 +128,12 @@ class TestWindowPolicy:
 def streaming_swarm(protocol="tchain", viewers=12, pieces=24, seed=5,
                     config=StreamingConfig(piece_duration_s=1.0,
                                            startup_buffer=2,
-                                           window=6)):
+                                           window=6),
+                    log_pieces=False):
     swarm_config = SwarmConfig(n_pieces=pieces, piece_size_kb=64.0,
                                seed=seed)
     swarm = Swarm(swarm_config)
+    swarm.log_pieces = log_pieces
     seeder_cls, leecher_cls = PROTOCOLS[protocol]
     seeder_cls(swarm).join()
     viewer_cls = make_streaming(leecher_cls, config)
@@ -182,7 +184,7 @@ class TestStreamingViewers:
     def test_playhead_prioritized(self):
         """Viewers fetch in play order near the playhead, so early
         pieces complete before late ones on average."""
-        swarm, viewers = streaming_swarm()
+        swarm, viewers = streaming_swarm(log_pieces=True)
         early_late = []
         for viewer in viewers:
             times = {}

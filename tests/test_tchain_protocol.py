@@ -5,9 +5,13 @@ fairness enforcement, free-rider starvation, newcomer bootstrapping,
 chain formation, opportunistic seeding and collusion boundaries.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.attacks.freerider import FreeRiderOptions
+from repro.core.transaction import Transaction
 from repro.experiments import run_swarm
 from tests.ledger_log import recording, transactions
 
@@ -44,9 +48,8 @@ class TestBasicOperation:
         assert tchain_run().tchain_state.ledger.collusion_successes == 0
 
     def test_piece_log_records_encrypted_then_decrypted(self):
-        result = tchain_run(leechers=10, pieces=6)
-        logs = [p.piece_log for p in
-                result.swarm.departed.values() if p.kind == "leecher"]
+        result = tchain_run(leechers=10, pieces=6, series=("piece_log",))
+        logs = [log for _, _, log in result.series["piece_log"]]
         assert any(logs)
         for log in logs:
             by_piece = {}
@@ -233,27 +236,37 @@ class TestBoundedBookkeeping:
     without bound (every departure, every whitewash)."""
 
     @staticmethod
-    def everyone(result):
-        swarm = result.swarm
-        return list(swarm.peers.values()) + list(swarm.departed.values())
+    def run_keeping_everyone(setup=None, **kwargs):
+        """``tchain_run`` and every peer it built: the swarm keeps no
+        departed peer, so the run collects them as they leave."""
+        departed = []
+
+        def keep(swarm):
+            swarm.on_departed = departed.append
+            if setup is not None:
+                setup(swarm)
+        result = tchain_run(setup=keep, **kwargs)
+        return result, list(result.swarm.peers.values()) + departed
 
     def test_unsanitized_crowd_retains_no_forgotten_ids(self):
         """``FlowController.forget`` remembers ids for one reader, the
         sanitizer's underflow classification; without a sanitizer the
         set used to grow by one id per departed neighbour per peer
         (2.46 MB of the traced heap on the 1000-leecher crowd)."""
-        result = tchain_run(leechers=120, pieces=4)
+        result, everyone = self.run_keeping_everyone(leechers=120,
+                                                     pieces=4)
         assert result.completion_rate("leecher") == 1.0
-        flows = [peer.flow for peer in self.everyone(result)]
+        flows = [peer.flow for peer in everyone]
         assert len(flows) == 121
         assert all(not flow._forgotten for flow in flows)
 
     def test_sanitized_run_still_remembers(self):
-        result = tchain_run(leechers=12, pieces=6, sanitize=True)
-        first_out = min(result.swarm.departed.values(),
+        result, everyone = self.run_keeping_everyone(
+            leechers=12, pieces=6, sanitize=True)
+        first_out = min((peer for peer in everyone if not peer.active),
                         key=lambda peer: peer.leave_time)
         assert any(peer.flow.was_forgotten(first_out.id)
-                   for peer in self.everyone(result))
+                   for peer in everyone)
 
     def test_open_index_holds_only_open_transactions(self):
         """``Ledger._open_by_peer`` used to keep one emptied set per id
@@ -294,9 +307,9 @@ class TestBoundedBookkeeping:
                 peak["peers"] = max(peak["peers"], active)
             swarm.sim.add_observer(sample)
 
-        result = tchain_run(arrival="trace", leechers=80, pieces=12,
-                            seed=3, freerider_fraction=0.2,
-                            trace_horizon_s=8000.0, setup=setup)
+        result, everyone = self.run_keeping_everyone(
+            arrival="trace", leechers=80, pieces=12, seed=3,
+            freerider_fraction=0.2, trace_horizon_s=8000.0, setup=setup)
         ledger = result.tchain_state.ledger
         bound = self.IN_FLIGHT_PER_PEER * peak["peers"]
         assert result.completion_rate("leecher") == 1.0
@@ -307,8 +320,56 @@ class TestBoundedBookkeeping:
         # compliant peers.
         assert ledger._open == {} and ledger._unsettled == {}
         assert ledger.open_transactions == 0
-        leechers = [peer for peer in self.everyone(result)
-                    if peer.kind == "leecher"]
+        leechers = [peer for peer in everyone if peer.kind == "leecher"]
         assert len(leechers) == 64
         for peer in leechers:
             assert not peer.pending_sealed and not peer._plead_attempts
+
+    def test_run_keeps_no_history(self):
+        """Nothing outlives its use: a stall watchdog used to pin the
+        exchange it named (aborted or long settled) until it fired,
+        and the swarm kept every departed peer, piece log and all."""
+        before = {id(obj) for obj in gc.get_objects()
+                  if type(obj) is Transaction}
+        leechers = []
+
+        def watch(swarm):
+            register = swarm.register
+
+            def register_and_watch(peer):
+                if peer.kind != "seeder":
+                    leechers.append(weakref.ref(peer))
+                register(peer)
+            swarm.register = register_and_watch
+        result = tchain_run(arrival="trace", leechers=80, pieces=12,
+                            seed=3, freerider_fraction=0.2,
+                            trace_horizon_s=8000.0, setup=watch)
+        gc.collect()
+        assert len(leechers) == 80
+        left = [ref for ref in leechers if ref() is None]
+        assert len(left) == 80 - len(result.swarm.leechers()) > 60
+        ledger = result.tchain_state.ledger
+        assert ledger._aborted == {}
+        held = {id(tx) for table in (ledger._open, ledger._unsettled)
+                for tx in table.values()}
+        stray = [obj for obj in gc.get_objects()
+                 if type(obj) is Transaction
+                 and id(obj) not in before and id(obj) not in held]
+        assert stray == []
+
+    def test_no_stall_watchdog_keeps_no_aborted_exchange(self):
+        """The ledger keeps an aborted exchange only for an armed
+        watchdog; with the watchdog off it never keeps one."""
+        kept = []
+
+        def setup(swarm):
+            def sample(_handle):
+                state = getattr(swarm, "_tchain_state", None)
+                if state is not None and state.ledger._aborted:
+                    kept.append(swarm.sim.now)
+            swarm.sim.add_observer(sample)
+        result = tchain_run(leechers=24, pieces=8, seed=5,
+                            freerider_fraction=0.25,
+                            chain_stall_timeout_s=0.0, setup=setup)
+        assert result.tchain_state.ledger.aborted_transactions > 0
+        assert kept == []

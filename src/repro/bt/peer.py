@@ -313,7 +313,6 @@ class Peer:
                                   receiver, payload)
             else:
                 receiver.on_payload(payload, self.id)
-                self.on_payload_delivered(plan, payload)
         self.on_upload_finished(plan)
         self.pump()
 
@@ -443,13 +442,6 @@ class Peer:
 
     def on_upload_finished(self, plan: UploadPlan) -> None:
         """An upload finished (before the next pump)."""
-
-    def on_payload_delivered(self, plan: UploadPlan,
-                             payload: Any) -> None:
-        """``payload`` was handed to the receiver synchronously and
-        fully consumed (not called on fault-injected stalled
-        deliveries).  Protocols that pool their message objects
-        reclaim them here."""
 
     def on_upload_cancelled(self, plan: UploadPlan) -> None:
         """An outgoing transfer was cancelled (receiver departed)."""

@@ -40,7 +40,6 @@ sealed piece and re-fetches).  All of it is accounted in
 
 from __future__ import annotations
 
-import sys
 from typing import (
     Dict,
     Iterable,
@@ -66,8 +65,6 @@ from repro.core.messages import (
     EncryptedPieceMessage,
     PlainPieceMessage,
     PleadMessage,
-    acquire_plain_piece,
-    release_plain_piece,
 )
 from repro.core.policy import (
     PayeeDecision,
@@ -395,7 +392,7 @@ class _TChainNode(Peer):
                 reciprocates=(reciprocates.transaction_id
                               if reciprocates else None),
                 encrypted=False)
-            payload = acquire_plain_piece(
+            payload = PlainPieceMessage(
                 transaction_id=tx.transaction_id,
                 chain_id=chain.chain_id, piece_index=piece,
                 donor_id=self.id, requestor_id=requestor.id,
@@ -443,21 +440,6 @@ class _TChainNode(Peer):
                 self.state.ledger.get(transaction_id).watched = True
                 self.sim.after(timeout, _check_stall, self.state,
                                transaction_id)
-
-    def on_payload_delivered(self, plan: UploadPlan, payload) -> None:
-        """Reclaim a consumed plain-piece message for the pool.
-
-        Only when the receiver kept no reference: at this point the
-        expected holders are the delivery frame's local, our
-        ``payload`` parameter and ``getrefcount``'s own argument —
-        three in total once ``plan.payload`` is dropped.  Anything
-        above that means someone retained the message (a test, a
-        collector) and it must not be recycled under them.
-        """
-        if type(payload) is PlainPieceMessage:
-            plan.payload = None
-            if sys.getrefcount(payload) <= 3:
-                release_plain_piece(payload)
 
     def on_report(self, transaction_id: int, truthful: bool) -> None:
         """A reception report arrived for a transaction we donated."""

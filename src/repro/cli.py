@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="whole-program passes: simrace "
                              "same-instant commutativity "
                              "(SL201-SL203) and simheat hot-path "
-                             "allocation audit (SL301-SL304)")
+                             "allocation audit (SL301-SL303)")
     lint_p.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text",
                         help="report format (default: text)")

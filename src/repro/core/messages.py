@@ -105,14 +105,8 @@ class PlainPieceMessage:
     """Chain termination: an unencrypted piece, no strings attached.
 
     The paper's termination phase (Fig. 1(c)) releases the receiver
-    from any obligation, ending the chain.
-
-    Plain-piece messages are the highest-volume message type in a
-    converged swarm (every chain terminates with one per piece), so
-    they are poolable: build them with :func:`acquire_plain_piece`
-    and hand consumed ones back with :func:`release_plain_piece`.
-    Direct construction stays valid — the pool is an optimization,
-    not a protocol change.
+    from any obligation, ending the chain.  The donor builds one per
+    terminating upload; nothing mutates it afterwards.
     """
 
     transaction_id: int
@@ -121,47 +115,3 @@ class PlainPieceMessage:
     donor_id: str
     requestor_id: str
     reciprocates: Optional[int] = None
-
-
-#: Free-list for :class:`PlainPieceMessage` (bounded; see SL304).
-_PLAIN_PIECE_POOL: list = []
-_PLAIN_PIECE_POOL_MAX = 256
-
-
-def acquire_plain_piece(transaction_id: int, chain_id: int,
-                        piece_index: int, donor_id: str,
-                        requestor_id: str,
-                        reciprocates: Optional[int] = None,
-                        ) -> PlainPieceMessage:
-    """A :class:`PlainPieceMessage`, recycled from the pool when one
-    is available.
-
-    Frozen-dataclass fields are reinitialized via
-    ``object.__setattr__`` — the one sanctioned way to write a frozen
-    instance, confined to this module so the immutability contract
-    holds everywhere else.
-    """
-    if _PLAIN_PIECE_POOL:
-        msg = _PLAIN_PIECE_POOL.pop()
-        object.__setattr__(msg, "transaction_id", transaction_id)
-        object.__setattr__(msg, "chain_id", chain_id)
-        object.__setattr__(msg, "piece_index", piece_index)
-        object.__setattr__(msg, "donor_id", donor_id)
-        object.__setattr__(msg, "requestor_id", requestor_id)
-        object.__setattr__(msg, "reciprocates", reciprocates)
-        return msg
-    return PlainPieceMessage(  # simlint: disable=SL304 -- this IS the pool: miss path when the free-list is empty
-        transaction_id=transaction_id, chain_id=chain_id,
-        piece_index=piece_index, donor_id=donor_id,
-        requestor_id=requestor_id, reciprocates=reciprocates)
-
-
-def release_plain_piece(msg: PlainPieceMessage) -> None:
-    """Return a consumed message to the pool.
-
-    Callers must guarantee nothing else retains ``msg`` (the tchain
-    receive path checks the refcount before releasing); the pool
-    drops returns beyond its bound instead of growing unboundedly.
-    """
-    if len(_PLAIN_PIECE_POOL) < _PLAIN_PIECE_POOL_MAX:
-        _PLAIN_PIECE_POOL.append(msg)

@@ -1,4 +1,4 @@
-"""Interprocedural hot-path allocation audit (simheat, SL301–SL304).
+"""Interprocedural hot-path allocation audit (simheat, SL301–SL303).
 
 The second whole-program layer behind ``repro lint --deep``.  The
 hot-region inference (:mod:`repro.devtools.hotpath`) classifies every
@@ -32,9 +32,6 @@ Rules:
 * **SL303** — closure/partial creation per event: the code object is
   constant, so the closure should be hoisted to setup (a bound
   method, a module function, or a prebuilt partial).
-* **SL304** — per-event construction of a *poolable* type (engine
-  events, piece-pump messages) for which a free-list exists; use the
-  pool instead of the constructor.
 
 One finding per (rule, function), anchored at the function's first
 offending site so an inline simlint ``disable=SL30x`` suppression on
@@ -65,14 +62,6 @@ _SCALE_HINTS = ("peer", "neighbor", "member", "wanter", "candidate",
                 "piece", "book", "obligation", "leecher", "seeder",
                 "wanted", "offered", "completed", "ids")
 
-#: Poolable types with an existing free-list, for SL304.
-POOLABLE_TYPES: Dict[str, str] = {
-    "EventHandle": "the engine's EventHandle free-list "
-                   "(Simulator.schedule recycles handles)",
-    "PlainPieceMessage": "the plain-piece message pool "
-                         "(repro.core.messages.acquire_plain_piece)",
-}
-
 #: Caps keeping diagnostics readable and the real-tree inventory
 #: reviewable.
 _MAX_SITES_IN_MESSAGE = 3
@@ -81,7 +70,6 @@ _RULE_LABEL = {
     "SL301": "per-event allocation",
     "SL302": "O(swarm)-scale allocation in a per-event region",
     "SL303": "per-event closure creation",
-    "SL304": "per-event construction of a poolable type",
 }
 
 #: Path segments outside the audit's scope (``devtools``: opt-in
@@ -99,7 +87,6 @@ class AllocSite(NamedTuple):
     line: int
     col: int
     linear: bool     # True when the size scales with the swarm
-    type_name: str   # constructed type for kind == "constructor"
 
 
 def _identifiers(node: ast.AST) -> List[str]:
@@ -152,24 +139,24 @@ def _site_for(node: ast.AST) -> Optional[AllocSite]:
                  ast.GeneratorExp: "generator"}[type(node)]
         linear = any(_swarm_scale(gen.iter) for gen in node.generators)
         return AllocSite("comprehension", f"{label} comprehension",
-                         line, col, linear, "")
+                         line, col, linear)
     if isinstance(node, ast.Lambda):
-        return AllocSite("closure", "lambda", line, col, False, "")
+        return AllocSite("closure", "lambda", line, col, False)
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return AllocSite("closure", f"nested def {node.name}",
-                         line, col, False, "")
+                         line, col, False)
     if isinstance(node, ast.JoinedStr):
         if any(isinstance(v, ast.FormattedValue) for v in node.values):
-            return AllocSite("format", "f-string", line, col, False, "")
+            return AllocSite("format", "f-string", line, col, False)
         return None
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) \
             and isinstance(node.left, ast.Constant) \
             and isinstance(node.left.value, str):
-        return AllocSite("format", "%-format", line, col, False, "")
+        return AllocSite("format", "%-format", line, col, False)
     if isinstance(node, ast.Subscript) and isinstance(node.slice,
                                                       ast.Slice):
         return AllocSite("slice", "slicing copy", line, col,
-                         _swarm_scale(node.value), "")
+                         _swarm_scale(node.value))
     if not isinstance(node, ast.Call):
         return None
     name = _call_name(node)
@@ -177,20 +164,17 @@ def _site_for(node: ast.AST) -> Optional[AllocSite]:
         return None
     if name in _CONTAINER_CALLS:
         if not node.args and not node.keywords:
-            return AllocSite("copy", f"fresh {name}()", line, col,
-                             False, "")
+            return AllocSite("copy", f"fresh {name}()", line, col, False)
         linear = any(_swarm_scale(a) for a in node.args)
-        return AllocSite("copy", f"{name}(...) copy", line, col,
-                         linear, "")
+        return AllocSite("copy", f"{name}(...) copy", line, col, linear)
     if name == "partial":
-        return AllocSite("closure", "functools.partial", line, col,
-                         False, "")
+        return AllocSite("closure", "functools.partial", line, col, False)
     if name == "format" and isinstance(node.func, ast.Attribute):
-        return AllocSite("format", ".format(...)", line, col, False, "")
+        return AllocSite("format", ".format(...)", line, col, False)
     # CamelCase call: a type construction, resolved or not.
     if name[:1].isupper() and not name.isupper() and "_" not in name:
         return AllocSite("constructor", f"{name}(...) construction",
-                         line, col, False, name)
+                         line, col, False)
     return None
 
 
@@ -211,8 +195,6 @@ def function_alloc_sites(info: FunctionInfo) -> List[AllocSite]:
 def _rule_of(site: AllocSite) -> str:
     if site.kind == "closure":
         return "SL303"
-    if site.kind == "constructor" and site.type_name in POOLABLE_TYPES:
-        return "SL304"
     if site.linear:
         return "SL302"
     return "SL301"
@@ -231,18 +213,14 @@ def _message(rule: str, qualname: str, sites: List[AllocSite],
     if more > 0:
         shown += f"; +{more} more"
     extra = ""
-    if rule == "SL304":
-        pools = sorted({POOLABLE_TYPES[s.type_name] for s in sites
-                        if s.type_name in POOLABLE_TYPES})
-        extra = f"; use {'; '.join(pools)}"
-    elif rule == "SL303":
+    if rule == "SL303":
         extra = "; hoist to setup (bound method / module function)"
     return (f"{_RULE_LABEL[rule]} in {qualname}: {shown}{extra}; "
             f"hot via: {render_chain(region.chain)}")
 
 
 def run_simheat(index: ProjectIndex) -> List[Finding]:
-    """The whole-program allocation audit: SL301–SL304 findings."""
+    """The whole-program allocation audit: SL301–SL303 findings."""
     regions = infer_hot_regions(index)
     findings: List[Finding] = []
     for qualname in sorted(regions):
@@ -260,9 +238,9 @@ def run_simheat(index: ProjectIndex) -> List[Finding]:
             by_rule.setdefault(_rule_of(site), []).append(site)
         for rule in sorted(by_rule):
             group = by_rule[rule]
-            findings.append(Finding(
+            findings.append(index.scoped(Finding(
                 rule=rule, path=info.path, line=group[0].line,
                 col=group[0].col + 1,
-                message=_message(rule, qualname, group, region)))
+                message=_message(rule, qualname, group, region))))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple, TypeVar)
 
-from .rules import dotted_name
+from .rules import Finding, dotted_name, enclosing_scope
 
 #: Engine calls whose callback argument becomes a schedule-site edge.
 SCHEDULE_METHODS = {"schedule", "schedule_at", "call_now", "after"}
@@ -271,6 +271,12 @@ class ProjectIndex:
         #: resolution of unknown receivers)
         self._methods_by_name: Dict[str, List[str]] = {}
         self._common_root: Optional[str] = None
+
+    def scoped(self, finding: Finding) -> Finding:
+        """``finding`` with its :attr:`~Finding.scope` read off the
+        indexed tree of its file."""
+        return replace(finding, scope=enclosing_scope(
+            self.trees[finding.path], finding.line))
 
     # ------------------------------------------------------------------
     # Construction

@@ -6,7 +6,7 @@ Composes the analysis passes over one file set:
 * same-instant commutativity races (SL201–SL203, whole-program, via
   :mod:`repro.devtools.races` over the effect summaries of
   :mod:`repro.devtools.effects`);
-* hot-path allocation audit (SL301–SL304, whole-program, via
+* hot-path allocation audit (SL301–SL303, whole-program, via
   :mod:`repro.devtools.allocsum` over the hot regions of
   :mod:`repro.devtools.hotpath`).
 
@@ -50,12 +50,12 @@ from repro.devtools.callgraph import ProjectIndex
 from repro.devtools.races import run_races
 from repro.devtools.rules import Finding
 
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 DEFAULT_CACHE = ".simlint-cache.json"
 
 #: Deep-only rule ids (metadata-registered in rules.py; produced here).
 DEEP_RULES = ("SL201", "SL202", "SL203",
-              "SL301", "SL302", "SL303", "SL304")
+              "SL301", "SL302", "SL303")
 
 
 def _sha256(text: str) -> str:
@@ -63,12 +63,14 @@ def _sha256(text: str) -> str:
 
 
 def _encode(findings: Sequence[Finding]) -> List[List[object]]:
-    return [[f.rule, f.path, f.line, f.col, f.message] for f in findings]
+    return [[f.rule, f.path, f.line, f.col, f.message, f.scope]
+            for f in findings]
 
 
 def _decode(rows: Iterable[Sequence[object]]) -> List[Finding]:
     return [Finding(rule=str(r[0]), path=str(r[1]), line=int(r[2]),
-                    col=int(r[3]), message=str(r[4])) for r in rows]
+                    col=int(r[3]), message=str(r[4]), scope=str(r[5]))
+            for r in rows]
 
 
 @dataclass

@@ -11,7 +11,8 @@ Plus two CI affordances:
 * GitHub workflow annotations (``::error file=...``) emitted when the
   ``GITHUB_ACTIONS`` environment variable is set, so findings land
   inline on PR diffs;
-* a baseline file of finding fingerprints (``RULE:path:line``) for
+* a baseline file of finding fingerprints
+  (``RULE:path:scope:message``, see :func:`fingerprint`) for
   staged adoption — baselined findings are reported as suppressed
   counts, not failures.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.devtools.rules import RULES, Finding
@@ -36,14 +38,21 @@ def severity_of(finding: Finding) -> str:
     return "warning" if finding.rule in WARNING_RULES else "error"
 
 
-def fingerprint(finding: Finding) -> str:
-    """Stable identity used by baseline files: ``RULE:path:line``.
+_DIGITS = re.compile(r"[0-9]+")
 
-    Column and message are deliberately excluded so reworded
-    diagnostics and cosmetic shifts don't churn the baseline.
+
+def fingerprint(finding: Finding) -> str:
+    """Stable identity used by baseline files:
+    ``RULE:path:scope:message``, every digit run in the message
+    masked as ``#``.
+
+    No line or column, and the line numbers a message quotes are
+    masked: a finding that moves inside its function (code added or
+    removed above it) keeps its fingerprint.
     """
     path = finding.path.replace(os.sep, "/")
-    return f"{finding.rule}:{path}:{finding.line}"
+    message = _DIGITS.sub("#", finding.message)
+    return f"{finding.rule}:{path}:{finding.scope}:{message}"
 
 
 def load_baseline(path: str) -> Set[str]:
@@ -88,22 +97,15 @@ def stale_baseline_findings(findings: Sequence[Finding],
 
     The mirror image of SL009 for baseline files: a fingerprint that
     suppressed nothing this run is a standing grant waiting to
-    swallow a *future* finding at the same ``rule:path:line``.  Each
-    stale entry anchors at the location it names so the warning is
-    clickable next to the code it once covered.
+    swallow a *future* finding with the same fingerprint.  Each stale
+    entry anchors at the top of the file it names.
     """
     live = {fingerprint(f) for f in findings}
     out: List[Finding] = []
     for entry in sorted(baseline - live):
-        rule, _, rest = entry.partition(":")
-        path, _, line = rest.rpartition(":")
-        try:
-            lineno = int(line)
-        except ValueError:
-            path, lineno = rest, 1
+        path = entry.partition(":")[2].partition(":")[0]
         out.append(Finding(
-            rule="SL013", path=path or baseline_path, line=lineno,
-            col=1,
+            rule="SL013", path=path or baseline_path, line=1, col=1,
             message=(f"baseline entry `{entry}` in {baseline_path} "
                      f"matches no current finding; prune with "
                      f"--prune-baseline")))

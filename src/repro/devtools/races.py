@@ -312,4 +312,4 @@ def run_races(index: ProjectIndex) -> List[Finding]:
         seen_periodic.add(key)
         findings.extend(_periodic_findings(pin, summaries))
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    return findings
+    return [index.scoped(f) for f in findings]

@@ -28,8 +28,6 @@ SL302     simheat: O(peers)/O(pieces)-scale copy or rescan in a
           per-event region
 SL303     simheat: closure/partial created per event — the code
           object is constant, hoist it to setup
-SL304     simheat: per-event construction of a poolable type for
-          which a free-list exists (engine events, piece messages)
 ========  ==========================================================
 
 Rules are small classes registered in :data:`RULES`; adding a rule is
@@ -47,13 +45,21 @@ from typing import Dict, Iterator, List, Optional, Type
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at a source location."""
+    """One rule violation at a source location.
+
+    ``scope`` is the dotted name of the innermost class or function
+    around ``line`` (``""`` at module level, see
+    :func:`enclosing_scope`); the baseline fingerprint uses it instead
+    of the line, so a finding keeps its identity when code above it
+    moves.
+    """
 
     rule: str
     path: str
     line: int
     col: int
     message: str
+    scope: str = ""
 
     def format(self) -> str:
         """``path:line:col: RULE message`` (clickable in most UIs)."""
@@ -71,10 +77,11 @@ class FileContext:
 
     def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         """A :class:`Finding` anchored at ``node``."""
-        return Finding(rule=rule.id, path=self.path,
-                       line=getattr(node, "lineno", 1),
+        line = getattr(node, "lineno", 1)
+        return Finding(rule=rule.id, path=self.path, line=line,
                        col=getattr(node, "col_offset", 0) + 1,
-                       message=message)
+                       message=message,
+                       scope=enclosing_scope(self.tree, line))
 
 
 class Rule:
@@ -106,6 +113,27 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 # ----------------------------------------------------------------------
 # Shared AST helpers
 # ----------------------------------------------------------------------
+_SCOPE_NODES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def enclosing_scope(tree: ast.AST, line: int) -> str:
+    """``Class.method`` (dotted, nested defs included) of the innermost
+    class or function whose source spans ``line``; ``""`` at module
+    level."""
+    names: List[str] = []
+    node = tree
+    while True:
+        for child in ast.iter_child_nodes(node):
+            end = getattr(child, "end_lineno", None)
+            if end is not None and child.lineno <= line <= end:
+                if isinstance(child, _SCOPE_NODES):
+                    names.append(child.name)
+                node = child
+                break
+        else:
+            return ".".join(names)
+
+
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []
@@ -345,9 +373,9 @@ class StaleBaselineEntryRule(MetaRule):
     """SL013: a baseline fingerprint whose finding no longer fires.
 
     The mirror image of SL009 for ``--baseline`` files: an entry that
-    matches nothing is invisible until the day a *new* finding lands
-    on the same ``rule:path:line`` and is silently swallowed by the
-    stale grant.  Reported as a warning whenever ``--baseline`` is
+    matches nothing is invisible until the day a *new* finding with
+    the same fingerprint lands and is silently swallowed by the stale
+    grant.  Reported as a warning whenever ``--baseline`` is
     given; ``repro lint --deep --prune-baseline`` rewrites the file
     without the stale entries.  Emitted by the CLI's baseline
     bookkeeping.
@@ -466,25 +494,6 @@ class HeatPerEventClosureRule(MetaRule):
     name = "heat-per-event-closure"
     description = ("closure/partial created per event; hoist to setup "
                    "(--deep, simheat)")
-
-
-@register
-class HeatPoolableConstructionRule(MetaRule):
-    """SL304: a per-event region constructs a poolable type directly
-    although a free-list exists for it.
-
-    Engine event handles and piece-pump messages are acquired and
-    dropped once per event; the engine's EventHandle free-list and
-    the plain-piece message pool recycle them.  A direct
-    constructor call in a hot path bypasses the pool and re-opens the
-    allocation bill the pool closed.  Emitted by the simheat pass of
-    ``repro lint --deep``.
-    """
-
-    id = "SL304"
-    name = "heat-poolable-construction"
-    description = ("hot-path construction of a poolable type; use its "
-                   "free-list (--deep, simheat)")
 
 
 def all_rule_ids() -> List[str]:

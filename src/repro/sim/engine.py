@@ -7,16 +7,12 @@ heap internals — and because sequence numbers are unique, a heap
 comparison never reaches the handle, so every sift is a C-speed tuple
 comparison rather than a Python ``__lt__`` call.
 
-Cancellation is O(1) (lazy deletion), and the engine *compacts* the
-heap when dead entries dominate it: timer-churn-heavy workloads
-(T-Chain retransmit timers are re-armed on every ack) would otherwise
-pin thousands of cancelled handles until their nominal pop time,
-inflating every ``heappush``/``heappop`` by log of the dead weight and
-holding the memory hostage.  Compaction rebuilds the heap from live
-entries only; pop order is a pure function of the ``(time, seq)``
-total order, so a compaction can never change the event trace (the
-determinism harness asserts exactly that by diffing traces with
-compaction on and off).
+Cancellation is O(1) lazy deletion: a cancelled handle stays in the
+heap until its nominal time comes up and is then skipped.  The handle
+drops its callback and arguments when cancelled, so a dead entry costs
+its tuple and its handle and pins no object graph; and the only cancels
+are transfer aborts and stopped periodic tasks, so a dead entry waits
+at most one transfer time or one timer period.
 
 Timers nobody cancels and whose delay is fixed (:meth:`Simulator.after`)
 skip the per-event handle: they queue in one FIFO *lane* per delay, and
@@ -41,18 +37,6 @@ from array import array
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: Compaction triggers when at least this many cancelled entries sit in
-#: the heap...
-COMPACT_MIN_DEAD = 256
-#: ...and they outnumber the live ones (>50 % of the heap is dead).
-COMPACT_DEAD_FRACTION = 0.5
-
-#: Upper bound on the :class:`EventHandle` free-list; beyond this,
-#: consumed handles are left to the garbage collector (the pool exists
-#: to absorb steady-state churn, not peak backlog).
-POOL_MAX = 1024
-
-
 class SimulatorError(RuntimeError):
     """Raised on simulator misuse (e.g. scheduling in the past)."""
 
@@ -69,38 +53,29 @@ class EventHandle:
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled",
-                 "fired", "sim")
+                 "fired")
 
     def __init__(self, time: float, seq: int,
-                 callback: Callable[..., Any], args: tuple,
-                 sim: Optional["Simulator"] = None):
+                 callback: Callable[..., Any], args: tuple):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.fired = False
-        self.sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        # Drop references so cancelled events do not pin object graphs
-        # while they wait to be popped (or compacted) from the heap.
+        # Drop references so a cancelled event does not pin an object
+        # graph while its dead entry waits in the heap.
         self.callback = _noop
         self.args = ()
-        if self.sim is not None:
-            self.sim._on_cancel()
 
     @property
     def pending(self) -> bool:
         """True while the event is scheduled and not cancelled."""
         return not self.cancelled and self.callback is not _noop
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = ("fired" if self.fired
@@ -119,7 +94,7 @@ class AllocProfile:
     ``tracemalloc``'s traced bytes and of the interpreter's live
     allocation-block count across the callback, keyed by the
     callback's ``__qualname__`` — the runtime ground truth the static
-    simheat audit (SL301–SL304, docs/DEVTOOLS.md) is validated
+    simheat audit (SL301–SL303, docs/DEVTOOLS.md) is validated
     against.  Deltas can be negative (a callback that frees more than
     it allocates); sums are kept raw.
 
@@ -256,10 +231,6 @@ class Simulator:
         per-event field-level read/write footprints within each
         timestamp batch and reports same-instant conflicting pairs
         (the dynamic counterpart of ``simlint``'s SL2xx rules).
-    compact:
-        Enable lazy-deletion heap compaction (default on; the
-        determinism harness runs with it off to prove traces are
-        unaffected — see docs/PERF.md).
     profile:
         Pass the string ``"alloc"`` to attach an :class:`AllocProfile`
         recording per-event-type allocation deltas (tracemalloc bytes
@@ -270,17 +241,10 @@ class Simulator:
     Timers scheduled with :meth:`after` live in per-delay lanes
     (``_lanes``, delay -> :class:`_Lane`); the heap holds one entry per
     non-empty lane.
-
-    Consumed :class:`EventHandle` objects are recycled through a
-    bounded free-list.  A handle is only pooled when nothing outside
-    the engine still references it (refcount guard), so handles
-    callers retain for ``cancel()``/state checks are never reused
-    under them.  Pop order is untouched: tests/test_simheat.py asserts
-    bit-identical traces against a run with the free-list capped at 0.
     """
 
     def __init__(self, seed: int = 0, sanitize: object = False,
-                 compact: bool = True, profile: object = False):
+                 profile: object = False):
         if isinstance(sanitize, str) and sanitize != "races":
             raise SimulatorError(
                 f"unknown sanitize mode {sanitize!r}; expected a bool "
@@ -296,12 +260,8 @@ class Simulator:
         self._lanes: Dict[float, _Lane] = {}
         self._seq = 0
         self._events_fired = 0
-        self._cancelled_in_heap = 0
-        self._compact_enabled = compact
-        self._compactions = 0
         self._running = False
         self._observers: List[Callable[[EventHandle], None]] = []
-        self._pool: List[EventHandle] = []
         self.sanitizer = None
         self.races = None
         self.profile: Optional[AllocProfile] = \
@@ -328,41 +288,32 @@ class Simulator:
         """Schedule ``callback(*args)`` to fire ``delay`` from now.
 
         Duplicates :meth:`schedule_at`'s body rather than delegating:
-        this is the hottest scheduling entry point, and ``delay >= 0``
-        already guarantees the past-time check there can never fire.
+        this is the hottest scheduling entry point.  A sanitizer sees
+        the handle before the delay is checked, so it reports a
+        non-finite time as its own invariant failure.
         """
-        if delay < 0:
-            raise SimulatorError(f"negative delay: {delay!r}")
         time = self.now + delay
         seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.seq = seq
-            handle.callback = callback
-            handle.args = args
-            handle.cancelled = False
-            handle.fired = False
-        else:
-            handle = EventHandle(time, seq, callback, args, self)  # simlint: disable=SL304 -- this IS the pool: miss path when the free-list is empty
+        handle = EventHandle(time, seq, callback, args)
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(handle)
+        if not 0.0 <= delay < _INF:
+            raise SimulatorError(f"bad delay: {delay!r}")
+        self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self.now:
-            raise SimulatorError(
-                f"cannot schedule at {time!r}, now is {self.now!r}")
         seq = self._seq
-        self._seq = seq + 1
-        handle = self._handle(time, seq, callback, args)
+        handle = EventHandle(time, seq, callback, args)
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(handle)
+        if not self.now <= time < _INF:
+            raise SimulatorError(
+                f"cannot schedule at {time!r}, now is {self.now!r}")
+        self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
@@ -428,49 +379,6 @@ class Simulator:
             del self._lanes[lane.delay]
         return func, args
 
-    def _handle(self, time: float, seq: int,
-                callback: Callable[..., Any], args: tuple) -> EventHandle:
-        """A fresh handle, from the free-list when it has one (for
-        :meth:`schedule_at`, and for a fired lane entry on the
-        instrumented path)."""
-        pool = self._pool
-        if not pool:
-            return EventHandle(time, seq, callback, args, self)
-        handle = pool.pop()
-        handle.time = time
-        handle.seq = seq
-        handle.callback = callback
-        handle.args = args
-        handle.cancelled = False
-        handle.fired = False
-        return handle
-
-    # ------------------------------------------------------------------
-    # Cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _on_cancel(self) -> None:
-        """A handle still in the heap was cancelled; maybe compact."""
-        dead = self._cancelled_in_heap + 1
-        self._cancelled_in_heap = dead
-        if (dead >= COMPACT_MIN_DEAD and self._compact_enabled
-                and dead > len(self._heap) * COMPACT_DEAD_FRACTION):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap from live entries only.
-
-        Safe at any point: heap pop order is fully determined by the
-        ``(time, seq)`` total order, so dropping dead entries and
-        re-heapifying cannot reorder the live ones.  The rebuild is
-        in place (slice assignment) because the run loop holds a local
-        alias to the heap list across callbacks.
-        """
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
-        self._cancelled_in_heap = 0
-        self._compactions += 1
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -484,11 +392,10 @@ class Simulator:
         while heap:
             time, seq, handle = heap[0]
             if handle.__class__ is _Lane:
-                handle = self._handle(time, seq, *self._pop_lane(handle))
+                handle = EventHandle(time, seq, *self._pop_lane(handle))
             else:
                 heapq.heappop(heap)
                 if handle.cancelled:
-                    self._cancelled_in_heap -= 1
                     continue
             if self.sanitizer is not None:
                 self.sanitizer.on_event(handle)
@@ -502,8 +409,8 @@ class Simulator:
                     observer(handle)
             self.now = handle.time
             callback, args = handle.callback, handle.args
-            # Mark consumed before user code runs (no cancellation
-            # bookkeeping: the entry is already off the heap).
+            # Mark consumed before user code runs: a cancel() from the
+            # callback is then a no-op.
             handle.cancelled = True
             handle.callback = _noop
             handle.args = ()
@@ -522,12 +429,6 @@ class Simulator:
                 callback(*args)
             if races is not None:
                 races.on_event_end()
-            elif self.sanitizer is None and len(self._pool) < POOL_MAX \
-                    and sys.getrefcount(handle) == 2:
-                # Only the local name + getrefcount's argument see the
-                # handle: nothing can observe the reuse.  (Sanitizer /
-                # race-reporter runs keep identity for post-mortems.)
-                self._pool.append(handle)
             self._events_fired += 1
             return True
         return False
@@ -562,8 +463,6 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         observers = self._observers
-        pool = self._pool
-        getrefcount = sys.getrefcount
         lane_cls, pop_lane = _Lane, self._pop_lane
         try:
             while heap:
@@ -571,7 +470,6 @@ class Simulator:
                 handle = head[2]
                 if handle.cancelled:
                     heappop(heap)
-                    self._cancelled_in_heap -= 1
                     continue
                 if stop is not None and stop(head[0]):
                     stopped = True
@@ -602,11 +500,6 @@ class Simulator:
                     callback(*args)
                     fast_fired += 1
                     fired += 1
-                    if len(pool) < POOL_MAX and getrefcount(handle) == 3:
-                        # `head`'s tuple slot + the local name +
-                        # getrefcount's argument: no caller kept the
-                        # handle, so reuse is unobservable.
-                        pool.append(handle)
                 elif self.step():
                     fired += 1
         finally:
@@ -630,7 +523,6 @@ class Simulator:
             head = heap[0]
             if head[2].cancelled:
                 heapq.heappop(heap)
-                self._cancelled_in_heap -= 1
                 continue
             return head[0]
         return None
@@ -638,9 +530,8 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of scheduled, not-yet-cancelled events, laned timers
-        included (O(lanes): the engine maintains a count of dead
-        entries awaiting lazy deletion instead of scanning the heap)."""
-        return (len(self._heap) - self._cancelled_in_heap
+        included (scans the heap: tests and debugging only)."""
+        return (sum(not entry[2].cancelled for entry in self._heap)
                 + sum(len(lane.times) - lane.head - 1
                       for lane in self._lanes.values()))
 
@@ -648,11 +539,6 @@ class Simulator:
     def events_fired(self) -> int:
         """Total number of events executed so far."""
         return self._events_fired
-
-    @property
-    def compactions(self) -> int:
-        """Heap compactions performed so far (perf introspection)."""
-        return self._compactions
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"Simulator(now={self.now:.6g}, pending="

@@ -1,14 +1,18 @@
-"""Heap compaction, lazy deletion and fast-path equivalence tests.
+"""Lazy deletion and fast-path equivalence tests.
 
-The engine promises that its performance machinery — lazy-deletion
-compaction, the observer-free fast path in ``run()`` — is invisible to
-the simulation: pop order is a pure function of ``(time, seq)``, so the
-event trace must be bit-identical with the machinery on or off.
+A cancelled event stays in the heap until its time comes up and is
+skipped there; it must neither fire, count, nor pin what it referred
+to.  The observer-free fast path in ``run()`` must be invisible to the
+simulation: pop order is a pure function of ``(time, seq)``, so clock,
+counters and rng stream agree with the instrumented path.
 """
+
+import gc
+import weakref
 
 import pytest
 
-from repro.sim.engine import COMPACT_MIN_DEAD, Simulator
+from repro.sim.engine import Simulator
 
 
 def _noop():
@@ -17,8 +21,7 @@ def _noop():
 
 def _setup_churn(sim, chains=50):
     """Timer-churn workload: every tick cancels and re-arms a 30 s
-    timeout (the T-Chain retransmit-timer pattern that populates the
-    heap with dead entries)."""
+    timeout, so the heap fills with dead entries."""
     def work(state):
         if state["timeout"] is not None:
             state["timeout"].cancel()
@@ -27,54 +30,6 @@ def _setup_churn(sim, chains=50):
 
     for _ in range(chains):
         sim.schedule(sim.rng.random() * 0.01, work, {"timeout": None})
-
-
-def _churn_trace(sim, max_events=5000):
-    _setup_churn(sim)
-    trace = []
-    sim.add_observer(lambda handle: trace.append((handle.time,
-                                                  handle.seq)))
-    sim.run(max_events=max_events)
-    return trace
-
-
-class TestCompaction:
-    def test_trace_identical_with_and_without_compaction(self):
-        trace_on = _churn_trace(Simulator(seed=42, compact=True))
-        trace_off = _churn_trace(Simulator(seed=42, compact=False))
-        assert trace_on == trace_off
-
-    def test_compaction_triggers_under_churn(self):
-        sim = Simulator(seed=42, compact=True)
-        _setup_churn(sim)
-        sim.run(max_events=20_000)
-        assert sim.compactions > 0
-
-    def test_compaction_disabled_never_compacts(self):
-        sim = Simulator(seed=42, compact=False)
-        _setup_churn(sim)
-        sim.run(max_events=20_000)
-        assert sim.compactions == 0
-
-    def test_pending_events_correct_across_compaction(self):
-        sim = Simulator()
-        n = 2 * COMPACT_MIN_DEAD
-        handles = [sim.schedule(i + 1.0, _noop) for i in range(n)]
-        cancelled = COMPACT_MIN_DEAD + 10
-        for handle in handles[:cancelled]:
-            handle.cancel()
-        assert sim.compactions >= 1
-        assert sim.pending_events == n - cancelled
-
-    def test_schedule_during_run_after_compaction_fires(self):
-        # Regression guard: compaction must rebuild the heap *in
-        # place* — the run loop holds an alias to the list, so a
-        # rebound list would silently orphan every later schedule().
-        sim = Simulator(seed=7, compact=True)
-        _setup_churn(sim, chains=20)
-        sim.run(max_events=30_000)
-        assert sim.compactions > 0
-        assert sim.events_fired == 30_000
 
 
 class TestLazyDeletion:
@@ -112,6 +67,32 @@ class TestLazyDeletion:
         sim.schedule(2.0, _noop)
         doomed.cancel()
         assert sim.peek_time() == pytest.approx(2.0)
+
+    def test_cancel_releases_receiver_and_args_while_entry_waits(self):
+        # The dead entry stays in the heap until t=50; the cancelled
+        # handle must already have let go of its callback's receiver
+        # and its arguments (nothing else bounds dead-entry memory).
+        class Receiver:
+            def fire(self, payload):
+                pass
+
+        class Payload:
+            pass
+
+        sim = Simulator()
+        receiver, payload = Receiver(), Payload()
+        receiver_ref = weakref.ref(receiver)
+        payload_ref = weakref.ref(payload)
+        sim.schedule(1.0, _noop)
+        handle = sim.schedule(50.0, receiver.fire, payload)
+        sim.schedule(80.0, _noop)
+        handle.cancel()
+        del receiver, payload
+        gc.collect()
+        assert any(entry[2] is handle for entry in sim._heap)
+        assert receiver_ref() is None
+        assert payload_ref() is None
+        assert sim.pending_events == 2
 
     def test_peek_time_empty(self):
         sim = Simulator()

@@ -3,15 +3,15 @@
 The whole simrace story (static SL2xx checks, runtime RaceReporter)
 reasons about *batches* of events sharing one timestamp, on the
 premise that the engine fires them strictly in schedule (seq) order —
-and keeps doing so across cancellation, lazy deletion and heap
-compaction.  These tests pin that premise under generated workloads so
-an engine refactor cannot silently weaken it.
+and keeps doing so across cancellation and lazy deletion.  These tests
+pin that premise under generated workloads so an engine refactor
+cannot silently weaken it.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import COMPACT_MIN_DEAD, Simulator
+from repro.sim.engine import Simulator
 
 #: Few distinct times so generated plans collide heavily.
 TIMES = (1.0, 1.0, 2.0, 2.5, 2.5, 2.5, 4.0)
@@ -29,16 +29,16 @@ plans = st.lists(
     min_size=1, max_size=40)
 
 
-def _execute(plan, compact, force_compaction=False):
+def _execute(plan, pad_dead=False):
     """Run a plan; returns (trace, expected_top_level, nested_labels).
 
     Each plan entry schedules one labelled event; cancelled entries
     are cancelled before the run.  Entries with the nest flag fire a
     nested event at the *same instant* (delay 0) from inside their
-    callback.  ``force_compaction`` pads the heap with enough doomed
-    events to trigger at least one compaction mid-plan.
+    callback.  ``pad_dead`` pads the heap with 300 doomed events,
+    cancelled before the run, ahead of the plan's own cancels.
     """
-    sim = Simulator(seed=9, compact=compact)
+    sim = Simulator(seed=9)
     trace = []
 
     def fire(label):
@@ -53,9 +53,8 @@ def _execute(plan, compact, force_compaction=False):
         callback = fire_and_nest if (nest and not cancel) else fire
         handles.append((sim.schedule(TIMES[time_index], callback, i),
                         cancel))
-    if force_compaction:
-        doomed = [sim.schedule(1000.0, _noop)
-                  for _ in range(COMPACT_MIN_DEAD + 10)]
+    if pad_dead:
+        doomed = [sim.schedule(1000.0, _noop) for _ in range(300)]
         for handle in doomed:
             handle.cancel()
     for handle, cancel in handles:
@@ -75,7 +74,7 @@ class TestSameInstantFIFO:
     @given(plans)
     @settings(max_examples=120, deadline=None)
     def test_top_level_events_fire_in_stable_time_order(self, plan):
-        trace, expected, _ = _execute(plan, compact=True)
+        trace, expected, _ = _execute(plan)
         top_level = [label for label in trace
                      if not isinstance(label, tuple)]
         assert top_level == expected
@@ -83,7 +82,7 @@ class TestSameInstantFIFO:
     @given(plans)
     @settings(max_examples=120, deadline=None)
     def test_nested_same_instant_events_fire_last_in_batch(self, plan):
-        trace, _, nested = _execute(plan, compact=True)
+        trace, _, nested = _execute(plan)
         assert sorted(n for n in trace if isinstance(n, tuple)) \
             == sorted(nested)
         for label in nested:
@@ -102,17 +101,6 @@ class TestSameInstantFIFO:
     @given(plans)
     @settings(max_examples=60, deadline=None)
     def test_order_survives_compaction_and_lazy_deletion(self, plan):
-        with_compaction = _execute(plan, compact=True,
-                                   force_compaction=True)
-        without = _execute(plan, compact=False)
-        assert with_compaction[0] == without[0]
-
-    def test_forced_compaction_actually_compacts(self):
-        # Guard the property above against silently losing its
-        # trigger: the padded plan must really compact.
-        sim = Simulator(seed=9, compact=True)
-        doomed = [sim.schedule(1000.0, _noop)
-                  for _ in range(COMPACT_MIN_DEAD + 10)]
-        for handle in doomed:
-            handle.cancel()
-        assert sim.compactions >= 1
+        # Dead padding entries change the heap's shape, never the order.
+        padded = _execute(plan, pad_dead=True)
+        assert padded[0] == _execute(plan)[0]

@@ -50,6 +50,20 @@ class TestScheduling:
         with pytest.raises(SimulatorError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_non_finite_times_rejected(self):
+        # A NaN time would fire first and turn the clock into NaN for
+        # everything it schedules; an infinite one would never fire.
+        sim = Simulator()
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SimulatorError):
+                sim.schedule(bad, lambda: None)
+            with pytest.raises(SimulatorError):
+                sim.schedule_at(bad, lambda: None)
+        assert sim.pending_events == 0
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim.now == 1.0
+
     def test_call_now_fires_after_current_event(self):
         sim = Simulator()
         order = []

@@ -1,16 +1,16 @@
-"""Tests for simheat: hot-region inference, the SL301–SL304
-allocation audit, the per-event runtime allocation profiler that
-validates it, and the pooling fixes the audit drove.
+"""Tests for simheat: hot-region inference, the SL301–SL303
+allocation audit and the per-event runtime allocation profiler that
+validates it.
 
 Static half: planted fixtures through :func:`ProjectIndex.build` →
 :func:`run_simheat` must flag hot-path allocations with the full
 seed→function chain, and the real tree must be clean modulo the
 checked-in justified baseline.  Runtime half: ``profile="alloc"``
 must attribute bytes/blocks to the event types the static pass calls
-hot, the EventHandle free-list and plain-piece message pool must be
-bit-trace-neutral, and a pinned allocation ceiling guards the
-transfer path.  Baseline hygiene: stale entries surface as SL013 and
-``--prune-baseline`` drops them without losing the notes block.
+hot, and a pinned allocation ceiling guards the transfer path.
+Baseline hygiene: fingerprints survive line moves, stale entries
+surface as SL013 and ``--prune-baseline`` drops them without losing
+the notes block.
 """
 
 import json
@@ -23,10 +23,9 @@ from repro.devtools.callgraph import ProjectIndex, render_chain
 from repro.devtools.allocsum import run_simheat
 from repro.devtools.hotpath import FREQ_EVENT, FREQ_ROUND, infer_hot_regions
 from repro.devtools.rules import Finding
-from repro.sim.engine import POOL_MAX, Simulator, SimulatorError
+from repro.sim.engine import Simulator, SimulatorError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(REPO, "src")
 BASELINE = os.path.join(REPO, "simlint-baseline.json")
 
 
@@ -219,17 +218,6 @@ class TestPlantedSimheat:
         assert [f.rule for f in findings] == ["SL303"]
         assert "hoist to setup" in findings[0].message
 
-    def test_poolable_construction_flagged_sl304_with_pool_hint(self):
-        findings = heat_of([
-            ("node.py", """
-                class Node:
-                    def on_piece(self, msg):
-                        return EventHandle(0.0, 1, msg, (), None)
-            """),
-        ])
-        assert [f.rule for f in findings] == ["SL304"]
-        assert "EventHandle free-list" in findings[0].message
-
     def test_error_paths_and_round_regions_not_flagged(self):
         findings = heat_of([
             ("node.py", """
@@ -262,28 +250,27 @@ class TestPlantedSimheat:
 # real tree: clean modulo the checked-in justified baseline
 # ----------------------------------------------------------------------
 class TestRealTreeSimheat:
-    def test_src_findings_all_baselined_and_no_fixable_rules(self):
-        # Through run_deep so inline suppressions apply (the pool-miss
-        # constructions carry justified ``disable=SL304`` comments).
+    def test_src_findings_all_baselined_and_no_fixable_rules(
+            self, monkeypatch):
+        # Through run_deep so inline suppressions apply.  From the repo
+        # root with a relative path, as the lint gate runs: messages
+        # quote paths, and fingerprints include messages.
         from repro.devtools.deep import run_deep
-        report = run_deep([SRC], cache_path=None)
+        monkeypatch.chdir(REPO)
+        report = run_deep(["src"], cache_path=None)
         findings = [f for f in report.findings
                     if f.rule.startswith("SL3")]
         assert findings, "simheat found nothing over src"
         with open(BASELINE, "r", encoding="utf-8") as fh:
             allowed = set(json.load(fh)["fingerprints"])
-        unexpected = set()
-        for f in findings:
-            rel = os.path.relpath(f.path, REPO).replace(os.sep, "/")
-            if f"{f.rule}:{rel}:{f.line}" not in allowed:
-                unexpected.add(f"{f.rule}:{rel}:{f.line}")
+        live = {lint_output.fingerprint(f) for f in findings}
+        unexpected = live - allowed
         assert not unexpected, sorted(unexpected)
         rules = {f.rule for f in findings}
         # The reviewed inventory is SL301/SL302 only: every closure
-        # was hoisted and every poolable construction goes through its
-        # pool now, so SL303/SL304 reappearing is a regression.
+        # was hoisted, so SL303 reappearing is a regression.
         assert "SL301" in rules and "SL302" in rules
-        assert "SL303" not in rules and "SL304" not in rules
+        assert "SL303" not in rules
 
 
 # ----------------------------------------------------------------------
@@ -412,111 +399,13 @@ class TestAllocProfiler:
 
 
 # ----------------------------------------------------------------------
-# pooling: reuse mechanics + trace neutrality
-# ----------------------------------------------------------------------
-class TestEventHandlePool:
-    def test_fired_handles_recycle_and_rearm(self):
-        sim = Simulator(seed=0)
-        for _ in range(8):
-            sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim._pool, "no handle returned to the free-list"
-        recycled = sim._pool[-1]
-        handle = sim.schedule(2.0, lambda: None)
-        assert handle is recycled
-        assert handle.pending and not handle.fired
-
-    def test_pool_is_bounded(self):
-        sim = Simulator(seed=0)
-        for _ in range(POOL_MAX + 200):
-            sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert len(sim._pool) <= POOL_MAX
-
-    def test_pool_max_zero_disables_reuse(self, monkeypatch):
-        monkeypatch.setattr("repro.sim.engine.POOL_MAX", 0)
-        sim = Simulator(seed=0)
-        for _ in range(8):
-            sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim._pool == []
-        assert sim.events_fired == 8
-
-    def test_sanitized_runs_never_recycle(self):
-        # Post-mortem tooling relies on handle identity; the sanitizer
-        # and race reporter therefore see every handle exactly once.
-        sim = Simulator(seed=0, sanitize=True)
-        for _ in range(8):
-            sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim._pool == []
-
-    def test_held_handles_are_not_recycled(self):
-        sim = Simulator(seed=0)
-        held = sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert held not in sim._pool
-        assert held.fired
-
-
-class TestMessagePool:
-    def test_acquire_release_roundtrip_reuses_and_reinitializes(self):
-        from repro.core.messages import (PlainPieceMessage,
-                                         acquire_plain_piece,
-                                         release_plain_piece)
-        first = acquire_plain_piece(transaction_id="t1", chain_id="c1",
-                                    piece_index=3, donor_id="D",
-                                    requestor_id="R",
-                                    reciprocates="t0")
-        assert isinstance(first, PlainPieceMessage)
-        release_plain_piece(first)
-        second = acquire_plain_piece(transaction_id="t2", chain_id="c2",
-                                     piece_index=9, donor_id="E",
-                                     requestor_id="S",
-                                     reciprocates=None)
-        assert second is first
-        assert second.transaction_id == "t2"
-        assert second.piece_index == 9
-        assert second.reciprocates is None
-
-
-class TestPoolTraceNeutrality:
-    def test_pools_on_off_bit_identical_trace(self, monkeypatch):
-        from repro.experiments.runner import run_swarm
-
-        def traced():
-            rows = []
-
-            def setup(swarm):
-                swarm.sim.add_observer(
-                    lambda h: rows.append(
-                        (h.time, h.seq,
-                         getattr(h.callback, "__qualname__",
-                                 repr(h.callback)))))
-
-            run_swarm(protocol="tchain", seed=7, leechers=12, pieces=8,
-                      freerider_fraction=0.25, setup=setup)
-            return rows
-
-        pooled = traced()
-        # The unpooled reference: both free-lists capped at zero and
-        # emptied, so every handle and plain-piece message is fresh.
-        monkeypatch.setattr("repro.sim.engine.POOL_MAX", 0)
-        monkeypatch.setattr("repro.core.messages._PLAIN_PIECE_POOL_MAX", 0)
-        monkeypatch.setattr("repro.core.messages._PLAIN_PIECE_POOL", [])
-        unpooled = traced()
-        assert pooled, "observer captured no events"
-        assert pooled == unpooled
-
-
-# ----------------------------------------------------------------------
 # tier-1 allocation ceiling on the quick crowd
 # ----------------------------------------------------------------------
 class TestAllocCeiling:
-    #: Pinned per-event ceilings for the quick crowd; the
-    #: PR-9 pooled transfer path measures ~1075 B/event and ~14
-    #: blocks/event, so tripping these means an O(peers) copy or an
-    #: unpooled object crept back into the per-event path.
+    #: Pinned per-event ceilings for the quick crowd; the transfer
+    #: path measures ~700 B/event and ~10 blocks/event, so tripping
+    #: these means an O(peers) copy or a new per-event object crept
+    #: into it.
     MAX_BYTES_PER_EVENT = 1600.0
     MAX_ALLOCS_PER_EVENT = 20.0
 
@@ -537,6 +426,40 @@ class TestAllocCeiling:
 
 
 # ----------------------------------------------------------------------
+# baseline fingerprints survive line moves
+# ----------------------------------------------------------------------
+class TestFingerprint:
+    @staticmethod
+    def _hot(pad, name="on_piece"):
+        """One per-event f-string, ``pad`` lines lower in the file and
+        ``pad`` lines lower inside its function."""
+        filler = "".join(f"        n{i} = {i}\n" for i in range(pad))
+        return ("\n" * pad + "class Node:\n"
+                f"    def {name}(self, msg):\n" + filler
+                + '        self.last = f"piece {msg.index}"\n')
+
+    def _finding(self, source):
+        findings = run_simheat(ProjectIndex.build([("node.py", source)]))
+        assert [f.rule for f in findings] == ["SL301"]
+        return findings[0]
+
+    def test_shifted_finding_keeps_its_fingerprint(self):
+        base = self._finding(self._hot(0))
+        moved = self._finding(self._hot(7))
+        assert moved.line == base.line + 14
+        assert moved.message != base.message  # it quotes its line
+        assert moved.scope == base.scope == "Node.on_piece"
+        assert lint_output.fingerprint(moved) \
+            == lint_output.fingerprint(base)
+
+    def test_other_function_gets_another_fingerprint(self):
+        base = self._finding(self._hot(0))
+        renamed = self._finding(self._hot(0, name="on_have"))
+        assert lint_output.fingerprint(renamed) \
+            != lint_output.fingerprint(base)
+
+
+# ----------------------------------------------------------------------
 # stale-baseline detection (SL013) and --prune-baseline
 # ----------------------------------------------------------------------
 class TestStaleBaseline:
@@ -549,36 +472,32 @@ class TestStaleBaseline:
         path.write_text(json.dumps(data))
         return str(path)
 
+    LIVE = Finding(rule="SL002", path="a.py", line=3, col=1,
+                   message="m", scope="f")
+    GONE = "SL301:gone.py:Node.on_piece:per-event allocation"
+
     def test_stale_entries_surface_as_sl013_warnings(self, tmp_path):
-        live = [Finding(rule="SL002", path="a.py", line=3, col=1,
-                        message="m")]
-        base = self._baseline(tmp_path, ["SL002:a.py:3",
-                                         "SL301:gone.py:44"])
+        base = self._baseline(tmp_path, ["SL002:a.py:f:m", self.GONE])
         stale = lint_output.stale_baseline_findings(
-            live, lint_output.load_baseline(base), base)
+            [self.LIVE], lint_output.load_baseline(base), base)
         assert [f.rule for f in stale] == ["SL013"]
         assert stale[0].path == "gone.py"
-        assert stale[0].line == 44
-        assert "SL301:gone.py:44" in stale[0].message
+        assert stale[0].line == 1
+        assert self.GONE in stale[0].message
         assert lint_output.severity_of(stale[0]) == "warning"
 
     def test_no_stale_entries_no_findings(self, tmp_path):
-        live = [Finding(rule="SL002", path="a.py", line=3, col=1,
-                        message="m")]
-        base = self._baseline(tmp_path, ["SL002:a.py:3"])
+        base = self._baseline(tmp_path, ["SL002:a.py:f:m"])
         assert lint_output.stale_baseline_findings(
-            live, lint_output.load_baseline(base), base) == []
+            [self.LIVE], lint_output.load_baseline(base), base) == []
 
     def test_prune_drops_stale_keeps_live_and_notes(self, tmp_path):
-        live = [Finding(rule="SL002", path="a.py", line=3, col=1,
-                        message="m")]
-        base = self._baseline(tmp_path, ["SL002:a.py:3",
-                                         "SL301:gone.py:44"],
+        base = self._baseline(tmp_path, ["SL002:a.py:f:m", self.GONE],
                               notes=["why these are justified"])
-        dropped = lint_output.prune_baseline(base, live)
+        dropped = lint_output.prune_baseline(base, [self.LIVE])
         assert dropped == 1
         data = json.loads(open(base).read())
-        assert data["fingerprints"] == ["SL002:a.py:3"]
+        assert data["fingerprints"] == ["SL002:a.py:f:m"]
         assert data["notes"] == ["why these are justified"]
 
     def test_cli_prune_requires_baseline(self, tmp_path, capsys):
@@ -592,15 +511,16 @@ class TestStaleBaseline:
     def test_cli_reports_stale_then_prunes(self, tmp_path, capsys):
         mod = tmp_path / "bad.py"
         mod.write_text("import random\n")
-        fp = f"SL001:{mod}:1"
-        base = self._baseline(tmp_path, [fp, "SL301:gone.py:44"])
+        from repro.devtools.analyzer import lint_file
+        fp = lint_output.fingerprint(lint_file(str(mod))[0])
+        base = self._baseline(tmp_path, [fp, self.GONE])
         # Warning pass: the live finding is baselined away, the stale
         # entry surfaces as SL013, and warnings do not fail the gate.
         code = main(["lint", str(mod), "--no-config",
                      "--baseline", base])
         out = capsys.readouterr().out
         assert code == 0
-        assert "SL013" in out and "SL301:gone.py:44" in out
+        assert "SL013" in out and self.GONE in out
         # Prune pass: the stale entry is removed, the live one kept.
         code = main(["lint", str(mod), "--no-config",
                      "--baseline", base, "--prune-baseline"])
@@ -615,21 +535,21 @@ class TestStaleBaseline:
         assert code == 0
         assert "SL013" not in capsys.readouterr().out
 
-    def test_checked_in_baseline_has_no_stale_entries(self):
+    def test_checked_in_baseline_has_no_stale_entries(self,
+                                                      monkeypatch):
         """Every fingerprint in the repo's own baseline corresponds to
         a finding the current tree still produces (the lint gate would
         warn via SL013 otherwise)."""
         from repro.devtools.analyzer import iter_python_files
         from repro.devtools.races import run_races
+        monkeypatch.chdir(REPO)
         sources = []
-        for path in iter_python_files([SRC]):
+        for path in iter_python_files(["src"]):
             with open(path, "r", encoding="utf-8") as fh:
                 sources.append((path, fh.read()))
         index = ProjectIndex.build(sources)
-        live = set()
-        for f in run_races(index) + run_simheat(index):
-            rel = os.path.relpath(f.path, REPO).replace(os.sep, "/")
-            live.add(f"{f.rule}:{rel}:{f.line}")
+        live = {lint_output.fingerprint(f)
+                for f in run_races(index) + run_simheat(index)}
         with open(BASELINE, "r", encoding="utf-8") as fh:
             recorded = set(json.load(fh)["fingerprints"])
         assert recorded - live == set(), sorted(recorded - live)

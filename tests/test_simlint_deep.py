@@ -15,6 +15,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import textwrap
 
 from repro.cli import main
@@ -112,24 +113,25 @@ class TestCallGraph:
 
 
 class TestRealTreeClean:
-    def test_deep_run_over_src_is_clean_modulo_baseline(self):
+    def test_deep_run_over_src_is_clean_modulo_baseline(self,
+                                                        monkeypatch):
         """Simrace/simheat exactly baselined, nothing else.
 
         The SL2xx findings over ``src`` are the *justified* inventory
         of same-instant order dependence, and the SL3xx findings the
         reviewed hot-path allocation inventory, both carried (with
         rationale) in ``simlint-baseline.json``; anything beyond that
-        set is a regression this test catches.
+        set is a regression this test catches.  Runs from the repo
+        root on a relative path, as the lint gate does: messages quote
+        paths, and fingerprints include messages.
         """
-        report = run_deep([SRC], cache_path=None)
-        with open(os.path.join(REPO, "simlint-baseline.json"),
-                  "r", encoding="utf-8") as handle:
+        monkeypatch.chdir(REPO)
+        report = run_deep(["src"], cache_path=None)
+        with open("simlint-baseline.json", "r",
+                  encoding="utf-8") as handle:
             allowed = set(json.load(handle)["fingerprints"])
-        unexpected = []
-        for f in report.findings:
-            rel = os.path.relpath(f.path, REPO).replace(os.sep, "/")
-            if f"{f.rule}:{rel}:{f.line}" not in allowed:
-                unexpected.append(f)
+        unexpected = [f for f in report.findings
+                      if fingerprint(f) not in allowed]
         assert unexpected == [], "\n".join(
             f.format() for f in unexpected)
         # Everything surviving the baseline is simrace or simheat
@@ -259,7 +261,7 @@ class TestSuppressionEdgeCases:
         assert index.unused_findings() == []
 
     def test_unused_findings_ignore_skips_deep_rules(self):
-        src = "x = []  # simlint: disable=SL304 -- deep-only\n"
+        src = "x = []  # simlint: disable=SL303 -- deep-only\n"
         index = SuppressionIndex("snippet.py", src.splitlines())
         lint_source(src, "snippet.py", suppressions=index)
         assert index.unused_findings(ignore=DEEP_RULES) == []
@@ -271,10 +273,9 @@ class TestSuppressionEdgeCases:
                                                       capsys):
         """A plain lint never runs the whole-program passes, so it
         must not flag deep-only suppressions as stale — only --deep
-        may (it does: engine.py's SL304 pool-miss suppression is
-        exercised by the real-tree run)."""
+        may."""
         (tmp_path / "mod.py").write_text(
-            "x = []  # simlint: disable=SL304 -- hot-path pool miss\n")
+            "x = []  # simlint: disable=SL303 -- hot-path closure\n")
         code = main(["lint", str(tmp_path), "--no-config",
                      "--strict-suppressions"])
         out = capsys.readouterr().out
@@ -319,7 +320,7 @@ class TestOutput:
                                       "warnings": 1, "baselined": 0}
         assert payload["findings"][0]["rule"] == "SL301"
         assert payload["findings"][0]["fingerprint"] \
-            == "SL301:src/repro/x.py:7"
+            == "SL301:src/repro/x.py::per-event allocation in x.on_piece"
 
     def test_sarif_render(self):
         log = json.loads(render_sarif([FINDING]))
@@ -438,10 +439,34 @@ class TestDeepCli:
         out = capsys.readouterr().out
         assert code == 0
         for rule_id in ("SL009", "SL013", "SL201", "SL202", "SL203",
-                        "SL301", "SL302", "SL303", "SL304"):
+                        "SL301", "SL302", "SL303"):
             assert rule_id in out
         # retired ids are gone
         for rule_id in ("SL003", "SL004", "SL007", "SL011", "SL012", "SL014",
+                        "SL304",
                         "SL101", "SL102", "SL103", "SL104",
                         "SL110", "SL111", "SL112"):
             assert rule_id not in out
+
+    def test_devtools_audit_rows_match_registered_rules(self):
+        """docs/DEVTOOLS.md's rule audit has one row per rule id ever
+        shipped: a row not marked retired names a registered rule, and
+        every registered rule has a row."""
+        from repro.devtools.rules import all_rule_ids
+        verdicts = {}
+        other_rows = set()
+        with open(os.path.join(REPO, "docs", "DEVTOOLS.md"), "r",
+                  encoding="utf-8") as handle:
+            for line in handle:
+                if not re.match(r"\| SL\d{3} \|", line):
+                    continue
+                cells = [c.strip() for c in line.strip().strip("|")
+                         .split("|")]
+                if len(cells) == 6:  # the audit table
+                    verdicts[cells[0]] = cells[4]
+                else:
+                    other_rows.add(cells[0])
+        live = {rule_id for rule_id, verdict in verdicts.items()
+                if not verdict.startswith("**retired**")}
+        assert live == set(all_rule_ids())
+        assert other_rows <= live

@@ -17,6 +17,7 @@ import textwrap
 from repro.devtools import sanitizer as sanitizer_mod
 from repro.devtools.callgraph import ProjectIndex, render_chain
 from repro.devtools.effects import Effect, fields_match, infer_effects
+from repro.devtools.output import fingerprint
 from repro.devtools.races import run_races
 from repro.devtools.sanitizer import RaceReporter
 from repro.sim.engine import Simulator, SimulatorError
@@ -284,16 +285,12 @@ class TestPlantedStaticRaces:
 # real tree: clean modulo the checked-in justified baseline
 # ----------------------------------------------------------------------
 class TestRealTree:
-    def _fingerprints(self, findings):
-        out = set()
-        for f in findings:
-            rel = os.path.relpath(f.path, REPO).replace(os.sep, "/")
-            out.add(f"{f.rule}:{rel}:{f.line}")
-        return out
-
-    def test_src_findings_all_baselined(self):
+    def test_src_findings_all_baselined(self, monkeypatch):
+        # From the repo root on a relative path, as the lint gate runs:
+        # messages quote paths, and fingerprints include messages.
         from repro.devtools.analyzer import iter_python_files
-        files = iter_python_files([SRC])
+        monkeypatch.chdir(REPO)
+        files = iter_python_files(["src"])
         sources = []
         for path in files:
             with open(path, "r", encoding="utf-8") as fh:
@@ -301,7 +298,7 @@ class TestRealTree:
         findings = run_races(ProjectIndex.build(sources))
         with open(BASELINE, "r", encoding="utf-8") as fh:
             allowed = set(json.load(fh)["fingerprints"])
-        unexpected = self._fingerprints(findings) - allowed
+        unexpected = {fingerprint(f) for f in findings} - allowed
         assert not unexpected, sorted(unexpected)
         # The inventory is non-trivial: the rechoke-family SL201 pairs
         # and the SL203 do-not-coalesce set must actually be found.

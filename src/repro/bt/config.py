@@ -76,7 +76,7 @@ class SwarmConfig:
                 f"unknown extra key(s) {unknown} (never accepted, or "
                 f"removed: the swarm state has one arm and no "
                 f"switches, the watchdogs are typed fields, sanitize "
-                f"and profile are run_swarm arguments); "
+                f"is a run_swarm argument); "
                 f"accepted: {sorted(EXTRA_KEYS)}")
 
     @property

@@ -27,15 +27,11 @@ from repro.sim.engine import Simulator
 class Swarm:
     """One simulated file-sharing swarm."""
 
-    def __init__(self, config: SwarmConfig, sanitize: object = False,
-                 profile: object = False):
+    def __init__(self, config: SwarmConfig, sanitize: object = False):
         self.config = config
         # The raw value flows through so ``"races"`` selects the
         # order-sensitivity reporter, not just the boolean sanitizer.
-        # ``profile="alloc"`` attaches the per-event allocation
-        # profiler.
-        self.sim = Simulator(seed=config.seed, sanitize=sanitize,
-                             profile=profile)
+        self.sim = Simulator(seed=config.seed, sanitize=sanitize)
         self.torrent = Torrent(config.n_pieces, config.piece_size_kb)
         self.tracker = Tracker(self.sim.rng, config.tracker_list_size)
         #: Peer rows over bitmask books and the neighbour graph between

@@ -42,11 +42,18 @@ reorder (ROADMAP item 1).  Unlike the invariant sanitizer it never
 raises: a conflict is an order-sensitivity *hazard*, not a bug, so it
 collects bounded, deduplicated :class:`RaceConflict` records for the
 caller to inspect (``repro chaos --races`` prints them).
+
+:class:`AllocProfile` is the third engine sink here: attached with
+``sim.add_observer(AllocProfile())`` it records per-event-type
+allocation deltas, the runtime check on the simheat SL3xx audit.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import sys
+import tracemalloc
 from collections import deque
 from typing import (Any, Deque, Dict, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
@@ -114,8 +121,8 @@ class SimulationSanitizer:
         if time < 0:
             self._fail(f"event scheduled at negative time {time!r}")
 
-    def on_event(self, handle: Any) -> None:
-        """The engine is about to fire ``handle``."""
+    def begin(self, handle: Any) -> None:
+        """Sink hook: the engine is about to fire ``handle``."""
         self.checks_run += 1
         if handle.time < self._last_event_time:
             self._fail(
@@ -350,7 +357,7 @@ _DEFAULT_WATCH = (
 _PATCHED: Dict[type, list] = {}
 
 #: The reporter currently recording, or None.  Only set between
-#: ``on_event_begin`` and ``on_event_end`` so instrumented classes pay
+#: its ``begin`` and ``end`` sink hooks so instrumented classes pay
 #: a single global load + None check outside event execution.
 _ACTIVE: Optional["RaceReporter"] = None
 
@@ -441,9 +448,9 @@ def _unpatch_class(cls: type) -> None:
 class RaceReporter:
     """Dynamic same-instant conflict detector (see module docstring).
 
-    Attach via ``Simulator(sanitize="races")``.  The engine calls
-    :meth:`on_event_begin` / :meth:`on_event_end` around every fired
-    event; attribute accesses on watched classes during that window
+    Attach via ``Simulator(sanitize="races")``.  As an engine sink it
+    gets :meth:`begin` / :meth:`end` around every fired event;
+    attribute accesses on watched classes during that window
     are recorded into the event's footprint.  Footprints accumulate
     per *timestamp batch* — the maximal run of events sharing one
     exact event time — and each new event's footprint is checked
@@ -526,9 +533,9 @@ class RaceReporter:
         self._batch_readers = {}
 
     # ------------------------------------------------------------------
-    # Engine hooks
+    # Sink hooks
     # ------------------------------------------------------------------
-    def on_event_begin(self, handle: Any) -> None:
+    def begin(self, handle: Any) -> None:
         """Called by the engine just before ``handle`` fires, while
         its callback is still attached."""
         global _ACTIVE
@@ -546,7 +553,7 @@ class RaceReporter:
         self.events_seen += 1
         _ACTIVE = self
 
-    def on_event_end(self) -> None:
+    def end(self) -> None:
         """Called by the engine after the event's callback returned;
         checks this event's footprint against the batch and folds it
         in."""
@@ -649,3 +656,103 @@ class RaceReporter:
         return (f"RaceReporter(events={self.events_seen}, "
                 f"conflicts={self.total_conflicts}, "
                 f"distinct={len(self._seen_pairs)})")
+
+
+class AllocProfile:
+    """Per-event-type allocation profile, an engine sink:
+    ``sim.add_observer(AllocProfile())`` (for a whole swarm run, from
+    ``run_swarm``'s ``setup`` hook).
+
+    For every event fired after it is attached it records the delta of
+    ``tracemalloc``'s traced bytes and of the interpreter's live
+    allocation-block count across the callback, keyed by the
+    callback's ``__qualname__`` — the runtime ground truth the static
+    simheat audit (SL301–SL303, docs/DEVTOOLS.md) is validated
+    against.  Deltas can be negative (a callback that frees more than
+    it allocates); sums are kept raw.  Sinks nest, so the window holds
+    the callback and the hooks of sinks attached *after* this one:
+    attach it last.
+
+    The profile starts ``tracemalloc`` if it is not already tracing
+    and remembers whether it owns the tracer; call :meth:`close` when
+    done to stop an owned tracer (profiling roughly doubles event
+    dispatch cost, which is why it is opt-in).
+
+    The cyclic garbage collector is paused for the lifetime of the
+    profile (restored by :meth:`close`): an opportunistic collection
+    inside a measured callback frees an arbitrary batch of *other*
+    events' garbage, turning that one delta hugely negative and making
+    two runs incomparable.  Refcount frees — the overwhelming majority
+    in the simulator — are unaffected.
+    """
+
+    __slots__ = ("by_event", "_owns_tracing", "_owns_gc", "_closed",
+                 "_name", "_bytes", "_blocks")
+
+    def __init__(self) -> None:
+        #: qualname -> [events fired, traced bytes delta, block delta]
+        self.by_event: Dict[str, List[int]] = {}
+        self._owns_tracing = not tracemalloc.is_tracing()
+        self._owns_gc = gc.isenabled()
+        self._closed = False
+        self._name = self._bytes = self._blocks = None
+        if self._owns_tracing:
+            tracemalloc.start()
+        gc.disable()
+
+    def begin(self, handle: Any) -> None:
+        callback = handle.callback
+        name = getattr(callback, "__qualname__", None)
+        self._name = repr(callback) if name is None else name
+        self._bytes = tracemalloc.get_traced_memory()[0]
+        self._blocks = sys.getallocatedblocks()
+
+    def end(self) -> None:
+        d_bytes = tracemalloc.get_traced_memory()[0] - self._bytes
+        d_blocks = sys.getallocatedblocks() - self._blocks
+        row = self.by_event.get(self._name)
+        if row is None:
+            row = self.by_event[self._name] = [0, 0, 0]
+        # Drop the marks now, after measuring: the next begin() would
+        # otherwise free them inside its own window.
+        self._name = self._bytes = self._blocks = None
+        row[0] += 1
+        row[1] += d_bytes
+        row[2] += d_blocks
+
+    def _total(self, column: int) -> int:
+        return sum(row[column] for row in self.by_event.values())
+
+    @property
+    def events(self) -> int:
+        return self._total(0)
+
+    def bytes_per_event(self) -> float:
+        return self._total(1) / self.events if self.by_event else 0.0
+
+    def allocs_per_event(self) -> float:
+        return self._total(2) / self.events if self.by_event else 0.0
+
+    def summary(self) -> Dict[str, object]:
+        """JSON-friendly totals plus the per-event-type breakdown."""
+        return {
+            "events": self.events,
+            "traced_bytes": self._total(1),
+            "blocks": self._total(2),
+            "bytes_per_event": round(self.bytes_per_event(), 3),
+            "allocs_per_event": round(self.allocs_per_event(), 3),
+            "by_event": {name: {"events": row[0], "bytes": row[1],
+                                "blocks": row[2]}
+                         for name, row in sorted(self.by_event.items())},
+        }
+
+    def close(self) -> None:
+        """Stop an owned tracemalloc tracer and restore the cyclic
+        collector if it was enabled before profiling.  Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        if self._owns_tracing and tracemalloc.is_tracing():
+            tracemalloc.stop()
+        if self._owns_gc:
+            gc.enable()

@@ -41,7 +41,8 @@ from repro.analysis.chains import ChainStats, summarize_chains
 from repro.analysis.metrics import SwarmMetrics
 from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.config import SwarmConfig
-from repro.experiments.runner import RunAccessors, seeds_for
+from repro.experiments.runner import RunAccessors, check_names, seeds_for
+from repro.sim.engine import SANITIZE_MODES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import ExperimentScale
@@ -110,6 +111,14 @@ class RunSpec:
     sanitize: Union[bool, str] = False
     fault_plan: Optional["FaultPlan"] = None
     config_overrides: Tuple[Tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        # Rejected here, not after a worker's retries and quarantine.
+        check_names(self.protocol, self.arrival, self.series)
+        if isinstance(self.sanitize, str) \
+                and self.sanitize not in SANITIZE_MODES:
+            raise ValueError(f"unknown sanitize mode {self.sanitize!r}; "
+                             f"expected one of {SANITIZE_MODES}")
 
     @classmethod
     def from_kwargs(cls, **kwargs) -> "RunSpec":

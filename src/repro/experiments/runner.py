@@ -219,6 +219,19 @@ SERIES: Dict[str, Callable[[Swarm], Callable[[], tuple]]] = {
 }
 
 
+def check_names(protocol: str, arrival: str,
+                series: Sequence[str]) -> None:
+    """Raise ``ValueError`` for an unknown protocol, arrival model or
+    series name (``RunSpec`` checks at construction)."""
+    for what, names, known in (("protocol", (protocol,), PROTOCOLS),
+                               ("arrival model", (arrival,), ARRIVALS),
+                               ("series", series, SERIES)):
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise ValueError(f"unknown {what} {unknown}; "
+                             f"choose from {sorted(known)}")
+
+
 def run_swarm(protocol: str = "tchain",
               leechers: int = 40,
               freerider_fraction: float = 0.0,
@@ -234,7 +247,6 @@ def run_swarm(protocol: str = "tchain",
               series: Sequence[str] = (),
               setup: Optional[Callable[[Swarm], None]] = None,
               sanitize: object = False,
-              profile: object = False,
               fault_plan=None,
               **config_overrides) -> RunResult:
     """Run one full swarm simulation.
@@ -242,27 +254,18 @@ def run_swarm(protocol: str = "tchain",
     Parameters mirror the paper's experimental knobs; see Sec. IV-A.
     ``series`` names the :data:`SERIES` to record.  ``setup(swarm)``
     runs after the seeder joins, before arrivals: the in-process seam
-    tests attach observers through (no ``RunSpec`` can carry it).
+    tests attach engine sinks through (``swarm.sim.add_observer``; no
+    ``RunSpec`` can carry it).
     ``sanitize`` runs the whole swarm under the simulation sanitizer
     (see :mod:`repro.devtools.sanitizer`); the string ``"races"``
     additionally attaches the same-instant order-sensitivity reporter
     (:class:`~repro.devtools.sanitizer.RaceReporter`, the runtime
-    counterpart of the SL2xx static checks).  ``profile="alloc"``
-    attaches the engine's per-event allocation profiler
-    (:class:`~repro.sim.engine.AllocProfile`, read back via
-    ``result.swarm.sim.profile`` — the runner closes it after the run
-    so tracemalloc does not keep taxing the process).  ``fault_plan``
+    counterpart of the SL2xx static checks).  ``fault_plan``
     attaches a :class:`repro.faults.FaultPlan` through a fresh
     :class:`~repro.faults.FaultInjector`; an idle plan leaves the
     event trace bit-identical to a run without one (docs/FAULTS.md).
     """
-    if arrival not in ARRIVALS:
-        raise ValueError(f"unknown arrival model {arrival!r}; "
-                         f"choose from {ARRIVALS}")
-    unknown = [name for name in series if name not in SERIES]
-    if unknown:
-        raise ValueError(f"unknown series {unknown}; "
-                         f"choose from {sorted(SERIES)}")
+    check_names(protocol, arrival, series)
     if freerider_options is None:
         # Constructed per call: a shared default instance would let a
         # caller's mutation (or a future non-frozen options class)
@@ -271,7 +274,7 @@ def run_swarm(protocol: str = "tchain",
     config = build_config(protocol, file_mb=file_mb, pieces=pieces,
                           piece_size_kb=piece_size_kb, seed=seed,
                           **config_overrides)
-    swarm = Swarm(config, sanitize=sanitize, profile=profile)
+    swarm = Swarm(config, sanitize=sanitize)
     if fault_plan is not None:
         from repro.faults.injector import FaultInjector
         FaultInjector(fault_plan, seed=config.seed).attach(swarm)
@@ -327,10 +330,6 @@ def run_swarm(protocol: str = "tchain",
         # a sanitizer abort so later runs in this process are clean.
         if swarm.sim.races is not None:
             swarm.sim.races.uninstall()
-        # Stop an owned tracemalloc tracer; the collected per-event
-        # profile stays readable on swarm.sim.profile.
-        if swarm.sim.profile is not None:
-            swarm.sim.profile.close()
     return RunResult(protocol=protocol, config=config, swarm=swarm,
                      n_compliant=n_compliant, n_freeriders=n_free,
                      series={name: finish()

@@ -22,6 +22,16 @@ order and firing its head through the heap gives exactly the order the
 same timers would have fired in as individual :meth:`~Simulator.schedule`
 events.
 
+There is one dispatch loop, :meth:`Simulator.run` (:meth:`~Simulator.step`
+is one turn of it), and one ordered list of event *sinks*
+(:meth:`Simulator.add_observer`): the sanitizer, the race reporter,
+trace observers and :class:`repro.devtools.sanitizer.AllocProfile`.
+Around each fired event, every sink's ``begin(handle)`` runs in attach
+order while the handle still holds its callback and before the clock
+moves; then the handle is consumed, the callback runs, and the sinks'
+``end()`` run in reverse attach order, so sinks nest like context
+managers.  With no sink attached the loop fires the heap head inline.
+
 All randomness in a simulation flows through :attr:`Simulator.rng`, a
 single seeded ``random.Random``; running the same scenario with the same
 seed therefore reproduces the same event trace bit-for-bit.
@@ -29,10 +39,7 @@ seed therefore reproduces the same event trace bit-for-bit.
 
 from __future__ import annotations
 
-import gc
 import heapq
-import sys
-import tracemalloc
 from array import array
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -87,95 +94,6 @@ def _noop() -> None:
     """Placeholder callback installed when a handle is cancelled."""
 
 
-class AllocProfile:
-    """Per-event-type allocation profile (``Simulator(profile="alloc")``).
-
-    For every fired event the engine records the delta of
-    ``tracemalloc``'s traced bytes and of the interpreter's live
-    allocation-block count across the callback, keyed by the
-    callback's ``__qualname__`` — the runtime ground truth the static
-    simheat audit (SL301–SL303, docs/DEVTOOLS.md) is validated
-    against.  Deltas can be negative (a callback that frees more than
-    it allocates); sums are kept raw.
-
-    The profile starts ``tracemalloc`` if it is not already tracing
-    and remembers whether it owns the tracer; call :meth:`close` when
-    done to stop an owned tracer (profiling roughly doubles event
-    dispatch cost, which is why it is opt-in).
-
-    The cyclic garbage collector is paused for the lifetime of the
-    profile (restored by :meth:`close`): an opportunistic collection
-    inside a measured callback frees an arbitrary batch of *other*
-    events' garbage, turning that one delta hugely negative and making
-    two runs incomparable.  Refcount frees — the overwhelming majority
-    in the simulator — are unaffected.
-    """
-
-    __slots__ = ("by_event", "_owns_tracing", "_owns_gc", "_closed")
-
-    def __init__(self) -> None:
-        #: qualname -> [events fired, traced bytes delta, block delta]
-        self.by_event: Dict[str, List[int]] = {}
-        self._owns_tracing = not tracemalloc.is_tracing()
-        self._owns_gc = gc.isenabled()
-        self._closed = False
-        if self._owns_tracing:
-            tracemalloc.start()
-        gc.disable()
-
-    def record(self, name: str, d_bytes: int, d_blocks: int) -> None:
-        row = self.by_event.get(name)
-        if row is None:
-            row = self.by_event[name] = [0, 0, 0]
-        row[0] += 1
-        row[1] += d_bytes
-        row[2] += d_blocks
-
-    @property
-    def events(self) -> int:
-        return sum(row[0] for row in self.by_event.values())
-
-    @property
-    def traced_bytes(self) -> int:
-        return sum(row[1] for row in self.by_event.values())
-
-    @property
-    def blocks(self) -> int:
-        return sum(row[2] for row in self.by_event.values())
-
-    def bytes_per_event(self) -> float:
-        events = self.events
-        return self.traced_bytes / events if events else 0.0
-
-    def allocs_per_event(self) -> float:
-        events = self.events
-        return self.blocks / events if events else 0.0
-
-    def summary(self) -> Dict[str, object]:
-        """JSON-friendly totals plus the per-event-type breakdown."""
-        return {
-            "events": self.events,
-            "traced_bytes": self.traced_bytes,
-            "blocks": self.blocks,
-            "bytes_per_event": round(self.bytes_per_event(), 3),
-            "allocs_per_event": round(self.allocs_per_event(), 3),
-            "by_event": {name: {"events": row[0], "bytes": row[1],
-                                "blocks": row[2]}
-                         for name, row in sorted(self.by_event.items())},
-        }
-
-    def close(self) -> None:
-        """Stop an owned tracemalloc tracer and restore the cyclic
-        collector if it was enabled before profiling.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns_tracing and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        if self._owns_gc:
-            gc.enable()
-
-
 _INF = float("inf")
 
 
@@ -210,6 +128,11 @@ class _Lane:
 _Entry = Tuple[float, int, Any]
 
 
+#: What ``Simulator(sanitize=...)`` accepts: off, the invariant
+#: sanitizer, or the sanitizer plus the same-instant race reporter.
+SANITIZE_MODES = (False, True, "races")
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -230,29 +153,20 @@ class Simulator:
         :class:`repro.devtools.sanitizer.RaceReporter` that records
         per-event field-level read/write footprints within each
         timestamp batch and reports same-instant conflicting pairs
-        (the dynamic counterpart of ``simlint``'s SL2xx rules).
-    profile:
-        Pass the string ``"alloc"`` to attach an :class:`AllocProfile`
-        recording per-event-type allocation deltas (tracemalloc bytes
-        + interpreter block counts) on every fired event — the runtime
-        validation side of the simheat SL3xx static audit.  Off by
-        default; profiling forces the instrumented step path.
+        (the dynamic counterpart of ``simlint``'s SL2xx rules).  Both
+        are the first sinks on :attr:`_observers` and stay readable as
+        :attr:`sanitizer` and :attr:`races`.
 
     Timers scheduled with :meth:`after` live in per-delay lanes
     (``_lanes``, delay -> :class:`_Lane`); the heap holds one entry per
     non-empty lane.
     """
 
-    def __init__(self, seed: int = 0, sanitize: object = False,
-                 profile: object = False):
-        if isinstance(sanitize, str) and sanitize != "races":
+    def __init__(self, seed: int = 0, sanitize: object = False):
+        if isinstance(sanitize, str) and sanitize not in SANITIZE_MODES:
             raise SimulatorError(
-                f"unknown sanitize mode {sanitize!r}; expected a bool "
-                f"or the string 'races'")
-        if profile not in (False, None, "alloc"):
-            raise SimulatorError(
-                f"unknown profile mode {profile!r}; expected False or "
-                f"the string 'alloc'")
+                f"unknown sanitize mode {sanitize!r}; expected one of "
+                f"{SANITIZE_MODES}")
         self.now: float = 0.0
         self.rng = Random(seed)
         self.seed = seed
@@ -261,24 +175,35 @@ class Simulator:
         self._seq = 0
         self._events_fired = 0
         self._running = False
-        self._observers: List[Callable[[EventHandle], None]] = []
+        #: The attached sinks, in attach order; ``_begins`` / ``_ends``
+        #: are their bound hooks, ends reversed.
+        self._observers: List[Any] = []
+        self._begins: Tuple[Callable[[EventHandle], None], ...] = ()
+        self._ends: Tuple[Callable[[], None], ...] = ()
         self.sanitizer = None
         self.races = None
-        self.profile: Optional[AllocProfile] = \
-            AllocProfile() if profile == "alloc" else None
         if sanitize:
-            from repro.devtools.sanitizer import SimulationSanitizer
+            from repro.devtools.sanitizer import (RaceReporter,
+                                                  SimulationSanitizer)
             self.sanitizer = SimulationSanitizer(self)
+            self.add_observer(self.sanitizer)
             if sanitize == "races":
-                from repro.devtools.sanitizer import RaceReporter
                 self.races = RaceReporter(self)
+                self.add_observer(self.races)
 
-    def add_observer(self,
-                     observer: Callable[[EventHandle], None]) -> None:
-        """Register a callback invoked with every event handle just
-        before it fires (trace capture, debugging, determinism
-        harnesses).  Observers must not mutate simulation state."""
-        self._observers.append(observer)
+    def add_observer(self, sink: Any) -> None:
+        """Attach an event sink with ``begin(handle)`` and optionally
+        ``end()`` (a plain callable is a begin-only sink); the order is
+        in the module docstring.  A sink attached while an event fires
+        starts at the next event.  Sinks must not mutate simulation
+        state."""
+        self._observers.append(sink)
+        # New tuples, not in-place edits: the firing event keeps the
+        # hooks it began with.
+        self._begins += (getattr(sink, "begin", sink),)
+        end = getattr(sink, "end", None)
+        if end is not None:
+            self._ends = (end,) + self._ends
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -332,9 +257,8 @@ class Simulator:
         distinct delay opens one lane, which leaves the table when it
         empties.  The timer takes the next sequence number, exactly as
         :meth:`schedule` would, so replacing one call by the other
-        changes neither fire order nor event counts.  Observers,
-        sanitizer, race reporter and profiler see it as an
-        :class:`EventHandle` built at fire time, whose callback is a
+        changes neither fire order nor event counts.  Sinks see it as
+        an :class:`EventHandle` built at fire time, whose callback is a
         bound method's function, with the receiver as first argument.
         """
         if not 0.0 <= delay < _INF:
@@ -383,55 +307,11 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Fire the single next pending event.
-
-        Returns ``False`` when no pending event remains (the heap is
-        empty or holds only cancelled handles).
-        """
-        heap = self._heap
-        while heap:
-            time, seq, handle = heap[0]
-            if handle.__class__ is _Lane:
-                handle = EventHandle(time, seq, *self._pop_lane(handle))
-            else:
-                heapq.heappop(heap)
-                if handle.cancelled:
-                    continue
-            if self.sanitizer is not None:
-                self.sanitizer.on_event(handle)
-            races = self.races
-            if races is not None:
-                # Must see the handle before its callback is cleared so
-                # the conflict provenance can name it.
-                races.on_event_begin(handle)
-            if self._observers:
-                for observer in self._observers:
-                    observer(handle)
-            self.now = handle.time
-            callback, args = handle.callback, handle.args
-            # Mark consumed before user code runs: a cancel() from the
-            # callback is then a no-op.
-            handle.cancelled = True
-            handle.callback = _noop
-            handle.args = ()
-            handle.fired = True
-            profile = self.profile
-            if profile is not None:
-                name = getattr(callback, "__qualname__", repr(callback))
-                before_bytes = tracemalloc.get_traced_memory()[0]
-                before_blocks = sys.getallocatedblocks()
-                callback(*args)
-                profile.record(
-                    name,
-                    tracemalloc.get_traced_memory()[0] - before_bytes,
-                    sys.getallocatedblocks() - before_blocks)
-            else:
-                callback(*args)
-            if races is not None:
-                races.on_event_end()
-            self._events_fired += 1
-            return True
-        return False
+        """Fire the next pending event, as one turn of :meth:`run`'s
+        loop; ``False`` when none remains."""
+        fired = self._events_fired
+        self.run(max_events=1)
+        return self._events_fired != fired
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None,
@@ -451,18 +331,16 @@ class Simulator:
         unfired and the clock where the last fired event left it: no
         advance to ``until``.  A caller with termination rules of its
         own (:meth:`repro.bt.swarm.Swarm.run`) passes them here rather
-        than looping over ``peek_time()`` / ``step()``, so its events
-        take the inlined fast path below.
+        than looping over ``peek_time()`` / ``step()``.
         """
         if self._running:
             raise SimulatorError("run() is not reentrant")
         self._running = True
         stopped = False
         fired = 0
-        fast_fired = 0  # _events_fired owed by the inlined fast path
         heap = self._heap
         heappop = heapq.heappop
-        observers = self._observers
+        sinks = self._observers
         lane_cls, pop_lane = _Lane, self._pop_lane
         try:
             while heap:
@@ -478,32 +356,38 @@ class Simulator:
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                if self.sanitizer is None and not observers \
-                        and self.profile is None:
-                    # Fast path: `head` is the verified-live heap top,
-                    # so pop and fire inline, skipping instrumentation
-                    # dispatch and the step() re-scan.
-                    if handle.__class__ is lane_cls:
-                        func, args = pop_lane(handle)
+                # Bind every local before begin(): a rebind frees the
+                # last event's objects, inside a profile's window.
+                if handle.__class__ is lane_cls:
+                    callback, args = pop_lane(handle)
+                    if not sinks:
                         self.now = head[0]
-                        func(*args)
-                        fast_fired += 1
+                        callback(*args)
                         fired += 1
                         continue
+                    handle = EventHandle(head[0], head[1], callback, args)
+                else:
                     heappop(heap)
-                    self.now = head[0]
                     callback, args = handle.callback, handle.args
-                    handle.cancelled = True
-                    handle.callback = _noop
-                    handle.args = ()
-                    handle.fired = True
-                    callback(*args)
-                    fast_fired += 1
-                    fired += 1
-                elif self.step():
-                    fired += 1
+                if sinks:
+                    ends = self._ends
+                    for begin in self._begins:
+                        begin(handle)
+                else:
+                    ends = ()
+                self.now = head[0]
+                # Consumed before user code runs: a cancel() is a no-op.
+                handle.cancelled = True
+                handle.callback = _noop
+                handle.args = ()
+                handle.fired = True
+                callback(*args)
+                if ends:
+                    for end in ends:
+                        end()
+                fired += 1
         finally:
-            self._events_fired += fast_fired
+            self._events_fired += fired
             self._running = False
         if until is not None and not stopped and self.now < until:
             self.now = until

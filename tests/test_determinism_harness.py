@@ -8,6 +8,7 @@ statistics — across repeated runs.
 """
 
 from repro.experiments import run_swarm
+from tests.test_golden_traces import trace_observer
 
 
 def traced_run(seed, **kwargs):
@@ -20,11 +21,7 @@ def traced_run(seed, **kwargs):
     trace = []
 
     def setup(swarm):
-        swarm.sim.add_observer(
-            lambda handle: trace.append(
-                (handle.time, handle.seq,
-                 getattr(handle.callback, "__qualname__",
-                         repr(handle.callback)))))
+        swarm.sim.add_observer(trace_observer(trace))
 
     result = run_swarm(arrival="flash", seed=seed, setup=setup,
                        **kwargs)

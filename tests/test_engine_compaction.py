@@ -1,10 +1,10 @@
-"""Lazy deletion and fast-path equivalence tests.
+"""Lazy deletion and observed/unobserved equivalence tests.
 
 A cancelled event stays in the heap until its time comes up and is
 skipped there; it must neither fire, count, nor pin what it referred
-to.  The observer-free fast path in ``run()`` must be invisible to the
-simulation: pop order is a pure function of ``(time, seq)``, so clock,
-counters and rng stream agree with the instrumented path.
+to.  Attaching a sink must be invisible to the simulation: pop order
+is a pure function of ``(time, seq)``, so clock, counters and rng
+stream agree with and without one.
 """
 
 import gc
@@ -104,8 +104,8 @@ class TestLazyDeletion:
 
 class TestFastPath:
     def test_fast_path_equivalent_to_observed_path(self):
-        # No observer -> run() inlines pop+fire; an observer forces
-        # the step() path.  Clock, counters and rng stream must agree.
+        # No sink -> run() fires inline; a sink adds its hooks around
+        # each event.  Clock, counters and rng stream must agree.
         def final_state(observed):
             sim = Simulator(seed=3)
             _setup_churn(sim)

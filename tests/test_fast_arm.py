@@ -1,14 +1,15 @@
-"""The fast arm is the observed arm.
+"""Observing a run does not change it.
 
-``Simulator.run`` has two arms: the inlined pop-and-fire path taken
-when nothing is attached, and the instrumented ``step()`` path taken
-under an observer, the sanitizer or the allocation profiler.  The
-golden traces attach an observer, so they pin the instrumented arm
-only; every benchmark workload and every figure runs the other one
-(``Swarm.run`` hands its termination rules to ``Simulator.run`` as a
-``stop`` predicate and has no loop of its own).  Here each golden
-scenario is run both ways and must agree on everything a run leaves
-behind, including the generator state and the reason it stopped.
+``Simulator.run`` has one loop: with a sink attached (an observer,
+the sanitizer, the race reporter, an allocation profile) each event
+passes through the sinks' ``begin`` / ``end`` hooks, and with none it
+is fired inline.  The golden traces attach an observer, so they pin
+the observed runs only; every benchmark workload and every figure runs
+unobserved (``Swarm.run`` hands its termination rules to
+``Simulator.run`` as a ``stop`` predicate and has no loop of its own).
+Here each golden scenario is run both ways and must agree on
+everything a run leaves behind, including the generator state and the
+reason it stopped.
 """
 
 import pytest
@@ -73,7 +74,8 @@ def leftovers(result):
 
 
 def both_arms(**kwargs):
-    """``(observed, unobserved)`` leftovers of one scenario."""
+    """The golden digest plus ``(observed, unobserved)`` leftovers of
+    one scenario."""
     digest, observed = traced_run(**kwargs)
     unobserved = run_swarm(**kwargs)
     assert observed.swarm.sim._observers

@@ -10,7 +10,17 @@ loss, delay and upload stalls, with and without free-riders; both
 runs are sanitized (which leaves the trace unchanged).
 
 A digest that moves means the simulation moved; regenerate only for a
-change that is meant to alter traces, and say so.
+change that is meant to alter traces.
+
+Licence v0 (the same as for ``tests/test_golden_traces.py``): a PR
+may regenerate these digests only when all four hold:
+
+1. the shape suite (``pytest benchmarks --ignore=benchmarks/perf``)
+   passes, with the regenerated ``benchmarks/out`` committed;
+2. CHANGES.md lists every ``benchmarks/out`` row that moved, with its
+   parent value beside the new one;
+3. no compliant completion rate falls in any table;
+4. the PR says in one sentence why the trace had to move.
 """
 
 import dataclasses

@@ -12,7 +12,16 @@ under whitewashing free-riders, trace-arrival churn, a lossy multi-DC
 substrate and a Sybil group pooling one piece book.
 
 A digest that moves means the simulation moved.  Regenerate only for a
-change that is *meant* to alter traces, and say so in the PR.
+change that is *meant* to alter traces.
+
+Licence v0: a PR may regenerate these digests only when all four hold:
+
+1. the shape suite (``pytest benchmarks --ignore=benchmarks/perf``)
+   passes, with the regenerated ``benchmarks/out`` committed;
+2. CHANGES.md lists every ``benchmarks/out`` row that moved, with its
+   parent value beside the new one;
+3. no compliant completion rate falls in any table;
+4. the PR says in one sentence why the trace had to move.
 """
 
 import hashlib
@@ -90,18 +99,23 @@ def record_rows(result):
         for r in result.metrics.records)
 
 
-def traced_run(setup=None, **kwargs):
-    """One ``run_swarm`` returning ``(digest, result)``."""
-    trace = []
-
+def trace_observer(trace):
+    """An engine sink appending ``(time, seq, callback qualname)`` of
+    every fired event to ``trace``."""
     def observe(handle):
         callback = handle.callback
         trace.append((handle.time, handle.seq,
                       getattr(callback, "__qualname__",
                               type(callback).__name__)))
+    return observe
+
+
+def traced_run(setup=None, **kwargs):
+    """One ``run_swarm`` returning ``(digest, result)``."""
+    trace = []
 
     def instrument(swarm):
-        swarm.sim.add_observer(observe)
+        swarm.sim.add_observer(trace_observer(trace))
         if setup is not None:
             setup(swarm)
 

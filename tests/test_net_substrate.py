@@ -25,6 +25,7 @@ from repro.faults import (
     FaultPlanError,
     NetworkPartition,
 )
+from tests.test_golden_traces import trace_observer
 
 #: All-zero substrate: attached but physically inert.
 IDLE_NET = {"topology": "star", "nodes": 4}
@@ -38,11 +39,7 @@ def traced_run(extra, seed=7, protocol="tchain", **kwargs):
     trace = []
 
     def setup(swarm):
-        swarm.sim.add_observer(
-            lambda handle: trace.append(
-                (handle.time, handle.seq,
-                 getattr(handle.callback, "__qualname__",
-                         repr(handle.callback)))))
+        swarm.sim.add_observer(trace_observer(trace))
 
     kwargs.setdefault("leechers", 10)
     kwargs.setdefault("pieces", 8)

@@ -72,6 +72,21 @@ class TestRunSpec:
     def test_specs_hashable(self):
         assert len({SPEC, replace(SPEC, seed=SPEC.seed)}) == 1
 
+    @pytest.mark.parametrize("bad", [
+        dict(protocol="tchian"), dict(arrival="burst"),
+        dict(series=("chains", "chain")), dict(sanitize="race")])
+    def test_unknown_names_rejected_at_construction(self, bad):
+        """Not in a worker, where a bad spec is retried and then
+        quarantined instead of reported."""
+        with pytest.raises(ValueError, match="unknown"):
+            replace(SPEC, **bad)
+        with pytest.raises(ValueError, match="unknown"):
+            RunSpec.from_kwargs(**bad)
+
+    def test_every_known_name_accepted(self):
+        RunSpec(protocol="dandelion", arrival="churn", sanitize="races",
+                series=("chains", "diversity", "initiators", "piece_log"))
+
 
 class TestBitIdentical:
     def test_parallel_matches_serial(self):

@@ -134,8 +134,8 @@ class TestCancellation:
         assert "fired" in repr(fired_h)
 
     def test_fired_flag_set_under_observers_too(self):
-        # The slow path (step()) consumes events separately from the
-        # observer-free fast loop; both must mark the handle.
+        # A handle seen by a sink is consumed after its begin(); it
+        # must still end up marked as fired.
         sim = Simulator()
         sim.add_observer(lambda handle: None)
         handle = sim.schedule(1.0, lambda: None)
@@ -243,6 +243,92 @@ class TestRun:
         sim.schedule(1.0, reenter)
         sim.run()
         assert len(errors) == 1
+
+
+class Sink:
+    """Logs its hooks; ``begin`` checks what a sink may rely on."""
+
+    def __init__(self, sim, name, log):
+        self.sim, self.name, self.log = sim, name, log
+
+    def begin(self, handle):
+        assert handle.pending and self.sim.now < handle.time
+        self.log.append(("begin", self.name, handle.seq))
+
+    def end(self):
+        self.log.append(("end", self.name))
+
+
+class TestSinks:
+    def test_begin_in_attach_order_end_in_reverse(self):
+        sim = Simulator()
+        log = []
+        sim.add_observer(Sink(sim, "a", log))
+        sim.add_observer(lambda handle: log.append(("plain", handle.seq)))
+        sim.add_observer(Sink(sim, "b", log))
+        sim.schedule(1.0, log.append, ("fire",))
+        sim.after(2.0, log.append, ("laned",))
+        sim.run()
+        assert log == [("begin", "a", 0), ("plain", 0), ("begin", "b", 0),
+                       ("fire",), ("end", "b"), ("end", "a"),
+                       ("begin", "a", 1), ("plain", 1), ("begin", "b", 1),
+                       ("laned",), ("end", "b"), ("end", "a")]
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_sink_attached_mid_event_starts_at_the_next_event(
+            self, observed):
+        sim = Simulator()
+        log = []
+        if observed:
+            sim.add_observer(lambda handle: None)
+        sim.schedule(1.0, lambda: sim.add_observer(Sink(sim, "late", log)))
+        sim.schedule(2.0, log.append, ("fire",))
+        sim.run()
+        assert log == [("begin", "late", 1), ("fire",), ("end", "late")]
+
+    def test_outer_sink_stays_out_of_the_profile_window(self):
+        """Sinks nest: one attached before the profile runs its hooks
+        outside the profile's window, even when they allocate."""
+        from repro.devtools.sanitizer import AllocProfile
+
+        class Allocating:
+            def __init__(self):
+                self.kept = []
+
+            def begin(self, handle):
+                self.kept.append([0] * 64)
+
+            def end(self):
+                self.kept.append([0] * 64)
+
+        def rows(*outer):
+            sim = Simulator()
+            garbage = []
+            for i in range(30):
+                sim.schedule(float(i), garbage.append, [0] * 16)
+                sim.schedule(float(i), lambda: None)
+            for sink in outer:
+                sim.add_observer(sink)
+            prof = AllocProfile()
+            try:
+                sim.add_observer(prof)
+                sim.run()
+            finally:
+                prof.close()
+            return prof.by_event
+
+        rows()  # warm-up: first calls may fill interpreter caches
+        assert rows(Allocating()) == rows()
+
+    def test_step_is_one_turn_of_run(self):
+        sim = Simulator()
+        log = []
+        sim.add_observer(Sink(sim, "s", log))
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        assert sim.step() is True
+        assert log == [("begin", "s", 0), ("end", "s")]
+        assert (sim.now, sim.events_fired, sim.pending_events) == (1.0, 1, 1)
 
 
 class TestDeterminism:

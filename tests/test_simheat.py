@@ -5,7 +5,7 @@ validates it.
 Static half: planted fixtures through :func:`ProjectIndex.build` →
 :func:`run_simheat` must flag hot-path allocations with the full
 seed→function chain, and the real tree must be clean modulo the
-checked-in justified baseline.  Runtime half: ``profile="alloc"``
+checked-in justified baseline.  Runtime half: an ``AllocProfile`` sink
 must attribute bytes/blocks to the event types the static pass calls
 hot, and a pinned allocation ceiling guards the transfer path.
 Baseline hygiene: fingerprints survive line moves, stale entries
@@ -23,7 +23,8 @@ from repro.devtools.callgraph import ProjectIndex, render_chain
 from repro.devtools.allocsum import run_simheat
 from repro.devtools.hotpath import FREQ_EVENT, FREQ_ROUND, infer_hot_regions
 from repro.devtools.rules import Finding
-from repro.sim.engine import Simulator, SimulatorError
+from repro.devtools.sanitizer import AllocProfile
+from repro.sim.engine import Simulator
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(REPO, "simlint-baseline.json")
@@ -324,9 +325,24 @@ class TestDeepSimheatCache:
 # ----------------------------------------------------------------------
 # runtime allocation profiler
 # ----------------------------------------------------------------------
+def profiled_run(**kwargs):
+    """One ``run_swarm`` with an :class:`AllocProfile` sink attached
+    for the whole run; returns the closed profile."""
+    from repro.experiments.runner import run_swarm
+    prof = AllocProfile()
+    try:
+        run_swarm(setup=lambda swarm: swarm.sim.add_observer(prof),
+                  **kwargs)
+    finally:
+        prof.close()
+    return prof
+
+
 class TestAllocProfiler:
     def test_profile_attributes_by_event_type(self):
-        sim = Simulator(seed=0, profile="alloc")
+        sim = Simulator(seed=0)
+        prof = AllocProfile()
+        sim.add_observer(prof)
         try:
             garbage = []
 
@@ -340,7 +356,6 @@ class TestAllocProfiler:
                 sim.schedule(1.0, churn)
                 sim.schedule(1.0, quiet)
             sim.run()
-            prof = sim.profile
             assert prof.events == 40
             by_event = prof.by_event
             churn_key = next(k for k in by_event if "churn" in k)
@@ -353,42 +368,29 @@ class TestAllocProfiler:
             assert summary["events"] == 40
             assert summary["bytes_per_event"] > 0
         finally:
-            sim.profile.close()
+            prof.close()
 
     def test_close_restores_gc_and_is_idempotent(self):
         import gc
         assert gc.isenabled()
-        sim = Simulator(seed=0, profile="alloc")
+        prof = AllocProfile()
         assert not gc.isenabled()
-        sim.profile.close()
+        prof.close()
         assert gc.isenabled()
-        sim.profile.close()
+        prof.close()
         assert gc.isenabled()
-
-    def test_invalid_profile_value_rejected(self):
-        try:
-            Simulator(seed=0, profile="cpu")
-        except SimulatorError as exc:
-            assert "alloc" in str(exc)
-        else:
-            raise AssertionError("bad profile string accepted")
-
-    def test_plain_sim_attaches_no_profiler(self):
-        assert Simulator(seed=0).profile is None
 
     def test_profiler_confirms_static_sl301_regions(self):
         """Runtime cross-check of the static audit: event types whose
         handlers the simheat pass flags (SL301/SL302 over ``src``)
         must show up in a profiled run as measured allocators."""
-        from repro.experiments.runner import run_swarm
         with open(BASELINE, "r", encoding="utf-8") as fh:
             flagged_files = {fp.split(":")[1]
                              for fp in json.load(fh)["fingerprints"]
                              if fp.startswith("SL30")}
         assert flagged_files, "no SL3xx inventory to cross-check"
-        result = run_swarm(protocol="tchain", leechers=40, pieces=4,
-                           seed=7, profile="alloc")
-        prof = result.swarm.sim.profile
+        prof = profiled_run(protocol="tchain", leechers=40, pieces=4,
+                            seed=7)
         # Transfer completion drives the transfer path the audit
         # flags (peer.py pump/upload chain); it must be hot at
         # runtime too, with real allocation traffic attributed.
@@ -410,12 +412,9 @@ class TestAllocCeiling:
     MAX_ALLOCS_PER_EVENT = 20.0
 
     def test_quick_crowd_allocation_under_ceiling(self):
-        from repro.experiments.runner import run_swarm
-        result = run_swarm(protocol="tchain", seed=7, pieces=4,
-                           piece_size_kb=64.0, leechers=300,
-                           freerider_fraction=0.0, arrival="flash",
-                           profile="alloc")
-        prof = result.swarm.sim.profile
+        prof = profiled_run(protocol="tchain", seed=7, pieces=4,
+                            piece_size_kb=64.0, leechers=300,
+                            freerider_fraction=0.0, arrival="flash")
         assert prof.events > 1000
         assert prof.bytes_per_event() < self.MAX_BYTES_PER_EVENT, (
             f"{prof.bytes_per_event():.1f} B/event over the "
@@ -457,6 +456,38 @@ class TestFingerprint:
         renamed = self._finding(self._hot(0, name="on_have"))
         assert lint_output.fingerprint(renamed) \
             != lint_output.fingerprint(base)
+
+    #: The two CI lint gates (.github/workflows/ci.yml), as CLI args.
+    CI_GATES = (
+        ["lint", "--strict-suppressions"],
+        ["lint", "--deep", "--strict-suppressions",
+         "--baseline", "simlint-baseline.json"])
+    SHIFTED = ("src/repro/bt/protocols/tchain.py", "src/repro/sim/engine.py")
+
+    def test_ci_gates_stay_clean_when_baselined_files_shift(
+            self, tmp_path, monkeypatch):
+        """Blank lines on top of two files holding baselined findings
+        move every one of them; with the checked-in baseline both
+        gates must still exit 0 on the copied tree."""
+        import shutil
+        with open(BASELINE, "r", encoding="utf-8") as fh:
+            recorded = json.load(fh)["fingerprints"]
+        for rel in self.SHIFTED:
+            assert any(f":{rel}:" in fp for fp in recorded), rel
+        for name in ("src", "tests", "examples", "benchmarks"):
+            shutil.copytree(os.path.join(REPO, name), tmp_path / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        for name in ("pyproject.toml", "simlint-baseline.json"):
+            shutil.copy(os.path.join(REPO, name), tmp_path / name)
+        for rel in self.SHIFTED:
+            path = tmp_path / rel
+            path.write_text("\n\n\n" + path.read_text(encoding="utf-8"),
+                            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        for gate in self.CI_GATES:
+            code = main(gate + ["src/", "tests/", "examples/",
+                                "benchmarks/"])
+            assert code == 0, gate
 
 
 # ----------------------------------------------------------------------

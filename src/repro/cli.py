@@ -171,9 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     lint_p.add_argument("--deep", action="store_true",
-                        help="whole-program passes: simrace "
-                             "same-instant commutativity "
-                             "(SL201-SL203) and simheat hot-path "
+                        help="whole-program pass: simheat hot-path "
                              "allocation audit (SL301-SL303)")
     lint_p.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text",

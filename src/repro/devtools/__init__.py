@@ -7,8 +7,7 @@ Three complementary layers:
   (SL0xx) catching nondeterminism hazards at review time.
 * :mod:`repro.devtools.deep` — the whole-program layer (``repro lint
   --deep``) over one project index (:mod:`repro.devtools.callgraph`):
-  simrace (SL201-SL203) and simheat (SL301-SL303), with a
-  content-hash findings cache,
+  simheat (SL301-SL303), with a content-hash findings cache,
   baseline support and JSON/SARIF output
   (:mod:`repro.devtools.output`).
 * :mod:`repro.devtools.sanitizer` — the runtime simulation sanitizer

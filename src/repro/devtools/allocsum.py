@@ -38,7 +38,7 @@ offending site so an inline simlint ``disable=SL30x`` suppression on
 that line covers it; the message lists up to three sites plus the
 hot chain.  ``tests/``, ``examples/`` and ``benchmarks/`` trees are
 out of scope — scenario builders allocate freely by design — and so
-is ``devtools/`` itself: sanitizer/race-reporter observers run only
+is ``devtools/`` itself: the sanitizer and profiler sinks run only
 in opt-in diagnostic modes that deliberately trade allocation for
 observability (the default fast path never invokes them).
 """

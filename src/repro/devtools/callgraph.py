@@ -1,10 +1,10 @@
 """The one project index behind ``simlint --deep``.
 
 The per-file rules (:mod:`repro.devtools.rules`) see one module at a
-time, so a handler's effects or allocations reached through helper
-calls two modules away are invisible to them.  Every deep pass
-(per-file rules on a cache miss, effects/races, hot regions/
-allocations) reads the same :class:`ProjectIndex`, built from one
+time, so a handler's allocations reached through helper calls two
+modules away are invisible to them.  Every deep pass
+(per-file rules on a cache miss, hot regions/allocations) reads the
+same :class:`ProjectIndex`, built from one
 ``ast.parse`` per file:
 
 * a **module map** — every linted file named by the dotted module the
@@ -23,8 +23,8 @@ allocations) reads the same :class:`ProjectIndex`, built from one
 * the **schedule-site table** — every ``schedule`` / ``schedule_at``
   / ``call_now`` / ``after`` / ``PeriodicTask`` site with a resolved
   handler, once
-  (:attr:`ProjectIndex.schedule_sites`); hot-region seeding and race
-  bucketing are small functions over it.
+  (:attr:`ProjectIndex.schedule_sites`); hot-region seeding is a
+  small function over it.
 
 Resolution is deliberately conservative-but-useful.  An attribute call
 on an unknown receiver resolves by name only when exactly one class
@@ -38,8 +38,7 @@ unresolved and the deep passes treat it as opaque: precision errs
 toward *missing* exotic flows rather than inventing them.
 
 The diagnostic chains every pass prints share one :class:`Step` type
-and one :func:`render_chain`; the effect summaries converge through
-one bounded :func:`fixpoint`.
+and one :func:`render_chain`.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field, replace
-from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Set, Tuple, TypeVar)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rules import Finding, dotted_name, enclosing_scope
 
@@ -67,9 +65,6 @@ _SOURCE_ROOTS = ("src",)
 _BUILTIN_METHOD_NAMES = frozenset(
     name for kind in (list, dict, set, str, bytes, tuple)
     for name in dir(kind))
-
-#: Fixpoint iteration cap for the summary pass (call-graph diameter).
-MAX_ROUNDS = 25
 
 
 def module_name_for(path: str) -> str:
@@ -98,11 +93,10 @@ def _under_source_root(path: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Diagnostic chains and summary fixpoints, shared by every deep pass
+# Diagnostic chains, shared by every deep pass
 # ----------------------------------------------------------------------
 class Step(NamedTuple):
-    """One link of a diagnostic chain (an effect trace, a hot-region
-    provenance)."""
+    """One link of a diagnostic chain (a hot-region provenance)."""
 
     text: str
     path: str
@@ -119,29 +113,6 @@ def short(qualname: str) -> str:
     """``Class.method`` (or ``module.func``) for diagnostics."""
     return ".".join(qualname.split(".")[-2:])
 
-
-F = TypeVar("F")
-S = TypeVar("S")
-
-
-def fixpoint(summaries: Dict[str, S], facts: Mapping[str, F],
-             summarize: Callable[[F], S]) -> Dict[str, S]:
-    """Re-summarize every function until no summary changes.
-
-    ``summaries`` is updated in place (``summarize`` reads callee
-    summaries from it) and returned; iteration stops after
-    :data:`MAX_ROUNDS` rounds even if a summary still grows.
-    """
-    for _ in range(MAX_ROUNDS):
-        changed = False
-        for qualname, fact in facts.items():
-            new = summarize(fact)
-            if new != summaries[qualname]:
-                summaries[qualname] = new
-                changed = True
-        if not changed:
-            break
-    return summaries
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +157,6 @@ class ScheduleSite(NamedTuple):
     method: str                   # the scheduling call's name
     line: int
     delay: Optional[ast.AST]      # schedule / schedule_at / after arg 0
-    interval: Optional[ast.AST]   # PeriodicTask interval
-    first_delay: Optional[ast.AST]  # PeriodicTask first_delay=
 
 
 def _own_nodes(node: ast.AST, module_level: bool) -> List[ast.AST]:
@@ -524,7 +493,7 @@ class ProjectIndex:
                        node: ast.Call) -> Optional[ScheduleSite]:
         """The schedule-site record of one call, if it is one."""
         func = node.func
-        delay = interval = first_delay = None
+        delay = None
         if isinstance(func, ast.Attribute) \
                 and func.attr in SCHEDULE_METHODS:
             method = func.attr
@@ -540,16 +509,13 @@ class ProjectIndex:
                 return None
             args = dict(zip(("interval", "callback"), node.args[1:3]))
             for kw in node.keywords:
-                if kw.arg in ("interval", "callback", "first_delay"):
+                if kw.arg in ("interval", "callback"):
                     args[kw.arg] = kw.value
             callback = args.get("callback")
-            interval = args.get("interval")
-            first_delay = args.get("first_delay")
-            if interval is None or callback is None:
+            if "interval" not in args or callback is None:
                 return None
         handler = self.resolve_callable(info, callback)
         if handler is None:
             return None
         return ScheduleSite(caller=info, handler=handler, method=method,
-                            line=node.lineno, delay=delay,
-                            interval=interval, first_delay=first_delay)
+                            line=node.lineno, delay=delay)

@@ -3,9 +3,6 @@
 Composes the analysis passes over one file set:
 
 * per-file rule findings (SL0xx, via :mod:`repro.devtools.rules`);
-* same-instant commutativity races (SL201–SL203, whole-program, via
-  :mod:`repro.devtools.races` over the effect summaries of
-  :mod:`repro.devtools.effects`);
 * hot-path allocation audit (SL301–SL303, whole-program, via
   :mod:`repro.devtools.allocsum` over the hot regions of
   :mod:`repro.devtools.hotpath`).
@@ -13,18 +10,17 @@ Composes the analysis passes over one file set:
 One index: when anything must be recomputed, ``run_deep`` builds one
 :class:`~repro.devtools.callgraph.ProjectIndex` — one ``ast.parse``
 per file — and every pass reads it: the per-file rules take
-``index.trees``, the whole-program passes the symbol table, call
-graph and schedule-site table.  A fully warm run parses nothing.
+``index.trees``, the whole-program pass the symbol table, call graph
+and schedule-site table.  A fully warm run parses nothing.
 
 Caching model — two slots, honest about scope:
 
 * rule findings are **file-local**, so they are cached per file under
   the file's content sha256 (``files``);
-* race and simheat findings depend on the entire call graph, so they
-  are cached together under one whole-project fingerprint (the hash
-  of every file's hash, the ``project`` slot): touching *any* file
-  re-runs both, and they always hit or miss together
-  (``stats["project_reused"]``).
+* simheat findings depend on the entire call graph, so they are
+  cached under one whole-project fingerprint (the hash of every
+  file's hash, the ``project`` slot): touching *any* file re-runs the
+  pass (``stats["project_reused"]``).
 
 Suppression comments are re-read every run (they live in the files,
 so an edited comment changes the hash anyway) and usage is tracked
@@ -47,15 +43,13 @@ from repro.devtools.allocsum import run_simheat
 from repro.devtools.analyzer import (SuppressionIndex, iter_python_files,
                                      raw_findings, syntax_error_finding)
 from repro.devtools.callgraph import ProjectIndex
-from repro.devtools.races import run_races
 from repro.devtools.rules import Finding
 
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 DEFAULT_CACHE = ".simlint-cache.json"
 
 #: Deep-only rule ids (metadata-registered in rules.py; produced here).
-DEEP_RULES = ("SL201", "SL202", "SL203",
-              "SL301", "SL302", "SL303")
+DEEP_RULES = ("SL301", "SL302", "SL303")
 
 
 def _sha256(text: str) -> str:
@@ -164,7 +158,7 @@ def run_deep(paths: Sequence[str],
                for path in files}
     reused = sum(entry is not None for entry in entries.values())
     # Whole-project fingerprint: any content change re-runs the
-    # whole-program passes (races, simheat) together.
+    # whole-program pass (simheat).
     project_hash = _sha256(json.dumps(
         [[p.replace(os.sep, "/"), digests[p]] for p in files]))
     project_reused = cache.project.get("fingerprint") == project_hash
@@ -191,11 +185,9 @@ def run_deep(paths: Sequence[str],
     if project_reused:
         project_findings = _decode(cache.project.get("findings", []))
     else:
-        project_findings = []
-        for name, run in (("races", run_races), ("simheat", run_simheat)):
-            t0 = _now()
-            project_findings += _rule_filter(run(index), enabled_list)
-            timings[f"{name}_s"] = _now() - t0
+        t0 = _now()
+        project_findings = _rule_filter(run_simheat(index), enabled_list)
+        timings["simheat_s"] = _now() - t0
     cache.save(entries, {"fingerprint": project_hash,
                          "findings": _encode(project_findings)})
 

@@ -3,8 +3,8 @@
 Every function in the project is assigned a **static frequency
 class** — how often it runs relative to the simulation's event loop —
 by seeding the call graph (:mod:`repro.devtools.callgraph`) from the
-index's schedule-site table (the same sites :mod:`repro.devtools.races`
-buckets) and propagating along call and schedule-callback edges:
+index's schedule-site table and propagating along call and
+schedule-callback edges:
 
 * ``event`` — runs once per simulation event (or a constant multiple
   of it).  Seeds: ``call_now(...)`` / ``schedule(0, ...)`` sites,

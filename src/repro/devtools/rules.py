@@ -16,12 +16,6 @@ SL009     stale ``# simlint: disable=...`` comment that no longer
 SL013     stale baseline entry: a ``--baseline`` fingerprint whose
           finding no longer fires (warning; prune with
           ``--prune-baseline``)
-SL201     simrace: co-schedulable handlers write conflicting state
-          (same-instant firing order changes the final value)
-SL202     simrace: co-schedulable read/write overlap (what one
-          handler observes depends on seq order)
-SL203     simrace: periodic handler provably unsafe to coalesce
-          (its instances' same-tick invocations do not commute)
 SL301     simheat: allocation in a per-event hot path (each event
           pays it; the per-event garbage bill at 10^5 peers)
 SL302     simheat: O(peers)/O(pieces)-scale copy or rescan in a
@@ -340,7 +334,7 @@ class AdHocParallelismRule(Rule):
 # CLI (`--list-rules`, `--enable`), config validation and suppression
 # comments know them.  Their ``check`` yields nothing — the analyzer
 # (SL009), the CLI's baseline bookkeeping (SL013) and the --deep
-# driver (SL2xx, SL3xx) emit the findings.
+# driver (SL3xx) emit the findings.
 # ----------------------------------------------------------------------
 class MetaRule(Rule):
     """A rule id whose findings come from a pass outside the per-file
@@ -385,63 +379,6 @@ class StaleBaselineEntryRule(MetaRule):
     name = "stale-baseline-entry"
     description = ("baseline fingerprint that matches no current "
                    "finding; prune with --prune-baseline (warning)")
-
-
-@register
-class RaceConflictingWritesRule(MetaRule):
-    """SL201: two handlers that can fire at the same instant both
-    write a matching state field (and the writes do not commute).
-
-    The engine's ``(time, seq)`` tie-break makes the outcome
-    deterministic *today*, but the order is load-bearing: coalescing,
-    batching, or any reordering of same-instant events changes the
-    final value.  Emitted by the simrace pass of ``repro lint
-    --deep``; the diagnostic carries both schedule-site→field effect
-    chains.
-    """
-
-    id = "SL201"
-    name = "race-conflicting-writes"
-    description = ("co-schedulable handlers write conflicting state "
-                   "(--deep, simrace)")
-
-
-@register
-class RaceReadWriteOverlapRule(MetaRule):
-    """SL202: a handler reads state that a co-schedulable handler
-    writes — what the reader observes depends on the same-instant
-    ``seq`` order.
-
-    Relies on the engine's same-time FIFO contract (pinned by the
-    property tests in ``tests/test_engine_ordering.py``); any
-    transform that breaks that contract flips these reads.  Emitted
-    by the simrace pass of ``repro lint --deep``.
-    """
-
-    id = "SL202"
-    name = "race-read-write-overlap"
-    description = ("co-schedulable handler reads state another "
-                   "writes at the same instant (--deep, simrace)")
-
-
-@register
-class RaceUncoalescableTimerRule(MetaRule):
-    """SL203: a periodic timer handler is provably unsafe to coalesce.
-
-    Collapsing N same-tick invocations into one batch, or permuting
-    them, is only trace-safe when the invocations commute with each
-    other: a handler that draws from the shared rng, plainly writes
-    shared/unknown-receiver state, or reads what another instance's
-    invocation writes, does not.  Emitted by the simrace pass of
-    ``repro lint --deep``; a baselined SL203 is the checked-in
-    inventory of timers whose same-instant order the trace depends
-    on.
-    """
-
-    id = "SL203"
-    name = "race-uncoalescable-timer"
-    description = ("periodic handler provably unsafe to coalesce "
-                   "(--deep, simrace)")
 
 
 @register

@@ -314,10 +314,10 @@ class TestDeepSimheatCache:
         cache = str(tmp_path / "cache.json")
         cold = run_deep([str(mod)], cache_path=cache)
         warm = run_deep([str(mod)], cache_path=cache)
-        for key in ("files_s", "index_s", "races_s", "simheat_s"):
+        for key in ("files_s", "index_s", "simheat_s"):
             assert key in cold.stats["timings"]
             assert cold.stats["timings"][key] >= 0.0
-        # The warm run replays every whole-program pass from cache, so
+        # The warm run replays the whole-program pass from cache, so
         # it never pays the index build.
         assert "index_s" not in warm.stats["timings"]
 
@@ -572,15 +572,13 @@ class TestStaleBaseline:
         a finding the current tree still produces (the lint gate would
         warn via SL013 otherwise)."""
         from repro.devtools.analyzer import iter_python_files
-        from repro.devtools.races import run_races
         monkeypatch.chdir(REPO)
         sources = []
         for path in iter_python_files(["src"]):
             with open(path, "r", encoding="utf-8") as fh:
                 sources.append((path, fh.read()))
         index = ProjectIndex.build(sources)
-        live = {lint_output.fingerprint(f)
-                for f in run_races(index) + run_simheat(index)}
+        live = {lint_output.fingerprint(f) for f in run_simheat(index)}
         with open(BASELINE, "r", encoding="utf-8") as fh:
             recorded = set(json.load(fh)["fingerprints"])
         assert recorded - live == set(), sorted(recorded - live)

@@ -3,8 +3,7 @@
 Covers the call graph, the real tree (clean modulo the checked-in
 baseline), the findings cache, baseline/JSON/SARIF output, GitHub
 annotations and the unused-suppression (SL009) diagnostics.  The
-simrace and simheat passes have their own suites
-(``test_simrace.py``, ``test_simheat.py``).
+simheat pass has its own suite (``test_simheat.py``).
 """
 
 # simlint: disable-file=SL009 -- fixture snippets below embed
@@ -115,13 +114,12 @@ class TestCallGraph:
 class TestRealTreeClean:
     def test_deep_run_over_src_is_clean_modulo_baseline(self,
                                                         monkeypatch):
-        """Simrace/simheat exactly baselined, nothing else.
+        """Simheat exactly baselined, nothing else.
 
-        The SL2xx findings over ``src`` are the *justified* inventory
-        of same-instant order dependence, and the SL3xx findings the
-        reviewed hot-path allocation inventory, both carried (with
-        rationale) in ``simlint-baseline.json``; anything beyond that
-        set is a regression this test catches.  Runs from the repo
+        The SL3xx findings over ``src`` are the reviewed hot-path
+        allocation inventory, carried (with rationale) in
+        ``simlint-baseline.json``; anything beyond that set is a
+        regression this test catches.  Runs from the repo
         root on a relative path, as the lint gate does: messages quote
         paths, and fingerprints include messages.
         """
@@ -134,10 +132,9 @@ class TestRealTreeClean:
                       if fingerprint(f) not in allowed]
         assert unexpected == [], "\n".join(
             f.format() for f in unexpected)
-        # Everything surviving the baseline is simrace or simheat
-        # inventory; the per-file rules stay finding-free over src.
-        assert all(f.rule.startswith(("SL2", "SL3"))
-                   for f in report.findings)
+        # Everything surviving the baseline is simheat inventory; the
+        # per-file rules stay finding-free over src.
+        assert all(f.rule.startswith("SL3") for f in report.findings)
         assert report.stats["files"] > 50
 
 
@@ -438,15 +435,22 @@ class TestDeepCli:
         code = main(["lint", "--list-rules"])
         out = capsys.readouterr().out
         assert code == 0
-        for rule_id in ("SL009", "SL013", "SL201", "SL202", "SL203",
-                        "SL301", "SL302", "SL303"):
+        for rule_id in ("SL009", "SL013", "SL301", "SL302", "SL303"):
             assert rule_id in out
         # retired ids are gone
         for rule_id in ("SL003", "SL004", "SL007", "SL011", "SL012", "SL014",
-                        "SL304",
+                        "SL201", "SL202", "SL203", "SL304",
                         "SL101", "SL102", "SL103", "SL104",
                         "SL110", "SL111", "SL112"):
             assert rule_id not in out
+
+    def test_retired_simrace_ids_are_unknown(self, tmp_path, capsys):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        for rule_id in ("SL201", "SL202", "SL203"):
+            code = main(["lint", "--deep", "--no-cache", str(tmp_path),
+                         "--no-config", "--enable", rule_id])
+            assert code == 2
+            assert rule_id in capsys.readouterr().err
 
     def test_devtools_audit_rows_match_registered_rules(self):
         """docs/DEVTOOLS.md's rule audit has one row per rule id ever

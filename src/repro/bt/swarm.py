@@ -27,10 +27,8 @@ from repro.sim.engine import Simulator
 class Swarm:
     """One simulated file-sharing swarm."""
 
-    def __init__(self, config: SwarmConfig, sanitize: object = False):
+    def __init__(self, config: SwarmConfig, sanitize: bool = False):
         self.config = config
-        # The raw value flows through so ``"races"`` selects the
-        # order-sensitivity reporter, not just the boolean sanitizer.
         self.sim = Simulator(seed=config.seed, sanitize=sanitize)
         self.torrent = Torrent(config.n_pieces, config.piece_size_kb)
         self.tracker = Tracker(self.sim.rng, config.tracker_list_size)

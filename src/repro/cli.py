@@ -23,9 +23,7 @@ Commands
     injection (control-message loss/delay, upload stalls, peer
     crashes); exits nonzero unless every surviving honest leecher
     finished (docs/FAULTS.md).  ``--seeds`` sweeps several scenarios,
-    optionally across worker processes; ``--races`` also attaches the
-    runtime order-sensitivity reporter (the dynamic half of the
-    simrace SL2xx checks).
+    optionally across worker processes.
 ``sweep``
     Fault-tolerant sharded sweep through the execution fabric
     (docs/SWEEPS.md): manifested, checkpointed, resumable.  A killed
@@ -212,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--crashes", type=int, default=2,
                          help="seeded unclean peer crashes")
     chaos_p.add_argument("--max-time", type=float, default=None)
-    chaos_p.add_argument("--races", action="store_true",
-                         help="attach the runtime order-sensitivity "
-                              "reporter (same-instant field-footprint "
-                              "conflicts; runtime half of SL2xx)")
     chaos_p.add_argument("--seeds", type=int, nargs="+", default=None,
                          help="sweep several seeds (overrides --seed)")
     chaos_p.add_argument("--workers", type=int, default=None,
@@ -543,7 +537,7 @@ def cmd_chaos(args) -> int:
         control_loss_prob=args.loss, control_delay_prob=args.delay,
         control_delay_s=args.delay_s, upload_stall_prob=args.stall,
         upload_stall_s=args.stall_s, crashes=args.crashes,
-        max_time=args.max_time, races=args.races) for seed in seeds]
+        max_time=args.max_time) for seed in seeds]
     results = [ChaosResult(summary) for summary in run_specs(
         specs, workers=args.workers, sweep_dir=args.sweep_dir)]
     for chaos in results:
@@ -560,11 +554,6 @@ def cmd_chaos(args) -> int:
               f"crashes={len(chaos.summary.crashed_ids)}; "
               f"{chaos.sanitizer_checks} sanitizer checks, "
               f"0 violations")
-        if args.races:
-            print(f"same-instant race conflicts: "
-                  f"{chaos.race_conflict_count}")
-            for desc in chaos.race_conflicts:
-                print(f"  {desc}")
         if chaos is not results[-1]:
             print()
     return 0 if all(chaos.passed for chaos in results) else 1

@@ -29,21 +29,7 @@ The sanitizer keeps a bounded diagnostic trace of recent hook events;
 every :class:`SanitizerError` message ends with it, so a failure deep
 in a million-event run still shows the path that led there.
 
-``Simulator(sanitize="races")`` additionally attaches a
-:class:`RaceReporter` — the dynamic counterpart of ``simlint``'s
-static SL2xx race rules.  It records the field-level read/write
-footprint of every event (by temporarily instrumenting
-``__getattribute__``/``__setattr__`` on the watched state classes) and
-reports pairs of *same-instant* events whose footprints conflict:
-both wrote a field, or one read what the other wrote.  Such pairs are
-exactly the events whose outcome depends on the engine's ``(time,
-seq)`` tie-break — deterministic today, but unsafe to coalesce or
-reorder (ROADMAP item 1).  Unlike the invariant sanitizer it never
-raises: a conflict is an order-sensitivity *hazard*, not a bug, so it
-collects bounded, deduplicated :class:`RaceConflict` records for the
-caller to inspect (``repro chaos --races`` prints them).
-
-:class:`AllocProfile` is the third engine sink here: attached with
+:class:`AllocProfile` is the other engine sink here: attached with
 ``sim.add_observer(AllocProfile())`` it records per-event-type
 allocation deltas, the runtime check on the simheat SL3xx audit.
 """
@@ -55,8 +41,7 @@ import math
 import sys
 import tracemalloc
 from collections import deque
-from typing import (Any, Deque, Dict, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import Any, Deque, Dict, List, Optional, Set
 
 #: Relative slack for floating-point accumulation in conservation
 #: checks.  Uplink accounting sums at most a few thousand transfers,
@@ -322,340 +307,6 @@ class SimulationSanitizer:
         return (f"SimulationSanitizer(checks={self.checks_run}, "
                 f"released={len(self._released)}, "
                 f"collusive={self.collusion_releases})")
-
-
-# ======================================================================
-# Runtime race reporter (sanitize="races")
-# ======================================================================
-
-#: At most this many distinct conflict records are retained; the total
-#: counter keeps counting past the cap.
-MAX_CONFLICTS = 200
-
-#: Fully-qualified default watch list.  Mirrors the class universe the
-#: static effect inference (repro.devtools.effects) tracks: protocol
-#: and ledger state whose same-instant interleaving is trace-relevant.
-#: Entries that fail to import are skipped (the reporter must work in
-#: engine-only unit tests with no swarm stack loaded).
-_DEFAULT_WATCH = (
-    ("repro.bt.peer", "Peer"),
-    ("repro.bt.torrent", "PieceBook"),
-    ("repro.bt.choking", "Choker"),
-    ("repro.bt.choking", "ContributionTracker"),
-    ("repro.bt.choking", "DeficitLedger"),
-    ("repro.core.exchange", "ExchangeLedger"),
-    ("repro.core.transaction", "Transaction"),
-    ("repro.analysis.metrics", "PeerRecord"),
-    ("repro.analysis.metrics", "RecoveryCounters"),
-)
-
-#: Classes currently instrumented, mapping class -> [orig_getattribute,
-#: orig_setattr, had_own_getattribute, had_own_setattr, refcount].
-#: Refcounted so two live reporters (e.g. parallel unit tests in one
-#: process) can share a patch and uninstall restores the original
-#: methods only when the last reporter detaches.
-_PATCHED: Dict[type, list] = {}
-
-#: The reporter currently recording, or None.  Only set between
-#: its ``begin`` and ``end`` sink hooks so instrumented classes pay
-#: a single global load + None check outside event execution.
-_ACTIVE: Optional["RaceReporter"] = None
-
-_object_getattribute = object.__getattribute__
-
-
-class EventProv(NamedTuple):
-    """Provenance of one fired event, captured before the engine
-    clears the handle's callback."""
-    seq: int
-    time: float
-    callback: str
-
-
-class RaceConflict(NamedTuple):
-    """Two same-instant events touched the same field conflictingly.
-
-    ``kind`` is ``"write/write"`` (both wrote), ``"read/write"`` (the
-    first read what the second then wrote) or ``"write/read"`` (the
-    second read what the first wrote).  ``first``/``second`` fire in
-    seq order; swapping them could change the trace, which is exactly
-    what makes the pair unsafe to coalesce or reorder.
-    """
-    time: float
-    cls: str
-    field: str
-    kind: str
-    first: EventProv
-    second: EventProv
-
-    def describe(self) -> str:
-        return (f"t={self.time:.6g} {self.cls}.{self.field} "
-                f"{self.kind}: {self.first.callback} "
-                f"(seq {self.first.seq}) vs {self.second.callback} "
-                f"(seq {self.second.seq})")
-
-
-def _patch_class(cls: type) -> None:
-    """Instrument ``cls`` so attribute reads/writes reach the active
-    reporter.  Idempotent per reporter via the refcount."""
-    patch = _PATCHED.get(cls)
-    if patch is not None:
-        patch[4] += 1
-        return
-    orig_ga = cls.__getattribute__
-    orig_sa = cls.__setattr__
-    had_ga = "__getattribute__" in cls.__dict__
-    had_sa = "__setattr__" in cls.__dict__
-
-    def recording_getattribute(self, name, _orig=orig_ga):
-        rec = _ACTIVE
-        if rec is not None:
-            rec._record_read(self, name)
-        return _orig(self, name)
-
-    def recording_setattr(self, name, value, _orig=orig_sa):
-        rec = _ACTIVE
-        if rec is not None:
-            rec._record_write(self, name)
-        _orig(self, name, value)
-
-    cls.__getattribute__ = recording_getattribute  # type: ignore
-    cls.__setattr__ = recording_setattr  # type: ignore
-    _PATCHED[cls] = [orig_ga, orig_sa, had_ga, had_sa, 1]
-
-
-def _unpatch_class(cls: type) -> None:
-    patch = _PATCHED.get(cls)
-    if patch is None:
-        return
-    patch[4] -= 1
-    if patch[4] > 0:
-        return
-    orig_ga, orig_sa, had_ga, had_sa = patch[:4]
-    # Restore inheritance rather than pinning a bound slot wrapper on
-    # classes that never defined these methods themselves.
-    if had_ga:
-        cls.__getattribute__ = orig_ga  # type: ignore
-    else:
-        del cls.__getattribute__
-    if had_sa:
-        cls.__setattr__ = orig_sa  # type: ignore
-    else:
-        del cls.__setattr__
-    del _PATCHED[cls]
-
-
-class RaceReporter:
-    """Dynamic same-instant conflict detector (see module docstring).
-
-    Attach via ``Simulator(sanitize="races")``.  As an engine sink it
-    gets :meth:`begin` / :meth:`end` around every fired event;
-    attribute accesses on watched classes during that window
-    are recorded into the event's footprint.  Footprints accumulate
-    per *timestamp batch* — the maximal run of events sharing one
-    exact event time — and each new event's footprint is checked
-    against the batch's accumulated readers/writers.
-
-    The reporter is a diagnostic collector, never an oracle that
-    raises: real swarms legitimately produce same-instant commutative
-    touches (metric increments, disjoint peers), so conflicts are
-    deduplicated by ``(class, field, callback-pair, kind)`` and capped
-    at :data:`MAX_CONFLICTS` retained records.
-
-    Call :meth:`uninstall` when done — ``run_swarm`` does this in a
-    ``finally`` so instrumented classes never leak patched methods
-    into later runs.
-    """
-
-    def __init__(self, sim: Optional[Any] = None,
-                 watch: Optional[Sequence[type]] = None):
-        self.sim = sim
-        self.events_seen = 0
-        self.total_conflicts = 0
-        self.conflicts: List[RaceConflict] = []
-        self._seen_pairs: Set[Tuple[str, str, str, str, str]] = set()
-        self._classes: List[type] = []
-        # Batch state: accumulated first-toucher per (id(obj), field).
-        self._batch_time: Optional[float] = None
-        self._batch_writers: Dict[Tuple[int, str],
-                                  Tuple[EventProv, str]] = {}
-        self._batch_readers: Dict[Tuple[int, str],
-                                  Tuple[EventProv, str]] = {}
-        # Strong refs to touched objects for the batch lifetime, so
-        # id() keys cannot be reused by freshly allocated objects.
-        self._batch_refs: List[Any] = []
-        # Current-event state.
-        self._current: Optional[EventProv] = None
-        self._cur_reads: Dict[Tuple[int, str], Tuple[Any, str]] = {}
-        self._cur_writes: Dict[Tuple[int, str], Tuple[Any, str]] = {}
-        self._installed = False
-        if watch is not None:
-            classes = list(watch)
-        else:
-            classes = self._resolve_default_watch()
-        for cls in classes:
-            self.watch(cls)
-        self._installed = True
-
-    @staticmethod
-    def _resolve_default_watch() -> List[type]:
-        import importlib
-        classes = []
-        for module_name, cls_name in _DEFAULT_WATCH:
-            try:
-                module = importlib.import_module(module_name)
-                classes.append(getattr(module, cls_name))
-            except (ImportError, AttributeError):  # pragma: no cover
-                continue
-        return classes
-
-    def watch(self, cls: type) -> None:
-        """Add ``cls`` to the instrumented set (idempotent)."""
-        if cls in self._classes:
-            return
-        self._classes.append(cls)
-        _patch_class(cls)
-
-    def uninstall(self) -> None:
-        """Detach from every watched class and drop batch refs.
-        Idempotent; safe to call from a ``finally``."""
-        global _ACTIVE
-        if _ACTIVE is self:
-            _ACTIVE = None
-        if not self._installed and not self._classes:
-            return
-        for cls in self._classes:
-            _unpatch_class(cls)
-        self._classes = []
-        self._installed = False
-        self._batch_refs = []
-        self._batch_writers = {}
-        self._batch_readers = {}
-
-    # ------------------------------------------------------------------
-    # Sink hooks
-    # ------------------------------------------------------------------
-    def begin(self, handle: Any) -> None:
-        """Called by the engine just before ``handle`` fires, while
-        its callback is still attached."""
-        global _ACTIVE
-        time = handle.time
-        # Batch membership is exact float equality *by construction*:
-        # same-instant events carry the identical time value, so this
-        # is set partitioning, not a tolerance comparison.
-        if time != self._batch_time:
-            self._start_batch(time)
-        callback = handle.callback
-        name = getattr(callback, "__qualname__", "") or repr(callback)
-        self._current = EventProv(handle.seq, time, name)
-        self._cur_reads = {}
-        self._cur_writes = {}
-        self.events_seen += 1
-        _ACTIVE = self
-
-    def end(self) -> None:
-        """Called by the engine after the event's callback returned;
-        checks this event's footprint against the batch and folds it
-        in."""
-        global _ACTIVE
-        _ACTIVE = None
-        cur = self._current
-        if cur is None:  # pragma: no cover - defensive
-            return
-        self._current = None
-        writers = self._batch_writers
-        readers = self._batch_readers
-        for key, (obj, cls_name) in self._cur_writes.items():
-            prior_write = writers.get(key)
-            if prior_write is not None:
-                self._conflict("write/write", key[1], cls_name,
-                               prior_write[0], cur)
-            else:
-                prior_read = readers.get(key)
-                if prior_read is not None:
-                    self._conflict("read/write", key[1], cls_name,
-                                   prior_read[0], cur)
-        for key, (obj, cls_name) in self._cur_reads.items():
-            prior_write = writers.get(key)
-            if prior_write is not None:
-                self._conflict("write/read", key[1], cls_name,
-                               prior_write[0], cur)
-        for key, (obj, cls_name) in self._cur_writes.items():
-            if key not in writers:
-                writers[key] = (cur, cls_name)
-                self._batch_refs.append(obj)
-        for key, (obj, cls_name) in self._cur_reads.items():
-            if key not in readers:
-                readers[key] = (cur, cls_name)
-                self._batch_refs.append(obj)
-        self._cur_reads = {}
-        self._cur_writes = {}
-
-    def _start_batch(self, time: float) -> None:
-        self._batch_time = time
-        self._batch_writers = {}
-        self._batch_readers = {}
-        self._batch_refs = []
-
-    # ------------------------------------------------------------------
-    # Recording (called from instrumented classes)
-    # ------------------------------------------------------------------
-    def _record_read(self, obj: Any, name: str) -> None:
-        if self._current is None:  # pragma: no cover - defensive
-            return
-        try:
-            inst = _object_getattribute(obj, "__dict__")
-        except AttributeError:  # pragma: no cover - slotted class
-            return
-        if name not in inst:
-            # Method/class-attribute lookup, not instance state.
-            return
-        key = (id(obj), name)
-        if key in self._cur_writes or key in self._cur_reads:
-            return
-        self._cur_reads[key] = (obj, type(obj).__name__)
-
-    def _record_write(self, obj: Any, name: str) -> None:
-        if self._current is None:  # pragma: no cover - defensive
-            return
-        key = (id(obj), name)
-        if key not in self._cur_writes:
-            self._cur_writes[key] = (obj, type(obj).__name__)
-
-    # ------------------------------------------------------------------
-    # Conflict accounting
-    # ------------------------------------------------------------------
-    def _conflict(self, kind: str, field: str, cls_name: str,
-                  first: EventProv, second: EventProv) -> None:
-        self.total_conflicts += 1
-        dedup = (cls_name, field, first.callback, second.callback, kind)
-        if dedup in self._seen_pairs:
-            return
-        self._seen_pairs.add(dedup)
-        if len(self.conflicts) < MAX_CONFLICTS:
-            self.conflicts.append(RaceConflict(
-                time=second.time, cls=cls_name, field=field, kind=kind,
-                first=first, second=second))
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def conflict_pairs(self) -> List[str]:
-        """Human-readable, deduplicated conflict descriptions."""
-        return [c.describe() for c in self.conflicts]
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "events_seen": self.events_seen,
-            "total_conflicts": self.total_conflicts,
-            "distinct_conflicts": len(self._seen_pairs),
-            "retained": len(self.conflicts),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (f"RaceReporter(events={self.events_seen}, "
-                f"conflicts={self.total_conflicts}, "
-                f"distinct={len(self._seen_pairs)})")
 
 
 class AllocProfile:

@@ -35,14 +35,13 @@ import time
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 from repro.analysis.chains import ChainStats, summarize_chains
 from repro.analysis.metrics import SwarmMetrics
 from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.config import SwarmConfig
 from repro.experiments.runner import RunAccessors, check_names, seeds_for
-from repro.sim.engine import SANITIZE_MODES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import ExperimentScale
@@ -88,8 +87,7 @@ class RunSpec:
     Fields mirror the harness knobs; anything else a sweep passes
     (``real_crypto=True``, capacity overrides, ...) rides in
     ``config_overrides`` as a sorted key/value tuple so specs stay
-    order-independent.  ``sanitize`` is ``True`` or ``"races"`` (the
-    sanitizer plus the same-instant race reporter); ``fault_plan`` is a
+    order-independent.  ``sanitize`` is a bool; ``fault_plan`` is a
     :class:`~repro.faults.plan.FaultPlan`, which makes a chaos case an
     ordinary spec; ``series`` names the
     :data:`~repro.experiments.runner.SERIES` to record.
@@ -108,17 +106,16 @@ class RunSpec:
     initial_piece_fraction: float = 0.0
     trace_horizon_s: float = 2000.0
     series: Tuple[str, ...] = ()
-    sanitize: Union[bool, str] = False
+    sanitize: bool = False
     fault_plan: Optional["FaultPlan"] = None
     config_overrides: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         # Rejected here, not after a worker's retries and quarantine.
         check_names(self.protocol, self.arrival, self.series)
-        if isinstance(self.sanitize, str) \
-                and self.sanitize not in SANITIZE_MODES:
-            raise ValueError(f"unknown sanitize mode {self.sanitize!r}; "
-                             f"expected one of {SANITIZE_MODES}")
+        if not isinstance(self.sanitize, bool):
+            raise ValueError(f"unknown sanitize value {self.sanitize!r}; "
+                             f"expected True or False")
 
     @classmethod
     def from_kwargs(cls, **kwargs) -> "RunSpec":
@@ -187,12 +184,6 @@ class RunSummary(RunAccessors):
     crashes_skipped: int = 0
     #: Invariant checks the sanitizer ran (0: it was off).
     sanitizer_checks: int = 0
-    #: Same-instant race reporter: events it watched (``None``: no
-    #: reporter attached), conflicting access pairs it counted, and the
-    #: descriptions of the ones it retained.
-    race_events_seen: Optional[int] = None
-    race_conflict_count: int = 0
-    race_conflicts: Tuple[str, ...] = ()
     #: ``(name, value)`` of each requested series, in request order.
     series: Tuple[Tuple[str, object], ...] = ()
 
@@ -202,7 +193,6 @@ def summarize_run(result, wall_time_s: float = 0.0) -> RunSummary:
     state = result.tchain_state
     sim = result.swarm.sim
     injector = result.swarm.fault_injector
-    races = sim.races
     return RunSummary(
         protocol=result.protocol,
         seed=result.config.seed,
@@ -224,11 +214,6 @@ def summarize_run(result, wall_time_s: float = 0.0) -> RunSummary:
                          if injector is not None else 0),
         sanitizer_checks=(sim.sanitizer.checks_run
                           if sim.sanitizer is not None else 0),
-        race_events_seen=races.events_seen if races is not None else None,
-        race_conflict_count=(races.total_conflicts
-                             if races is not None else 0),
-        race_conflicts=(tuple(races.conflict_pairs())
-                        if races is not None else ()),
         series=tuple(result.series.items()),
     )
 

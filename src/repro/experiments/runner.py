@@ -246,7 +246,7 @@ def run_swarm(protocol: str = "tchain",
               trace_horizon_s: float = 2000.0,
               series: Sequence[str] = (),
               setup: Optional[Callable[[Swarm], None]] = None,
-              sanitize: object = False,
+              sanitize: bool = False,
               fault_plan=None,
               **config_overrides) -> RunResult:
     """Run one full swarm simulation.
@@ -257,10 +257,7 @@ def run_swarm(protocol: str = "tchain",
     tests attach engine sinks through (``swarm.sim.add_observer``; no
     ``RunSpec`` can carry it).
     ``sanitize`` runs the whole swarm under the simulation sanitizer
-    (see :mod:`repro.devtools.sanitizer`); the string ``"races"``
-    additionally attaches the same-instant order-sensitivity reporter
-    (:class:`~repro.devtools.sanitizer.RaceReporter`, the runtime
-    counterpart of the SL2xx static checks).  ``fault_plan``
+    (see :mod:`repro.devtools.sanitizer`).  ``fault_plan``
     attaches a :class:`repro.faults.FaultPlan` through a fresh
     :class:`~repro.faults.FaultInjector`; an idle plan leaves the
     event trace bit-identical to a run without one (docs/FAULTS.md).
@@ -322,14 +319,8 @@ def run_swarm(protocol: str = "tchain",
         # swarm cannot drain before the horizon.
         ReplacementChurn(swarm, compliant_factory, horizon_s=max_time)
 
-    try:
-        swarm.run(max_time=max_time)
-        swarm.metrics.finalize_active(swarm)
-    finally:
-        # The race reporter patches watched *classes*; unpatch even on
-        # a sanitizer abort so later runs in this process are clean.
-        if swarm.sim.races is not None:
-            swarm.sim.races.uninstall()
+    swarm.run(max_time=max_time)
+    swarm.metrics.finalize_active(swarm)
     return RunResult(protocol=protocol, config=config, swarm=swarm,
                      n_compliant=n_compliant, n_freeriders=n_free,
                      series={name: finish()

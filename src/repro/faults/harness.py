@@ -15,14 +15,6 @@ A chaos case is an ordinary :class:`~repro.experiments.parallel.RunSpec`
 fabric like any other sweep.  :class:`ChaosResult` reads its verdict
 and report off the run's :class:`~repro.experiments.parallel.RunSummary`,
 which is all a worker process sends back.
-
-``races=True`` runs the swarm with ``sanitize="races"``: the
-:class:`~repro.devtools.sanitizer.RaceReporter` records per-event
-field footprints inside each same-instant batch and surfaces
-conflicting accesses on :attr:`ChaosResult.race_conflicts` — the
-runtime counterpart of the SL201–SL203 static checks, exercised here
-because fault-driven reschedules are exactly what perturbs
-same-instant orderings.
 """
 
 from __future__ import annotations
@@ -78,7 +70,7 @@ class ChaosResult:
         summary = self.summary
         counters = self.counters
         survivors = self.survivor_records
-        rows = [
+        return [
             ("seed", summary.seed),
             ("survivors finished",
              f"{self.survivors_finished}/{len(survivors)}"),
@@ -97,38 +89,11 @@ class ChaosResult:
              f"{counters.orphaned_chains}"),
             ("sanitizer checks", self.sanitizer_checks),
         ]
-        if summary.race_events_seen is not None:
-            rows.append(("same-instant race conflicts",
-                         f"{summary.race_conflict_count}"
-                         f" ({len(summary.race_conflicts)} distinct,"
-                         f" {summary.race_events_seen} events watched)"))
-        return rows
 
     @property
     def sanitizer_checks(self) -> int:
         """Invariant checks the sanitizer ran (0 means it was off)."""
         return self.summary.sanitizer_checks
-
-    @property
-    def race_reporter(self):
-        """The run's :class:`~repro.devtools.sanitizer.RaceReporter`,
-        or None when the run was not started with ``races=True`` or
-        did not happen in this process.  The reporter is uninstalled
-        (classes unpatched) by the time the harness returns, but keeps
-        its recorded conflicts."""
-        if self.result is None:
-            return None
-        return self.result.swarm.sim.races
-
-    @property
-    def race_conflict_count(self) -> int:
-        """Total same-instant conflicting access pairs observed."""
-        return self.summary.race_conflict_count
-
-    @property
-    def race_conflicts(self) -> List[str]:
-        """Human-readable descriptions of the retained conflicts."""
-        return list(self.summary.race_conflicts)
 
     @property
     def passed(self) -> bool:
@@ -160,13 +125,10 @@ def chaos_spec(leechers: int = 16,
                crashes: int = 2,
                plan: Optional[FaultPlan] = None,
                max_time: Optional[float] = None,
-               races: bool = False,
                **run_kwargs):
     """The ``RunSpec`` of one sanitized T-Chain chaos case.
 
-    Pass ``plan`` to override the rate knobs entirely.  ``races``
-    additionally attaches the runtime order-sensitivity reporter (the
-    fair-exchange sanitizer stays on either way).  Extra keyword
+    Pass ``plan`` to override the rate knobs entirely.  Extra keyword
     arguments are ``run_swarm`` arguments.
     """
     from repro.experiments.parallel import RunSpec
@@ -181,7 +143,7 @@ def chaos_spec(leechers: int = 16,
             crashes=tuple(crash_schedule(crashes)))
     return RunSpec.from_kwargs(
         protocol="tchain", leechers=leechers, pieces=pieces, seed=seed,
-        sanitize="races" if races else True, fault_plan=plan,
+        sanitize=True, fault_plan=plan,
         max_time=max_time, **run_kwargs)
 
 

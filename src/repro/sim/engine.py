@@ -24,8 +24,8 @@ events.
 
 There is one dispatch loop, :meth:`Simulator.run` (:meth:`~Simulator.step`
 is one turn of it), and one ordered list of event *sinks*
-(:meth:`Simulator.add_observer`): the sanitizer, the race reporter,
-trace observers and :class:`repro.devtools.sanitizer.AllocProfile`.
+(:meth:`Simulator.add_observer`): the sanitizer, trace observers and
+:class:`repro.devtools.sanitizer.AllocProfile`.
 Around each fired event, every sink's ``begin(handle)`` runs in attach
 order while the handle still holds its callback and before the clock
 moves; then the handle is consumed, the callback runs, and the sinks'
@@ -55,8 +55,8 @@ class EventHandle:
     :meth:`Simulator.schedule_at`.  They are single-shot: once fired or
     cancelled they are inert.  The two terminal states look the same to
     :attr:`pending` (both clear the callback); :attr:`fired`
-    distinguishes a consumed event from a cancelled one, which the
-    runtime race reporter and post-mortem tooling rely on.
+    distinguishes a consumed event from a cancelled one, which
+    post-mortem tooling relies on.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled",
@@ -128,11 +128,6 @@ class _Lane:
 _Entry = Tuple[float, int, Any]
 
 
-#: What ``Simulator(sanitize=...)`` accepts: off, the invariant
-#: sanitizer, or the sanitizer plus the same-instant race reporter.
-SANITIZE_MODES = (False, True, "races")
-
-
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -148,25 +143,20 @@ class Simulator:
         that checks heap-time monotonicity, bandwidth/piece
         conservation and the fair-exchange invariant on every step,
         raising ``SanitizerError`` on violation.  Off by default (the
-        checks cost a few percent of run time).  Pass the string
-        ``"races"`` to additionally attach a
-        :class:`repro.devtools.sanitizer.RaceReporter` that records
-        per-event field-level read/write footprints within each
-        timestamp batch and reports same-instant conflicting pairs
-        (the dynamic counterpart of ``simlint``'s SL2xx rules).  Both
-        are the first sinks on :attr:`_observers` and stay readable as
-        :attr:`sanitizer` and :attr:`races`.
+        checks cost a few percent of run time).  A bool; anything else
+        raises :class:`SimulatorError`.  The sanitizer is the first
+        sink on :attr:`_observers` and stays readable as
+        :attr:`sanitizer`.
 
     Timers scheduled with :meth:`after` live in per-delay lanes
     (``_lanes``, delay -> :class:`_Lane`); the heap holds one entry per
     non-empty lane.
     """
 
-    def __init__(self, seed: int = 0, sanitize: object = False):
-        if isinstance(sanitize, str) and sanitize not in SANITIZE_MODES:
-            raise SimulatorError(
-                f"unknown sanitize mode {sanitize!r}; expected one of "
-                f"{SANITIZE_MODES}")
+    def __init__(self, seed: int = 0, sanitize: bool = False):
+        if not isinstance(sanitize, bool):
+            raise SimulatorError(f"unknown sanitize value {sanitize!r}; "
+                                 f"expected True or False")
         self.now: float = 0.0
         self.rng = Random(seed)
         self.seed = seed
@@ -181,15 +171,10 @@ class Simulator:
         self._begins: Tuple[Callable[[EventHandle], None], ...] = ()
         self._ends: Tuple[Callable[[], None], ...] = ()
         self.sanitizer = None
-        self.races = None
         if sanitize:
-            from repro.devtools.sanitizer import (RaceReporter,
-                                                  SimulationSanitizer)
+            from repro.devtools.sanitizer import SimulationSanitizer
             self.sanitizer = SimulationSanitizer(self)
             self.add_observer(self.sanitizer)
-            if sanitize == "races":
-                self.races = RaceReporter(self)
-                self.add_observer(self.races)
 
     def add_observer(self, sink: Any) -> None:
         """Attach an event sink with ``begin(handle)`` and optionally

@@ -36,6 +36,12 @@ class TestFigureCommand:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
+    def test_chaos_races_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--races", "--leechers", "4", "--pieces", "2"])
+        assert exc.value.code == 2
+        assert "--races" in capsys.readouterr().err
+
     def test_collude_flag_wires_options(self, capsys):
         code = main(["run", "--protocol", "tchain", "--leechers", "10",
                      "--pieces", "6", "--freeriders", "0.2",

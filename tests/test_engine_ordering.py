@@ -1,11 +1,10 @@
 """Property tests pinning the same-instant FIFO contract.
 
-The whole simrace story (static SL2xx checks, runtime RaceReporter)
-reasons about *batches* of events sharing one timestamp, on the
-premise that the engine fires them strictly in schedule (seq) order —
-and keeps doing so across cancellation and lazy deletion.  These tests
-pin that premise under generated workloads so an engine refactor
-cannot silently weaken it.
+Events sharing one timestamp fire strictly in schedule (seq) order,
+and keep doing so across cancellation and lazy deletion: that order
+is part of the determinism contract every golden trace digest rests
+on.  These tests pin it under generated workloads so an engine
+refactor cannot silently weaken it.
 """
 
 from hypothesis import given, settings

@@ -120,7 +120,7 @@ class TestCanonicalEncoding:
                              at_s=10.0, groups=(("dc2",),),
                              heal_s=30.0),))
         spec = RunSpec(leechers=9, pieces=5, seed=3, max_time=200.0,
-                       sanitize="races", fault_plan=plan)
+                       sanitize=True, fault_plan=plan)
         assert decode_value(encode_value(spec)) == spec
         assert spec_digest(spec) != spec_digest(
             replace(spec, fault_plan=replace(plan, crashes=())))
@@ -426,13 +426,13 @@ class TestBitIdentical:
 
     def test_chaos_specs_flow_through_fabric(self, tmp_path):
         specs = [chaos_spec(leechers=8, pieces=6, seed=seed, crashes=1,
-                            max_time=400.0, races=seed == 1)
+                            max_time=400.0)
                  for seed in (0, 1)]
         fabric = run_specs_fabric(specs, workers=2, shard_size=1,
                                   sweep_dir=str(tmp_path))
         assert fabric == run_specs(specs, workers=1)
         assert load_manifest(str(tmp_path)).specs == specs
-        assert fabric[1].race_events_seen
+        assert all(summary.sanitizer_checks > 0 for summary in fabric)
 
     def test_merge_loads_from_checkpoints(self, tmp_path):
         # Complete a sweep, then resume with nothing pending: every

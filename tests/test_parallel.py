@@ -84,8 +84,13 @@ class TestRunSpec:
             RunSpec.from_kwargs(**bad)
 
     def test_every_known_name_accepted(self):
-        RunSpec(protocol="dandelion", arrival="churn", sanitize="races",
+        RunSpec(protocol="dandelion", arrival="churn", sanitize=True,
                 series=("chains", "diversity", "initiators", "piece_log"))
+
+    @pytest.mark.parametrize("mode", ["races", "True", 1])
+    def test_non_bool_sanitize_rejected(self, mode):
+        with pytest.raises(ValueError, match="sanitize"):
+            RunSpec(sanitize=mode)
 
 
 class TestBitIdentical:
@@ -140,13 +145,12 @@ class TestBitIdentical:
         summary = execute_spec(SPEC)
         old = pickle.loads(pickle.dumps(summary))
         new_fields = ("crashed_ids", "crashes_skipped",
-                      "sanitizer_checks", "race_events_seen",
-                      "race_conflict_count", "race_conflicts", "series")
+                      "sanitizer_checks", "series")
         for name in new_fields:
             del old.__dict__[name]
         loaded = pickle.loads(pickle.dumps(old))
         assert [getattr(loaded, name) for name in new_fields] \
-            == [(), 0, 0, None, 0, (), ()]
+            == [(), 0, 0, ()]
         assert loaded == summary
 
     def test_small_sweep_gives_every_worker_a_shard(self, monkeypatch):

@@ -13,7 +13,7 @@ from repro.core.transaction import TransactionState
 from repro.devtools import SanitizerError, SimulationSanitizer
 from repro.experiments import run_swarm
 from repro.net.bandwidth import Uplink
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, SimulatorError
 
 
 def sanitized_ledger():
@@ -200,6 +200,15 @@ class TestEngineInvariants:
         heapq.heappush(sim._heap, (stale.time, stale.seq, stale))
         with pytest.raises(SanitizerError, match="monotonicity"):
             sim.step()
+
+    @pytest.mark.parametrize("mode", ["races", "chases", 1, None])
+    def test_non_bool_sanitize_rejected(self, mode):
+        with pytest.raises(SimulatorError, match="sanitize"):
+            Simulator(seed=0, sanitize=mode)
+
+    def test_plain_sim_attaches_nothing(self):
+        sim = Simulator(seed=0)
+        assert sim.sanitizer is None and sim._observers == []
 
     def test_normal_run_passes(self):
         sim = Simulator(seed=3, sanitize=True)

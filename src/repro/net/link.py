@@ -28,9 +28,9 @@ zeros) is bit-trace-neutral — verified by the equivalence suite in
 ``tests/test_net_substrate.py``.
 
 Enable via ``run_swarm(..., extra={"net": spec})`` where ``spec`` is a
-:class:`NetGraph`, a ready :class:`NetworkModel`, or a plain dict
-handed to :func:`repro.net.topogen.graph_from_spec` (JSON-able, so
-sweep manifests and the CLI can carry it).
+:class:`NetGraph` or a plain dict handed to
+:func:`repro.net.topogen.graph_from_spec` (JSON-able, so sweep
+manifests and the CLI can carry it); each run builds its own model.
 """
 
 from __future__ import annotations
@@ -453,14 +453,14 @@ class NetworkModel:
 
 
 def build_network(spec: Any, seed: int = 0) -> NetworkModel:
-    """Coerce a config value into a live :class:`NetworkModel`.
+    """Build a fresh :class:`NetworkModel` from a config value.
 
-    Accepts a ready model (returned as-is), a :class:`NetGraph`, or a
-    plain dict forwarded to :func:`repro.net.topogen.graph_from_spec`
-    (which also extracts ``placement`` / ``control_kb`` keys).
+    Accepts a :class:`NetGraph` or a plain dict forwarded to
+    :func:`repro.net.topogen.graph_from_spec` (which also extracts
+    ``placement`` / ``control_kb`` keys).  A live model is refused: its
+    rng, link cursors, placements and counters would carry from one
+    run into the next, so the same seed would not give the same run.
     """
-    if isinstance(spec, NetworkModel):
-        return spec
     if isinstance(spec, NetGraph):
         return NetworkModel(spec, seed=seed)
     if isinstance(spec, dict):
@@ -469,5 +469,6 @@ def build_network(spec: Any, seed: int = 0) -> NetworkModel:
         return NetworkModel(graph, seed=seed, placement=placement,
                             control_size_kb=control_kb)
     raise TypeError(
-        f"extra['net'] must be a NetworkModel, NetGraph or dict spec, "
-        f"not {type(spec).__name__}")
+        f"extra['net'] must be a NetGraph or dict spec, not "
+        f"{type(spec).__name__} (a live NetworkModel keeps state "
+        f"between runs)")

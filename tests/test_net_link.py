@@ -240,9 +240,7 @@ class TestTransferFloor:
 
 
 class TestBuildNetwork:
-    def test_accepts_model_graph_and_dict(self):
-        model = NetworkModel(wan())
-        assert build_network(model) is model
+    def test_accepts_graph_and_dict(self):
         assert isinstance(build_network(wan()), NetworkModel)
         assert isinstance(
             build_network({"topology": "star", "nodes": 3}),
@@ -251,6 +249,10 @@ class TestBuildNetwork:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             build_network(42)
+
+    def test_rejects_a_live_model(self):
+        with pytest.raises(TypeError, match="NetworkModel"):
+            build_network(NetworkModel(wan()))
 
 
 class TestInertFastPath:

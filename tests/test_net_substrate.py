@@ -107,6 +107,39 @@ class TestWanScenario:
         assert result.swarm.metrics.recovery.control_dropped > 0
 
 
+class TestNetValueIsData:
+    """``extra["net"]`` describes a network; each run builds its own.
+
+    A live ``NetworkModel`` carries its rng, link cursors, placements
+    and counters, so reusing one across runs made the same seed give
+    different runs; it is refused instead.
+    """
+
+    @staticmethod
+    def outcome(net):
+        try:
+            result = run_swarm(leechers=20, pieces=8, seed=3,
+                               extra={"net": net})
+        except TypeError:
+            return "rejected"
+        return result.swarm.sim.events_fired, result.swarm.sim.now
+
+    def test_same_net_value_gives_the_same_run_twice(self):
+        from repro.net.link import build_network
+        from repro.net.topogen import graph_from_spec
+        spec = {"topology": "multi_dc", "loss": 0.02, "jitter_ms": 10.0}
+        graph = graph_from_spec(spec)[0]
+        model = build_network(spec, seed=3)
+        for net in (spec, graph, model):
+            assert self.outcome(net) == self.outcome(net)
+
+    def test_live_model_rejected(self):
+        from repro.net.link import build_network
+        model = build_network(dict(WAN_NET), seed=3)
+        with pytest.raises(TypeError, match="NetworkModel"):
+            run_swarm(leechers=4, pieces=2, seed=3, extra={"net": model})
+
+
 class TestNetworkPartitionFault:
     def partition_plan(self, at_s=4.0, heal_s=12.0):
         return FaultPlan(partitions=(

@@ -4,7 +4,8 @@ Leechers pick which piece to fetch from an uploader.  The default is
 BitTorrent's Local-Rarest-First (LRF): among the candidate pieces,
 prefer the one with the fewest copies among the chooser's neighbors.
 T-Chain uses LRF everywhere except newcomer bootstrapping, where the
-donor applies the both-need rule (:mod:`repro.core.bootstrap`).
+donor applies the both-need rule
+(:meth:`repro.bt.protocols.tchain._TChainNode._decide_bootstrap`).
 """
 
 from __future__ import annotations

@@ -357,8 +357,8 @@ class _TChainNode(Peer):
             return None, None
         payee_id = self.sim.rng.choice(candidates)
         payee = self.swarm.find_peer(payee_id)
-        # The both-need rule (core.bootstrap.select_bootstrap_piece)
-        # on masks: uniform over donor ∩ requestor-wants ∩ payee-wants,
+        # The both-need rule (Sec. II-D1) on masks: uniform over
+        # donor ∩ requestor-wants ∩ payee-wants,
         # non-empty because the payee was picked for wanting ``usable``.
         piece = self.sim.rng.choice(
             mask_bits(usable & payee.book.wmask))

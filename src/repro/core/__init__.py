@@ -17,14 +17,11 @@ any particular application:
   pending-piece window k (Sec. II-D2).
 * :mod:`repro.core.policy` — payee selection (direct/indirect
   reciprocity) and opportunistic seeding decisions (Sec. II-D3).
-* :mod:`repro.core.bootstrap` — the newcomer both-need piece rule
-  (Sec. II-D1).
 
 The BitTorrent application of T-Chain evaluated in Section IV lives in
 :mod:`repro.bt.protocols.tchain` and drives these components.
 """
 
-from repro.core.bootstrap import is_newcomer, select_bootstrap_piece
 from repro.core.chain import Chain, ChainPhase, ChainRegistry
 from repro.core.crypto import (
     Key,
@@ -45,7 +42,6 @@ from repro.core.policy import (
     PayeeDecision,
     ReciprocityKind,
     select_payee,
-    select_requestor,
     should_opportunistically_seed,
 )
 from repro.core.transaction import (
@@ -76,9 +72,6 @@ __all__ = [
     "decrypt",
     "encrypt",
     "generate_key",
-    "is_newcomer",
-    "select_bootstrap_piece",
     "select_payee",
-    "select_requestor",
     "should_opportunistically_seed",
 ]

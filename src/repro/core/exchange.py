@@ -300,14 +300,6 @@ class ExchangeLedger:
         self._close(tx)
         return tx.key
 
-    def peek_key(self, transaction_id: int) -> Key:
-        """The key for a transaction, without completing it.
-
-        Used for the departure handover of Sec. II-B4 (a leaving donor
-        forwards its key to the payee).
-        """
-        return self.get(transaction_id).key
-
     def reopen(self, transaction_id: int, now: float) -> None:
         """Roll a reciprocated-but-unreported transaction back to
         DELIVERED so the requestor can reciprocate again.

@@ -53,8 +53,7 @@ def select_payee(donor_id: str,
                  requestor_has_piece_donor_needs: bool,
                  candidate_payees: Iterable[str],
                  flow: FlowController,
-                 rng: Random,
-                 least_loaded: bool = False) -> PayeeDecision:
+                 rng: Random) -> PayeeDecision:
     """Choose the payee for the next transaction.
 
     Parameters
@@ -69,9 +68,6 @@ def select_payee(donor_id: str,
     flow:
         The donor's flow controller; over-window candidates are
         filtered out (Sec. II-D2).
-    least_loaded:
-        Use the smallest-pending-count rule instead of uniform random
-        choice among eligible candidates.
     """
     if requestor_has_piece_donor_needs:
         return PayeeDecision(ReciprocityKind.DIRECT, donor_id)
@@ -82,24 +78,7 @@ def select_payee(donor_id: str,
     ]
     if not eligible:
         return PayeeDecision(ReciprocityKind.TERMINATE, None)
-    if least_loaded:
-        eligible = flow.least_loaded(eligible)
     return PayeeDecision(ReciprocityKind.INDIRECT, rng.choice(eligible))
-
-
-def select_requestor(candidates: Iterable[str],
-                     flow: FlowController,
-                     rng: Random) -> Optional[str]:
-    """Pick whom to upload to when initiating a chain.
-
-    Used by seeders (initiation phase) and by opportunistic seeders
-    (Sec. II-D3): a uniform random choice among flow-eligible
-    requesting neighbors; ``None`` when nobody qualifies.
-    """
-    eligible = flow.filter_eligible(candidates)
-    if not eligible:
-        return None
-    return rng.choice(eligible)
 
 
 def should_opportunistically_seed(completed_pieces: int,

@@ -200,14 +200,6 @@ class TestDepartures:
         with pytest.raises(ExchangeError):
             ledger.reassign_payee(t1.transaction_id, "X")
 
-    def test_peek_key_for_departure_handover(self):
-        ledger = ExchangeLedger()
-        chain, t1, sealed = start_chain(ledger)
-        key = ledger.peek_key(t1.transaction_id)
-        assert sealed.open(key) is None
-        # peeking does not complete the transaction
-        assert ledger.get(t1.transaction_id).is_open
-
 
 class TestRealCrypto:
     def test_payload_sealed_and_recoverable(self):

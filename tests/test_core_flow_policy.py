@@ -1,4 +1,4 @@
-"""Unit and property tests for flow control, payee policy, bootstrap."""
+"""Unit and property tests for flow control and payee policy."""
 
 from random import Random
 
@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bootstrap import (
-    is_newcomer,
-    payees_compatible_with_bootstrap,
-    select_bootstrap_piece,
-)
 from repro.core.flow_control import DEFAULT_PENDING_LIMIT, FlowController
 from repro.core.policy import (
     ReciprocityKind,
     select_payee,
-    select_requestor,
     should_opportunistically_seed,
 )
 
@@ -135,13 +129,6 @@ class TestSelectPayee:
         decision = select_payee("B", "C", False, ["D"], self.flow, self.rng)
         assert decision.terminates_chain
 
-    def test_least_loaded_rule(self):
-        flow = FlowController(pending_limit=5)
-        flow.on_piece_sent("D")
-        decision = select_payee("B", "C", False, ["D", "E"], flow,
-                                self.rng, least_loaded=True)
-        assert decision.payee_id == "E"
-
     def test_uniform_choice_covers_all_candidates(self):
         seen = set()
         for seed in range(50):
@@ -149,22 +136,6 @@ class TestSelectPayee:
                                     FlowController(), Random(seed))
             seen.add(decision.payee_id)
         assert seen == {"D", "E", "F"}
-
-
-class TestSelectRequestor:
-    def test_picks_eligible(self):
-        flow = FlowController(pending_limit=1)
-        flow.on_piece_sent("A")
-        choice = select_requestor(["A", "B"], flow, Random(1))
-        assert choice == "B"
-
-    def test_none_when_everyone_blocked(self):
-        flow = FlowController(pending_limit=1)
-        flow.on_piece_sent("A")
-        assert select_requestor(["A"], flow, Random(1)) is None
-
-    def test_none_on_empty(self):
-        assert select_requestor([], FlowController(), Random(1)) is None
 
 
 class TestOpportunisticSeedingTrigger:
@@ -176,43 +147,6 @@ class TestOpportunisticSeedingTrigger:
 
     def test_fires_when_idle_with_pieces(self):
         assert should_opportunistically_seed(1, 0)
-
-
-class TestBootstrap:
-    def test_is_newcomer(self):
-        assert is_newcomer(0)
-        assert not is_newcomer(1)
-
-    def test_bootstrap_piece_in_triple_intersection(self):
-        rng = Random(3)
-        piece = select_bootstrap_piece(
-            donor_pieces={1, 2, 3}, requestor_missing={2, 3, 4},
-            payee_missing={3, 4, 5}, rng=rng)
-        assert piece == 3
-
-    def test_bootstrap_piece_none_when_infeasible(self):
-        rng = Random(3)
-        assert select_bootstrap_piece({1}, {2}, {3}, rng) is None
-
-    def test_bootstrap_piece_uniform_over_feasible(self):
-        seen = set()
-        for seed in range(40):
-            seen.add(select_bootstrap_piece(
-                {1, 2, 3}, {1, 2, 3}, {1, 2, 3}, Random(seed)))
-        assert seen == {1, 2, 3}
-
-    def test_payees_compatible_with_bootstrap(self):
-        result = payees_compatible_with_bootstrap(
-            donor_pieces={1, 2}, requestor_missing={1, 2, 3},
-            candidate_payees=["C", "D"],
-            missing_by_peer={"C": {1}, "D": {9}})
-        assert result == ["C"]
-
-    def test_payees_compatible_empty_when_donor_useless(self):
-        result = payees_compatible_with_bootstrap(
-            donor_pieces={5}, requestor_missing={1},
-            candidate_payees=["C"], missing_by_peer={"C": {5}})
-        assert result == []
 
 
 class TestWindowUnderflow:

@@ -150,7 +150,6 @@ class TestLedgerProperties:
             lambda: ledger.report_reciprocation(tid, 0.0),
             lambda: ledger.report_reciprocation(tid, 0.0, truthful=False),
             lambda: ledger.release_key(tid, 0.0),
-            lambda: ledger.peek_key(tid),
             lambda: ledger.reopen(tid, 0.0),
             lambda: ledger.forgive(tid, 0.0),
             lambda: ledger.reassign_payee(tid, "E"),

@@ -230,7 +230,7 @@ class Peer:
         # refill threshold, nobody else), and it drops those itself.
         swarm = self.swarm
         for other in swarm.tracker.announce(
-                self.id, swarm.topology.neighbor_ids(self.id)):
+                self.id, swarm.columnar.neighbor_ids(self.id)):
             swarm.connect(self.id, other)
 
     # ------------------------------------------------------------------
@@ -431,7 +431,7 @@ class Peer:
 
     def on_neighbor_disconnected(self, neighbor_id: str) -> None:
         """A neighbor left; default: refill when low."""
-        if self.active and self.swarm.topology.needs_refill(self.id):
+        if self.active and self.swarm.columnar.needs_refill(self.id):
             self.refill_neighbors()
 
     def on_piece_completed(self, piece: int) -> None:

@@ -210,13 +210,13 @@ class _TChainNode(Peer):
         """
         if self.kind != "seeder":
             return
-        topology = self.swarm.topology
-        if topology.degree(self.id) < topology.max_neighbors:
+        columnar = self.swarm.columnar
+        if columnar.degree(self.id) < columnar.max_neighbors:
             return
-        for neighbor_id in topology.sorted_neighbors(self.id):
+        for neighbor_id in columnar.sorted_neighbors(self.id):
             if not self.cooperative(neighbor_id) \
                     and not self.uploading_to(neighbor_id):
-                topology.disconnect(self.id, neighbor_id)
+                columnar.disconnect(self.id, neighbor_id)
 
     def accepts_connection_from(self, peer_id: str) -> bool:
         """A seeder refuses connections from peers it has backed off —
@@ -857,7 +857,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             # Our veto list: live neighbors over their pending window
             # at us.
             peers = self.swarm.peers
-            are_neighbors = self.swarm.topology.are_neighbors
+            are_neighbors = self.swarm.columnar.are_neighbors
             banned = set(
                 nid for nid in self.flow.blocked
                 if are_neighbors(self.id, nid)

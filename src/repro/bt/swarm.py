@@ -34,9 +34,8 @@ class Swarm:
         self.tracker = Tracker(self.sim.rng, config.tracker_list_size)
         #: Peer rows over bitmask books and the neighbour graph between
         #: them (see :mod:`repro.bt.columnar`): the one swarm state
-        #: every interest scan reads.  ``topology`` names the same
-        #: object where it is used as the graph.
-        self.columnar = self.topology = ColumnarState(
+        #: every interest scan reads.
+        self.columnar = ColumnarState(
             config.n_pieces, config.max_neighbors,
             config.refill_threshold, swarm=self)
         self.columnar.on_disconnect = self._notify_disconnect

@@ -63,7 +63,7 @@ class TestLargeView:
         options = FreeRiderOptions(large_view=True, whitewash=False)
         fr = make_freerider(BitTorrentLeecher, options)(swarm)
         fr.join()
-        assert fr.id in swarm.topology._unlimited
+        assert fr.id in swarm.columnar._unlimited
 
     def test_periodic_reannounce(self):
         # Slow seeder so the free-rider cannot finish (and leave)

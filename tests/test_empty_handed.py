@@ -59,7 +59,7 @@ def test_next_upload_of_an_empty_handed_peer_is_inert(case):
     newcomer = cls(swarm)
     newcomer.join()
     assert newcomer.book.cmask == 0 and not newcomer.obligations
-    assert swarm.topology.degree(newcomer.id) == 6
+    assert swarm.columnar.degree(newcomer.id) == 6
     sim = swarm.sim
     rng_state, seq, pending = sim.rng.getstate(), sim._seq, len(sim._heap)
     assert newcomer.next_upload() is None

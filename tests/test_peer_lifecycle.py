@@ -44,7 +44,7 @@ class TestJoinLeave:
         peer = joined(swarm, "A")
         assert swarm.find_peer("A") is peer
         assert swarm.tracker.is_member("A")
-        assert "A" in swarm.topology
+        assert "A" in swarm.columnar
         assert swarm.active_leechers == 1
 
     def test_double_join_rejected(self):
@@ -74,7 +74,7 @@ class TestJoinLeave:
         swarm = make_swarm()
         joined(swarm, "A")
         b = joined(swarm, "B")
-        assert swarm.topology.are_neighbors("A", "B")
+        assert swarm.columnar.are_neighbors("A", "B")
 
     def test_rescan_task_stops_on_leave(self):
         swarm = make_swarm()

@@ -74,7 +74,7 @@ class TestDonationPlanning:
         swarm, _ = tchain_swarm(with_seeder=False)
         donor = add_leecher(swarm, pieces=[0, 1])
         requestor = add_leecher(swarm, pieces=[2])
-        assert swarm.topology.are_neighbors(donor.id, requestor.id)
+        assert swarm.columnar.are_neighbors(donor.id, requestor.id)
         # neutralize any upload the join-time pumps already started
         donor.book.unexpect(2)
         decision = donor._decide_payee(requestor, {0})
@@ -240,14 +240,14 @@ class TestSeederSnubbing:
         swarm, seeder = tchain_swarm(max_neighbors=3,
                                      seeder_capacity_kbps=0.0)
         a, b, c = (add_leecher(swarm) for _ in range(3))
-        topology = swarm.topology
-        assert topology.sorted_neighbors(seeder.id) == [a.id, b.id, c.id]
+        columnar = swarm.columnar
+        assert columnar.sorted_neighbors(seeder.id) == [a.id, b.id, c.id]
         seeder.note_exchange_written_off(a.id)
         seeder.note_exchange_written_off(b.id)  # adjacent in the list
         seeder.on_rescan()
-        assert topology.sorted_neighbors(seeder.id) == [c.id]
-        assert not topology.are_neighbors(a.id, seeder.id)
-        assert not topology.are_neighbors(b.id, seeder.id)
+        assert columnar.sorted_neighbors(seeder.id) == [c.id]
+        assert not columnar.are_neighbors(a.id, seeder.id)
+        assert not columnar.are_neighbors(b.id, seeder.id)
         swarm.columnar.check_consistency()
 
 
@@ -321,7 +321,7 @@ class TestWhitewashMidExchange:
         assert new_id != old_id
         assert swarm.find_peer(old_id) is None
         assert swarm.find_peer(new_id) is victim
-        assert old_id not in swarm.topology
+        assert old_id not in swarm.columnar
         # The ledger still names the abandoned identity — rebrand
         # never launders exchange state onto the new one...
         for tx in open_before:

@@ -127,11 +127,6 @@ class FlowController:
         """True while the neighbor is under the window."""
         return neighbor_id not in self.blocked
 
-    def filter_eligible(self, neighbor_ids: Iterable[str]) -> List[str]:
-        """Subset of ``neighbor_ids`` that pass the window check."""
-        blocked = self.blocked
-        return [n for n in neighbor_ids if n not in blocked]
-
     def least_loaded(self, neighbor_ids: Iterable[str]) -> List[str]:
         """Neighbors with the smallest pending count (the alternative
         selection rule mentioned in Sec. II-D2)."""

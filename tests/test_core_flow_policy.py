@@ -64,11 +64,6 @@ class TestFlowController:
         assert flow.pending("B") == 0
         assert flow.total_pending == 0
 
-    def test_filter_eligible(self):
-        flow = FlowController(pending_limit=1)
-        flow.on_piece_sent("B")
-        assert flow.filter_eligible(["A", "B", "C"]) == ["A", "C"]
-
     def test_least_loaded(self):
         flow = FlowController(pending_limit=5)
         flow.on_piece_sent("A")

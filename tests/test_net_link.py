@@ -247,12 +247,11 @@ class TestBuildNetwork:
             NetworkModel)
 
     def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            build_network(42)
-
-    def test_rejects_a_live_model(self):
-        with pytest.raises(TypeError, match="NetworkModel"):
-            build_network(NetworkModel(wan()))
+        # A live model would carry its rng and link state into the
+        # next run.
+        for spec in (42, NetworkModel(wan())):
+            with pytest.raises(TypeError):
+                build_network(spec)
 
 
 class TestInertFastPath:

@@ -133,12 +133,6 @@ class TestNetValueIsData:
         for net in (spec, graph, model):
             assert self.outcome(net) == self.outcome(net)
 
-    def test_live_model_rejected(self):
-        from repro.net.link import build_network
-        model = build_network(dict(WAN_NET), seed=3)
-        with pytest.raises(TypeError, match="NetworkModel"):
-            run_swarm(leechers=4, pieces=2, seed=3, extra={"net": model})
-
 
 class TestNetworkPartitionFault:
     def partition_plan(self, at_s=4.0, heal_s=12.0):

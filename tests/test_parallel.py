@@ -74,7 +74,8 @@ class TestRunSpec:
 
     @pytest.mark.parametrize("bad", [
         dict(protocol="tchian"), dict(arrival="burst"),
-        dict(series=("chains", "chain")), dict(sanitize="race")])
+        dict(series=("chains", "chain")), dict(sanitize="race"),
+        dict(sanitize="races"), dict(sanitize=1)])
     def test_unknown_names_rejected_at_construction(self, bad):
         """Not in a worker, where a bad spec is retried and then
         quarantined instead of reported."""
@@ -86,11 +87,6 @@ class TestRunSpec:
     def test_every_known_name_accepted(self):
         RunSpec(protocol="dandelion", arrival="churn", sanitize=True,
                 series=("chains", "diversity", "initiators", "piece_log"))
-
-    @pytest.mark.parametrize("mode", ["races", "True", 1])
-    def test_non_bool_sanitize_rejected(self, mode):
-        with pytest.raises(ValueError, match="sanitize"):
-            RunSpec(sanitize=mode)
 
 
 class TestBitIdentical:

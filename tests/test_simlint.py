@@ -256,8 +256,8 @@ class TestCli:
 
     def test_unknown_rule_id_is_an_error(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("import random\n")
-        # SL004 is a retired id: unknown, not silently ignored
-        for rule_id in ("SL999", "SL004"):
+        # retired ids are unknown, not silently ignored
+        for rule_id in ("SL999", "SL004", "SL201", "SL202", "SL203"):
             code = main(["lint", str(tmp_path), "--no-config",
                          "--enable", rule_id])
             err = capsys.readouterr().err

@@ -444,14 +444,6 @@ class TestDeepCli:
                         "SL110", "SL111", "SL112"):
             assert rule_id not in out
 
-    def test_retired_simrace_ids_are_unknown(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        for rule_id in ("SL201", "SL202", "SL203"):
-            code = main(["lint", "--deep", "--no-cache", str(tmp_path),
-                         "--no-config", "--enable", rule_id])
-            assert code == 2
-            assert rule_id in capsys.readouterr().err
-
     def test_devtools_audit_rows_match_registered_rules(self):
         """docs/DEVTOOLS.md's rule audit has one row per rule id ever
         shipped: a row not marked retired names a registered rule, and

@@ -41,12 +41,10 @@ class ChainStats:
 
 def summarize_chains(registry: ChainRegistry) -> ChainStats:
     """Compute :class:`ChainStats` for a registry."""
-    chains = registry.all_chains()
-    lengths = [c.length for c in chains]
-    lifetimes = [c.terminated_at - c.created_at for c in chains
-                 if c.terminated_at is not None]
+    lengths = registry.chain_lengths()
+    lifetimes = registry.lifetimes()
     return ChainStats(
-        total=len(chains),
+        total=registry.total_count,
         by_seeder=registry.created_by_seeder,
         by_leechers=registry.created_by_leechers,
         mean_length=mean(lengths),

@@ -19,8 +19,8 @@ fairness-factor metric of Fig. 12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Set, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.bt.piece_selection import rarest_in_mask
 from repro.bt.torrent import PieceBook
@@ -31,21 +31,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.swarm import Swarm
 
 
-@dataclass
+@dataclass(slots=True)
 class UploadPlan:
     """One piece upload the protocol decided to make.
 
     ``payload`` is what lands at the receiver (an int piece index for
-    plain protocols, a message object for T-Chain); ``size_kb``
-    defaults to the torrent's piece size.  ``meta`` is free for the
-    protocol; ``uploader_id`` is filled in by :meth:`Peer.start_upload`.
+    plain protocols, a message object for T-Chain); the size is the
+    torrent's piece size.  T-Chain fills ``tx`` (the ledger exchange
+    the upload carries) and ``obligation`` (the exchange it
+    reciprocates, when it fulfils one); ``uploader_id`` is filled in
+    by :meth:`Peer.start_upload`.
     """
 
     receiver_id: str
     piece: int
     payload: Any = None
-    size_kb: Optional[float] = None
-    meta: dict = field(default_factory=dict)
+    tx: Optional[int] = None
+    obligation: Optional[int] = None
     uploader_id: Optional[str] = None
 
 
@@ -83,10 +85,12 @@ class Peer:
         self.pieces_downloaded = 0
         self.unlimited_neighbors = False  # large-view exploit sets this
         self._rescan_task = None
-        self._in_flight_to: Set[str] = set()
-        # insertion-ordered so cancellation order is deterministic
-        self._incoming: Dict[Transfer, None] = {}
-        self._outgoing: Dict[Transfer, UploadPlan] = {}
+        # Transfers in start order, so cancellation order is
+        # deterministic; each one's ``meta`` is its UploadPlan.
+        self._incoming: List[Transfer] = []
+        #: our in-flight uploads, at most ``n_slots`` of them: the one
+        #: record of whom we are uploading to
+        self._outgoing: List[Transfer] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -145,7 +149,7 @@ class Peer:
         # Cancel transfers headed to us; the uploaders get their slots
         # back immediately (they would notice the TCP reset).
         for transfer in list(self._incoming):
-            uploader = self.swarm.find_peer(transfer.meta.uploader_id)  # meta is the UploadPlan
+            uploader = self.swarm.find_peer(transfer.meta.uploader_id)
             if uploader is not None:
                 uploader._cancel_outgoing(transfer)
         self._incoming.clear()
@@ -264,8 +268,7 @@ class Peer:
         receiver = self.swarm.find_peer(plan.receiver_id)
         if receiver is None or not receiver.active:
             return False
-        size = (plan.size_kb if plan.size_kb is not None
-                else self.swarm.torrent.piece_size_kb)
+        size = self.swarm.torrent.piece_size_kb
         plan.uploader_id = self.id
         floor_s = 0.0
         net = self.swarm.net
@@ -285,22 +288,22 @@ class Peer:
                                          min_duration_s=floor_s)
         if transfer is None:
             return False
-        self._outgoing[transfer] = plan
-        self._in_flight_to.add(plan.receiver_id)
-        receiver._incoming[transfer] = None
+        self._outgoing.append(transfer)
+        receiver._incoming.append(transfer)
         receiver.book.expect(plan.piece)
         self.swarm.note_activity()
         self.on_upload_started(plan)
         return True
 
     def _upload_finished(self, transfer: Transfer) -> None:
-        plan = self._outgoing.pop(transfer)
-        self._in_flight_to.discard(plan.receiver_id)
+        self._outgoing.remove(transfer)
+        plan = transfer.meta
         self.kb_uploaded += transfer.size_kb
         self.pieces_uploaded += 1
         receiver = self.swarm.find_peer(plan.receiver_id)
         if receiver is not None and receiver.active:
-            receiver._incoming.pop(transfer, None)
+            if transfer in receiver._incoming:
+                receiver._incoming.remove(transfer)
             receiver.kb_downloaded += transfer.size_kb
             receiver.pieces_downloaded += 1
             payload = plan.payload if plan.payload is not None \
@@ -324,27 +327,41 @@ class Peer:
 
     def _cancel_outgoing(self, transfer: Transfer) -> None:
         """The receiver vanished mid-transfer."""
-        plan = self._outgoing.get(transfer)
-        if plan is None:
+        if transfer not in self._outgoing:
             return
         transfer.cancel()
         self._drop_outgoing(transfer)
-        self.on_upload_cancelled(plan)
+        self.on_upload_cancelled(transfer.meta)
         self.pump()
 
     def _drop_outgoing(self, transfer: Transfer) -> None:
-        plan = self._outgoing.pop(transfer, None)
-        if plan is None:
+        if transfer not in self._outgoing:
             return
-        self._in_flight_to.discard(plan.receiver_id)
+        self._outgoing.remove(transfer)
+        plan = transfer.meta
         receiver = self.swarm.find_peer(plan.receiver_id)
         if receiver is not None:
-            receiver._incoming.pop(transfer, None)
+            if transfer in receiver._incoming:
+                receiver._incoming.remove(transfer)
             receiver.book.unexpect(plan.piece)
 
     def uploading_to(self, peer_id: str) -> bool:
         """True while a transfer to ``peer_id`` is in flight."""
-        return peer_id in self._in_flight_to
+        for transfer in self._outgoing:
+            if transfer.meta.receiver_id == peer_id:
+                return True
+        return False
+
+    def serveable_neighbors(self) -> List[str]:
+        """Live neighbors that want a piece of ours and have no
+        in-flight piece from us, in sorted-id order (a fresh list:
+        our few in-flight receivers are struck from it in place)."""
+        wanting = self.swarm.columnar.wanters(self, self.book.cmask)
+        for transfer in self._outgoing:
+            receiver_id = transfer.meta.receiver_id
+            if receiver_id in wanting:
+                wanting.remove(receiver_id)
+        return wanting
 
     # ------------------------------------------------------------------
     # Piece completion

@@ -3,14 +3,14 @@
 The four baseline protocols differ only in *whom* a peer serves next;
 everything else (transfer mechanics, piece completion, neighbor
 management) lives in :class:`repro.bt.peer.Peer`.  This module adds
-the pieces they share: the serveable-neighbor scan and the
-receiver-side LRF upload plan builder, a seeder that altruistically
-rotates through interested neighbors, and the leecher base.
+the pieces they share: the receiver-side LRF upload plan builder, a
+seeder that altruistically rotates through interested neighbors, and
+the leecher base.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.bt.peer import Peer, UploadPlan
 from repro.bt.torrent import full_book
@@ -20,17 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class BaselinePeer(Peer):
-    """What the baseline seeder and leechers share: the one neighbor
-    scan and the receiver-side LRF plan."""
-
-    def serveable_neighbors(self) -> List[str]:
-        """Live neighbors that want a piece of ours and have no
-        in-flight piece from us, in sorted-id order (a fresh list)."""
-        wanting = self.swarm.columnar.wanters(self, self.book.cmask)
-        in_flight = self._in_flight_to
-        if not in_flight:
-            return wanting
-        return [nid for nid in wanting if nid not in in_flight]
+    """What the baseline seeder and leechers share: the receiver-side
+    LRF plan."""
 
     def plan_for(self, receiver_id: str) -> Optional[UploadPlan]:
         """Build a plan letting the receiver pick its piece via LRF."""

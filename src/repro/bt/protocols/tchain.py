@@ -147,11 +147,13 @@ class _TChainNode(Peer):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.state = TChainState.of(self.swarm)
-        # Forgotten-neighbor ids have one reader, the sanitizer's
-        # underflow classification in _on_flow_underflow.
-        self.flow = FlowController(
-            self.swarm.config.flow_control_k,
-            remember_forgotten=self.state.sanitizer is not None)
+        # Forgotten-neighbor ids and the underflow hook have one
+        # reader, the sanitizer's underflow classification.
+        sanitized = self.state.sanitizer is not None
+        self.flow = FlowController(self.swarm.config.flow_control_k,
+                                   remember_forgotten=sanitized)
+        if sanitized:
+            self.flow.on_underflow = self._on_flow_underflow
         # Adaptive receiver selection, the "banned" half (Sec. II-D2):
         # every written-off exchange is a strike; strikes back a
         # neighbor off exponentially (stall, 2*stall, 4*stall, ...)
@@ -160,18 +162,15 @@ class _TChainNode(Peer):
         # nothing; colluders recycle at their false-report rate.
         self._strikes: Dict[str, int] = {}
         self._banned_until: Dict[str, float] = {}
-        self.flow.on_underflow = self._on_flow_underflow
 
     def _on_flow_underflow(self, neighbor_id: str) -> None:
         # A confirm that finds an empty window is benign only when the
         # neighbor's flow state was dropped by forget() (disconnect
         # with a report still in flight); otherwise some exchange was
-        # drained twice — escalate when the sanitizer is attached.
-        sanitizer = self.state.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_flow_underflow(
-                self.id, neighbor_id,
-                benign=self.flow.was_forgotten(neighbor_id))
+        # drained twice — escalate.
+        self.state.sanitizer.on_flow_underflow(
+            self.id, neighbor_id,
+            benign=self.flow.was_forgotten(neighbor_id))
 
     #: Backoff cap: stall × 2^(strikes−1) saturates here, so a chronic
     #: non-reciprocator is throttled to one donation per
@@ -233,9 +232,7 @@ class _TChainNode(Peer):
         """Neighbors we could start serving right now, sorted: live,
         wanting a piece of ours, not already being served, inside
         their flow window and not backed off."""
-        return self._unblocked(
-            self.swarm.columnar.wanters(self, self.book.cmask),
-            self._in_flight_to)
+        return self._unblocked(self.serveable_neighbors())
 
     def _unblocked(self, ids: List[str], exclude=()) -> List[str]:
         """Drop ``exclude``, neighbors over their flow window
@@ -373,11 +370,9 @@ class _TChainNode(Peer):
         ledger = self.state.ledger
         now = self.sim.now
         if reciprocates is not None:
-            chain = ledger.registry.get(reciprocates.chain_id)
-            if not chain.active:
-                # A watchdog or cancellation wrote the chain off while
-                # this reciprocation was still pending; it lives on.
-                ledger.registry.revive(chain.chain_id)
+            # A watchdog or cancellation may have written the chain off
+            # while this reciprocation was still pending; it lives on.
+            chain = ledger.registry.revive(reciprocates.chain_id)
         else:
             chain = None  # lazily created below
 
@@ -398,8 +393,7 @@ class _TChainNode(Peer):
                 donor_id=self.id, requestor_id=requestor.id,
                 reciprocates=tx.reciprocates)
             return UploadPlan(receiver_id=requestor.id, piece=piece,
-                              payload=payload,
-                              meta={"tx": tx.transaction_id})
+                              payload=payload, tx=tx.transaction_id)
 
         if chain is None:
             chain = ledger.begin_chain(self.id, self.kind == "seeder", now)
@@ -419,8 +413,7 @@ class _TChainNode(Peer):
             sealed=sealed, donor_id=self.id, requestor_id=requestor.id,
             payee_id=decision.payee_id, reciprocates=tx.reciprocates)
         return UploadPlan(receiver_id=requestor.id, piece=piece,
-                          payload=payload,
-                          meta={"tx": tx.transaction_id})
+                          payload=payload, tx=tx.transaction_id)
 
     def _may_terminate(self, reciprocates: Optional[Transaction]) -> bool:
         """May we upload unencrypted here?  Seeders and obligated
@@ -615,7 +608,7 @@ class _TChainNode(Peer):
         *reciprocations* leave the chain alive — the leecher override
         re-queues the obligation so a replacement payee can be found.
         """
-        tx_id = plan.meta.get("tx")
+        tx_id = plan.tx
         if tx_id is None:
             return
         ledger = self.state.ledger
@@ -657,6 +650,12 @@ class _TChainNode(Peer):
                     # after we leave (the key was sent on our way out).
                     pass
         super().on_leave()
+        self.flow.on_underflow = None
+
+    def on_crash(self) -> None:
+        # A departed node drains no window: drop the (sanitized runs')
+        # hook, which would hold us in a cycle with our own flow state.
+        self.flow.on_underflow = None
 
     def _replacement_payee_for(self, tx: Transaction):
         """A live neighbor that needs something from ``tx``'s
@@ -697,7 +696,7 @@ def _still_stalling(state: TChainState, tx: Transaction) -> bool:
     and write off a dead one; True when it is worth another look."""
     if tx.state is not TransactionState.DELIVERED:
         return False
-    if not state.registry.get(tx.chain_id).active:
+    if not state.registry.is_active(tx.chain_id):
         return False
     requestor = state.swarm.find_peer(tx.requestor_id)
     if requestor is None or not requestor.active:
@@ -813,7 +812,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             plan = self._try_fulfil(tx)
             if plan is not None:
                 self._drop_obligation(tx_id)
-                plan.meta["obligation"] = tx_id
+                plan.obligation = tx_id
                 return plan
             if tx.state is not TransactionState.DELIVERED:
                 # _try_fulfil settled it (forgiven or aborted).
@@ -927,7 +926,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         return None
 
     def on_plan_failed(self, plan: UploadPlan) -> None:
-        obligation = plan.meta.get("obligation")
+        obligation = plan.obligation
         if obligation is not None:
             self.obligations.insert(0, obligation)
 
@@ -935,7 +934,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         super().on_upload_cancelled(plan)
         # A cancelled reciprocation leaves its obligation unfulfilled:
         # put it back so the donor can designate a replacement payee.
-        obligation = plan.meta.get("obligation")
+        obligation = plan.obligation
         if obligation is None or not self.active:
             return
         tx = self.state.ledger.find(obligation)
@@ -1181,6 +1180,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         ledger = self.state.ledger
         for transaction_id in self.pending_sealed:
             ledger.settle(transaction_id)
+        super().on_crash()
 
     def drop_sealed(self, transaction_id: int) -> Optional[object]:
         """Pop a held sealed piece (or None) and settle its exchange."""

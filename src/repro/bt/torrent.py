@@ -116,6 +116,9 @@ class PieceBook:
     hears every completion, whichever identity made it.
     """
 
+    __slots__ = ("torrent", "cmask", "spread", "emask", "wmask", "_state",
+                 "_rows")
+
     def __init__(self, torrent: Torrent,
                  initial_pieces: Iterable[int] = ()):
         self.torrent = torrent

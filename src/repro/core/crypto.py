@@ -109,7 +109,7 @@ def decrypt(key: bytes, blob: bytes) -> bytes:
     return _xor_fast(body, stream) if body else b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Key:
     """A single-use symmetric key ``K^{ij}_{D,R}``.
 
@@ -137,7 +137,7 @@ def generate_key(key_id: Tuple) -> Key:
     return Key.derive(key_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class SealedPiece:
     """An encrypted file piece in transit or pending decryption.
 

@@ -23,7 +23,7 @@ missing id means *settled* (:meth:`~ExchangeLedger.find` returns
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.chain import Chain, ChainRegistry
 from repro.core.crypto import Key, SealedPiece, generate_key
@@ -63,7 +63,9 @@ class ExchangeLedger:
         #: ABORTED exchanges a stall watchdog is still armed on
         #: (``Transaction.watched``), until it takes them to write off
         self._aborted: Dict[int, Transaction] = {}
-        self._open_by_peer: Dict[str, set] = {}
+        #: peer id -> ids of its open exchanges (a short list: one
+        #: entry per exchange the peer is a distinct party of)
+        self._open_by_peer: Dict[str, List[int]] = {}
         self._next_tx_id = 0
         self.collusion_successes = 0
         self.completed_transactions = 0
@@ -159,21 +161,22 @@ class ExchangeLedger:
         return tx, sealed
 
     # The open-transaction index holds an entry only for a peer with
-    # an open transaction: sets are made on a miss and dropped when
+    # an open transaction: lists are made on a miss and dropped when
     # emptied, so ids that come and go (every whitewash mints one)
-    # leave nothing behind.
+    # leave nothing behind.  A party is indexed once per exchange
+    # (``Transaction.parties`` is distinct), so one removal clears it.
     def _index_open(self, party: str, transaction_id: int) -> None:
-        open_set = self._open_by_peer.get(party)
-        if open_set is None:
-            self._open_by_peer[party] = {transaction_id}
+        open_ids = self._open_by_peer.get(party)
+        if open_ids is None:
+            self._open_by_peer[party] = [transaction_id]
         else:
-            open_set.add(transaction_id)
+            open_ids.append(transaction_id)
 
     def _unindex_open(self, party: str, transaction_id: int) -> None:
-        open_set = self._open_by_peer.get(party)
-        if open_set is not None:
-            open_set.discard(transaction_id)
-            if not open_set:
+        open_ids = self._open_by_peer.get(party)
+        if open_ids is not None:
+            open_ids.remove(transaction_id)
+            if not open_ids:
                 del self._open_by_peer[party]
 
     def _close(self, tx: Transaction) -> None:
@@ -365,12 +368,14 @@ class ExchangeLedger:
         if tx.state is not TransactionState.DELIVERED:
             raise ExchangeError(
                 f"cannot reassign payee in state {tx.state.value}")
-        old_payee = tx.payee_id
+        before = tx.parties()
         tx.payee_id = new_payee
-        if old_payee is not None and old_payee not in (
-                tx.donor_id, tx.requestor_id):
-            self._unindex_open(old_payee, tx.transaction_id)
-        self._index_open(new_payee, tx.transaction_id)
+        after = tx.parties()
+        if before != after:
+            if len(before) == 3:
+                self._unindex_open(before[2], tx.transaction_id)
+            if len(after) == 3:
+                self._index_open(after[2], tx.transaction_id)
 
     def terminate_chain(self, chain_id: int, now: float) -> None:
         """Terminate a chain explicitly (e.g. stalled by a free-rider)."""

@@ -14,10 +14,13 @@ no reputation system or information sharing required.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional
 
 DEFAULT_PENDING_LIMIT = 2
 """The paper's k = 2 (Sec. II-D2)."""
+
+#: ``FlowController.blocked`` while no neighbor is over the window
+_NONE_BLOCKED: AbstractSet[str] = frozenset()
 
 
 class FlowController:
@@ -30,6 +33,9 @@ class FlowController:
         or above the limit are ineligible.
     """
 
+    __slots__ = ("pending_limit", "_pending", "blocked", "_forgotten",
+                 "underflows", "on_underflow")
+
     def __init__(self, pending_limit: int = DEFAULT_PENDING_LIMIT,
                  remember_forgotten: bool = True):
         if pending_limit < 1:
@@ -40,8 +46,10 @@ class FlowController:
         #: the limit, i.e. exactly the neighbors that are not
         #: :meth:`eligible`.  Edited only here, where a count crosses
         #: the limit; read it freely (a planning loop pays one set
-        #: lookup per neighbor instead of a method call).
-        self.blocked: Set[str] = set()
+        #: lookup per neighbor instead of a method call).  Most windows
+        #: are open at any moment, so the set is made when a neighbor
+        #: blocks and dropped when the last one unblocks.
+        self.blocked: AbstractSet[str] = _NONE_BLOCKED
         #: Every id :meth:`forget` ever dropped, or ``None`` when the
         #: owner will never ask :meth:`was_forgotten` (a T-Chain node
         #: in an unsanitized run): the set only grows, one id per
@@ -67,7 +75,10 @@ class FlowController:
         # count steps by one, so == pending_limit is exactly the
         # eligible -> blocked flip.
         if count == self.pending_limit:
-            self.blocked.add(neighbor_id)
+            if self.blocked:
+                self.blocked.add(neighbor_id)
+            else:
+                self.blocked = {neighbor_id}
 
     def on_reciprocation_confirmed(self, neighbor_id: str) -> None:
         """A reciprocation notification for ``neighbor_id`` arrived."""
@@ -87,7 +98,15 @@ class FlowController:
             self._pending[neighbor_id] = count - 1
         # The blocked -> eligible flip: the count drops off the limit.
         if count == self.pending_limit:
-            self.blocked.discard(neighbor_id)
+            self._unblock(neighbor_id)
+
+    def _unblock(self, neighbor_id: str) -> None:
+        blocked = self.blocked
+        if neighbor_id in blocked:
+            if len(blocked) == 1:
+                self.blocked = _NONE_BLOCKED
+            else:
+                blocked.discard(neighbor_id)
 
     def write_off(self, neighbor_id: str) -> None:
         """Write one dead exchange off the neighbor's window.
@@ -111,7 +130,7 @@ class FlowController:
         self._pending.pop(neighbor_id, None)
         if self._forgotten is not None:
             self._forgotten.add(neighbor_id)
-        self.blocked.discard(neighbor_id)
+        self._unblock(neighbor_id)
 
     def was_forgotten(self, neighbor_id: str) -> bool:
         """True if ``forget`` was ever called for this neighbor

@@ -144,7 +144,11 @@ class Transaction:
         return self.reciprocates is None
 
     def parties(self) -> Tuple[str, ...]:
-        """All peer ids involved (payee omitted when absent)."""
-        if self.payee_id is None:
+        """The distinct peer ids involved: the payee is omitted when
+        absent or when it is already named (direct reciprocity makes
+        the donor the payee)."""
+        payee_id = self.payee_id
+        if payee_id is None or payee_id == self.donor_id \
+                or payee_id == self.requestor_id:
             return (self.donor_id, self.requestor_id)
-        return (self.donor_id, self.requestor_id, self.payee_id)
+        return (self.donor_id, self.requestor_id, payee_id)

@@ -96,6 +96,10 @@ class Uplink:
         Number of parallel upload slots.
     """
 
+    __slots__ = ("sim", "capacity_kbps", "n_slots", "busy_slots", "kb_sent",
+                 "opened_at", "closed_at", "_transfers", "_next_seq",
+                 "_sanitizer")
+
     def __init__(self, sim: Simulator, capacity_kbps: float,
                  n_slots: int = 4):
         if n_slots < 1:

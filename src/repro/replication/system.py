@@ -255,9 +255,7 @@ class ReplicationSystem:
                 continue
             target_obj = under[0]
             next_payee = self._select_payee(owner, payee)
-            chain = self.ledger.registry.get(tx.chain_id)
-            if not chain.active:
-                self.ledger.registry.revive(chain.chain_id)
+            chain = self.ledger.registry.revive(tx.chain_id)
             if next_payee is None:
                 next_tx, _ = self.ledger.create_transaction(
                     chain, owner.node_id, payee.node_id, None,

@@ -24,6 +24,9 @@ class PeriodicTask:
     reschedule is cancelled cleanly.
     """
 
+    __slots__ = ("sim", "interval", "callback", "fire_count", "_stopped",
+                 "_handle")
+
     def __init__(self, sim: Simulator, interval: float,
                  callback: Callable[[], Any],
                  first_delay: Optional[float] = None):
@@ -46,8 +49,11 @@ class PeriodicTask:
             self._handle = self.sim.schedule(self.interval, self._fire)
 
     def stop(self) -> None:
-        """Stop the timer; idempotent."""
+        """Stop the timer; idempotent.  The callback is dropped: a
+        bound method of the task's owner would otherwise keep the two
+        in a reference cycle that only the cyclic collector frees."""
         self._stopped = True
+        self.callback = None
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None

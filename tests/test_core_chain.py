@@ -98,3 +98,23 @@ class TestChainRegistry:
         reg = ChainRegistry()
         created = [reg.create("S", True, float(i)) for i in range(4)]
         assert reg.all_chains() == created
+
+    def test_ended_chain_keeps_only_its_slots(self):
+        reg = ChainRegistry()
+        c = reg.create("L1", False, 2.0)
+        c.append(make_tx(0))
+        reg.create("S", True, 3.0)
+        reg.terminate(c.chain_id, 9.0)
+        assert not reg.is_active(c.chain_id)
+        assert c.chain_id not in reg._live
+        ended = reg.get(c.chain_id)
+        assert (ended.initiator_id, ended.seeded_by_seeder,
+                ended.created_at, ended.terminated_at, ended.length) \
+            == ("L1", False, 2.0, 9.0, 1)
+        assert [ch.chain_id for ch in reg.all_chains()] == [0, 1]
+        assert reg.chain_lengths() == [1, 0]
+        assert reg.lifetimes() == [7.0]
+        revived = reg.revive(c.chain_id)
+        assert revived.active and revived.length == 1
+        assert reg.revive(c.chain_id) is revived
+        assert (reg.active_count, reg.total_count) == (2, 2)

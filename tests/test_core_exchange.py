@@ -257,7 +257,8 @@ class TestIntrospection:
     def test_open_index_drops_emptied_entries(self):
         """One entry per peer *with an open transaction*: closing the
         last one, or reassigning the payee away, removes the key
-        instead of leaving an empty set behind."""
+        instead of leaving an empty list behind; a direct payee (the
+        donor) is indexed once, so one removal clears it."""
         ledger = ExchangeLedger()
         chain, t1, _ = start_chain(ledger, "A", "B", "C")
         assert set(ledger._open_by_peer) == {"A", "B", "C"}
@@ -267,6 +268,9 @@ class TestIntrospection:
         assert ledger.open_transactions_involving("C") == []
         assert ledger.open_transactions_involving("C2") == [t1]
         chain2, t2, _ = start_chain(ledger, "A", "D", "A")  # direct
+        ledger.reassign_payee(t1.transaction_id, "A")  # direct now
+        assert set(ledger._open_by_peer) == {"A", "B", "D"}
+        assert ledger.open_transactions_involving("A") == [t1, t2]
         ledger.abort(t1.transaction_id, 2.0)
         assert set(ledger._open_by_peer) == {"A", "D"}
         ledger.abort(t2.transaction_id, 3.0)

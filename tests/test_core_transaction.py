@@ -90,3 +90,6 @@ class TestProperties:
 
     def test_parties_without_payee(self):
         assert make_tx(payee_id=None).parties() == ("A", "B")
+
+    def test_parties_name_a_direct_payee_once(self):
+        assert make_tx(payee_id="A").parties() == ("A", "B")

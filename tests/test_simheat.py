@@ -424,6 +424,34 @@ class TestAllocCeiling:
             f"{self.MAX_ALLOCS_PER_EVENT} ceiling")
 
 
+class TestFootprintCeiling:
+    #: Traced-heap peak of the quick crowd in MB, pinned just above
+    #: the measured 1.87 MB (2.62 MB while every upload plan carried a
+    #: dict, keys, sealed pieces and chains were ``__dict__``-backed,
+    #: the ledger's open-exchange index held one set per peer, every
+    #: peer kept a set mirroring its uploads' receivers and the chain
+    #: registry kept every chain ever made).
+    MAX_TRACED_PEAK_MB = 1.95
+
+    def test_quick_crowd_traced_peak_under_ceiling(self):
+        import tracemalloc
+        from repro.experiments.runner import run_swarm
+        crowd = dict(protocol="tchain", pieces=4, piece_size_kb=64.0,
+                     freerider_fraction=0.0, arrival="flash")
+        # Imports and first-use caches stay out of the window.
+        run_swarm(seed=1, leechers=10, **crowd)
+        tracemalloc.start()
+        try:
+            result = run_swarm(seed=7, leechers=300, **crowd)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.completion_rate("leecher") == 1.0
+        assert peak / 1e6 < self.MAX_TRACED_PEAK_MB, (
+            f"traced peak {peak / 1e6:.3f} MB over the "
+            f"{self.MAX_TRACED_PEAK_MB} MB ceiling")
+
+
 # ----------------------------------------------------------------------
 # baseline fingerprints survive line moves
 # ----------------------------------------------------------------------

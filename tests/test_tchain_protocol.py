@@ -357,6 +357,31 @@ class TestBoundedBookkeeping:
                  and id(obj) not in before and id(obj) not in held]
         assert stray == []
 
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_departed_peer_freed_without_cycle_collector(self, sanitize):
+        """A departed peer is garbage as soon as the swarm and its last
+        timer let go: no reference cycle (the rescan task's bound
+        callback, a sanitized run's flow underflow hook) waits for the
+        cyclic collector.  Trace arrivals leave most peers departed
+        long before the run ends."""
+        departed = []
+
+        def setup(swarm):
+            swarm.on_departed = \
+                lambda peer: departed.append(weakref.ref(peer))
+        gc.collect()
+        gc.disable()
+        try:
+            result = tchain_run(arrival="trace", leechers=40, pieces=8,
+                                seed=3, freerider_fraction=0.2,
+                                trace_horizon_s=4000.0,
+                                sanitize=sanitize, setup=setup)
+            alive = [ref().id for ref in departed if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(departed) == 40 - len(result.swarm.leechers()) > 25
+        assert alive == []
+
     def test_no_stall_watchdog_keeps_no_aborted_exchange(self):
         """The ledger keeps an aborted exchange only for an armed
         watchdog; with the watchdog off it never keeps one."""

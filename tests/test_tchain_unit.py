@@ -157,7 +157,7 @@ class TestNewcomerForward:
         assert plan.receiver_id == target.id
         # The forwarded upload reuses the original sealed piece's key.
         ledger = TChainState.of(swarm).ledger
-        forwarded = ledger.get(plan.meta["tx"])
+        forwarded = ledger.get(plan.tx)
         assert forwarded.key_id == tx.key_id
 
 
@@ -517,3 +517,48 @@ class TestDeadLetterPieces:
         # was never re-fetched, wedging the requestor at n-1 pieces.
         assert not requestor.book.is_expected(0)
         assert 0 in requestor.book.wanted()
+
+
+class TestChainRevival:
+    """A chain the stall watchdog wrote off comes back when its
+    requestor reciprocates after all (``ChainRegistry.revive``)."""
+
+    def test_stalled_chain_revives_on_late_reciprocation(self):
+        from repro.bt.protocols.tchain import _check_stall
+        swarm, _ = tchain_swarm(n_pieces=4, with_seeder=False)
+        donor = add_leecher(swarm)
+        requestor = add_leecher(swarm)
+        payee = add_leecher(swarm)
+        requestor.book.add_completed(1)  # something to pay with
+        state = TChainState.of(swarm)
+        ledger, registry = state.ledger, state.registry
+        chain = ledger.begin_chain(donor.id, False, 0.0)
+        tx, _ = ledger.create_transaction(
+            chain, donor.id, requestor.id, payee_id=payee.id,
+            piece_index=0, now=0.0)
+        ledger.mark_delivered(tx.transaction_id, 0.0)
+        # Idle requestor, obligation not queued: the watchdog takes it
+        # for a free-rider and ends the chain.
+        _check_stall(state, tx.transaction_id)
+        assert not registry.is_active(chain.chain_id)
+        assert (registry.active_count, registry.total_count) == (0, 1)
+        assert registry.lifetimes() == [0.0]
+
+        requestor.obligations.append(tx.transaction_id)
+        requestor.pump()
+        assert requestor.uploading_to(payee.id)
+        follow_up = [t for t in
+                     ledger.open_transactions_involving(requestor.id)
+                     if t.reciprocates == tx.transaction_id]
+        assert [(t.chain_id, t.index_in_chain) for t in follow_up] \
+            == [(chain.chain_id, 1)]
+        # Back among the live chains, counted once.
+        assert registry.is_active(chain.chain_id)
+        assert (registry.active_count, registry.total_count) == (1, 1)
+        assert registry.chain_lengths() == [2]
+        assert registry.lifetimes() == []
+        assert registry.get(chain.chain_id).length == 2
+
+        registry.terminate(chain.chain_id, 7.0)
+        assert (registry.active_count, registry.total_count) == (0, 1)
+        assert registry.lifetimes() == [7.0]

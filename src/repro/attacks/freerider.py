@@ -145,8 +145,7 @@ def make_freerider(leecher_cls: Type,
                     continue
                 sealed = self.drop_sealed(tx_id)
                 self.book.unexpect(sealed.piece_index)
-                if tx_id in self.obligations:
-                    self.obligations.remove(tx_id)
+                self._drop_obligation(tx_id)
                 ledger.abort(tx_id, now)
                 ledger.terminate_chain(tx.chain_id, now)
 
@@ -178,7 +177,7 @@ def make_freerider(leecher_cls: Type,
         def on_whitewash(self) -> None:
             if is_tchain:
                 # A new identity walks away from old obligations.
-                self.obligations.clear()
+                self.obligations = ()
 
         # -- T-Chain reporting policy ----------------------------------
         if is_tchain:

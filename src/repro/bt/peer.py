@@ -69,7 +69,10 @@ class Peer:
         self.sim = swarm.sim
         self.id = peer_id
         self.book = book if book is not None else PieceBook(swarm.torrent)
-        self.uplink = Uplink(self.sim, capacity_kbps, n_slots)
+        #: our in-flight uploads are ``uplink.transfers``, in start
+        #: order: the one record of whom we are uploading to
+        self.uplink = Uplink(self.sim, capacity_kbps, n_slots,
+                             self._upload_finished)
         self.active = False
         #: True after an *unclean* departure (:meth:`crash`): the host
         #: is dead and processes no further control messages.
@@ -88,9 +91,6 @@ class Peer:
         # Transfers in start order, so cancellation order is
         # deterministic; each one's ``meta`` is its UploadPlan.
         self._incoming: List[Transfer] = []
-        #: our in-flight uploads, at most ``n_slots`` of them: the one
-        #: record of whom we are uploading to
-        self._outgoing: List[Transfer] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -153,8 +153,7 @@ class Peer:
             if uploader is not None:
                 uploader._cancel_outgoing(transfer)
         self._incoming.clear()
-        self.uplink.close()  # cancels our outgoing transfers
-        for transfer in list(self._outgoing):
+        for transfer in self.uplink.close():  # cancels our uploads
             self._drop_outgoing(transfer)
         self.swarm.tracker.leave(self.id)
         self.swarm.deregister(self)
@@ -183,8 +182,7 @@ class Peer:
             if uploader is not None:
                 uploader._cancel_outgoing(transfer)
         self._incoming.clear()
-        self.uplink.close()
-        for transfer in list(self._outgoing):
+        for transfer in self.uplink.close():
             self._drop_outgoing(transfer)
         self.swarm.tracker.leave(self.id)
         self.on_crash()
@@ -210,7 +208,7 @@ class Peer:
             if uploader is not None:
                 uploader._cancel_outgoing(transfer)
         self._incoming.clear()
-        for transfer in list(self._outgoing):
+        for transfer in self.uplink.in_flight():
             transfer.cancel()
             self._drop_outgoing(transfer)
         self.on_whitewash()
@@ -283,12 +281,10 @@ class Peer:
             if path_floor is None:
                 return False
             floor_s = path_floor
-        transfer = self.uplink.try_start(size, self._upload_finished,
-                                         meta=plan,
+        transfer = self.uplink.try_start(size, meta=plan,
                                          min_duration_s=floor_s)
         if transfer is None:
             return False
-        self._outgoing.append(transfer)
         receiver._incoming.append(transfer)
         receiver.book.expect(plan.piece)
         self.swarm.note_activity()
@@ -296,7 +292,6 @@ class Peer:
         return True
 
     def _upload_finished(self, transfer: Transfer) -> None:
-        self._outgoing.remove(transfer)
         plan = transfer.meta
         self.kb_uploaded += transfer.size_kb
         self.pieces_uploaded += 1
@@ -327,7 +322,7 @@ class Peer:
 
     def _cancel_outgoing(self, transfer: Transfer) -> None:
         """The receiver vanished mid-transfer."""
-        if transfer not in self._outgoing:
+        if transfer not in self.uplink.transfers:
             return
         transfer.cancel()
         self._drop_outgoing(transfer)
@@ -335,9 +330,7 @@ class Peer:
         self.pump()
 
     def _drop_outgoing(self, transfer: Transfer) -> None:
-        if transfer not in self._outgoing:
-            return
-        self._outgoing.remove(transfer)
+        """Undo a cancelled upload at its receiver."""
         plan = transfer.meta
         receiver = self.swarm.find_peer(plan.receiver_id)
         if receiver is not None:
@@ -347,7 +340,7 @@ class Peer:
 
     def uploading_to(self, peer_id: str) -> bool:
         """True while a transfer to ``peer_id`` is in flight."""
-        for transfer in self._outgoing:
+        for transfer in self.uplink.transfers:
             if transfer.meta.receiver_id == peer_id:
                 return True
         return False
@@ -357,7 +350,7 @@ class Peer:
         in-flight piece from us, in sorted-id order (a fresh list:
         our few in-flight receivers are struck from it in place)."""
         wanting = self.swarm.columnar.wanters(self, self.book.cmask)
-        for transfer in self._outgoing:
+        for transfer in self.uplink.transfers:
             receiver_id = transfer.meta.receiver_id
             if receiver_id in wanting:
                 wanting.remove(receiver_id)

@@ -40,10 +40,13 @@ sealed piece and re-fetches).  All of it is accounted in
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
+    Sequence,
     Optional,
     Set,
     Tuple,
@@ -97,6 +100,12 @@ KEY_TIMEOUT_S = 60.0
 CONTROL_RETRY_BASE_S = 2.0
 CONTROL_RETRY_ATTEMPTS = 2
 CONTROL_RETRY_CAP_S = 16.0
+
+#: The read-only empty mapping a peer's near-always-empty per-peer
+#: tables start as; the first write gives the peer a dict of its own.
+#: (The attribute is set in ``__init__`` all the same: one added after
+#: construction can cost the instance its shared-key dict layout.)
+_NONE_YET = MappingProxyType({})
 
 
 def _retry_delay(attempt: int) -> float:
@@ -159,9 +168,10 @@ class _TChainNode(Peer):
         # neighbor off exponentially (stall, 2*stall, 4*stall, ...)
         # and any reciprocation report clears them.  Honest peers
         # never accumulate strikes; silent free-riders decay to
-        # nothing; colluders recycle at their false-report rate.
-        self._strikes: Dict[str, int] = {}
-        self._banned_until: Dict[str, float] = {}
+        # nothing; colluders recycle at their false-report rate.  Both
+        # tables are made on the first strike.
+        self._strikes: Mapping[str, int] = _NONE_YET
+        self._banned_until: Mapping[str, float] = _NONE_YET
 
     def _on_flow_underflow(self, neighbor_id: str) -> None:
         # A confirm that finds an empty window is benign only when the
@@ -180,6 +190,8 @@ class _TChainNode(Peer):
 
     def note_exchange_written_off(self, neighbor_id: str) -> None:
         """A donation to this neighbor died unreciprocated."""
+        if not self._strikes:
+            self._strikes, self._banned_until = {}, {}
         strikes = self._strikes.get(neighbor_id, 0) + 1
         self._strikes[neighbor_id] = strikes
         factor = min(2 ** (strikes - 1), self.MAX_BACKOFF_FACTOR)
@@ -188,8 +200,9 @@ class _TChainNode(Peer):
 
     def note_exchange_completed(self, neighbor_id: str) -> None:
         """This neighbor reciprocated (or so a report claims)."""
-        self._strikes.pop(neighbor_id, None)
-        self._banned_until.pop(neighbor_id, None)
+        if self._strikes:
+            self._strikes.pop(neighbor_id, None)
+            self._banned_until.pop(neighbor_id, None)
 
     def cooperative(self, neighbor_id: str) -> bool:
         """False while the neighbor is backed off."""
@@ -772,13 +785,16 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
                  capacity_kbps: Optional[float] = None):
         super().__init__(swarm, peer_id, capacity_kbps,
                          n_slots=swarm.config.upload_slots)
-        #: transaction ids whose reciprocation we still owe, FIFO
-        self.obligations: List[int] = []
+        #: transaction ids whose reciprocation we still owe, FIFO: the
+        #: empty tuple until the first one is queued (:meth:`_owe`) and
+        #: again once the last one is dropped
+        self.obligations: Sequence[int] = ()
         self._retry_pending = False
         #: tx id -> sealed piece held until the key arrives
         self.pending_sealed: Dict[int, object] = {}
-        #: tx id -> plead count (each key timeout re-pleads)
-        self._plead_attempts: Dict[int, int] = {}
+        #: tx id -> plead count (each key timeout re-pleads); made on
+        #: the first plead
+        self._plead_attempts: Mapping[int, int] = _NONE_YET
         #: (time, piece, "encrypted"|"decrypted") for Fig. 5, kept
         #: only when the run asks for it (``Swarm.log_pieces``)
         self.piece_log: Optional[List[Tuple[float, int, str]]] = \
@@ -821,9 +837,20 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             self._schedule_obligation_retry()
         return None
 
+    def _owe(self, tx_id: int, first: bool = False) -> None:
+        """Queue an obligation (at the front when ``first``)."""
+        if not self.obligations:
+            self.obligations = []
+        if first:
+            self.obligations.insert(0, tx_id)
+        else:
+            self.obligations.append(tx_id)
+
     def _drop_obligation(self, tx_id: int) -> None:
         if tx_id in self.obligations:
             self.obligations.remove(tx_id)
+            if not self.obligations:
+                self.obligations = ()
 
     def _schedule_obligation_retry(self) -> None:
         if self._retry_pending:
@@ -928,7 +955,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
     def on_plan_failed(self, plan: UploadPlan) -> None:
         obligation = plan.obligation
         if obligation is not None:
-            self.obligations.insert(0, obligation)
+            self._owe(obligation, first=True)
 
     def on_upload_cancelled(self, plan: UploadPlan) -> None:
         super().on_upload_cancelled(plan)
@@ -940,7 +967,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         tx = self.state.ledger.find(obligation)
         if tx is not None and tx.state is TransactionState.DELIVERED \
                 and obligation not in self.obligations:
-            self.obligations.append(obligation)
+            self._owe(obligation)
             self.pump()
 
     # ------------------------------------------------------------------
@@ -982,7 +1009,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         prev = ledger.mark_delivered(msg.transaction_id, self.sim.now)
         if prev is not None:
             self._report_as_payee(prev)
-        self.obligations.append(msg.transaction_id)
+        self._owe(msg.transaction_id)
         self._rearm_key_timeout(msg.transaction_id)
         self._maybe_collude(msg)
 
@@ -1068,7 +1095,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             if transaction_id not in self.obligations:
                 # Not our backlog: a reopen's notification was lost —
                 # requeue so the obligation is actually retried.
-                self.obligations.append(transaction_id)
+                self._owe(transaction_id)
                 self.pump()
             self._rearm_key_timeout(transaction_id)
             return
@@ -1080,6 +1107,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         if donor is not None and donor.active:
             recovery.pleads += 1
             attempt = self._plead_attempts.get(transaction_id, 0) + 1
+            if not self._plead_attempts:
+                self._plead_attempts = {}
             self._plead_attempts[transaction_id] = attempt
             self.swarm.send_control(
                 self.id, donor, donor.on_plead,
@@ -1111,7 +1140,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         tx = self.state.ledger.find(transaction_id)
         if tx is not None and tx.state is TransactionState.DELIVERED \
                 and transaction_id not in self.obligations:
-            self.obligations.append(transaction_id)
+            self._owe(transaction_id)
         self.pump()
 
     def receive_key(self, transaction_id: int, key) -> None:
@@ -1164,9 +1193,9 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
                 ledger.terminate_chain(tx.chain_id, self.sim.now)
         for transaction_id in self.pending_sealed:
             ledger.settle(transaction_id)
-        self.obligations.clear()
+        self.obligations = ()
         self.pending_sealed.clear()
-        self._plead_attempts.clear()
+        self._plead_attempts = _NONE_YET
 
     def on_leave(self) -> None:
         # Unfulfilled obligations die with us: both the queued ones and
@@ -1187,7 +1216,8 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         sealed = self.pending_sealed.pop(transaction_id, None)
         if sealed is not None:
             self.state.ledger.settle(transaction_id)
-            self._plead_attempts.pop(transaction_id, None)
+            if self._plead_attempts:
+                self._plead_attempts.pop(transaction_id, None)
         return sealed
 
     def on_whitewash(self) -> None:
@@ -1239,6 +1269,5 @@ def _drop_sealed_at_requestor(state: TChainState,
     sealed = requestor.drop_sealed(tx.transaction_id)
     if sealed is not None:
         requestor.book.unexpect(sealed.piece_index)
-    if tx.transaction_id in requestor.obligations:
-        requestor.obligations.remove(tx.transaction_id)
+    requestor._drop_obligation(tx.transaction_id)
     requestor.pump()

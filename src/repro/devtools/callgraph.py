@@ -19,10 +19,12 @@ same :class:`ProjectIndex`, built from one
   ``Class.method``/``Class()`` constructors, and — because the event
   loop is the backbone of this codebase — the *callback* argument of
   ``schedule``/``schedule_at``/``call_now``/``after``, which is a call
-  that merely happens later;
+  that merely happens later (for ``arm(delay, owner)`` the callback is
+  the owner class's ``fire``, a method alias such as
+  ``fire = _finish``);
 * the **schedule-site table** — every ``schedule`` / ``schedule_at``
-  / ``call_now`` / ``after`` / ``PeriodicTask`` site with a resolved
-  handler, once
+  / ``call_now`` / ``after`` / ``arm`` / ``PeriodicTask`` site with a
+  resolved handler, once
   (:attr:`ProjectIndex.schedule_sites`); hot-region seeding is a
   small function over it.
 
@@ -51,7 +53,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from .rules import Finding, dotted_name, enclosing_scope
 
 #: Engine calls whose callback argument becomes a schedule-site edge.
-SCHEDULE_METHODS = {"schedule", "schedule_at", "call_now", "after"}
+#: ``arm(delay, owner)`` schedules ``owner.fire``.
+SCHEDULE_METHODS = {"schedule", "schedule_at", "call_now", "after", "arm"}
 
 #: Path components that anchor dotted module names.  A file under any
 #: of these roots is named relative to the root; anything else gets a
@@ -150,13 +153,14 @@ class ClassInfo:
 
 class ScheduleSite(NamedTuple):
     """One ``schedule`` / ``schedule_at`` / ``call_now`` / ``after`` /
-    ``PeriodicTask`` site whose callback resolves in the project."""
+    ``arm`` / ``PeriodicTask`` site whose callback resolves in the
+    project."""
 
     caller: FunctionInfo
     handler: str                  # resolved callback qualname
     method: str                   # the scheduling call's name
     line: int
-    delay: Optional[ast.AST]      # schedule / schedule_at / after arg 0
+    delay: Optional[ast.AST]      # every method's arg 0 but call_now
 
 
 def _own_nodes(node: ast.AST, module_level: bool) -> List[ast.AST]:
@@ -326,6 +330,14 @@ class ProjectIndex:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(module, path, item,
                                    class_name=node.name)
+        # Method aliases in the class body (``fire = _finish``).
+        methods = self.classes[cls_qual].methods
+        for item in node.body:
+            if isinstance(item, ast.Assign) and len(item.targets) == 1 \
+                    and isinstance(item.targets[0], ast.Name) \
+                    and isinstance(item.value, ast.Name) \
+                    and item.value.id in methods:
+                methods[item.targets[0].id] = methods[item.value.id]
 
     # ------------------------------------------------------------------
     # Resolution
@@ -501,6 +513,9 @@ class ProjectIndex:
             if len(node.args) <= cb_index:
                 return None
             callback = node.args[cb_index]
+            if method == "arm":
+                callback = ast.Attribute(value=callback, attr="fire",
+                                         ctx=ast.Load())
             if method != "call_now":
                 delay = node.args[0]
         else:

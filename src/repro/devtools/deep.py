@@ -45,7 +45,7 @@ from repro.devtools.analyzer import (SuppressionIndex, iter_python_files,
 from repro.devtools.callgraph import ProjectIndex
 from repro.devtools.rules import Finding
 
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 DEFAULT_CACHE = ".simlint-cache.json"
 
 #: Deep-only rule ids (metadata-registered in rules.py; produced here).

@@ -97,10 +97,9 @@ class SimulationSanitizer:
     # ------------------------------------------------------------------
     # Engine hooks (repro.sim.engine)
     # ------------------------------------------------------------------
-    def on_schedule(self, handle: Any) -> None:
-        """A new event entered the heap."""
+    def on_schedule(self, time: Any) -> None:
+        """A new event entered the heap, to fire at ``time``."""
         self.checks_run += 1
-        time = handle.time
         if not isinstance(time, (int, float)) or not math.isfinite(time):
             self._fail(f"event scheduled at non-finite time {time!r}")
         if time < 0:

@@ -15,35 +15,29 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import OwnerEvent, Simulator
 
 
-def _transfer_seq(transfer: "Transfer") -> int:
-    """Sort key for in-flight views (module-level so the per-event
-    ``in_flight`` copy doesn't also build a closure — SL303)."""
-    return transfer.seq
+class Transfer(OwnerEvent):
+    """One in-flight piece upload occupying a slot.
 
+    The transfer is its own completion event (:meth:`Simulator.arm`):
+    while it is in flight its heap entry is the only scheduling state,
+    and :meth:`cancel` kills that entry.
+    """
 
-class Transfer:
-    """One in-flight piece upload occupying a slot."""
-
-    __slots__ = ("uplink", "size_kb", "rate_kbps", "started_at",
-                 "on_complete", "meta", "_event", "done", "cancelled",
-                 "seq", "_idx")
+    __slots__ = ("uplink", "size_kb", "rate_kbps", "started_at", "meta",
+                 "done")
 
     def __init__(self, uplink: "Uplink", size_kb: float, rate_kbps: float,
-                 on_complete: Callable[["Transfer"], Any], meta: Any,
-                 min_duration_s: float = 0.0):
+                 meta: Any, min_duration_s: float = 0.0):
         self.uplink = uplink
         self.size_kb = size_kb
         self.rate_kbps = rate_kbps
         self.started_at = uplink.sim.now
-        self.on_complete = on_complete
         self.meta = meta
         self.done = False
         self.cancelled = False
-        self.seq = -1  # start order, assigned by the uplink
-        self._idx = -1  # position in the uplink's swap-pop list
         duration = (size_kb * 8.0) / rate_kbps
         if min_duration_s > duration:
             # Network-substrate floor: the path (latency + bottleneck
@@ -51,8 +45,7 @@ class Transfer:
             # held for the full path time at the implied lower rate.
             duration = min_duration_s
             self.rate_kbps = (size_kb * 8.0) / duration
-        self._event: Optional[EventHandle] = uplink.sim.schedule(
-            duration, self._finish)
+        uplink.sim.arm(duration, self)
 
     @property
     def duration(self) -> float:
@@ -61,9 +54,12 @@ class Transfer:
 
     def _finish(self) -> None:
         self.done = True
-        self._event = None
-        self.uplink._complete(self)
-        self.on_complete(self)
+        uplink = self.uplink
+        uplink._complete(self)
+        if uplink.on_complete is not None:
+            uplink.on_complete(self)
+
+    fire = _finish
 
     def cancel(self) -> None:
         """Abort the transfer (e.g. the uploader departed).
@@ -74,9 +70,6 @@ class Transfer:
         if self.done or self.cancelled:
             return
         self.cancelled = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
         elapsed = self.uplink.sim.now - self.started_at
         partial_kb = min(self.size_kb, elapsed * self.rate_kbps / 8.0)
         self.uplink._abort(self, partial_kb)
@@ -94,14 +87,19 @@ class Uplink:
         free-rider; such an uplink never starts transfers.
     n_slots:
         Number of parallel upload slots.
+    on_complete:
+        Called with each transfer that completes (not with cancelled
+        ones); one callback for the whole uplink.  :meth:`close` drops
+        it, so an owner's bound method keeps no cycle past departure.
     """
 
     __slots__ = ("sim", "capacity_kbps", "n_slots", "busy_slots", "kb_sent",
-                 "opened_at", "closed_at", "_transfers", "_next_seq",
+                 "opened_at", "closed_at", "on_complete", "transfers",
                  "_sanitizer")
 
     def __init__(self, sim: Simulator, capacity_kbps: float,
-                 n_slots: int = 4):
+                 n_slots: int = 4,
+                 on_complete: Optional[Callable[[Transfer], Any]] = None):
         if n_slots < 1:
             raise ValueError("n_slots must be >= 1")
         if capacity_kbps < 0:
@@ -113,11 +111,11 @@ class Uplink:
         self.kb_sent = 0.0
         self.opened_at = sim.now
         self.closed_at: Optional[float] = None
-        # Removal is O(1) swap-pop (each transfer knows its index), so
-        # the list order is *not* start order; anything order-sensitive
-        # must sort by ``Transfer.seq`` (see close/in_flight).
-        self._transfers: list = []
-        self._next_seq = 0
+        self.on_complete = on_complete
+        #: The in-flight transfers in start order: the one record of
+        #: what this uplink is sending (at most ``n_slots``, so
+        #: removal by ``list.remove`` is cheap and keeps the order).
+        self.transfers: list = []
         # Conservation checks ride along when the simulator runs with
         # sanitize=True; None otherwise, costing one attribute read.
         self._sanitizer = getattr(sim, "sanitizer", None)
@@ -132,9 +130,7 @@ class Uplink:
         """Slots currently free."""
         return self.n_slots - self.busy_slots
 
-    def try_start(self, size_kb: float,
-                  on_complete: Callable[[Transfer], Any],
-                  meta: Any = None,
+    def try_start(self, size_kb: float, meta: Any = None,
                   min_duration_s: float = 0.0) -> Optional[Transfer]:
         """Start a transfer if a slot is free; ``None`` otherwise.
 
@@ -148,31 +144,17 @@ class Uplink:
         if self.capacity_kbps <= 0 or self.busy_slots >= self.n_slots:
             return None
         self.busy_slots += 1
-        transfer = Transfer(self, size_kb, self.slot_rate_kbps,
-                            on_complete, meta,
+        transfer = Transfer(self, size_kb, self.slot_rate_kbps, meta,
                             min_duration_s=min_duration_s)
-        transfer.seq = self._next_seq
-        self._next_seq += 1
-        transfer._idx = len(self._transfers)
-        self._transfers.append(transfer)
+        self.transfers.append(transfer)
         if self._sanitizer is not None:
             self._sanitizer.on_transfer_start(self, transfer)
         return transfer
 
-    def _remove(self, transfer: Transfer) -> None:
-        """Unlink a transfer in O(1): move the tail into its slot."""
-        transfers = self._transfers
-        idx = transfer._idx
-        tail = transfers.pop()
-        if tail is not transfer:
-            transfers[idx] = tail
-            tail._idx = idx
-        transfer._idx = -1
-
     def _complete(self, transfer: Transfer) -> None:
         self.busy_slots -= 1
         self.kb_sent += transfer.size_kb
-        self._remove(transfer)
+        self.transfers.remove(transfer)
         if self._sanitizer is not None:
             self._sanitizer.on_transfer_end(self, transfer,
                                             transfer.size_kb)
@@ -180,25 +162,28 @@ class Uplink:
     def _abort(self, transfer: Transfer, partial_kb: float) -> None:
         self.busy_slots -= 1
         self.kb_sent += partial_kb
-        self._remove(transfer)
+        self.transfers.remove(transfer)
         if self._sanitizer is not None:
             self._sanitizer.on_transfer_end(self, transfer, partial_kb)
 
-    def close(self) -> None:
-        """The peer left the swarm: cancel in-flight transfers and
-        freeze the utilization window."""
+    def close(self) -> list:
+        """The peer left the swarm: cancel in-flight transfers, drop
+        the completion callback and freeze the utilization window.
+        Returns the cancelled transfers in start order, the order they
+        were cancelled in: it feeds ``kb_sent``'s float sum and the
+        sanitizer hooks, which must stay bit-stable."""
         if self.closed_at is not None:
-            return
-        # Cancel in start order: the internal list is swap-pop
-        # scrambled, and cancellation order feeds float accumulation
-        # (kb_sent) and sanitizer hooks, which must stay bit-stable.
-        for transfer in self.in_flight():
+            return []
+        cancelled = self.in_flight()
+        for transfer in cancelled:
             transfer.cancel()
+        self.on_complete = None
         self.closed_at = self.sim.now
+        return cancelled
 
     def in_flight(self) -> list:
         """Currently running transfers (copy, in start order)."""
-        return sorted(self._transfers, key=_transfer_seq)
+        return self.transfers[:]
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Fraction of capacity actually used while in the swarm.

@@ -16,12 +16,14 @@ Example
 [5.0]
 """
 
-from repro.sim.engine import EventHandle, Simulator, SimulatorError
+from repro.sim.engine import (EventHandle, OwnerEvent, Simulator,
+                              SimulatorError)
 from repro.sim.events import PeriodicTask
 from repro.sim.randomness import SeedSequence
 
 __all__ = [
     "EventHandle",
+    "OwnerEvent",
     "PeriodicTask",
     "SeedSequence",
     "Simulator",

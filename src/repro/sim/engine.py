@@ -1,26 +1,42 @@
 """The discrete-event simulator core.
 
-The engine keeps a heap of ``(time, sequence, handle)`` entries.  The
+The engine keeps a heap of ``(time, sequence, event)`` entries.  The
 sequence number makes event ordering fully deterministic: two events
 scheduled for the same instant fire in scheduling order, regardless of
 heap internals — and because sequence numbers are unique, a heap
-comparison never reaches the handle, so every sift is a C-speed tuple
+comparison never reaches the event, so every sift is a C-speed tuple
 comparison rather than a Python ``__lt__`` call.
 
-Cancellation is O(1) lazy deletion: a cancelled handle stays in the
-heap until its nominal time comes up and is then skipped.  The handle
-drops its callback and arguments when cancelled, so a dead entry costs
-its tuple and its handle and pins no object graph; and the only cancels
-are transfer aborts and stopped periodic tasks, so a dead entry waits
-at most one transfer time or one timer period.
+An event enters the heap by one of three paths, and all three take the
+next sequence number at the call, so which one a caller uses changes
+neither fire order nor event counts:
 
-Timers nobody cancels and whose delay is fixed (:meth:`Simulator.after`)
-skip the per-event handle: they queue in one FIFO *lane* per delay, and
-the heap holds one entry per non-empty lane, keyed by the lane's head.
-The clock never runs backwards, so a lane is already in ``(time, seq)``
-order and firing its head through the heap gives exactly the order the
-same timers would have fired in as individual :meth:`~Simulator.schedule`
-events.
+* :meth:`Simulator.schedule` / :meth:`~Simulator.schedule_at` build an
+  :class:`EventHandle` (callback, arguments, time, seq): the general
+  path, for variable-delay events that may be cancelled.
+* :meth:`Simulator.arm` queues an :class:`OwnerEvent` — an object that
+  is its own pending event (an uplink transfer, a periodic task) — as
+  the entry itself: no handle and no bound method.  It fires as
+  ``type(event).fire(event)`` and is cancelled by setting its
+  :attr:`~OwnerEvent.cancelled`; a periodic task re-arms itself in
+  place.
+* :meth:`Simulator.after` is for timers nobody cancels whose delay is
+  fixed: they queue in one FIFO *lane* per delay, and the heap holds one
+  entry per non-empty lane, keyed by the lane's head.  The clock never
+  runs backwards, so a lane is already in ``(time, seq)`` order and
+  firing its head through the heap gives exactly the order the same
+  timers would have fired in as individual ``schedule`` events.  A lane
+  keeps up to two arguments per timer (a bound method's receiver counts
+  as one) in per-lane slots, with no tuple per timer.
+
+Cancellation is O(1) lazy deletion: a cancelled entry stays in the heap
+until its nominal time comes up and is then skipped (the run loop,
+:meth:`~Simulator.peek_time` and :attr:`~Simulator.pending_events` all
+read the entry's ``cancelled``).  A cancelled handle drops its callback
+and arguments, so it pins no object graph; a cancelled owner event is
+the owner itself, which is alive anyway.  The only cancels are transfer
+aborts and stopped periodic tasks, so a dead entry waits at most one
+transfer time or one timer period.
 
 There is one dispatch loop, :meth:`Simulator.run` (:meth:`~Simulator.step`
 is one turn of it), and one ordered list of event *sinks*
@@ -30,7 +46,10 @@ Around each fired event, every sink's ``begin(handle)`` runs in attach
 order while the handle still holds its callback and before the clock
 moves; then the handle is consumed, the callback runs, and the sinks'
 ``end()`` run in reverse attach order, so sinks nest like context
-managers.  With no sink attached the loop fires the heap head inline.
+managers.  A laned timer or an owner event reaches a sink as an
+:class:`EventHandle` built at fire time, with the same time, seq and
+callback function (a bound method's receiver, or the owner, leads its
+arguments).  With no sink attached the loop fires the heap head inline.
 
 All randomness in a simulation flows through :attr:`Simulator.rng`, a
 single seeded ``random.Random``; running the same scenario with the same
@@ -94,21 +113,48 @@ def _noop() -> None:
     """Placeholder callback installed when a handle is cancelled."""
 
 
+class OwnerEvent:
+    """An object that is its own pending event (:meth:`Simulator.arm`).
+
+    Its heap entry is ``(time, seq, self)``: no :class:`EventHandle`
+    and no bound method.  The engine fires it as
+    ``type(self).fire(self)``; a subclass sets the class attribute
+    ``fire`` to that function, whose ``__qualname__`` is what sinks
+    see.  While :attr:`cancelled` is true a pending entry is dead:
+    it neither fires nor counts.  An owner is armed at most once at a
+    time (a periodic task re-arms from its own ``fire``).
+    """
+
+    __slots__ = ("cancelled",)
+
+    fire: Callable[[Any], Any]
+
+
 _INF = float("inf")
+
+#: Lane argument-slot markers: ``_ABSENT`` fills an unused slot;
+#: ``_SPREAD`` in the second slot says the first holds the whole
+#: argument tuple (three or more arguments).
+_ABSENT = object()
+_SPREAD = object()
 
 
 class _Lane:
     """The pending :meth:`Simulator.after` timers of one delay, FIFO.
 
-    Entry ``i`` fires ``funcs[i](*args[i])`` at ``times[i]`` with
-    sequence number ``seqs[i]``.  Times and seqs are unboxed, and a
-    bound method is stored as its function with the receiver leading
-    its arguments, so an entry costs its slots and one argument tuple.
+    Entry ``i`` fires ``funcs[i]`` at ``times[i]`` with sequence number
+    ``seqs[i]``.  Times and seqs are unboxed, and a bound method is
+    stored as its function with the receiver as first argument.  Up to
+    two arguments sit bare in ``firsts[i]`` / ``seconds[i]`` (unused
+    slots hold ``_ABSENT``); three or more are one tuple in
+    ``firsts[i]`` with ``_SPREAD`` in ``seconds[i]``.  So a typical
+    timer (``receiver, tx_id``) costs its five slots and no tuple.
     Entries before ``head`` have fired and hold no references; that
     prefix is trimmed once it is half the lane.
     """
 
-    __slots__ = ("delay", "times", "seqs", "funcs", "args", "head")
+    __slots__ = ("delay", "times", "seqs", "funcs", "firsts", "seconds",
+                 "head")
 
     #: Read by the heap's dead-entry tests: a lane entry is never
     #: cancelled.
@@ -119,12 +165,15 @@ class _Lane:
         self.times = array("d")
         self.seqs = array("q")
         self.funcs: List[Callable[..., Any]] = []
-        self.args: List[tuple] = []
+        self.firsts: List[Any] = []
+        self.seconds: List[Any] = []
         self.head = 0
 
 
-#: One heap entry.  ``seq`` is unique, so tuple comparison terminates
-#: there and the handle (or lane) itself is never compared.
+#: One heap entry: ``(time, seq, event)``, the event being an
+#: :class:`EventHandle`, an :class:`OwnerEvent` or a :class:`_Lane`.
+#: ``seq`` is unique, so tuple comparison terminates there and the
+#: event itself is never compared.
 _Entry = Tuple[float, int, Any]
 
 
@@ -150,7 +199,8 @@ class Simulator:
 
     Timers scheduled with :meth:`after` live in per-delay lanes
     (``_lanes``, delay -> :class:`_Lane`); the heap holds one entry per
-    non-empty lane.
+    non-empty lane, one per pending handle and one per armed
+    :class:`OwnerEvent`.
     """
 
     def __init__(self, seed: int = 0, sanitize: bool = False):
@@ -199,14 +249,14 @@ class Simulator:
 
         Duplicates :meth:`schedule_at`'s body rather than delegating:
         this is the hottest scheduling entry point.  A sanitizer sees
-        the handle before the delay is checked, so it reports a
+        the time before the delay is checked, so it reports a
         non-finite time as its own invariant failure.
         """
         time = self.now + delay
         seq = self._seq
         handle = EventHandle(time, seq, callback, args)
         if self.sanitizer is not None:
-            self.sanitizer.on_schedule(handle)
+            self.sanitizer.on_schedule(time)
         if not 0.0 <= delay < _INF:
             raise SimulatorError(f"bad delay: {delay!r}")
         self._seq = seq + 1
@@ -219,7 +269,7 @@ class Simulator:
         seq = self._seq
         handle = EventHandle(time, seq, callback, args)
         if self.sanitizer is not None:
-            self.sanitizer.on_schedule(handle)
+            self.sanitizer.on_schedule(time)
         if not self.now <= time < _INF:
             raise SimulatorError(
                 f"cannot schedule at {time!r}, now is {self.now!r}")
@@ -232,6 +282,24 @@ class Simulator:
         """Schedule a callback for the current instant (after the
         currently-firing event completes)."""
         return self.schedule(0.0, callback, *args)
+
+    def arm(self, delay: float, event: OwnerEvent) -> None:
+        """Queue ``event`` to fire as ``type(event).fire(event)``
+        ``delay`` from now; cancel it by setting ``event.cancelled``.
+
+        The owner is the heap entry's event: no handle, no bound
+        method.  It takes the next sequence number and passes the
+        sanitizer's ``on_schedule`` check, exactly as :meth:`schedule`
+        would.
+        """
+        time = self.now + delay
+        seq = self._seq
+        if self.sanitizer is not None:
+            self.sanitizer.on_schedule(time)
+        if not 0.0 <= delay < _INF:
+            raise SimulatorError(f"bad delay: {delay!r}")
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, event))
 
     def after(self, delay: float, callback: Callable[..., Any],
               *args: Any) -> None:
@@ -256,6 +324,12 @@ class Simulator:
             func = callback
         else:
             args = (callback.__self__,) + args
+        n = len(args)
+        if n > 2:
+            first, second = args, _SPREAD
+        else:
+            first = args[0] if n else _ABSENT
+            second = args[1] if n == 2 else _ABSENT
         lane = self._lanes.get(delay)
         if lane is None:
             lane = self._lanes[delay] = _Lane(delay)
@@ -263,7 +337,8 @@ class Simulator:
         lane.times.append(time)
         lane.seqs.append(seq)
         lane.funcs.append(func)
-        lane.args.append(args)
+        lane.firsts.append(first)
+        lane.seconds.append(second)
 
     def _pop_lane(self, lane: _Lane) -> Tuple[Callable[..., Any], tuple]:
         """Take ``lane``'s head, the heap's top entry: put the lane's
@@ -271,17 +346,24 @@ class Simulator:
         head's ``(func, args)``.  The heap is whole again before the
         callback runs, so it may re-arm into the same lane."""
         i = lane.head
-        funcs, all_args = lane.funcs, lane.args
-        func, args = funcs[i], all_args[i]
+        funcs, firsts, seconds = lane.funcs, lane.firsts, lane.seconds
+        func, first, second = funcs[i], firsts[i], seconds[i]
+        if second is _ABSENT:
+            args = () if first is _ABSENT else (first,)
+        elif second is _SPREAD:
+            args = first
+        else:
+            args = (first, second)
         i += 1
         times = lane.times
         if i < len(times):
             heapq.heapreplace(self._heap, (times[i], lane.seqs[i], lane))
             if i >= 64 and 2 * i >= len(times):
-                del times[:i], lane.seqs[:i], funcs[:i], all_args[:i]
+                del times[:i], lane.seqs[:i], funcs[:i], firsts[:i], \
+                    seconds[:i]
                 i = 0
             else:
-                funcs[i - 1] = all_args[i - 1] = None
+                funcs[i - 1] = firsts[i - 1] = seconds[i - 1] = None
             lane.head = i
         else:
             heapq.heappop(self._heap)
@@ -305,13 +387,13 @@ class Simulator:
         ``max_events`` events have fired, or ``stop`` says so.
 
         ``max_events`` counts events that actually fired; skipping
-        cancelled handles does not consume the budget.  When ``until``
+        cancelled entries does not consume the budget.  When ``until``
         is given, the clock is advanced to exactly ``until`` even if
         the last event fires earlier.
 
         ``stop(head_time)`` is asked before every event, ahead of the
         ``until`` and ``max_events`` tests, with the time of the live
-        heap head (cancelled heads are popped first; an empty heap is
+        heap head (dead heads are popped first; an empty heap is
         not asked about).  A true answer ends the run with that event
         unfired and the clock where the last fired event left it: no
         advance to ``until``.  A caller with termination rules of its
@@ -326,6 +408,7 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         sinks = self._observers
+        handle_cls = EventHandle
         lane_cls, pop_lane = _Lane, self._pop_lane
         try:
             while heap:
@@ -343,17 +426,22 @@ class Simulator:
                     break
                 # Bind every local before begin(): a rebind frees the
                 # last event's objects, inside a profile's window.
-                if handle.__class__ is lane_cls:
-                    callback, args = pop_lane(handle)
+                cls = handle.__class__
+                if cls is handle_cls:
+                    heappop(heap)
+                    callback, args = handle.callback, handle.args
+                else:
+                    if cls is lane_cls:
+                        callback, args = pop_lane(handle)
+                    else:
+                        heappop(heap)
+                        callback, args = cls.fire, (handle,)
                     if not sinks:
                         self.now = head[0]
                         callback(*args)
                         fired += 1
                         continue
                     handle = EventHandle(head[0], head[1], callback, args)
-                else:
-                    heappop(heap)
-                    callback, args = handle.callback, handle.args
                 if sinks:
                     ends = self._ends
                     for begin in self._begins:

@@ -10,22 +10,23 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import OwnerEvent, Simulator
 
 
-class PeriodicTask:
+class PeriodicTask(OwnerEvent):
     """A repeating timer.
 
     Calls ``callback()`` every ``interval`` simulated seconds until
     :meth:`stop` is called.  The first invocation happens after
     ``first_delay`` (defaults to ``interval``).
 
-    The callback may call :meth:`stop` on its own task; the pending
-    reschedule is cancelled cleanly.
+    The task is its own pending event (:meth:`Simulator.arm`): each
+    tick re-arms it in place, so a pending tick costs one heap entry.
+    The callback may call :meth:`stop` on its own task; no further
+    tick is armed.
     """
 
-    __slots__ = ("sim", "interval", "callback", "fire_count", "_stopped",
-                 "_handle")
+    __slots__ = ("sim", "interval", "callback", "fire_count")
 
     def __init__(self, sim: Simulator, interval: float,
                  callback: Callable[[], Any],
@@ -36,29 +37,27 @@ class PeriodicTask:
         self.interval = interval
         self.callback = callback
         self.fire_count = 0
-        self._stopped = False
+        self.cancelled = False
         delay = interval if first_delay is None else first_delay
-        self._handle: Optional[EventHandle] = sim.schedule(delay, self._fire)
+        sim.arm(delay, self)
 
     def _fire(self) -> None:
-        if self._stopped:
-            return
         self.fire_count += 1
         self.callback()
-        if not self._stopped:
-            self._handle = self.sim.schedule(self.interval, self._fire)
+        if not self.cancelled:
+            self.sim.arm(self.interval, self)
+
+    fire = _fire
 
     def stop(self) -> None:
-        """Stop the timer; idempotent.  The callback is dropped: a
-        bound method of the task's owner would otherwise keep the two
-        in a reference cycle that only the cyclic collector frees."""
-        self._stopped = True
+        """Stop the timer; idempotent.  The pending tick is dead from
+        here on.  The callback is dropped: a bound method of the task's
+        owner would otherwise keep the two in a reference cycle that
+        only the cyclic collector frees."""
+        self.cancelled = True
         self.callback = None
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
 
     @property
     def running(self) -> bool:
         """True until :meth:`stop` is called."""
-        return not self._stopped
+        return not self.cancelled

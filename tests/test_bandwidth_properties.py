@@ -27,13 +27,13 @@ class TestUplinkConservation:
     def test_kb_sent_bounded_and_slots_restored(self, script, slots,
                                                 capacity):
         sim = Simulator(seed=1)
-        uplink = Uplink(sim, capacity, n_slots=slots)
         completed = []
         accepted = []
+        uplink = Uplink(sim, capacity, n_slots=slots,
+                        on_complete=completed.append)
 
         def try_start(size, cancel_after):
-            transfer = uplink.try_start(size,
-                                        lambda t: completed.append(t))
+            transfer = uplink.try_start(size)
             if transfer is not None:
                 accepted.append((transfer, size))
                 if cancel_after is not None:
@@ -68,7 +68,7 @@ class TestUplinkConservation:
         uplink = Uplink(sim, 1000.0, n_slots=slots)
         started = 0
         for _ in range(attempts):
-            if uplink.try_start(100.0, lambda t: None) is not None:
+            if uplink.try_start(100.0) is not None:
                 started += 1
         assert started == min(slots, attempts)
         assert uplink.busy_slots == started

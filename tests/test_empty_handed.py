@@ -103,6 +103,6 @@ class TestGate:
         """A T-Chain newcomer reciprocates by forwarding the sealed
         piece itself: owing is enough, holding is not required."""
         swarm, peer = tchain_pair()
-        peer.obligations.append(1)
+        peer.obligations = [1]
         peer.pump()
         assert peer.book.cmask == 0 and peer.asked == 1

@@ -12,7 +12,9 @@ import weakref
 
 import pytest
 
+from repro.net.bandwidth import Uplink
 from repro.sim.engine import Simulator
+from repro.sim.events import PeriodicTask
 
 
 def _noop():
@@ -30,6 +32,15 @@ def _setup_churn(sim, chains=50):
 
     for _ in range(chains):
         sim.schedule(sim.rng.random() * 0.01, work, {"timeout": None})
+
+
+def _dead_owner_head(sim, kind):
+    """Arm an owner event due at t=1 and kill it: a stopped periodic
+    task's tick, or a cancelled 100 KB transfer on one 800 Kbps slot."""
+    if kind == "task":
+        PeriodicTask(sim, 1.0, _noop).stop()
+    else:
+        Uplink(sim, 800.0, 1).try_start(100.0).cancel()
 
 
 class TestLazyDeletion:
@@ -67,6 +78,17 @@ class TestLazyDeletion:
         sim.schedule(2.0, _noop)
         doomed.cancel()
         assert sim.peek_time() == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("kind", ["task", "transfer"])
+    def test_peek_time_and_pending_skip_a_dead_owner_head(self, kind):
+        sim = Simulator()
+        _dead_owner_head(sim, kind)
+        sim.schedule(2.0, _noop)
+        assert sim.pending_events == 1 and len(sim._heap) == 2
+        assert sim.peek_time() == pytest.approx(2.0)
+        assert len(sim._heap) == 1
+        sim.run()
+        assert sim.events_fired == 1
 
     def test_cancel_releases_receiver_and_args_while_entry_waits(self):
         # The dead entry stays in the heap until t=50; the cancelled

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.bandwidth import Uplink
 from repro.sim.engine import Simulator, SimulatorError
+from repro.sim.events import PeriodicTask
 
 DELAYS = (0.0, 0.5, 1.0, 2.5)
 #: ``schedule_at`` targets, relative to the clock at scheduling time.
@@ -167,8 +169,38 @@ class TestLanes:
             sim.after(1.0, id, payload)
         sim.run(max_events=2)
         lane = sim._lanes[1.0]
-        assert lane.args[:lane.head] == [None] * lane.head
-        assert lane.args[lane.head:] == [(payload,)]
+        for slots in (lane.funcs, lane.firsts, lane.seconds):
+            assert slots[:lane.head] == [None] * lane.head
+        assert lane.firsts[lane.head:] == [payload]
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("bound,extra", [
+        (False, 0), (False, 1), (False, 2), (False, 3),
+        (True, 0), (True, 1), (True, 2)])
+    def test_every_arity_fires_with_its_arguments(self, bound, extra,
+                                                  observed):
+        """Up to two arguments, a bound method's receiver included, sit
+        bare in the lane's slots; three or more are kept as one tuple.
+        Each arity reaches the callback, and a sink, unchanged (None
+        and tuples among them, so no value passes for a marker)."""
+        sim = Simulator()
+        got, seen = [], []
+        if observed:
+            sim.add_observer(lambda handle: seen.append(handle.args))
+
+        class Recorder:
+            def record(self, *args):
+                got.append(args)
+        recorder = Recorder()
+        callback = recorder.record if bound \
+            else (lambda *args: got.append(args))
+        args = (None, (1, 2), ())[:extra]
+        for _ in range(2):  # the second entry is read behind the head
+            sim.after(1.0, callback, *args)
+        sim.run()
+        assert got == [args, args]
+        lead = (recorder,) if bound else ()
+        assert seen == ([lead + args] * 2 if observed else [])
 
     @pytest.mark.parametrize("delay", [-1.0, float("inf"), float("nan")])
     def test_bad_delay_refused(self, delay):
@@ -195,3 +227,26 @@ class TestLanes:
         # A laned bound method shows as its function, receiver first.
         assert seen == [(0.5, 0, ping, (0,)), (1.0, 1, ping, (peer, 1))]
         assert sim.pending_events == 1
+
+    def test_instrumented_owner_events_see_a_handle(self):
+        """A transfer and a periodic tick are their own heap entries,
+        yet sinks see each with the time, seq and qualname that
+        ``schedule`` gave it, the owner as its one argument, and the
+        sanitizer's ``on_schedule`` sees every arm."""
+        sim = Simulator(sanitize=True)
+        seen, armed = [], []
+        sim.add_observer(lambda handle: seen.append(
+            (handle.time, handle.seq, handle.callback.__qualname__,
+             handle.args)))
+        check = sim.sanitizer.on_schedule
+        sim.sanitizer.on_schedule = lambda time: (armed.append(time),
+                                                  check(time))
+        task = PeriodicTask(sim, 1.5, lambda: None)
+        # 100 KB on one 800 Kbps slot: due at t=1.
+        transfer = Uplink(sim, 800.0, 1).try_start(100.0)
+        sim.run(until=3.0)
+        assert seen == [(1.0, 1, "Transfer._finish", (transfer,)),
+                        (1.5, 0, "PeriodicTask._fire", (task,)),
+                        (3.0, 2, "PeriodicTask._fire", (task,))]
+        assert armed == [1.5, 1.0, 3.0, 4.5]
+        assert sim.pending_events == 1 and transfer.done

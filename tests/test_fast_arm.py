@@ -17,6 +17,8 @@ import pytest
 from repro.bt.config import SwarmConfig
 from repro.bt.swarm import Swarm
 from repro.experiments import run_swarm
+from repro.net.bandwidth import Uplink
+from repro.sim.events import PeriodicTask
 
 from tests.test_golden_traces import (
     FLASH,
@@ -152,6 +154,27 @@ class TestStopReasons:
         assert swarm.stop_reason == "drained"
         assert fired == [1.0]
         assert swarm.sim.now == 1.0
+
+    @pytest.mark.parametrize("observe", [False, True])
+    @pytest.mark.parametrize("kind", ["task", "transfer"])
+    def test_quiet_rule_skips_a_dead_owner_head(self, kind, observe):
+        """A dead owner entry is never the head the rules see: here
+        the only entry left is a killed one due after the quiet window
+        closes, so the heap runs dry ("quiescent" had it been asked)."""
+        swarm, fired = bare_swarm(observe, times=(1.0,),
+                                  arrivals_pending=False)
+        swarm.active_leechers = 1  # not drained
+        sim = swarm.sim
+        if kind == "task":
+            task = PeriodicTask(sim, 400.0, lambda: None)
+            sim.schedule_at(1.0, task.stop)
+        else:
+            # 50 MB on one 1000 Kbps slot: due at t=400.
+            transfer = Uplink(sim, 1000.0, 1).try_start(50_000.0)
+            sim.schedule_at(1.0, transfer.cancel)
+        swarm.run()
+        assert swarm.stop_reason == "heap_empty"
+        assert fired == [1.0] and sim.now == 1.0
 
     def test_reason_is_reset_by_the_next_run(self):
         swarm, _ = bare_swarm(False, times=(1.0, 8.0))

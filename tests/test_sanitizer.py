@@ -223,9 +223,10 @@ class TestEngineInvariants:
 class TestBandwidthInvariants:
     def test_clean_transfer_passes(self):
         sim = Simulator(sanitize=True)
-        uplink = Uplink(sim, capacity_kbps=800.0, n_slots=4)
         done = []
-        uplink.try_start(64.0, done.append)
+        uplink = Uplink(sim, capacity_kbps=800.0, n_slots=4,
+                        on_complete=done.append)
+        uplink.try_start(64.0)
         sim.run()
         assert len(done) == 1
         assert uplink.kb_sent == 64.0
@@ -235,7 +236,7 @@ class TestBandwidthInvariants:
         # kilobytes than its capacity window allows.
         sim = Simulator(sanitize=True)
         uplink = Uplink(sim, capacity_kbps=800.0, n_slots=4)
-        uplink.try_start(64.0, lambda t: None)
+        uplink.try_start(64.0)
         uplink.kb_sent += 10_000.0  # injected corruption
         with pytest.raises(SanitizerError, match="conservation"):
             sim.run()
@@ -243,7 +244,7 @@ class TestBandwidthInvariants:
     def test_slot_corruption_raises(self):
         sim = Simulator(sanitize=True)
         uplink = Uplink(sim, capacity_kbps=800.0, n_slots=4)
-        uplink.try_start(64.0, lambda t: None)
+        uplink.try_start(64.0)
         uplink.busy_slots = 17  # injected corruption
         with pytest.raises(SanitizerError, match="busy_slots"):
             sim.run()

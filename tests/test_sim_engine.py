@@ -383,6 +383,26 @@ class TestPeriodicTask:
         sim.run(until=10.0)
         assert task_box["count"] == 2
 
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_stopped_task_pending_tick_neither_fires_nor_counts(
+            self, observe):
+        sim = Simulator()
+        seen = []
+        if observe:
+            sim.add_observer(
+                lambda handle: seen.append(handle.callback.__qualname__))
+        ticks = []
+        task = PeriodicTask(sim, 1.0, lambda: ticks.append(sim.now))
+        sim.schedule(1.5, task.stop)
+        sim.run()
+        assert ticks == [1.0] and task.fire_count == 1
+        # The dead tick due at t=2 was popped unfired: it neither
+        # counted nor moved the clock.
+        assert sim.events_fired == 2 and sim.now == 1.5
+        assert sim.pending_events == 0 and not sim._heap
+        assert seen == (["PeriodicTask._fire", "PeriodicTask.stop"]
+                        if observe else [])
+
     def test_zero_interval_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):

@@ -95,6 +95,23 @@ class TestHotRegions:
         ]))
         assert regions["node.Node.tick"].freq == FREQ_ROUND
 
+    def test_armed_owner_fires_its_fire_alias(self):
+        """``sim.arm(delay, self)`` schedules the class's ``fire``,
+        which the class body binds to a method (``fire = _finish``)."""
+        regions = infer_hot_regions(build([
+            ("node.py", """
+                class Transfer:
+                    def start(self):
+                        self.sim.arm(self.size / self.rate, self)
+
+                    def _finish(self):
+                        pass
+
+                    fire = _finish
+            """),
+        ]))
+        assert regions["node.Transfer._finish"].freq == FREQ_EVENT
+
     def test_message_handlers_seed_event_lifecycle_hooks_do_not(self):
         regions = infer_hot_regions(build([
             ("node.py", """
@@ -426,12 +443,14 @@ class TestAllocCeiling:
 
 class TestFootprintCeiling:
     #: Traced-heap peak of the quick crowd in MB, pinned just above
-    #: the measured 1.87 MB (2.62 MB while every upload plan carried a
-    #: dict, keys, sealed pieces and chains were ``__dict__``-backed,
-    #: the ledger's open-exchange index held one set per peer, every
-    #: peer kept a set mirroring its uploads' receivers and the chain
-    #: registry kept every chain ever made).
-    MAX_TRACED_PEAK_MB = 1.95
+    #: the measured 1.58 MB (1.87 MB while every pending transfer and
+    #: periodic tick carried an EventHandle and a bound method, and
+    #: every laned timer an argument tuple; 2.62 MB while every upload
+    #: plan carried a dict, keys, sealed pieces and chains were
+    #: ``__dict__``-backed, the ledger's open-exchange index held one
+    #: set per peer, every peer kept a set mirroring its uploads'
+    #: receivers and the chain registry kept every chain ever made).
+    MAX_TRACED_PEAK_MB = 1.65
 
     def test_quick_crowd_traced_peak_under_ceiling(self):
         import tracemalloc

@@ -270,7 +270,7 @@ class TestReopenFlow:
         peer, tx_id = candidates[0]
         tx = state.ledger.get(tx_id)
         tx.advance(TransactionState.RECIPROCATED)
-        peer.obligations.clear()
+        peer.obligations = ()
         peer._check_key_timeout(tx_id)
         # The timeout pleads to the donor (an async control message);
         # once the plead lands the donor reopens the transaction and
@@ -544,7 +544,7 @@ class TestChainRevival:
         assert (registry.active_count, registry.total_count) == (0, 1)
         assert registry.lifetimes() == [0.0]
 
-        requestor.obligations.append(tx.transaction_id)
+        requestor._owe(tx.transaction_id)
         requestor.pump()
         assert requestor.uploading_to(payee.id)
         follow_up = [t for t in

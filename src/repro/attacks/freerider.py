@@ -112,14 +112,21 @@ def make_freerider(leecher_cls: Type,
                     self.sim, _STALE_SEALED_AFTER_S,
                     self._discard_stale_sealed)
 
+        def _stop_tasks(self) -> None:
+            for task in (self._announce_task, self._discard_task,
+                         self._praise_task):
+                if task is not None:
+                    task.stop()
+
         def on_leave(self) -> None:
-            if self._announce_task is not None:
-                self._announce_task.stop()
-            if self._discard_task is not None:
-                self._discard_task.stop()
-            if self._praise_task is not None:
-                self._praise_task.stop()
+            self._stop_tasks()
             super().on_leave()
+
+        def on_crash(self) -> None:
+            # A crash skips on_leave; a live tick would keep firing
+            # and keep the departed peer alive.
+            self._stop_tasks()
+            super().on_crash()
 
         def _spread_false_praise(self) -> None:
             if not self.active:

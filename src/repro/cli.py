@@ -168,29 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ignore [tool.simlint] in pyproject.toml")
     lint_p.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    lint_p.add_argument("--deep", action="store_true",
-                        help="whole-program pass: simheat hot-path "
-                             "allocation audit (SL301-SL303)")
-    lint_p.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text",
-                        help="report format (default: text)")
-    lint_p.add_argument("--baseline", metavar="PATH",
-                        help="JSON baseline of known findings to "
-                             "tolerate (staged adoption)")
-    lint_p.add_argument("--write-baseline", action="store_true",
-                        help="write the current findings to the "
-                             "--baseline file instead of failing")
-    lint_p.add_argument("--prune-baseline", action="store_true",
-                        help="drop --baseline entries whose finding "
-                             "no longer fires (see SL013)")
     lint_p.add_argument("--strict-suppressions", action="store_true",
                         help="treat unused-suppression warnings "
                              "(SL009) as errors")
-    lint_p.add_argument("--cache", metavar="PATH",
-                        help="findings cache for --deep (default: "
-                             ".simlint-cache.json)")
-    lint_p.add_argument("--no-cache", action="store_true",
-                        help="disable the --deep findings cache")
 
     chaos_p = sub.add_parser(
         "chaos", help="sanitized swarm run under seeded fault injection")
@@ -417,10 +397,9 @@ def cmd_models(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from repro.devtools import (RULES, SimlintConfig, lint_source,
-                                load_config)
+    from repro.devtools import (RULES, SimlintConfig, format_findings,
+                                lint_paths, load_config)
     from repro.devtools import output as lint_output
-    from repro.devtools.analyzer import SuppressionIndex, iter_python_files
     if args.list_rules:
         rows = [(rule.id, rule.name, rule.description)
                 for rule in (RULES[rid] for rid in sorted(RULES))]
@@ -445,78 +424,9 @@ def cmd_lint(args) -> int:
         print(f"error: no such path(s): {', '.join(missing)}",
               file=sys.stderr)
         return 2
-    enabled = sorted(config.enabled_rules())
-
-    if args.deep:
-        from repro.devtools.deep import DEFAULT_CACHE, run_deep
-        cache_path = None if args.no_cache else (args.cache
-                                                 or DEFAULT_CACHE)
-        report = run_deep(paths, enabled=enabled,
-                          exclude=config.exclude, cache_path=cache_path)
-        findings = report.findings
-        # Per-pass timing on stderr: stdout must stay clean for the
-        # json/sarif formats (CI pipes them straight into parsers).
-        stats = report.stats
-        timings = stats.get("timings", {})
-        shown = ", ".join(
-            f"{name[:-2]} {timings[name]:.3f}s"
-            for name in ("index_s", "files_s", "races_s", "simheat_s")
-            if name in timings)
-        print(f"simlint --deep: {stats['files']} files; {shown}; "
-              f"cached: {stats['files_reused']} files, project "
-              f"{'hit' if stats['project_reused'] else 'miss'}",
-              file=sys.stderr)
-    else:
-        findings = []
-        for path in iter_python_files(paths, exclude=config.exclude):
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            index = SuppressionIndex(path, source.splitlines())
-            kept = lint_source(source, path=path, enabled=enabled,
-                               suppressions=index)
-            findings.extend(kept)
-            broken = kept and kept[0].rule == "SL000"
-            if "SL009" in enabled and not broken:
-                # A plain lint never runs the whole-program passes,
-                # so suppressions of deep-only rules cannot be proven
-                # stale here; only `--deep` may flag them.
-                from repro.devtools.deep import DEEP_RULES
-                findings.extend(index.filter(
-                    index.unused_findings(ignore=DEEP_RULES)))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    if args.prune_baseline and not args.baseline:
-        print("error: --prune-baseline requires --baseline",
-              file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        target = args.baseline or "simlint-baseline.json"
-        lint_output.write_baseline(target, [
-            f for f in findings
-            if lint_output.severity_of(f) == "error"])
-        print(f"simlint: baseline written to {target}")
-        return 0
-    baselined = 0
-    if args.baseline:
-        if not os.path.isfile(args.baseline):
-            print(f"error: no such baseline: {args.baseline}",
-                  file=sys.stderr)
-            return 2
-        baseline_fps = lint_output.load_baseline(args.baseline)
-        if args.prune_baseline:
-            dropped = lint_output.prune_baseline(args.baseline, findings)
-            print(f"simlint: pruned {dropped} stale baseline "
-                  f"entr{'y' if dropped == 1 else 'ies'} from "
-                  f"{args.baseline}")
-            baseline_fps = lint_output.load_baseline(args.baseline)
-        elif "SL013" in enabled:
-            findings = findings + lint_output.stale_baseline_findings(
-                findings, baseline_fps, args.baseline)
-            findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        findings, baselined = lint_output.apply_baseline(
-            findings, baseline_fps)
-
-    print(lint_output.RENDERERS[args.format](findings, baselined))
+    findings = lint_paths(paths, enabled=config.enabled_rules(),
+                          exclude=config.exclude)
+    print(format_findings(findings))
     if lint_output.in_github_actions():
         for line in lint_output.github_annotations(findings):
             print(line)

@@ -1,18 +1,15 @@
 """Developer tooling guarding the determinism contract.
 
-Three complementary layers:
+Two complementary layers:
 
 * :mod:`repro.devtools.rules` / :mod:`repro.devtools.analyzer` — the
   ``simlint`` static analyzer (``repro lint``): per-file AST rules
   (SL0xx) catching nondeterminism hazards at review time.
-* :mod:`repro.devtools.deep` — the whole-program layer (``repro lint
-  --deep``) over one project index (:mod:`repro.devtools.callgraph`):
-  simheat (SL301-SL303), with a content-hash findings cache,
-  baseline support and JSON/SARIF output
-  (:mod:`repro.devtools.output`).
 * :mod:`repro.devtools.sanitizer` — the runtime simulation sanitizer
   (``Simulator(sanitize=True)``): shadow-state invariant checks on
-  live runs.
+  live runs, plus the per-event allocation profiler
+  (``AllocProfile``), an engine sink whose measured per-event
+  ceilings are the allocation guard.
 
 See ``docs/DEVTOOLS.md`` for the rule catalogue and suppression
 syntax.
@@ -25,7 +22,6 @@ from repro.devtools.analyzer import (
     lint_file,
     lint_paths,
     lint_source,
-    raw_findings,
 )
 from repro.devtools.config import SimlintConfig, load_config
 from repro.devtools.rules import RULES, Finding, Rule, all_rule_ids
@@ -46,5 +42,4 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "load_config",
-    "raw_findings",
 ]

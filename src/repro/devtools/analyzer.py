@@ -91,20 +91,10 @@ class SuppressionIndex:
     def filter(self, findings: Iterable[Finding]) -> List[Finding]:
         return [f for f in findings if not self.suppresses(f)]
 
-    def unused_findings(self,
-                        ignore: Iterable[str] = ()) -> List[Finding]:
-        """SL009 diagnostics for suppressions that matched nothing.
-
-        ``ignore`` names rules whose passes did not run this
-        invocation (the deep-only ids on a plain lint): their
-        suppressions cannot be proven stale, so they are skipped
-        instead of flagged.
-        """
-        skip = set(ignore)
+    def unused_findings(self) -> List[Finding]:
+        """SL009 diagnostics for suppressions that matched nothing."""
         out = []
         for lineno, scope, rule in self.declared:
-            if rule in skip:
-                continue
             key = ("file", rule) if scope == "file" \
                 else ("line", rule, lineno)
             if key in self._used:
@@ -125,49 +115,43 @@ def lint_source(source: str, path: str = "<string>",
     """Lint one source string; returns unsuppressed findings sorted by
     location.  A syntax error becomes a single ``SL000`` finding.
 
-    Passing a :class:`SuppressionIndex` lets the caller accumulate
-    suppression *usage* across several passes (the deep driver filters
-    its own findings through the same index before asking it for
-    unused-suppression diagnostics).
+    Passing a :class:`SuppressionIndex` lets the caller ask it
+    afterwards which suppressions went unused (SL009).
     """
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [syntax_error_finding(path, exc)]
+        return [Finding(rule="SL000", path=path, line=exc.lineno or 1,
+                        col=(exc.offset or 0) + 1,
+                        message=f"syntax error: {exc.msg}")]
     if suppressions is None:
         suppressions = SuppressionIndex(path, source.splitlines())
-    return suppressions.filter(raw_findings(path, source, tree, enabled))
-
-
-def syntax_error_finding(path: str, exc: SyntaxError) -> Finding:
-    """The ``SL000`` finding for a file that does not parse."""
-    return Finding(rule="SL000", path=path, line=exc.lineno or 1,
-                   col=(exc.offset or 0) + 1,
-                   message=f"syntax error: {exc.msg}")
-
-
-def raw_findings(path: str, source: str, tree: ast.Module,
-                 enabled: Optional[Iterable[str]] = None
-                 ) -> List[Finding]:
-    """Per-file rule findings for one parsed file, with *no*
-    suppression filtering."""
     rule_ids = sorted(enabled) if enabled is not None else sorted(RULES)
     ctx = FileContext(path, source, tree)
     findings: Set[Finding] = set()
     for rule_id in rule_ids:
         rule = RULES.get(rule_id)
-        if rule is None:
-            continue
-        findings.update(rule.check(ctx))
-    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
+        if rule is not None:
+            findings.update(rule.check(ctx))
+    return suppressions.filter(
+        sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)))
 
 
 def lint_file(path: str,
               enabled: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Lint one file on disk."""
+    """Lint one file on disk, adding an SL009 for each suppression
+    that hid nothing (when SL009 is enabled and the file parses)."""
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
-    return lint_source(source, path=path, enabled=enabled)
+    rule_ids = sorted(enabled) if enabled is not None else sorted(RULES)
+    index = SuppressionIndex(path, source.splitlines())
+    findings = lint_source(source, path=path, enabled=rule_ids,
+                           suppressions=index)
+    if "SL009" in rule_ids and not (findings
+                                    and findings[0].rule == "SL000"):
+        findings += index.filter(index.unused_findings())
+        findings.sort(key=lambda f: (f.line, f.col, f.rule))
+    return findings
 
 
 def iter_python_files(paths: Sequence[str],

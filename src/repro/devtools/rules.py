@@ -2,7 +2,7 @@
 
 Each rule targets one way a change can silently break the repository's
 determinism contract ("same scenario + same seed = bit-identical event
-trace", :mod:`repro.sim.engine`) or its per-event cost budget:
+trace", :mod:`repro.sim.engine`):
 
 ========  ==========================================================
 SL001     use of the global ``random`` module (unseeded global state)
@@ -13,15 +13,6 @@ SL008     multiprocessing/ProcessPoolExecutor outside the one
 SL009     stale ``# simlint: disable=...`` comment that no longer
           suppresses any finding (warning; see
           ``--strict-suppressions``)
-SL013     stale baseline entry: a ``--baseline`` fingerprint whose
-          finding no longer fires (warning; prune with
-          ``--prune-baseline``)
-SL301     simheat: allocation in a per-event hot path (each event
-          pays it; the per-event garbage bill at 10^5 peers)
-SL302     simheat: O(peers)/O(pieces)-scale copy or rescan in a
-          per-event region
-SL303     simheat: closure/partial created per event — the code
-          object is constant, hoist it to setup
 ========  ==========================================================
 
 Rules are small classes registered in :data:`RULES`; adding a rule is
@@ -39,21 +30,13 @@ from typing import Dict, Iterator, List, Optional, Type
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at a source location.
-
-    ``scope`` is the dotted name of the innermost class or function
-    around ``line`` (``""`` at module level, see
-    :func:`enclosing_scope`); the baseline fingerprint uses it instead
-    of the line, so a finding keeps its identity when code above it
-    moves.
-    """
+    """One rule violation at a source location."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    scope: str = ""
 
     def format(self) -> str:
         """``path:line:col: RULE message`` (clickable in most UIs)."""
@@ -71,11 +54,10 @@ class FileContext:
 
     def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         """A :class:`Finding` anchored at ``node``."""
-        line = getattr(node, "lineno", 1)
-        return Finding(rule=rule.id, path=self.path, line=line,
+        return Finding(rule=rule.id, path=self.path,
+                       line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0) + 1,
-                       message=message,
-                       scope=enclosing_scope(self.tree, line))
+                       message=message)
 
 
 class Rule:
@@ -107,27 +89,6 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 # ----------------------------------------------------------------------
 # Shared AST helpers
 # ----------------------------------------------------------------------
-_SCOPE_NODES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def enclosing_scope(tree: ast.AST, line: int) -> str:
-    """``Class.method`` (dotted, nested defs included) of the innermost
-    class or function whose source spans ``line``; ``""`` at module
-    level."""
-    names: List[str] = []
-    node = tree
-    while True:
-        for child in ast.iter_child_nodes(node):
-            end = getattr(child, "end_lineno", None)
-            if end is not None and child.lineno <= line <= end:
-                if isinstance(child, _SCOPE_NODES):
-                    names.append(child.name)
-                node = child
-                break
-        else:
-            return ".".join(names)
-
-
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []
@@ -330,29 +291,20 @@ class AdHocParallelismRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# Metadata-only rules: produced by other passes, registered here so the
-# CLI (`--list-rules`, `--enable`), config validation and suppression
-# comments know them.  Their ``check`` yields nothing — the analyzer
-# (SL009), the CLI's baseline bookkeeping (SL013) and the --deep
-# driver (SL3xx) emit the findings.
+# SL009 — unused suppression (emitted by the analyzer)
 # ----------------------------------------------------------------------
-class MetaRule(Rule):
-    """A rule id whose findings come from a pass outside the per-file
-    rule loop."""
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-
 @register
-class UnusedSuppressionRule(MetaRule):
+class UnusedSuppressionRule(Rule):
     """SL009: a ``# simlint: disable=SLxxx`` comment that suppressed
     nothing this run.
 
     A stale suppression is invisible until the day a *real* finding
     appears on that line and is silently swallowed.  Reported as a
     warning by default; ``--strict-suppressions`` turns it into an
-    error.  Emitted by the analyzer's suppression-usage tracking.
+    error.  The findings come from the analyzer's suppression-usage
+    tracking (:meth:`SuppressionIndex.unused_findings`), not from
+    ``check``; registering the id makes it known to ``--list-rules``,
+    ``--enable``/``--disable`` and the config block.
     """
 
     id = "SL009"
@@ -361,76 +313,8 @@ class UnusedSuppressionRule(MetaRule):
                    "finding; remove it (warning unless "
                    "--strict-suppressions)")
 
-
-@register
-class StaleBaselineEntryRule(MetaRule):
-    """SL013: a baseline fingerprint whose finding no longer fires.
-
-    The mirror image of SL009 for ``--baseline`` files: an entry that
-    matches nothing is invisible until the day a *new* finding with
-    the same fingerprint lands and is silently swallowed by the stale
-    grant.  Reported as a warning whenever ``--baseline`` is
-    given; ``repro lint --deep --prune-baseline`` rewrites the file
-    without the stale entries.  Emitted by the CLI's baseline
-    bookkeeping.
-    """
-
-    id = "SL013"
-    name = "stale-baseline-entry"
-    description = ("baseline fingerprint that matches no current "
-                   "finding; prune with --prune-baseline (warning)")
-
-
-@register
-class HeatPerEventAllocationRule(MetaRule):
-    """SL301: an allocation sits in a per-event hot path.
-
-    The hot-region inference marks every function reachable from
-    same-instant/event-driven schedule sites and protocol message
-    handlers; an allocation there (fresh container, tuple/dataclass
-    construction, string formatting) is paid once per simulation
-    event — the per-event garbage bill that caps 10^5→10^6-peer
-    swarms.  Emitted by the simheat pass of ``repro lint --deep``;
-    the diagnostic lists the sites and the seed→function chain.
-    """
-
-    id = "SL301"
-    name = "heat-per-event-allocation"
-    description = ("allocation in a per-event hot path (--deep, "
-                   "simheat)")
-
-
-@register
-class HeatSwarmScaleAllocationRule(MetaRule):
-    """SL302: an O(peers)/O(pieces)-scale copy, comprehension or
-    slicing executes in a per-event region.
-
-    The allocation's *size* grows with the swarm, so per-event cost
-    is O(N) where the engine budget is O(1).  Emitted by the simheat
-    pass of ``repro lint --deep``.
-    """
-
-    id = "SL302"
-    name = "heat-swarm-scale-allocation"
-    description = ("O(swarm)-scale copy/rescan allocation in a "
-                   "per-event region (--deep, simheat)")
-
-
-@register
-class HeatPerEventClosureRule(MetaRule):
-    """SL303: a closure, lambda, nested ``def`` or
-    ``functools.partial`` is created inside a per-event region.
-
-    The code object never changes — only the cell bindings do — so
-    the per-event function-object churn should be hoisted to setup: a
-    bound method, a module-level function, or a partial built once.
-    Emitted by the simheat pass of ``repro lint --deep``.
-    """
-
-    id = "SL303"
-    name = "heat-per-event-closure"
-    description = ("closure/partial created per event; hoist to setup "
-                   "(--deep, simheat)")
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        return iter(())
 
 
 def all_rule_ids() -> List[str]:

@@ -31,7 +31,8 @@ in a million-event run still shows the path that led there.
 
 :class:`AllocProfile` is the other engine sink here: attached with
 ``sim.add_observer(AllocProfile())`` it records per-event-type
-allocation deltas, the runtime check on the simheat SL3xx audit.
+allocation deltas; its per-event ceilings in the test suite are the
+one guard on the simulator's allocation bill.
 """
 
 from __future__ import annotations
@@ -316,9 +317,9 @@ class AllocProfile:
     For every event fired after it is attached it records the delta of
     ``tracemalloc``'s traced bytes and of the interpreter's live
     allocation-block count across the callback, keyed by the
-    callback's ``__qualname__`` — the runtime ground truth the static
-    simheat audit (SL301–SL303, docs/DEVTOOLS.md) is validated
-    against.  Deltas can be negative (a callback that frees more than
+    callback's ``__qualname__`` — the per-event-type ground truth that
+    the pinned allocation ceilings (docs/PERF.md, "Allocation audit")
+    are measured with.  Deltas can be negative (a callback that frees more than
     it allocates); sums are kept raw.  Sinks nest, so the window holds
     the callback and the hooks of sinks attached *after* this one:
     attach it last.

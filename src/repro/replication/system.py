@@ -31,7 +31,7 @@ from repro.sim.events import PeriodicTask
 
 def _node_id(node: StorageNode) -> str:
     """Sort key for node lists (module-level so per-event candidate
-    sorts don't rebuild a closure each call — SL303)."""
+    sorts don't rebuild a closure each call)."""
     return node.node_id
 
 

@@ -38,12 +38,14 @@ PLAN = FaultPlan(control_loss_prob=0.25, control_delay_prob=0.15,
                  crashes=tuple(crash_schedule(4, first_s=10.0,
                                               spacing_s=15.0)))
 
-#: Taken on the last commit whose exchange ledger kept every
-#: transaction, key and sealed piece of the run.
+#: 0.0 was taken on the last commit whose exchange ledger kept every
+#: transaction, key and sealed piece of the run; 0.25 when a crashed
+#: free-rider's periodic tasks began to stop with it (112 post-crash
+#: ticks of F6 and W28 left the trace, nothing else moved).
 FAULT_GOLDEN = {
     0.0: "0ca69da49479221b4d5108d5d032550843bd23cc648be5df1f0f97fef92a024e",
     0.25:
-        "a9677610d0b538ecb0c2495a83c3fb0070ad9500365cbaf5d40e1d44ad015ebd",
+        "912e6c9a442e091faa4a92d83ef977fc554c2607987fde233b61f0c988ffe9f0",
 }
 
 

@@ -1,9 +1,12 @@
-"""Tests for the runtime simulation sanitizer.
+"""Tests for the runtime simulation sanitizer and the per-event
+allocation profiler beside it.
 
-The headline cases from the issue: a full fig3-style swarm run passes
-under ``Simulator(sanitize=True)``, and an *injected* early key
-release — one that corrupts ledger state behind the public API's back,
-so the ledger's own checks cannot see it — raises ``SanitizerError``.
+The headline cases: a full fig3-style swarm run passes under
+``Simulator(sanitize=True)``, and an *injected* early key release —
+one that corrupts ledger state behind the public API's back, so the
+ledger's own checks cannot see it — raises ``SanitizerError``.  An
+``AllocProfile`` sink attributes bytes/blocks to event types, and
+pinned per-event and traced-peak ceilings guard the allocation bill.
 """
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from repro.core.exchange import ExchangeError, ExchangeLedger
 from repro.core.transaction import TransactionState
 from repro.devtools import SanitizerError, SimulationSanitizer
+from repro.devtools.sanitizer import AllocProfile
 from repro.experiments import run_swarm
 from repro.net.bandwidth import Uplink
 from repro.sim.engine import Simulator, SimulatorError
@@ -299,3 +303,134 @@ class TestFullRun:
         message = str(excinfo.value)
         assert "recent simulation trace" in message
         assert "delivered" in message
+
+
+# ----------------------------------------------------------------------
+# runtime allocation profiler
+# ----------------------------------------------------------------------
+def profiled_run(**kwargs):
+    """One ``run_swarm`` with an :class:`AllocProfile` sink attached
+    for the whole run; returns the closed profile."""
+    prof = AllocProfile()
+    try:
+        run_swarm(setup=lambda swarm: swarm.sim.add_observer(prof),
+                  **kwargs)
+    finally:
+        prof.close()
+    return prof
+
+
+class TestAllocProfiler:
+    def test_profile_attributes_by_event_type(self):
+        sim = Simulator(seed=0)
+        prof = AllocProfile()
+        sim.add_observer(prof)
+        try:
+            garbage = []
+
+            def churn():
+                garbage.append([0] * 512)
+
+            def quiet():
+                pass
+
+            for _ in range(20):
+                sim.schedule(1.0, churn)
+                sim.schedule(1.0, quiet)
+            sim.run()
+            assert prof.events == 40
+            by_event = prof.by_event
+            churn_key = next(k for k in by_event if "churn" in k)
+            quiet_key = next(k for k in by_event if "quiet" in k)
+            assert by_event[churn_key][0] == 20
+            # The allocating callback dominates both axes.
+            assert by_event[churn_key][1] > by_event[quiet_key][1]
+            assert by_event[churn_key][2] > by_event[quiet_key][2]
+            summary = prof.summary()
+            assert summary["events"] == 40
+            assert summary["bytes_per_event"] > 0
+        finally:
+            prof.close()
+
+    def test_close_restores_gc_and_is_idempotent(self):
+        import gc
+        assert gc.isenabled()
+        prof = AllocProfile()
+        assert not gc.isenabled()
+        prof.close()
+        assert gc.isenabled()
+        prof.close()
+        assert gc.isenabled()
+
+
+# ----------------------------------------------------------------------
+# tier-1 allocation ceilings
+# ----------------------------------------------------------------------
+def assert_under_ceiling(prof, max_bytes, max_allocs):
+    assert prof.events > 1000
+    assert prof.bytes_per_event() < max_bytes, (
+        f"{prof.bytes_per_event():.1f} B/event over the "
+        f"{max_bytes} ceiling")
+    assert prof.allocs_per_event() < max_allocs, (
+        f"{prof.allocs_per_event():.2f} blocks/event over the "
+        f"{max_allocs} ceiling")
+
+
+class TestAllocCeiling:
+    #: Pinned per-event ceilings for the quick crowd; the transfer
+    #: path measures ~700 B/event and ~10 blocks/event, so tripping
+    #: these means an O(peers) copy or a new per-event object crept
+    #: into it.
+    MAX_BYTES_PER_EVENT = 1600.0
+    MAX_ALLOCS_PER_EVENT = 20.0
+    #: One shared pair for the baseline protocols' upload decisions,
+    #: about 2x the largest measured (Python 3.11, 40 x 16 cell below):
+    #: 271 (bittorrent) to 427 (eigentrust) B/event and 5.0 to 7.6
+    #: blocks/event.
+    MAX_BASELINE_BYTES_PER_EVENT = 900.0
+    MAX_BASELINE_ALLOCS_PER_EVENT = 16.0
+
+    def test_quick_crowd_allocation_under_ceiling(self):
+        prof = profiled_run(protocol="tchain", seed=7, pieces=4,
+                            piece_size_kb=64.0, leechers=300,
+                            freerider_fraction=0.0, arrival="flash")
+        assert_under_ceiling(prof, self.MAX_BYTES_PER_EVENT,
+                             self.MAX_ALLOCS_PER_EVENT)
+
+    @pytest.mark.parametrize("protocol", [
+        "bittorrent", "propshare", "fairtorrent", "random",
+        "eigentrust", "dandelion"])
+    def test_baseline_protocol_allocation_under_ceiling(self, protocol):
+        prof = profiled_run(protocol=protocol, seed=7, leechers=40,
+                            pieces=16, freerider_fraction=0.25)
+        assert_under_ceiling(prof, self.MAX_BASELINE_BYTES_PER_EVENT,
+                             self.MAX_BASELINE_ALLOCS_PER_EVENT)
+
+
+class TestFootprintCeiling:
+    #: Traced-heap peak of the quick crowd in MB, pinned just above
+    #: the measured 1.58 MB (1.87 MB while every pending transfer and
+    #: periodic tick carried an EventHandle and a bound method, and
+    #: every laned timer an argument tuple; 2.62 MB while every upload
+    #: plan carried a dict, keys, sealed pieces and chains were
+    #: ``__dict__``-backed, the ledger's open-exchange index held one
+    #: set per peer, every peer kept a set mirroring its uploads'
+    #: receivers and the chain registry kept every chain ever made).
+    MAX_TRACED_PEAK_MB = 1.65
+
+    def test_quick_crowd_traced_peak_under_ceiling(self):
+        import tracemalloc
+        crowd = dict(protocol="tchain", pieces=4, piece_size_kb=64.0,
+                     freerider_fraction=0.0, arrival="flash")
+        # Imports and first-use caches stay out of the window.
+        run_swarm(seed=1, leechers=10, **crowd)
+        tracemalloc.start()
+        try:
+            result = run_swarm(seed=7, leechers=300, **crowd)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.completion_rate("leecher") == 1.0
+        assert peak / 1e6 < self.MAX_TRACED_PEAK_MB, (
+            f"traced peak {peak / 1e6:.3f} MB over the "
+            f"{self.MAX_TRACED_PEAK_MB} MB ceiling")

@@ -1,15 +1,19 @@
 """Unit tests for the ``simlint`` static analyzer.
 
 Every rule is exercised with at least one violating and one clean
-snippet; suppression comments, config resolution and the CLI exit
-codes get their own groups.
+snippet; suppression comments (and their SL009 staleness check),
+config resolution, GitHub annotations and the CLI exit codes get
+their own groups, and the rule lists in the docs are pinned to the
+registry.
 """
 
 # simlint: disable-file=SL009 -- fixture strings below embed
 # suppression-comment examples that the raw line scan cannot tell
 # apart from live suppressions.
 
+import dataclasses
 import os
+import re
 import textwrap
 
 import pytest
@@ -17,11 +21,26 @@ import pytest
 from repro.cli import main
 from repro.devtools import (
     RULES,
+    SuppressionIndex,
     all_rule_ids,
     lint_paths,
     lint_source,
 )
 from repro.devtools.config import SimlintConfig, load_config
+from repro.devtools.output import github_annotations, severity_of
+from repro.devtools.rules import Finding
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The live rule ids, and every id a rule audit retired: a retired id
+#: stays unknown to the CLI, the config and the suppression comments.
+LIVE = ["SL001", "SL002", "SL008", "SL009"]
+RETIRED = ("SL003", "SL004", "SL005", "SL006", "SL007", "SL010",
+           "SL011", "SL012", "SL013", "SL014",
+           "SL101", "SL102", "SL103", "SL104",
+           "SL110", "SL111", "SL112",
+           "SL201", "SL202", "SL203",
+           "SL301", "SL302", "SL303", "SL304")
 
 
 def rules_of(source, path="snippet.py", enabled=None):
@@ -172,6 +191,74 @@ class TestSuppression:
         assert rules_of(src) == []
 
 
+class TestSuppressionEdgeCases:
+    def test_multiple_rule_ids_one_comment_all_used(self):
+        src = ("import random  "
+               "# simlint: disable=SL001,SL002 -- SL002 is stale\n")
+        index = SuppressionIndex("snippet.py", src.splitlines())
+        assert lint_source(src, "snippet.py", suppressions=index) == []
+        unused = index.filter(index.unused_findings())
+        assert len(unused) == 1
+        assert unused[0].rule == "SL009"
+        assert "SL002" in unused[0].message
+
+    def test_unknown_rule_id_suppresses_nothing(self):
+        # A retired id is as unknown as one never registered.
+        for rule_id in ("SL999", "SL303"):
+            src = f"import random  # simlint: disable={rule_id}\n"
+            index = SuppressionIndex("snippet.py", src.splitlines())
+            findings = lint_source(src, "snippet.py", suppressions=index)
+            assert [f.rule for f in findings] == ["SL001"]
+            unused = index.unused_findings()
+            assert [f.rule for f in unused] == ["SL009"]
+            assert rule_id in unused[0].message
+
+    def test_disable_on_continuation_line_does_not_anchor(self):
+        """Suppressions anchor to the physical line of the finding;
+        a comment on a later continuation line neither suppresses nor
+        counts as used."""
+        src = ("import time\n"
+               "t = time.time(\n"
+               ")  # simlint: disable=SL002\n")
+        index = SuppressionIndex("snippet.py", src.splitlines())
+        findings = lint_source(src, "snippet.py", suppressions=index)
+        assert [f.rule for f in findings] == ["SL002"]
+        assert findings[0].line == 2
+        assert [f.rule for f in index.unused_findings()] == ["SL009"]
+
+    def test_disable_on_reported_line_of_multiline_call(self):
+        src = ("import time\n"
+               "t = time.time(  # simlint: disable=SL002\n"
+               ")\n")
+        findings = lint_source(src, "snippet.py")
+        assert findings == []
+
+    def test_file_wide_suppression_used_once_not_stale(self):
+        src = ("# simlint: disable-file=SL001\n"
+               "import random\n"
+               "import random as r2\n")
+        index = SuppressionIndex("snippet.py", src.splitlines())
+        assert lint_source(src, "snippet.py", suppressions=index) == []
+        assert index.unused_findings() == []
+
+    def test_cli_reports_sl009_as_warning_exit_zero(self, tmp_path,
+                                                    capsys):
+        (tmp_path / "mod.py").write_text(
+            "x = 1  # simlint: disable=SL002\n")
+        code = main(["lint", str(tmp_path), "--no-config"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "SL009" in out
+
+    def test_strict_suppressions_turns_warning_into_failure(
+            self, tmp_path, capsys):
+        (tmp_path / "mod.py").write_text(
+            "x = 1  # simlint: disable=SL002\n")
+        code = main(["lint", str(tmp_path), "--no-config",
+                     "--strict-suppressions"])
+        assert code == 1
+
+
 class TestAnalyzer:
     def test_syntax_error_reported_as_sl000(self):
         findings = lint_source("def broken(:\n", path="bad.py")
@@ -257,7 +344,7 @@ class TestCli:
     def test_unknown_rule_id_is_an_error(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("import random\n")
         # retired ids are unknown, not silently ignored
-        for rule_id in ("SL999", "SL004", "SL201", "SL202", "SL203"):
+        for rule_id in ("SL999",) + RETIRED:
             code = main(["lint", str(tmp_path), "--no-config",
                          "--enable", rule_id])
             err = capsys.readouterr().err
@@ -274,8 +361,17 @@ class TestCli:
         code = main(["lint", "--list-rules"])
         out = capsys.readouterr().out
         assert code == 0
-        for rule_id in all_rule_ids():
-            assert rule_id in out
+        assert sorted(set(re.findall(r"SL\d{3}", out))) == LIVE
+
+    def test_retired_flags_are_usage_errors(self, tmp_path, capsys):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        for flag in ("--deep", "--baseline=b.json", "--write-baseline",
+                     "--prune-baseline", "--cache=c.json", "--no-cache",
+                     "--format=json"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["lint", str(tmp_path), "--no-config", flag])
+            assert exit_info.value.code == 2, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_repo_source_tree_is_lint_clean(self):
         src_root = os.path.join(
@@ -285,12 +381,76 @@ class TestCli:
         assert findings == [], "\n".join(f.format() for f in findings)
 
 
+class TestOutput:
+    FINDING = Finding(rule="SL001", path="src/repro/x.py", line=7, col=5,
+                      message="import of the global `random` module")
+    WARNING = Finding(rule="SL009", path="src/repro/x.py", line=1, col=1,
+                      message="unused suppression")
+
+    def test_severity_split(self):
+        assert severity_of(self.FINDING) == "error"
+        assert severity_of(self.WARNING) == "warning"
+
+    def test_github_annotation_escaping(self):
+        lines = github_annotations([dataclasses.replace(
+            self.FINDING, message="line one\nline two")])
+        assert lines[0].startswith(
+            "::error file=src/repro/x.py,line=7,col=5,")
+        assert "%0A" in lines[0] and "\n" not in lines[0]
+
+    def test_cli_github_annotations(self, tmp_path, capsys,
+                                    monkeypatch):
+        monkeypatch.setenv("GITHUB_ACTIONS", "true")
+        (tmp_path / "bad.py").write_text("import random\n")
+        code = main(["lint", str(tmp_path), "--no-config"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "::error file=" in out
+        assert "title=simlint SL001" in out
+
+    def test_cli_no_annotations_outside_actions(self, tmp_path,
+                                                capsys, monkeypatch):
+        monkeypatch.delenv("GITHUB_ACTIONS", raising=False)
+        (tmp_path / "bad.py").write_text("import random\n")
+        main(["lint", str(tmp_path), "--no-config"])
+        assert "::error" not in capsys.readouterr().out
+
+
 class TestRegistry:
     def test_rules_registered(self):
-        assert len(RULES) >= 5
-        assert all_rule_ids()[:5] == ["SL001", "SL002", "SL008",
-                                      "SL009", "SL013"]
+        assert all_rule_ids() == LIVE
 
     def test_rules_have_metadata(self):
         for rule in RULES.values():
             assert rule.id and rule.name and rule.description
+
+    def test_devtools_audit_rows_match_registered_rules(self):
+        """docs/DEVTOOLS.md's rule audit has one row per rule id ever
+        shipped: a row not marked retired names a registered rule, and
+        every registered rule has a row.  Its rule catalogue and the
+        README's rule list name exactly the registered ids."""
+        verdicts = {}
+        other_rows = set()
+        with open(os.path.join(REPO, "docs", "DEVTOOLS.md"), "r",
+                  encoding="utf-8") as handle:
+            devtools = handle.read()
+        for line in devtools.splitlines():
+            if not re.match(r"\| SL\d{3} \|", line):
+                continue
+            cells = [c.strip() for c in line.strip().strip("|")
+                     .split("|")]
+            if len(cells) == 6:  # the audit table
+                verdicts[cells[0]] = cells[4]
+            else:
+                other_rows.add(cells[0])
+        live = {rule_id for rule_id, verdict in verdicts.items()
+                if not verdict.startswith("**retired**")}
+        assert live == set(all_rule_ids())
+        assert other_rows <= live
+        catalogue = re.findall(r"^#### (SL\d{3}) ", devtools, re.M)
+        assert catalogue == all_rule_ids()
+        with open(os.path.join(REPO, "README.md"), "r",
+                  encoding="utf-8") as handle:
+            readme = handle.read()
+        assert sorted(set(re.findall(r"SL\d{3}", readme))) \
+            == all_rule_ids()

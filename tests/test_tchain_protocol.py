@@ -14,6 +14,7 @@ from repro.attacks.freerider import FreeRiderOptions
 from repro.core.transaction import Transaction
 from repro.experiments import run_swarm
 from tests.ledger_log import recording, transactions
+from tests.test_fault_digests import PLAN
 
 
 def tchain_run(**kwargs):
@@ -357,29 +358,47 @@ class TestBoundedBookkeeping:
                  and id(obj) not in before and id(obj) not in held]
         assert stray == []
 
+    #: Scenario -> (run arguments, fewest departures).  Trace arrivals
+    #: leave most peers departed long before the run ends; the
+    #: fault-digest plan crashes two free-riders, and a crash skips
+    #: ``on_leave``, so their periodic tasks must stop in ``on_crash``.
+    DEPARTURES = {
+        "trace": (dict(arrival="trace", leechers=40, pieces=8,
+                       freerider_fraction=0.2, trace_horizon_s=4000.0),
+                  25),
+        "crash": (dict(leechers=24, pieces=10, freerider_fraction=0.25,
+                       fault_plan=PLAN), 15),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(DEPARTURES))
     @pytest.mark.parametrize("sanitize", [False, True])
-    def test_departed_peer_freed_without_cycle_collector(self, sanitize):
+    def test_departed_peer_freed_without_cycle_collector(self, sanitize,
+                                                         scenario):
         """A departed peer is garbage as soon as the swarm and its last
         timer let go: no reference cycle (the rescan task's bound
-        callback, a sanitized run's flow underflow hook) waits for the
-        cyclic collector.  Trace arrivals leave most peers departed
-        long before the run ends."""
+        callback, a sanitized run's flow underflow hook, a free-rider's
+        periodic tasks) waits for the cyclic collector."""
+        kwargs, fewest = self.DEPARTURES[scenario]
         departed = []
+        crashed = []
 
         def setup(swarm):
-            swarm.on_departed = \
-                lambda peer: departed.append(weakref.ref(peer))
+            def gone(peer):
+                departed.append(weakref.ref(peer))
+                if peer.crashed and peer.kind == "freerider":
+                    crashed.append(peer.id)
+            swarm.on_departed = gone
         gc.collect()
         gc.disable()
         try:
-            result = tchain_run(arrival="trace", leechers=40, pieces=8,
-                                seed=3, freerider_fraction=0.2,
-                                trace_horizon_s=4000.0,
-                                sanitize=sanitize, setup=setup)
+            result = tchain_run(seed=3, sanitize=sanitize, setup=setup,
+                                **kwargs)
             alive = [ref().id for ref in departed if ref() is not None]
         finally:
             gc.enable()
-        assert len(departed) == 40 - len(result.swarm.leechers()) > 25
+        assert len(departed) \
+            == kwargs["leechers"] - len(result.swarm.leechers()) > fewest
+        assert bool(crashed) == (scenario == "crash")
         assert alive == []
 
     def test_no_stall_watchdog_keeps_no_aborted_exchange(self):

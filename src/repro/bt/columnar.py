@@ -16,16 +16,20 @@ only acceleration structure the protocols consult:
   for more below 30), stored once: per row, the neighbours' *rows* in
   sorted-*id* order.  Degree is a list length, membership a binary
   search, and the scans walk the same list;
-* one *maintained* column, ``avail``: per chooser row, the number of
+* two *maintained* columns.  ``avail``: per chooser row, the number of
   live neighbours holding each piece — the Local-Rarest-First input —
-  packed into one int of ``COUNT_BITS``-wide fields.  It is the single
-  count kept instead of recomputed, because LRF reads it on every plan
-  while it changes by one big-int addition per live neighbour on a
-  completion and two per edge (docs/PERF.md has the measurement).
+  packed into one int of ``COUNT_BITS``-wide fields, kept instead of
+  recomputed because LRF reads it on every plan while it changes by one
+  big-int addition per live neighbour on a completion and two per edge
+  (docs/PERF.md has the measurement).  ``unwanted``: per row, "no live
+  neighbour wants a piece this row holds" (BitTorrent's ``interested``
+  state, seen from the holder), set by a scan that finds nobody and
+  cleared by the three events that can make a wanter: a new edge, a
+  completion in the row's book, a neighbour's ``PieceBook.unexpect``.
 
 Nothing here is swarm-wide: joining costs O(1) per edge plus a search
-of the two neighbour lists, a completion costs O(degree), and no map is
-keyed by piece.
+of the two neighbour lists, a completion or an ``unexpect`` costs
+O(degree), and no map is keyed by piece.
 
 Trace neutrality is the contract: every scan iterates neighbours in
 sorted-id order and applies predicates equal to the set intersections
@@ -109,6 +113,9 @@ class ColumnarState:
         #: field never borrows from the next because a count is only
         #: taken back from where it was added.
         self.avail: List[int] = []
+        #: True: no live neighbour of ``row`` wants a piece its book
+        #: holds (``Peer.pump``'s gate); a clear bit knows nothing.
+        self.unwanted: List[bool] = []
         # "I" is COUNT_BITS wide; explicit little-endian on both sides
         # puts piece 0 first on any host.
         fields = Struct(f"<{n_pieces}I")
@@ -144,6 +151,7 @@ class ColumnarState:
             self.alive.append(False)
             self.adj_rows.append([])
             self.avail.append(0)
+            self.unwanted.append(False)
         self.row_of[peer_id] = row
         if unlimited:
             self._unlimited.add(peer_id)
@@ -156,6 +164,7 @@ class ColumnarState:
         self.objs[row] = peer
         self.books[row] = book
         self.alive[row] = True
+        self.unwanted[row] = not book.cmask
         book._state = self
         book._rows.append(row)
         return row
@@ -211,6 +220,7 @@ class ColumnarState:
         self.books[row] = None
         alive[row] = False
         self.avail[row] = 0
+        self.unwanted[row] = False
         self._free.append(row)
         return neighbors
 
@@ -224,8 +234,8 @@ class ColumnarState:
 
         Returns ``False`` when the edge already exists, ``True`` when
         it was created, and ``None`` when it was refused: an unknown
-        peer, a self-edge, ``admit(a, b)`` false (asked only for a
-        would-be new edge) or a side at its cap.
+        peer, a self-edge, a side at its cap or ``admit(a, b)`` false
+        (asked only for a would-be new edge within both caps).
         """
         row_of = self.row_of
         row_a = row_of.get(a)
@@ -237,19 +247,24 @@ class ColumnarState:
         pos_b = bisect_left(rows_a, b, key=key)
         if pos_b < len(rows_a) and rows_a[pos_b] == row_b:
             return False
-        if admit is not None and not admit(a, b):
-            return None
         rows_b = self.adj_rows[row_b]
         cap = self.max_neighbors
         if (len(rows_a) >= cap and a not in self._unlimited) \
                 or (len(rows_b) >= cap and b not in self._unlimited):
             return None
+        if admit is not None and not admit(a, b):
+            return None
         rows_a.insert(pos_b, row_b)
         insort(rows_b, row_a, key=key)
         if self.alive[row_a] and self.alive[row_b]:
             # Both endpoints live: each holds the other's pieces.
-            self.avail[row_a] += self.books[row_b].spread
-            self.avail[row_b] += self.books[row_a].spread
+            book_a, book_b = self.books[row_a], self.books[row_b]
+            self.avail[row_a] += book_b.spread
+            self.avail[row_b] += book_a.spread
+            if book_b.wmask & book_a.cmask:
+                self.unwanted[row_a] = False
+            if book_a.wmask & book_b.cmask:
+                self.unwanted[row_b] = False
         return True
 
     def connect(self, a: str, b: str) -> bool:
@@ -311,16 +326,29 @@ class ColumnarState:
             < self.refill_threshold
 
     # ------------------------------------------------------------------
-    # Writes to the availability column
+    # Writes to the maintained columns
     # ------------------------------------------------------------------
     def on_completed(self, rows: List[int], one_copy: int) -> None:
         """A book completed a piece (``one_copy`` is its count field's
         unit); ``rows`` are the rows holding that book (several for a
         shared Sybil book — the piece becomes a copy at the neighbours
-        of every live identity)."""
+        of every live identity, and a piece someone may want)."""
         for row in rows:
+            self.unwanted[row] = False
             if self.alive[row]:
                 self._count_at_neighbors(row, one_copy)
+
+    def on_wanted_again(self, rows: List[int], bit: int) -> None:
+        """A book wants the piece ``bit`` again: each neighbour of a
+        live row holding it (``rows``) that holds the piece may have a
+        wanter now.  A departing receiver's row is dead already."""
+        books = self.books
+        unwanted = self.unwanted
+        for row in rows:
+            if self.alive[row]:
+                for nrow in self.adj_rows[row]:
+                    if books[nrow].cmask & bit:
+                        unwanted[nrow] = False
 
     def _count_at_neighbors(self, row: int, delta: int) -> None:
         """Add ``delta`` (a signed ``spread``) to the counts of the
@@ -361,7 +389,8 @@ class ColumnarState:
         interested in us"; with a requestor's ``cmask`` plus the piece
         about to be uploaded it is the Sec. II-B2 payee-candidacy
         scan.  Equals ``[p.id for p in peer.neighbor_peers() if
-        p.book.wanted() & offer]`` element for element.
+        p.book.wanted() & offer]`` element for element.  Finding nobody
+        for an offer covering the peer's pieces sets its ``unwanted``.
         """
         row = self.row_of.get(peer.id)
         if row is None or not offer_mask:
@@ -369,8 +398,11 @@ class ColumnarState:
         books = self.books
         alive = self.alive
         ids = self.ids
-        return [ids[nrow] for nrow in self.adj_rows[row]
-                if alive[nrow] and books[nrow].wmask & offer_mask]
+        found = [ids[nrow] for nrow in self.adj_rows[row]
+                 if alive[nrow] and books[nrow].wmask & offer_mask]
+        if not found and not books[row].cmask & ~offer_mask:
+            self.unwanted[row] = True
+        return found
 
     def availability(self, peer: "Peer") -> Sequence[int]:
         """``copies[piece]`` among ``peer``'s live neighbours: the
@@ -389,9 +421,10 @@ class ColumnarState:
         """Assert rows, liveness, masks and book links equal the
         peers; the neighbour lists form a valid graph (symmetric,
         sorted by id, no duplicate, no self-edge, within the cap unless
-        unlimited); the availability column equals a recount; and each
-        T-Chain node's flow window (``peer.flow.blocked``) a recount of
-        its pending pieces."""
+        unlimited); the availability column equals a recount; no set
+        ``unwanted`` bit has a live neighbour wanting the row's pieces;
+        and each T-Chain node's flow window (``peer.flow.blocked``) a
+        recount of its pending pieces."""
         swarm = self.swarm
         assert set(self.row_of) == set(swarm.peers), (
             f"rows {sorted(self.row_of)} != peers "
@@ -442,6 +475,11 @@ class ColumnarState:
                     copies[piece] += 1
             assert list(self.availability(peer)) == copies, (
                 f"avail[{pid}] {self.availability(peer)} != {copies}")
+            if self.unwanted[row]:
+                wanting = [other.id for other in peer.neighbor_peers()
+                           if other.book.wmask & book.cmask]
+                assert not wanting, (
+                    f"unwanted[{pid}] set but {wanting} want its pieces")
         for row, book in enumerate(self.books):
             if book is not None:
                 assert book._rows.count(row) == 1

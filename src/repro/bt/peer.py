@@ -59,7 +59,7 @@ class Peer:
     #: Uploads owed whether or not a piece is held.  Only T-Chain
     #: leechers ever owe any (a newcomer reciprocates by forwarding the
     #: sealed piece itself, Sec. II-D1), which is why :meth:`pump`
-    #: cannot read "nothing to upload" off an empty book alone.
+    #: cannot read "nothing to upload" off the ``unwanted`` bit alone.
     obligations: Sequence[int] = ()
 
     def __init__(self, swarm: "Swarm", peer_id: str,
@@ -243,14 +243,17 @@ class Peer:
         uplink = self.uplink
         if not self.active or uplink.capacity_kbps <= 0:
             return
-        if not self.book.cmask and not self.obligations:
-            # Empty-handed: with nothing held and nothing owed every
-            # protocol's next_upload() is a guaranteed None that draws
-            # nothing and schedules nothing (no neighbor can want a
-            # piece of an empty book), so the connect storm of a
-            # joining crowd stops here.  tests/test_empty_handed.py
-            # holds every registered protocol to that.
-            return
+        if not self.obligations:
+            state = self.swarm.columnar
+            if state.unwanted[state.row_of[self.id]]:
+                # Owing nothing, and no live neighbor wants a piece we
+                # hold (ColumnarState.unwanted): every protocol's
+                # next_upload() is then a None that draws and schedules
+                # nothing (tests/test_empty_handed.py).
+                sanitizer = self.sim.sanitizer
+                if sanitizer is not None:
+                    sanitizer.on_unwanted_pump(self)
+                return
         n_slots = uplink.n_slots
         while uplink.busy_slots < n_slots:
             plan = self.next_upload()

@@ -112,8 +112,9 @@ class PieceBook:
     A book may be shared by several peers (a Sybil group pools one);
     while its holders are registered in a swarm, ``_state`` / ``_rows``
     link it to their :class:`~repro.bt.columnar.ColumnarState` rows so
-    the one column derived from ``cmask`` — neighbour availability —
-    hears every completion, whichever identity made it.
+    the columns derived from the masks — neighbour availability and
+    the ``unwanted`` bits — hear every completion and every piece
+    wanted again, whichever identity made it.
     """
 
     __slots__ = ("torrent", "cmask", "spread", "emask", "wmask", "_state",
@@ -179,8 +180,10 @@ class PieceBook:
         """A pending piece fell through (departure, abort)."""
         bit = 1 << piece
         self.emask &= ~bit
-        if not self.cmask & bit:
+        if not (self.cmask | self.wmask) & bit:
             self.wmask |= bit
+            if self._state is not None:
+                self._state.on_wanted_again(self._rows, bit)
 
     def is_expected(self, piece: int) -> bool:
         """True if the piece is in flight or pending a key."""

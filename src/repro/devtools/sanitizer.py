@@ -18,7 +18,9 @@ moment an invariant breaks:
   whose reception report the sanitizer itself observed, and a
   *truthful* report only follows a reciprocation the sanitizer
   observed (the one sanctioned exception, a colluding false report,
-  is tracked separately — it is a modelled attack, not a bug).
+  is tracked separately — it is a modelled attack, not a bug);
+* **unwanted pumps** — a pump stopped at a peer's ``unwanted`` bit is
+  recounted: no live neighbour may want a piece the peer holds.
 
 Because the shadow state is independent of the ledger's own state
 machine, the sanitizer catches corruption that bypasses the public
@@ -188,6 +190,18 @@ class SimulationSanitizer:
             f"an empty window for neighbor {neighbor_id} that was "
             f"never forgotten (duplicate reciprocation confirm or "
             f"write-off for one exchange)")
+
+    # ------------------------------------------------------------------
+    # Swarm-state hooks (repro.bt.peer)
+    # ------------------------------------------------------------------
+    def on_unwanted_pump(self, peer: Any) -> None:
+        """``Peer.pump`` stopped at the peer's ``unwanted`` bit."""
+        self.checks_run += 1
+        wanting = [other.id for other in peer.neighbor_peers()
+                   if other.book.wmask & peer.book.cmask]
+        if wanting:
+            self._fail(f"pump of {peer.id} stopped as unwanted, but "
+                       f"neighbors {wanting} want a piece it holds")
 
     # ------------------------------------------------------------------
     # Exchange hooks (repro.core.exchange)

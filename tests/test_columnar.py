@@ -123,6 +123,31 @@ class TestChurnConsistency:
         checks = self._checked_churn_run(also=_assert_flow_windows)
         assert len(checks) > 200
 
+    def test_whitewashing_baseline_run_after_every_event(self):
+        """A BitTorrent run with whitewashing free-riders: rebrands
+        and transfers cancelled under live receivers are the
+        ``unexpect`` paths the T-Chain runs above barely reach."""
+        checks = []
+        live_unexpects = []
+
+        def setup(swarm):
+            columnar = swarm.columnar
+            wanted_again = columnar.on_wanted_again
+
+            def counting(rows, bit):
+                live_unexpects.extend(r for r in rows if columnar.alive[r])
+                wanted_again(rows, bit)
+
+            columnar.on_wanted_again = counting
+            check_every_event(swarm, checks)
+
+        result = run_swarm(protocol="bittorrent", seed=5, leechers=20,
+                           pieces=12, freerider_fraction=0.34,
+                           setup=setup)
+        assert len(checks) > 500
+        assert live_unexpects
+        assert result.swarm._next_auto_id > 40  # 21 joins, the rest rebrands
+
     def test_final_state_consistent_for_baselines(self):
         for protocol in ("bittorrent", "propshare", "fairtorrent",
                          "random"):
@@ -200,6 +225,110 @@ class TestPackedAvailability:
             columnar.check_consistency()
         assert tuple(columnar.availability(hub)) == (0, 0, 0)
         assert columnar.avail[columnar.row_of[hub.id]] == 0
+
+
+class TestUnwantedBit:
+    """``ColumnarState.unwanted``: a scan that finds nobody sets a
+    row's bit, and each event that can make a wanter clears it (each
+    test fails when its clear is deleted)."""
+
+    @staticmethod
+    def swarm_of(*books):
+        """IdlePeers ``P0, P1, ...``, no edges; each spec is a book or
+        ``(held, expected)``."""
+        swarm = Swarm(SwarmConfig(n_pieces=4, seed=1))
+        peers = []
+        for i, spec in enumerate(books):
+            if not isinstance(spec, PieceBook):
+                held, expected = spec
+                spec = PieceBook(swarm.torrent, held)
+                for piece in expected:
+                    spec.expect(piece)
+            peer = IdlePeer(swarm, f"P{i}", 800.0, 1, book=spec)
+            peer.active = True
+            swarm.register(peer)
+            peers.append(peer)
+        return swarm, peers
+
+    @staticmethod
+    def unwanted(swarm, peer):
+        columnar = swarm.columnar
+        return columnar.unwanted[columnar.row_of[peer.id]]
+
+    def scanned(self, swarm, *peers):
+        """Scan each peer's neighbourhood; each must find nobody."""
+        for peer in peers:
+            assert swarm.columnar.wanters(peer, peer.book.cmask) == []
+            assert self.unwanted(swarm, peer)
+        swarm.columnar.check_consistency()
+
+    def test_set_by_an_empty_scan_and_for_an_empty_book(self):
+        swarm, (empty, holder) = self.swarm_of(((), ()), ((0,), ()))
+        assert self.unwanted(swarm, empty)
+        assert not self.unwanted(swarm, holder)
+        self.scanned(swarm, holder)
+
+    def test_cleared_by_an_edge_to_a_wanter(self):
+        swarm, (holder, sated, wanter) = self.swarm_of(
+            ((0,), ()), ((0,), ()), ((), ()))
+        self.scanned(swarm, holder)
+        assert swarm.connect(holder.id, sated.id)
+        assert self.unwanted(swarm, holder)
+        assert swarm.connect(holder.id, wanter.id)
+        assert not self.unwanted(swarm, holder)
+        assert swarm.columnar.wanters(holder, holder.book.cmask) \
+            == [wanter.id]
+        swarm.columnar.check_consistency()
+
+    def test_cleared_by_an_own_completion(self):
+        swarm, (holder, other) = self.swarm_of(((0,), ()), ((0,), ()))
+        assert swarm.connect(holder.id, other.id)
+        self.scanned(swarm, holder)
+        holder.book.add_completed(1)
+        assert not self.unwanted(swarm, holder)
+        assert swarm.columnar.wanters(holder, holder.book.cmask) \
+            == [other.id]
+        swarm.columnar.check_consistency()
+
+    def test_cleared_by_a_neighbors_unexpect(self):
+        swarm, (holder, other) = self.swarm_of(((0,), ()), ((), (0, 2)))
+        assert swarm.connect(holder.id, other.id)
+        self.scanned(swarm, holder)
+        other.book.unexpect(2)  # a piece the holder does not hold
+        assert self.unwanted(swarm, holder)
+        other.book.unexpect(0)
+        assert not self.unwanted(swarm, holder)
+        assert swarm.columnar.wanters(holder, holder.book.cmask) \
+            == [other.id]
+        swarm.columnar.check_consistency()
+
+    def test_a_shared_sybil_book_clears_around_every_identity(self):
+        """Two identities pool one book: its completion clears both
+        rows, and its unexpect clears holders next to either."""
+        torrent = Torrent(n_pieces=4)
+        pooled = PieceBook(torrent, (0,))
+        pooled.expect(1)
+        swarm, (sybil1, sybil2, near1, near2) = self.swarm_of(
+            pooled, pooled, ((0, 1), ()), ((0, 1), ()))
+        assert swarm.connect(sybil1.id, near1.id)
+        assert swarm.connect(sybil2.id, near2.id)
+        self.scanned(swarm, sybil1, sybil2, near1, near2)
+        sybil1.book.add_completed(2)
+        assert not self.unwanted(swarm, sybil1)
+        assert not self.unwanted(swarm, sybil2)
+        assert self.unwanted(swarm, near1) and self.unwanted(swarm, near2)
+        sybil2.book.unexpect(1)
+        assert not self.unwanted(swarm, near1)
+        assert not self.unwanted(swarm, near2)
+        swarm.columnar.check_consistency()
+
+    def test_a_missed_clear_fails_the_check(self):
+        swarm, (holder, wanter) = self.swarm_of(((0,), ()), ((), ()))
+        assert swarm.connect(holder.id, wanter.id)
+        columnar = swarm.columnar
+        columnar.unwanted[columnar.row_of[holder.id]] = True
+        with pytest.raises(AssertionError, match="unwanted"):
+            columnar.check_consistency()
 
 
 class TestGraphCheck:

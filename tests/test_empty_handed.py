@@ -1,12 +1,15 @@
-"""The empty-handed gate in ``Peer.pump``.
+"""The unwanted gate in ``Peer.pump``.
 
-A peer that holds nothing (``book.cmask == 0``) and owes nothing (no
-T-Chain ``obligations``) returns from ``pump()`` before calling
-``next_upload()``.  That is trace-neutral only because, for every
-registered protocol, the skipped call is a guaranteed ``None`` that
-draws nothing and schedules nothing.  The first test holds each
-protocol to that claim on its own, so a future ``next_upload`` with a
-side effect fails here instead of being gated silently.
+A peer that owes nothing (no T-Chain ``obligations``) and whose
+``ColumnarState.unwanted`` bit is set — no live neighbour wants a
+piece it holds; an empty book always — returns from ``pump()`` before
+calling ``next_upload()``.  That is trace-neutral only because, for
+every registered protocol, the skipped call is a guaranteed ``None``
+that draws nothing and schedules nothing.  The first two tests hold
+each protocol to that claim on its own, for an empty-handed peer and
+for one whose pieces nobody around it wants, so a future
+``next_upload`` with a side effect fails here instead of being gated
+silently.
 """
 
 import pytest
@@ -50,21 +53,51 @@ def busy_swarm(protocol, seed=4):
     return swarm, leecher_cls
 
 
-@pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_next_upload_of_an_empty_handed_peer_is_inert(case):
+def joined_newcomer(case):
+    """A fresh leecher (or free-rider) of ``case`` in a busy swarm,
+    neighbour of all six members."""
     protocol, options = case
     swarm, leecher_cls = busy_swarm(protocol)
     cls = leecher_cls if options is None \
         else make_freerider(leecher_cls, options)
     newcomer = cls(swarm)
     newcomer.join()
-    assert newcomer.book.cmask == 0 and not newcomer.obligations
+    assert not newcomer.obligations
     assert swarm.columnar.degree(newcomer.id) == 6
+    return swarm, newcomer
+
+
+def assert_inert(swarm, peer):
     sim = swarm.sim
     rng_state, seq, pending = sim.rng.getstate(), sim._seq, len(sim._heap)
-    assert newcomer.next_upload() is None
+    assert peer.next_upload() is None
     assert sim.rng.getstate() == rng_state
     assert sim._seq == seq and len(sim._heap) == pending
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_next_upload_of_an_empty_handed_peer_is_inert(case):
+    swarm, newcomer = joined_newcomer(case)
+    assert newcomer.book.cmask == 0
+    assert_inert(swarm, newcomer)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_next_upload_of_an_unwanted_holder_is_inert(case):
+    """The newcomer holds pieces 0 and 1, and every neighbour that
+    does not hold them expects them (on their way, as in a crowd that
+    all fetches the same few pieces): nobody wants what it holds."""
+    swarm, newcomer = joined_newcomer(case)
+    for neighbor in newcomer.neighbor_peers():
+        for piece in (0, 1):
+            neighbor.book.expect(piece)
+    newcomer.book.add_completed(0)
+    newcomer.book.add_completed(1)
+    columnar = swarm.columnar
+    assert any(n.book.wmask for n in newcomer.neighbor_peers())
+    assert columnar.wanters(newcomer, newcomer.book.cmask) == []
+    assert columnar.unwanted[columnar.row_of[newcomer.id]]
+    assert_inert(swarm, newcomer)
 
 
 class CountingLeecher(TChainLeecher):
@@ -77,10 +110,18 @@ class CountingLeecher(TChainLeecher):
         return None
 
 
-def tchain_pair():
+class ScanningLeecher(CountingLeecher):
+    """Counts, then plans as a T-Chain leecher does (and so scans)."""
+
+    def next_upload(self):
+        super().next_upload()
+        return TChainLeecher.next_upload(self)
+
+
+def tchain_pair(cls=CountingLeecher):
     swarm = Swarm(SwarmConfig(n_pieces=8, seed=2))
     TChainSeeder(swarm).join()
-    peer = CountingLeecher(swarm)
+    peer = cls(swarm)
     peer.join()
     return swarm, peer
 
@@ -106,3 +147,19 @@ class TestGate:
         peer.obligations = [1]
         peer.pump()
         assert peer.book.cmask == 0 and peer.asked == 1
+
+    def test_a_scan_that_finds_nobody_closes_it(self):
+        """The seeder wants nothing: the first pump after a completion
+        scans and sets the bit, later pumps stop at it, and a
+        neighbour that wants the piece opens it again."""
+        swarm, peer = tchain_pair(ScanningLeecher)
+        peer.book.add_completed(0)
+        peer.pump()
+        peer.pump()
+        peer.on_neighbor_connected("S1")
+        assert peer.asked == 1
+        wanter = TChainLeecher(swarm)
+        wanter.join()
+        assert peer.asked == 2
+        assert swarm.columnar.wanters(peer, peer.book.cmask) \
+            == [wanter.id]

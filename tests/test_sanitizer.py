@@ -305,6 +305,52 @@ class TestFullRun:
         assert "delivered" in message
 
 
+class TestUnwantedPumps:
+    """A pump stopped at ``ColumnarState.unwanted`` is recounted in a
+    sanitized run."""
+
+    def test_missed_clear_raises_at_the_pump(self):
+        from repro.bt.config import SwarmConfig
+        from repro.bt.peer import Peer
+        from repro.bt.swarm import Swarm
+        from repro.bt.torrent import PieceBook
+
+        class Idle(Peer):
+            def next_upload(self):
+                return None
+
+        swarm = Swarm(SwarmConfig(n_pieces=4, seed=1), sanitize=True)
+        holder, wanter = (
+            Idle(swarm, pid, 800.0, 1,
+                 book=PieceBook(swarm.torrent, pieces))
+            for pid, pieces in (("H", (0,)), ("W", ())))
+        for peer in (holder, wanter):
+            peer.active = True
+            swarm.register(peer)
+        assert swarm.connect(holder.id, wanter.id)
+        holder.pump()  # the bit is clear: asks, nothing stops
+        columnar = swarm.columnar
+        columnar.unwanted[columnar.row_of[holder.id]] = True
+        with pytest.raises(SanitizerError, match="H stopped as unwanted"):
+            holder.pump()
+
+    def test_sanitized_crowd_recounts_stopped_pumps(self, monkeypatch):
+        recounts = []
+        recount = SimulationSanitizer.on_unwanted_pump
+
+        def counting(self, peer):
+            recounts.append(bool(peer.book.cmask))
+            recount(self, peer)
+
+        monkeypatch.setattr(SimulationSanitizer, "on_unwanted_pump",
+                            counting)
+        result = run_swarm(protocol="tchain", leechers=60, pieces=4,
+                           piece_size_kb=64, seed=7, sanitize=True)
+        assert result.completion_rate("leecher") == 1.0
+        # Empty-handed pumps and pumps of holders nobody wants.
+        assert recounts.count(False) > 1000 and recounts.count(True) > 20
+
+
 # ----------------------------------------------------------------------
 # runtime allocation profiler
 # ----------------------------------------------------------------------

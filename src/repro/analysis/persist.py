@@ -26,7 +26,7 @@ def run_summary(result) -> dict:
     summary = {
         "schema": SCHEMA_VERSION,
         "protocol": result.protocol,
-        "config": _config_dict(result.config),
+        "config": dataclasses.asdict(result.config),
         "population": {
             "compliant": result.n_compliant,
             "freeriders": result.n_freeriders,
@@ -58,13 +58,6 @@ def run_summary(result) -> dict:
             "collusion_successes": state.ledger.collusion_successes,
         }
     return summary
-
-
-def _config_dict(config) -> dict:
-    raw = dataclasses.asdict(config)
-    raw["leecher_capacities_kbps"] = list(
-        raw["leecher_capacities_kbps"])
-    return raw
 
 
 def save_run_json(result, path: PathLike) -> pathlib.Path:

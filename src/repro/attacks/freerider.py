@@ -14,13 +14,11 @@ the evasion techniques of Sec. IV-C:
   piece, wiping neighbors' history (deficits, contribution counts,
   pending windows) about it;
 * with ``collude`` (T-Chain only) it joins the colluder set, whose
-  payees file false reception reports for fellow members (Fig. 8).
-
-T-Chain-specific behaviour: the free-rider still files *truthful*
-reception reports when it is a payee (reports are free control
-messages, not bandwidth contribution) unless the swarm config sets
-``freeriders_send_reports=False`` — the ablation for fully silent
-attackers.
+  payees file false reception reports for fellow members (Fig. 8);
+* with ``send_reports`` (T-Chain only, the default) it still files
+  *truthful* reception reports when it is a payee (reports are free
+  control messages, not bandwidth contribution); without it, it stays
+  silent — the ablation for fully silent attackers.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Type
 
+from repro.bt.config import RECHOKE_INTERVAL_S
 from repro.bt.peer import UploadPlan
 from repro.bt.protocols.eigentrust import EigenTrustLeecher, TrustAuthority
 from repro.bt.protocols.tchain import TChainLeecher, TChainState
@@ -44,6 +43,7 @@ class FreeRiderOptions:
     large_view: bool = True
     whitewash: bool = True
     collude: bool = False
+    send_reports: bool = True
 
 
 _CLASS_CACHE: Dict[tuple, type] = {}
@@ -90,8 +90,7 @@ def make_freerider(leecher_cls: Type,
             super().on_join()
             if options.large_view:
                 self._announce_task = PeriodicTask(
-                    self.sim, self.swarm.config.rechoke_interval_s,
-                    self.refill_neighbors)
+                    self.sim, RECHOKE_INTERVAL_S, self.refill_neighbors)
             if options.collude and is_tchain:
                 TChainState.of(self.swarm).colluders.add(self.id)
             if options.collude and is_eigentrust:
@@ -100,7 +99,7 @@ def make_freerider(leecher_cls: Type,
                 authority = TrustAuthority.of(self.swarm)
                 authority.colluders.add(self.id)
                 self._praise_task = PeriodicTask(
-                    self.sim, self.swarm.config.rechoke_interval_s,
+                    self.sim, RECHOKE_INTERVAL_S,
                     self._spread_false_praise)
             if is_tchain:
                 # A rational free-rider never reciprocates, so a sealed
@@ -112,21 +111,12 @@ def make_freerider(leecher_cls: Type,
                     self.sim, _STALE_SEALED_AFTER_S,
                     self._discard_stale_sealed)
 
-        def _stop_tasks(self) -> None:
+        def stop_timers(self) -> None:
             for task in (self._announce_task, self._discard_task,
                          self._praise_task):
                 if task is not None:
                     task.stop()
-
-        def on_leave(self) -> None:
-            self._stop_tasks()
-            super().on_leave()
-
-        def on_crash(self) -> None:
-            # A crash skips on_leave; a live tick would keep firing
-            # and keep the departed peer alive.
-            self._stop_tasks()
-            super().on_crash()
+            super().stop_timers()
 
         def _spread_false_praise(self) -> None:
             if not self.active:
@@ -187,10 +177,9 @@ def make_freerider(leecher_cls: Type,
                 self.obligations = ()
 
         # -- T-Chain reporting policy ----------------------------------
-        if is_tchain:
+        if is_tchain and not options.send_reports:
             def _report_as_payee(self, prev) -> None:
-                if self.swarm.config.freeriders_send_reports:
-                    super()._report_as_payee(prev)
+                """Silent: a reciprocation to us goes unreported."""
 
     FreeRider.__name__ = f"FreeRiding{leecher_cls.__name__}"
     FreeRider.__qualname__ = FreeRider.__name__

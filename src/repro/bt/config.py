@@ -1,27 +1,43 @@
 """Swarm configuration.
 
-Defaults follow the paper's simulation setup (Sec. IV-A):
+The paper fixes its simulation setup once (Sec. IV-A):
 
 * seeder upload 6000 Kbps, staying for the whole run;
-* leecher uplinks heterogeneous, 400–1200 Kbps;
+* leecher uplinks heterogeneous, 400–1200 Kbps
+  (:data:`DEFAULT_LEECHER_CAPACITIES`);
+* 4 + 1 upload slots per leecher (:data:`UPLOAD_SLOTS`, plus
+  ``base.OPTIMISTIC_SLOTS`` for BitTorrent-style protocols), 5 per
+  seeder (:data:`SEEDER_SLOTS`);
 * 256 KB pieces for BitTorrent/PropShare, 64 KB for T-Chain and
   FairTorrent (FairTorrent's basic exchange unit);
-* tracker returns 50 random members, refill below 30 neighbors,
-  at most 55 neighbors;
-* rechoke every 10 s, optimistic unchoke every 30 s;
+* tracker returns 50 random members (``tracker.LIST_SIZE``), refill
+  below 30 neighbors (``swarm.REFILL_THRESHOLD``), at most 55
+  neighbors;
+* rechoke every :data:`RECHOKE_INTERVAL_S` = 10 s, optimistic unchoke
+  every 30 s (``bittorrent.OPTIMISTIC_INTERVAL_S``);
 * flow-control window k = 2.
 
-The 16 KB *blocks* of BitTorrent/PropShare are not separately
-simulated; a piece transfer is the atomic unit (see DESIGN.md).
+A :class:`SwarmConfig` field is what some experiment varies; the fixed
+setup is constants, here or beside their one reader.  The 16 KB
+*blocks* of BitTorrent/PropShare are not separately simulated; a piece
+transfer is the atomic unit (see DESIGN.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 #: Paper values (Sec. IV-A): leecher upload bandwidths vary 400-1200 Kbps.
 DEFAULT_LEECHER_CAPACITIES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
+
+#: Regular upload slots of a leecher (BitTorrent's four tit-for-tat
+#: slots) and upload slots of a seeder.
+UPLOAD_SLOTS = 4
+SEEDER_SLOTS = 5
+
+#: Rechoke period; also every peer's re-scan and a free-rider's
+#: re-announce.
+RECHOKE_INTERVAL_S = 10.0
 
 #: Every key ``SwarmConfig.extra`` accepts: the link-level substrate
 #: spec.  Anything else is rejected at construction, so a typo or a
@@ -31,9 +47,9 @@ EXTRA_KEYS = frozenset({"net"})
 
 @dataclass
 class SwarmConfig:
-    """All tunables of a swarm simulation.
+    """What an experiment varies about a swarm simulation.
 
-    Attributes mirror Sec. IV-A; see module docstring.  ``n_pieces``
+    Defaults mirror Sec. IV-A; see module docstring.  ``n_pieces``
     plus ``piece_size_kb`` define the shared file (the paper's default
     is 128 MB: 512 pieces of 256 KB, or 2048 pieces of 64 KB for
     T-Chain/FairTorrent).
@@ -42,24 +58,14 @@ class SwarmConfig:
     n_pieces: int = 64
     piece_size_kb: float = 256.0
     seeder_capacity_kbps: float = 6000.0
-    leecher_capacities_kbps: Sequence[float] = DEFAULT_LEECHER_CAPACITIES
-    upload_slots: int = 4
-    optimistic_slots: int = 1  # BitTorrent/PropShare newcomer share (20 %)
-    seeder_slots: int = 5
-    rechoke_interval_s: float = 10.0
-    optimistic_interval_s: float = 30.0
-    tracker_list_size: int = 50
     max_neighbors: int = 55
-    refill_threshold: int = 30
     control_latency_s: float = 0.05
     flow_control_k: int = 2
     opportunistic_seeding: bool = True
     indirect_reciprocity: bool = True
     newcomer_bootstrap: bool = True
     real_crypto: bool = False
-    freeriders_send_reports: bool = True
     seed: int = 0
-    chain_sample_interval_s: float = 10.0
     #: Quiescence stop: a swarm with no piece upload started and no
     #: arrival for this many simulated seconds is done (0 disables).
     quiet_window_s: float = 300.0
@@ -83,8 +89,3 @@ class SwarmConfig:
     def file_size_mb(self) -> float:
         """Size of the shared file in MB."""
         return self.n_pieces * self.piece_size_kb / 1024.0
-
-    @property
-    def total_upload_slots(self) -> int:
-        """Slots on a BitTorrent-style uplink (regular + optimistic)."""
-        return self.upload_slots + self.optimistic_slots

@@ -10,7 +10,9 @@ Subclasses implement
   complete the piece immediately; T-Chain holds sealed pieces);
 
 and may override the lifecycle hooks (:meth:`on_join`,
-:meth:`on_leave`, :meth:`on_neighbor_connected`, ...).
+:meth:`on_leave`, :meth:`on_neighbor_connected`, ...).  A subclass
+that starts a periodic task stops it in :meth:`stop_timers`, which a
+clean departure and a crash both call.
 
 Payload accounting (``kb_uploaded`` / ``kb_downloaded``) counts file
 pieces only — control messages are free per Sec. III-C — and feeds the
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, TYPE_CHECKING
 
+from repro.bt.config import RECHOKE_INTERVAL_S
 from repro.bt.piece_selection import rarest_in_mask
 from repro.bt.torrent import PieceBook
 from repro.net.bandwidth import Transfer, Uplink
@@ -113,7 +116,7 @@ class Peer:
         # produce no event of their own; real clients re-evaluate on
         # the unchoke cadence, so every peer pumps periodically too.
         self._rescan_task = PeriodicTask(
-            self.sim, swarm.config.rechoke_interval_s, self._rescan)
+            self.sim, RECHOKE_INTERVAL_S, self._rescan)
         self.on_join()
         self.pump()
 
@@ -143,8 +146,7 @@ class Peer:
         self.active = False
         self.leave_time = self.sim.now
         self.swarm.note_deactivated(self)
-        if self._rescan_task is not None:
-            self._rescan_task.stop()
+        self.stop_timers()
         self.on_leave()
         # Cancel transfers headed to us; the uploaders get their slots
         # back immediately (they would notice the TCP reset).
@@ -165,9 +167,9 @@ class Peer:
         no key handover, no payee reassignment, no obligation cleanup
         (Sec. II-B4 describes what a *clean* leaver does; a crash is
         exactly the absence of that).  Transfers sever the way a TCP
-        reset would, and the swarm records the peer as departed.  The
-        recovery layer of the survivors must cope with everything the
-        crash stranded.
+        reset would, the peer's timers stop (:meth:`stop_timers`), and
+        the swarm records the peer as departed.  The recovery layer of
+        the survivors must cope with everything the crash stranded.
         """
         if not self.active:
             return
@@ -175,8 +177,7 @@ class Peer:
         self.crashed = True
         self.leave_time = self.sim.now
         self.swarm.note_deactivated(self)
-        if self._rescan_task is not None:
-            self._rescan_task.stop()
+        self.stop_timers()
         for transfer in list(self._incoming):
             uploader = self.swarm.find_peer(transfer.meta.uploader_id)
             if uploader is not None:
@@ -430,6 +431,13 @@ class Peer:
 
     def on_join(self) -> None:
         """Called after connecting to the swarm."""
+
+    def stop_timers(self) -> None:
+        """Stop this peer's periodic tasks (:meth:`leave` and
+        :meth:`crash` both call it): a subclass stops its own here,
+        then calls ``super()``."""
+        if self._rescan_task is not None:
+            self._rescan_task.stop()
 
     def on_leave(self) -> None:
         """Called before connections are severed."""

@@ -12,11 +12,17 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from repro.bt.config import (DEFAULT_LEECHER_CAPACITIES, SEEDER_SLOTS,
+                             UPLOAD_SLOTS)
 from repro.bt.peer import Peer, UploadPlan
 from repro.bt.torrent import full_book
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.swarm import Swarm
+
+#: Optimistic slots on top of :data:`~repro.bt.config.UPLOAD_SLOTS`
+#: (the BitTorrent/PropShare newcomer share, 20 %, Sec. IV-A).
+OPTIMISTIC_SLOTS = 1
 
 
 class BaselinePeer(Peer):
@@ -54,7 +60,7 @@ class BaselineSeeder(BaselinePeer):
             peer_id if peer_id is not None else swarm.new_peer_id("S"),
             capacity_kbps if capacity_kbps is not None
             else swarm.config.seeder_capacity_kbps,
-            n_slots if n_slots is not None else swarm.config.seeder_slots,
+            n_slots if n_slots is not None else SEEDER_SLOTS,
             book=full_book(swarm.torrent))
 
     def next_upload(self) -> Optional[UploadPlan]:
@@ -73,13 +79,12 @@ class BaselineLeecher(BaselinePeer):
     def __init__(self, swarm: "Swarm", peer_id: Optional[str] = None,
                  capacity_kbps: Optional[float] = None,
                  n_slots: Optional[int] = None):
-        config = swarm.config
         if capacity_kbps is None:
             capacity_kbps = swarm.sim.rng.choice(
-                list(config.leecher_capacities_kbps))
-        if n_slots is None:
-            n_slots = config.total_upload_slots
+                DEFAULT_LEECHER_CAPACITIES)
         super().__init__(
             swarm,
             peer_id if peer_id is not None else swarm.new_peer_id("L"),
-            capacity_kbps, n_slots)
+            capacity_kbps,
+            n_slots if n_slots is not None
+            else UPLOAD_SLOTS + OPTIMISTIC_SLOTS)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.bt.choking import Choker, ContributionTracker
+from repro.bt.config import RECHOKE_INTERVAL_S, UPLOAD_SLOTS
 from repro.bt.peer import UploadPlan
 from repro.bt.protocols.base import BaselineLeecher
 from repro.sim.events import PeriodicTask
@@ -20,35 +21,37 @@ from repro.sim.events import PeriodicTask
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.swarm import Swarm
 
+#: Optimistic-unchoke rotation period (Sec. IV-A).
+OPTIMISTIC_INTERVAL_S = 30.0
+
 
 class BitTorrentLeecher(BaselineLeecher):
     """A compliant original-BitTorrent leecher."""
 
     def __init__(self, swarm: "Swarm", peer_id: Optional[str] = None,
                  capacity_kbps: Optional[float] = None):
-        super().__init__(swarm, peer_id, capacity_kbps,
-                         n_slots=swarm.config.total_upload_slots)
+        super().__init__(swarm, peer_id, capacity_kbps)
         self.contributions = ContributionTracker()
-        self.choker = Choker(swarm.config.upload_slots, self.sim.rng)
+        self.choker = Choker(UPLOAD_SLOTS, self.sim.rng)
         self._rechoke_task: Optional[PeriodicTask] = None
         self._optimistic_task: Optional[PeriodicTask] = None
         self._rechoke_round = 0
 
     # -- lifecycle -------------------------------------------------------
     def on_join(self) -> None:
-        config = self.swarm.config
         self._rechoke()
         self._rechoke_task = PeriodicTask(
-            self.sim, config.rechoke_interval_s, self._rechoke)
+            self.sim, RECHOKE_INTERVAL_S, self._rechoke)
         self._optimistic_task = PeriodicTask(
-            self.sim, config.optimistic_interval_s, self._rotate_optimistic,
+            self.sim, OPTIMISTIC_INTERVAL_S, self._rotate_optimistic,
             first_delay=0.0)
 
-    def on_leave(self) -> None:
+    def stop_timers(self) -> None:
         if self._rechoke_task is not None:
             self._rechoke_task.stop()
         if self._optimistic_task is not None:
             self._optimistic_task.stop()
+        super().stop_timers()
 
     # -- choking ---------------------------------------------------------
     def _rechoke(self) -> None:

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from repro.bt.config import UPLOAD_SLOTS
 from repro.bt.peer import UploadPlan
 from repro.bt.protocols.base import BaselineLeecher, BaselineSeeder
+from repro.sim.events import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.swarm import Swarm
@@ -182,7 +184,7 @@ class DandelionLeecher(BaselineLeecher):
     def __init__(self, swarm: "Swarm", peer_id: Optional[str] = None,
                  capacity_kbps: Optional[float] = None):
         super().__init__(swarm, peer_id, capacity_kbps,
-                         n_slots=swarm.config.upload_slots)
+                         n_slots=UPLOAD_SLOTS)
         self.bank = CreditBank.of(swarm)
         self._topup_task = None
 
@@ -193,14 +195,13 @@ class DandelionLeecher(BaselineLeecher):
             # Compliant users buy credit out of band when earning
             # opportunities run dry (endgame demand starvation);
             # free-riders, by definition, pay for nothing.
-            from repro.sim.events import PeriodicTask
             self._topup_task = PeriodicTask(
                 self.sim, TOPUP_DELAY_S, self._maybe_top_up)
 
-    def on_leave(self) -> None:
+    def stop_timers(self) -> None:
         if self._topup_task is not None:
             self._topup_task.stop()
-        super().on_leave()
+        super().stop_timers()
 
     def _maybe_top_up(self) -> None:
         if not self.active:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
+from repro.bt.config import RECHOKE_INTERVAL_S
 from repro.bt.peer import UploadPlan
 from repro.bt.protocols.base import BaselineLeecher
 from repro.sim.events import PeriodicTask
@@ -65,8 +66,8 @@ class TrustAuthority:
         #: used by the false-praise attack to find fellow colluders
         self.colluders: Set[str] = set()
         self.recompute_count = 0
-        PeriodicTask(swarm.sim, swarm.config.rechoke_interval_s,
-                     self.recompute, first_delay=0.0)
+        PeriodicTask(swarm.sim, RECHOKE_INTERVAL_S, self.recompute,
+                     first_delay=0.0)
 
     @classmethod
     def of(cls, swarm: "Swarm") -> "TrustAuthority":
@@ -155,8 +156,7 @@ class EigenTrustLeecher(BaselineLeecher):
 
     def __init__(self, swarm: "Swarm", peer_id: Optional[str] = None,
                  capacity_kbps: Optional[float] = None):
-        super().__init__(swarm, peer_id, capacity_kbps,
-                         n_slots=swarm.config.total_upload_slots)
+        super().__init__(swarm, peer_id, capacity_kbps)
         self.authority = TrustAuthority.of(swarm)
 
     def next_upload(self) -> Optional[UploadPlan]:

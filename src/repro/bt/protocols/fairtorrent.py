@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.bt.choking import DeficitLedger
+from repro.bt.config import UPLOAD_SLOTS
 from repro.bt.peer import UploadPlan
 from repro.bt.protocols.base import BaselineLeecher
 
@@ -32,7 +33,7 @@ class FairTorrentLeecher(BaselineLeecher):
     def __init__(self, swarm: "Swarm", peer_id: Optional[str] = None,
                  capacity_kbps: Optional[float] = None):
         super().__init__(swarm, peer_id, capacity_kbps,
-                         n_slots=swarm.config.upload_slots)
+                         n_slots=UPLOAD_SLOTS)
         self.deficits = DeficitLedger()
 
     def next_upload(self) -> Optional[UploadPlan]:

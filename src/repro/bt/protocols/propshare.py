@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.bt.choking import ContributionTracker
+from repro.bt.config import RECHOKE_INTERVAL_S
 from repro.bt.peer import UploadPlan
 from repro.bt.protocols.base import BaselineLeecher
 from repro.sim.events import PeriodicTask
@@ -35,19 +36,18 @@ class PropShareLeecher(BaselineLeecher):
 
     def __init__(self, swarm: "Swarm", peer_id: Optional[str] = None,
                  capacity_kbps: Optional[float] = None):
-        super().__init__(swarm, peer_id, capacity_kbps,
-                         n_slots=swarm.config.total_upload_slots)
+        super().__init__(swarm, peer_id, capacity_kbps)
         self.contributions = ContributionTracker()
         self._round_task: Optional[PeriodicTask] = None
 
     def on_join(self) -> None:
         self._round_task = PeriodicTask(
-            self.sim, self.swarm.config.rechoke_interval_s,
-            self._new_round)
+            self.sim, RECHOKE_INTERVAL_S, self._new_round)
 
-    def on_leave(self) -> None:
+    def stop_timers(self) -> None:
         if self._round_task is not None:
             self._round_task.stop()
+        super().stop_timers()
 
     def _new_round(self) -> None:
         self.contributions.roll()

@@ -10,22 +10,14 @@ anyway (Fig. 13).
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.bt.peer import UploadPlan
 from repro.bt.protocols.base import BaselineLeecher
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.bt.swarm import Swarm
-
 
 class RandomBTLeecher(BaselineLeecher):
     """A leecher that uploads to random interested neighbors."""
-
-    def __init__(self, swarm: "Swarm", peer_id: Optional[str] = None,
-                 capacity_kbps: Optional[float] = None):
-        super().__init__(swarm, peer_id, capacity_kbps,
-                         n_slots=swarm.config.total_upload_slots)
 
     def next_upload(self) -> Optional[UploadPlan]:
         candidates = self.serveable_neighbors()

@@ -53,6 +53,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
+from repro.bt.config import SEEDER_SLOTS, UPLOAD_SLOTS
 from repro.bt.peer import Peer, UploadPlan
 from repro.bt.protocols.base import BaselineLeecher
 from repro.bt.torrent import (
@@ -80,6 +81,9 @@ from repro.sim.events import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.swarm import Swarm
+
+#: The chain registry samples its active chains this often.
+CHAIN_SAMPLE_INTERVAL_S = 10.0
 
 #: Retry cadence for obligations that could not be fulfilled right now
 #: (payee busy, reassignment churn): without a retry timer a peer with
@@ -133,7 +137,7 @@ class TChainState:
         self.colluders: Set[str] = set()
         self.stall_timeout_s = config.chain_stall_timeout_s
         self._sampler = PeriodicTask(
-            swarm.sim, config.chain_sample_interval_s,
+            swarm.sim, CHAIN_SAMPLE_INTERVAL_S,
             lambda: self.registry.sample(swarm.sim.now), first_delay=0.0)
 
     @classmethod
@@ -762,7 +766,7 @@ class TChainSeeder(_TChainNode):
             peer_id if peer_id is not None else swarm.new_peer_id("S"),
             capacity_kbps if capacity_kbps is not None
             else swarm.config.seeder_capacity_kbps,
-            n_slots if n_slots is not None else swarm.config.seeder_slots,
+            n_slots if n_slots is not None else SEEDER_SLOTS,
             book=full_book(swarm.torrent))
 
     def next_upload(self) -> Optional[UploadPlan]:
@@ -784,7 +788,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
     def __init__(self, swarm: "Swarm", peer_id: Optional[str] = None,
                  capacity_kbps: Optional[float] = None):
         super().__init__(swarm, peer_id, capacity_kbps,
-                         n_slots=swarm.config.upload_slots)
+                         n_slots=UPLOAD_SLOTS)
         #: transaction ids whose reciprocation we still owe, FIFO: the
         #: empty tuple until the first one is queued (:meth:`_owe`) and
         #: again once the last one is dropped
@@ -792,9 +796,6 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         self._retry_pending = False
         #: tx id -> sealed piece held until the key arrives
         self.pending_sealed: Dict[int, object] = {}
-        #: tx id -> plead count (each key timeout re-pleads); made on
-        #: the first plead
-        self._plead_attempts: Mapping[int, int] = _NONE_YET
         #: (time, piece, "encrypted"|"decrypted") for Fig. 5, kept
         #: only when the run asks for it (``Swarm.log_pieces``)
         self.piece_log: Optional[List[Tuple[float, int, str]]] = \
@@ -1106,14 +1107,9 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         donor = self.swarm.find_peer(tx.donor_id)
         if donor is not None and donor.active:
             recovery.pleads += 1
-            attempt = self._plead_attempts.get(transaction_id, 0) + 1
-            if not self._plead_attempts:
-                self._plead_attempts = {}
-            self._plead_attempts[transaction_id] = attempt
             self.swarm.send_control(
                 self.id, donor, donor.on_plead,
-                PleadMessage(self.id, transaction_id, attempt),
-                kind="plead")
+                PleadMessage(self.id, transaction_id), kind="plead")
             self._rearm_key_timeout(transaction_id)
             return
         if tx.state is TransactionState.RECIPROCATED and tx.handed_over:
@@ -1195,7 +1191,6 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
             ledger.settle(transaction_id)
         self.obligations = ()
         self.pending_sealed.clear()
-        self._plead_attempts = _NONE_YET
 
     def on_leave(self) -> None:
         # Unfulfilled obligations die with us: both the queued ones and
@@ -1216,8 +1211,6 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         sealed = self.pending_sealed.pop(transaction_id, None)
         if sealed is not None:
             self.state.ledger.settle(transaction_id)
-            if self._plead_attempts:
-                self._plead_attempts.pop(transaction_id, None)
         return sealed
 
     def on_whitewash(self) -> None:

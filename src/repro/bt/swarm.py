@@ -23,6 +23,10 @@ from repro.bt.torrent import Torrent
 from repro.bt.tracker import Tracker
 from repro.sim.engine import Simulator
 
+#: Below this many neighbours a peer asks the tracker for more
+#: (Sec. IV-A).
+REFILL_THRESHOLD = 30
+
 
 class Swarm:
     """One simulated file-sharing swarm."""
@@ -31,13 +35,13 @@ class Swarm:
         self.config = config
         self.sim = Simulator(seed=config.seed, sanitize=sanitize)
         self.torrent = Torrent(config.n_pieces, config.piece_size_kb)
-        self.tracker = Tracker(self.sim.rng, config.tracker_list_size)
+        self.tracker = Tracker(self.sim.rng)
         #: Peer rows over bitmask books and the neighbour graph between
         #: them (see :mod:`repro.bt.columnar`): the one swarm state
         #: every interest scan reads.
         self.columnar = ColumnarState(
-            config.n_pieces, config.max_neighbors,
-            config.refill_threshold, swarm=self)
+            config.n_pieces, config.max_neighbors, REFILL_THRESHOLD,
+            swarm=self)
         self.columnar.on_disconnect = self._notify_disconnect
         self.metrics = SwarmMetrics()
         #: Active peers.  A departed peer is not kept: its metrics

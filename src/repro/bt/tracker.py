@@ -31,11 +31,14 @@ from typing import AbstractSet, List, Optional, Set
 
 from repro.sim.randomness import skip_shuffle
 
+#: Members an announce returns at most (Sec. IV-A).
+LIST_SIZE = 50
+
 
 class Tracker:
     """Swarm membership service."""
 
-    def __init__(self, rng: Random, list_size: int = 50):
+    def __init__(self, rng: Random, list_size: int = LIST_SIZE):
         if list_size < 1:
             raise ValueError("list_size must be >= 1")
         self.rng = rng

@@ -70,13 +70,14 @@ from repro.analysis.stats import km_median, summarize
 from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.protocols import PROTOCOLS
 from repro.experiments import (fig3, fig4, fig5, fig6, fig7, fig8, fig9,
-                               fig10, fig11, fig12, fig13, run_swarm,
-                               table2)
+                               fig10, fig11, fig12, fig13, table2)
 from repro.experiments.config import ExperimentScale
 from repro.experiments.parallel import (RunSpec, execute_spec,
                                        resolve_workers, run_figure,
                                        run_specs)
-from repro.experiments.runner import ARRIVALS, compliant_completion_rate
+from repro.experiments.runner import (ARRIVALS, compliant_completion_rate,
+                                      run_spec)
+from repro.net.topogen import GENERATORS
 
 #: ``repro figure`` names -> figure modules (``grid`` / ``reduce`` /
 #: ``render``, run by :func:`~repro.experiments.parallel.run_figure`).
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", metavar="PREFIX",
                        help="write PREFIX.json and PREFIX.csv")
     run_p.add_argument("--net", default=None,
-                       choices=["star", "multi_dc"],
+                       choices=GENERATORS,
                        help="attach the link-level network substrate "
                             "with this topology (docs/NETWORK.md)")
     run_p.add_argument("--net-nodes", type=int, default=4,
@@ -292,7 +293,7 @@ def _specs_from(args, protocols: List[str]) -> List[RunSpec]:
 def cmd_run(args) -> int:
     # In process: Kaplan-Meier and --out read the live result.
     spec, = _specs_from(args, [args.protocol])
-    result = run_swarm(**spec.kwargs())
+    result = run_spec(spec)
     metrics = result.metrics
     compliant = metrics.compliant_leechers()
     rows = [

@@ -87,17 +87,15 @@ class KeyReleaseMessage:
 class PleadMessage:
     """Requestor → donor: "I reciprocated and no key ever came".
 
-    Sent after a key-release timeout.  ``attempt`` counts pleads for
-    this transaction (each timeout re-pleads — the plead itself may be
-    lost on a faulty control plane).  The donor decides from its
-    ledger view: a COMPLETED transaction means the key release was
-    lost (resend the key); a RECIPROCATED one means the reception
-    report was swallowed (reopen + reassign the payee).
+    Sent after a key-release timeout (each timeout re-pleads — the
+    plead itself may be lost on a faulty control plane).  The donor
+    decides from its ledger view: a COMPLETED transaction means the
+    key release was lost (resend the key); a RECIPROCATED one means the
+    reception report was swallowed (reopen + reassign the payee).
     """
 
     requestor_id: str
     transaction_id: int
-    attempt: int = 1
 
 
 @dataclass(frozen=True, slots=True)

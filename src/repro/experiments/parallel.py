@@ -41,7 +41,9 @@ from repro.analysis.chains import ChainStats, summarize_chains
 from repro.analysis.metrics import SwarmMetrics
 from repro.attacks.freerider import FreeRiderOptions
 from repro.bt.config import SwarmConfig
-from repro.experiments.runner import RunAccessors, check_names, seeds_for
+from repro.bt.protocols import PROTOCOLS
+from repro.experiments.runner import (ARRIVALS, SERIES, RunAccessors,
+                                      run_spec, seeds_for)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import ExperimentScale
@@ -82,15 +84,20 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunSpec:
-    """One :func:`~repro.experiments.runner.run_swarm` call, frozen.
+    """One swarm run, frozen: the one list of run parameters and their
+    defaults, which :func:`~repro.experiments.runner.run_swarm` takes
+    as keyword arguments.
 
-    Fields mirror the harness knobs; anything else a sweep passes
-    (``real_crypto=True``, capacity overrides, ...) rides in
-    ``config_overrides`` as a sorted key/value tuple so specs stay
-    order-independent.  ``sanitize`` is a bool; ``fault_plan`` is a
-    :class:`~repro.faults.plan.FaultPlan`, which makes a chaos case an
-    ordinary spec; ``series`` names the
-    :data:`~repro.experiments.runner.SERIES` to record.
+    ``leechers`` arrive by ``arrival`` (:data:`ARRIVALS`), a
+    ``freerider_fraction`` of them free-riding with
+    ``freerider_options``; the file is ``file_mb`` at the protocol's
+    paper piece size, or ``pieces`` (default 32) of ``piece_size_kb``
+    (default 256 KB).  ``series`` names the :data:`SERIES` to record;
+    ``sanitize`` (a bool) runs the simulation sanitizer;
+    ``fault_plan`` makes a chaos case an ordinary spec.  Anything else
+    (``real_crypto=True``, ...) is a :class:`SwarmConfig` field and
+    rides in ``config_overrides`` as a sorted key/value tuple, so specs
+    stay order-independent.
     """
 
     protocol: str = "tchain"
@@ -112,7 +119,14 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         # Rejected here, not after a worker's retries and quarantine.
-        check_names(self.protocol, self.arrival, self.series)
+        for what, names, known in (
+                ("protocol", (self.protocol,), PROTOCOLS),
+                ("arrival model", (self.arrival,), ARRIVALS),
+                ("series", self.series, SERIES)):
+            unknown = [name for name in names if name not in known]
+            if unknown:
+                raise ValueError(f"unknown {what} {unknown}; "
+                                 f"choose from {sorted(known)}")
         if not isinstance(self.sanitize, bool):
             raise ValueError(f"unknown sanitize value {self.sanitize!r}; "
                              f"expected True or False")
@@ -220,9 +234,8 @@ def summarize_run(result, wall_time_s: float = 0.0) -> RunSummary:
 
 def execute_spec(spec: RunSpec) -> RunSummary:
     """Run one spec to completion (the worker-process entry point)."""
-    from repro.experiments.runner import run_swarm
     start = time.perf_counter()  # simlint: disable=SL002 -- measures real sweep wall-time, not simulated time
-    result = run_swarm(**spec.kwargs())
+    result = run_spec(spec)
     wall = time.perf_counter() - start  # simlint: disable=SL002 -- see above
     return summarize_run(result, wall_time_s=wall)
 

@@ -19,10 +19,10 @@ protocol-comparable unit tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.attacks.freerider import FreeRiderOptions, make_freerider
-from repro.bt.config import SwarmConfig
+from repro.bt.config import DEFAULT_LEECHER_CAPACITIES, SwarmConfig
 from repro.bt.protocols import PROTOCOLS
 from repro.bt.swarm import Swarm
 from repro.bt.torrent import partial_book
@@ -31,6 +31,9 @@ from repro.sim.randomness import SeedSequence, substream
 from repro.workloads.arrivals import flash_crowd, schedule_arrivals
 from repro.workloads.churn import ReplacementChurn
 from repro.workloads.trace import redhat9_like_trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.parallel import RunSpec
 
 #: The arrival models :func:`run_swarm` accepts.
 ARRIVALS = ("flash", "trace", "churn")
@@ -219,78 +222,54 @@ SERIES: Dict[str, Callable[[Swarm], Callable[[], tuple]]] = {
 }
 
 
-def check_names(protocol: str, arrival: str,
-                series: Sequence[str]) -> None:
-    """Raise ``ValueError`` for an unknown protocol, arrival model or
-    series name (``RunSpec`` checks at construction)."""
-    for what, names, known in (("protocol", (protocol,), PROTOCOLS),
-                               ("arrival model", (arrival,), ARRIVALS),
-                               ("series", series, SERIES)):
-        unknown = [name for name in names if name not in known]
-        if unknown:
-            raise ValueError(f"unknown {what} {unknown}; "
-                             f"choose from {sorted(known)}")
+def run_swarm(setup: Optional[Callable[[Swarm], None]] = None,
+              **kwargs) -> RunResult:
+    """Run one full swarm simulation: ``kwargs`` are
+    :class:`~repro.experiments.parallel.RunSpec` fields (the one list
+    of run parameters and defaults) and :class:`SwarmConfig` fields;
+    ``setup`` is :func:`run_spec`'s."""
+    from repro.experiments.parallel import RunSpec
+    return run_spec(RunSpec.from_kwargs(**kwargs), setup)
 
 
-def run_swarm(protocol: str = "tchain",
-              leechers: int = 40,
-              freerider_fraction: float = 0.0,
-              seed: int = 0,
-              arrival: str = "flash",
-              file_mb: Optional[float] = None,
-              pieces: Optional[int] = None,
-              piece_size_kb: Optional[float] = None,
-              max_time: Optional[float] = None,
-              freerider_options: Optional[FreeRiderOptions] = None,
-              initial_piece_fraction: float = 0.0,
-              trace_horizon_s: float = 2000.0,
-              series: Sequence[str] = (),
-              setup: Optional[Callable[[Swarm], None]] = None,
-              sanitize: bool = False,
-              fault_plan=None,
-              **config_overrides) -> RunResult:
-    """Run one full swarm simulation.
+def run_spec(spec: "RunSpec",
+             setup: Optional[Callable[[Swarm], None]] = None
+             ) -> RunResult:
+    """Run the swarm ``spec`` describes (Sec. IV-A's setup).
 
-    Parameters mirror the paper's experimental knobs; see Sec. IV-A.
-    ``series`` names the :data:`SERIES` to record.  ``setup(swarm)``
-    runs after the seeder joins, before arrivals: the in-process seam
-    tests attach engine sinks through (``swarm.sim.add_observer``; no
-    ``RunSpec`` can carry it).
-    ``sanitize`` runs the whole swarm under the simulation sanitizer
-    (see :mod:`repro.devtools.sanitizer`).  ``fault_plan``
-    attaches a :class:`repro.faults.FaultPlan` through a fresh
+    ``setup(swarm)`` runs after the seeder joins, before arrivals:
+    the in-process seam tests attach engine sinks through
+    (``swarm.sim.add_observer``; no ``RunSpec`` can carry it).
+    A ``fault_plan`` attaches through a fresh
     :class:`~repro.faults.FaultInjector`; an idle plan leaves the
     event trace bit-identical to a run without one (docs/FAULTS.md).
     """
-    check_names(protocol, arrival, series)
-    if freerider_options is None:
-        # Constructed per call: a shared default instance would let a
-        # caller's mutation (or a future non-frozen options class)
-        # leak strategy flags across unrelated runs.
-        freerider_options = FreeRiderOptions()
-    config = build_config(protocol, file_mb=file_mb, pieces=pieces,
-                          piece_size_kb=piece_size_kb, seed=seed,
-                          **config_overrides)
-    swarm = Swarm(config, sanitize=sanitize)
-    if fault_plan is not None:
+    config = build_config(spec.protocol, file_mb=spec.file_mb,
+                          pieces=spec.pieces,
+                          piece_size_kb=spec.piece_size_kb,
+                          seed=spec.seed, **dict(spec.config_overrides))
+    swarm = Swarm(config, sanitize=spec.sanitize)
+    if spec.fault_plan is not None:
         from repro.faults.injector import FaultInjector
-        FaultInjector(fault_plan, seed=config.seed).attach(swarm)
-    seeder_cls, leecher_cls = PROTOCOLS[protocol]
+        FaultInjector(spec.fault_plan, seed=config.seed).attach(swarm)
+    seeder_cls, leecher_cls = PROTOCOLS[spec.protocol]
     seeder = seeder_cls(swarm)
     seeder.join()
-    finishers = {name: SERIES[name](swarm) for name in series}
+    finishers = {name: SERIES[name](swarm) for name in spec.series}
     if setup is not None:
         setup(swarm)
 
-    n_free = round(freerider_fraction * leechers)
+    leechers = spec.leechers
+    n_free = round(spec.freerider_fraction * leechers)
     n_compliant = leechers - n_free
-    freerider_cls = make_freerider(leecher_cls, freerider_options)
+    freerider_cls = make_freerider(
+        leecher_cls, spec.freerider_options or FreeRiderOptions())
 
     def compliant_factory():
         peer = leecher_cls(swarm)
-        if initial_piece_fraction > 0:
+        if spec.initial_piece_fraction > 0:
             peer.book = partial_book(swarm.torrent,
-                                     initial_piece_fraction,
+                                     spec.initial_piece_fraction,
                                      swarm.sim.rng)
         return peer
 
@@ -298,30 +277,30 @@ def run_swarm(protocol: str = "tchain",
     factories += [lambda: freerider_cls(swarm)] * n_free
     swarm.sim.rng.shuffle(factories)
 
-    if arrival == "trace":
+    if spec.arrival == "trace":
         schedule = redhat9_like_trace(factories, swarm.sim.rng,
-                                      horizon_s=trace_horizon_s)
+                                      horizon_s=spec.trace_horizon_s)
     else:
         schedule = flash_crowd(factories, swarm.sim.rng)
     schedule_arrivals(swarm, schedule)
 
+    max_time = spec.max_time
     if max_time is None:
         # Generous default: enough for the slowest compliant leechers
         # plus a long tail for free-riders in exploitable protocols.
-        per_leecher = [min(config.leecher_capacities_kbps)] * max(
-            leechers, 1)
+        per_leecher = [min(DEFAULT_LEECHER_CAPACITIES)] * max(leechers, 1)
         max_time = 60.0 * max(optimal_completion_time(
             config.n_pieces * config.piece_size_kb,
             config.seeder_capacity_kbps, per_leecher), 10.0)
         max_time += schedule.last_arrival
-    if arrival == "churn":
+    if spec.arrival == "churn":
         # A pending replacement counts as a pending arrival, so the
         # swarm cannot drain before the horizon.
         ReplacementChurn(swarm, compliant_factory, horizon_s=max_time)
 
     swarm.run(max_time=max_time)
     swarm.metrics.finalize_active(swarm)
-    return RunResult(protocol=protocol, config=config, swarm=swarm,
+    return RunResult(protocol=spec.protocol, config=config, swarm=swarm,
                      n_compliant=n_compliant, n_freeriders=n_free,
                      series={name: finish()
                              for name, finish in finishers.items()})

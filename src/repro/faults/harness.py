@@ -150,7 +150,7 @@ def chaos_spec(leechers: int = 16,
 def run_chaos(**kwargs) -> ChaosResult:
     """Run one :func:`chaos_spec` case in this process (same keyword
     arguments), keeping the live result."""
-    from repro.experiments.runner import run_swarm
+    from repro.experiments.runner import run_spec
 
-    result = run_swarm(**chaos_spec(**kwargs).kwargs())
+    result = run_spec(chaos_spec(**kwargs))
     return ChaosResult(summary=result.summary(), result=result)

@@ -29,6 +29,19 @@ from repro.sim.engine import Simulator
 from repro.sim.events import PeriodicTask
 
 
+#: The fixed setup of a replication run: nodes (churn replaces each
+#: one it kills), objects each node owns, the committed replicas an
+#: owner repairs toward, the repair / audit / churn periods and the
+#: chance that a churn tick kills any one node.
+N_NODES = 24
+OBJECTS_PER_NODE = 2
+TARGET_REPLICATION = 2
+REPAIR_INTERVAL_S = 20.0
+AUDIT_INTERVAL_S = 60.0
+CHURN_INTERVAL_S = 40.0
+CHURN_KILL_PROBABILITY = 0.02
+
+
 def _node_id(node: StorageNode) -> str:
     """Sort key for node lists (module-level so per-event candidate
     sorts don't rebuild a closure each call)."""
@@ -37,17 +50,11 @@ def _node_id(node: StorageNode) -> str:
 
 @dataclass
 class ReplicationConfig:
-    """Tunables of a replication run."""
+    """What an experiment varies about a replication run; the fixed
+    setup is this module's constants."""
 
-    n_nodes: int = 24
-    objects_per_node: int = 2
     capacity_units: int = 6
-    target_replication: int = 2
     transfer_time_s: float = 5.0
-    repair_interval_s: float = 20.0
-    audit_interval_s: float = 60.0
-    churn_interval_s: float = 40.0
-    churn_kill_probability: float = 0.02
     duration_s: float = 600.0
     freerider_fraction: float = 0.0
     mode: str = "tchain"  # or "altruistic"
@@ -99,16 +106,16 @@ class ReplicationSystem:
         #: owner id -> open transaction ids awaiting its reciprocation
         self._obligations: Dict[str, List[int]] = {}
         rng = self.sim.rng
-        n_free = round(config.freerider_fraction * config.n_nodes)
+        n_free = round(config.freerider_fraction * N_NODES)
         kinds = [NodeKind.FREERIDER] * n_free \
-            + [NodeKind.COMPLIANT] * (config.n_nodes - n_free)
+            + [NodeKind.COMPLIANT] * (N_NODES - n_free)
         rng.shuffle(kinds)
         for kind in kinds:
             self._spawn_node(kind)
-        PeriodicTask(self.sim, config.repair_interval_s,
-                     self._repair_round, first_delay=1.0)
-        PeriodicTask(self.sim, config.audit_interval_s, self._audit)
-        PeriodicTask(self.sim, config.churn_interval_s, self._churn)
+        PeriodicTask(self.sim, REPAIR_INTERVAL_S, self._repair_round,
+                     first_delay=1.0)
+        PeriodicTask(self.sim, AUDIT_INTERVAL_S, self._audit)
+        PeriodicTask(self.sim, CHURN_INTERVAL_S, self._churn)
 
     # ------------------------------------------------------------------
     # Population
@@ -118,7 +125,7 @@ class ReplicationSystem:
         node = StorageNode(node_id=f"N{self._next_node}",
                            capacity_units=self.config.capacity_units,
                            kind=kind)
-        for _ in range(self.config.objects_per_node):
+        for _ in range(OBJECTS_PER_NODE):
             obj = StoredObject(object_id=self._next_object,
                                owner_id=node.node_id)
             self._next_object += 1
@@ -137,8 +144,7 @@ class ReplicationSystem:
         rng = self.sim.rng
         for node in sorted(self._alive_nodes(),
                            key=_node_id):
-            for obj in node.needs_replicas(
-                    self.config.target_replication):
+            for obj in node.needs_replicas(TARGET_REPLICATION):
                 host = self._find_host(obj)
                 if host is None:
                     continue
@@ -209,9 +215,9 @@ class ReplicationSystem:
         candidates = [
             n for n in self._alive_nodes()
             if n.node_id not in (host.node_id, owner.node_id)
-            and n.needs_replicas(self.config.target_replication)
+            and n.needs_replicas(TARGET_REPLICATION)
         ]
-        if host.needs_replicas(self.config.target_replication):
+        if host.needs_replicas(TARGET_REPLICATION):
             return host  # direct reciprocity: host itself
         if not candidates:
             return None
@@ -246,8 +252,7 @@ class ReplicationSystem:
             payee = self.nodes.get(tx.payee_id)
             if payee is None or not payee.alive:
                 continue
-            under = payee.needs_replicas(
-                self.config.target_replication)
+            under = payee.needs_replicas(TARGET_REPLICATION)
             under = [o for o in under
                      if o.object_id not in owner.hosted
                      and o.owner_id != owner.node_id]
@@ -331,7 +336,7 @@ class ReplicationSystem:
         rng = self.sim.rng
         for node in sorted(self._alive_nodes(),
                            key=_node_id):
-            if rng.random() >= self.config.churn_kill_probability:
+            if rng.random() >= CHURN_KILL_PROBABILITY:
                 continue
             node.alive = False
             # hosted replicas vanish

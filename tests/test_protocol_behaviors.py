@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.bt.config import SwarmConfig
+from repro.bt.config import (DEFAULT_LEECHER_CAPACITIES, SEEDER_SLOTS,
+                             UPLOAD_SLOTS, SwarmConfig)
 from repro.bt.protocols import PROTOCOLS
-from repro.bt.protocols.base import BaselineSeeder
+from repro.bt.protocols.base import OPTIMISTIC_SLOTS, BaselineSeeder
 from repro.bt.protocols.fairtorrent import FairTorrentLeecher
 from repro.bt.protocols.propshare import PropShareLeecher, RANDOM_SHARE
 from repro.bt.swarm import Swarm
@@ -46,7 +47,7 @@ class TestBaselineSeeder:
         swarm, seeder, _ = small_swarm("bittorrent")
         assert seeder.uplink.capacity_kbps == \
             swarm.config.seeder_capacity_kbps
-        assert seeder.uplink.n_slots == swarm.config.seeder_slots
+        assert seeder.uplink.n_slots == SEEDER_SLOTS
 
     def test_seeder_never_finishes_or_leaves(self):
         result = run_swarm(protocol="bittorrent", leechers=6,
@@ -60,8 +61,7 @@ class TestBitTorrentChoking:
     def test_leecher_has_tft_plus_optimistic_slots(self):
         swarm, _, leecher_cls = small_swarm("bittorrent")
         leecher = leecher_cls(swarm)
-        assert leecher.uplink.n_slots == \
-            swarm.config.upload_slots + swarm.config.optimistic_slots
+        assert leecher.uplink.n_slots == UPLOAD_SLOTS + OPTIMISTIC_SLOTS
 
     def test_contributors_get_unchoked(self):
         swarm, _, leecher_cls = small_swarm("bittorrent")
@@ -145,7 +145,7 @@ class TestLeecherCapacities:
     def test_drawn_from_config_palette(self):
         result = run_swarm(protocol="bittorrent", leechers=30,
                            pieces=4, seed=6)
-        palette = set(SwarmConfig().leecher_capacities_kbps)
+        palette = set(DEFAULT_LEECHER_CAPACITIES)
         for record in result.metrics.by_kind("leecher"):
             assert record.capacity_kbps in palette
 

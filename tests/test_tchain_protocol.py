@@ -13,6 +13,7 @@ import pytest
 from repro.attacks.freerider import FreeRiderOptions
 from repro.core.transaction import Transaction
 from repro.experiments import run_swarm
+from repro.faults import FaultPlan, PeerCrash
 from tests.ledger_log import recording, transactions
 from tests.test_fault_digests import PLAN
 
@@ -143,7 +144,8 @@ class TestFreeRiders:
         finish — see Fig. 13.)"""
         result = tchain_run(leechers=30, pieces=16,
                             freerider_fraction=0.2,
-                            freeriders_send_reports=False)
+                            freerider_options=FreeRiderOptions(
+                                send_reports=False))
         assert result.metrics.completion_rate("freerider") == 0.0
         assert result.completion_rate("leecher") == 1.0
 
@@ -324,7 +326,7 @@ class TestBoundedBookkeeping:
         leechers = [peer for peer in everyone if peer.kind == "leecher"]
         assert len(leechers) == 64
         for peer in leechers:
-            assert not peer.pending_sealed and not peer._plead_attempts
+            assert not peer.pending_sealed
 
     def test_run_keeps_no_history(self):
         """Nothing outlives its use: a stall watchdog used to pin the
@@ -358,16 +360,24 @@ class TestBoundedBookkeeping:
                  and id(obj) not in before and id(obj) not in held]
         assert stray == []
 
-    #: Scenario -> (run arguments, fewest departures).  Trace arrivals
-    #: leave most peers departed long before the run ends; the
-    #: fault-digest plan crashes two free-riders, and a crash skips
-    #: ``on_leave``, so their periodic tasks must stop in ``on_crash``.
+    #: Scenario -> (run arguments, fewest departures, kind of peer that
+    #: must crash).  Trace arrivals leave most peers departed long
+    #: before the run ends; the fault-digest plan crashes two
+    #: free-riders; one crash at 20 s takes a compliant leecher of each
+    #: baseline protocol whose leechers run periodic tasks of their own.
+    #: A crash skips ``on_leave``, so every task must stop in
+    #: ``Peer.stop_timers``.
     DEPARTURES = {
         "trace": (dict(arrival="trace", leechers=40, pieces=8,
                        freerider_fraction=0.2, trace_horizon_s=4000.0),
-                  25),
+                  25, None),
         "crash": (dict(leechers=24, pieces=10, freerider_fraction=0.25,
-                       fault_plan=PLAN), 15),
+                       fault_plan=PLAN), 15, "freerider"),
+        **{f"crash-{protocol}": (
+            dict(protocol=protocol, leechers=20, pieces=16,
+                 fault_plan=FaultPlan(crashes=(PeerCrash(at_s=20.0),))),
+            15, "leecher")
+           for protocol in ("bittorrent", "dandelion", "propshare")},
     }
 
     @pytest.mark.parametrize("scenario", sorted(DEPARTURES))
@@ -377,16 +387,17 @@ class TestBoundedBookkeeping:
         """A departed peer is garbage as soon as the swarm and its last
         timer let go: no reference cycle (the rescan task's bound
         callback, a sanitized run's flow underflow hook, a free-rider's
-        periodic tasks) waits for the cyclic collector."""
-        kwargs, fewest = self.DEPARTURES[scenario]
+        or a baseline leecher's periodic tasks) waits for the cyclic
+        collector."""
+        kwargs, fewest, crash_kind = self.DEPARTURES[scenario]
         departed = []
-        crashed = []
+        crashed = set()
 
         def setup(swarm):
             def gone(peer):
                 departed.append(weakref.ref(peer))
-                if peer.crashed and peer.kind == "freerider":
-                    crashed.append(peer.id)
+                if peer.crashed:
+                    crashed.add(peer.kind)
             swarm.on_departed = gone
         gc.collect()
         gc.disable()
@@ -398,7 +409,7 @@ class TestBoundedBookkeeping:
             gc.enable()
         assert len(departed) \
             == kwargs["leechers"] - len(result.swarm.leechers()) > fewest
-        assert bool(crashed) == (scenario == "crash")
+        assert (crash_kind in crashed) if crash_kind else not crashed
         assert alive == []
 
     def test_no_stall_watchdog_keeps_no_aborted_exchange(self):

@@ -423,9 +423,12 @@ class ColumnarState:
         sorted by id, no duplicate, no self-edge, within the cap unless
         unlimited); the availability column equals a recount; no set
         ``unwanted`` bit has a live neighbour wanting the row's pieces;
+        every neighbour is a tracker member (what lets
+        ``Peer.refill_neighbors`` judge "knows everyone" by degree);
         and each T-Chain node's flow window (``peer.flow.blocked``) a
         recount of its pending pieces."""
         swarm = self.swarm
+        tracker = swarm.tracker
         assert set(self.row_of) == set(swarm.peers), (
             f"rows {sorted(self.row_of)} != peers "
             f"{sorted(swarm.peers)}")
@@ -453,6 +456,10 @@ class ColumnarState:
             assert adj == sorted(set(adj)), (
                 f"adj[{pid}] {adj} not sorted without duplicates")
             assert row not in rows, f"{pid} is its own neighbour"
+            outsiders = [other for other in adj
+                         if not tracker.is_member(other)]
+            assert not outsiders, (
+                f"{pid} neighbours non-members {outsiders}")
             assert len(rows) <= self.max_neighbors \
                 or pid in self._unlimited, f"{pid} over the cap"
             for nrow in rows:

@@ -228,12 +228,24 @@ class Peer:
         """Ask the tracker for more members when running low."""
         if not self.active:
             return
-        # The tracker answers with strangers only: refills mostly
-        # draw peers we already know (in a swarm no larger than the
-        # refill threshold, nobody else), and it drops those itself.
         swarm = self.swarm
-        for other in swarm.tracker.announce(
-                self.id, swarm.columnar.neighbor_ids(self.id)):
+        tracker = swarm.tracker
+        state = swarm.columnar
+        if state.degree(self.id) == tracker.member_count - 1 \
+                and tracker.is_member(self.id):
+            # Every neighbour of a registered peer is a tracker member
+            # (ColumnarState.check_consistency), so a member with one
+            # edge per other member knows them all: the reply would
+            # name nobody, and only its draws count.  In a swarm no
+            # larger than the refill threshold every refill is this.
+            sanitizer = self.sim.sanitizer
+            if sanitizer is not None:
+                sanitizer.on_all_known_refill(self)
+            tracker.announce_all_known()
+            return
+        # The tracker answers with strangers only, dropping the
+        # neighbours it draws itself.
+        for other in tracker.announce(self.id, state.neighbor_ids(self.id)):
             swarm.connect(self.id, other)
 
     # ------------------------------------------------------------------

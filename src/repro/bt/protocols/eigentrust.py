@@ -196,3 +196,9 @@ class EigenTrustLeecher(BaselineLeecher):
     def on_leave(self) -> None:
         self.authority.forget_peer(self.id)
         super().on_leave()
+
+    def on_crash(self) -> None:
+        # The authority stands in for the swarm's aggregation, not for
+        # the crashed host: it drops the id as for a clean departure.
+        self.authority.forget_peer(self.id)
+        super().on_crash()

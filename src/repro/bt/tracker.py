@@ -20,7 +20,11 @@ members the requester is already connected to.  In a swarm no larger
 than the refill threshold every refill is all-known (each departure
 makes every neighbor re-announce, and every reply used to be thrown
 away), so that case costs the shuffle's draws and nothing else
-(docs/PERF.md, "Churn storms").
+(docs/PERF.md, "Churn storms").  ``Peer.refill_neighbors`` spots it
+by degree and calls :meth:`Tracker.announce_all_known`, which draws
+without a ``known`` set; the draws themselves are
+:class:`repro.sim.randomness.SimRandom`'s inlined kernels
+(docs/PERF.md, "Refill storms").
 """
 
 from __future__ import annotations
@@ -69,11 +73,10 @@ class Tracker:
         requester's current neighbors, in draw order.
 
         A requester that knows every other member gets ``[]`` for the
-        price of the shuffle's draws alone (:func:`skip_shuffle`): the
-        permutation would be filtered away whole, but its draws are
-        part of the seeded trace.  That test is an exact set
-        comparison, never a size heuristic; every other ``known``
-        takes the general path.
+        price of the draws alone (:meth:`_skip_reply`): the reply
+        would be filtered away whole, but its draws are part of the
+        seeded trace.  That test is an exact set comparison, never a
+        size heuristic; every other ``known`` takes the general path.
         """
         self.announce_count += 1
         # Sorted so results depend only on the seeded RNG, not on
@@ -83,11 +86,11 @@ class Tracker:
         skip: Optional[int] = (
             idx if idx < len(members) and members[idx] == peer_id else None)
         n = len(members) - (0 if skip is None else 1)
+        if len(known) == n and peer_id not in known \
+                and known <= self._member_ids:
+            self._skip_reply(n)
+            return []
         if n <= self.list_size:
-            if len(known) == n and peer_id not in known \
-                    and known <= self._member_ids:
-                skip_shuffle(self.rng, n)
-                return []
             if skip is None:
                 others = list(members)
             else:
@@ -104,6 +107,23 @@ class Tracker:
         if known:
             return [other for other in others if other not in known]
         return others
+
+    def announce_all_known(self) -> None:
+        """``announce(pid, known=everyone)`` for a registered member
+        ``pid`` that the caller knows neighbours every other member
+        (``Peer.refill_neighbors``, by degree): counted and drawn, no
+        reply built."""
+        self.announce_count += 1
+        self._skip_reply(len(self._sorted) - 1)
+
+    def _skip_reply(self, n: int) -> None:
+        """Draw what a reply out of ``n`` others draws, building
+        nothing: the shuffle's draws up to ``list_size`` others
+        (:func:`skip_shuffle`), a discarded ``sample`` beyond."""
+        if n <= self.list_size:
+            skip_shuffle(self.rng, n)
+        else:
+            self.rng.sample(range(n), self.list_size)
 
     @property
     def member_count(self) -> int:

@@ -203,6 +203,22 @@ class SimulationSanitizer:
             self._fail(f"pump of {peer.id} stopped as unwanted, but "
                        f"neighbors {wanting} want a piece it holds")
 
+    def on_all_known_refill(self, peer: Any) -> None:
+        """``Peer.refill_neighbors`` judged by degree that the peer
+        knows every other member: ``Tracker.announce``'s set test
+        must agree."""
+        self.checks_run += 1
+        tracker = peer.swarm.tracker
+        known = peer.swarm.columnar.neighbor_ids(peer.id)
+        outsiders = sorted(other for other in known
+                           if not tracker.is_member(other))
+        if outsiders or peer.id in known \
+                or len(known) != tracker.member_count - 1:
+            self._fail(f"refill of {peer.id} skipped as all-known, but "
+                       f"its neighbours {sorted(known)} are not the "
+                       f"other {tracker.member_count - 1} members "
+                       f"(non-members: {outsiders})")
+
     # ------------------------------------------------------------------
     # Exchange hooks (repro.core.exchange)
     # ------------------------------------------------------------------

@@ -52,16 +52,20 @@ callback function (a bound method's receiver, or the owner, leads its
 arguments).  With no sink attached the loop fires the heap head inline.
 
 All randomness in a simulation flows through :attr:`Simulator.rng`, a
-single seeded ``random.Random``; running the same scenario with the same
-seed therefore reproduces the same event trace bit-for-bit.
+single seeded :class:`repro.sim.randomness.SimRandom` (a
+``random.Random`` that draws exactly what the stdlib draws); running
+the same scenario with the same seed therefore reproduces the same
+event trace bit-for-bit.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
-from random import Random
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.sim.randomness import SimRandom
+
 
 class SimulatorError(RuntimeError):
     """Raised on simulator misuse (e.g. scheduling in the past)."""
@@ -208,7 +212,7 @@ class Simulator:
             raise SimulatorError(f"unknown sanitize value {sanitize!r}; "
                                  f"expected True or False")
         self.now: float = 0.0
-        self.rng = Random(seed)
+        self.rng = SimRandom(seed)
         self.seed = seed
         self._heap: List[_Entry] = []
         self._lanes: Dict[float, _Lane] = {}

@@ -1,17 +1,21 @@
-"""Seed management for multi-run experiments.
+"""Seed management for multi-run experiments, and the simulation's
+generator.
 
 Experiments in the paper report means and 95% confidence intervals over
 30 runs with different seeds.  :class:`SeedSequence` derives those
 per-run seeds from a single experiment seed so that a whole sweep is
 reproducible from one integer, and so that distinct experiments do not
-accidentally share run seeds.
+accidentally share run seeds.  :class:`SimRandom` is the type of
+``Simulator.rng``: the stdlib generator, draw for draw, with cheaper
+``choice`` / ``shuffle`` / ``sample``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from math import ceil as _ceil, log as _log
 from random import Random
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 
 class SeedSequence:
@@ -60,6 +64,92 @@ def substream(root: int, label: str) -> Random:
     return Random(SeedSequence(root, label).seed(0))
 
 
+#: Lengths whose shuffle schedule is built once, at import (refill
+#: storms shuffle swarms of at most a few dozen members).
+_SHORT = 64
+_PAIRS = tuple((i, i.bit_length()) for i in range(_SHORT + 1))
+#: ``_SCHEDULES[n]`` is ``(i, i.bit_length())`` for ``i = n … 2``: the
+#: bound and the ``getrandbits`` width of each draw ``Random.shuffle``
+#: makes on an ``n``-element list.  The pairs are shared between
+#: lengths; only the outer tuples are per length.
+_SCHEDULES = tuple(_PAIRS[n:1:-1] for n in range(_SHORT + 1))
+
+
+def _long_schedule(n: int) -> Iterator[Tuple[int, int]]:
+    """``_SCHEDULES[n]`` for ``n`` beyond the table, built as walked."""
+    return ((i, i.bit_length()) for i in range(n, 1, -1))
+
+
+class SimRandom(Random):
+    """The simulation's generator: ``random.Random`` with ``choice``,
+    ``shuffle`` and ``sample`` that return what the stdlib returns and
+    leave ``getstate()`` where the stdlib leaves it, at lower cost.
+
+    The stdlib pays one Python-level ``_randbelow`` call per draw;
+    these inline its loop — ``getrandbits(n.bit_length())`` redrawn
+    until the value is below ``n`` — with ``getrandbits`` bound once
+    per call.  ``sample`` does so for a ``range`` population without
+    ``counts`` (the tracker's and the piece draws); any other call goes
+    to the stdlib.  ``tests/test_tracker_draws.py`` compares every
+    method against ``Random`` on results and ``getstate()`` on each CI
+    interpreter, which is where a stdlib change would surface.
+    """
+
+    def choice(self, seq):
+        n = len(seq)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        getrandbits = self.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return seq[r]
+
+    def shuffle(self, x):
+        n = len(x)
+        getrandbits = self.getrandbits
+        for i, k in (_SCHEDULES[n] if n <= _SHORT else _long_schedule(n)):
+            j = getrandbits(k)
+            while j >= i:
+                j = getrandbits(k)
+            i -= 1
+            x[i], x[j] = x[j], x[i]
+
+    def sample(self, population, k, *, counts=None):
+        if counts is not None or type(population) is not range:
+            return super().sample(population, k, counts=counts)
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("Sample larger than population or is negative")
+        getrandbits = self.getrandbits
+        result = []
+        append = result.append
+        setsize = 21        # the stdlib's list-or-set cut, verbatim
+        if k > 5:
+            setsize += 4 ** _ceil(_log(k * 3, 4))
+        if n <= setsize:
+            pool = list(population)
+            for m in range(n, n - k, -1):
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            selected = set()
+            add = selected.add
+            bits = n.bit_length()
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                add(j)
+                append(population[j])
+        return result
+
+
 def skip_shuffle(rng: Random, n: int) -> None:
     """Advance ``rng`` exactly as ``rng.shuffle`` of an ``n``-element
     list would, building and swapping nothing.
@@ -67,16 +157,12 @@ def skip_shuffle(rng: Random, n: int) -> None:
     ``Random.shuffle`` draws ``_randbelow(i)`` for ``i = n … 2``, and
     ``_randbelow`` is ``getrandbits(i.bit_length())`` redrawn until the
     value is below ``i``.  A caller that is going to throw the
-    permutation away (``Tracker.announce`` when the requester already
-    knows every member) pays for the draws alone and leaves every later
-    draw where the full shuffle would have left it.
-    ``tests/test_tracker_draws.py`` compares ``getstate()`` against the
-    real shuffle on every CI interpreter — the place a stdlib change
-    to ``shuffle`` would surface.
+    permutation away (a refill by a peer that already knows every
+    member) pays for the draws alone and leaves every later draw where
+    the full shuffle would have left it.  It walks the same schedule
+    as :meth:`SimRandom.shuffle` and takes any ``Random``.
     """
-    # Called as ``rng.getrandbits`` (not through a local alias) so
-    # simlint's effect inference sees the draw.
-    for i in range(n, 1, -1):
-        k = i.bit_length()
-        while rng.getrandbits(k) >= i:
+    getrandbits = rng.getrandbits
+    for i, k in (_SCHEDULES[n] if n <= _SHORT else _long_schedule(n)):
+        while getrandbits(k) >= i:
             pass

@@ -209,6 +209,7 @@ class TestPackedAvailability:
             peer.unlimited_neighbors = unlimited
             peer.active = True
             swarm.register(peer)
+            swarm.tracker.join(pid)
             return peer
 
         hub = registered("HUB", unlimited=True)
@@ -247,6 +248,7 @@ class TestUnwantedBit:
             peer = IdlePeer(swarm, f"P{i}", 800.0, 1, book=spec)
             peer.active = True
             swarm.register(peer)
+            swarm.tracker.join(peer.id)
             peers.append(peer)
         return swarm, peers
 
@@ -342,6 +344,7 @@ class TestGraphCheck:
             peer = IdlePeer(swarm, pid, 800.0, 1)
             peer.active = True
             swarm.register(peer)
+            swarm.tracker.join(pid)
         assert swarm.connect("A", "B") and swarm.connect("A", "C")
         columnar = swarm.columnar
         columnar.check_consistency()

@@ -98,6 +98,20 @@ class TestEigenTrustSwarm:
                            pieces=10, seed=3)
         assert result.completion_rate("leecher") == 1.0
 
+    def test_crashed_leecher_is_forgotten(self):
+        """A crash skips ``on_leave``; the authority must still drop
+        the crashed id, or its local trust row outlives the peer."""
+        from repro.faults import FaultPlan, PeerCrash
+        result = run_swarm(protocol="eigentrust", leechers=20,
+                           pieces=32, seed=3,
+                           fault_plan=FaultPlan(
+                               crashes=(PeerCrash(at_s=20.0),)))
+        crashed = result.summary().crashed_ids
+        assert crashed == ("L10",)
+        authority = TrustAuthority.of(result.swarm)
+        assert "L10" not in authority._local
+        assert not authority.has_reputation("L10")
+
     def test_newcomer_share_constant(self):
         assert NEWCOMER_SHARE == pytest.approx(0.1)
 

@@ -303,9 +303,17 @@ class TestSinks:
 
         def rows(*outer):
             sim = Simulator()
-            garbage = []
+            # Each event builds one fresh object into a slot allocated
+            # beforehand: a bytes object has no free list and no
+            # regrowth, so its traced size cannot depend on where the
+            # allocator puts it or on what the outer sink allocated.
+            slots = [None] * 30
+
+            def fill(i):
+                slots[i] = bytes(256)
+
             for i in range(30):
-                sim.schedule(float(i), garbage.append, [0] * 16)
+                sim.schedule(float(i), fill, i)
                 sim.schedule(float(i), lambda: None)
             for sink in outer:
                 sim.add_observer(sink)

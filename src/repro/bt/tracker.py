@@ -19,12 +19,11 @@ Replies name strangers only: ``announce(peer_id, known)`` drops the
 members the requester is already connected to.  In a swarm no larger
 than the refill threshold every refill is all-known (each departure
 makes every neighbor re-announce, and every reply used to be thrown
-away), so that case costs the shuffle's draws and nothing else
-(docs/PERF.md, "Churn storms").  ``Peer.refill_neighbors`` spots it
-by degree and calls :meth:`Tracker.announce_all_known`, which draws
-without a ``known`` set; the draws themselves are
-:class:`repro.sim.randomness.SimRandom`'s inlined kernels
-(docs/PERF.md, "Refill storms").
+away).  ``Peer.refill_neighbors`` spots that case by degree and calls
+:meth:`Tracker.announce_all_known`, which makes the reply's draws and
+builds nothing (docs/PERF.md, "Churn storms" and "Refill storms");
+the draws themselves are :class:`repro.sim.randomness.SimRandom`'s
+inlined kernels.
 """
 
 from __future__ import annotations
@@ -70,14 +69,7 @@ class Tracker:
         """Draw up to ``list_size`` random members other than the
         requester (which need not be registered yet) and return the
         strangers among them: the draw minus ``known``, the
-        requester's current neighbors, in draw order.
-
-        A requester that knows every other member gets ``[]`` for the
-        price of the draws alone (:meth:`_skip_reply`): the reply
-        would be filtered away whole, but its draws are part of the
-        seeded trace.  That test is an exact set comparison, never a
-        size heuristic; every other ``known`` takes the general path.
-        """
+        requester's current neighbors, in draw order."""
         self.announce_count += 1
         # Sorted so results depend only on the seeded RNG, not on
         # per-process string hashing.
@@ -86,10 +78,6 @@ class Tracker:
         skip: Optional[int] = (
             idx if idx < len(members) and members[idx] == peer_id else None)
         n = len(members) - (0 if skip is None else 1)
-        if len(known) == n and peer_id not in known \
-                and known <= self._member_ids:
-            self._skip_reply(n)
-            return []
         if n <= self.list_size:
             if skip is None:
                 others = list(members)
@@ -111,15 +99,13 @@ class Tracker:
     def announce_all_known(self) -> None:
         """``announce(pid, known=everyone)`` for a registered member
         ``pid`` that the caller knows neighbours every other member
-        (``Peer.refill_neighbors``, by degree): counted and drawn, no
-        reply built."""
+        (``Peer.refill_neighbors``, by degree).  That reply would be
+        ``[]``, but its draws are part of the seeded trace: count the
+        announce and make them, building nothing — the shuffle's draws
+        up to ``list_size`` others (:func:`skip_shuffle`), a discarded
+        ``sample`` beyond."""
         self.announce_count += 1
-        self._skip_reply(len(self._sorted) - 1)
-
-    def _skip_reply(self, n: int) -> None:
-        """Draw what a reply out of ``n`` others draws, building
-        nothing: the shuffle's draws up to ``list_size`` others
-        (:func:`skip_shuffle`), a discarded ``sample`` beyond."""
+        n = len(self._sorted) - 1
         if n <= self.list_size:
             skip_shuffle(self.rng, n)
         else:

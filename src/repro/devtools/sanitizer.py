@@ -205,8 +205,9 @@ class SimulationSanitizer:
 
     def on_all_known_refill(self, peer: Any) -> None:
         """``Peer.refill_neighbors`` judged by degree that the peer
-        knows every other member: ``Tracker.announce``'s set test
-        must agree."""
+        knows every other member: its neighbour set must be exactly
+        the other members, so that ``Tracker.announce`` with that set
+        would have returned ``[]``."""
         self.checks_run += 1
         tracker = peer.swarm.tracker
         known = peer.swarm.columnar.neighbor_ids(peer.id)

@@ -64,8 +64,12 @@ def substream(root: int, label: str) -> Random:
     return Random(SeedSequence(root, label).seed(0))
 
 
-#: Lengths whose shuffle schedule is built once, at import (refill
-#: storms shuffle swarms of at most a few dozen members).
+#: Lengths whose shuffle schedule is built once, at import: the
+#: tracker shuffles at most its 50-member reply (``tracker.LIST_SIZE``)
+#: and the choker at most a 55-neighbour view (``max_neighbors``), so
+#: the first power of two above both.  The table saves one
+#: ``bit_length()`` call per draw position (about 3 % of ``fig_mix``'s
+#: wall time; docs/PERF.md, "Refill storms").
 _SHORT = 64
 _PAIRS = tuple((i, i.bit_length()) for i in range(_SHORT + 1))
 #: ``_SCHEDULES[n]`` is ``(i, i.bit_length())`` for ``i = n … 2``: the

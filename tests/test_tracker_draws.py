@@ -3,11 +3,12 @@ strangers-only tracker reply.
 
 ``SimRandom``'s ``choice`` / ``shuffle`` / ``sample`` must return what
 ``random.Random`` returns and leave the generator where it leaves it.
-``Tracker.announce(peer_id, known)`` may skip building and shuffling
-the membership when the requester already knows everyone, and
-``Peer.refill_neighbors`` may decide that case by degree, but both
-must leave the seeded generator exactly where the full shuffle would
-have: "draw-neutral" means equal ``rng.getstate()``, nothing weaker.
+``Tracker.announce(peer_id, known)`` filters its reply, and
+``Peer.refill_neighbors`` may decide "knows everyone" by degree and
+skip building and shuffling the membership
+(``Tracker.announce_all_known``), but both must leave the seeded
+generator exactly where the unfiltered reply would have:
+"draw-neutral" means equal ``rng.getstate()``, nothing weaker.
 These tests run on every CI interpreter, which is where a stdlib
 change to ``Random.shuffle`` / ``sample`` / ``_randbelow`` would
 surface.

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from struct import Struct
-from typing import (Callable, Dict, List, Optional, Sequence, Set,
+from typing import (Dict, List, Optional, Sequence, Set,
                     TYPE_CHECKING)
 
 from repro.bt.torrent import COUNT_BITS, PieceBook
@@ -87,7 +87,7 @@ class ColumnarState:
         it.
     refill_threshold:
         Below this degree a peer asks the tracker for more members
-        (30 in the paper).
+        (30 in the paper; read by ``Peer.on_neighbor_disconnected``).
     swarm:
         The owning swarm, read only by :meth:`check_consistency`.
     """
@@ -122,9 +122,6 @@ class ColumnarState:
         self._packed_bytes, self._unpack = fields.size, fields.unpack
         self._free: List[int] = []
         self._unlimited: Set[str] = set()
-        #: ``hook(remaining, departed)``, fired by :meth:`remove_peer`
-        #: once per ex-neighbour, after that edge is gone.
-        self.on_disconnect: Optional[Callable[[str, str], None]] = None
 
     def __len__(self) -> int:
         return len(self.row_of)
@@ -181,9 +178,10 @@ class ColumnarState:
 
     def remove_peer(self, peer_id: str) -> List[str]:
         """Sever all of a peer's edges and free its row; returns its
-        ex-neighbours in sorted-id order, the order ``on_disconnect``
-        is fired in, so simulations do not depend on per-process
-        string hashing.
+        ex-neighbours in sorted-id order.  Each ex-neighbour's peer
+        (``objs``) hears ``on_neighbor_disconnected(peer_id)`` in that
+        order, once its edge is gone, so simulations do not depend on
+        per-process string hashing.
 
         The id is unknown from the first notification on, so handlers
         that re-enter (refills, pumps) cannot reach it.  The book keeps
@@ -196,19 +194,21 @@ class ColumnarState:
         ids = self.ids
         key = self._id_of
         alive = self.alive
+        objs = self.objs
         # The row's own list is handed back, translated to ids in place
         # as the edges go (the row gets a fresh one): no copy per
         # departure.
         neighbors = self.adj_rows[row]
         self.adj_rows[row] = []
         for i, nrow in enumerate(neighbors):
-            other = neighbors[i] = ids[nrow]
+            neighbors[i] = ids[nrow]
             theirs = self.adj_rows[nrow]
             del theirs[bisect_left(theirs, peer_id, key=key)]
             if alive[row] and alive[nrow]:
                 self.avail[nrow] -= self.books[row].spread
-            if self.on_disconnect is not None:
-                self.on_disconnect(other, peer_id)
+            neighbor = objs[nrow]
+            if neighbor is not None:
+                neighbor.on_neighbor_disconnected(peer_id)
         self._unlimited.discard(peer_id)
         book = self.books[row]
         if book is not None:
@@ -227,15 +227,13 @@ class ColumnarState:
     # ------------------------------------------------------------------
     # Edges
     # ------------------------------------------------------------------
-    def link(self, a: str, b: str,
-             admit: Optional[Callable[[str, str], bool]] = None
-             ) -> Optional[bool]:
+    def link(self, a: str, b: str) -> Optional[bool]:
         """Create the edge a—b with one search of ``a``'s list.
 
         Returns ``False`` when the edge already exists, ``True`` when
         it was created, and ``None`` when it was refused: an unknown
-        peer, a self-edge, a side at its cap or ``admit(a, b)`` false
-        (asked only for a would-be new edge within both caps).
+        peer, a self-edge or a side at its cap.  Admission is the
+        caller's (``Swarm.connect_strangers``).
         """
         row_of = self.row_of
         row_a = row_of.get(a)
@@ -251,8 +249,6 @@ class ColumnarState:
         cap = self.max_neighbors
         if (len(rows_a) >= cap and a not in self._unlimited) \
                 or (len(rows_b) >= cap and b not in self._unlimited):
-            return None
-        if admit is not None and not admit(a, b):
             return None
         rows_a.insert(pos_b, row_b)
         insort(rows_b, row_a, key=key)
@@ -319,11 +315,6 @@ class ColumnarState:
         rows_a = self.adj_rows[row_a]
         pos_b = bisect_left(rows_a, b, key=self._id_of)
         return pos_b < len(rows_a) and rows_a[pos_b] == row_b
-
-    def needs_refill(self, peer_id: str) -> bool:
-        """True when the peer should ask the tracker for more members."""
-        return len(self.adj_rows[self.row_of[peer_id]]) \
-            < self.refill_threshold
 
     # ------------------------------------------------------------------
     # Writes to the maintained columns

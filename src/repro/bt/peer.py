@@ -10,9 +10,12 @@ Subclasses implement
   complete the piece immediately; T-Chain holds sealed pieces);
 
 and may override the lifecycle hooks (:meth:`on_join`,
-:meth:`on_leave`, :meth:`on_neighbor_connected`, ...).  A subclass
-that starts a periodic task stops it in :meth:`stop_timers`, which a
-clean departure and a crash both call.
+:meth:`on_leave`, :meth:`on_neighbor_disconnected`, ...).  A new edge
+has no hook: ``Swarm.connect_strangers`` pumps both ends, and asks a
+would-be neighbour's admission only when its class defines
+``accepts_connection_from``.  A subclass that starts a periodic task
+stops it in :meth:`stop_timers`, which a clean departure and a crash
+both call.
 
 Payload accounting (``kb_uploaded`` / ``kb_downloaded``) counts file
 pieces only — control messages are free per Sec. III-C — and feeds the
@@ -22,7 +25,8 @@ fairness-factor metric of Fig. 12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, TYPE_CHECKING
+from typing import (Any, Callable, List, Optional, Sequence,
+                    TYPE_CHECKING)
 
 from repro.bt.config import RECHOKE_INTERVAL_S
 from repro.bt.piece_selection import rarest_in_mask
@@ -109,8 +113,7 @@ class Peer:
         # A newcomer has no neighbours to leave out.
         strangers = swarm.tracker.announce(self.id)
         swarm.tracker.join(self.id)
-        for other in strangers:
-            swarm.connect(self.id, other)
+        swarm.connect_strangers(self.id, strangers)
         # Periodic re-scan: several serving conditions are time-based
         # (flow windows, backoff expiry, trust/credit changes) and
         # produce no event of their own; real clients re-evaluate on
@@ -135,9 +138,11 @@ class Peer:
     def on_rescan(self) -> None:
         """Protocol hook on the periodic re-scan tick."""
 
-    def accepts_connection_from(self, peer_id: str) -> bool:
-        """May ``peer_id`` become our neighbor?  Default: yes."""
-        return True
+    #: May ``peer_id`` become our neighbour?  A class that can refuse
+    #: an edge defines ``accepts_connection_from(peer_id) -> bool`` (a
+    #: pure check, asked by ``Swarm.connect_strangers`` before the edge
+    #: is made); ``None`` admits everyone without a call.
+    accepts_connection_from: Optional[Callable[[str], bool]] = None
 
     def leave(self) -> None:
         """Exit the swarm, severing connections and transfers."""
@@ -245,8 +250,8 @@ class Peer:
             return
         # The tracker answers with strangers only, dropping the
         # neighbours it draws itself.
-        for other in tracker.announce(self.id, state.neighbor_ids(self.id)):
-            swarm.connect(self.id, other)
+        swarm.connect_strangers(
+            self.id, tracker.announce(self.id, state.neighbor_ids(self.id)))
 
     # ------------------------------------------------------------------
     # Serving loop
@@ -458,14 +463,14 @@ class Peer:
         """Called by :meth:`crash` instead of :meth:`on_leave`, once
         connections are gone: bookkeeping only, no protocol goodbye."""
 
-    def on_neighbor_connected(self, neighbor_id: str) -> None:
-        """A new neighbor appeared; default: try to serve."""
-        self.pump()
-
     def on_neighbor_disconnected(self, neighbor_id: str) -> None:
-        """A neighbor left; default: refill when low."""
-        if self.active and self.swarm.columnar.needs_refill(self.id):
-            self.refill_neighbors()
+        """A neighbor left (``ColumnarState.remove_peer`` calls this
+        once the edge is gone); default: refill below the threshold."""
+        if self.active:
+            state = self.swarm.columnar
+            if len(state.adj_rows[state.row_of[self.id]]) \
+                    < state.refill_threshold:
+                self.refill_neighbors()
 
     def on_piece_completed(self, piece: int) -> None:
         """A piece of ours became usable."""

@@ -234,14 +234,6 @@ class _TChainNode(Peer):
                     and not self.uploading_to(neighbor_id):
                 columnar.disconnect(self.id, neighbor_id)
 
-    def accepts_connection_from(self, peer_id: str) -> bool:
-        """A seeder refuses connections from peers it has backed off —
-        otherwise evicted large-view free-riders reconnect within one
-        announce period and re-eclipse it."""
-        if self.kind != "seeder":
-            return True
-        return self.cooperative(peer_id)
-
     # ------------------------------------------------------------------
     # Donor planning
     # ------------------------------------------------------------------
@@ -768,6 +760,12 @@ class TChainSeeder(_TChainNode):
             else swarm.config.seeder_capacity_kbps,
             n_slots if n_slots is not None else SEEDER_SLOTS,
             book=full_book(swarm.torrent))
+
+    def accepts_connection_from(self, peer_id: str) -> bool:
+        """A seeder refuses connections from peers it has backed off —
+        otherwise evicted large-view free-riders reconnect within one
+        announce period and re-eclipse it.  Leechers admit everyone."""
+        return self.cooperative(peer_id)
 
     def next_upload(self) -> Optional[UploadPlan]:
         candidates = self._eligible_requestors()

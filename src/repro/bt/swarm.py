@@ -13,7 +13,7 @@ of Fig. 7(b)) do not keep the simulation alive forever.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.metrics import SwarmMetrics
 from repro.bt.columnar import ColumnarState
@@ -42,7 +42,6 @@ class Swarm:
         self.columnar = ColumnarState(
             config.n_pieces, config.max_neighbors, REFILL_THRESHOLD,
             swarm=self)
-        self.columnar.on_disconnect = self._notify_disconnect
         self.metrics = SwarmMetrics()
         #: Active peers.  A departed peer is not kept: its metrics
         #: record is all that remains, plus whatever ``on_departed``
@@ -128,32 +127,63 @@ class Swarm:
         """Active peer by id, else None."""
         return self.peers.get(peer_id)
 
-    def connect(self, a: str, b: str) -> bool:
-        """Create a neighbor edge and fire both connection hooks.
+    def connect_strangers(self, peer_id: str,
+                          strangers: Iterable[str]) -> int:
+        """Connect a peer to each of ``strangers`` in order, pumping
+        both ends of every new edge; returns the number of edges made.
 
-        Re-connecting an existing edge is a no-op: the hooks fire only
-        for genuinely new neighbors (tracker refills mostly return
-        peers we already know; re-firing would stampede the pumps).
+        ``Peer.join``, ``Peer.refill_neighbors`` and :meth:`rebrand`
+        hand it their tracker reply.  ``ColumnarState.link`` makes each
+        edge; the loop calls it only for an edge within both caps that
+        both ends admit.  It stops once the peer is at its cap (unless
+        unlimited), skips a stranger at its cap without a call, and
+        asks admission only of a peer whose class defines
+        ``accepts_connection_from``.  Each skip or stop is a refusal
+        ``link`` would have returned with no side effect, and degrees
+        are read live, so what the pumps do between edges cannot
+        change the outcome.
         """
-        made = self.columnar.link(a, b, self._admits)
-        if made:
-            peer_a, peer_b = self.peers[a], self.peers[b]
-            peer_a.on_neighbor_connected(b)
-            peer_b.on_neighbor_connected(a)
-        return made is not None
+        state = self.columnar
+        row_of = state.row_of
+        row = row_of.get(peer_id)
+        if row is None:
+            return 0
+        adj_rows, objs = state.adj_rows, state.objs
+        cap = state.max_neighbors
+        unlimited = state._unlimited
+        link = state.link
+        mine = adj_rows[row]
+        capped = peer_id not in unlimited
+        peer = objs[row]
+        admits = peer.accepts_connection_from
+        made = 0
+        for other_id in strangers:
+            if capped and len(mine) >= cap:
+                break
+            other_row = row_of.get(other_id)
+            if other_row is None or (len(adj_rows[other_row]) >= cap
+                                     and other_id not in unlimited):
+                continue
+            other = objs[other_row]
+            screen = other.accepts_connection_from
+            if (admits is not None and not admits(other_id)) \
+                    or (screen is not None and not screen(peer_id)):
+                continue
+            if link(peer_id, other_id):
+                made += 1
+                peer.pump()
+                other.pump()
+        return made
 
-    def _admits(self, a: str, b: str) -> bool:
-        """Both endpoints of a would-be new edge accept each other
-        (asked by ``ColumnarState.link`` after its membership search;
-        a graph row is always a registered peer)."""
-        peers = self.peers
-        return peers[a].accepts_connection_from(b) \
-            and peers[b].accepts_connection_from(a)
+    def connect(self, a: str, b: str) -> bool:
+        """The single-edge form of :meth:`connect_strangers`: True when
+        the edge a—b exists afterwards.
 
-    def _notify_disconnect(self, remaining: str, departed: str) -> None:
-        peer = self.peers.get(remaining)
-        if peer is not None:
-            peer.on_neighbor_disconnected(departed)
+        Re-connecting an existing edge is a no-op that pumps nobody:
+        only a genuinely new neighbour is worth a pump.
+        """
+        return self.connect_strangers(a, (b,)) > 0 \
+            or self.columnar.are_neighbors(a, b)
 
     def rebrand(self, peer: Peer) -> str:
         """Give a peer a fresh identity (whitewashing support).
@@ -179,8 +209,7 @@ class Swarm:
         # A fresh identity has no neighbours to leave out.
         strangers = self.tracker.announce(new_id)
         self.tracker.join(new_id)
-        for member in strangers:
-            self.connect(new_id, member)
+        self.connect_strangers(new_id, strangers)
         return new_id
 
     # ------------------------------------------------------------------

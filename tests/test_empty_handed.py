@@ -130,8 +130,10 @@ class TestGate:
     def test_empty_handed_peer_never_asks(self):
         swarm, peer = tchain_pair()
         # join() pumped, and so did the connect to the seeder
+        # (Swarm.connect_strangers pumps both ends of a new edge)
         peer.pump()
-        peer.on_neighbor_connected("S1")
+        assert swarm.connect(peer.id, "S1")  # existing: pumps nobody
+        peer.pump()
         assert peer.asked == 0
 
     def test_a_held_piece_opens_the_gate(self):
@@ -156,7 +158,7 @@ class TestGate:
         peer.book.add_completed(0)
         peer.pump()
         peer.pump()
-        peer.on_neighbor_connected("S1")
+        peer.pump()
         assert peer.asked == 1
         wanter = TChainLeecher(swarm)
         wanter.join()

@@ -3,7 +3,8 @@
 The graph is stored once, in the swarm state: per row, the neighbours'
 rows in sorted-id order (``repro.bt.columnar.ColumnarState``).  Rows
 registered by id alone exercise the graph by itself; rows adopted from
-peers add the availability counts an edge change must keep in step.
+peers add the availability counts an edge change must keep in step,
+and hear each departure through ``on_neighbor_disconnected``.
 """
 
 import pytest
@@ -18,6 +19,9 @@ from hypothesis.stateful import (
 )
 
 from repro.bt.columnar import ColumnarState
+from repro.bt.config import SwarmConfig
+from repro.bt.peer import Peer
+from repro.bt.swarm import REFILL_THRESHOLD, Swarm
 from repro.bt.torrent import PieceBook, Torrent
 
 N_PIECES = 3
@@ -30,13 +34,44 @@ def topo(max_neighbors=3, refill=2):
 
 
 class StubPeer:
-    """What ``ColumnarState.adopt`` reads of a peer."""
+    """What ``ColumnarState.adopt`` reads of a peer, plus the hook
+    ``remove_peer`` calls on each ex-neighbour.  With a ``log``, each
+    notice is logged as ``(remaining, departed, remaining's neighbour
+    ids at that moment)``."""
 
-    def __init__(self, pid, pieces=(), unlimited=False):
+    def __init__(self, pid, pieces=(), unlimited=False, state=None,
+                 log=None):
         self.id = pid
         self.book = PieceBook(TORRENT, pieces)
         self.unlimited_neighbors = unlimited
         self.active = True
+        self.state, self.log = state, log
+
+    def on_neighbor_disconnected(self, departed):
+        if self.log is not None:
+            self.log.append((self.id, departed,
+                             self.state.sorted_neighbors(self.id)))
+
+
+def watched(t, pids):
+    """Adopt a logging stub per id into ``t``; returns the shared log."""
+    log = []
+    for pid in pids:
+        t.adopt(StubPeer(pid, state=t, log=log))
+    return log
+
+
+class RefillCounter(Peer):
+    """A peer that serves nothing and counts its refills."""
+
+    refills = 0
+
+    def next_upload(self):
+        return None
+
+    def refill_neighbors(self):
+        self.refills += 1
+        super().refill_neighbors()
 
 
 class TestEdges:
@@ -110,14 +145,20 @@ class TestCaps:
         assert t.degree("F") == 3
 
     def test_needs_refill(self):
-        t = topo(max_neighbors=5, refill=2)
-        t.add_peer("A")
-        t.add_peer("B")
-        assert t.needs_refill("A")
-        t.connect("A", "B")
-        t.add_peer("C")
-        t.connect("A", "C")
-        assert not t.needs_refill("A")
+        """A departure makes a neighbour refill exactly when it leaves
+        the neighbour below the threshold (``Peer.on_neighbor_
+        disconnected`` reads the degree once the edge is gone)."""
+        swarm = Swarm(SwarmConfig(n_pieces=2, seed=1))
+        peers = [RefillCounter(swarm, f"P{i:02d}", 800.0, 1)
+                 for i in range(REFILL_THRESHOLD + 2)]
+        for peer in peers:
+            peer.join()
+        assert {swarm.columnar.degree(p.id) for p in peers} \
+            == {REFILL_THRESHOLD + 1}
+        peers[0].leave()  # the others keep REFILL_THRESHOLD
+        assert [p.refills for p in peers[1:]] == [0] * (len(peers) - 1)
+        peers[1].leave()  # one below the threshold
+        assert [p.refills for p in peers[2:]] == [1] * (len(peers) - 2)
 
 
 class TestRemoval:
@@ -134,14 +175,11 @@ class TestRemoval:
 
     def test_remove_fires_disconnect_callbacks(self):
         t = topo()
-        events = []
-        t.on_disconnect = lambda rem, dep: events.append((rem, dep))
-        for pid in "ABC":
-            t.add_peer(pid)
+        events = watched(t, "ABC")
         t.connect("A", "B")
         t.connect("A", "C")
         t.remove_peer("A")
-        assert sorted(events) == [("B", "A"), ("C", "A")]
+        assert events == [("B", "A", []), ("C", "A", [])]
 
     def test_remove_unknown_is_noop(self):
         assert topo().remove_peer("ghost") == []
@@ -225,17 +263,17 @@ class TestSortedAdjacency:
                     assert t.degree(pid) == len(model[pid])
 
     def test_remove_peer_notifies_in_sorted_order_with_positions(self):
+        """``(remaining, departed)``, sorted by id, once each, and
+        after that remaining peer's edge is gone."""
         t = topo(max_neighbors=5)
-        for pid in ("L1", "L10", "L2", "L3"):
-            t.add_peer(pid)
+        events = watched(t, ("L1", "L10", "L2", "L3"))
         t.connect("L2", "L3")
         t.connect("L2", "L10")
         t.connect("L2", "L1")
         t.connect("L1", "L10")
-        events = []
-        t.on_disconnect = lambda rem, dep: events.append((rem, dep))
         assert t.remove_peer("L2") == ["L1", "L10", "L3"]
-        assert events == [("L1", "L2"), ("L10", "L2"), ("L3", "L2")]
+        assert events == [("L1", "L2", ["L10"]), ("L10", "L2", ["L1"]),
+                          ("L3", "L2", [])]
         # Each survivor lost exactly the departed entry.
         assert t.sorted_neighbors("L1") == ["L10"]
         assert t.sorted_neighbors("L10") == ["L1"]
@@ -258,8 +296,6 @@ class SingleStoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.state = topo(max_neighbors=CAP, refill=REFILL)
         self.events = []
-        self.state.on_disconnect = \
-            lambda rem, dep: self.events.append((rem, dep))
         self.peers = {}
         self.adj = {}
         self.live = {}
@@ -286,9 +322,12 @@ class SingleStoreMachine(RuleBasedStateMachine):
         gone = self.state.remove_peer(pid)
         want = sorted(self.adj.pop(pid))
         assert gone == want
-        assert self.events == [(other, pid) for other in want]
         for other in want:
             self.adj[other].discard(pid)
+        # One notice per ex-neighbour, in id order, each seeing its
+        # edge gone: the degree the refill test reads.
+        assert self.events == [(other, pid, sorted(self.adj[other]))
+                               for other in want]
         self.unlimited.discard(pid)
         del self.live[pid]
         return self.peers.pop(pid)
@@ -297,14 +336,17 @@ class SingleStoreMachine(RuleBasedStateMachine):
                                max_size=len(POOL)))
     def populate(self, peers):
         for pid, (pieces, unlimited) in zip(POOL, peers):
-            self._register(StubPeer(pid, pieces, unlimited))
+            self._register(self._stub(pid, pieces, unlimited))
+
+    def _stub(self, pid, pieces, unlimited):
+        return StubPeer(pid, pieces, unlimited, self.state, self.events)
 
     @precondition(lambda self: not set(POOL) <= set(self.adj))
     @rule(data=st.data(), pieces=PIECES, unlimited=UNLIMITED)
     def register(self, data, pieces, unlimited):
         pid = data.draw(st.sampled_from(
             [pid for pid in POOL if pid not in self.adj]))
-        self._register(StubPeer(pid, pieces, unlimited))
+        self._register(self._stub(pid, pieces, unlimited))
 
     @rule(data=st.data())
     def connect(self, data):
@@ -366,7 +408,6 @@ class SingleStoreMachine(RuleBasedStateMachine):
             want = sorted(nbrs)
             assert state.sorted_neighbors(pid) == want
             assert state.degree(pid) == len(want)
-            assert state.needs_refill(pid) == (len(want) < REFILL)
             assert len(want) <= CAP or pid in self.unlimited
             for other in list(self.adj) + ["ghost"]:
                 assert state.are_neighbors(pid, other) == (other in nbrs)
